@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 
 use crate::error::{AdmError, Result};
 use crate::serde::{self, for_each_record_field};
+use crate::types::RecordType;
 
 /// Append one LEB128 varint (same wire format as [`crate::serde`]).
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -324,14 +325,18 @@ pub fn shred<'a>(schema: &InferredSchema, record_sd: &'a [u8]) -> Option<Shredde
 /// the late-materialized projection output.
 pub fn encode_record_from_parts(parts: &[(&str, &[u8])]) -> Vec<u8> {
     let mut out = Vec::new();
+    write_record(&mut out, parts.len(), parts.iter().copied());
+    out
+}
+
+fn write_record<'a>(out: &mut Vec<u8>, n: usize, parts: impl Iterator<Item = (&'a str, &'a [u8])>) {
     out.push(serde::T_RECORD);
-    write_varint(&mut out, parts.len() as u64);
+    write_varint(out, n as u64);
     for (name, bytes) in parts {
-        write_varint(&mut out, name.len() as u64);
+        write_varint(out, name.len() as u64);
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(bytes);
     }
-    out
 }
 
 /// Reassemble the full record from shredded parts: present schema columns
@@ -371,6 +376,40 @@ pub fn splice_full(
     }
     out.extend_from_slice(rest_body);
     Ok(out)
+}
+
+/// The record `sd` with its top-level fields in the order the typed
+/// encoding yields them for `rt` ([`serde::decode_typed`]): declared fields
+/// in declared order, then open fields as encountered. [`splice_full`]
+/// emits columns in first-seen order, which differs whenever an optional
+/// field was absent from the component's first row; a reader that hands
+/// spliced records out without a typed round trip calls this to give every
+/// storage format the same field order. Returns `sd` itself when it is
+/// already in that order (or is not a record), else the re-ordered copy
+/// built in `buf`.
+pub fn in_typed_order<'a>(sd: &'a [u8], rt: &RecordType, buf: &'a mut Vec<u8>) -> Result<&'a [u8]> {
+    // A field's rank: its declared position, or past every declared field.
+    let rank = |name: &str| rt.fields.iter().position(|f| f.name == name).unwrap_or(usize::MAX);
+    let mut last = 0usize;
+    let mut ordered = true;
+    for_each_record_field(sd, &mut |name, _| {
+        let r = rank(name);
+        ordered = r >= last;
+        last = r;
+        ordered
+    })?;
+    if ordered {
+        return Ok(sd);
+    }
+    let mut parts: Vec<(usize, &str, &[u8])> = Vec::new();
+    for_each_record_field(sd, &mut |name, bytes| {
+        parts.push((rank(name), name, bytes));
+        true
+    })?;
+    parts.sort_by_key(|(r, _, _)| *r); // stable: open fields keep their order
+    buf.clear();
+    write_record(buf, parts.len(), parts.iter().map(|(_, n, b)| (*n, *b)));
+    Ok(buf)
 }
 
 #[cfg(test)]

@@ -551,54 +551,57 @@ impl Gen {
         Ok((op, new_schema))
     }
 
-    /// The projection a scan of `var` may run with: `Some` only when every
-    /// use of the variable across the plan is a direct field access.
-    fn scan_projection(&self, var: VarId, filter: Option<ScanFilter>) -> Option<ScanProjection> {
-        match self.scan_uses.get(&var) {
-            Some(VarUse::Fields(fields)) => {
-                Some(ScanProjection { fields: fields.iter().cloned().collect(), filter })
-            }
-            _ => None,
-        }
-    }
-
-    /// Classify a select condition over the scan variable as a pushable
-    /// single-column pre-filter: an ordkey-decidable `$v.field <op> C`
-    /// comparison (for conjunctions, the first such conjunct — dropping
-    /// rows one conjunct definitely rejects is always safe).
-    fn scan_filter(&self, condition: &LogicalExpr, var: VarId) -> Option<ScanFilter> {
+    /// Classify a select condition over the scan variable into pushable
+    /// pre-filters: every conjunct that is an ordkey-decidable
+    /// `$v.field <op> C` comparison. Dropping rows any one conjunct
+    /// definitely rejects is always safe.
+    fn scan_filters(&self, condition: &LogicalExpr, var: VarId) -> Vec<ScanFilter> {
         let schema = [var];
-        let cand = |e: &LogicalExpr| -> Option<ScanFilter> {
-            let p = self.ordkey_pred(e, &schema)?;
-            let field = p.path?;
-            (p.col == 0).then(|| ScanFilter { field, op: p.op, key: p.key })
+        let conjuncts = match condition {
+            LogicalExpr::And(cs) => cs.as_slice(),
+            e => std::slice::from_ref(e),
         };
-        match condition {
-            LogicalExpr::And(cs) => cs.iter().find_map(cand),
-            e => cand(e),
-        }
+        conjuncts
+            .iter()
+            .filter_map(|e| {
+                let p = self.ordkey_pred(e, &schema)?;
+                Some(ScanFilter { field: p.path?, op: p.op, key: p.key })
+            })
+            .collect()
     }
 
     /// Build a data-scan source. Prefers the serialized scan: storage
     /// hands encoded tuple bytes straight into the byte-frame exchange.
-    /// When the plan only touches specific fields of the scan variable,
-    /// the provider is offered a projection so columnar components can
-    /// read just those columns and late-materialize.
+    /// The provider is always offered a projection — the fields the plan
+    /// touches of the scan variable, or all of them when it escapes —
+    /// carrying the filters of the select directly above, so columnar
+    /// components can filter first and assemble only what survives.
     fn build_scan(
         &mut self,
         dataset: &str,
         var: VarId,
-        filter: Option<ScanFilter>,
+        filters: Vec<ScanFilter>,
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
-        let proj = self.scan_projection(var, filter);
-        let op: Arc<SourceOp> = match self.ctx.provider.raw_scan_source(dataset, proj.as_ref())? {
+        let fields = match self.scan_uses.get(&var) {
+            Some(VarUse::Fields(fields)) => Some(fields.iter().cloned().collect()),
+            _ => None,
+        };
+        let proj = ScanProjection { fields, filters };
+        let op: Arc<SourceOp> = match self.ctx.provider.raw_scan_source(dataset, &proj)? {
             Some(raw) => {
-                let label = match &proj {
-                    Some(p) if raw.projected => {
-                        format!("data-scan {dataset} [cols: {}]", p.fields.join(","))
+                let mut label = format!("data-scan {dataset}");
+                if raw.projected {
+                    let cols = proj.fields.as_ref().map_or("*".into(), |f| f.join(","));
+                    label.push_str(&format!(" [cols: {cols}]"));
+                    if !proj.filters.is_empty() {
+                        let fs: Vec<String> = proj
+                            .filters
+                            .iter()
+                            .map(|f| format!("{}{}?", f.field, f.op.symbol()))
+                            .collect();
+                        label.push_str(&format!(" [filter: {}]", fs.join(", ")));
                     }
-                    _ => format!("data-scan {dataset}"),
-                };
+                }
                 Arc::new(SourceOp::from_raw_fn(label, raw.source))
             }
             None => {
@@ -619,7 +622,9 @@ impl Gen {
                 );
                 Ok((id, Vec::new(), Part::Single))
             }
-            LogicalOp::DataSourceScan { dataset, var } => self.build_scan(dataset, *var, None),
+            LogicalOp::DataSourceScan { dataset, var } => {
+                self.build_scan(dataset, *var, Vec::new())
+            }
             LogicalOp::IndexSearch { dataset, index, var, spec, postcondition } => {
                 self.build_index_search(dataset, index, *var, spec, postcondition.as_ref())
             }
@@ -636,14 +641,14 @@ impl Gen {
             }
             LogicalOp::Select { input, condition } => {
                 // A select directly over a data scan pushes its
-                // ordkey-decidable comparison into the scan: a columnar
-                // source then decides most rows on one column's bytes
-                // before assembling anything. The select stays in the plan
-                // — the pushed filter only drops definite rejects.
+                // ordkey-decidable conjuncts into the scan: a columnar
+                // source then decides most rows on the filter columns'
+                // bytes before assembling anything. The select stays in
+                // the plan — the pushed filters only drop definite rejects.
                 let (in_op, schema, part) = match input.as_ref() {
                     LogicalOp::DataSourceScan { dataset, var } => {
-                        let filter = self.scan_filter(condition, *var);
-                        self.build_scan(dataset, *var, filter)?
+                        let filters = self.scan_filters(condition, *var);
+                        self.build_scan(dataset, *var, filters)?
                     }
                     _ => self.build(input)?,
                 };

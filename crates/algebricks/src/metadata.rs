@@ -50,21 +50,24 @@ pub struct ScanFilter {
     pub key: Vec<u8>,
 }
 
-/// What a data scan actually needs to produce: the top-level fields the
-/// query accesses (every use of the scan variable is `$v.field`), plus an
-/// optional pre-filter. Handed to [`MetadataProvider::raw_scan_source`]
-/// so columnar storage can late-materialize just those columns.
+/// What a data scan actually needs to produce, handed to
+/// [`MetadataProvider::raw_scan_source`] so columnar storage can filter
+/// first and late-materialize just the columns needed.
 #[derive(Debug, Clone)]
 pub struct ScanProjection {
-    /// Field names in deterministic (sorted) order.
-    pub fields: Vec<String>,
-    pub filter: Option<ScanFilter>,
+    /// The top-level fields the query accesses, in deterministic (sorted)
+    /// order, when every use of the scan variable is `$v.field`; `None`
+    /// when the variable escapes and whole records are needed.
+    pub fields: Option<Vec<String>>,
+    /// Every ordkey-decidable conjunct of the select directly above the
+    /// scan (empty when there is none).
+    pub filters: Vec<ScanFilter>,
 }
 
 /// A serialized scan source plus whether it honors the requested
-/// projection. A provider may decline the projection — the dataset has no
-/// columnar components, or the `disable_columnar` knob is on — and serve
-/// full rows instead; the compiler labels the scan accordingly.
+/// projection and filters. A provider may decline them — the
+/// `disable_columnar` knob is on — and serve every record whole instead;
+/// the compiler labels the scan accordingly.
 pub struct RawScan {
     pub source: RawSourceFn,
     pub projected: bool,
@@ -109,16 +112,17 @@ pub trait MetadataProvider: Send + Sync {
 
     /// Serialized scan source: emits the offset-prefixed tuple encoding
     /// directly, so the scan feeds the byte-frame exchange without
-    /// materializing a `Value` per record. When the compiler knows the
-    /// query touches only specific fields it passes a `projection`;
-    /// providers backed by columnar components can then read just those
-    /// columns and late-materialize (see DESIGN.md "Columnar storage").
-    /// Providers that can serve bytes return `Some`; the default `None`
-    /// makes the compiler fall back to `scan_source`.
+    /// materializing a `Value` per record. The compiler always passes the
+    /// `projection` it derived — the fields the query touches (or all of
+    /// them) and the filters it may apply early; providers backed by
+    /// columnar components filter on raw column bytes and late-materialize
+    /// the survivors (see DESIGN.md "Columnar storage"). Providers that
+    /// can serve bytes return `Some`; the default `None` makes the
+    /// compiler fall back to `scan_source`.
     fn raw_scan_source(
         &self,
         _dataset: &str,
-        _projection: Option<&ScanProjection>,
+        _projection: &ScanProjection,
     ) -> Result<Option<RawScan>> {
         Ok(None)
     }

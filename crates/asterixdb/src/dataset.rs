@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asterix_adm::value::Rectangle;
-use asterix_adm::{serde as adm_serde, Datatype, TypeRegistry, Value};
+use asterix_adm::{colschema, serde as adm_serde, Datatype, TypeRegistry, Value};
 use asterix_metadata::{DatasetMeta, IndexKindMeta, IndexMeta};
 use asterix_storage::btree::{LsmBTree, ValueBound};
 use asterix_storage::inverted::{InvertedIndex, Tokenizer};
@@ -611,92 +611,86 @@ impl DatasetRuntime {
         }
     }
 
-    /// Serialized partition scan: each stored record is decoded once and
-    /// handed to `visit` as an encoded single-column tuple in the
-    /// byte-frame wire format, so the record `Value` never crosses an
-    /// operator boundary. The visitor returns `false` to stop early (e.g.
-    /// a downstream consumer closed); early stop is not an error.
+    /// Serialized full scan of one partition: every record, whole, as an
+    /// encoded single-column tuple in the byte-frame wire format — the
+    /// all-fields, no-filter case of [`Self::scan_partition_projected`].
+    /// The visitor returns `false` to stop early (e.g. a downstream
+    /// consumer closed); early stop is not an error.
     pub fn scan_partition_raw(
         &self,
         partition: usize,
         visit: &mut dyn FnMut(&[u8]) -> bool,
     ) -> Result<()> {
-        let mut scratch = Vec::new();
-        let mut err: Option<AsterixError> = None;
-        self.primary[partition].range_with(
-            &ValueBound::Unbounded,
-            &ValueBound::Unbounded,
-            |_, bytes| match adm_serde::decode_typed(&self.registry, bytes, &self.datatype) {
-                Ok(v) => {
-                    scratch.clear();
-                    asterix_adm::encode_tuple_into(&mut scratch, std::slice::from_ref(&v));
-                    visit(&scratch)
-                }
-                Err(e) => {
-                    err = Some(e.into());
-                    false
-                }
-            },
-        )?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.scan_partition_projected(partition, &Projection::all(), visit)
     }
 
-    /// Whether projecting (late-materializing) scans may run against this
-    /// dataset — the `disable_columnar` A/B knob.
+    /// Whether scans may push projections and filters into columnar
+    /// components — the `disable_columnar` A/B knob.
     pub fn columnar_scans_enabled(&self) -> bool {
         !self.cfg.disable_columnar
     }
 
-    /// Late-materializing partition scan: rows living in columnar
-    /// components are assembled from just the projected columns (after
-    /// the pushed-down filter, if any, has been decided on raw column
-    /// bytes); rows from row-major components or the memory component are
-    /// decoded and cut down to the same projected fields. Either way the
-    /// visitor receives an encoded single-column tuple holding a
-    /// self-describing record of the projected fields — byte-identical
-    /// across both paths, since column bytes are exact slices of the
-    /// record's self-describing encoding.
+    /// The partition scan: the visitor receives, per surviving record, an
+    /// encoded single-column tuple holding a self-describing record of
+    /// the projected fields (every field for an all-fields projection).
+    /// Rows in columnar components are filtered on raw column bytes and
+    /// assembled from just the columns needed, with no `Value` in between;
+    /// rows from row-major components, the memory component and spill
+    /// runs are decoded and cut down to the same fields (the select above
+    /// the scan filters those). Either way the bytes are identical: column
+    /// bytes are exact slices of the record's self-describing encoding,
+    /// and a whole record spliced from them is put into the field order
+    /// `decode_typed` yields.
     pub fn scan_partition_projected(
         &self,
         partition: usize,
         proj: &Projection,
         visit: &mut dyn FnMut(&[u8]) -> bool,
     ) -> Result<()> {
+        let record_type = self.resolved_record_type();
         let mut scratch = Vec::new();
+        let mut reordered = Vec::new();
         let mut err: Option<AsterixError> = None;
-        self.primary[partition].lsm().scan_projected(None, None, proj, |_, sv| match sv {
-            ScanValue::Assembled(sd) => {
-                scratch.clear();
-                asterix_adm::tuple::encode_tuple_from_encoded(&mut scratch, sd);
-                visit(&scratch)
-            }
-            ScanValue::Row(typed) => {
-                match adm_serde::decode_typed(&self.registry, typed, &self.datatype) {
-                    Ok(v) => {
-                        let mut rec = asterix_adm::Record::new();
-                        for f in &proj.fields {
-                            let fv = v.field(f);
-                            // Missing = absent from the record; Null is a
-                            // present field and must stay (matching what
-                            // the columnar assembly produces).
-                            if !matches!(fv, Value::Missing) {
-                                rec.set(f.clone(), fv);
+        self.primary[partition].lsm().scan_projected(None, None, proj, |_, sv| {
+            scratch.clear();
+            let encoded = match sv {
+                ScanValue::Assembled(sd) => {
+                    // Named fields come assembled in projection order; a
+                    // whole record comes in column order.
+                    let rec = match (&proj.fields, &record_type) {
+                        (None, Some(rt)) => colschema::in_typed_order(sd, rt, &mut reordered),
+                        _ => Ok(sd),
+                    };
+                    rec.map(|rec| asterix_adm::tuple::encode_tuple_from_encoded(&mut scratch, rec))
+                }
+                ScanValue::Row(typed) => {
+                    adm_serde::decode_typed(&self.registry, typed, &self.datatype).map(|v| {
+                        let v = match &proj.fields {
+                            None => v,
+                            Some(fields) => {
+                                let mut rec = asterix_adm::Record::new();
+                                for f in fields {
+                                    let fv = v.field(f);
+                                    // Missing = absent from the record;
+                                    // Null is a present field and must stay
+                                    // (matching what the columnar assembly
+                                    // produces).
+                                    if !matches!(fv, Value::Missing) {
+                                        rec.set(f.clone(), fv);
+                                    }
+                                }
+                                Value::record(rec)
                             }
-                        }
-                        scratch.clear();
-                        asterix_adm::encode_tuple_into(
-                            &mut scratch,
-                            std::slice::from_ref(&Value::record(rec)),
-                        );
-                        visit(&scratch)
-                    }
-                    Err(e) => {
-                        err = Some(e.into());
-                        false
-                    }
+                        };
+                        asterix_adm::encode_tuple_into(&mut scratch, std::slice::from_ref(&v));
+                    })
+                }
+            };
+            match encoded {
+                Ok(()) => visit(&scratch),
+                Err(e) => {
+                    err = Some(e.into());
+                    false
                 }
             }
         })?;

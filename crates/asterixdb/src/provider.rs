@@ -268,49 +268,37 @@ impl MetadataProvider for InstanceProvider {
     fn raw_scan_source(
         &self,
         dataset: &str,
-        projection: Option<&ScanProjection>,
+        projection: &ScanProjection,
     ) -> asterix_hyracks::Result<Option<RawScan>> {
         // Only stored datasets serve serialized tuples; metadata/external
         // datasets (and unknown names, which must error through
         // `scan_source`) take the decoded fallback path.
         let Some(ds) = self.shared.dataset(dataset) else { return Ok(None) };
-        // Projecting scan: the compiler proved the query only touches
-        // these fields, so columnar components late-materialize just
-        // those columns (and decide the pushed filter on raw column
-        // bytes). Declined when the columnar knob is off.
-        if let Some(proj) = projection {
-            if ds.columnar_scans_enabled() {
-                let storage_proj = asterix_storage::Projection {
-                    fields: proj.fields.clone(),
-                    filter: proj.filter.as_ref().map(|f| asterix_storage::ColumnFilter {
+        // The compiler's projection — the fields the query touches and the
+        // conjuncts it filters by — is pushed into storage, where columnar
+        // components decide the filters on raw column bytes and assemble
+        // only the survivors. Declined when the columnar knob is off: the
+        // scan then serves every record whole.
+        let projected = ds.columnar_scans_enabled();
+        let storage_proj = if projected {
+            asterix_storage::Projection {
+                fields: projection.fields.clone(),
+                filters: projection
+                    .filters
+                    .iter()
+                    .map(|f| asterix_storage::ColumnFilter {
                         field: f.field.clone(),
                         op: cmp_kind_to_op(f.op),
                         key: f.key.clone(),
-                    }),
-                };
-                let source: RawSourceFn = Arc::new(move |partition, _nparts, emit| {
-                    let mut emit_err: Option<HyracksError> = None;
-                    ds.scan_partition_projected(partition, &storage_proj, &mut |bytes| match emit(
-                        bytes,
-                    ) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            emit_err = Some(e);
-                            false
-                        }
                     })
-                    .map_err(op_err)?;
-                    match emit_err {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    }
-                });
-                return Ok(Some(RawScan { source, projected: true }));
+                    .collect(),
             }
-        }
+        } else {
+            asterix_storage::Projection::all()
+        };
         let source: RawSourceFn = Arc::new(move |partition, _nparts, emit| {
             let mut emit_err: Option<HyracksError> = None;
-            ds.scan_partition_raw(partition, &mut |bytes| match emit(bytes) {
+            ds.scan_partition_projected(partition, &storage_proj, &mut |bytes| match emit(bytes) {
                 Ok(()) => true,
                 Err(e) => {
                     emit_err = Some(e);
@@ -323,7 +311,7 @@ impl MetadataProvider for InstanceProvider {
                 None => Ok(()),
             }
         });
-        Ok(Some(RawScan { source, projected: false }))
+        Ok(Some(RawScan { source, projected }))
     }
 
     fn primary_range_source(

@@ -345,6 +345,18 @@ impl CmpKind {
             CmpKind::Ge => ord != Ordering::Less,
         }
     }
+
+    /// The operator as written in a query (`explain` labels).
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpKind::Eq => "=",
+            CmpKind::Neq => "!=",
+            CmpKind::Lt => "<",
+            CmpKind::Le => "<=",
+            CmpKind::Gt => ">",
+            CmpKind::Ge => ">=",
+        }
+    }
 }
 
 /// A constant comparison jobgen classified as ordkey-comparable:

@@ -55,6 +55,11 @@ pub struct ColumnarStats {
     pub bytes_skipped: Counter,
     /// Rows that fell back to the row-stored spill column at build time.
     pub fallback_rows: Counter,
+    /// Shredded rows a scan's pushed filters rejected on raw column bytes
+    /// (never assembled).
+    pub rows_filtered: Counter,
+    /// Shredded rows a scan assembled into a record.
+    pub rows_assembled: Counter,
 }
 
 impl ColumnarStats {
@@ -63,6 +68,8 @@ impl ColumnarStats {
         reg.register_counter(&format!("{prefix}.columns_projected"), &self.columns_projected);
         reg.register_counter(&format!("{prefix}.bytes_skipped"), &self.bytes_skipped);
         reg.register_counter(&format!("{prefix}.fallback_rows"), &self.fallback_rows);
+        reg.register_counter(&format!("{prefix}.rows_filtered"), &self.rows_filtered);
+        reg.register_counter(&format!("{prefix}.rows_assembled"), &self.rows_assembled);
     }
 }
 
@@ -167,11 +174,23 @@ impl ColumnFilter {
     }
 }
 
-/// What a late-materializing scan should produce: the named fields, in
-/// order, of each surviving row — assembled into a self-describing record
-/// — plus an optional single-column pre-filter.
+/// What a late-materializing scan should produce for each surviving row:
+/// the named fields, in order, assembled into a self-describing record —
+/// or, with `fields: None`, the whole record — after every pushed filter
+/// has been decided on raw column bytes.
 #[derive(Debug, Clone)]
 pub struct Projection {
-    pub fields: Vec<String>,
-    pub filter: Option<ColumnFilter>,
+    /// `None` = all fields: the scan variable escapes, so surviving rows
+    /// are spliced back into full records.
+    pub fields: Option<Vec<String>>,
+    /// Conjuncts of the predicate above the scan; a row any of them
+    /// definitely rejects is never assembled.
+    pub filters: Vec<ColumnFilter>,
+}
+
+impl Projection {
+    /// Every field of every row: the plain full scan.
+    pub fn all() -> Self {
+        Projection { fields: None, filters: Vec::new() }
+    }
 }

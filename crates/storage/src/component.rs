@@ -32,7 +32,7 @@ use asterix_adm::serde as adm_serde;
 
 use crate::bloom::BloomFilter;
 use crate::cache::{next_file_id, BufferCache};
-use crate::columnar::{ColumnarOptions, ColumnarStats, Projection, RowCodec};
+use crate::columnar::{ColumnFilter, ColumnarOptions, ColumnarStats, Projection, RowCodec};
 use crate::error::{Result, StorageError};
 
 const MAGIC: u64 = 0x4153_5458_4c53_4d31; // "ASTXLSM1"
@@ -1256,8 +1256,7 @@ impl DiskComponent {
         ComponentIter {
             comp: Arc::clone(self),
             block_idx: start_block,
-            entries: Vec::new(),
-            entry_idx: 0,
+            entries: Vec::new().into_iter(),
             lo: lo.map(|b| b.to_vec()),
             hi: hi.map(|b| b.to_vec()),
             primed: false,
@@ -1265,12 +1264,13 @@ impl DiskComponent {
         }
     }
 
-    /// Late-materializing scan over a columnar component: reads the key run,
-    /// only the projected (and filtered) column runs, and assembles each
-    /// surviving row's requested fields into a self-describing record —
-    /// skipping every other column's bytes entirely. Must only be called
-    /// when [`Self::is_columnar`]; row components are scanned with
-    /// [`Self::range`].
+    /// Filter-first scan over a columnar component. Per row group it reads
+    /// the key run and the filter columns, decides every pushed filter on
+    /// raw column bytes, and only once a row of the group survives reads
+    /// the remaining projected runs and assembles the survivors — the
+    /// named fields, or the whole record for an all-fields projection.
+    /// Must only be called when [`Self::is_columnar`]; row components are
+    /// scanned with [`Self::range`].
     pub fn project_range(
         self: &Arc<Self>,
         lo: Option<&[u8]>,
@@ -1280,34 +1280,37 @@ impl DiskComponent {
         let Layout::Columnar(m) = &self.layout else {
             panic!("project_range on a row component");
         };
-        // Resolve projected fields against the schema once.
-        let cols: Vec<(String, Option<usize>)> =
-            proj.fields.iter().map(|f| (f.clone(), m.schema.column_index(f))).collect();
-        let need_rest = cols.iter().any(|(_, c)| c.is_none());
-        let filter = proj.filter.clone().map(|f| {
-            let src = m.schema.column_index(&f.field);
-            (f, src)
-        });
-        // The set of column slots this scan will read.
-        let mut read_cols: Vec<usize> = cols.iter().filter_map(|(_, c)| *c).collect();
-        if let Some((_, Some(c))) = &filter {
-            read_cols.push(*c);
-        }
-        read_cols.sort_unstable();
-        read_cols.dedup();
+        // Resolve fields against the schema once. Slot `c < ncols` is
+        // schema column `c`; slot `ncols` is the rest run, which holds
+        // every field that did not earn a column.
+        let ncols = m.schema.columns.len();
+        let slot_of = |name: &str| m.schema.column_index(name).unwrap_or(ncols);
+        let fields: Option<Vec<(String, usize)>> =
+            proj.fields.as_ref().map(|fs| fs.iter().map(|f| (f.clone(), slot_of(f))).collect());
+        let filters: Vec<(ColumnFilter, usize)> =
+            proj.filters.iter().map(|f| (f.clone(), slot_of(&f.field))).collect();
+        let mut filter_slots: Vec<usize> = filters.iter().map(|(_, s)| *s).collect();
+        filter_slots.sort_unstable();
+        filter_slots.dedup();
+        let mut late_slots: Vec<usize> = match &fields {
+            Some(fs) => fs.iter().map(|(_, s)| *s).collect(),
+            None => (0..=ncols).collect(),
+        };
+        late_slots.sort_unstable();
+        late_slots.dedup();
+        late_slots.retain(|s| !filter_slots.contains(s));
         let start_block = match lo {
             Some(lo) => self.locate_block(lo).unwrap_or(0),
             None => 0,
         };
         ProjectedIter {
             comp: Arc::clone(self),
-            cols,
-            read_cols,
-            need_rest,
-            filter,
+            fields,
+            filters,
+            filter_slots,
+            late_slots,
             group_idx: start_block,
-            rows: Vec::new(),
-            row_idx: 0,
+            rows: Vec::new().into_iter(),
             lo: lo.map(|b| b.to_vec()),
             hi: hi.map(|b| b.to_vec()),
             primed: false,
@@ -1374,8 +1377,7 @@ struct ColFileMeta {
 pub struct ComponentIter {
     comp: Arc<DiskComponent>,
     block_idx: usize,
-    entries: Vec<Entry>,
-    entry_idx: usize,
+    entries: std::vec::IntoIter<Entry>,
     lo: Option<Vec<u8>>,
     hi: Option<Vec<u8>>,
     primed: bool,
@@ -1403,18 +1405,18 @@ impl ComponentIter {
                 if self.primed { None } else { self.lo.as_deref() },
                 self.hi.as_deref(),
             ) {
-                Ok(entries) => {
+                Ok(mut entries) => {
                     self.block_idx += 1;
-                    self.entries = entries;
-                    self.entry_idx = 0;
                     if !self.primed {
                         self.primed = true;
                         if let Some(lo) = &self.lo {
-                            self.entry_idx =
-                                self.entries.partition_point(|e| e.key.as_slice() < lo.as_slice());
+                            let skip =
+                                entries.partition_point(|e| e.key.as_slice() < lo.as_slice());
+                            entries.drain(..skip);
                         }
                     }
-                    if self.entry_idx < self.entries.len() {
+                    if !entries.is_empty() {
+                        self.entries = entries.into_iter();
                         return true;
                     }
                 }
@@ -1433,16 +1435,17 @@ impl Iterator for ComponentIter {
 
     fn next(&mut self) -> Option<Entry> {
         loop {
-            if self.entry_idx >= self.entries.len() && !self.load_block() {
-                return None;
-            }
-            let e = self.entries[self.entry_idx].clone();
-            self.entry_idx += 1;
+            let Some(e) = self.entries.next() else {
+                if !self.load_block() {
+                    return None;
+                }
+                continue;
+            };
             if let Some(hi) = &self.hi {
                 if e.key.as_slice() >= hi.as_slice() {
                     // Past the upper bound: stop (and skip remaining blocks).
                     self.block_idx = self.comp.nblocks();
-                    self.entries.clear();
+                    self.entries = Vec::new().into_iter();
                     return None;
                 }
             }
@@ -1470,28 +1473,33 @@ pub enum ProjKind {
     /// A full stored row (spill rows, or rows from non-columnar sources);
     /// the consumer projects it itself.
     Row(Vec<u8>),
-    /// The projected fields assembled into a self-describing record.
+    /// The projected fields — or, for an all-fields projection, the whole
+    /// row — assembled into a self-describing record.
     Assembled(Vec<u8>),
-    /// Rejected by the pushed-down column filter. Still carries its key so
+    /// Rejected by a pushed-down column filter. Still carries its key so
     /// merge resolution can let it shadow older versions; dropped only
     /// after winning.
     Filtered,
 }
 
-/// Late-materializing iterator over one columnar component: yields every
-/// key in range with its projected payload, reading only the needed column
-/// runs through the buffer cache.
+/// One parsed presence-prefixed run of a row group: the chunk and each
+/// shredded row's value range in it.
+type Run = (Arc<Vec<u8>>, Vec<Option<(usize, usize)>>);
+
+/// Filter-first iterator over one columnar component (see
+/// [`DiskComponent::project_range`]): yields every key in range, so merge
+/// resolution sees filtered and deleted versions too.
 pub struct ProjectedIter {
     comp: Arc<DiskComponent>,
-    /// Projected fields with their schema column index (None = from rest).
-    cols: Vec<(String, Option<usize>)>,
-    /// De-duplicated schema column slots this scan reads.
-    read_cols: Vec<usize>,
-    need_rest: bool,
-    filter: Option<(crate::columnar::ColumnFilter, Option<usize>)>,
+    /// Fields to assemble with their slot; `None` = the whole record.
+    fields: Option<Vec<(String, usize)>>,
+    filters: Vec<(ColumnFilter, usize)>,
+    /// Slots the filters read, and the further slots assembly reads —
+    /// both sorted and de-duplicated.
+    filter_slots: Vec<usize>,
+    late_slots: Vec<usize>,
     group_idx: usize,
-    rows: Vec<ProjEntry>,
-    row_idx: usize,
+    rows: std::vec::IntoIter<ProjEntry>,
     lo: Option<Vec<u8>>,
     hi: Option<Vec<u8>>,
     primed: bool,
@@ -1506,19 +1514,24 @@ impl ProjectedIter {
 
     fn load_group(&mut self) -> bool {
         while self.group_idx < self.comp.nblocks() {
+            if let Some(hi) = &self.hi {
+                if self.comp.block_first_key(self.group_idx) >= hi.as_slice() {
+                    self.group_idx = self.comp.nblocks();
+                    return false;
+                }
+            }
             match self.materialize_group(self.group_idx) {
-                Ok(rows) => {
+                Ok(mut rows) => {
                     self.group_idx += 1;
-                    self.rows = rows;
-                    self.row_idx = 0;
                     if !self.primed {
                         self.primed = true;
                         if let Some(lo) = &self.lo {
-                            self.row_idx =
-                                self.rows.partition_point(|r| r.key.as_slice() < lo.as_slice());
+                            let skip = rows.partition_point(|r| r.key.as_slice() < lo.as_slice());
+                            rows.drain(..skip);
                         }
                     }
-                    if self.row_idx < self.rows.len() {
+                    if !rows.is_empty() {
+                        self.rows = rows.into_iter();
                         return true;
                     }
                 }
@@ -1539,29 +1552,64 @@ impl ProjectedIter {
         let nspill = keys.iter().filter(|(_, k)| *k == KIND_SPILL).count();
         let ncols = m.schema.columns.len();
 
-        // Read only the projected/filtered column runs; account for every
-        // run we got to skip.
-        let mut col_data: Vec<Option<(Arc<Vec<u8>>, Vec<Option<(usize, usize)>>)>> =
-            (0..ncols).map(|_| None).collect();
-        for &c in &self.read_cols {
-            let buf = self.comp.read_chunk(m, g, 1 + c)?;
+        let mut runs: Vec<Option<Run>> = (0..=ncols).map(|_| None).collect();
+        let load = |slot: usize| -> Result<Run> {
+            let buf = self.comp.read_chunk(m, g, 1 + slot)?;
             let ranges = DiskComponent::parse_presence_chunk(&buf, nshred)?;
-            col_data[c] = Some((buf, ranges));
+            Ok((buf, ranges))
+        };
+        // Shredded row `si`'s bytes in one run: a column value, or (last
+        // slot) the row's rest record.
+        fn run_bytes(runs: &[Option<Run>], slot: usize, si: usize) -> Option<&[u8]> {
+            let (buf, ranges) = runs[slot].as_ref()?;
+            ranges[si].map(|(a, b)| &buf[a..b])
         }
-        m.stats.columns_projected.add(self.read_cols.len() as u64);
-        let skipped: u64 = (0..ncols)
-            .filter(|c| !self.read_cols.contains(c))
-            .map(|c| meta.chunks[1 + c].1 as u64)
-            .sum();
+        // Encoded bytes of one field of shredded row `si`; a field without
+        // a column is looked up in the rest record.
+        fn field_bytes<'a>(
+            runs: &'a [Option<Run>],
+            slot: usize,
+            name: &str,
+            si: usize,
+        ) -> Option<&'a [u8]> {
+            let bytes = run_bytes(runs, slot, si)?;
+            if slot + 1 == runs.len() {
+                adm_serde::encoded_record_field(bytes, name)
+            } else {
+                Some(bytes)
+            }
+        }
+
+        // Filter first: only the filter columns are read to decide which
+        // rows are worth assembling.
+        for &slot in &self.filter_slots {
+            runs[slot] = Some(load(slot)?);
+        }
+        let mut pass = vec![true; nshred];
+        let mut survivors = nshred;
+        if !self.filters.is_empty() {
+            for (si, p) in pass.iter_mut().enumerate() {
+                let rejected = self.filters.iter().any(|(f, slot)| {
+                    f.rejects(field_bytes(&runs, *slot, &f.field, si), &mut self.scratch)
+                });
+                if rejected {
+                    *p = false;
+                    survivors -= 1;
+                }
+            }
+        }
+        if survivors > 0 {
+            for &slot in &self.late_slots {
+                runs[slot] = Some(load(slot)?);
+            }
+        }
+        m.stats.rows_filtered.add((nshred - survivors) as u64);
+        m.stats.rows_assembled.add(survivors as u64);
+        m.stats.columns_projected.add(runs[..ncols].iter().flatten().count() as u64);
+        let skipped: u64 =
+            (0..ncols).filter(|&c| runs[c].is_none()).map(|c| meta.chunks[1 + c].1 as u64).sum();
         m.stats.bytes_skipped.add(skipped);
 
-        let rest = if self.need_rest {
-            let buf = self.comp.read_chunk(m, g, 1 + ncols)?;
-            let ranges = DiskComponent::parse_presence_chunk(&buf, nshred)?;
-            Some((buf, ranges))
-        } else {
-            None
-        };
         let spill = if nspill > 0 {
             let buf = self.comp.read_chunk(m, g, 2 + ncols)?;
             let ranges = DiskComponent::parse_spill_chunk(&buf, nspill)?;
@@ -1572,54 +1620,41 @@ impl ProjectedIter {
 
         let mut out = Vec::with_capacity(keys.len());
         let (mut si, mut pi) = (0usize, 0usize);
-        let mut parts: Vec<(&str, &[u8])> = Vec::with_capacity(self.cols.len());
+        let mut parts: Vec<(&str, &[u8])> = Vec::new();
+        let mut cols: Vec<Option<&[u8]>> = Vec::with_capacity(ncols);
         for (key, kind) in keys {
-            match kind {
-                KIND_ANTIMATTER => out.push(ProjEntry { key, kind: ProjKind::Anti }),
+            let kind = match kind {
+                KIND_ANTIMATTER => ProjKind::Anti,
                 KIND_SPILL => {
                     let (buf, ranges) = spill.as_ref().unwrap();
                     let (a, b) = ranges[pi];
                     pi += 1;
-                    out.push(ProjEntry { key, kind: ProjKind::Row(buf[a..b].to_vec()) });
+                    ProjKind::Row(buf[a..b].to_vec())
                 }
                 _ => {
-                    let col_bytes = |c: usize, si: usize| -> Option<&[u8]> {
-                        let (buf, ranges) = col_data[c].as_ref()?;
-                        ranges[si].map(|(a, b)| &buf[a..b])
-                    };
-                    let rest_bytes: Option<&[u8]> =
-                        rest.as_ref().and_then(|(buf, ranges)| ranges[si].map(|(a, b)| &buf[a..b]));
-                    // Pushed-down filter: evaluate on the single column's
-                    // bytes before assembling anything.
-                    if let Some((f, src)) = &self.filter {
-                        let fbytes = match src {
-                            Some(c) => col_bytes(*c, si),
-                            None => rest_bytes
-                                .and_then(|r| adm_serde::encoded_record_field(r, &f.field)),
-                        };
-                        if f.rejects(fbytes, &mut self.scratch) {
-                            si += 1;
-                            out.push(ProjEntry { key, kind: ProjKind::Filtered });
-                            continue;
-                        }
-                    }
-                    parts.clear();
-                    for (name, col) in &self.cols {
-                        let bytes = match col {
-                            Some(c) => col_bytes(*c, si),
-                            None => {
-                                rest_bytes.and_then(|r| adm_serde::encoded_record_field(r, name))
-                            }
-                        };
-                        if let Some(b) = bytes {
-                            parts.push((name.as_str(), b));
-                        }
-                    }
+                    let row = si;
                     si += 1;
-                    let rec = colschema::encode_record_from_parts(&parts);
-                    out.push(ProjEntry { key, kind: ProjKind::Assembled(rec) });
+                    if !pass[row] {
+                        ProjKind::Filtered
+                    } else if let Some(fields) = &self.fields {
+                        parts.clear();
+                        for (name, slot) in fields {
+                            if let Some(b) = field_bytes(&runs, *slot, name, row) {
+                                parts.push((name.as_str(), b));
+                            }
+                        }
+                        ProjKind::Assembled(colschema::encode_record_from_parts(&parts))
+                    } else {
+                        cols.clear();
+                        cols.extend((0..ncols).map(|c| run_bytes(&runs, c, row)));
+                        let rest = run_bytes(&runs, ncols, row);
+                        let sd = colschema::splice_full(&m.schema, &cols, rest)
+                            .map_err(|e| StorageError::Corrupt(format!("splice failed: {e}")))?;
+                        ProjKind::Assembled(sd)
+                    }
                 }
-            }
+            };
+            out.push(ProjEntry { key, kind });
         }
         Ok(out)
     }
@@ -1630,15 +1665,16 @@ impl Iterator for ProjectedIter {
 
     fn next(&mut self) -> Option<ProjEntry> {
         loop {
-            if self.row_idx >= self.rows.len() && !self.load_group() {
-                return None;
-            }
-            let r = self.rows[self.row_idx].clone();
-            self.row_idx += 1;
+            let Some(r) = self.rows.next() else {
+                if !self.load_group() {
+                    return None;
+                }
+                continue;
+            };
             if let Some(hi) = &self.hi {
                 if r.key.as_slice() >= hi.as_slice() {
                     self.group_idx = self.comp.nblocks();
-                    self.rows.clear();
+                    self.rows = Vec::new().into_iter();
                     return None;
                 }
             }
@@ -1796,6 +1832,14 @@ mod tests {
         ColumnarOptions::new(Arc::new(SelfDescribingCodec))
     }
 
+    fn id_filter(op: CmpOp, v: i64) -> ColumnFilter {
+        ColumnFilter {
+            field: "id".into(),
+            op,
+            key: asterix_adm::ordkey::encode_value(&Value::Int64(v)),
+        }
+    }
+
     fn build_columnar_n(dir: &Path, n: u32, opts: &ColumnarOptions) -> Arc<DiskComponent> {
         let cache = BufferCache::new(256);
         let entries: Vec<Entry> = (0..n)
@@ -1864,7 +1908,8 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let opts = columnar_opts();
         let c = build_columnar_n(dir.path(), 300, &opts);
-        let proj = Projection { fields: vec!["id".into(), "flag".into()], filter: None };
+        let proj =
+            Projection { fields: Some(vec!["id".into(), "flag".into()]), filters: Vec::new() };
         let rows: Vec<ProjEntry> = c.project_range(None, None, &proj).collect();
         assert_eq!(rows.len(), 300);
         for (i, r) in rows.iter().enumerate() {
@@ -1891,14 +1936,9 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let opts = columnar_opts();
         let c = build_columnar_n(dir.path(), 200, &opts);
-        let mut filter_key = Vec::new();
-        assert!(asterix_adm::ordkey::encoded_scalar_key_into(
-            &encode(&Value::Int64(150)),
-            &mut filter_key
-        ));
         let proj = Projection {
-            fields: vec!["id".into()],
-            filter: Some(ColumnFilter { field: "id".into(), op: CmpOp::Ge, key: filter_key }),
+            fields: Some(vec!["id".into()]),
+            filters: vec![id_filter(CmpOp::Ge, 150)],
         };
         let rows: Vec<ProjEntry> = c.project_range(None, None, &proj).collect();
         let assembled = rows.iter().filter(|r| matches!(r.kind, ProjKind::Assembled(_))).count();
@@ -1909,6 +1949,93 @@ mod tests {
         assert_eq!(assembled, expected_live.len());
         assert_eq!(anti, (0..200).filter(|i| i % 17 == 3).count());
         assert_eq!(filtered, 200 - assembled - anti);
+    }
+
+    #[test]
+    fn two_sided_filter_assembles_whole_rows_of_survivors_only() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        let c = build_columnar_n(dir.path(), 400, &opts);
+        let window = Projection {
+            fields: None,
+            filters: vec![id_filter(CmpOp::Ge, 150), id_filter(CmpOp::Lt, 160)],
+        };
+        let rows: Vec<ProjEntry> = c.project_range(None, None, &window).collect();
+        assert_eq!(rows.len(), 400, "every key is still yielded for merge resolution");
+        for (i, r) in rows.iter().enumerate() {
+            let i = i as u32;
+            match &r.kind {
+                ProjKind::Anti => assert_eq!(i % 17, 3),
+                // All-fields projection: the spliced record is the stored
+                // row itself (identity codec), every field in place.
+                ProjKind::Assembled(rec) => {
+                    assert!((150..160).contains(&i), "row {i} is outside the window");
+                    assert_eq!(rec, &record_value(i));
+                }
+                ProjKind::Filtered => assert!(!(150..160).contains(&i)),
+                ProjKind::Row(_) => panic!("no row of this component spills"),
+            }
+        }
+        let assembled = opts.stats.rows_assembled.get();
+        assert_eq!(assembled, (150..160).filter(|i| i % 17 != 3).count() as u64);
+        assert_eq!(
+            opts.stats.rows_filtered.get() + assembled,
+            (0..400).filter(|i| i % 17 != 3).count() as u64,
+            "every shredded row is either filtered or assembled"
+        );
+        // Row groups without a survivor read the filter column only.
+        let skipped_by_window = opts.stats.bytes_skipped.get();
+        assert!(skipped_by_window > 0);
+        // The same scan without filters reads every run of every group.
+        let all: Vec<ProjEntry> = c.project_range(None, None, &Projection::all()).collect();
+        assert_eq!(opts.stats.bytes_skipped.get(), skipped_by_window);
+        assert!(all.iter().all(|r| matches!(r.kind, ProjKind::Anti | ProjKind::Assembled(_))));
+    }
+
+    /// Rows the filter cannot decide stay in; rows it decides against go.
+    #[test]
+    fn filter_drops_only_definite_rejects() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        let mk = |i: u32| -> Vec<u8> {
+            let mut r = Record::new();
+            r.set("id", Value::Int64(i as i64));
+            match i % 5 {
+                0 => {}                                 // MISSING
+                1 => r.set("x", Value::Null),           // NULL
+                2 => r.set("x", Value::Double(1.0e16)), // past the ordkey exact bound
+                3 => r.set("x", Value::Double(5.0)),    // fails `x >= 10`
+                _ => r.set("x", Value::Double(50.0)),   // passes
+            }
+            encode(&Value::record(r))
+        };
+        let entries: Vec<Entry> = (0..100u32).map(|i| Entry::put(key(i), mk(i))).collect();
+        let c = DiskComponent::build_columnar(
+            &dir.path().join("c_0_0.dat"),
+            BufferCache::new(64),
+            &ComponentConfig { page_size: 512, bloom_fpp: 0.01 },
+            &opts,
+            0,
+            0,
+            &entries,
+        )
+        .unwrap()
+        .expect("stable records build columnar");
+        assert!(c.schema().unwrap().column_index("x").is_some());
+        let proj = Projection {
+            fields: None,
+            filters: vec![ColumnFilter {
+                field: "x".into(),
+                op: CmpOp::Ge,
+                key: asterix_adm::ordkey::encode_value(&Value::Double(10.0)),
+            }],
+        };
+        for (i, r) in c.project_range(None, None, &proj).enumerate() {
+            let kept = matches!(r.kind, ProjKind::Assembled(_));
+            // MISSING and NULL make the comparison unknown, which a select
+            // drops; 1e16 is left to the select; 5 < 10 is a definite no.
+            assert_eq!(kept, matches!(i % 5, 2 | 4), "row {i}: {:?}", r.kind);
+        }
     }
 
     #[test]
@@ -1963,13 +2090,21 @@ mod tests {
         for i in 0..200u32 {
             assert_eq!(c.get(&key(i)).unwrap().unwrap().value, mk(i));
         }
-        // Projected scans hand spilled rows back whole.
-        let proj = Projection { fields: vec!["id".into()], filter: None };
-        let spills = c
-            .project_range(None, None, &proj)
-            .filter(|r| matches!(r.kind, ProjKind::Row(_)))
-            .count();
-        assert_eq!(spills, (0..200u32).filter(|i| i % 10 == 7).count());
+        // Projected scans hand spilled rows back whole — also from a group
+        // whose shredded rows the filter rejects: a spilled row's fields
+        // are not in the column runs, so only the select can judge it.
+        for filters in [Vec::new(), vec![id_filter(CmpOp::Lt, 0)]] {
+            let proj = Projection { fields: Some(vec!["id".into()]), filters };
+            let rows: Vec<ProjEntry> = c.project_range(None, None, &proj).collect();
+            for (i, r) in rows.iter().enumerate() {
+                match &r.kind {
+                    ProjKind::Row(v) => assert_eq!(v, &mk(i as u32)),
+                    _ => assert_ne!(i % 10, 7, "spilled row {i} must come through as Row"),
+                }
+            }
+            let spills = rows.iter().filter(|r| matches!(r.kind, ProjKind::Row(_))).count();
+            assert_eq!(spills, (0..200u32).filter(|i| i % 10 == 7).count());
+        }
     }
 
     #[test]

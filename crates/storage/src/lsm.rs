@@ -425,7 +425,7 @@ impl LsmInner {
                 }
             }
             let Some((winner, _, _)) = best else { break };
-            let entry = heads[winner].take().unwrap();
+            let mut entry = heads[winner].take().unwrap();
             heads[winner] = iters[winner].next();
             for i in 0..heads.len() {
                 loop {
@@ -439,6 +439,10 @@ impl LsmInner {
             if entry.antimatter && includes_oldest {
                 continue; // fully compacted away
             }
+            // A value reconstructed from column runs comes out of the
+            // codec's encoder with spare capacity, and every entry is held
+            // until the merged component is built.
+            entry.value.shrink_to_fit();
             merged.push(entry);
         }
         for mut it in iters {
@@ -809,17 +813,18 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Late-materializing merged scan over `[lo, hi)`: columnar disk
-    /// components read only the projected columns' page runs and hand back
-    /// already-assembled records ([`ScanValue::Assembled`]); every other
-    /// source (memory, sealed components, row components, spilled rows)
-    /// yields full stored rows ([`ScanValue::Row`]) for the caller to
-    /// project itself. Antimatter is resolved exactly as in
-    /// [`LsmTree::scan_with`] — a newer filtered or deleted version still
-    /// shadows older versions of its key. The optional column filter in
-    /// `proj` only ever drops rows that are *definitely* rejected by the
-    /// predicate it was derived from; the caller must still apply the full
-    /// predicate to what comes through.
+    /// Filter-first merged scan over `[lo, hi)`: columnar disk components
+    /// decide `proj`'s filters on raw column bytes and hand back only the
+    /// survivors, already assembled ([`ScanValue::Assembled`]: the
+    /// projected fields, or the whole record for an all-fields
+    /// projection); every other source (memory, sealed components, row
+    /// components, spilled rows) yields full stored rows
+    /// ([`ScanValue::Row`]) for the caller to project itself. Antimatter is
+    /// resolved exactly as in [`LsmTree::scan_with`] — a newer filtered or
+    /// deleted version still shadows older versions of its key. The
+    /// filters only ever drop rows that are *definitely* rejected by the
+    /// predicate they were derived from; the caller must still apply the
+    /// full predicate to what comes through.
     pub fn scan_projected(
         &self,
         lo: Option<&[u8]>,
@@ -827,24 +832,47 @@ impl LsmTree {
         proj: &Projection,
         mut f: impl FnMut(&[u8], ScanValue<'_>) -> bool,
     ) -> Result<()> {
-        enum DiskSrc {
+        /// The next entry of one source. Memory entries stay borrowed from
+        /// the tree (the state lock is held for the whole scan).
+        enum Head<'a> {
+            Mem(&'a [u8], &'a MemEntry),
+            Disk(ProjEntry),
+        }
+        impl Head<'_> {
+            fn key(&self) -> &[u8] {
+                match self {
+                    Head::Mem(k, _) => k,
+                    Head::Disk(e) => &e.key,
+                }
+            }
+        }
+        enum Source<'a> {
+            Mem(std::collections::btree_map::Range<'a, Vec<u8>, MemEntry>),
             Plain(crate::component::ComponentIter),
             Proj(crate::component::ProjectedIter),
         }
-        impl DiskSrc {
-            fn next(&mut self) -> Option<ProjEntry> {
+        impl<'a> Source<'a> {
+            fn next(&mut self) -> Option<Head<'a>> {
                 match self {
-                    DiskSrc::Plain(it) => it.next().map(|e| ProjEntry {
-                        key: e.key,
-                        kind: if e.antimatter { ProjKind::Anti } else { ProjKind::Row(e.value) },
+                    Source::Mem(it) => it.next().map(|(k, v)| Head::Mem(k, v)),
+                    Source::Plain(it) => it.next().map(|e| {
+                        Head::Disk(ProjEntry {
+                            key: e.key,
+                            kind: if e.antimatter {
+                                ProjKind::Anti
+                            } else {
+                                ProjKind::Row(e.value)
+                            },
+                        })
                     }),
-                    DiskSrc::Proj(it) => it.next(),
+                    Source::Proj(it) => it.next().map(Head::Disk),
                 }
             }
             fn take_error(&mut self) -> Option<StorageError> {
                 match self {
-                    DiskSrc::Plain(it) => it.take_error(),
-                    DiskSrc::Proj(it) => it.take_error(),
+                    Source::Mem(_) => None,
+                    Source::Plain(it) => it.take_error(),
+                    Source::Proj(it) => it.take_error(),
                 }
             }
         }
@@ -853,86 +881,56 @@ impl LsmTree {
             lo.map_or(Bound::Unbounded, Bound::Included),
             hi.map_or(Bound::Unbounded, Bound::Excluded),
         );
-        let to_proj = |k: &Vec<u8>, v: &MemEntry| ProjEntry {
-            key: k.clone(),
-            kind: if v.antimatter { ProjKind::Anti } else { ProjKind::Row(v.value.clone()) },
-        };
-        let mem_range = st.mem.range::<[u8], _>(bounds);
-        let mut mem_iter = mem_range.map(|(k, v)| to_proj(k, v));
-        let mut frozen_iters: Vec<std::vec::IntoIter<ProjEntry>> = st
-            .frozen
-            .iter()
-            .rev()
-            .map(|fr| {
-                fr.entries
-                    .range::<[u8], _>(bounds)
-                    .map(|(k, v)| to_proj(k, v))
-                    .collect::<Vec<ProjEntry>>()
-                    .into_iter()
-            })
-            .collect();
-        let nf = frozen_iters.len();
-        let mut disk_iters: Vec<DiskSrc> = st
-            .disk
-            .iter()
-            .map(|c| {
-                if c.is_columnar() {
-                    DiskSrc::Proj(c.project_range(lo, hi, proj))
-                } else {
-                    DiskSrc::Plain(c.range(lo, hi))
-                }
-            })
-            .collect();
-        let mut heads: Vec<Option<ProjEntry>> = Vec::with_capacity(1 + nf + disk_iters.len());
-        heads.push(mem_iter.next());
-        for it in &mut frozen_iters {
-            heads.push(it.next());
+        // Newest first: the mutable memory component, sealed components
+        // newest → oldest, then disk newest → oldest. Among equal keys the
+        // lowest source index wins.
+        let mut sources: Vec<Source<'_>> = Vec::with_capacity(1 + st.frozen.len() + st.disk.len());
+        sources.push(Source::Mem(st.mem.range::<[u8], _>(bounds)));
+        for fr in st.frozen.iter().rev() {
+            sources.push(Source::Mem(fr.entries.range::<[u8], _>(bounds)));
         }
-        for it in &mut disk_iters {
-            heads.push(it.next());
+        for c in &st.disk {
+            sources.push(if c.is_columnar() {
+                Source::Proj(c.project_range(lo, hi, proj))
+            } else {
+                Source::Plain(c.range(lo, hi))
+            });
         }
+        let mut heads: Vec<Option<Head<'_>>> = sources.iter_mut().map(|s| s.next()).collect();
         loop {
             let mut best: Option<(usize, &[u8])> = None;
             for (i, h) in heads.iter().enumerate() {
-                if let Some(e) = h {
+                if let Some(h) = h {
                     match best {
-                        None => best = Some((i, &e.key)),
-                        Some((_, bk)) if e.key.as_slice() < bk => best = Some((i, &e.key)),
-                        _ => {}
+                        Some((_, bk)) if h.key() >= bk => {}
+                        _ => best = Some((i, h.key())),
                     }
                 }
             }
             let Some((winner, _)) = best else { break };
             let entry = heads[winner].take().unwrap();
-            let mut advance = |i: usize, heads: &mut Vec<Option<ProjEntry>>| {
-                heads[i] = if i == 0 {
-                    mem_iter.next()
-                } else if i <= nf {
-                    frozen_iters[i - 1].next()
-                } else {
-                    disk_iters[i - 1 - nf].next()
-                };
-            };
-            advance(winner, &mut heads);
-            for i in 0..heads.len() {
-                loop {
-                    let same = matches!(&heads[i], Some(e) if e.key == entry.key);
-                    if !same {
-                        break;
-                    }
-                    advance(i, &mut heads);
+            heads[winner] = sources[winner].next();
+            // Older versions of the winner's key are shadowed — also when
+            // the winner is filtered or antimatter.
+            for i in winner + 1..heads.len() {
+                while matches!(&heads[i], Some(h) if h.key() == entry.key()) {
+                    heads[i] = sources[i].next();
                 }
             }
-            let keep_going = match &entry.kind {
-                ProjKind::Anti | ProjKind::Filtered => true,
-                ProjKind::Row(v) => f(&entry.key, ScanValue::Row(v)),
-                ProjKind::Assembled(v) => f(&entry.key, ScanValue::Assembled(v)),
+            let keep_going = match &entry {
+                Head::Mem(_, v) if v.antimatter => true,
+                Head::Mem(k, v) => f(k, ScanValue::Row(&v.value)),
+                Head::Disk(e) => match &e.kind {
+                    ProjKind::Anti | ProjKind::Filtered => true,
+                    ProjKind::Row(v) => f(&e.key, ScanValue::Row(v)),
+                    ProjKind::Assembled(v) => f(&e.key, ScanValue::Assembled(v)),
+                },
             };
             if !keep_going {
                 break;
             }
         }
-        for mut it in disk_iters {
+        for it in &mut sources {
             if let Some(e) = it.take_error() {
                 return Err(e);
             }
@@ -1604,7 +1602,7 @@ mod tests {
         }
 
         let full = t.scan(None, None).unwrap();
-        let proj = Projection { fields: vec!["name".into()], filter: None };
+        let proj = Projection { fields: Some(vec!["name".into()]), filters: Vec::new() };
         enum ScanValue2 {
             Row(Vec<u8>),
             Assembled(Vec<u8>),
@@ -1640,5 +1638,76 @@ mod tests {
             }
         }
         assert!(assembled >= 60, "columnar component rows must late-materialize");
+    }
+    /// A filtered or deleted newer version still shadows an older version
+    /// that passes the filter, from every plane: memory over columnar,
+    /// columnar over columnar, columnar over row.
+    #[test]
+    fn filtered_and_deleted_versions_shadow_older_passing_ones() {
+        use crate::columnar::{CmpOp, ColumnFilter};
+        let dir = TempDir::new().unwrap();
+        // Oldest plane: a row component (columnar off) with ids 0..40.
+        {
+            let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
+            for i in 0..40u32 {
+                t.insert(k(i), row(i)).unwrap();
+            }
+            t.flush().unwrap();
+        }
+        let t = LsmTree::open(
+            dir.path(),
+            columnar_cfg(true),
+            BufferCache::new(256),
+            Arc::new(NullObserver),
+        )
+        .unwrap();
+        // Middle plane: a columnar component. Key 1 now fails the filter,
+        // key 2 is deleted, keys 40..80 are new.
+        t.insert(k(1), row(500)).unwrap();
+        t.delete(k(2)).unwrap();
+        for i in 40..80u32 {
+            t.insert(k(i), row(i)).unwrap();
+        }
+        t.flush().unwrap();
+        // Newest columnar component: key 41 fails, key 42 is deleted.
+        t.insert(k(41), row(501)).unwrap();
+        t.delete(k(42)).unwrap();
+        t.flush().unwrap();
+        assert_eq!(t.columnar_component_count(), 2);
+        // Memory: key 43 fails, key 44 is deleted.
+        t.insert(k(43), row(502)).unwrap();
+        t.delete(k(44)).unwrap();
+
+        let id_key = |v: i64| asterix_adm::ordkey::encode_value(&Value::Int64(v));
+        let proj = Projection {
+            fields: None,
+            filters: vec![
+                ColumnFilter { field: "id".into(), op: CmpOp::Ge, key: id_key(0) },
+                ColumnFilter { field: "id".into(), op: CmpOp::Lt, key: id_key(100) },
+            ],
+        };
+        let mut seen: Vec<u32> = Vec::new();
+        t.scan_projected(None, None, &proj, |key, v| {
+            let i = u32::from_be_bytes(key[..4].try_into().unwrap());
+            // Memory and row-component rows come through unfiltered (the
+            // select above the scan judges them); whatever comes through
+            // is the newest version.
+            let bytes = match v {
+                ScanValue::Row(b) | ScanValue::Assembled(b) => b,
+            };
+            match i {
+                1 => assert_eq!(bytes, row(500)),
+                43 => assert_eq!(bytes, row(502)),
+                _ => assert_eq!(bytes, row(i), "key {i}"),
+            }
+            seen.push(i);
+            true
+        })
+        .unwrap();
+        // 1 was rewritten in a columnar component to fail the filter; 41
+        // likewise; 2, 42, 44 are deleted. 43's failing version sits in
+        // memory, which does not filter.
+        let expect: Vec<u32> = (0..80).filter(|i| ![1, 2, 41, 42, 44].contains(i)).collect();
+        assert_eq!(seen, expect);
     }
 }

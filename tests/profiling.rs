@@ -732,9 +732,12 @@ fn columnar_preserves_results_and_projects_columns() {
             where $m.message-id > 5
             return $m.message-id
         )"#,
-        // Full-record scan: the variable escapes, so no projection — the
-        // columnar component serves reconstructed whole rows.
+        // Full-record scan: the variable escapes, so the projection is
+        // "all fields" — the columnar component splices whole rows.
         r#"for $u in dataset MugshotUsers return $u"#,
+        // ... and still takes the pushed filters.
+        r#"for $m in dataset MugshotMessages
+           where $m.author-id >= 3 and $m.author-id < 9 return $m"#,
     ];
     let (on, _d1) = ab_instance(N, N, |_| {});
     let (off, _d2) = ab_instance(N, N, |cfg| cfg.disable_columnar = true);
@@ -771,10 +774,22 @@ fn columnar_preserves_results_and_projects_columns() {
         .find(|o| o.name.starts_with("data-scan"))
         .expect("data-scan in profile");
     assert!(scan.name.contains("[cols: id,name]"), "projecting scan label: {}", scan.name);
-    match on.metrics().get("storage.columnar.columns_projected") {
-        Some(Metric::Counter(c)) => assert!(c.get() > 0),
-        other => panic!("storage.columnar.columns_projected missing: {other:?}"),
+    for name in ["columns_projected", "rows_filtered", "rows_assembled"] {
+        match on.metrics().get(&format!("storage.columnar.{name}")) {
+            Some(Metric::Counter(c)) => assert!(c.get() > 0, "{name}"),
+            other => panic!("storage.columnar.{name} missing: {other:?}"),
+        }
     }
+    // An escaping variable scans all fields; every ordkey-decidable
+    // conjunct of the select above it rides along. With the knob off the
+    // provider declines both and the label says so.
+    let escaping = r#"for $m in dataset MugshotMessages
+                      where $m.author-id >= 3 and $m.author-id < 9 return $m"#;
+    let (_, job) = on.explain(escaping).unwrap();
+    assert!(job.contains("MugshotMessages [cols: *] [filter: author-id>=?, author-id<?]"), "{job}");
+    let (_, job) = off.explain(escaping).unwrap();
+    assert!(job.contains("data-scan") && !job.contains("[cols:"), "{job}");
+    assert_eq!(off.columnar_stats().rows_filtered.get(), 0);
 }
 
 /// Mid-migration trees — row components written under `disable_columnar`,
