@@ -19,10 +19,10 @@ use asterix_hyracks::connector::ConnectorKind;
 use asterix_hyracks::frame::Tuple;
 use asterix_hyracks::job::{JobSpec, OperatorId};
 use asterix_hyracks::ops::{
-    sort_comparator, AggKind, AggSpec, AssignOp, CmpKind, DistinctOp, GroupMode, HashGroupOp,
-    HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, LimitOp, MapOp, NestedLoopJoinOp, OrdPred,
-    PartitionMapOp, ProjectOp, RuntimeFilterProbeOp, ScalarAggOp, SelectOp, SinkOp, SortKey,
-    SortOp, SourceOp,
+    sort_comparator, AggKind, AggSpec, AssignOp, CmpKind, DistinctOp, FetchFn, GroupMode,
+    HashGroupOp, HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, LimitOp, MapOp,
+    NestedLoopJoinOp, OrdPred, PrimaryFetchOp, ProjectOp, RuntimeFilterProbeOp, ScalarAggOp,
+    SelectOp, SinkOp, SortKey, SortOp, SourceOp,
 };
 use asterix_hyracks::{HyracksError, Result};
 
@@ -119,31 +119,37 @@ struct Gen {
     /// manager's total divided across the plan's memory-hungry operators.
     /// `None` leaves every operator on its built-in default.
     per_op_mem: Option<usize>,
-    /// How each data-scan variable is used across the whole plan — drives
-    /// projecting (late-materializing) scans over columnar storage.
+    /// How each record variable (data scan, index search, index-NL join) is
+    /// used across the whole plan — drives projecting (late-materializing)
+    /// scans and fetches over columnar storage.
     scan_uses: std::collections::HashMap<VarId, VarUse>,
 }
 
-/// How a data-scan variable is consumed by the rest of the plan.
+/// How a record variable is consumed by the rest of the plan.
 #[derive(Debug, Clone)]
 enum VarUse {
-    /// Every use is a direct `$v.field` access: the scan only needs to
+    /// Every use is a direct `$v.field` access: the read only needs to
     /// materialize these top-level fields.
     Fields(std::collections::BTreeSet<String>),
     /// The whole record escapes somewhere (returned, compared, passed to
-    /// a function, unnested…): the scan must produce full rows.
+    /// a function, unnested…): the read must produce full rows.
     Escaped,
 }
 
-/// Compute, for every `DataSourceScan` variable in the plan, whether the
-/// query only ever touches specific top-level fields of it. Walks every
-/// expression of every operator, recursing into correlated subplans
-/// (whose own scans are interpreted, not compiled — only *outer* variable
-/// references matter there). Conservative by construction: any use that
-/// is not a literal `$v.field` marks the variable escaped.
+/// Compute, for every variable the plan binds to stored records — by a
+/// `DataSourceScan`, an `IndexSearch` or the inner side of an
+/// `IndexNlJoin` — whether the query only ever touches specific top-level
+/// fields of it. Walks every expression of every operator, recursing into
+/// correlated subplans (whose own scans are interpreted, not compiled —
+/// only *outer* variable references matter there). Conservative by
+/// construction: any use that is not a literal `$v.field` marks the
+/// variable escaped.
 fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUse> {
     fn collect_scans(op: &LogicalOp, map: &mut std::collections::HashMap<VarId, VarUse>) {
-        if let LogicalOp::DataSourceScan { var, .. } = op {
+        if let LogicalOp::DataSourceScan { var, .. }
+        | LogicalOp::IndexSearch { var, .. }
+        | LogicalOp::IndexNlJoin { var, .. } = op
+        {
             map.insert(*var, VarUse::Fields(Default::default()));
         }
         for child in op.inputs() {
@@ -260,7 +266,9 @@ const MIN_OP_MEM: usize = 1 << 20;
 /// (sorts, hash-group tables, hybrid hash joins), so a query-wide memory
 /// grant can be divided among them. GroupBy counts twice (local partial +
 /// global final table) and secondary-index searches carry the hidden `$pk`
-/// sort of the Figure 6 access path.
+/// sort of the Figure 6 access path. The key batches of a primary fetch
+/// and of an index-NL join are bounded by a constant
+/// (`asterix_hyracks::ops::FETCH_BATCH`) and take no share of the grant.
 fn memory_hungry_ops(op: &LogicalOp) -> usize {
     match op {
         LogicalOp::EmptyTupleSource | LogicalOp::DataSourceScan { .. } => 0,
@@ -551,7 +559,7 @@ impl Gen {
         Ok((op, new_schema))
     }
 
-    /// Classify a select condition over the scan variable into pushable
+    /// Classify a select condition over a record variable into pushable
     /// pre-filters: every conjunct that is an ordkey-decidable
     /// `$v.field <op> C` comparison. Dropping rows any one conjunct
     /// definitely rejects is always safe.
@@ -570,6 +578,32 @@ impl Gen {
             .collect()
     }
 
+    /// What a read of `var`'s records is asked to produce: the fields the
+    /// plan touches of the variable, or all of them when it escapes, under
+    /// `filters`.
+    fn projection_of(&self, var: VarId, filters: Vec<ScanFilter>) -> ScanProjection {
+        let fields = match self.scan_uses.get(&var) {
+            Some(VarUse::Fields(fields)) => Some(fields.iter().cloned().collect()),
+            _ => None,
+        };
+        ScanProjection { fields, filters }
+    }
+
+    /// The batched primary-index fetch of `var`'s records — a scan's
+    /// projection, bounded by key lists instead of a range — and what
+    /// `explain` says of it.
+    fn primary_fetch(
+        &self,
+        dataset: &str,
+        var: VarId,
+        filters: Vec<ScanFilter>,
+    ) -> Result<(FetchFn, String)> {
+        let proj = self.projection_of(var, filters);
+        let fetch = self.ctx.provider.primary_fetch(dataset, &proj)?;
+        let label = if fetch.projected { proj.label() } else { String::new() };
+        Ok((fetch.fetch, label))
+    }
+
     /// Build a data-scan source. Prefers the serialized scan: storage
     /// hands encoded tuple bytes straight into the byte-frame exchange.
     /// The provider is always offered a projection — the fields the plan
@@ -582,25 +616,12 @@ impl Gen {
         var: VarId,
         filters: Vec<ScanFilter>,
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
-        let fields = match self.scan_uses.get(&var) {
-            Some(VarUse::Fields(fields)) => Some(fields.iter().cloned().collect()),
-            _ => None,
-        };
-        let proj = ScanProjection { fields, filters };
+        let proj = self.projection_of(var, filters);
         let op: Arc<SourceOp> = match self.ctx.provider.raw_scan_source(dataset, &proj)? {
             Some(raw) => {
                 let mut label = format!("data-scan {dataset}");
                 if raw.projected {
-                    let cols = proj.fields.as_ref().map_or("*".into(), |f| f.join(","));
-                    label.push_str(&format!(" [cols: {cols}]"));
-                    if !proj.filters.is_empty() {
-                        let fs: Vec<String> = proj
-                            .filters
-                            .iter()
-                            .map(|f| format!("{}{}?", f.field, f.op.symbol()))
-                            .collect();
-                        label.push_str(&format!(" [filter: {}]", fs.join(", ")));
-                    }
+                    label.push_str(&proj.label());
                 }
                 Arc::new(SourceOp::from_raw_fn(label, raw.source))
             }
@@ -640,15 +661,21 @@ impl Gen {
                 Ok((op, schema, part))
             }
             LogicalOp::Select { input, condition } => {
-                // A select directly over a data scan pushes its
-                // ordkey-decidable conjuncts into the scan: a columnar
-                // source then decides most rows on the filter columns'
-                // bytes before assembling anything. The select stays in
-                // the plan — the pushed filters only drop definite rejects.
+                // A select directly over a data scan — or over an inner
+                // index-NL join, for its conjuncts on the fetched records —
+                // pushes its ordkey-decidable conjuncts into the read: a
+                // columnar source then decides most rows on the filter
+                // columns' bytes before assembling anything. The select
+                // stays in the plan — the pushed filters only drop
+                // definite rejects.
                 let (in_op, schema, part) = match input.as_ref() {
                     LogicalOp::DataSourceScan { dataset, var } => {
                         let filters = self.scan_filters(condition, *var);
                         self.build_scan(dataset, *var, filters)?
+                    }
+                    LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. } => {
+                        let filters = self.scan_filters(condition, *var);
+                        self.build_index_nl_join(input, filters)?
                     }
                     _ => self.build(input)?,
                 };
@@ -764,47 +791,7 @@ impl Gen {
             LogicalOp::Join { left, right, condition, kind, .. } => {
                 self.build_nl_join(left, right, condition, *kind)
             }
-            LogicalOp::IndexNlJoin { left, dataset, index, probe, var, kind } => {
-                let (l_op, l_schema, part) = self.build(left)?;
-                let probe_eval = self.make_eval(probe, &l_schema)?;
-                let provider = Arc::clone(&self.ctx.provider);
-                let (dataset_c, index_c) = (dataset.clone(), index.clone());
-                let jt = match kind {
-                    JoinKind::Inner => JoinType::Inner,
-                    JoinKind::LeftOuter => JoinType::ProbeOuter,
-                };
-                let join = self.job.add(
-                    self.parts(part),
-                    Arc::new(IndexNestedLoopJoinOp::new(
-                        format!("{dataset}.{index}"),
-                        move |t: &Tuple| {
-                            let key = probe_eval(t)?;
-                            if key.is_unknown() {
-                                return Ok(vec![]);
-                            }
-                            let pks = provider.btree_search_all(
-                                &dataset_c,
-                                &index_c,
-                                KeyBound::Inclusive(key.clone()),
-                                KeyBound::Inclusive(key),
-                            )?;
-                            let mut out = Vec::with_capacity(pks.len());
-                            for pk in pks {
-                                if let Some(r) = provider.lookup_pk(&dataset_c, &pk)? {
-                                    out.push(vec![r]);
-                                }
-                            }
-                            Ok(out)
-                        },
-                        jt,
-                        1,
-                    )),
-                );
-                self.job.connect(ConnectorKind::OneToOne, l_op, join);
-                let mut schema = l_schema;
-                schema.push(*var);
-                Ok((join, schema, part))
-            }
+            LogicalOp::IndexNlJoin { .. } => self.build_index_nl_join(op, Vec::new()),
             LogicalOp::GroupBy { input, keys, aggs } => {
                 let (in_op, schema, part) = self.build(input)?;
                 // Materialize key and agg-input expressions as columns.
@@ -1068,20 +1055,20 @@ impl Gen {
                     self.key_bound(lo)?,
                     self.key_bound(hi)?,
                 )?;
-                self.secondary_then_primary(dataset, index, src)?
+                self.secondary_then_primary(dataset, index, src, var, postcondition)?
             }
             IndexSearchSpec::RTree { query } => {
                 let q = self.const_value(query)?;
                 let rect = asterix_adm::spatial::mbr(&q).map_err(HyracksError::from)?;
                 let src = provider.rtree_search_source(dataset, index, rect)?;
-                self.secondary_then_primary(dataset, index, src)?
+                self.secondary_then_primary(dataset, index, src, var, postcondition)?
             }
             IndexSearchSpec::InvertedConjunctive { needle } => {
                 let v = self.const_value(needle)?;
                 let tokens = tokens_for(&provider, dataset, index, &v)?;
                 let n = tokens.len().max(1);
                 let src = provider.inverted_search_source(dataset, index, tokens, n)?;
-                self.secondary_then_primary(dataset, index, src)?
+                self.secondary_then_primary(dataset, index, src, var, postcondition)?
             }
             IndexSearchSpec::InvertedFuzzy { needle, edit_distance } => {
                 let v = self.const_value(needle)?;
@@ -1100,7 +1087,7 @@ impl Gen {
                     )
                 } else {
                     let src = provider.inverted_search_source(dataset, index, grams, lower)?;
-                    self.secondary_then_primary(dataset, index, src)?
+                    self.secondary_then_primary(dataset, index, src, var, postcondition)?
                 }
             }
         };
@@ -1115,38 +1102,87 @@ impl Gen {
         Ok((out, schema, Part::Distributed))
     }
 
-    /// secondary search (pk tuples) → sort pk → primary-index lookup.
+    /// secondary search (pk tuples) → sort pk → batched primary-index
+    /// fetch of `var`'s records, with the projection a scan would get and
+    /// the post-validation select's pushable conjuncts as its filters.
     fn secondary_then_primary(
         &mut self,
         dataset: &str,
         index: &str,
         src: asterix_hyracks::ops::SourceFn,
+        var: VarId,
+        postcondition: Option<&LogicalExpr>,
     ) -> Result<OperatorId> {
         let search = self.job.add(
             self.nparts,
             Arc::new(SourceOp::from_fn(format!("btree-search {dataset}.{index}"), src)),
         );
         // Sort primary keys "to improve the access pattern on the primary
-        // index" (Figure 6 discussion).
+        // index" (Figure 6 discussion): sorted keys reach the fetch in
+        // batches that each cover one stretch of the primary index.
         let sort = self
             .job
             .add(self.nparts, Arc::new(self.sort_op("$pk", vec![SortKey::field(0, false)])));
         self.job.connect(ConnectorKind::OneToOne, search, sort);
-        let lookup_fn = self.ctx.provider.primary_lookup(dataset)?;
+        let filters = postcondition.map_or(Vec::new(), |post| self.scan_filters(post, var));
+        let (fetch, projection) = self.primary_fetch(dataset, var, filters)?;
         let lookup = self.job.add(
             self.nparts,
-            Arc::new(PartitionMapOp::new(
-                format!("btree-search {dataset} (primary)"),
-                move |partition, pk: &Tuple| {
-                    Ok(match lookup_fn(partition, pk)? {
-                        Some(r) => vec![vec![r]],
-                        None => vec![],
-                    })
-                },
+            Arc::new(PrimaryFetchOp::new(
+                format!("btree-search {dataset} (primary){projection}"),
+                fetch,
             )),
         );
         self.job.connect(ConnectorKind::OneToOne, sort, lookup);
         Ok(lookup)
+    }
+
+    /// Index nested-loop join: the outer side probes the secondary index
+    /// per tuple, and the matching records are fetched per batch of probes
+    /// with the projection a scan of the inner variable would get, under
+    /// `filters`.
+    fn build_index_nl_join(
+        &mut self,
+        join: &LogicalOp,
+        filters: Vec<ScanFilter>,
+    ) -> Result<(OperatorId, Vec<VarId>, Part)> {
+        let LogicalOp::IndexNlJoin { left, dataset, index, probe, var, kind } = join else {
+            unreachable!("build_index_nl_join takes an IndexNlJoin")
+        };
+        let (l_op, l_schema, part) = self.build(left)?;
+        let probe_eval = self.make_eval(probe, &l_schema)?;
+        let provider = Arc::clone(&self.ctx.provider);
+        let (dataset_c, index_c) = (dataset.clone(), index.clone());
+        let jt = match kind {
+            JoinKind::Inner => JoinType::Inner,
+            JoinKind::LeftOuter => JoinType::ProbeOuter,
+        };
+        let (fetch, projection) = self.primary_fetch(dataset, *var, filters)?;
+        let join = self.job.add(
+            self.parts(part),
+            Arc::new(IndexNestedLoopJoinOp::new(
+                format!("{dataset}.{index}{projection}"),
+                move |t: &Tuple| {
+                    let key = probe_eval(t)?;
+                    if key.is_unknown() {
+                        return Ok(vec![]);
+                    }
+                    provider.btree_search_all(
+                        &dataset_c,
+                        &index_c,
+                        KeyBound::Inclusive(key.clone()),
+                        KeyBound::Inclusive(key),
+                    )
+                },
+                fetch,
+                jt,
+                1,
+            )),
+        );
+        self.job.connect(ConnectorKind::OneToOne, l_op, join);
+        let mut schema = l_schema;
+        schema.push(*var);
+        Ok((join, schema, part))
     }
 }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use asterix_adm::value::Rectangle;
 use asterix_adm::Value;
 
-use asterix_hyracks::ops::{CmpKind, RawSourceFn, SourceFn};
+use asterix_hyracks::ops::{CmpKind, FetchFn, RawSourceFn, SourceFn};
 use asterix_hyracks::Result;
 
 /// Secondary index kinds (§2.2: btree is the default; rtree, keyword and
@@ -50,18 +50,35 @@ pub struct ScanFilter {
     pub key: Vec<u8>,
 }
 
-/// What a data scan actually needs to produce, handed to
-/// [`MetadataProvider::raw_scan_source`] so columnar storage can filter
+/// What a read of the primary index actually needs to produce, handed to
+/// [`MetadataProvider::raw_scan_source`] and
+/// [`MetadataProvider::primary_fetch`] so columnar storage can filter
 /// first and late-materialize just the columns needed.
 #[derive(Debug, Clone)]
 pub struct ScanProjection {
     /// The top-level fields the query accesses, in deterministic (sorted)
-    /// order, when every use of the scan variable is `$v.field`; `None`
+    /// order, when every use of the record variable is `$v.field`; `None`
     /// when the variable escapes and whole records are needed.
     pub fields: Option<Vec<String>>,
     /// Every ordkey-decidable conjunct of the select directly above the
-    /// scan (empty when there is none).
+    /// read (empty when there is none).
     pub filters: Vec<ScanFilter>,
+}
+
+impl ScanProjection {
+    /// What `explain` appends to the operator's name when the provider
+    /// honors the projection: `[cols: a,b]` (or `[cols: *]`) and the
+    /// pushed filters, constants elided.
+    pub fn label(&self) -> String {
+        let cols = self.fields.as_ref().map_or("*".into(), |f| f.join(","));
+        let mut label = format!(" [cols: {cols}]");
+        if !self.filters.is_empty() {
+            let fs: Vec<String> =
+                self.filters.iter().map(|f| format!("{}{}?", f.field, f.op.symbol())).collect();
+            label.push_str(&format!(" [filter: {}]", fs.join(", ")));
+        }
+        label
+    }
 }
 
 /// A serialized scan source plus whether it honors the requested
@@ -70,6 +87,13 @@ pub struct ScanProjection {
 /// the compiler labels the scan accordingly.
 pub struct RawScan {
     pub source: RawSourceFn,
+    pub projected: bool,
+}
+
+/// A batched primary-index fetch plus whether it honors the requested
+/// projection and filters — declined exactly when a scan's are.
+pub struct PrimaryFetch {
+    pub fetch: FetchFn,
     pub projected: bool,
 }
 
@@ -157,13 +181,13 @@ pub trait MetadataProvider: Send + Sync {
         threshold: usize,
     ) -> Result<SourceFn>;
 
-    /// Partition-local primary-index point lookup: `(partition, pk fields)
-    /// → record`.
-    #[allow(clippy::type_complexity)]
-    fn primary_lookup(
-        &self,
-        dataset: &str,
-    ) -> Result<Arc<dyn Fn(usize, &[Value]) -> Result<Option<Value>> + Send + Sync>>;
+    /// Batched primary-index fetch — the key-list twin of
+    /// [`Self::raw_scan_source`], taking the same `projection` and emitting
+    /// the same encoded single-column tuples, for the records a batch of
+    /// primary keys names (see [`FetchFn`]). Serves the lookup after a
+    /// secondary-index search and the inner side of an index nested-loop
+    /// join.
+    fn primary_fetch(&self, dataset: &str, projection: &ScanProjection) -> Result<PrimaryFetch>;
 
     // -- interpreter-path access (whole dataset, partition-transparent) ----
 
@@ -278,10 +302,11 @@ pub mod tests_support {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
-        fn primary_lookup(
+        fn primary_fetch(
             &self,
             dataset: &str,
-        ) -> Result<Arc<dyn Fn(usize, &[Value]) -> Result<Option<Value>> + Send + Sync>> {
+            _projection: &ScanProjection,
+        ) -> Result<PrimaryFetch> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
@@ -340,6 +365,10 @@ pub mod tests_support {
             self.datasets.insert(name.to_string(), records);
             self.pk_fields.insert(name.to_string(), vec![pk.to_string()]);
         }
+    }
+
+    fn has_pk(record: &Value, pk_fields: &[String], pk: &[Value]) -> bool {
+        pk_fields.iter().zip(pk).all(|(f, v)| record.field(f).total_cmp(v).is_eq())
     }
 
     impl MetadataProvider for VecProvider {
@@ -446,20 +475,27 @@ pub mod tests_support {
             Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
         }
 
-        fn primary_lookup(
+        fn primary_fetch(
             &self,
             dataset: &str,
-        ) -> Result<Arc<dyn Fn(usize, &[Value]) -> Result<Option<Value>> + Send + Sync>> {
+            _projection: &ScanProjection,
+        ) -> Result<PrimaryFetch> {
             let records = self.datasets.get(dataset).cloned().unwrap_or_default();
             let pk_fields = self.primary_key_fields(dataset);
-            Ok(Arc::new(move |_partition, pk| {
-                Ok(records
-                    .iter()
-                    .find(|r| {
-                        pk_fields.iter().zip(pk).all(|(f, v)| r.field(f).total_cmp(v).is_eq())
-                    })
-                    .cloned())
-            }))
+            let fetch: FetchFn = Arc::new(move |pks, emit| {
+                let mut order: Vec<usize> = (0..pks.len()).collect();
+                order.sort_by(|a, b| {
+                    let by_field = pks[*a].iter().zip(&pks[*b]).map(|(x, y)| x.total_cmp(y));
+                    by_field.fold(std::cmp::Ordering::Equal, std::cmp::Ordering::then)
+                });
+                for i in order {
+                    if let Some(r) = records.iter().find(|r| has_pk(r, &pk_fields, &pks[i])) {
+                        emit(i, &asterix_adm::encode_tuple(std::slice::from_ref(r)))?;
+                    }
+                }
+                Ok(())
+            });
+            Ok(PrimaryFetch { fetch, projected: false })
         }
 
         fn scan_all(&self, dataset: &str) -> Result<Vec<Value>> {
@@ -469,8 +505,8 @@ pub mod tests_support {
         }
 
         fn lookup_pk(&self, dataset: &str, pk: &[Value]) -> Result<Option<Value>> {
-            let f = self.primary_lookup(dataset)?;
-            f(0, pk)
+            let pk_fields = self.primary_key_fields(dataset);
+            Ok(self.scan_all(dataset)?.into_iter().find(|r| has_pk(r, &pk_fields, pk)))
         }
 
         fn btree_search_all(

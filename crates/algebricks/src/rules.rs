@@ -373,8 +373,9 @@ fn and2(a: LogicalExpr, b: LogicalExpr) -> LogicalExpr {
 
 /// Find equality conjuncts splitting cleanly across a join and convert the
 /// cartesian `Join` into a `HashJoin`; honors the `indexnl` hint by
-/// producing an `IndexNlJoin` when the inner side is a bare scan of a
-/// dataset with a B-tree index on the join field.
+/// producing an `IndexNlJoin` when the inner side is a scan of a dataset
+/// with a B-tree index on the join field — a bare scan, or (inner joins)
+/// one under pushed-down selects, which then move above the join.
 pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) -> LogicalOp {
     plan.transform_up(&mut |op| {
         let LogicalOp::Join { left, right, condition, kind, index_nl_hint } = op else {
@@ -424,13 +425,22 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
         }
         let residual = residual.into_iter().reduce(and2);
 
-        // `indexnl` hint: if the right side is a bare dataset scan and the
-        // right key is a B-tree-indexed field of it, use the index.
+        // `indexnl` hint: if the right side is a dataset scan and the right
+        // key is a B-tree-indexed field of it, use the index. Selects pushed
+        // down onto the scan are peeled off and re-applied above the join
+        // — inner joins only: above a left-outer join they would drop the
+        // padded rows.
         if index_nl_hint && left_keys.len() == 1 {
-            if let LogicalOp::DataSourceScan { dataset, var } = right.as_ref() {
+            let mut peeled = Vec::new();
+            let mut inner = right.as_ref();
+            while let (LogicalOp::Select { input, condition }, JoinKind::Inner) = (inner, kind) {
+                peeled.push(condition.clone());
+                inner = input;
+            }
+            if let LogicalOp::DataSourceScan { dataset, var } = inner {
                 if let Some(field) = field_of(&right_keys[0], *var) {
                     if let Some(ix) = find_btree_index(provider, dataset, &field) {
-                        let mut out = LogicalOp::IndexNlJoin {
+                        let out = LogicalOp::IndexNlJoin {
                             left,
                             dataset: dataset.clone(),
                             index: ix,
@@ -438,10 +448,11 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
                             var: *var,
                             kind,
                         };
-                        if let Some(r) = residual {
-                            out = LogicalOp::Select { input: Box::new(out), condition: r };
-                        }
-                        return out;
+                        // Innermost select first, as the cascade applied them.
+                        return match peeled.into_iter().rev().chain(residual).reduce(and2) {
+                            Some(c) => LogicalOp::Select { input: Box::new(out), condition: c },
+                            None => out,
+                        };
                     }
                 }
             }
@@ -1057,13 +1068,12 @@ mod tests {
         ) -> asterix_hyracks::Result<asterix_hyracks::ops::SourceFn> {
             self.inner.inverted_search_source(d, i, t, th)
         }
-        fn primary_lookup(
+        fn primary_fetch(
             &self,
             d: &str,
-        ) -> asterix_hyracks::Result<
-            Arc<dyn Fn(usize, &[Value]) -> asterix_hyracks::Result<Option<Value>> + Send + Sync>,
-        > {
-            self.inner.primary_lookup(d)
+            p: &crate::metadata::ScanProjection,
+        ) -> asterix_hyracks::Result<crate::metadata::PrimaryFetch> {
+            self.inner.primary_fetch(d, p)
         }
         fn scan_all(&self, d: &str) -> asterix_hyracks::Result<Vec<Value>> {
             self.inner.scan_all(d)
@@ -1299,6 +1309,61 @@ mod tests {
         );
         let out = optimize(plan, &provider, &fctx(), &OptimizerOptions::default());
         assert!(out.pretty().contains("index-nl-join DS.ix"), "{}", out.pretty());
+    }
+
+    /// Selects pushed down onto the hinted inner side do not defeat the
+    /// hint: on an inner join they move above the index-NL join; a
+    /// left-outer join, where that would drop padded rows, stays a hash
+    /// join.
+    #[test]
+    fn indexnl_hint_peels_selects_off_the_inner_side() {
+        let provider = provider_with_index(IndexKind::BTree, "author");
+        let len_cmp = |op, n| {
+            LogicalExpr::Compare(
+                op,
+                Box::new(LogicalExpr::field(var(1), "len")),
+                Box::new(lit(Value::Int64(n))),
+            )
+        };
+        let plan = |kind| {
+            emit(
+                LogicalOp::Join {
+                    left: Box::new(scan("DS", 0)),
+                    right: Box::new(select(
+                        select(scan("DS", 1), len_cmp(CompareOp::Ge, 5)),
+                        len_cmp(CompareOp::Lt, 9),
+                    )),
+                    condition: eq(
+                        LogicalExpr::field(var(0), "id"),
+                        LogicalExpr::field(var(1), "author"),
+                    ),
+                    kind,
+                    index_nl_hint: true,
+                },
+                var(0),
+            )
+        };
+        let opts = OptimizerOptions::default();
+        let out = optimize(plan(JoinKind::Inner), &provider, &fctx(), &opts);
+        assert_eq!(
+            out.pretty(),
+            "emit\n  select\n    index-nl-join DS.ix\n      data-scan DS\n",
+            "the selects sit above the join, coalesced"
+        );
+        let LogicalOp::Emit { input, .. } = &out else { unreachable!() };
+        let LogicalOp::Select { condition, .. } = input.as_ref() else { unreachable!() };
+        let mut conjuncts = Vec::new();
+        conjuncts_of(condition.clone(), &mut conjuncts);
+        let want = [len_cmp(CompareOp::Ge, 5), len_cmp(CompareOp::Lt, 9)];
+        assert!(
+            conjuncts.len() == 2
+                && conjuncts.iter().zip(&want).all(|(got, want)| expr_eq_shallow(got, want)),
+            "{conjuncts:?}"
+        );
+
+        let outer = optimize(plan(JoinKind::LeftOuter), &provider, &fctx(), &opts);
+        assert!(outer.pretty().contains("hash-join (LeftOuter)"), "{}", outer.pretty());
+        assert!(!outer.pretty().contains("index-nl-join"), "{}", outer.pretty());
     }
 
     #[test]

@@ -20,7 +20,9 @@ use asterix_storage::inverted::{InvertedIndex, Tokenizer};
 use asterix_storage::keycodec;
 use asterix_storage::lsm::{LsmConfig, LsmObserver, ScanValue};
 use asterix_storage::rtree::LsmRTree;
-use asterix_storage::{BufferCache, ColumnarOptions, ColumnarStats, Projection, RowCodec};
+use asterix_storage::{
+    BufferCache, ColumnarOptions, ColumnarStats, Projection, RowCodec, ScanBound,
+};
 use asterix_txn::locks::LockMode;
 use asterix_txn::wal::{LogManager, LogRecord};
 use asterix_txn::LockManager;
@@ -343,7 +345,12 @@ impl DatasetRuntime {
     /// Coerce a probe key to the primary key's declared types (so int64
     /// literals match int32-typed keys).
     pub fn coerce_pk(&self, pk: &[Value]) -> Vec<Value> {
-        let Some(rt) = self.resolved_record_type() else { return pk.to_vec() };
+        self.coerce_pk_as(self.resolved_record_type().as_ref(), pk)
+    }
+
+    /// [`Self::coerce_pk`] against an already resolved record type.
+    fn coerce_pk_as(&self, rt: Option<&asterix_adm::RecordType>, pk: &[Value]) -> Vec<Value> {
+        let Some(rt) = rt else { return pk.to_vec() };
         self.meta
             .primary_key
             .iter()
@@ -401,18 +408,21 @@ impl DatasetRuntime {
         let pk = self.pk_of(&record)?;
         let pk_bytes = keycodec::encode_key(&pk)?;
         let partition = self.partition_of(&pk);
-        if self.primary[partition].get(&pk)?.is_some() {
-            return Err(AsterixError::Execution(format!(
-                "duplicate primary key {:?} in {}",
-                pk,
-                self.meta.qualified()
-            )));
-        }
         let node = self.cfg.node_of(partition);
         let wal = &self.wals[node];
         let txn = wal.begin();
         self.locks.lock(txn, &(self.id, pk_bytes.clone()), LockMode::Exclusive)?;
         let result = (|| -> Result<()> {
+            // Checked under the record lock: of two sessions inserting one
+            // key, the second sees the first's record. Nothing is logged
+            // for the loser.
+            if self.primary[partition].get(&pk)?.is_some() {
+                return Err(AsterixError::Execution(format!(
+                    "duplicate primary key {:?} in {}",
+                    pk,
+                    self.meta.qualified()
+                )));
+            }
             // Primary index: WAL then apply (write-ahead).
             let value_bytes = adm_serde::encode_typed(&self.registry, &record, &self.datatype)?;
             let lsn = wal.append(&LogRecord::Update {
@@ -647,11 +657,80 @@ impl DatasetRuntime {
         proj: &Projection,
         visit: &mut dyn FnMut(&[u8]) -> bool,
     ) -> Result<()> {
+        self.read_partition_projected(partition, ScanBound::ALL, proj, &mut |_, row| visit(row))
+    }
+
+    /// The batched primary fetch — the key-list case of
+    /// [`Self::scan_partition_projected`], emitting the same tuples through
+    /// the same body. `pks` may come in any order and repeat; each is
+    /// routed to its owning partition, and a partition's keys are sorted
+    /// by their encoding and fetched as one list, so every columnar row
+    /// group holding some of them is visited once. The visitor receives
+    /// `(position in pks, tuple)` per key whose record exists and survives
+    /// `proj`'s filters, in primary-key order within a partition, and
+    /// returns `false` to stop early.
+    pub fn fetch_projected(
+        &self,
+        pks: &[Vec<Value>],
+        proj: &Projection,
+        visit: &mut dyn FnMut(usize, &[u8]) -> bool,
+    ) -> Result<()> {
+        let record_type = self.resolved_record_type();
+        let mut wanted: Vec<Vec<(Vec<u8>, usize)>> = vec![Vec::new(); self.partitions()];
+        for (i, pk) in pks.iter().enumerate() {
+            let pk = self.coerce_pk_as(record_type.as_ref(), pk);
+            wanted[self.partition_of(&pk)].push((keycodec::encode_key(&pk)?, i));
+        }
+        let mut go = true;
+        for (partition, mut wanted) in wanted.into_iter().enumerate() {
+            if wanted.is_empty() || !go {
+                continue;
+            }
+            wanted.sort_unstable();
+            // The distinct keys, and per requested key where it is in them.
+            let mut keys: Vec<Vec<u8>> = Vec::with_capacity(wanted.len());
+            let mut askers: Vec<(usize, usize)> = Vec::with_capacity(wanted.len());
+            for (key, i) in wanted {
+                if keys.last() != Some(&key) {
+                    keys.push(key);
+                }
+                askers.push((keys.len() - 1, i));
+            }
+            // Rows come back in key order: hand each to everyone who asked.
+            let mut next = 0;
+            self.read_partition_projected(
+                partition,
+                ScanBound::Keys(&keys),
+                proj,
+                &mut |key, row| {
+                    while next < askers.len() && keys[askers[next].0].as_slice() < key {
+                        next += 1;
+                    }
+                    while go && next < askers.len() && keys[askers[next].0] == key {
+                        go = visit(askers[next].1, row);
+                        next += 1;
+                    }
+                    go
+                },
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The one projected read of a partition's primary index, over a key
+    /// range or a sorted key list: `visit(key, tuple)` per surviving record.
+    fn read_partition_projected(
+        &self,
+        partition: usize,
+        bound: ScanBound<'_>,
+        proj: &Projection,
+        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<()> {
         let record_type = self.resolved_record_type();
         let mut scratch = Vec::new();
         let mut reordered = Vec::new();
         let mut err: Option<AsterixError> = None;
-        self.primary[partition].lsm().scan_projected(None, None, proj, |_, sv| {
+        self.primary[partition].lsm().scan_projected(bound, proj, |key, sv| {
             scratch.clear();
             let encoded = match sv {
                 ScanValue::Assembled(sd) => {
@@ -687,7 +766,7 @@ impl DatasetRuntime {
                 }
             };
             match encoded {
-                Ok(()) => visit(&scratch),
+                Ok(()) => visit(key, &scratch),
                 Err(e) => {
                     err = Some(e.into());
                     false

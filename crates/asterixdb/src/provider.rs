@@ -8,10 +8,10 @@ use std::sync::Arc;
 use asterix_adm::value::Rectangle;
 use asterix_adm::Value;
 use asterix_algebricks::metadata::{
-    IndexInfo, IndexKind, KeyBound, MetadataProvider, RawScan, ScanProjection,
+    IndexInfo, IndexKind, KeyBound, MetadataProvider, PrimaryFetch, RawScan, ScanProjection,
 };
 use asterix_aql::translate::{AqlCatalog, FunctionDef};
-use asterix_hyracks::ops::{RawSourceFn, SourceFn};
+use asterix_hyracks::ops::{FetchFn, RawSourceFn, SourceFn};
 use asterix_hyracks::HyracksError;
 use asterix_metadata::{Catalog, DatasetKind, IndexKindMeta, METADATA_DATAVERSE};
 use asterix_storage::btree::ValueBound;
@@ -37,6 +37,30 @@ fn cmp_kind_to_op(k: asterix_hyracks::ops::CmpKind) -> asterix_storage::CmpOp {
         K::Gt => O::Gt,
         K::Ge => O::Ge,
     }
+}
+
+/// The compiler's projection — the fields the query touches and the
+/// conjuncts it filters by — as it is pushed into storage, where columnar
+/// components decide the filters on raw column bytes and assemble only the
+/// survivors; and whether it was honored. Declined when the columnar knob
+/// is off: the scan or fetch then serves every record whole.
+fn storage_projection(
+    ds: &DatasetRuntime,
+    projection: &ScanProjection,
+) -> (asterix_storage::Projection, bool) {
+    if !ds.columnar_scans_enabled() {
+        return (asterix_storage::Projection::all(), false);
+    }
+    let filters = projection.filters.iter().map(|f| asterix_storage::ColumnFilter {
+        field: f.field.clone(),
+        op: cmp_kind_to_op(f.op),
+        key: f.key.clone(),
+    });
+    let proj = asterix_storage::Projection {
+        fields: projection.fields.clone(),
+        filters: filters.collect(),
+    };
+    (proj, true)
 }
 
 /// A live system-view generator: called at scan time to materialize the
@@ -274,28 +298,7 @@ impl MetadataProvider for InstanceProvider {
         // datasets (and unknown names, which must error through
         // `scan_source`) take the decoded fallback path.
         let Some(ds) = self.shared.dataset(dataset) else { return Ok(None) };
-        // The compiler's projection — the fields the query touches and the
-        // conjuncts it filters by — is pushed into storage, where columnar
-        // components decide the filters on raw column bytes and assemble
-        // only the survivors. Declined when the columnar knob is off: the
-        // scan then serves every record whole.
-        let projected = ds.columnar_scans_enabled();
-        let storage_proj = if projected {
-            asterix_storage::Projection {
-                fields: projection.fields.clone(),
-                filters: projection
-                    .filters
-                    .iter()
-                    .map(|f| asterix_storage::ColumnFilter {
-                        field: f.field.clone(),
-                        op: cmp_kind_to_op(f.op),
-                        key: f.key.clone(),
-                    })
-                    .collect(),
-            }
-        } else {
-            asterix_storage::Projection::all()
-        };
+        let (storage_proj, projected) = storage_projection(&ds, projection);
         let source: RawSourceFn = Arc::new(move |partition, _nparts, emit| {
             let mut emit_err: Option<HyracksError> = None;
             ds.scan_partition_projected(partition, &storage_proj, &mut |bytes| match emit(bytes) {
@@ -407,14 +410,29 @@ impl MetadataProvider for InstanceProvider {
         }))
     }
 
-    fn primary_lookup(
+    fn primary_fetch(
         &self,
         dataset: &str,
-    ) -> asterix_hyracks::Result<
-        Arc<dyn Fn(usize, &[Value]) -> asterix_hyracks::Result<Option<Value>> + Send + Sync>,
-    > {
+        projection: &ScanProjection,
+    ) -> asterix_hyracks::Result<PrimaryFetch> {
         let ds = self.runtime(dataset)?;
-        Ok(Arc::new(move |partition, pk| ds.get_in_partition(partition, pk).map_err(op_err)))
+        let (storage_proj, projected) = storage_projection(&ds, projection);
+        let fetch: FetchFn = Arc::new(move |pks, emit| {
+            let mut emit_err: Option<HyracksError> = None;
+            ds.fetch_projected(pks, &storage_proj, &mut |i, row| match emit(i, row) {
+                Ok(()) => true,
+                Err(e) => {
+                    emit_err = Some(e);
+                    false
+                }
+            })
+            .map_err(op_err)?;
+            match emit_err {
+                Some(e) => Err(e),
+                None => Ok(()),
+            }
+        });
+        Ok(PrimaryFetch { fetch, projected })
     }
 
     fn scan_all(&self, dataset: &str) -> asterix_hyracks::Result<Vec<Value>> {

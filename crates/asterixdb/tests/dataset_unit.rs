@@ -156,3 +156,75 @@ fn validation_rejects_wrong_types_on_insert_path() {
     assert!(ds.insert(&no_pk).is_err());
     assert_eq!(ds.count().unwrap(), 0);
 }
+
+/// The batched fetch routes every key to its owning partition, answers
+/// repeated and uncoerced keys, skips absent ones, reports each result
+/// under the position of the key that asked, and stops when told to —
+/// with the rows on disk (columnar), in memory, or deleted.
+#[test]
+fn batched_fetch_routes_dedups_and_reports_positions() {
+    use asterix_storage::Projection;
+    let (instance, _d) = setup();
+    let ds = instance.dataset("D").unwrap();
+    let rec = |i: i64| {
+        asterix_adm::parse::parse_value(&format!(
+            "{{ \"id\": {i}, \"v\": {}, \"text\": \"t{i}\" }}",
+            i * 10
+        ))
+        .unwrap()
+    };
+    for i in 0..100 {
+        ds.insert(&rec(i)).unwrap();
+    }
+    ds.flush_all().unwrap();
+    for i in 100..120 {
+        ds.insert(&rec(i)).unwrap();
+    }
+    assert!(ds.delete_by_pk(&[Value::Int64(50)]).unwrap());
+
+    // Unsorted, with a repeat (as int32 and int64), absent keys and the
+    // deleted one.
+    let ids = [77i64, 3, 500, 110, 3, 50, 99, -1, 0];
+    let mut pks: Vec<Vec<Value>> = ids.iter().map(|i| vec![Value::Int64(*i)]).collect();
+    pks[4] = vec![Value::Int32(3)];
+    let proj = Projection { fields: Some(vec!["v".into()]), filters: Vec::new() };
+    let mut got: Vec<(usize, Value)> = Vec::new();
+    ds.fetch_projected(&pks, &proj, &mut |i, row| {
+        got.push((i, asterix_adm::decode_tuple(row).unwrap().pop().unwrap()));
+        true
+    })
+    .unwrap();
+    // Per partition the rows arrive in key order.
+    let partition = |i: usize| ds.partition_of(&ds.coerce_pk(&pks[i]));
+    assert!(got.windows(2).all(|w| partition(w[0].0) < partition(w[1].0)
+        || (partition(w[0].0) == partition(w[1].0) && ids[w[0].0] <= ids[w[1].0])));
+    got.sort_by_key(|(i, _)| *i);
+    let positions: Vec<usize> = got.iter().map(|(i, _)| *i).collect();
+    assert_eq!(positions, [0, 1, 3, 4, 6, 8], "500, -1 are absent and 50 is deleted");
+    for (i, row) in &got {
+        // Only the projected field, from disk and from memory alike.
+        let want = format!("{{ \"v\": {} }}", ids[*i] * 10);
+        assert_eq!(asterix_adm::print::to_adm_string(row), want);
+    }
+
+    // Whole records equal what a point lookup returns.
+    let mut whole = Vec::new();
+    ds.fetch_projected(&pks, &Projection::all(), &mut |i, row| {
+        whole.push((i, asterix_adm::decode_tuple(row).unwrap().pop().unwrap()));
+        true
+    })
+    .unwrap();
+    assert_eq!(whole.len(), 6);
+    for (i, row) in whole {
+        assert_eq!(Some(row), ds.get(&pks[i]).unwrap());
+    }
+
+    // `false` from the visitor ends the fetch, across partitions too.
+    let mut seen = 0;
+    ds.fetch_projected(&pks, &proj, &mut |_, _| {
+        seen += 1;
+        false
+    })
+    .unwrap();
+    assert_eq!(seen, 1);
+}

@@ -1084,7 +1084,21 @@ mod tests {
 
     #[test]
     fn locality_aware_routing_respects_node_groups() {
-        use crate::ops::PartitionMapOp;
+        /// Appends the receiving partition's index to every tuple.
+        struct TagPartition;
+        impl crate::ops::OperatorDescriptor for TagPartition {
+            fn name(&self) -> String {
+                "tag-dst".into()
+            }
+            fn run(&self, ctx: &mut crate::ops::OpCtx) -> Result<()> {
+                let crate::ops::OpCtx { partition, inputs, outputs, .. } = ctx;
+                inputs[0].for_each(|mut row| {
+                    row.push(Value::Int64(*partition as i64));
+                    outputs[0].push(row)?;
+                    Ok(true)
+                })
+            }
+        }
 
         // 4 partitions over 2 nodes (partitions_per_node = 2). Each source
         // partition tags tuples with its own index; the receiving op tags
@@ -1100,14 +1114,7 @@ mod tests {
                 Ok(())
             })),
         );
-        let tag = job.add(
-            4,
-            Arc::new(PartitionMapOp::new("tag-dst", |p, t: &Vec<Value>| {
-                let mut row = t.clone();
-                row.push(Value::Int64(p as i64));
-                Ok(vec![row])
-            })),
-        );
+        let tag = job.add(4, Arc::new(TagPartition));
         let (sink, collector) = collect_sink(&mut job);
         job.connect(ConnectorKind::LocalityAwareMToNPartitioning { fields: vec![0] }, src, tag);
         job.connect(ConnectorKind::MToNReplicating, tag, sink);

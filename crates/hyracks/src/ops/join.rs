@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use asterix_adm::{concat_tuples_into, encode_tuple, ordkey, TupleRef, Value};
 
-use super::{OpCtx, OperatorDescriptor};
+use super::{run_batched, Batched, BatchedStage, FetchFn, OpCtx, OperatorDescriptor, FETCH_BATCH};
 use crate::connector::OutputPort;
-use crate::frame::{hash_encoded_fields, Tuple};
+use crate::frame::{hash_encoded_fields, FrameBuf, Tuple};
 use crate::pipeline::{PipelineCtx, PipelineOp};
 use crate::Result;
 
@@ -396,29 +396,54 @@ impl OperatorDescriptor for NestedLoopJoinOp {
     }
 }
 
-/// Index nested-loop join: for each input tuple, probe an index through a
-/// callback and emit `input ++ match`. Selected by the `indexnl` hint
-/// (Query 14) and used for all secondary-index access paths.
+/// Index nested-loop join: each outer tuple probes a secondary index for
+/// the primary keys it joins with, and the operator emits `outer ++ inner`
+/// per fetched record. Selected by the `indexnl` hint (Query 14). The
+/// probes' keys are gathered [`FETCH_BATCH`] at a time and fetched as one
+/// sorted key list — outer tuples arrive in no useful order, so a fetch
+/// per tuple would visit the primary index at random — and the batch is
+/// emitted in outer order.
 pub struct IndexNestedLoopJoinOp {
     label: String,
-    probe: Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>,
+    /// The primary keys one outer tuple joins with.
+    probe: ProbeFn,
+    fetch: FetchFn,
     pub join_type: JoinType,
     /// Arity of the index-side tuples (for ProbeOuter null padding).
     pub inner_arity: usize,
 }
 
+type ProbeFn = Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>;
+
 impl IndexNestedLoopJoinOp {
     pub fn new(
         label: impl Into<String>,
         probe: impl Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync + 'static,
+        fetch: FetchFn,
         join_type: JoinType,
         inner_arity: usize,
     ) -> IndexNestedLoopJoinOp {
         IndexNestedLoopJoinOp {
             label: label.into(),
             probe: Arc::new(probe),
+            fetch,
             join_type,
             inner_arity,
+        }
+    }
+
+    fn batch(&self) -> IndexNlBatch {
+        IndexNlBatch {
+            probe: Arc::clone(&self.probe),
+            fetch: Arc::clone(&self.fetch),
+            join_type: self.join_type,
+            pad: null_pad(self.inner_arity),
+            outers: FrameBuf::new(),
+            pk_ends: Vec::new(),
+            pks: Vec::new(),
+            inner: Vec::new(),
+            found: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 }
@@ -437,79 +462,86 @@ impl OperatorDescriptor for IndexNestedLoopJoinOp {
         _ctx: PipelineCtx,
         next: Box<dyn PipelineOp>,
     ) -> Result<Box<dyn PipelineOp>> {
-        Ok(Box::new(IndexNlStage {
-            probe: Arc::clone(&self.probe),
-            join_type: self.join_type,
-            pad: null_pad(self.inner_arity),
-            scratch: Vec::new(),
-            menc: Vec::new(),
-            next,
-        }))
+        Ok(Box::new(BatchedStage { batch: self.batch(), next }))
     }
 
     fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { inputs, outputs, .. } = ctx;
-        let out = &mut outputs[0];
-        let probe = &self.probe;
-        let join_type = self.join_type;
-        let pad = null_pad(self.inner_arity);
-        let mut scratch = Vec::new();
-        let mut menc = Vec::new();
-        inputs[0].for_each_raw(|enc| {
-            let t = asterix_adm::decode_tuple(enc)?;
-            let matches = probe(&t)?;
-            if matches.is_empty() && join_type == JoinType::ProbeOuter {
-                push_concat(out, &mut scratch, enc, &pad)?;
-            } else {
-                // The outer tuple's bytes are reused per match; only the
-                // index-side row needs encoding.
-                for m in matches {
-                    menc.clear();
-                    asterix_adm::encode_tuple_into(&mut menc, &m);
-                    push_concat(out, &mut scratch, enc, &menc)?;
-                }
-            }
-            Ok(true)
-        })
+        run_batched(self.batch(), ctx)
     }
 }
 
-struct IndexNlStage {
-    probe: Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>,
+/// The buffered outer tuples of an [`IndexNestedLoopJoinOp`] instance and
+/// the keys their probes returned.
+struct IndexNlBatch {
+    probe: ProbeFn,
+    fetch: FetchFn,
     join_type: JoinType,
     pad: Vec<u8>,
+    outers: FrameBuf,
+    /// Per buffered outer tuple, where its keys end in `pks` (they start
+    /// where the previous tuple's end).
+    pk_ends: Vec<usize>,
+    pks: Vec<Tuple>,
+    /// The fetched inner rows back to back, and each key's row in them.
+    inner: Vec<u8>,
+    found: Vec<Option<(usize, usize)>>,
     scratch: Vec<u8>,
-    menc: Vec<u8>,
-    next: Box<dyn PipelineOp>,
 }
 
-impl PipelineOp for IndexNlStage {
-    fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        let t = asterix_adm::decode_tuple(bytes)?;
-        let matches = (self.probe)(&t)?;
-        let outer = TupleRef::new(bytes)?;
-        if matches.is_empty() && self.join_type == JoinType::ProbeOuter {
-            self.scratch.clear();
-            concat_tuples_into(&mut self.scratch, &outer, &TupleRef::new(&self.pad)?);
-            self.next.push(&self.scratch)?;
-            return Ok(());
-        }
-        for m in matches {
-            self.menc.clear();
-            asterix_adm::encode_tuple_into(&mut self.menc, &m);
-            self.scratch.clear();
-            concat_tuples_into(&mut self.scratch, &outer, &TupleRef::new(&self.menc)?);
-            self.next.push(&self.scratch)?;
+impl Batched for IndexNlBatch {
+    fn push(&mut self, enc: &[u8], out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let outer = asterix_adm::decode_tuple(enc)?;
+        self.pks.extend((self.probe)(&outer)?);
+        self.pk_ends.push(self.pks.len());
+        self.outers.push_encoded(enc);
+        if self.pks.len() >= FETCH_BATCH || self.pk_ends.len() >= FETCH_BATCH {
+            self.drain(out)?;
         }
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<()> {
-        self.next.flush()
+    fn drain(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let res = self.join_batch(out);
+        self.outers.clear();
+        self.pk_ends.clear();
+        self.pks.clear();
+        res
     }
+}
 
-    fn finish(&mut self) -> Result<()> {
-        self.next.finish()
+impl IndexNlBatch {
+    /// Fetch the batch's keys once, then emit in outer order.
+    fn join_batch(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let (inner, found) = (&mut self.inner, &mut self.found);
+        inner.clear();
+        found.clear();
+        found.resize(self.pks.len(), None);
+        if !self.pks.is_empty() {
+            (self.fetch)(&self.pks, &mut |i, row| {
+                found[i] = Some((inner.len(), inner.len() + row.len()));
+                inner.extend_from_slice(row);
+                Ok(())
+            })?;
+        }
+        let pad = TupleRef::new(&self.pad)?;
+        let mut start = 0;
+        for (o, &end) in self.pk_ends.iter().enumerate() {
+            let outer = self.outers.tuple_ref(o)?;
+            let mut matched = false;
+            for &(a, b) in found[start..end].iter().flatten() {
+                matched = true;
+                self.scratch.clear();
+                concat_tuples_into(&mut self.scratch, &outer, &TupleRef::new(&inner[a..b])?);
+                out(&self.scratch)?;
+            }
+            if !matched && self.join_type == JoinType::ProbeOuter {
+                self.scratch.clear();
+                concat_tuples_into(&mut self.scratch, &outer, &pad);
+                out(&self.scratch)?;
+            }
+            start = end;
+        }
+        Ok(())
     }
 }
 
@@ -726,43 +758,125 @@ mod tests {
         assert_eq!(out.len(), 3);
     }
 
-    #[test]
-    fn index_nested_loop_probes_callback() {
+    /// Runs an index-NL join over `outers`: key `k` probes to the primary
+    /// keys `[k, k + 100]` when even and to nothing when odd; the fetch
+    /// knows records for keys below 100 only, and records the batches it
+    /// was asked for.
+    fn run_index_nl(
+        join_type: JoinType,
+        outers: Vec<Tuple>,
+        fused: bool,
+    ) -> (Vec<Tuple>, Vec<usize>) {
+        let batches = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&batches);
+        let fetch: FetchFn = Arc::new(move |pks, emit| {
+            seen.lock().push(pks.len());
+            // Key order, as the contract says — not input order.
+            let mut order: Vec<usize> = (0..pks.len()).collect();
+            order.sort_by(|a, b| pks[*a][0].total_cmp(&pks[*b][0]));
+            for i in order {
+                let k = pks[i][0].as_i64().unwrap();
+                if k < 100 {
+                    emit(i, &encode_tuple(&[Value::string(format!("rec-{k}"))]))?;
+                }
+            }
+            Ok(())
+        });
         let op = IndexNestedLoopJoinOp::new(
             "ix",
             |t| {
                 let k = t[0].as_i64().unwrap();
-                if k % 2 == 0 {
-                    Ok(vec![vec![Value::string(format!("even-{k}"))]])
+                Ok(if k % 2 == 0 {
+                    vec![vec![Value::Int64(k)], vec![Value::Int64(k + 100)]]
                 } else {
-                    Ok(vec![])
-                }
+                    vec![]
+                })
             },
-            JoinType::ProbeOuter,
+            fetch,
+            join_type,
             1,
         );
-        // Index NL join takes a single input (the outer); probe is a
-        // callback. Feed outer tuples through input 0.
-        let x = ExchangeConfig::default();
-        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        for i in 0..4i64 {
-            b_out[0].push(vec![Value::Int64(i)]).unwrap();
-        }
-        drop(b_out);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs: b_in,
-            outputs: r_out,
-            env: Default::default(),
+        let out = if fused {
+            use crate::pipeline::testing::{Recorder, RecorderStage};
+            let rec = Arc::new(parking_lot::Mutex::new(Recorder::default()));
+            let ctx = PipelineCtx { partition: 0, nparts: 1, node: 0, env: Default::default() };
+            let mut stage = op.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
+            for t in &outers {
+                stage.push(&encode_tuple(t)).unwrap();
+            }
+            assert!(
+                outers.len() >= FETCH_BATCH || rec.lock().rows.is_empty(),
+                "a partial batch waits for finish"
+            );
+            stage.finish().unwrap();
+            let rec = rec.lock();
+            assert!(rec.finished);
+            rec.rows.iter().map(|r| asterix_adm::decode_tuple(r).unwrap()).collect()
+        } else {
+            // The join takes a single input (the outer side); the index
+            // side is the two callbacks.
+            let x = ExchangeConfig::default();
+            let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+            let (r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+            for t in outers {
+                b_out[0].push(t).unwrap();
+            }
+            drop(b_out);
+            let mut ctx = OpCtx {
+                partition: 0,
+                nparts: 1,
+                node: 0,
+                inputs: b_in,
+                outputs: r_out,
+                env: Default::default(),
+            };
+            op.run(&mut ctx).unwrap();
+            drop(ctx);
+            r_in[0].collect().unwrap()
         };
-        op.run(&mut ctx).unwrap();
-        drop(ctx);
-        let out = r_in[0].collect().unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0][1], Value::string("even-0"));
-        assert_eq!(out[1][1], Value::Null); // odd, padded
+        let batches = batches.lock().clone();
+        (out, batches)
+    }
+
+    #[test]
+    fn index_nested_loop_fetches_a_batch_once_and_emits_in_outer_order() {
+        // Outer keys descending, so outer order is the reverse of key order.
+        let outers: Vec<Tuple> = (0..6i64).rev().map(|k| vec![Value::Int64(k)]).collect();
+        for fused in [false, true] {
+            let (out, batches) = run_index_nl(JoinType::ProbeOuter, outers.clone(), fused);
+            assert_eq!(batches, vec![6], "three probing outers, two keys each, one fetch");
+            let got: Vec<(i64, Value)> =
+                out.iter().map(|r| (r[0].as_i64().unwrap(), r[1].clone())).collect();
+            let rec = |k: i64| Value::string(format!("rec-{k}"));
+            assert_eq!(
+                got,
+                vec![
+                    (5, Value::Null), // odd: no probe result, padded
+                    (4, rec(4)),      // the k + 100 key has no record
+                    (3, Value::Null),
+                    (2, rec(2)),
+                    (1, Value::Null),
+                    (0, rec(0)),
+                ],
+                "fused={fused}"
+            );
+            let (inner, _) = run_index_nl(JoinType::Inner, outers.clone(), fused);
+            assert_eq!(inner.len(), 3, "fused={fused}");
+        }
+    }
+
+    #[test]
+    fn index_nested_loop_batches_are_bounded() {
+        // Every outer probes to two keys: a batch fills after half as many
+        // outers as it holds keys, and the tail goes out on finish.
+        let n = FETCH_BATCH as i64 + 10;
+        let outers: Vec<Tuple> = (0..n).map(|k| vec![Value::Int64(2 * k)]).collect();
+        for fused in [false, true] {
+            let (out, batches) = run_index_nl(JoinType::Inner, outers.clone(), fused);
+            assert_eq!(batches, vec![FETCH_BATCH, FETCH_BATCH, 20], "fused={fused}");
+            // Keys below 100 have records: outers 0, 2, .. 98.
+            assert_eq!(out.len(), 50, "fused={fused}");
+            assert!(out.windows(2).all(|w| w[0][0].total_cmp(&w[1][0]).is_lt()));
+        }
     }
 }

@@ -43,6 +43,22 @@ pub type SourceFn =
 pub type RawSourceFn =
     Arc<dyn Fn(usize, usize, &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> + Send + Sync>;
 
+/// Resolve a batch of primary keys against the primary index:
+/// `(pks, emit)`. `pks` may come in any order and repeat; the callee sorts
+/// them by encoded key itself and visits storage once per batch. For every
+/// key whose record exists — and survives the filters pushed into the
+/// fetch — it calls `emit(i, row)` with the key's position in `pks` and the
+/// record as an encoded single-column tuple, in primary-key order within
+/// each storage partition. `emit` runs with the index's read lock held:
+/// callers collect the rows and push them downstream after the call.
+pub type FetchFn =
+    Arc<dyn Fn(&[Tuple], &mut dyn FnMut(usize, &[u8]) -> Result<()>) -> Result<()> + Send + Sync>;
+
+/// Keys a fetching stage buffers before it visits the primary index: enough
+/// that the few thousand keys of a selective index search land several to
+/// a row group, and a bounded slice of the query's memory either way.
+pub const FETCH_BATCH: usize = 4096;
+
 /// Per-partition execution context handed to `run`.
 pub struct OpCtx {
     pub partition: usize,
@@ -1315,24 +1331,24 @@ impl OperatorDescriptor for ReplicateOp {
     }
 }
 
-/// Partition-aware flat-map: the closure receives the partition index —
-/// used for partition-local storage access like the primary-index lookups
-/// that follow a secondary-index search (Figure 6).
-pub struct PartitionMapOp {
+/// Primary-index lookup of a batch of keys (Figure 6's step after the
+/// `$pk` sort): input tuples are primary keys, output tuples the records
+/// they name. Keys are buffered [`FETCH_BATCH`] at a time and fetched as
+/// one key list, so a row group of the primary index is visited once per
+/// batch instead of once per key; what is left is fetched on
+/// `flush`/`finish`.
+pub struct PrimaryFetchOp {
     label: String,
-    f: Arc<dyn Fn(usize, &Tuple) -> Result<Vec<Tuple>> + Send + Sync>,
+    fetch: FetchFn,
 }
 
-impl PartitionMapOp {
-    pub fn new(
-        label: impl Into<String>,
-        f: impl Fn(usize, &Tuple) -> Result<Vec<Tuple>> + Send + Sync + 'static,
-    ) -> PartitionMapOp {
-        PartitionMapOp { label: label.into(), f: Arc::new(f) }
+impl PrimaryFetchOp {
+    pub fn new(label: impl Into<String>, fetch: FetchFn) -> PrimaryFetchOp {
+        PrimaryFetchOp { label: label.into(), fetch }
     }
 }
 
-impl OperatorDescriptor for PartitionMapOp {
+impl OperatorDescriptor for PrimaryFetchOp {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -1341,53 +1357,104 @@ impl OperatorDescriptor for PartitionMapOp {
         true
     }
 
-    fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
-        Ok(Box::new(PartitionMapStage {
-            partition: ctx.partition,
-            f: Arc::clone(&self.f),
-            scratch: Vec::new(),
-            next,
-        }))
+    fn pipeline(
+        &self,
+        _ctx: PipelineCtx,
+        next: Box<dyn PipelineOp>,
+    ) -> Result<Box<dyn PipelineOp>> {
+        Ok(Box::new(BatchedStage { batch: FetchBatch::new(&self.fetch), next }))
     }
 
     fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { partition, inputs, outputs, .. } = ctx;
-        let p = *partition;
-        let out = &mut outputs[0];
-        let f = &self.f;
-        inputs[0].for_each(|t| {
-            for row in f(p, &t)? {
-                out.push(row)?;
-            }
-            Ok(true)
-        })
+        run_batched(FetchBatch::new(&self.fetch), ctx)
     }
 }
 
-struct PartitionMapStage {
-    partition: usize,
-    f: Arc<dyn Fn(usize, &Tuple) -> Result<Vec<Tuple>> + Send + Sync>,
-    scratch: Vec<u8>,
-    next: Box<dyn PipelineOp>,
+/// The body of an operator that buffers input tuples and emits per batch
+/// (the primary fetch, the index nested-loop join) — written once, driven
+/// by the fused stage ([`BatchedStage`]) and the unfused `run`
+/// ([`run_batched`]) alike.
+pub(crate) trait Batched: Send {
+    /// Buffer one encoded input tuple; emits through `out` when the batch
+    /// is full.
+    fn push(&mut self, bytes: &[u8], out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()>;
+
+    /// Emit what is buffered.
+    fn drain(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()>;
 }
 
-impl PipelineOp for PartitionMapStage {
+pub(crate) struct BatchedStage<B> {
+    pub(crate) batch: B,
+    pub(crate) next: Box<dyn PipelineOp>,
+}
+
+impl<B: Batched> PipelineOp for BatchedStage<B> {
     fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        let t = asterix_adm::decode_tuple(bytes)?;
-        for row in (self.f)(self.partition, &t)? {
-            self.scratch.clear();
-            asterix_adm::encode_tuple_into(&mut self.scratch, &row);
-            self.next.push(&self.scratch)?;
-        }
-        Ok(())
+        let next = &mut self.next;
+        self.batch.push(bytes, &mut |row| next.push(row))
     }
 
     fn flush(&mut self) -> Result<()> {
+        let next = &mut self.next;
+        self.batch.drain(&mut |row| next.push(row))?;
         self.next.flush()
     }
 
     fn finish(&mut self) -> Result<()> {
+        let next = &mut self.next;
+        self.batch.drain(&mut |row| next.push(row))?;
         self.next.finish()
+    }
+}
+
+pub(crate) fn run_batched(mut batch: impl Batched, ctx: &mut OpCtx) -> Result<()> {
+    let OpCtx { inputs, outputs, .. } = ctx;
+    let out = &mut outputs[0];
+    inputs[0].for_each_raw(|bytes| {
+        batch.push(bytes, &mut |row| out.push_encoded(row))?;
+        Ok(true)
+    })?;
+    batch.drain(&mut |row| out.push_encoded(row))
+}
+
+/// The buffered keys of a [`PrimaryFetchOp`] instance, and the rows of the
+/// batch being fetched.
+struct FetchBatch {
+    fetch: FetchFn,
+    pks: Vec<Tuple>,
+    rows: FrameBuf,
+}
+
+impl FetchBatch {
+    fn new(fetch: &FetchFn) -> FetchBatch {
+        FetchBatch { fetch: Arc::clone(fetch), pks: Vec::new(), rows: FrameBuf::new() }
+    }
+}
+
+impl Batched for FetchBatch {
+    fn push(&mut self, bytes: &[u8], out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        self.pks.push(asterix_adm::decode_tuple(bytes)?);
+        if self.pks.len() >= FETCH_BATCH {
+            self.drain(out)?;
+        }
+        Ok(())
+    }
+
+    fn drain(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let pks = std::mem::take(&mut self.pks);
+        if pks.is_empty() {
+            return Ok(());
+        }
+        // The fetch runs under the primary index's read lock: its rows go
+        // downstream only once it has returned, so a slow consumer cannot
+        // hold writers up.
+        let rows = &mut self.rows;
+        rows.clear();
+        (self.fetch)(&pks, &mut |_, row| {
+            rows.push_encoded(row);
+            Ok(())
+        })?;
+        rows.iter().try_for_each(out)
     }
 }
 
@@ -1539,5 +1606,83 @@ impl PipelineOp for MapStage {
 
     fn finish(&mut self) -> Result<()> {
         self.next.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::connector::{wire, ConnectorKind, ExchangeConfig};
+    use crate::pipeline::testing::{Recorder, RecorderStage};
+
+    /// A fetch that knows a record for every even key and logs the size of
+    /// each batch it is handed.
+    fn even_keys(batches: &Arc<Mutex<Vec<usize>>>) -> FetchFn {
+        let batches = Arc::clone(batches);
+        Arc::new(move |pks, emit| {
+            batches.lock().push(pks.len());
+            for (i, pk) in pks.iter().enumerate() {
+                let k = pk[0].as_i64().unwrap();
+                if k % 2 == 0 {
+                    emit(i, &asterix_adm::encode_tuple(&[Value::string(format!("rec-{k}"))]))?;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn primary_fetch_stage_batches_and_drains_on_flush_and_finish() {
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let op = PrimaryFetchOp::new("fetch", even_keys(&batches));
+        let rec = Arc::new(Mutex::new(Recorder::default()));
+        let ctx = PipelineCtx { partition: 0, nparts: 1, node: 0, env: Default::default() };
+        let mut stage = op.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
+        let push = |stage: &mut Box<dyn PipelineOp>, keys: std::ops::Range<i64>| {
+            for k in keys {
+                stage.push(&asterix_adm::encode_tuple(&[Value::Int64(k)])).unwrap();
+            }
+        };
+        push(&mut stage, 0..10);
+        assert!(rec.lock().rows.is_empty(), "a partial batch waits");
+        stage.flush().unwrap();
+        assert_eq!(rec.lock().rows.len(), 5, "flush fetches what is buffered");
+        let n = FETCH_BATCH as i64;
+        push(&mut stage, 10..10 + n + 6);
+        assert_eq!(rec.lock().rows.len(), 5 + FETCH_BATCH / 2, "a full batch goes out at once");
+        stage.finish().unwrap();
+        assert_eq!(*batches.lock(), vec![10, FETCH_BATCH, 6]);
+        let rec = rec.lock();
+        assert!(rec.finished);
+        assert_eq!(rec.rows.len(), 5 + FETCH_BATCH / 2 + 3);
+        assert_eq!(rec.rows[1], asterix_adm::encode_tuple(&[Value::string("rec-2")]));
+    }
+
+    #[test]
+    fn primary_fetch_run_matches_the_stage() {
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let op = PrimaryFetchOp::new("fetch", even_keys(&batches));
+        let x = ExchangeConfig::default();
+        let (mut k_out, k_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        for k in 0..9i64 {
+            k_out[0].push(vec![Value::Int64(k)]).unwrap();
+        }
+        drop(k_out);
+        let mut ctx = OpCtx {
+            partition: 0,
+            nparts: 1,
+            node: 0,
+            inputs: k_in,
+            outputs: r_out,
+            env: Default::default(),
+        };
+        op.run(&mut ctx).unwrap();
+        drop(ctx);
+        let out = r_in[0].collect().unwrap();
+        assert_eq!(*batches.lock(), vec![9]);
+        let want: Vec<Tuple> =
+            (0..9).step_by(2).map(|k| vec![Value::string(format!("rec-{k}"))]).collect();
+        assert_eq!(out, want);
     }
 }

@@ -60,6 +60,12 @@ pub struct ColumnarStats {
     pub rows_filtered: Counter,
     /// Shredded rows a scan assembled into a record.
     pub rows_assembled: Counter,
+    /// Wanted keys a key-list fetch found in the row groups it visited
+    /// (point probes — `DiskComponent::get` — count as neither).
+    pub fetch_keys: Counter,
+    /// Row groups a key-list fetch visited; `fetch_keys / fetch_groups` is
+    /// what batching a fetch's keys per group buys.
+    pub fetch_groups: Counter,
 }
 
 impl ColumnarStats {
@@ -70,6 +76,8 @@ impl ColumnarStats {
         reg.register_counter(&format!("{prefix}.fallback_rows"), &self.fallback_rows);
         reg.register_counter(&format!("{prefix}.rows_filtered"), &self.rows_filtered);
         reg.register_counter(&format!("{prefix}.rows_assembled"), &self.rows_assembled);
+        reg.register_counter(&format!("{prefix}.fetch_keys"), &self.fetch_keys);
+        reg.register_counter(&format!("{prefix}.fetch_groups"), &self.fetch_groups);
     }
 }
 
@@ -193,4 +201,18 @@ impl Projection {
     pub fn all() -> Self {
         Projection { fields: None, filters: Vec::new() }
     }
+}
+
+/// Which keys a late-materializing scan covers: the range `[lo, hi)`
+/// (`None` bounds are open), or — the primary fetch behind a secondary
+/// index — a list of keys, sorted ascending and de-duplicated.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanBound<'a> {
+    Range { lo: Option<&'a [u8]>, hi: Option<&'a [u8]> },
+    Keys(&'a [Vec<u8>]),
+}
+
+impl ScanBound<'_> {
+    /// Every key: the full scan.
+    pub const ALL: ScanBound<'static> = ScanBound::Range { lo: None, hi: None };
 }

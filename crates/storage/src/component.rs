@@ -24,6 +24,7 @@
 
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,7 +33,9 @@ use asterix_adm::serde as adm_serde;
 
 use crate::bloom::BloomFilter;
 use crate::cache::{next_file_id, BufferCache};
-use crate::columnar::{ColumnFilter, ColumnarOptions, ColumnarStats, Projection, RowCodec};
+use crate::columnar::{
+    ColumnFilter, ColumnarOptions, ColumnarStats, Projection, RowCodec, ScanBound,
+};
 use crate::error::{Result, StorageError};
 
 const MAGIC: u64 = 0x4153_5458_4c53_4d31; // "ASTXLSM1"
@@ -78,6 +81,7 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+#[inline]
 fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v = 0u64;
     let mut shift = 0;
@@ -147,6 +151,10 @@ impl Default for ComponentConfig {
 /// An immutable, sorted, bloom-filtered disk component.
 pub struct DiskComponent {
     path: PathBuf,
+    /// Read handle held for the component's life: a cache miss is one
+    /// positioned read, and a reader outliving `destroy()` keeps a valid
+    /// descriptor.
+    file: File,
     file_id: u64,
     cache: Arc<BufferCache>,
     layout: Layout,
@@ -298,6 +306,7 @@ impl DiskComponent {
         let file_len = bloom_offset + bloom_bytes.len() as u64 + ROW_FOOTER;
         Ok(Arc::new(DiskComponent {
             path: path.to_path_buf(),
+            file: File::open(path)?,
             file_id: next_file_id(),
             cache,
             layout: Layout::Row { pages },
@@ -550,6 +559,7 @@ impl DiskComponent {
         let file_len = bloom_offset + bloom_bytes.len() as u64 + COL_FOOTER;
         Ok(Some(Arc::new(DiskComponent {
             path: path.to_path_buf(),
+            file: File::open(path)?,
             file_id: next_file_id(),
             cache,
             layout: Layout::Columnar(ColMeta {
@@ -589,6 +599,7 @@ impl DiskComponent {
                 let meta = Self::read_row_meta(&mut file, file_len)?;
                 Ok(Arc::new(DiskComponent {
                     path: path.to_path_buf(),
+                    file,
                     file_id: next_file_id(),
                     cache,
                     layout: Layout::Row { pages: meta.pages },
@@ -609,6 +620,7 @@ impl DiskComponent {
                 let meta = Self::read_col_meta(&mut file, file_len)?;
                 Ok(Arc::new(DiskComponent {
                     path: path.to_path_buf(),
+                    file,
                     file_id: next_file_id(),
                     cache,
                     layout: Layout::Columnar(ColMeta {
@@ -798,12 +810,9 @@ impl DiskComponent {
         if len == 0 {
             return Ok(Arc::new(Vec::new()));
         }
-        let path = self.path.clone();
-        self.cache.get_or_load((self.file_id, page_no), move || {
-            let mut file = File::open(&path)?;
-            file.seek(SeekFrom::Start(offset))?;
+        self.cache.get_or_load((self.file_id, page_no), || {
             let mut buf = vec![0u8; len];
-            file.read_exact(&mut buf)?;
+            self.file.read_exact_at(&mut buf, offset)?;
             Ok::<_, StorageError>(buf)
         })
     }
@@ -834,8 +843,9 @@ impl DiskComponent {
         Ok(out)
     }
 
-    /// Parse a columnar key chunk into `(key, kind)` rows.
-    fn parse_key_chunk(buf: &[u8], nrows: u32) -> Result<Vec<(Vec<u8>, u8)>> {
+    /// Parse a columnar key chunk into each row's key byte range in `buf`
+    /// and its kind.
+    fn parse_key_chunk(buf: &[u8], nrows: u32) -> Result<Vec<KeyRow>> {
         let mut out = Vec::with_capacity(nrows as usize);
         let mut pos = 0usize;
         for _ in 0..nrows {
@@ -843,14 +853,12 @@ impl DiskComponent {
             if pos + klen + 1 > buf.len() {
                 return Err(StorageError::Corrupt("truncated key chunk".into()));
             }
-            let key = buf[pos..pos + klen].to_vec();
-            pos += klen;
-            let kind = buf[pos];
-            pos += 1;
+            let kind = buf[pos + klen];
             if kind > KIND_SPILL {
                 return Err(StorageError::Corrupt(format!("bad row kind {kind}")));
             }
-            out.push((key, kind));
+            out.push(((pos, pos + klen), kind));
+            pos += klen + 1;
         }
         if pos != buf.len() {
             return Err(StorageError::Corrupt("trailing bytes in key chunk".into()));
@@ -858,66 +866,103 @@ impl DiskComponent {
         Ok(out)
     }
 
-    /// Parse a presence-prefixed chunk (column or rest run) into per-row
-    /// byte ranges.
-    fn parse_presence_chunk(buf: &[u8], nrows: usize) -> Result<Vec<Option<(usize, usize)>>> {
-        let mut out = Vec::with_capacity(nrows);
-        let mut pos = 0usize;
-        for _ in 0..nrows {
-            let present = *buf
-                .get(pos)
-                .ok_or_else(|| StorageError::Corrupt("truncated column run".into()))?;
-            pos += 1;
-            if present == 0 {
-                out.push(None);
-                continue;
+    /// Step a run's cursor through its rows as far as the last of `ords`
+    /// (ascending row ordinals): `skip` over the rows before and between
+    /// them, and append what `next` yields at each.
+    fn rows_at<T>(
+        ords: impl IntoIterator<Item = usize>,
+        out: &mut Vec<T>,
+        mut skip: impl FnMut() -> Result<()>,
+        mut next: impl FnMut() -> Result<T>,
+    ) -> Result<()> {
+        let mut row = 0usize;
+        for ord in ords {
+            while row < ord {
+                skip()?;
+                row += 1;
             }
-            let len = read_varint(buf, &mut pos)? as usize;
-            if pos + len > buf.len() {
-                return Err(StorageError::Corrupt("column value spans past run".into()));
-            }
-            out.push(Some((pos, pos + len)));
-            pos += len;
+            out.push(next()?);
+            row += 1;
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Parse a spill chunk into per-spilled-row byte ranges.
-    fn parse_spill_chunk(buf: &[u8], nrows: usize) -> Result<Vec<(usize, usize)>> {
-        let mut out = Vec::with_capacity(nrows);
-        let mut pos = 0usize;
-        for _ in 0..nrows {
-            let len = read_varint(buf, &mut pos)? as usize;
-            if pos + len > buf.len() {
-                return Err(StorageError::Corrupt("spill value spans past run".into()));
+    /// Append the value byte range of each of `ords` — ascending ordinals
+    /// among the group's shredded rows — in a presence-prefixed chunk
+    /// (column or rest run), walked no further than the last of them.
+    fn parse_presence_chunk(
+        buf: &[u8],
+        ords: impl IntoIterator<Item = usize>,
+        out: &mut Vec<Option<(usize, usize)>>,
+    ) -> Result<()> {
+        // One cursor for both closures. A fetch of a few keys spends most
+        // of its time in `skip`, which builds and checks no range: a run
+        // that ends early fails at the next row read.
+        let pos = std::cell::Cell::new(0usize);
+        let skip = || {
+            let mut p = pos.get();
+            let present =
+                *buf.get(p).ok_or_else(|| StorageError::Corrupt("truncated column run".into()))?;
+            p += 1;
+            if present != 0 {
+                let len = read_varint(buf, &mut p)? as usize;
+                p = p.saturating_add(len);
             }
-            out.push((pos, pos + len));
-            pos += len;
-        }
-        Ok(out)
+            pos.set(p);
+            Ok(())
+        };
+        let next = || {
+            let mut p = pos.get();
+            let range = Self::presence_next(buf, &mut p);
+            pos.set(p);
+            range
+        };
+        Self::rows_at(ords, out, skip, next)
+    }
+
+    /// Append the byte range of each of `ords` — ascending ordinals among
+    /// the group's spilled rows — in a spill chunk.
+    fn parse_spill_chunk(
+        buf: &[u8],
+        ords: impl IntoIterator<Item = usize>,
+        out: &mut Vec<(usize, usize)>,
+    ) -> Result<()> {
+        let pos = std::cell::Cell::new(0usize);
+        let step = || {
+            let mut p = pos.get();
+            let range = Self::spill_next(buf, &mut p);
+            pos.set(p);
+            range
+        };
+        Self::rows_at(ords, out, || step().map(drop), step)
     }
 
     /// Materialize every entry of one columnar row group, reconstructing
     /// each shredded row's exact original stored bytes through the codec.
     fn reconstruct_group(&self, m: &ColMeta, g: usize) -> Result<Vec<Entry>> {
-        let keys = Self::parse_key_chunk(&self.read_chunk(m, g, 0)?, m.groups[g].nrows)?;
+        let key_buf = self.read_chunk(m, g, 0)?;
+        let keys = Self::parse_key_chunk(&key_buf, m.groups[g].nrows)?;
         let nshred = keys.iter().filter(|(_, k)| *k == KIND_SHREDDED).count();
         let nspill = keys.iter().filter(|(_, k)| *k == KIND_SPILL).count();
         let ncols = m.schema.columns.len();
         let mut col_data = Vec::with_capacity(ncols);
         for c in 0..ncols {
             let buf = self.read_chunk(m, g, 1 + c)?;
-            let ranges = Self::parse_presence_chunk(&buf, nshred)?;
+            let mut ranges = Vec::with_capacity(nshred);
+            Self::parse_presence_chunk(&buf, 0..nshred, &mut ranges)?;
             col_data.push((buf, ranges));
         }
         let rest_buf = self.read_chunk(m, g, 1 + ncols)?;
-        let rest_ranges = Self::parse_presence_chunk(&rest_buf, nshred)?;
+        let mut rest_ranges = Vec::with_capacity(nshred);
+        Self::parse_presence_chunk(&rest_buf, 0..nshred, &mut rest_ranges)?;
         let spill_buf = self.read_chunk(m, g, 2 + ncols)?;
-        let spill_ranges = Self::parse_spill_chunk(&spill_buf, nspill)?;
+        let mut spill_ranges = Vec::with_capacity(nspill);
+        Self::parse_spill_chunk(&spill_buf, 0..nspill, &mut spill_ranges)?;
 
         let mut out = Vec::with_capacity(keys.len());
         let (mut si, mut pi) = (0usize, 0usize);
-        for (key, kind) in keys {
+        for ((a, b), kind) in keys {
+            let key = key_buf[a..b].to_vec();
             match kind {
                 KIND_ANTIMATTER => out.push(Entry::tombstone(key)),
                 KIND_SPILL => {
@@ -945,6 +990,7 @@ impl DiskComponent {
     }
 
     /// Advance a presence-prefixed chunk cursor by one row.
+    #[inline]
     fn presence_next(buf: &[u8], pos: &mut usize) -> Result<Option<(usize, usize)>> {
         let present =
             *buf.get(*pos).ok_or_else(|| StorageError::Corrupt("truncated column run".into()))?;
@@ -962,6 +1008,7 @@ impl DiskComponent {
     }
 
     /// Advance a spill chunk cursor by one spilled row.
+    #[inline]
     fn spill_next(buf: &[u8], pos: &mut usize) -> Result<(usize, usize)> {
         let len = read_varint(buf, pos)? as usize;
         if *pos + len > buf.len() {
@@ -987,17 +1034,7 @@ impl DiskComponent {
             return self.reconstruct_group(m, g);
         }
         let key_buf = self.read_chunk(m, g, 0)?;
-        let nrows = m.groups[g].nrows as usize;
-        let mut rows = Vec::with_capacity(nrows);
-        let mut pos = 0usize;
-        for _ in 0..nrows {
-            let klen = read_varint(&key_buf, &mut pos)? as usize;
-            if pos + klen + 1 > key_buf.len() {
-                return Err(StorageError::Corrupt("truncated key chunk".into()));
-            }
-            rows.push(((pos, pos + klen), key_buf[pos + klen]));
-            pos += klen + 1;
-        }
+        let rows = Self::parse_key_chunk(&key_buf, m.groups[g].nrows)?;
         let start = match lo {
             Some(lo) => rows.partition_point(|((a, b), _)| &key_buf[*a..*b] < lo),
             None => 0,
@@ -1132,118 +1169,39 @@ impl DiskComponent {
 
     /// Point lookup; returns the entry (possibly antimatter) if present.
     pub fn get(&self, key: &[u8]) -> Result<Option<Entry>> {
+        // First, and before any set-up: most probes of a component are for
+        // keys it does not hold (an insert's duplicate check asks them all).
         if !self.bloom.may_contain(key) {
             return Ok(None);
         }
         let Some(bidx) = self.locate_block(key) else {
             return Ok(None);
         };
-        // Columnar groups reconstruct just the matching row — materializing
-        // the whole group (a full splice + codec round trip per row) turns
-        // every indexed lookup into a group scan.
+        // A columnar component answers with the one-key, all-fields case of
+        // the key-list scan's group read (not counted as a fetch); only the
+        // hand-back to stored bytes is its own.
         if let Layout::Columnar(m) = &self.layout {
-            return self.get_in_group(m, bidx, key);
+            let reader = self.project_range(ScanBound::Keys(&[]), &Projection::all());
+            let row = reader.materialize_group(bidx, Rows::Holding(&[key]))?.pop();
+            return Ok(match row {
+                None => None,
+                Some(ProjEntry { key, kind: ProjKind::Anti }) => Some(Entry::tombstone(key)),
+                Some(ProjEntry { key, kind: ProjKind::Row(value) }) => Some(Entry::put(key, value)),
+                Some(ProjEntry { key, kind: ProjKind::Assembled(sd) }) => {
+                    let value = m.codec.to_stored(&sd).ok_or_else(|| {
+                        StorageError::Corrupt("codec rejected reconstructed row".into())
+                    })?;
+                    Some(Entry::put(key, value))
+                }
+                Some(ProjEntry { kind: ProjKind::Filtered, .. }) => {
+                    unreachable!("an all-fields projection carries no filter")
+                }
+            });
         }
         let entries = self.load_block(bidx)?;
         match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
             Ok(i) => Ok(Some(entries[i].clone())),
             Err(_) => Ok(None),
-        }
-    }
-
-    /// Byte range of row `n` in a presence-prefixed chunk (column or rest
-    /// run), skipping earlier rows without materializing them.
-    fn nth_presence_range(buf: &[u8], n: usize) -> Result<Option<(usize, usize)>> {
-        let mut pos = 0usize;
-        for i in 0..=n {
-            let present = *buf
-                .get(pos)
-                .ok_or_else(|| StorageError::Corrupt("truncated column run".into()))?;
-            pos += 1;
-            if present == 0 {
-                if i == n {
-                    return Ok(None);
-                }
-                continue;
-            }
-            let len = read_varint(buf, &mut pos)? as usize;
-            if pos + len > buf.len() {
-                return Err(StorageError::Corrupt("column value spans past run".into()));
-            }
-            if i == n {
-                return Ok(Some((pos, pos + len)));
-            }
-            pos += len;
-        }
-        unreachable!()
-    }
-
-    /// Byte range of spilled row `n` in a spill chunk.
-    fn nth_spill_range(buf: &[u8], n: usize) -> Result<(usize, usize)> {
-        let mut pos = 0usize;
-        for i in 0..=n {
-            let len = read_varint(buf, &mut pos)? as usize;
-            if pos + len > buf.len() {
-                return Err(StorageError::Corrupt("spill value spans past run".into()));
-            }
-            if i == n {
-                return Ok((pos, pos + len));
-            }
-            pos += len;
-        }
-        unreachable!()
-    }
-
-    /// Point lookup inside one columnar row group: binary-search the key
-    /// run (parsed as ranges, no per-key allocation), then splice exactly
-    /// one row's column slices back through the codec.
-    fn get_in_group(&self, m: &ColMeta, g: usize, key: &[u8]) -> Result<Option<Entry>> {
-        let key_buf = self.read_chunk(m, g, 0)?;
-        let nrows = m.groups[g].nrows as usize;
-        // (key byte range, kind) per row, referencing `key_buf`.
-        let mut rows = Vec::with_capacity(nrows);
-        let mut pos = 0usize;
-        for _ in 0..nrows {
-            let klen = read_varint(&key_buf, &mut pos)? as usize;
-            if pos + klen + 1 > key_buf.len() {
-                return Err(StorageError::Corrupt("truncated key chunk".into()));
-            }
-            rows.push(((pos, pos + klen), key_buf[pos + klen]));
-            pos += klen + 1;
-        }
-        let Ok(i) = rows.binary_search_by(|((a, b), _)| key_buf[*a..*b].cmp(key)) else {
-            return Ok(None);
-        };
-        let kind = rows[i].1;
-        match kind {
-            KIND_ANTIMATTER => Ok(Some(Entry::tombstone(key.to_vec()))),
-            KIND_SPILL => {
-                let pi = rows[..i].iter().filter(|(_, k)| *k == KIND_SPILL).count();
-                let spill_buf = self.read_chunk(m, g, 2 + m.schema.columns.len())?;
-                let (a, b) = Self::nth_spill_range(&spill_buf, pi)?;
-                Ok(Some(Entry::put(key.to_vec(), spill_buf[a..b].to_vec())))
-            }
-            KIND_SHREDDED => {
-                let si = rows[..i].iter().filter(|(_, k)| *k == KIND_SHREDDED).count();
-                let ncols = m.schema.columns.len();
-                let mut col_bufs = Vec::with_capacity(ncols);
-                for c in 0..ncols {
-                    col_bufs.push(self.read_chunk(m, g, 1 + c)?);
-                }
-                let rest_buf = self.read_chunk(m, g, 1 + ncols)?;
-                let mut cols: Vec<Option<&[u8]>> = Vec::with_capacity(ncols);
-                for buf in &col_bufs {
-                    cols.push(Self::nth_presence_range(buf, si)?.map(|(a, b)| &buf[a..b]));
-                }
-                let rest = Self::nth_presence_range(&rest_buf, si)?.map(|(a, b)| &rest_buf[a..b]);
-                let sd = colschema::splice_full(&m.schema, &cols, rest)
-                    .map_err(|e| StorageError::Corrupt(format!("splice failed: {e}")))?;
-                let value = m.codec.to_stored(&sd).ok_or_else(|| {
-                    StorageError::Corrupt("codec rejected reconstructed row".into())
-                })?;
-                Ok(Some(Entry::put(key.to_vec(), value)))
-            }
-            other => Err(StorageError::Corrupt(format!("bad row kind {other}"))),
         }
     }
 
@@ -1264,19 +1222,22 @@ impl DiskComponent {
         }
     }
 
-    /// Filter-first scan over a columnar component. Per row group it reads
-    /// the key run and the filter columns, decides every pushed filter on
-    /// raw column bytes, and only once a row of the group survives reads
-    /// the remaining projected runs and assembles the survivors — the
-    /// named fields, or the whole record for an all-fields projection.
-    /// Must only be called when [`Self::is_columnar`]; row components are
-    /// scanned with [`Self::range`].
-    pub fn project_range(
-        self: &Arc<Self>,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
+    /// Filter-first scan over a columnar component, bounded by a key range
+    /// or by a sorted key list. Per row group it reads the key run and the
+    /// filter columns, decides every pushed filter on raw column bytes,
+    /// and only once a row of the group survives reads the remaining
+    /// projected runs and assembles the survivors — the named fields, or
+    /// the whole record for an all-fields projection. A key list drops the
+    /// keys the bloom filter rejects up front, visits only the groups
+    /// holding one of the rest, and within a group decides, reads and
+    /// yields for the wanted rows alone. Must only be called when
+    /// [`Self::is_columnar`]; row components are scanned with
+    /// [`Self::range`] and probed with [`Self::get`].
+    pub fn project_range<'a>(
+        &'a self,
+        bound: ScanBound<'a>,
         proj: &Projection,
-    ) -> ProjectedIter {
+    ) -> ProjectedIter<'a> {
         let Layout::Columnar(m) = &self.layout else {
             panic!("project_range on a row component");
         };
@@ -1299,23 +1260,28 @@ impl DiskComponent {
         late_slots.sort_unstable();
         late_slots.dedup();
         late_slots.retain(|s| !filter_slots.contains(s));
-        let start_block = match lo {
-            Some(lo) => self.locate_block(lo).unwrap_or(0),
-            None => 0,
+        let (group_idx, wanted) = match bound {
+            ScanBound::Range { lo, .. } => {
+                (lo.and_then(|lo| self.locate_block(lo)).unwrap_or(0), Vec::new())
+            }
+            ScanBound::Keys(keys) => {
+                let wanted =
+                    keys.iter().map(Vec::as_slice).filter(|k| self.bloom.may_contain(k)).collect();
+                (0, wanted)
+            }
         };
         ProjectedIter {
-            comp: Arc::clone(self),
+            comp: self,
             fields,
             filters,
             filter_slots,
             late_slots,
-            group_idx: start_block,
+            bound,
+            group_idx,
+            wanted,
+            next_wanted: 0,
             rows: Vec::new().into_iter(),
-            lo: lo.map(|b| b.to_vec()),
-            hi: hi.map(|b| b.to_vec()),
-            primed: false,
             error: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -1482,15 +1448,44 @@ pub enum ProjKind {
     Filtered,
 }
 
-/// One parsed presence-prefixed run of a row group: the chunk and each
-/// shredded row's value range in it.
-type Run = (Arc<Vec<u8>>, Vec<Option<(usize, usize)>>);
+/// One row of a parsed key chunk: the key's byte range in the chunk, and
+/// the row's kind.
+type KeyRow = ((usize, usize), u8);
+
+/// The presence-prefixed runs of a row group read so far, parsed for the
+/// selected shredded rows.
+struct Runs {
+    /// Per slot (column, or last the rest run): its chunk, and where the
+    /// value ranges of the selected rows start in `ranges`.
+    chunks: Vec<Option<(Arc<Vec<u8>>, usize)>>,
+    ranges: Vec<Option<(usize, usize)>>,
+}
+
+impl Runs {
+    /// The bytes of the `j`-th selected shredded row in one run: a column
+    /// value, or (last slot) the row's rest record.
+    fn bytes(&self, slot: usize, j: usize) -> Option<&[u8]> {
+        let (buf, at) = self.chunks[slot].as_ref()?;
+        self.ranges[at + j].map(|(a, b)| &buf[a..b])
+    }
+
+    /// Encoded bytes of one field of that row; a field without a column is
+    /// looked up in the rest record.
+    fn field(&self, slot: usize, name: &str, j: usize) -> Option<&[u8]> {
+        let bytes = self.bytes(slot, j)?;
+        if slot + 1 == self.chunks.len() {
+            adm_serde::encoded_record_field(bytes, name)
+        } else {
+            Some(bytes)
+        }
+    }
+}
 
 /// Filter-first iterator over one columnar component (see
-/// [`DiskComponent::project_range`]): yields every key in range, so merge
-/// resolution sees filtered and deleted versions too.
-pub struct ProjectedIter {
-    comp: Arc<DiskComponent>,
+/// [`DiskComponent::project_range`]): yields every key the bound selects,
+/// so merge resolution sees filtered and deleted versions too.
+pub struct ProjectedIter<'a> {
+    comp: &'a DiskComponent,
     /// Fields to assemble with their slot; `None` = the whole record.
     fields: Option<Vec<(String, usize)>>,
     filters: Vec<(ColumnFilter, usize)>,
@@ -1498,42 +1493,75 @@ pub struct ProjectedIter {
     /// both sorted and de-duplicated.
     filter_slots: Vec<usize>,
     late_slots: Vec<usize>,
+    bound: ScanBound<'a>,
+    /// Range bound: the next group to read.
     group_idx: usize,
+    /// Key-list bound: the keys the bloom filter let through, and how many
+    /// of them have been looked for.
+    wanted: Vec<&'a [u8]>,
+    next_wanted: usize,
     rows: std::vec::IntoIter<ProjEntry>,
-    lo: Option<Vec<u8>>,
-    hi: Option<Vec<u8>>,
-    primed: bool,
     error: Option<StorageError>,
-    scratch: Vec<u8>,
 }
 
-impl ProjectedIter {
+/// The rows of one group a [`ProjectedIter`] wants: those with keys in
+/// `[lo, hi)`, or those holding one of a sorted run of keys.
+enum Rows<'k> {
+    Between(Option<&'k [u8]>, Option<&'k [u8]>),
+    Holding(&'k [&'k [u8]]),
+}
+
+impl ProjectedIter<'_> {
     pub fn take_error(&mut self) -> Option<StorageError> {
         self.error.take()
     }
 
+    /// Materialize the next group with something to yield.
     fn load_group(&mut self) -> bool {
-        while self.group_idx < self.comp.nblocks() {
-            if let Some(hi) = &self.hi {
-                if self.comp.block_first_key(self.group_idx) >= hi.as_slice() {
-                    self.group_idx = self.comp.nblocks();
-                    return false;
-                }
-            }
-            match self.materialize_group(self.group_idx) {
-                Ok(mut rows) => {
+        loop {
+            let loaded = match self.bound {
+                ScanBound::Range { lo, hi } => {
+                    let g = self.group_idx;
+                    // Groups are key-ordered: one starting at or past the
+                    // upper bound ends the scan.
+                    if g >= self.comp.nblocks()
+                        || hi.is_some_and(|hi| self.comp.block_first_key(g) >= hi)
+                    {
+                        return false;
+                    }
                     self.group_idx += 1;
-                    if !self.primed {
-                        self.primed = true;
-                        if let Some(lo) = &self.lo {
-                            let skip = rows.partition_point(|r| r.key.as_slice() < lo.as_slice());
-                            rows.drain(..skip);
-                        }
+                    self.materialize_group(g, Rows::Between(lo, hi))
+                }
+                ScanBound::Keys(_) => {
+                    let Some(&key) = self.wanted.get(self.next_wanted) else { return false };
+                    // Jump to the one group that can hold the next wanted
+                    // key; it is asked for every wanted key below the group
+                    // after it.
+                    let Some(g) = self.comp.locate_block(key) else {
+                        self.next_wanted += 1;
+                        continue;
+                    };
+                    let rest = &self.wanted[self.next_wanted..];
+                    let n = if g + 1 < self.comp.nblocks() {
+                        let end = self.comp.block_first_key(g + 1);
+                        rest.partition_point(|k| *k < end)
+                    } else {
+                        rest.len()
+                    };
+                    self.next_wanted += n;
+                    let found = self.materialize_group(g, Rows::Holding(&rest[..n]));
+                    if let (Layout::Columnar(m), Ok(rows)) = (&self.comp.layout, &found) {
+                        m.stats.fetch_groups.inc();
+                        m.stats.fetch_keys.add(rows.len() as u64);
                     }
-                    if !rows.is_empty() {
-                        self.rows = rows.into_iter();
-                        return true;
-                    }
+                    found
+                }
+            };
+            match loaded {
+                Ok(rows) if rows.is_empty() => {}
+                Ok(rows) => {
+                    self.rows = rows.into_iter();
+                    return true;
                 }
                 Err(e) => {
                     self.error = Some(e);
@@ -1541,149 +1569,161 @@ impl ProjectedIter {
                 }
             }
         }
-        false
     }
 
-    fn materialize_group(&mut self, g: usize) -> Result<Vec<ProjEntry>> {
+    /// Read group `g` for the rows `select` names: decide the filters on
+    /// them, read the late runs only if one survives (and each run only as
+    /// far as the last selected row), and yield them alone.
+    fn materialize_group(&self, g: usize, select: Rows<'_>) -> Result<Vec<ProjEntry>> {
         let Layout::Columnar(m) = &self.comp.layout else { unreachable!() };
         let meta = &m.groups[g];
-        let keys = DiskComponent::parse_key_chunk(&self.comp.read_chunk(m, g, 0)?, meta.nrows)?;
-        let nshred = keys.iter().filter(|(_, k)| *k == KIND_SHREDDED).count();
-        let nspill = keys.iter().filter(|(_, k)| *k == KIND_SPILL).count();
+        let key_buf = self.comp.read_chunk(m, g, 0)?;
+        let rows = DiskComponent::parse_key_chunk(&key_buf, meta.nrows)?;
+        let key_at = |((a, b), _): &KeyRow| &key_buf[*a..*b];
+        // Selected rows, ascending.
+        let selected: Vec<usize> = match select {
+            Rows::Between(lo, hi) => {
+                let start = lo.map_or(0, |lo| rows.partition_point(|r| key_at(r) < lo));
+                let end = hi.map_or(rows.len(), |hi| rows.partition_point(|r| key_at(r) < hi));
+                (start..end.max(start)).collect()
+            }
+            Rows::Holding(keys) => keys
+                .iter()
+                .filter_map(|k| rows.binary_search_by(|r| key_at(r).cmp(k)).ok())
+                .collect(),
+        };
+        // Each selected row's ordinal within its kind's run: the rows of
+        // that kind before it.
+        let (mut shred_ords, mut spill_ords) = (Vec::new(), Vec::new());
+        let (mut si, mut pi) = (0usize, 0usize);
+        let mut counted = 0usize;
+        for &row in &selected {
+            for (_, kind) in &rows[counted..row] {
+                si += usize::from(*kind == KIND_SHREDDED);
+                pi += usize::from(*kind == KIND_SPILL);
+            }
+            match rows[row].1 {
+                KIND_SHREDDED => {
+                    shred_ords.push(si);
+                    si += 1;
+                }
+                KIND_SPILL => {
+                    spill_ords.push(pi);
+                    pi += 1;
+                }
+                _ => {}
+            }
+            counted = row + 1;
+        }
+        let nshred = shred_ords.len();
         let ncols = m.schema.columns.len();
 
-        let mut runs: Vec<Option<Run>> = (0..=ncols).map(|_| None).collect();
-        let load = |slot: usize| -> Result<Run> {
-            let buf = self.comp.read_chunk(m, g, 1 + slot)?;
-            let ranges = DiskComponent::parse_presence_chunk(&buf, nshred)?;
-            Ok((buf, ranges))
+        let mut runs = Runs {
+            chunks: vec![None; ncols + 1],
+            ranges: Vec::with_capacity((self.filter_slots.len() + self.late_slots.len()) * nshred),
         };
-        // Shredded row `si`'s bytes in one run: a column value, or (last
-        // slot) the row's rest record.
-        fn run_bytes(runs: &[Option<Run>], slot: usize, si: usize) -> Option<&[u8]> {
-            let (buf, ranges) = runs[slot].as_ref()?;
-            ranges[si].map(|(a, b)| &buf[a..b])
-        }
-        // Encoded bytes of one field of shredded row `si`; a field without
-        // a column is looked up in the rest record.
-        fn field_bytes<'a>(
-            runs: &'a [Option<Run>],
-            slot: usize,
-            name: &str,
-            si: usize,
-        ) -> Option<&'a [u8]> {
-            let bytes = run_bytes(runs, slot, si)?;
-            if slot + 1 == runs.len() {
-                adm_serde::encoded_record_field(bytes, name)
-            } else {
-                Some(bytes)
-            }
-        }
+        let load = |runs: &mut Runs, slot: usize| -> Result<()> {
+            let buf = self.comp.read_chunk(m, g, 1 + slot)?;
+            let at = runs.ranges.len();
+            let ords = shred_ords.iter().copied();
+            DiskComponent::parse_presence_chunk(&buf, ords, &mut runs.ranges)?;
+            runs.chunks[slot] = Some((buf, at));
+            Ok(())
+        };
 
         // Filter first: only the filter columns are read to decide which
-        // rows are worth assembling.
-        for &slot in &self.filter_slots {
-            runs[slot] = Some(load(slot)?);
-        }
-        let mut pass = vec![true; nshred];
+        // rows are worth assembling. `rejected` stays empty without filters.
+        let mut rejected: Vec<bool> = Vec::new();
         let mut survivors = nshred;
-        if !self.filters.is_empty() {
-            for (si, p) in pass.iter_mut().enumerate() {
-                let rejected = self.filters.iter().any(|(f, slot)| {
-                    f.rejects(field_bytes(&runs, *slot, &f.field, si), &mut self.scratch)
-                });
-                if rejected {
-                    *p = false;
-                    survivors -= 1;
-                }
+        if nshred > 0 && !self.filters.is_empty() {
+            for &slot in &self.filter_slots {
+                load(&mut runs, slot)?;
             }
+            let mut scratch = Vec::new();
+            rejected = (0..nshred)
+                .map(|j| {
+                    self.filters
+                        .iter()
+                        .any(|(f, slot)| f.rejects(runs.field(*slot, &f.field, j), &mut scratch))
+                })
+                .collect();
+            survivors -= rejected.iter().filter(|r| **r).count();
         }
         if survivors > 0 {
             for &slot in &self.late_slots {
-                runs[slot] = Some(load(slot)?);
+                load(&mut runs, slot)?;
             }
         }
         m.stats.rows_filtered.add((nshred - survivors) as u64);
         m.stats.rows_assembled.add(survivors as u64);
-        m.stats.columns_projected.add(runs[..ncols].iter().flatten().count() as u64);
+        let columns = &runs.chunks[..ncols];
+        m.stats.columns_projected.add(columns.iter().flatten().count() as u64);
         let skipped: u64 =
-            (0..ncols).filter(|&c| runs[c].is_none()).map(|c| meta.chunks[1 + c].1 as u64).sum();
+            (0..ncols).filter(|&c| columns[c].is_none()).map(|c| meta.chunks[1 + c].1 as u64).sum();
         m.stats.bytes_skipped.add(skipped);
 
-        let spill = if nspill > 0 {
-            let buf = self.comp.read_chunk(m, g, 2 + ncols)?;
-            let ranges = DiskComponent::parse_spill_chunk(&buf, nspill)?;
-            Some((buf, ranges))
-        } else {
+        let spill = if spill_ords.is_empty() {
             None
+        } else {
+            let buf = self.comp.read_chunk(m, g, 2 + ncols)?;
+            let mut ranges = Vec::with_capacity(spill_ords.len());
+            DiskComponent::parse_spill_chunk(&buf, spill_ords.iter().copied(), &mut ranges)?;
+            Some((buf, ranges))
         };
 
-        let mut out = Vec::with_capacity(keys.len());
-        let (mut si, mut pi) = (0usize, 0usize);
+        let mut out = Vec::with_capacity(selected.len());
+        let (mut j, mut pj) = (0usize, 0usize);
         let mut parts: Vec<(&str, &[u8])> = Vec::new();
         let mut cols: Vec<Option<&[u8]>> = Vec::with_capacity(ncols);
-        for (key, kind) in keys {
-            let kind = match kind {
+        for row in selected {
+            let kind = match rows[row].1 {
                 KIND_ANTIMATTER => ProjKind::Anti,
                 KIND_SPILL => {
-                    let (buf, ranges) = spill.as_ref().unwrap();
-                    let (a, b) = ranges[pi];
-                    pi += 1;
+                    let (buf, ranges) = spill.as_ref().expect("spill run read above");
+                    let (a, b) = ranges[pj];
+                    pj += 1;
                     ProjKind::Row(buf[a..b].to_vec())
                 }
                 _ => {
-                    let row = si;
-                    si += 1;
-                    if !pass[row] {
+                    let shredded = j;
+                    j += 1;
+                    if rejected.get(shredded) == Some(&true) {
                         ProjKind::Filtered
                     } else if let Some(fields) = &self.fields {
                         parts.clear();
                         for (name, slot) in fields {
-                            if let Some(b) = field_bytes(&runs, *slot, name, row) {
+                            if let Some(b) = runs.field(*slot, name, shredded) {
                                 parts.push((name.as_str(), b));
                             }
                         }
                         ProjKind::Assembled(colschema::encode_record_from_parts(&parts))
                     } else {
                         cols.clear();
-                        cols.extend((0..ncols).map(|c| run_bytes(&runs, c, row)));
-                        let rest = run_bytes(&runs, ncols, row);
+                        cols.extend((0..ncols).map(|c| runs.bytes(c, shredded)));
+                        let rest = runs.bytes(ncols, shredded);
                         let sd = colschema::splice_full(&m.schema, &cols, rest)
                             .map_err(|e| StorageError::Corrupt(format!("splice failed: {e}")))?;
                         ProjKind::Assembled(sd)
                     }
                 }
             };
-            out.push(ProjEntry { key, kind });
+            out.push(ProjEntry { key: key_at(&rows[row]).to_vec(), kind });
         }
         Ok(out)
     }
 }
 
-impl Iterator for ProjectedIter {
+impl Iterator for ProjectedIter<'_> {
     type Item = ProjEntry;
 
     fn next(&mut self) -> Option<ProjEntry> {
         loop {
-            let Some(r) = self.rows.next() else {
-                if !self.load_group() {
-                    return None;
-                }
-                continue;
-            };
-            if let Some(hi) = &self.hi {
-                if r.key.as_slice() >= hi.as_slice() {
-                    self.group_idx = self.comp.nblocks();
-                    self.rows = Vec::new().into_iter();
-                    return None;
-                }
+            if let Some(r) = self.rows.next() {
+                return Some(r);
             }
-            if let Some(lo) = &self.lo {
-                if r.key.as_slice() < lo.as_slice() {
-                    continue;
-                }
+            if !self.load_group() {
+                return None;
             }
-            return Some(r);
         }
     }
 }
@@ -1910,7 +1950,7 @@ mod tests {
         let c = build_columnar_n(dir.path(), 300, &opts);
         let proj =
             Projection { fields: Some(vec!["id".into(), "flag".into()]), filters: Vec::new() };
-        let rows: Vec<ProjEntry> = c.project_range(None, None, &proj).collect();
+        let rows: Vec<ProjEntry> = c.project_range(ScanBound::ALL, &proj).collect();
         assert_eq!(rows.len(), 300);
         for (i, r) in rows.iter().enumerate() {
             let i = i as u32;
@@ -1940,7 +1980,7 @@ mod tests {
             fields: Some(vec!["id".into()]),
             filters: vec![id_filter(CmpOp::Ge, 150)],
         };
-        let rows: Vec<ProjEntry> = c.project_range(None, None, &proj).collect();
+        let rows: Vec<ProjEntry> = c.project_range(ScanBound::ALL, &proj).collect();
         let assembled = rows.iter().filter(|r| matches!(r.kind, ProjKind::Assembled(_))).count();
         let filtered = rows.iter().filter(|r| r.kind == ProjKind::Filtered).count();
         let anti = rows.iter().filter(|r| r.kind == ProjKind::Anti).count();
@@ -1960,7 +2000,7 @@ mod tests {
             fields: None,
             filters: vec![id_filter(CmpOp::Ge, 150), id_filter(CmpOp::Lt, 160)],
         };
-        let rows: Vec<ProjEntry> = c.project_range(None, None, &window).collect();
+        let rows: Vec<ProjEntry> = c.project_range(ScanBound::ALL, &window).collect();
         assert_eq!(rows.len(), 400, "every key is still yielded for merge resolution");
         for (i, r) in rows.iter().enumerate() {
             let i = i as u32;
@@ -1987,7 +2027,7 @@ mod tests {
         let skipped_by_window = opts.stats.bytes_skipped.get();
         assert!(skipped_by_window > 0);
         // The same scan without filters reads every run of every group.
-        let all: Vec<ProjEntry> = c.project_range(None, None, &Projection::all()).collect();
+        let all: Vec<ProjEntry> = c.project_range(ScanBound::ALL, &Projection::all()).collect();
         assert_eq!(opts.stats.bytes_skipped.get(), skipped_by_window);
         assert!(all.iter().all(|r| matches!(r.kind, ProjKind::Anti | ProjKind::Assembled(_))));
     }
@@ -2030,7 +2070,7 @@ mod tests {
                 key: asterix_adm::ordkey::encode_value(&Value::Double(10.0)),
             }],
         };
-        for (i, r) in c.project_range(None, None, &proj).enumerate() {
+        for (i, r) in c.project_range(ScanBound::ALL, &proj).enumerate() {
             let kept = matches!(r.kind, ProjKind::Assembled(_));
             // MISSING and NULL make the comparison unknown, which a select
             // drops; 1e16 is left to the select; 5 < 10 is a definite no.
@@ -2095,7 +2135,7 @@ mod tests {
         // are not in the column runs, so only the select can judge it.
         for filters in [Vec::new(), vec![id_filter(CmpOp::Lt, 0)]] {
             let proj = Projection { fields: Some(vec!["id".into()]), filters };
-            let rows: Vec<ProjEntry> = c.project_range(None, None, &proj).collect();
+            let rows: Vec<ProjEntry> = c.project_range(ScanBound::ALL, &proj).collect();
             for (i, r) in rows.iter().enumerate() {
                 match &r.kind {
                     ProjKind::Row(v) => assert_eq!(v, &mk(i as u32)),
@@ -2105,6 +2145,192 @@ mod tests {
             let spills = rows.iter().filter(|r| matches!(r.kind, ProjKind::Row(_))).count();
             assert_eq!(spills, (0..200u32).filter(|i| i % 10 == 7).count());
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Key-list bound
+    // ------------------------------------------------------------------
+
+    /// Group index holding each key of `c`, from a full scan's order.
+    fn group_of(c: &DiskComponent, k: u32) -> usize {
+        c.locate_block(&key(k)).expect("key at or above the first group")
+    }
+
+    fn fetch(c: &DiskComponent, keys: &[u32], proj: &Projection) -> Vec<ProjEntry> {
+        let keys: Vec<Vec<u8>> = keys.iter().map(|k| key(*k)).collect();
+        let mut it = c.project_range(ScanBound::Keys(&keys), proj);
+        let rows: Vec<ProjEntry> = it.by_ref().collect();
+        assert!(it.take_error().is_none());
+        rows
+    }
+
+    #[test]
+    fn key_list_visits_only_the_groups_holding_a_wanted_key() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        let c = build_columnar_n(dir.path(), 2000, &opts);
+        let ngroups = c.nblocks();
+        assert!(ngroups > 10, "the component must span many groups, has {ngroups}");
+        // Three keys of one group and one of another, far apart.
+        let (a, b) = (group_of(&c, 100), group_of(&c, 1900));
+        assert_ne!(a, b);
+        let first_of_a = u32::from_be_bytes(c.block_first_key(a).try_into().unwrap());
+        let mut wanted: Vec<u32> = (first_of_a..).filter(|k| k % 17 != 3).take(3).collect();
+        wanted.push(1900);
+        assert!(wanted[..3].iter().all(|k| group_of(&c, *k) == a));
+
+        let proj = Projection { fields: Some(vec!["name".into()]), filters: Vec::new() };
+        let (_, misses0) = c.cache.stats();
+        let skipped0 = opts.stats.bytes_skipped.get();
+        let rows = fetch(&c, &wanted, &proj);
+        let keys_of = |rows: &[ProjEntry]| rows.iter().map(|r| r.key.clone()).collect::<Vec<_>>();
+        assert_eq!(keys_of(&rows), wanted.iter().map(|k| key(*k)).collect::<Vec<_>>());
+        for (r, &k) in rows.iter().zip(&wanted) {
+            let ProjKind::Assembled(rec) = &r.kind else { panic!("row {k}: {:?}", r.kind) };
+            let name = adm_serde::encoded_record_field(rec, "name").expect("name field");
+            assert_eq!(adm_serde::decode(name).unwrap(), Value::string(format!("user-{k:04}")));
+            assert!(adm_serde::encoded_record_field(rec, "id").is_none());
+        }
+        // Two group visits, four keys found in them; per visit the key run
+        // and the one projected column were read and nothing else.
+        assert_eq!(opts.stats.fetch_groups.get(), 2);
+        assert_eq!(opts.stats.fetch_keys.get(), 4);
+        let (_, misses) = c.cache.stats();
+        // A point probe reads the same way but is no fetch.
+        assert!(c.get(&key(1000)).unwrap().is_some());
+        assert_eq!((opts.stats.fetch_groups.get(), opts.stats.fetch_keys.get()), (2, 4));
+        assert_eq!(misses - misses0, 4, "2 groups x (key run + name run)");
+        let Layout::Columnar(m) = &c.layout else { unreachable!() };
+        let unread_cols = |g: usize| -> u64 {
+            let name = m.schema.column_index("name").unwrap();
+            (0..m.schema.columns.len())
+                .filter(|col| *col != name)
+                .map(|col| m.groups[g].chunks[1 + col].1 as u64)
+                .sum()
+        };
+        assert_eq!(opts.stats.bytes_skipped.get() - skipped0, unread_cols(a) + unread_cols(b));
+    }
+
+    #[test]
+    fn absent_and_bloom_false_positive_keys_yield_nothing() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        // Even keys only, so every odd key is absent from inside a group.
+        let entries: Vec<Entry> =
+            (0..1000u32).map(|i| Entry::put(key(i * 2), record_value(i))).collect();
+        let c = DiskComponent::build_columnar(
+            &dir.path().join("c_0_0.dat"),
+            BufferCache::new(256),
+            &ComponentConfig { page_size: 512, bloom_fpp: 0.01 },
+            &opts,
+            0,
+            0,
+            &entries,
+        )
+        .unwrap()
+        .expect("stable records build columnar");
+        let odd = (0..1000u32).map(|i| i * 2 + 1);
+        let (fp, rejected): (Vec<u32>, Vec<u32>) = odd.partition(|k| c.bloom.may_contain(&key(*k)));
+        assert!(!fp.is_empty() && rejected.len() > 900, "1 % of 1000 absent keys pass the bloom");
+
+        // Keys the bloom filter rejects never reach a group.
+        let (_, misses0) = c.cache.stats();
+        assert!(fetch(&c, &rejected, &Projection::all()).is_empty());
+        assert_eq!(opts.stats.fetch_groups.get(), 0);
+        assert_eq!(c.cache.stats().1, misses0);
+        // A false positive costs a key run and finds nothing; so does a
+        // key past the last group's rows, and one below the first group is
+        // dropped without a read.
+        assert!(fetch(&c, &fp, &Projection::all()).is_empty());
+        assert!(opts.stats.fetch_groups.get() > 0);
+        assert_eq!(opts.stats.fetch_keys.get(), 0);
+        assert_eq!(opts.stats.rows_assembled.get(), 0);
+        // Absent keys beside present ones change nothing about the latter.
+        let mut mixed: Vec<u32> = fp.clone();
+        mixed.extend([10, 500, 1998]);
+        mixed.sort_unstable();
+        let rows = fetch(&c, &mixed, &Projection::all());
+        assert_eq!(
+            rows.iter().map(|r| r.key.clone()).collect::<Vec<_>>(),
+            [10, 500, 1998].map(key)
+        );
+        for (r, k) in rows.iter().zip([10u32, 500, 1998]) {
+            assert_eq!(r.kind, ProjKind::Assembled(record_value(k / 2)));
+            assert_eq!(c.get(&key(k)).unwrap().unwrap().value, record_value(k / 2));
+        }
+        assert!(c.get(&key(fp[0])).unwrap().is_none());
+    }
+
+    #[test]
+    fn wanted_rows_keep_their_kind_and_rejected_groups_skip_the_late_runs() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        // Row 3 mod 17 is antimatter, row 7 mod 10 spills (string id).
+        let mk = |i: u32| -> Entry {
+            if i % 17 == 3 {
+                Entry::tombstone(key(i))
+            } else if i % 10 == 7 {
+                let mut r = Record::new();
+                r.set("id", Value::string(format!("weird-{i}")));
+                Entry::put(key(i), encode(&Value::record(r)))
+            } else {
+                Entry::put(key(i), record_value(i))
+            }
+        };
+        let entries: Vec<Entry> = (0..600u32).map(mk).collect();
+        let c = DiskComponent::build_columnar(
+            &dir.path().join("c_0_0.dat"),
+            BufferCache::new(256),
+            &ComponentConfig { page_size: 512, bloom_fpp: 0.01 },
+            &opts,
+            0,
+            0,
+            &entries,
+        )
+        .unwrap()
+        .expect("mostly-stable data builds columnar");
+        let proj = Projection {
+            fields: Some(vec!["name".into()]),
+            filters: vec![id_filter(CmpOp::Ge, 300)],
+        };
+        // 20 anti, 27 spilled, 21 shredded and rejected; 320 shredded and
+        // kept, 327 spilled (only the select can judge it), 343 % 17 == 3.
+        let rows = fetch(&c, &[20, 21, 27, 320, 327, 343], &proj);
+        let kinds: Vec<&ProjKind> = rows.iter().map(|r| &r.kind).collect();
+        assert_eq!(rows.len(), 6);
+        assert_eq!(*kinds[0], ProjKind::Anti);
+        assert_eq!(*kinds[1], ProjKind::Filtered);
+        assert_eq!(*kinds[2], ProjKind::Row(mk(27).value));
+        assert!(matches!(kinds[3], ProjKind::Assembled(_)));
+        assert_eq!(*kinds[4], ProjKind::Row(mk(327).value));
+        assert_eq!(*kinds[5], ProjKind::Anti);
+
+        // A group whose wanted rows the filter all rejects reads its key
+        // run and the filter column, never the projected one.
+        let g = group_of(&c, 100);
+        let first = u32::from_be_bytes(c.block_first_key(g).try_into().unwrap());
+        let wanted: Vec<u32> = (first..first + 8).filter(|i| i % 17 != 3 && i % 10 != 7).collect();
+        assert!(wanted.iter().all(|k| group_of(&c, *k) == g && *k < 300));
+        let (_, misses0) = c.cache.stats();
+        let (filtered0, assembled0) =
+            (opts.stats.rows_filtered.get(), opts.stats.rows_assembled.get());
+        let rows = fetch(&c, &wanted, &proj);
+        assert!(rows.iter().all(|r| r.kind == ProjKind::Filtered) && rows.len() == wanted.len());
+        assert_eq!(c.cache.stats().1 - misses0, 2, "key run + id run");
+        assert_eq!(opts.stats.rows_filtered.get() - filtered0, wanted.len() as u64);
+        assert_eq!(opts.stats.rows_assembled.get(), assembled0);
+    }
+
+    /// A reader that holds the component keeps reading after `destroy()`.
+    #[test]
+    fn reads_survive_destroy_through_the_held_descriptor() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        let c = build_columnar_n(dir.path(), 300, &opts);
+        c.destroy().unwrap();
+        assert!(!c.path().exists());
+        assert_eq!(c.get(&key(7)).unwrap().unwrap().value, record_value(7));
+        assert_eq!(c.range(None, None).count(), 300);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::cache::BufferCache;
-use crate::columnar::{ColumnarOptions, Projection};
+use crate::columnar::{ColumnarOptions, Projection, ScanBound};
 use crate::component::{ComponentConfig, DiskComponent, Entry, ProjEntry, ProjKind};
 use crate::error::{Result, StorageError};
 
@@ -813,22 +813,23 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Filter-first merged scan over `[lo, hi)`: columnar disk components
-    /// decide `proj`'s filters on raw column bytes and hand back only the
+    /// Filter-first merged scan over `bound` — a key range, or the sorted
+    /// key list of a primary fetch: columnar disk components decide
+    /// `proj`'s filters on raw column bytes and hand back only the
     /// survivors, already assembled ([`ScanValue::Assembled`]: the
     /// projected fields, or the whole record for an all-fields
     /// projection); every other source (memory, sealed components, row
     /// components, spilled rows) yields full stored rows
-    /// ([`ScanValue::Row`]) for the caller to project itself. Antimatter is
-    /// resolved exactly as in [`LsmTree::scan_with`] — a newer filtered or
-    /// deleted version still shadows older versions of its key. The
-    /// filters only ever drop rows that are *definitely* rejected by the
-    /// predicate they were derived from; the caller must still apply the
-    /// full predicate to what comes through.
+    /// ([`ScanValue::Row`]) for the caller to project itself — for a key
+    /// list those sources answer by lookup. Antimatter is resolved exactly
+    /// as in [`LsmTree::scan_with`] — a newer filtered or deleted version
+    /// still shadows older versions of its key. The filters only ever drop
+    /// rows that are *definitely* rejected by the predicate they were
+    /// derived from; the caller must still apply the full predicate to
+    /// what comes through.
     pub fn scan_projected(
         &self,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
+        bound: ScanBound<'_>,
         proj: &Projection,
         mut f: impl FnMut(&[u8], ScanValue<'_>) -> bool,
     ) -> Result<()> {
@@ -846,54 +847,76 @@ impl LsmTree {
                 }
             }
         }
+        fn whole(e: Entry) -> ProjEntry {
+            let kind = if e.antimatter { ProjKind::Anti } else { ProjKind::Row(e.value) };
+            ProjEntry { key: e.key, kind }
+        }
+        type Keys<'a> = std::slice::Iter<'a, Vec<u8>>;
         enum Source<'a> {
             Mem(std::collections::btree_map::Range<'a, Vec<u8>, MemEntry>),
+            MemKeys(&'a BTreeMap<Vec<u8>, MemEntry>, Keys<'a>),
             Plain(crate::component::ComponentIter),
-            Proj(crate::component::ProjectedIter),
+            PlainKeys(&'a DiskComponent, Keys<'a>, Option<StorageError>),
+            Proj(crate::component::ProjectedIter<'a>),
         }
         impl<'a> Source<'a> {
+            /// A memory or sealed component: ranged over, or asked for
+            /// each key of the list.
+            fn mem(map: &'a BTreeMap<Vec<u8>, MemEntry>, bound: ScanBound<'a>) -> Source<'a> {
+                match bound {
+                    ScanBound::Range { lo, hi } => Source::Mem(map.range::<[u8], _>((
+                        lo.map_or(Bound::Unbounded, Bound::Included),
+                        hi.map_or(Bound::Unbounded, Bound::Excluded),
+                    ))),
+                    ScanBound::Keys(keys) => Source::MemKeys(map, keys.iter()),
+                }
+            }
             fn next(&mut self) -> Option<Head<'a>> {
                 match self {
                     Source::Mem(it) => it.next().map(|(k, v)| Head::Mem(k, v)),
-                    Source::Plain(it) => it.next().map(|e| {
-                        Head::Disk(ProjEntry {
-                            key: e.key,
-                            kind: if e.antimatter {
-                                ProjKind::Anti
-                            } else {
-                                ProjKind::Row(e.value)
-                            },
-                        })
-                    }),
+                    Source::MemKeys(map, keys) => keys
+                        .find_map(|k| map.get_key_value(k))
+                        .map(|(k, v)| Head::Mem(k.as_slice(), v)),
+                    Source::Plain(it) => it.next().map(|e| Head::Disk(whole(e))),
+                    Source::PlainKeys(comp, keys, error) => loop {
+                        match comp.get(keys.next()?) {
+                            Ok(None) => {}
+                            Ok(Some(e)) => break Some(Head::Disk(whole(e))),
+                            // The first error ends the source, as it ends
+                            // a ranged one.
+                            Err(e) => {
+                                *error = Some(e);
+                                *keys = [].iter();
+                                break None;
+                            }
+                        }
+                    },
                     Source::Proj(it) => it.next().map(Head::Disk),
                 }
             }
             fn take_error(&mut self) -> Option<StorageError> {
                 match self {
-                    Source::Mem(_) => None,
+                    Source::Mem(_) | Source::MemKeys(..) => None,
                     Source::Plain(it) => it.take_error(),
+                    Source::PlainKeys(_, _, error) => error.take(),
                     Source::Proj(it) => it.take_error(),
                 }
             }
         }
         let st = self.inner.state.read();
-        let bounds = (
-            lo.map_or(Bound::Unbounded, Bound::Included),
-            hi.map_or(Bound::Unbounded, Bound::Excluded),
-        );
         // Newest first: the mutable memory component, sealed components
         // newest → oldest, then disk newest → oldest. Among equal keys the
         // lowest source index wins.
         let mut sources: Vec<Source<'_>> = Vec::with_capacity(1 + st.frozen.len() + st.disk.len());
-        sources.push(Source::Mem(st.mem.range::<[u8], _>(bounds)));
+        sources.push(Source::mem(&st.mem, bound));
         for fr in st.frozen.iter().rev() {
-            sources.push(Source::Mem(fr.entries.range::<[u8], _>(bounds)));
+            sources.push(Source::mem(&fr.entries, bound));
         }
         for c in &st.disk {
-            sources.push(if c.is_columnar() {
-                Source::Proj(c.project_range(lo, hi, proj))
-            } else {
-                Source::Plain(c.range(lo, hi))
+            sources.push(match bound {
+                _ if c.is_columnar() => Source::Proj(c.project_range(bound, proj)),
+                ScanBound::Range { lo, hi } => Source::Plain(c.range(lo, hi)),
+                ScanBound::Keys(keys) => Source::PlainKeys(c, keys.iter(), None),
             });
         }
         let mut heads: Vec<Option<Head<'_>>> = sources.iter_mut().map(|s| s.next()).collect();
@@ -1474,7 +1497,7 @@ mod tests {
 
     // ---- columnar components through the LSM lifecycle ----
 
-    use crate::columnar::{ColumnarOptions, Projection, SelfDescribingCodec};
+    use crate::columnar::{ColumnarOptions, SelfDescribingCodec};
     use asterix_adm::serde::encode;
     use asterix_adm::value::{Record, Value};
 
@@ -1608,7 +1631,7 @@ mod tests {
             Assembled(Vec<u8>),
         }
         let mut projected: Vec<(Vec<u8>, ScanValue2)> = Vec::new();
-        t.scan_projected(None, None, &proj, |key, v| {
+        t.scan_projected(ScanBound::ALL, &proj, |key, v| {
             let owned = match v {
                 ScanValue::Row(b) => ScanValue2::Row(b.to_vec()),
                 ScanValue::Assembled(b) => ScanValue2::Assembled(b.to_vec()),
@@ -1640,11 +1663,32 @@ mod tests {
         assert!(assembled >= 60, "columnar component rows must late-materialize");
     }
     /// A filtered or deleted newer version still shadows an older version
-    /// that passes the filter, from every plane: memory over columnar,
-    /// columnar over columnar, columnar over row.
+    /// that passes the filter, from every plane — memory, sealed, columnar
+    /// over columnar, columnar over row — whether the scan is bounded by a
+    /// range or by a key list.
     #[test]
     fn filtered_and_deleted_versions_shadow_older_passing_ones() {
         use crate::columnar::{CmpOp, ColumnFilter};
+
+        /// Reports every seal, and holds every flush in `on_flush` (after
+        /// its component is installed) until released — so a later seal
+        /// stays sealed for as long as the test needs it.
+        struct SealProbe {
+            sealed: Sender<()>,
+            installed: Sender<()>,
+            release: Receiver<()>,
+        }
+        impl LsmObserver for SealProbe {
+            fn on_seal(&self) -> u64 {
+                let _ = self.sealed.send(());
+                0
+            }
+            fn on_flush(&self, _p: &Path, _s: u64, _w: u64) {
+                let _ = self.installed.send(());
+                let _ = self.release.recv_timeout(Duration::from_secs(10));
+            }
+        }
+
         let dir = TempDir::new().unwrap();
         // Oldest plane: a row component (columnar off) with ids 0..40.
         {
@@ -1654,60 +1698,96 @@ mod tests {
             }
             t.flush().unwrap();
         }
+        let (sealed_tx, sealed_rx) = unbounded();
+        let (installed_tx, installed_rx) = unbounded();
+        let (release_tx, release_rx) = unbounded();
         let t = LsmTree::open(
             dir.path(),
             columnar_cfg(true),
             BufferCache::new(256),
-            Arc::new(NullObserver),
+            Arc::new(SealProbe { sealed: sealed_tx, installed: installed_tx, release: release_rx }),
         )
         .unwrap();
-        // Middle plane: a columnar component. Key 1 now fails the filter,
-        // key 2 is deleted, keys 40..80 are new.
-        t.insert(k(1), row(500)).unwrap();
-        t.delete(k(2)).unwrap();
-        for i in 40..80u32 {
-            t.insert(k(i), row(i)).unwrap();
-        }
-        t.flush().unwrap();
-        // Newest columnar component: key 41 fails, key 42 is deleted.
-        t.insert(k(41), row(501)).unwrap();
-        t.delete(k(42)).unwrap();
-        t.flush().unwrap();
-        assert_eq!(t.columnar_component_count(), 2);
-        // Memory: key 43 fails, key 44 is deleted.
-        t.insert(k(43), row(502)).unwrap();
-        t.delete(k(44)).unwrap();
-
-        let id_key = |v: i64| asterix_adm::ordkey::encode_value(&Value::Int64(v));
-        let proj = Projection {
-            fields: None,
-            filters: vec![
-                ColumnFilter { field: "id".into(), op: CmpOp::Ge, key: id_key(0) },
-                ColumnFilter { field: "id".into(), op: CmpOp::Lt, key: id_key(100) },
-            ],
-        };
-        let mut seen: Vec<u32> = Vec::new();
-        t.scan_projected(None, None, &proj, |key, v| {
-            let i = u32::from_be_bytes(key[..4].try_into().unwrap());
-            // Memory and row-component rows come through unfiltered (the
-            // select above the scan judges them); whatever comes through
-            // is the newest version.
-            let bytes = match v {
-                ScanValue::Row(b) | ScanValue::Assembled(b) => b,
-            };
-            match i {
-                1 => assert_eq!(bytes, row(500)),
-                43 => assert_eq!(bytes, row(502)),
-                _ => assert_eq!(bytes, row(i), "key {i}"),
+        let wait = |rx: &Receiver<()>| rx.recv_timeout(Duration::from_secs(10)).expect("progress");
+        std::thread::scope(|scope| {
+            // Older columnar component: key 1 now fails the filter, key 2
+            // is deleted, keys 40..80 are new.
+            t.insert(k(1), row(500)).unwrap();
+            t.delete(k(2)).unwrap();
+            for i in 40..80u32 {
+                t.insert(k(i), row(i)).unwrap();
             }
-            seen.push(i);
-            true
-        })
-        .unwrap();
-        // 1 was rewritten in a columnar component to fail the filter; 41
-        // likewise; 2, 42, 44 are deleted. 43's failing version sits in
-        // memory, which does not filter.
-        let expect: Vec<u32> = (0..80).filter(|i| ![1, 2, 41, 42, 44].contains(i)).collect();
-        assert_eq!(seen, expect);
+            release_tx.send(()).unwrap();
+            t.flush().unwrap();
+            wait(&sealed_rx);
+            wait(&installed_rx);
+            // Newest columnar component: key 41 fails, key 42 is deleted.
+            // Its flush installs it and then waits in `on_flush`.
+            t.insert(k(41), row(501)).unwrap();
+            t.delete(k(42)).unwrap();
+            scope.spawn(|| t.flush().unwrap());
+            wait(&sealed_rx);
+            wait(&installed_rx);
+            // Sealed: key 45 fails, key 46 is deleted. The maintenance
+            // thread is held, so this seal stays queued.
+            t.insert(k(45), row(503)).unwrap();
+            t.delete(k(46)).unwrap();
+            scope.spawn(|| t.flush().unwrap());
+            wait(&sealed_rx);
+            // Memory: key 43 fails, key 44 is deleted.
+            t.insert(k(43), row(502)).unwrap();
+            t.delete(k(44)).unwrap();
+            assert_eq!(t.inner.state.read().frozen.len(), 1, "one sealed component is waiting");
+
+            let id_key = |v: i64| asterix_adm::ordkey::encode_value(&Value::Int64(v));
+            let proj = Projection {
+                fields: None,
+                filters: vec![
+                    ColumnFilter { field: "id".into(), op: CmpOp::Ge, key: id_key(0) },
+                    ColumnFilter { field: "id".into(), op: CmpOp::Lt, key: id_key(100) },
+                ],
+            };
+            // Every key, a few absent ones between and past them.
+            let every_key: Vec<Vec<u8>> = (0..120u32).map(k).collect();
+            for bound in [ScanBound::ALL, ScanBound::Keys(&every_key)] {
+                let mut seen: Vec<u32> = Vec::new();
+                t.scan_projected(bound, &proj, |key, v| {
+                    let i = u32::from_be_bytes(key[..4].try_into().unwrap());
+                    // Memory, sealed and row-component rows come through
+                    // unfiltered (the select above the scan judges them);
+                    // whatever comes through is the newest version.
+                    let bytes = match v {
+                        ScanValue::Row(b) | ScanValue::Assembled(b) => b,
+                    };
+                    match i {
+                        43 => assert_eq!(bytes, row(502)),
+                        45 => assert_eq!(bytes, row(503)),
+                        _ => assert_eq!(bytes, row(i), "key {i}"),
+                    }
+                    seen.push(i);
+                    true
+                })
+                .unwrap();
+                // 1 and 41 were rewritten in a columnar component to fail
+                // the filter; 2, 42, 44 and 46 are deleted. The failing
+                // versions of 43 and 45 sit in planes that do not filter.
+                let expect: Vec<u32> =
+                    (0..80).filter(|i| ![1, 2, 41, 42, 44, 46].contains(i)).collect();
+                assert_eq!(seen, expect, "{bound:?}");
+            }
+            // A key list yields its keys alone.
+            let some: Vec<Vec<u8>> = [0u32, 1, 2, 39, 41, 43, 44, 45, 46, 79, 300].map(k).to_vec();
+            let mut seen: Vec<u32> = Vec::new();
+            t.scan_projected(ScanBound::Keys(&some), &proj, |key, _| {
+                seen.push(u32::from_be_bytes(key[..4].try_into().unwrap()));
+                true
+            })
+            .unwrap();
+            assert_eq!(seen, [0, 39, 43, 45, 79]);
+            // Let the two held flushes through.
+            release_tx.send(()).unwrap();
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(t.columnar_component_count(), 3);
     }
 }

@@ -109,25 +109,11 @@ fn deep_canonical(rows: Vec<Value>) -> Vec<String> {
 #[test]
 fn compiled_equals_interpreted_on_random_data() {
     let (instance, _d) = build_instance(0xA57E, 120);
-    // Reach inside: build provider + translator the way the instance does,
-    // so we can run the interpreter against the same storage.
     for q in QUERIES {
         let compiled_rows = instance.query(q).unwrap();
 
         // Interpreter path over the same optimized plan.
-        let provider: Arc<dyn MetadataProvider> =
-            Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(&instance) });
-        let catalog = asterixdb::provider::SessionCatalog {
-            shared: instance_shared(&instance),
-            current_dataverse: "Diff".to_string(),
-        };
-        let mut tr = Translator::new(&catalog);
-        let e = parse_expression(q).unwrap();
-        let plan = tr.translate_query(&e).unwrap();
-        let fctx = FunctionContext::default();
-        let optimized = optimize(plan, &provider, &fctx, &OptimizerOptions::default());
-        let ctx = EvalCtx::new(Arc::clone(&provider), fctx);
-        let interp_rows = interp::eval_subplan(&optimized, &HashMap::new(), &ctx).unwrap();
+        let interp_rows = interpreted(&instance, "Diff", q);
 
         let ordered = q.contains("order by");
         if ordered {
@@ -390,6 +376,367 @@ fn selective_window_assembles_a_small_share_of_visited_rows() {
         .explain("for $d in dataset D where $d.ts >= 100 and $d.ts < 130 return $d")
         .unwrap();
     assert!(job.contains("data-scan Push.D [cols: *] [filter: ts>=?, ts<?]"), "{job}");
+}
+
+// ---------------------------------------------------------------------------
+// Secondary-index plans: the batched primary fetch against the interpreter
+// ---------------------------------------------------------------------------
+
+/// How an instance of the index-plan corpus is laid out and run.
+#[derive(Debug, Clone, Copy)]
+struct IxSetup {
+    layout: Layout,
+    disable_fusion: bool,
+    /// Nodes, and partitions per node.
+    topology: (usize, usize),
+}
+
+const IX_USERS: i64 = 80;
+const IX_MESSAGES: i64 = 600;
+const USERS: &str = "Perf.MugshotUsers";
+const MESSAGES: &str = "Perf.MugshotMessages";
+
+fn minute(t: i64) -> String {
+    format!("datetime(\"2010-01-01T{:02}:{:02}:00\")", t / 60 % 24, t % 60)
+}
+
+fn ix_user(i: i64) -> Value {
+    asterix_adm::parse::parse_value(&format!(
+        "{{ \"id\": {i}, \"name\": \"u{i}\", \"user-since\": {} }}",
+        minute(i * 11 % 1440)
+    ))
+    .unwrap()
+}
+
+/// Message `m` at minute `ts`. Users 60.. write nothing; `in-response-to`
+/// (declared, optional) is absent from the first rows, so the inferred
+/// column order drifts from the declared one; the message text varies in
+/// length.
+fn ix_message(m: i64, ts: i64) -> Value {
+    let mut fields = vec![
+        format!("\"message-id\": {m}"),
+        format!("\"author-id\": {}", m * 7 % 60),
+        format!("\"timestamp\": {}", minute(ts)),
+    ];
+    if m % 3 == 2 {
+        fields.push(format!("\"in-response-to\": {}", m / 2));
+    }
+    fields.push(format!("\"message\": \"m{m}{}\"", "!".repeat((m % 13) as usize)));
+    asterix_adm::parse::parse_value(&format!("{{ {} }}", fields.join(", "))).unwrap()
+}
+
+fn ix_ts(m: i64) -> i64 {
+    m * 37 % 1440
+}
+
+/// The benchmark's schema (`perf/src/env.rs`) cut down to the fields its
+/// shapes touch, under the benchmark's names, loaded in three stages like
+/// [`pushdown_instance`]: two flushes and a tail left in memory, each
+/// later stage rewriting and deleting messages of the earlier ones.
+fn ix_instance(setup: IxSetup) -> (Arc<Instance>, tempfile::TempDir) {
+    let dir = tempfile::TempDir::new().unwrap();
+    let IxSetup { layout, disable_fusion, topology } = setup;
+    let open = |disable_columnar: bool| {
+        let mut cfg = ClusterConfig::small(dir.path());
+        (cfg.nodes, cfg.partitions_per_node) = topology;
+        cfg.disable_columnar = disable_columnar;
+        cfg.disable_fusion = disable_fusion;
+        let instance = Instance::open(cfg).unwrap();
+        instance.execute("create dataverse Perf if not exists; use dataverse Perf;").unwrap();
+        instance
+    };
+    let flush = |instance: &Arc<Instance>| {
+        if layout != Layout::Memory {
+            instance.dataset("MugshotUsers").unwrap().flush_all().unwrap();
+            instance.dataset("MugshotMessages").unwrap().flush_all().unwrap();
+        }
+    };
+    let mut instance = open(matches!(layout, Layout::RowComponents | Layout::Mixed));
+    instance
+        .execute(
+            "create type MugshotUserType as open {
+                 id: int64, name: string, user-since: datetime
+             };
+             create type MugshotMessageType as open {
+                 message-id: int64, author-id: int64, timestamp: datetime,
+                 in-response-to: int64?, message: string
+             };
+             create dataset MugshotUsers(MugshotUserType) primary key id;
+             create dataset MugshotMessages(MugshotMessageType) primary key message-id;
+             create index msUserSinceIdx on MugshotUsers(user-since);
+             create index msTimestampIdx on MugshotMessages(timestamp);
+             create index msAuthorIdx on MugshotMessages(author-id) type btree;",
+        )
+        .unwrap();
+    let load = |instance: &Arc<Instance>, ids: std::ops::Range<i64>| {
+        let messages = instance.dataset("MugshotMessages").unwrap();
+        for m in ids {
+            messages.insert(&ix_message(m, ix_ts(m))).unwrap();
+        }
+    };
+    // A rewrite moves the message out of every window the queries use (and
+    // its index entries with it); a delete removes it.
+    let rewrite = |instance: &Arc<Instance>, m: i64| {
+        let messages = instance.dataset("MugshotMessages").unwrap();
+        assert!(messages.delete_by_pk(&[Value::Int64(m)]).unwrap());
+        messages.insert(&ix_message(m, 1439)).unwrap();
+    };
+    let delete = |instance: &Arc<Instance>, m: i64| {
+        let messages = instance.dataset("MugshotMessages").unwrap();
+        assert!(messages.delete_by_pk(&[Value::Int64(m)]).unwrap());
+    };
+
+    let users = instance.dataset("MugshotUsers").unwrap();
+    for i in 0..IX_USERS {
+        users.insert(&ix_user(i)).unwrap();
+    }
+    drop(users);
+    load(&instance, 0..250);
+    flush(&instance);
+    if layout == Layout::Mixed {
+        drop(instance);
+        instance = open(false);
+    }
+    load(&instance, 250..550);
+    rewrite(&instance, 3);
+    delete(&instance, 6);
+    flush(&instance);
+    if layout == Layout::ColumnarKnobOff {
+        drop(instance);
+        instance = open(true);
+    }
+    load(&instance, 550..IX_MESSAGES);
+    rewrite(&instance, 9);
+    rewrite(&instance, 253);
+    delete(&instance, 12);
+    delete(&instance, 256);
+    (instance, dir)
+}
+
+/// The benchmark's five query families (`perf/src/shapes.rs`) at a small
+/// and a large window each — its ten `_ix` shapes. `GrpAgg` also orders by
+/// the author, so that ties in the count cannot make two correct answers
+/// differ.
+fn ix_queries() -> Vec<String> {
+    let mut out = Vec::new();
+    // (user-since window, message timestamp window), minutes of the day.
+    for ((ulo, uhi), (lo, hi)) in [((100, 160), (200, 260)), ((0, 900), (100, 1000))] {
+        let a = [minute(ulo), minute(uhi), minute(lo), minute(hi)];
+        out.push(format!(
+            "for $m in dataset {MESSAGES} \
+             where $m.timestamp >= {} and $m.timestamp < {} return $m",
+            a[2], a[3]
+        ));
+        out.push(format!(
+            "for $u in dataset {USERS} for $m in dataset {MESSAGES} \
+             where $m.author-id /*+ indexnl */ = $u.id \
+               and $u.user-since >= {} and $u.user-since <= {} \
+             return {{ \"uname\": $u.name, \"message\": $m.message }}",
+            a[0], a[1]
+        ));
+        out.push(sel2join_text(&a, true));
+        out.push(format!(
+            "avg( for $m in dataset {MESSAGES} \
+                  where $m.timestamp >= {} and $m.timestamp < {} \
+                  return string-length($m.message) )",
+            a[2], a[3]
+        ));
+        out.push(format!(
+            "for $m in dataset {MESSAGES} \
+             where $m.timestamp >= {} and $m.timestamp < {} \
+             group by $aid := $m.author-id with $m \
+             let $cnt := count($m) \
+             order by $cnt desc, $aid \
+             limit 10 \
+             return {{ \"author\": $aid, \"cnt\": $cnt }}",
+            a[2], a[3]
+        ));
+    }
+    out
+}
+
+/// `Family::Sel2Join` of `perf/src/shapes.rs`, verbatim.
+fn sel2join_text(a: &[String; 4], indexnl: bool) -> String {
+    let hint = if indexnl { "/*+ indexnl */ " } else { "" };
+    format!(
+        "for $u in dataset {USERS} for $m in dataset {MESSAGES} \
+         where $m.author-id {hint}= $u.id \
+           and $u.user-since >= {} and $u.user-since <= {} \
+           and $m.timestamp >= {} and $m.timestamp < {} \
+         return {{ \"uname\": $u.name, \"message\": $m.message }}",
+        a[0], a[1], a[2], a[3]
+    )
+}
+
+/// The interpreter's answer over the plan the instance would compile:
+/// provider and translator built the way the instance builds them, so the
+/// interpreter runs against the same storage.
+fn interpreted(instance: &Instance, dataverse: &str, q: &str) -> Vec<Value> {
+    let provider: Arc<dyn MetadataProvider> =
+        Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(instance) });
+    let catalog = asterixdb::provider::SessionCatalog {
+        shared: instance_shared(instance),
+        current_dataverse: dataverse.to_string(),
+    };
+    let plan = Translator::new(&catalog).translate_query(&parse_expression(q).unwrap()).unwrap();
+    let fctx = FunctionContext::default();
+    let optimized = optimize(plan, &provider, &fctx, &OptimizerOptions::default());
+    let ctx = EvalCtx::new(provider, fctx);
+    interp::eval_subplan(&optimized, &HashMap::new(), &ctx).unwrap()
+}
+
+/// A left-outer index-NL join — no AQL construct compiles to one — of
+/// every user with the ids of their messages; users 60.. have none and
+/// come out padded.
+fn left_outer_index_nl_plan() -> asterix_algebricks::plan::LogicalOp {
+    use asterix_algebricks::expr::LogicalExpr;
+    use asterix_algebricks::plan::{JoinKind, LogicalOp};
+    LogicalOp::Emit {
+        input: Box::new(LogicalOp::IndexNlJoin {
+            left: Box::new(LogicalOp::DataSourceScan { dataset: USERS.into(), var: 0 }),
+            dataset: MESSAGES.into(),
+            index: "msAuthorIdx".into(),
+            probe: LogicalExpr::field(LogicalExpr::Var(0), "id"),
+            var: 1,
+            kind: JoinKind::LeftOuter,
+        }),
+        expr: LogicalExpr::RecordCtor(vec![
+            ("u".into(), LogicalExpr::field(LogicalExpr::Var(0), "id")),
+            ("m".into(), LogicalExpr::field(LogicalExpr::Var(1), "message-id")),
+        ]),
+    }
+}
+
+/// Every secondary-index plan of the benchmark — the sorted, batched
+/// primary fetch behind an index search, the index-NL join that batches
+/// its probes, both with projections and filters pushed into the fetch —
+/// answers as the interpreter does with its per-key lookups, and as an
+/// instance that never flushed does, on every storage layout, fused and
+/// unfused, on one partition and on four.
+#[test]
+fn index_plans_answer_identically_on_every_layout_and_topology() {
+    let queries = ix_queries();
+    let reference_setup =
+        IxSetup { layout: Layout::Memory, disable_fusion: false, topology: (1, 1) };
+    let (reference, _d0) = ix_instance(reference_setup);
+    let expected: Vec<Vec<String>> =
+        queries.iter().map(|q| canonical(reference.query(q).unwrap())).collect();
+    for (q, rows) in queries.iter().zip(&expected) {
+        assert!(!rows.is_empty(), "selects nothing: {q}");
+    }
+    // The wide range selects every stage's messages but the rewritten and
+    // the deleted ones.
+    let wide = reference.query(&queries[5]).unwrap();
+    let ids: Vec<i64> = wide.iter().map(|m| m.field("message-id").as_i64().unwrap()).collect();
+    for gone in [3, 6, 9, 12, 253, 256] {
+        assert!(!ids.contains(&gone), "message {gone} must be shadowed");
+    }
+    assert!([0, 251, 551].iter().all(|m| ids.contains(m) == (100..1000).contains(&ix_ts(*m))));
+
+    let outer_plan = left_outer_index_nl_plan();
+    let mut outer_expected: Option<Vec<String>> = None;
+    for layout in [
+        Layout::Memory,
+        Layout::RowComponents,
+        Layout::Columnar,
+        Layout::Mixed,
+        Layout::ColumnarKnobOff,
+    ] {
+        for (disable_fusion, topology) in
+            [(false, (1, 1)), (true, (1, 1)), (false, (2, 2)), (true, (2, 2))]
+        {
+            let setup = IxSetup { layout, disable_fusion, topology };
+            let (instance, _d) = ix_instance(setup);
+            // Every compiled query fetched through the key-list path of the
+            // columnar components, where there are any (counted around the
+            // query itself: the loads' duplicate checks and the
+            // interpreter's per-key lookups are point probes, not fetches);
+            // filters are pushed into the fetch with the knob on.
+            let stats = instance.columnar_stats();
+            let columnar_on_disk =
+                matches!(layout, Layout::Columnar | Layout::Mixed | Layout::ColumnarKnobOff);
+            let mut filtered = 0;
+            for (q, want) in queries.iter().zip(&expected) {
+                let before =
+                    (stats.fetch_groups.get(), stats.fetch_keys.get(), stats.rows_filtered.get());
+                let got = canonical(instance.query(q).unwrap());
+                assert_eq!(&got, want, "{setup:?}: {q}");
+                let fetched =
+                    stats.fetch_groups.get() > before.0 && stats.fetch_keys.get() > before.1;
+                assert_eq!(fetched, columnar_on_disk, "{setup:?}: {q}");
+                filtered += stats.rows_filtered.get() - before.2;
+                let before = (stats.fetch_groups.get(), stats.fetch_keys.get());
+                assert_eq!(
+                    &canonical(interpreted(&instance, "Perf", q)),
+                    want,
+                    "{setup:?} interpreted: {q}"
+                );
+                assert_eq!((stats.fetch_groups.get(), stats.fetch_keys.get()), before);
+            }
+            assert_eq!(
+                filtered > 0,
+                matches!(layout, Layout::Columnar | Layout::Mixed),
+                "{setup:?}"
+            );
+
+            // The left-outer join: compiled against interpreted, and the
+            // same on every instance.
+            let provider: Arc<dyn MetadataProvider> =
+                Arc::new(asterixdb::provider::InstanceProvider {
+                    shared: instance_shared(&instance),
+                });
+            let fctx = FunctionContext::default();
+            let options = OptimizerOptions::default();
+            let compiled = asterix_algebricks::jobgen::compile(
+                &outer_plan,
+                Arc::clone(&provider),
+                fctx.clone(),
+                &options,
+            )
+            .unwrap();
+            let cfg = asterix_hyracks::ExecutorConfig { disable_fusion, ..Default::default() };
+            let stats = Arc::new(asterix_hyracks::ExchangeStats::new());
+            let got = canonical(compiled.run_with(&cfg, &stats).unwrap());
+            let ctx = EvalCtx::new(provider, fctx);
+            let interp_rows = interp::eval_subplan(&outer_plan, &HashMap::new(), &ctx).unwrap();
+            assert_eq!(got, canonical(interp_rows), "{setup:?}: left-outer index-NL join");
+            // A padded row's `$m` is null, so its `m` field is missing.
+            let padded = got.iter().filter(|r| !r.contains("\"m\"")).count();
+            assert_eq!(padded, (IX_USERS - 60) as usize, "{setup:?}");
+            assert_eq!(got.len(), padded + IX_MESSAGES as usize - 3, "three messages are deleted");
+            let want = outer_expected.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "{setup:?}: left-outer index-NL join");
+        }
+    }
+}
+
+/// The `indexnl` hint means index-NL also when a select sits on the inner
+/// side: the benchmark's `Sel2Join` compiles to the paper's plan — one
+/// secondary search on the users, the join probing the messages' author
+/// index with the timestamp window pushed into its fetch — not to a hash
+/// join of two index searches.
+#[test]
+fn sel2join_hint_compiles_to_an_index_nl_join() {
+    let setup = IxSetup { layout: Layout::Columnar, disable_fusion: false, topology: (1, 1) };
+    let (instance, _d) = ix_instance(setup);
+    let a = [minute(100), minute(160), minute(200), minute(260)];
+    let (plan, job) = instance.explain(&sel2join_text(&a, true)).unwrap();
+    assert!(plan.contains("index-nl-join Perf.MugshotMessages.msAuthorIdx"), "{plan}");
+    assert!(!plan.contains("hash-join") && !job.contains("hash-join"), "{plan}\n{job}");
+    let secondary: Vec<&str> =
+        job.lines().filter(|l| l.contains("btree-search") && !l.contains("(primary)")).collect();
+    assert_eq!(secondary.len(), 1, "{job}");
+    assert!(secondary[0].contains("btree-search Perf.MugshotUsers.msUserSinceIdx"), "{job}");
+    assert!(
+        job.contains(
+            "index-nested-loop-join Perf.MugshotMessages.msAuthorIdx \
+             [cols: message,timestamp] [filter: timestamp>=?, timestamp<?]"
+        ),
+        "{job}"
+    );
+    // Without the hint it is the hash join of two index searches.
+    let (plan, _) = instance.explain(&sel2join_text(&a, false)).unwrap();
+    assert!(plan.contains("hash-join") && !plan.contains("index-nl-join"), "{plan}");
 }
 
 /// Access the instance's shared state (the provider constructor is public

@@ -521,3 +521,129 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Key-list fetch
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The primary fetch is the key-list case of the projected scan: for
+    /// any tree — columnar and row components, rewritten and deleted keys
+    /// in newer ones, rows still in memory — any projection and any sorted
+    /// key list, it yields exactly what the full scan yields for those
+    /// keys, byte for byte.
+    #[test]
+    fn key_list_fetch_equals_full_scan_filtered_to_the_keys(
+        batches in prop::collection::vec(
+            prop::collection::vec(
+                (0u16..200, prop_oneof![
+                    // A delete, a stable record, or anything at all.
+                    1 => Just(None),
+                    6 => (0i64..50, "[a-c]{0,3}", any::<bool>()).prop_map(|(n, s, extra)| {
+                        let mut r = Record::new();
+                        r.set("n", Value::Int64(n));
+                        r.set("s", Value::string(s));
+                        if extra {
+                            r.set("x", Value::Double(n as f64 / 2.0));
+                        }
+                        Some(Value::record(r))
+                    }),
+                    1 => prop::collection::vec(("[a-d]{1,2}", every_value(false)), 0..4)
+                        .prop_map(|fields| {
+                            let mut r = Record::new();
+                            for (name, v) in fields {
+                                r.set(name, v);
+                            }
+                            Some(Value::record(r))
+                        }),
+                ]),
+                20..80
+            ),
+            2..5
+        ),
+        row_first in any::<bool>(),
+        fields in prop_oneof![
+            Just(None),
+            prop::collection::vec("[nsxa]", 0..3).prop_map(Some),
+        ],
+        bounds in prop::collection::vec((any::<bool>(), 0i64..50), 0..3),
+        wanted in prop::collection::vec(0u16..220, 0..80),
+    ) {
+        use asterix_storage::lsm::ScanValue;
+        use asterix_storage::{
+            CmpOp, ColumnFilter, ColumnarOptions, Projection, ScanBound, SelfDescribingCodec,
+        };
+        let dir = tempfile::TempDir::new().unwrap();
+        let open = |columnar: bool| {
+            let mut col = ColumnarOptions::new(Arc::new(SelfDescribingCodec));
+            col.enabled = columnar;
+            LsmTree::open(
+                dir.path(),
+                LsmConfig {
+                    mem_budget: 1 << 20,
+                    page_size: 256,
+                    bloom_fpp: 0.01,
+                    merge_policy: MergePolicy::NoMerge,
+                    max_frozen: 2,
+                    columnar: Some(col),
+                },
+                BufferCache::new(64),
+                Arc::new(NullObserver),
+            )
+            .unwrap()
+        };
+        // Every batch but the last is flushed; the first one row-major when
+        // `row_first`, so the tree mixes both layouts.
+        let mut tree = open(!row_first);
+        let last = batches.len() - 1;
+        for (b, batch) in batches.iter().enumerate() {
+            for (k, v) in batch {
+                let key = k.to_be_bytes().to_vec();
+                match v {
+                    Some(v) => tree.insert(key, adm_serde::encode(v)).unwrap(),
+                    None => tree.delete(key).unwrap(),
+                }
+            }
+            if b < last {
+                tree.flush().unwrap();
+            }
+            if b == 0 && row_first {
+                drop(tree);
+                tree = open(true);
+            }
+        }
+        let filters = bounds
+            .iter()
+            .map(|(ge, n)| ColumnFilter {
+                field: "n".into(),
+                op: if *ge { CmpOp::Ge } else { CmpOp::Lt },
+                key: ordkey::encode_value(&Value::Int64(*n)),
+            })
+            .collect();
+        let proj = Projection {
+            fields: fields.map(|fs| fs.into_iter().collect()),
+            filters,
+        };
+        let mut keys: Vec<Vec<u8>> = wanted.iter().map(|k| k.to_be_bytes().to_vec()).collect();
+        keys.sort();
+        keys.dedup();
+
+        let collect = |bound: ScanBound<'_>| {
+            let mut out: Vec<(Vec<u8>, bool, Vec<u8>)> = Vec::new();
+            tree.scan_projected(bound, &proj, |key, v| {
+                out.push(match v {
+                    ScanValue::Row(b) => (key.to_vec(), false, b.to_vec()),
+                    ScanValue::Assembled(b) => (key.to_vec(), true, b.to_vec()),
+                });
+                true
+            })
+            .unwrap();
+            out
+        };
+        let mut expected = collect(ScanBound::ALL);
+        expected.retain(|(key, _, _)| keys.binary_search(key).is_ok());
+        prop_assert_eq!(collect(ScanBound::Keys(&keys)), expected);
+    }
+}
