@@ -1036,15 +1036,28 @@ impl Gen {
         postcondition: Option<&LogicalExpr>,
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
         let provider = Arc::clone(&self.ctx.provider);
+        let mut part = Part::Distributed;
         let tail: OperatorId = match spec {
             IndexSearchSpec::PrimaryRange { lo, hi } => {
-                let src = provider.primary_range_source(
-                    dataset,
-                    self.key_bound(lo)?,
-                    self.key_bound(hi)?,
-                )?;
+                let (lo, hi) = (self.key_bound(lo)?, self.key_bound(hi)?);
+                // Datasets are hash-partitioned on their primary key, so a
+                // key equality concerns the one partition that owns the key:
+                // search there alone, as a single instance. The bounds are
+                // evaluated here, so a cached plan prunes per execution.
+                let owner = match (&lo, &hi) {
+                    (KeyBound::Inclusive(l), KeyBound::Inclusive(h)) if l == h => {
+                        provider.primary_partition_of(dataset, l)
+                    }
+                    _ => None,
+                };
+                let mut src = provider.primary_range_source(dataset, lo, hi)?;
+                if let Some(owner) = owner {
+                    part = Part::Single;
+                    let (all, nparts) = (src, self.nparts);
+                    src = Arc::new(move |_, _, emit| all(owner, nparts, emit));
+                }
                 self.job.add(
-                    self.nparts,
+                    self.parts(part),
                     Arc::new(SourceOp::from_fn(format!("btree-search {dataset} (primary)"), src)),
                 )
             }
@@ -1095,11 +1108,11 @@ impl Gen {
         let mut out = tail;
         if let Some(post) = postcondition {
             let sel_op = self.select_op("post-validate", post, &schema)?;
-            let sel = self.job.add(self.nparts, Arc::new(sel_op));
+            let sel = self.job.add(self.parts(part), Arc::new(sel_op));
             self.job.connect(ConnectorKind::OneToOne, out, sel);
             out = sel;
         }
-        Ok((out, schema, Part::Distributed))
+        Ok((out, schema, part))
     }
 
     /// secondary search (pk tuples) → sort pk → batched primary-index
@@ -1285,6 +1298,11 @@ mod tests {
     }
 
     fn provider(n: i64) -> Arc<dyn MetadataProvider> {
+        Arc::new(vec_provider(n))
+    }
+
+    /// `n` users and `2n` messages, message `m` written by user `m % n`.
+    fn vec_provider(n: i64) -> VecProvider {
         let mut p = VecProvider::new(4);
         p.add("U", "id", users(n));
         p.add(
@@ -1300,7 +1318,7 @@ mod tests {
                 })
                 .collect(),
         );
-        Arc::new(p)
+        p
     }
 
     fn run_both(plan: LogicalOp, prov: Arc<dyn MetadataProvider>) -> (Vec<Value>, Vec<Value>) {
@@ -1480,6 +1498,92 @@ mod tests {
         // pairs (a,b) with a<b<4: b=1 (1), b=2 (2), b=3 (3) → 6 rows.
         assert_eq!(i.len(), 6);
         assert_eq!(sort_vals(i), sort_vals(c));
+    }
+
+    /// A primary-index search of `U` as the optimizer writes it, bounds as
+    /// `(key, inclusive)`.
+    fn pk_search(var: VarId, lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> LogicalOp {
+        let bound = |b: Option<(i64, bool)>| b.map(|(k, incl)| (lit(Value::Int64(k)), incl));
+        LogicalOp::IndexSearch {
+            dataset: "U".into(),
+            index: String::new(),
+            var,
+            spec: IndexSearchSpec::PrimaryRange { lo: bound(lo), hi: bound(hi) },
+            postcondition: None,
+        }
+    }
+
+    fn compile_on(plan: &LogicalOp, knows_owner: bool) -> CompiledQuery {
+        let p = VecProvider { knows_owner, ..vec_provider(20) };
+        let (fctx, options) = (FunctionContext::default(), OptimizerOptions::default());
+        compile(plan, Arc::new(p), fctx, &options).unwrap()
+    }
+
+    #[test]
+    fn key_equality_searches_the_owning_partition_alone() {
+        let ids = |lo, hi| emit(pk_search(0, lo, hi), LogicalExpr::field(var(0), "id"));
+        let seven = vec![Value::Int64(7)];
+
+        // Equal inclusive bounds and a provider that names the owner: one
+        // source instance, and the whole job one pipeline.
+        let pruned = compile_on(&ids(Some((7, true)), Some((7, true))), true);
+        let d = pruned.describe();
+        assert!(d.contains("btree-search U (primary) [parts=1"), "{d}");
+        assert!(!d.contains("replicating"), "{d}");
+        assert_eq!(pruned.job.fusion_plan().unwrap().total_threads(), 1, "{d}");
+        assert_eq!(pruned.run().unwrap(), seven);
+
+        // Anything else searches every partition: a range, an exclusive
+        // bound, an open end, a provider that cannot tell.
+        for (lo, hi, knows_owner, expect) in [
+            (Some((7, true)), Some((8, true)), true, vec![Value::Int64(7), Value::Int64(8)]),
+            (Some((7, true)), Some((8, false)), true, seven.clone()),
+            (Some((6, false)), Some((7, true)), true, seven.clone()),
+            (Some((7, true)), Some((7, false)), true, vec![]),
+            (Some((19, true)), None, true, vec![Value::Int64(19)]),
+            (Some((7, true)), Some((7, true)), false, seven.clone()),
+        ] {
+            let q = compile_on(&ids(lo, hi), knows_owner);
+            let d = q.describe();
+            assert!(d.contains("btree-search U (primary) [parts=4"), "{lo:?}..{hi:?}: {d}");
+            assert!(q.job.fusion_plan().unwrap().total_threads() > 1, "{d}");
+            assert_eq!(sort_vals(q.run().unwrap()), expect, "{lo:?}..{hi:?}");
+        }
+    }
+
+    #[test]
+    fn pruned_search_joins_like_the_all_partition_search() {
+        let user = || pk_search(0, Some((3, true)), Some((3, true)));
+        let (id, author) = (LogicalExpr::field(var(0), "id"), LogicalExpr::field(var(1), "author"));
+        let hash_join = |user_left: bool| {
+            let (left, right) = (Box::new(user()), Box::new(scan("M", 1)));
+            let (left, right, left_keys, right_keys) = if user_left {
+                (left, right, vec![id.clone()], vec![author.clone()])
+            } else {
+                (right, left, vec![author.clone()], vec![id.clone()])
+            };
+            let kind = JoinKind::Inner;
+            LogicalOp::HashJoin { left, right, left_keys, right_keys, residual: None, kind }
+        };
+        let index_nl = LogicalOp::IndexNlJoin {
+            left: Box::new(user()),
+            dataset: "M".into(),
+            index: "author".into(),
+            probe: id.clone(),
+            var: 1,
+            kind: JoinKind::Inner,
+        };
+        for join in [hash_join(true), hash_join(false), index_nl] {
+            let plan = emit(join, LogicalExpr::field(var(1), "mid"));
+            let pruned = compile_on(&plan, true);
+            let d = pruned.describe();
+            assert!(d.contains("btree-search U (primary) [parts=1"), "{d}");
+            let all = compile_on(&plan, false);
+            assert!(all.describe().contains("btree-search U (primary) [parts=4"));
+            let rows = sort_vals(pruned.run().unwrap());
+            assert_eq!(rows, vec![Value::Int64(3), Value::Int64(23)], "{d}");
+            assert_eq!(rows, sort_vals(all.run().unwrap()), "{d}");
+        }
     }
 
     #[test]

@@ -128,6 +128,15 @@ pub trait MetadataProvider: Send + Sync {
     /// Secondary indexes of a dataset.
     fn indexes(&self, dataset: &str) -> Vec<IndexInfo>;
 
+    /// The one partition that can hold the record whose primary key equals
+    /// `key`, when the provider can tell: the dataset is hash-partitioned
+    /// on a single-field key. The compiler then searches that partition
+    /// alone for a primary-key equality. `None` (the default) searches
+    /// every partition.
+    fn primary_partition_of(&self, _dataset: &str, _key: &Value) -> Option<usize> {
+        None
+    }
+
     // -- compiled-path sources (per-partition, run inside operators) -------
 
     /// Full scan source: emits one single-column tuple per record of the
@@ -349,16 +358,26 @@ pub mod tests_support {
     }
 
     /// A simple in-memory provider for compiler tests: named datasets as
-    /// vectors of records, hash-partitioned on demand, no indexes.
+    /// vectors of records, hash-partitioned on demand, no declared indexes
+    /// (`btree_search_all` takes an index name as the name of the field it
+    /// would index, for hand-built index-NL joins).
     pub struct VecProvider {
         pub datasets: std::collections::HashMap<String, Vec<Value>>,
         pub pk_fields: std::collections::HashMap<String, Vec<String>>,
         pub nparts: usize,
+        /// Answer [`MetadataProvider::primary_partition_of`] (the default);
+        /// off, every primary-key search runs on all partitions.
+        pub knows_owner: bool,
     }
 
     impl VecProvider {
         pub fn new(nparts: usize) -> VecProvider {
-            VecProvider { datasets: Default::default(), pk_fields: Default::default(), nparts }
+            VecProvider {
+                datasets: Default::default(),
+                pk_fields: Default::default(),
+                nparts,
+                knows_owner: true,
+            }
         }
 
         pub fn add(&mut self, name: &str, pk: &str, records: Vec<Value>) {
@@ -369,6 +388,20 @@ pub mod tests_support {
 
     fn has_pk(record: &Value, pk_fields: &[String], pk: &[Value]) -> bool {
         pk_fields.iter().zip(pk).all(|(f, v)| record.field(f).total_cmp(v).is_eq())
+    }
+
+    fn within(k: &Value, lo: &KeyBound, hi: &KeyBound) -> bool {
+        let lo_ok = match lo {
+            KeyBound::Unbounded => true,
+            KeyBound::Inclusive(v) => k.total_cmp(v).is_ge(),
+            KeyBound::Exclusive(v) => k.total_cmp(v).is_gt(),
+        };
+        let hi_ok = match hi {
+            KeyBound::Unbounded => true,
+            KeyBound::Inclusive(v) => k.total_cmp(v).is_le(),
+            KeyBound::Exclusive(v) => k.total_cmp(v).is_lt(),
+        };
+        lo_ok && hi_ok
     }
 
     impl MetadataProvider for VecProvider {
@@ -386,6 +419,11 @@ pub mod tests_support {
 
         fn indexes(&self, _dataset: &str) -> Vec<IndexInfo> {
             Vec::new()
+        }
+
+        fn primary_partition_of(&self, _dataset: &str, key: &Value) -> Option<usize> {
+            // The partition the sources below emit a record with this key on.
+            self.knows_owner.then(|| (key.stable_hash() % self.nparts as u64) as usize)
         }
 
         fn scan_source(&self, dataset: &str) -> Result<SourceFn> {
@@ -434,20 +472,7 @@ pub mod tests_support {
             Ok(self
                 .scan_all(dataset)?
                 .into_iter()
-                .filter(|r| {
-                    let k = r.field(&pk);
-                    let lo_ok = match &lo {
-                        KeyBound::Unbounded => true,
-                        KeyBound::Inclusive(v) => k.total_cmp(v).is_ge(),
-                        KeyBound::Exclusive(v) => k.total_cmp(v).is_gt(),
-                    };
-                    let hi_ok = match &hi {
-                        KeyBound::Unbounded => true,
-                        KeyBound::Inclusive(v) => k.total_cmp(v).is_le(),
-                        KeyBound::Exclusive(v) => k.total_cmp(v).is_lt(),
-                    };
-                    lo_ok && hi_ok
-                })
+                .filter(|r| within(&r.field(&pk), &lo, &hi))
                 .collect())
         }
 
@@ -511,12 +536,18 @@ pub mod tests_support {
 
         fn btree_search_all(
             &self,
-            _d: &str,
-            _i: &str,
-            _lo: KeyBound,
-            _hi: KeyBound,
+            dataset: &str,
+            index: &str,
+            lo: KeyBound,
+            hi: KeyBound,
         ) -> Result<Vec<Vec<Value>>> {
-            Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
+            let pk_fields = self.primary_key_fields(dataset);
+            Ok(self
+                .scan_all(dataset)?
+                .iter()
+                .filter(|r| within(&r.field(index), &lo, &hi))
+                .map(|r| pk_fields.iter().map(|f| r.field(f)).collect())
+                .collect())
         }
 
         fn rtree_search_all(&self, _d: &str, _i: &str, _q: &Rectangle) -> Result<Vec<Vec<Value>>> {

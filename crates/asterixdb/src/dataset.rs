@@ -345,7 +345,7 @@ impl DatasetRuntime {
     /// Coerce a probe key to the primary key's declared types (so int64
     /// literals match int32-typed keys).
     pub fn coerce_pk(&self, pk: &[Value]) -> Vec<Value> {
-        self.coerce_pk_as(self.resolved_record_type().as_ref(), pk)
+        self.coerce_pk_as(self.resolved_record_type().as_deref(), pk)
     }
 
     /// [`Self::coerce_pk`] against an already resolved record type.
@@ -362,9 +362,11 @@ impl DatasetRuntime {
             .collect()
     }
 
-    fn resolved_record_type(&self) -> Option<asterix_adm::RecordType> {
+    /// The dataset's record type — the `Arc` its [`Datatype::Record`]
+    /// already holds, not a copy: this sits on every key coercion.
+    fn resolved_record_type(&self) -> Option<Arc<asterix_adm::RecordType>> {
         match self.registry.resolve(&self.datatype) {
-            Ok(Datatype::Record(rt)) => Some((*rt).clone()),
+            Ok(Datatype::Record(rt)) => Some(rt),
             _ => None,
         }
     }
@@ -678,7 +680,7 @@ impl DatasetRuntime {
         let record_type = self.resolved_record_type();
         let mut wanted: Vec<Vec<(Vec<u8>, usize)>> = vec![Vec::new(); self.partitions()];
         for (i, pk) in pks.iter().enumerate() {
-            let pk = self.coerce_pk_as(record_type.as_ref(), pk);
+            let pk = self.coerce_pk_as(record_type.as_deref(), pk);
             wanted[self.partition_of(&pk)].push((keycodec::encode_key(&pk)?, i));
         }
         let mut go = true;
@@ -781,19 +783,23 @@ impl DatasetRuntime {
 
     /// Point lookup by primary key (partition-local).
     pub fn get_in_partition(&self, partition: usize, pk: &[Value]) -> Result<Option<Value>> {
-        let pk = self.coerce_pk(pk);
-        match self.primary[partition].get(&pk)? {
-            Some(bytes) => {
-                Ok(Some(adm_serde::decode_typed(&self.registry, &bytes, &self.datatype)?))
-            }
-            None => Ok(None),
-        }
+        self.get_coerced(partition, &self.coerce_pk(pk))
     }
 
     /// Point lookup routed to the owning partition.
     pub fn get(&self, pk: &[Value]) -> Result<Option<Value>> {
         let pk = self.coerce_pk(pk);
-        self.get_in_partition(self.partition_of(&pk), &pk)
+        self.get_coerced(self.partition_of(&pk), &pk)
+    }
+
+    /// Point lookup of an already coerced key in one partition.
+    fn get_coerced(&self, partition: usize, pk: &[Value]) -> Result<Option<Value>> {
+        match self.primary[partition].get(pk)? {
+            Some(bytes) => {
+                Ok(Some(adm_serde::decode_typed(&self.registry, &bytes, &self.datatype)?))
+            }
+            None => Ok(None),
+        }
     }
 
     /// Live record count.

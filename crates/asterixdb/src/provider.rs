@@ -265,6 +265,16 @@ impl MetadataProvider for InstanceProvider {
             .collect()
     }
 
+    fn primary_partition_of(&self, dataset: &str, key: &Value) -> Option<usize> {
+        // Stored datasets only (virtual and external ones have no runtime),
+        // and single-field keys only: a composite key's range is on its
+        // first field but its hash is on all of them. Routed exactly as
+        // `DatasetRuntime::get` and `insert` route, coercion included.
+        let ds = self.shared.dataset(dataset)?;
+        (ds.meta.primary_key.len() == 1)
+            .then(|| ds.partition_of(&ds.coerce_pk(std::slice::from_ref(key))))
+    }
+
     fn scan_source(&self, dataset: &str) -> asterix_hyracks::Result<SourceFn> {
         if let Some(records) = self.virtual_records(dataset) {
             let records = records?;

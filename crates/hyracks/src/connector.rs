@@ -20,7 +20,7 @@
 //! steady-state exchange does no per-frame allocation.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use asterix_adm::{encode_tuple_into, TupleRef};
 use asterix_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceContext};
@@ -61,7 +61,10 @@ pub struct ExchangeStats {
     /// Threads the most recent job did NOT spawn thanks to fusion: the
     /// one-thread-per-(operator, partition) count minus the pipeline count.
     fusion_saved_threads: Gauge,
-    /// Wall time each pipeline thread spent in its run body (µs).
+    /// Threads spawned by every job so far: a job's pipeline count minus
+    /// the one its caller runs. A one-pipeline job adds nothing.
+    threads_spawned: Counter,
+    /// Wall time each pipeline spent in its run body (µs).
     pipeline_busy_us: Histogram,
 }
 
@@ -75,6 +78,7 @@ impl Default for ExchangeStats {
             buffered_frames: Gauge::new(),
             pipelines_fused: Gauge::new(),
             fusion_saved_threads: Gauge::new(),
+            threads_spawned: Counter::new(),
             pipeline_busy_us: Histogram::duration_us(),
         }
     }
@@ -119,7 +123,12 @@ impl ExchangeStats {
         self.fusion_saved_threads.set(saved_threads);
     }
 
-    /// Record one pipeline thread's busy time.
+    /// Record the threads a job spawned (its pipelines but the caller's).
+    pub(crate) fn on_threads_spawned(&self, n: u64) {
+        self.threads_spawned.add(n);
+    }
+
+    /// Record one pipeline's busy time.
     pub(crate) fn on_pipeline_done(&self, busy: std::time::Duration) {
         self.pipeline_busy_us.record_duration(busy);
     }
@@ -165,6 +174,12 @@ impl ExchangeStats {
         self.fusion_saved_threads.get()
     }
 
+    /// Threads spawned by every job so far (the caller's own pipeline of
+    /// each job is not one).
+    pub fn threads_spawned(&self) -> u64 {
+        self.threads_spawned.get()
+    }
+
     /// Per-pipeline busy-time histogram (µs).
     pub fn pipeline_busy_us(&self) -> &Histogram {
         &self.pipeline_busy_us
@@ -181,6 +196,7 @@ impl ExchangeStats {
         reg.register_gauge(&format!("{prefix}.buffered_frames"), &self.buffered_frames);
         reg.register_gauge(&format!("{prefix}.pipelines_fused"), &self.pipelines_fused);
         reg.register_gauge(&format!("{prefix}.fusion_saved_threads"), &self.fusion_saved_threads);
+        reg.register_counter(&format!("{prefix}.threads_spawned"), &self.threads_spawned);
         reg.register_histogram(&format!("{prefix}.pipeline_busy_us"), &self.pipeline_busy_us);
     }
 }
@@ -279,6 +295,15 @@ impl std::fmt::Debug for ConnectorKind {
     }
 }
 
+/// The stats and pool of a port with no channel — a discard sink, a fused
+/// port, an empty input. Such a port never sends, receives or recycles a
+/// frame, so it touches neither, and every one of them shares this pair
+/// instead of allocating its own per job.
+fn inert() -> (Arc<ExchangeStats>, Arc<FramePool>) {
+    static INERT: OnceLock<(Arc<ExchangeStats>, Arc<FramePool>)> = OnceLock::new();
+    INERT.get_or_init(Default::default).clone()
+}
+
 /// How an output port routes each tuple.
 enum RouteStrategy {
     /// All tuples to one fixed destination channel.
@@ -349,13 +374,14 @@ impl OutputPort {
 
     /// A port that discards everything (for dangling outputs).
     pub fn sink() -> OutputPort {
+        let (stats, pool) = inert();
         OutputPort {
             senders: Vec::new(),
             buffers: Vec::new(),
             dead: Vec::new(),
             strategy: RouteStrategy::Replicate,
-            stats: Arc::default(),
-            pool: Arc::default(),
+            stats,
+            pool,
             tuples_per_frame: FRAME_CAPACITY,
             frame_bytes: DEFAULT_FRAME_BYTES,
             enc: Vec::new(),
@@ -700,13 +726,14 @@ impl InputPort {
 
     /// An input port that yields nothing (for testing/synthetic ops).
     pub fn empty() -> InputPort {
+        let (stats, pool) = inert();
         InputPort {
             receivers: Vec::new(),
             mode: InputMode::Any,
             lookahead: Vec::new(),
             exhausted: Vec::new(),
-            stats: Arc::default(),
-            pool: Arc::default(),
+            stats,
+            pool,
             meter: None,
             cancel: None,
         }

@@ -1,4 +1,4 @@
-//! The job executor: wires connectors, spawns one thread per operator
+//! The job executor: wires connectors, runs one pipeline per fused chain
 //! partition, and propagates failures.
 //!
 //! This is the Node Controller side of §4.1 collapsed into one process:
@@ -6,12 +6,19 @@
 //! (declared via `blocking_inputs`, the activity split) impose the stage
 //! ordering implicitly by consuming their blocking inputs to completion
 //! before emitting.
+//!
+//! A job of N pipelines spawns N − 1 threads: the calling thread runs one
+//! pipeline itself, through the same body as the spawned ones, between
+//! spawning and joining the rest. All N still coexist, so nothing about
+//! blocking inputs or backpressure changes — but a job that *is* one
+//! pipeline (a primary-key lookup pruned to its owning partition, the
+//! constant query of an `insert`) starts no thread and crosses no channel.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use asterix_obs::{Counter, TraceContext};
+use asterix_obs::{Counter, TraceContext, TraceSpan};
 
 use crate::connector::{wire, ExchangeConfig, ExchangeStats, InputPort, OutputPort};
 use crate::filter::{FilterFactory, FilterStats, RuntimeFilterHub};
@@ -35,10 +42,11 @@ pub struct ExecutorConfig {
     pub tuples_per_frame: usize,
     /// Flush an exchange frame once its occupancy reaches this many bytes.
     pub frame_bytes: usize,
-    /// Upper bound on the threads a single job may spawn. Jobs exceeding it
-    /// are rejected up front with a clear error instead of exhausting the
-    /// OS thread table mid-run. Under fusion a whole pipeline counts as one
-    /// thread.
+    /// Upper bound on the pipelines — fused chains × partitions — of a
+    /// single job, each of which occupies a thread while the job runs: one
+    /// is the caller's, the rest are spawned. Jobs exceeding it are
+    /// rejected up front with a clear error instead of exhausting the OS
+    /// thread table mid-run.
     pub max_threads: usize,
     /// Escape hatch: run every operator partition on its own thread with
     /// channels on every edge, as if no chain were fusible. For A/B
@@ -69,11 +77,11 @@ pub struct ExecutorConfig {
     /// [`HyracksError::Cancelled`] through the same drain/cleanup paths as
     /// `DownstreamClosed`, and the job reports `Cancelled`.
     pub cancel: Option<asterix_rm::CancellationToken>,
-    /// Tracing handle for the job. When enabled, every operator-partition
-    /// thread records a span (children of this context's parent), with
-    /// per-chain-member operator spans and exchange send-block spans
-    /// nested beneath. Disabled by default — the untraced path costs one
-    /// `Option` check per thread.
+    /// Tracing handle for the job. When enabled, every pipeline records a
+    /// span (children of this context's parent), with per-chain-member
+    /// operator spans and exchange send-block spans nested beneath.
+    /// Disabled by default — the untraced path costs one `Option` check per
+    /// pipeline.
     pub trace: TraceContext,
     /// Live tuple-progress counter (the RM jobs table's view), bumped per
     /// delivered frame by every output port.
@@ -151,6 +159,101 @@ pub fn run_job_profiled(
         .map(|p| p.expect("profiled run yields a profile"))
 }
 
+/// One pipeline of a job, wired and ready to run: a fused chain (or a lone
+/// operator) on one partition. The head operator runs its `run` body;
+/// chain members after it run as push stages stacked onto the head's
+/// output port.
+struct Pipeline {
+    desc: Arc<dyn OperatorDescriptor>,
+    partition: usize,
+    nparts: usize,
+    node: usize,
+    inputs: Vec<InputPort>,
+    outputs: Vec<OutputPort>,
+    /// Busy-time slots for every chain member on a profiled run (all get
+    /// the pipeline's elapsed run time — they shared the thread).
+    busy: Vec<Arc<parking_lot::Mutex<Duration>>>,
+    /// Chain-member operator names on a traced run, for per-operator
+    /// trace spans (same sharing semantics as `busy`).
+    op_names: Vec<String>,
+    fused: bool,
+}
+
+impl Pipeline {
+    /// Thread and span name; formatted only for a pipeline that is spawned
+    /// or traced.
+    fn name(&self) -> String {
+        format!("{}[{}]", self.desc.name(), self.partition)
+    }
+
+    /// The body of every pipeline, whichever thread runs it: a spawned
+    /// operator thread or the job's caller.
+    fn run(mut self, mut env: ExecEnv, trace: &TraceContext, stats: &ExchangeStats) -> Result<()> {
+        let run_started = Instant::now();
+        // Per-pipeline trace context: a span labelled with the partition,
+        // under which operator spans, send-block spans, and spill spans
+        // nest. Untraced, nothing is formatted or allocated.
+        let tspan = if trace.is_enabled() {
+            trace.with_label(&format!("p{}", self.partition)).span(&self.name())
+        } else {
+            TraceSpan::default()
+        };
+        let child = tspan.context();
+        if child.is_enabled() {
+            for out in self.outputs.iter_mut() {
+                out.set_trace(child.clone());
+            }
+            env.trace = child.clone();
+        }
+        let mut ctx = OpCtx {
+            partition: self.partition,
+            nparts: self.nparts,
+            node: self.node,
+            inputs: self.inputs,
+            outputs: self.outputs,
+            env,
+        };
+        let result = self.desc.run(&mut ctx);
+        // Drain remaining input so upstream memory is freed even on early
+        // exit/error, then finish the fused stages (delivering their
+        // buffered output) before the ports drop and close.
+        for input in ctx.inputs.iter_mut() {
+            input.drain();
+        }
+        let mut fin: Result<()> = Ok(());
+        for out in ctx.outputs.iter_mut() {
+            if let Err(e) = out.finish_fused() {
+                if fin.is_ok() {
+                    fin = Err(e);
+                }
+            }
+        }
+        let elapsed = run_started.elapsed();
+        if self.fused {
+            stats.on_pipeline_done(elapsed);
+        }
+        for b in &self.busy {
+            *b.lock() = elapsed;
+        }
+        if child.is_enabled() {
+            // One span per chain member, mirroring the busy meters: all
+            // share the thread, so all get the pipeline's elapsed time.
+            let elapsed_us = elapsed.as_micros() as u64;
+            for op in &self.op_names {
+                child.record(&format!("op:{op}"), tspan.start_us(), elapsed_us);
+            }
+        }
+        tspan.finish();
+        match (result, fin) {
+            (Ok(()), fin) => fin,
+            // A head stopped by a fused LIMIT is clean, but a real failure
+            // while finishing still surfaces.
+            (Err(HyracksError::DownstreamClosed), Err(e)) if !e.is_downstream_closed() => Err(e),
+            (result, _) => result,
+        }
+    }
+}
+
 fn run_job_inner(
     job: &JobSpec,
     cfg: &ExecutorConfig,
@@ -163,21 +266,22 @@ fn run_job_inner(
     let plan = if cfg.disable_fusion { job.unfused_plan()? } else { job.fusion_plan()? };
     let started = Instant::now();
 
-    // Every pipeline partition gets its own thread, and ALL of them must
-    // coexist for the duration of the job: stage ordering here is
-    // implicit — a blocking operator (hash-join build, sort run generation)
-    // simply consumes its blocking input to completion before emitting, so
-    // its thread must be alive and consuming while every transitive
-    // upstream thread is alive and producing. Running partitions through a
-    // smaller worker pool would deadlock (a queued-but-unscheduled consumer
-    // leaves its producers blocked on full channels forever). Hence a
-    // *guard*, not a pool: jobs that would need more threads than
-    // `max_threads` are rejected before anything is spawned. Fusion lowers
-    // the count — a fused chain is one thread per partition.
+    // Every pipeline partition gets a thread of its own — all but one, which
+    // the calling thread runs itself — and ALL of them must coexist for the
+    // duration of the job: stage ordering here is implicit — a blocking
+    // operator (hash-join build, sort run generation) simply consumes its
+    // blocking input to completion before emitting, so its thread must be
+    // alive and consuming while every transitive upstream thread is alive
+    // and producing. Running partitions through a smaller worker pool would
+    // deadlock (a queued-but-unscheduled consumer leaves its producers
+    // blocked on full channels forever). Hence a *guard*, not a pool: jobs
+    // with more pipelines than `max_threads` are rejected before anything
+    // is spawned. Fusion lowers the count — a fused chain is one pipeline
+    // per partition.
     let total_threads = plan.total_threads();
     if total_threads > cfg.max_threads.max(1) {
         return Err(HyracksError::InvalidJob(format!(
-            "job needs {total_threads} operator-partition threads, exceeding \
+            "job needs {total_threads} pipelines (a thread each), exceeding \
              ExecutorConfig::max_threads = {}; reduce partition counts or raise the cap",
             cfg.max_threads
         )));
@@ -206,7 +310,7 @@ fn run_job_inner(
         vectorized: !cfg.disable_vectorization,
         tuples_per_frame: cfg.tuples_per_frame.max(1),
         filters: RuntimeFilterHub::new(job.nfilters(), factory, cfg.filter_stats.clone()),
-        // Each thread swaps in its own labelled child context below.
+        // Each pipeline swaps in its own labelled child context.
         trace: TraceContext::disabled(),
     };
 
@@ -228,29 +332,13 @@ fn run_job_inner(
         conn_ins.push(ins.into_iter().map(Some).collect());
     }
 
-    // One thread per (chain, partition): the head operator runs its `run`
-    // body; chain members after it run as push stages stacked onto the
-    // head's output port. Build every pending thread before spawning any,
-    // so an instantiation error cannot leave already-spawned threads
+    // One pipeline per (chain, partition). Build every one before running
+    // any, so an instantiation error cannot leave already-spawned threads
     // running against half-wired channels.
-    struct PendingThread {
-        name: String,
-        desc: Arc<dyn OperatorDescriptor>,
-        partition: usize,
-        nparts: usize,
-        node: usize,
-        inputs: Vec<InputPort>,
-        outputs: Vec<OutputPort>,
-        /// Busy-time slots for every chain member (all get the pipeline's
-        /// elapsed run time — they shared the thread).
-        busy: Vec<Arc<parking_lot::Mutex<Duration>>>,
-        /// Chain-member operator names, for per-operator trace spans
-        /// (same sharing semantics as `busy`).
-        op_names: Vec<String>,
-        fused: bool,
-    }
-
-    let mut pending: Vec<PendingThread> = Vec::with_capacity(total_threads);
+    let mut pending: Vec<Pipeline> = Vec::with_capacity(total_threads);
+    // The last pipeline whose chain ends the job (its tail feeds no
+    // connector): the one holding the result sink.
+    let mut last_terminal: Option<usize> = None;
     for chain in &plan.chains {
         let head = chain.ops[0];
         let tail = *chain.ops.last().expect("chains are non-empty");
@@ -313,15 +401,16 @@ fn run_job_inner(
             if outputs.is_empty() {
                 outputs.push(OutputPort::sink());
             }
-            let desc = Arc::clone(&job.ops[head.0].desc);
             let op_names = if cfg.trace.is_enabled() {
-                chain.ops.iter().map(|id| job.ops[id.0].desc.name().to_string()).collect()
+                chain.ops.iter().map(|id| job.ops[id.0].desc.name()).collect()
             } else {
                 Vec::new()
             };
-            pending.push(PendingThread {
-                name: format!("{}[{p}]", desc.name()),
-                desc,
+            if out_conns.is_empty() {
+                last_terminal = Some(pending.len());
+            }
+            pending.push(Pipeline {
+                desc: Arc::clone(&job.ops[head.0].desc),
                 partition: p,
                 nparts: chain.nparts,
                 node,
@@ -334,96 +423,34 @@ fn run_job_inner(
         }
     }
 
-    let mut handles = Vec::new();
-    for pt in pending {
-        let PendingThread {
-            name,
-            desc,
-            partition,
-            nparts,
-            node,
-            inputs,
-            mut outputs,
-            busy,
-            op_names,
-            fused,
-        } = pt;
-        let stats = Arc::clone(stats);
-        let mut env = env.clone();
-        let profiling = profile.is_some();
-        // Per-thread trace context: a pipeline span labelled with the
-        // partition, under which operator spans, send-block spans, and
-        // spill spans nest. One clone + no-op span when tracing is off.
-        let tctx = cfg.trace.with_label(&format!("p{partition}"));
-        let span_name = name.clone();
-        handles.push(
+    // The caller stands in for one pipeline instead of parking in `join`:
+    // the one holding the result sink (which is also the last to finish),
+    // else simply the last. Every other pipeline is spawned first, so all
+    // of them still coexist — and a job that is one pipeline (a pruned
+    // primary-key lookup, an insert's constant query) starts no thread and
+    // crosses no channel.
+    let own = last_terminal.or(pending.len().checked_sub(1)).map(|i| pending.remove(i));
+    stats.on_threads_spawned(pending.len() as u64);
+    let handles: Vec<_> = pending
+        .into_iter()
+        .map(|pl| {
+            let (env, trace, stats) = (env.clone(), cfg.trace.clone(), Arc::clone(stats));
             thread::Builder::new()
-                .name(name)
-                .spawn(move || {
-                    let run_started = Instant::now();
-                    let tspan = tctx.span(&span_name);
-                    let child = tspan.context();
-                    if child.is_enabled() {
-                        for out in outputs.iter_mut() {
-                            out.set_trace(child.clone());
-                        }
-                        env.trace = child.clone();
-                    }
-                    let mut ctx = OpCtx { partition, nparts, node, inputs, outputs, env };
-                    let result = desc.run(&mut ctx);
-                    // Drain remaining input so upstream memory is freed
-                    // even on early exit/error, then finish the fused
-                    // stages (delivering their buffered output) before the
-                    // ports drop and close.
-                    for input in ctx.inputs.iter_mut() {
-                        input.drain();
-                    }
-                    let mut fin: Result<()> = Ok(());
-                    for out in ctx.outputs.iter_mut() {
-                        if let Err(e) = out.finish_fused() {
-                            if fin.is_ok() {
-                                fin = Err(e);
-                            }
-                        }
-                    }
-                    let elapsed = run_started.elapsed();
-                    if fused {
-                        stats.on_pipeline_done(elapsed);
-                    }
-                    if profiling {
-                        for b in &busy {
-                            *b.lock() = elapsed;
-                        }
-                    }
-                    if child.is_enabled() {
-                        // One span per chain member, mirroring the busy
-                        // meters: all share the thread, so all get the
-                        // pipeline's elapsed time.
-                        let elapsed_us = elapsed.as_micros() as u64;
-                        for op in &op_names {
-                            child.record(&format!("op:{op}"), tspan.start_us(), elapsed_us);
-                        }
-                    }
-                    tspan.finish();
-                    match (result, fin) {
-                        (Ok(()), fin) => fin,
-                        // A head stopped by a fused LIMIT is clean, but a
-                        // real failure while finishing still surfaces.
-                        (Err(HyracksError::DownstreamClosed), Err(e))
-                            if !e.is_downstream_closed() =>
-                        {
-                            Err(e)
-                        }
-                        (result, _) => result,
-                    }
-                })
-                .expect("spawn operator thread"),
-        );
-    }
+                .name(pl.name())
+                .spawn(move || pl.run(env, &trace, &stats))
+                .expect("spawn operator thread")
+        })
+        .collect();
+    // A panic on the caller's pipeline is caught like a spawned thread's is
+    // by `join`: the unwind drops its ports, the rest of the job winds down
+    // through them, and the session thread lives on.
+    let own_outcome = own.map(|pl| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pl.run(env, &cfg.trace, stats)))
+    });
 
     let mut first_err: Option<HyracksError> = None;
-    for h in handles {
-        match h.join() {
+    for outcome in handles.into_iter().map(|h| h.join()).chain(own_outcome) {
+        match outcome {
             Ok(Ok(())) => {}
             // A producer cut short because every consumer hung up (LIMIT
             // satisfied, etc.) is a clean early exit, not a job failure.
@@ -1002,11 +1029,15 @@ mod tests {
 
         let plan = job.fusion_plan().unwrap();
         assert_eq!(plan.total_threads(), 1, "scan→limit→sink fuses to a single thread");
-        run_job(&job).unwrap();
+        let stats = Arc::new(ExchangeStats::new());
+        run_job_with_stats(&job, &ExecutorConfig::default(), &stats).unwrap();
         let got: Vec<i64> = collector.lock().iter().map(|t| t[0].as_i64().unwrap()).collect();
         assert_eq!(got, vec![1, 2, 3]);
         let n = emitted.load(Ordering::Relaxed);
         assert_eq!(n, 4, "fused LIMIT stops the scan on the very next push");
+        // ...and that thread was the caller's: the early stop ends an
+        // inline chain as cleanly as a spawned one.
+        assert_eq!(stats.threads_spawned(), 0);
     }
 
     #[test]
@@ -1194,5 +1225,162 @@ mod tests {
             matches!(res, Err(crate::HyracksError::Cancelled)),
             "expected Cancelled, got {res:?}"
         );
+    }
+
+    /// Where an operator ran: a select that notes its thread.
+    fn noting_select(seen: &Arc<Mutex<Vec<thread::ThreadId>>>) -> Arc<SelectOp> {
+        let seen = Arc::clone(seen);
+        Arc::new(SelectOp::new(
+            "where",
+            Arc::new(move |_t: &Vec<Value>| {
+                seen.lock().push(thread::current().id());
+                Ok(true)
+            }),
+        ))
+    }
+
+    #[test]
+    fn the_caller_runs_one_pipeline_of_every_job() {
+        let me = thread::current().id();
+
+        // scan → select → sink is one pipeline: it runs here, no thread is
+        // spawned and no frame crosses a channel.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut job = JobSpec::new();
+        let src = job.add(1, int_source("scan", 10));
+        let sel = job.add(1, noting_select(&seen));
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::OneToOne, src, sel);
+        job.connect(ConnectorKind::OneToOne, sel, sink);
+        let stats = Arc::new(ExchangeStats::new());
+        run_job_with_stats(&job, &ExecutorConfig::default(), &stats).unwrap();
+        assert_eq!(collector.lock().len(), 10);
+        assert!(seen.lock().iter().all(|&t| t == me), "the only pipeline ran elsewhere");
+        assert_eq!((stats.threads_spawned(), stats.frames_sent()), (0, 0));
+
+        // Two pipelines, one spawned: the scan side gets a thread, the
+        // chain holding the sink runs here.
+        let (up, down) = (Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(Vec::new())));
+        let mut job = JobSpec::new();
+        let src = job.add(1, int_source("scan", 10));
+        let sel_up = job.add(1, noting_select(&up));
+        let sel_down = job.add(1, noting_select(&down));
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::OneToOne, src, sel_up);
+        job.connect(ConnectorKind::MToNReplicating, sel_up, sel_down);
+        job.connect(ConnectorKind::OneToOne, sel_down, sink);
+        assert_eq!(job.fusion_plan().unwrap().total_threads(), 2);
+        run_job_with_stats(&job, &ExecutorConfig::default(), &stats).unwrap();
+        assert_eq!(collector.lock().len(), 10);
+        assert_eq!(stats.threads_spawned(), 1, "a job spawns its pipeline count minus one");
+        assert!(up.lock().iter().all(|&t| t != me) && down.lock().iter().all(|&t| t == me));
+
+        // Unfused, the same job is four pipelines: three threads more.
+        let unfused = ExecutorConfig { disable_fusion: true, ..Default::default() };
+        run_job_with_stats(&job, &unfused, &stats).unwrap();
+        assert_eq!(stats.threads_spawned(), 1 + 3);
+    }
+
+    #[test]
+    fn a_panicking_pipeline_fails_the_job_not_the_caller() {
+        let panicking = |connector: ConnectorKind| {
+            let mut job = JobSpec::new();
+            let src = job.add(
+                1,
+                Arc::new(SourceOp::new("boom", |_p, _n, emit| {
+                    emit(vec![Value::Int64(1)])?;
+                    panic!("intentional test panic");
+                })),
+            );
+            let (sink, _collector) = collect_sink(&mut job);
+            job.connect(connector, src, sink);
+            job
+        };
+        let stats = Arc::new(ExchangeStats::new());
+        // The source on the caller's thread (one fused pipeline), then on a
+        // spawned one (the caller runs the sink).
+        for (connector, spawned) in
+            [(ConnectorKind::OneToOne, 0), (ConnectorKind::MToNReplicating, 1)]
+        {
+            let before = stats.threads_spawned();
+            let err = run_job_with_stats(&panicking(connector), &ExecutorConfig::default(), &stats)
+                .unwrap_err();
+            assert!(
+                matches!(&err, HyracksError::Operator(m) if m == "operator thread panicked"),
+                "unexpected error: {err}"
+            );
+            assert_eq!(stats.threads_spawned() - before, spawned);
+        }
+        // This thread is none the worse: its next job runs, inline.
+        let mut job = JobSpec::new();
+        let src = job.add(1, int_source("scan", 5));
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::OneToOne, src, sink);
+        run_job(&job).unwrap();
+        assert_eq!(collector.lock().len(), 5);
+    }
+
+    #[test]
+    fn an_endless_inline_pipeline_is_cancelled_by_token_and_by_deadline() {
+        use asterix_rm::CancellationToken;
+
+        // scan → sink fuses into the caller's own pipeline: nobody else is
+        // there to unwind it, so its own pushes must observe the token.
+        let mut job = JobSpec::new();
+        let src = job.add(
+            1,
+            Arc::new(SourceOp::new("endless", |_p, _n, emit| loop {
+                emit(vec![Value::Int64(0)])?;
+            })),
+        );
+        let (sink, _collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::OneToOne, src, sink);
+        assert_eq!(job.fusion_plan().unwrap().total_threads(), 1);
+
+        let stats = Arc::new(ExchangeStats::new());
+        let explicit = CancellationToken::new();
+        let canceller = {
+            let token = explicit.clone();
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(50));
+                token.cancel();
+            })
+        };
+        let deadline = CancellationToken::deadline_in(Duration::from_millis(50));
+        for token in [explicit, deadline] {
+            let cfg = ExecutorConfig { cancel: Some(token), ..Default::default() };
+            let res = run_job_with_stats(&job, &cfg, &stats);
+            assert!(matches!(res, Err(HyracksError::Cancelled)), "expected Cancelled, got {res:?}");
+        }
+        canceller.join().unwrap();
+        assert_eq!(stats.threads_spawned(), 0);
+    }
+
+    #[test]
+    fn a_spawned_pipelines_error_wins_over_the_callers_early_stop() {
+        // The caller runs gather → limit → sink and is stopped by its own
+        // fused LIMIT (DownstreamClosed, a clean exit); the spawned source
+        // fails for real after feeding it. The job reports the failure.
+        let mut job = JobSpec::new();
+        let src = job.add(
+            1,
+            Arc::new(SourceOp::new("fails-late", |_p, _n, emit| {
+                for i in 0..10i64 {
+                    emit(vec![Value::Int64(i)])?;
+                }
+                Err(HyracksError::Operator("intentional".into()))
+            })),
+        );
+        let gather =
+            job.add(1, Arc::new(crate::ops::MapOp::new("gather", |t| Ok(vec![t.clone()]))));
+        let limit = job.add(1, Arc::new(LimitOp { limit: 3, offset: 0 }));
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::MToNReplicating, src, gather);
+        job.connect(ConnectorKind::OneToOne, gather, limit);
+        job.connect(ConnectorKind::OneToOne, limit, sink);
+        assert_eq!(job.fusion_plan().unwrap().total_threads(), 2);
+        let err = run_job(&job).unwrap_err();
+        assert!(matches!(&err, HyracksError::Operator(m) if m == "intentional"), "{err}");
+        assert_eq!(collector.lock().len(), 3, "the limit was satisfied before the failure");
     }
 }

@@ -62,8 +62,10 @@ pub struct FusionPlan {
 }
 
 impl FusionPlan {
-    /// Threads the job will spawn: one per (chain, partition) — this is
-    /// what `ExecutorConfig::max_threads` guards under fusion.
+    /// Pipelines of the job, one per (chain, partition): each occupies a
+    /// thread while the job runs — the caller's for one, a spawned one for
+    /// each of the rest — and this is what `ExecutorConfig::max_threads`
+    /// guards.
     pub fn total_threads(&self) -> usize {
         self.chains.iter().map(|c| c.nparts).sum()
     }

@@ -21,7 +21,7 @@
 //! an allocation. Truncated or garbage frames surface as
 //! [`FrameError::Protocol`] / clean EOF, never a hang or an OOM.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use asterix_adm::Value;
 
@@ -200,14 +200,27 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Write one frame: length prefix, opcode, payload.
+/// Write one frame: length prefix, opcode, payload — header and payload in
+/// **one** vectored write. On a `TCP_NODELAY` socket two `write_all`s are
+/// two segments, and the peer wakes for the 5 header bytes and again for
+/// the payload; a frame the socket takes whole costs one `writev` and one
+/// wake-up, with no copy of the payload. A short write is completed from
+/// where it stopped.
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> std::io::Result<()> {
     let len = payload.len() as u32;
     let mut head = [0u8; 5];
     head[..4].copy_from_slice(&len.to_be_bytes());
     head[4] = opcode;
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    let mut written = 0;
+    while written < head.len() {
+        match w.write_vectored(&[IoSlice::new(&head[written..]), IoSlice::new(payload)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(&payload[written - head.len()..])?;
     w.flush()
 }
 
@@ -522,6 +535,64 @@ mod tests {
         let (op, payload) = read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES_DEFAULT).unwrap();
         assert_eq!(op, Request::Execute as u8);
         assert_eq!(payload, b"for $x in [1] return $x");
+    }
+
+    /// Counts write calls of either kind (each is one syscall on a socket)
+    /// and takes at most `max` bytes per call.
+    struct CountingSink {
+        data: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.max;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.data.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.max - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_that_fits_is_one_write_and_a_short_write_is_completed() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, Response::Results as u8, &payload).unwrap();
+        assert_eq!(whole.len(), 5 + payload.len());
+
+        let mut sink = CountingSink { data: Vec::new(), calls: 0, max: usize::MAX };
+        write_frame(&mut sink, Response::Results as u8, &payload).unwrap();
+        assert_eq!(sink.calls, 1, "header and payload leave in one write");
+        assert_eq!(sink.data, whole);
+        write_frame(&mut sink, Response::Ok as u8, &[]).unwrap();
+        assert_eq!(sink.calls, 2, "an empty payload is one write too");
+
+        // Every short-write size, among them ones that stop inside the
+        // header, at its end, and inside the payload.
+        for max in [1, 2, 4, 5, 6, 7, 100, 260, 261] {
+            let mut sink = CountingSink { data: Vec::new(), calls: 0, max };
+            write_frame(&mut sink, Response::Results as u8, &payload).unwrap();
+            assert_eq!(sink.data, whole, "max {max} bytes per write");
+            assert_eq!(sink.calls, whole.len().div_ceil(max), "max {max}");
+        }
+
+        // A sink that takes nothing is an error, not a spin.
+        let mut sink = CountingSink { data: Vec::new(), calls: 0, max: 0 };
+        let err = write_frame(&mut sink, Response::Ok as u8, b"x").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

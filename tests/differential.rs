@@ -429,22 +429,32 @@ fn ix_ts(m: i64) -> i64 {
     m * 37 % 1440
 }
 
+/// Open (or re-open) the instance under `dir` the way `setup` runs it, in
+/// `dataverse`.
+fn open_setup(
+    dir: &std::path::Path,
+    setup: IxSetup,
+    disable_columnar: bool,
+    dataverse: &str,
+) -> Arc<Instance> {
+    let mut cfg = ClusterConfig::small(dir);
+    (cfg.nodes, cfg.partitions_per_node) = setup.topology;
+    cfg.disable_columnar = disable_columnar;
+    cfg.disable_fusion = setup.disable_fusion;
+    let instance = Instance::open(cfg).unwrap();
+    let enter = format!("create dataverse {dataverse} if not exists; use dataverse {dataverse};");
+    instance.execute(&enter).unwrap();
+    instance
+}
+
 /// The benchmark's schema (`perf/src/env.rs`) cut down to the fields its
 /// shapes touch, under the benchmark's names, loaded in three stages like
 /// [`pushdown_instance`]: two flushes and a tail left in memory, each
 /// later stage rewriting and deleting messages of the earlier ones.
 fn ix_instance(setup: IxSetup) -> (Arc<Instance>, tempfile::TempDir) {
     let dir = tempfile::TempDir::new().unwrap();
-    let IxSetup { layout, disable_fusion, topology } = setup;
-    let open = |disable_columnar: bool| {
-        let mut cfg = ClusterConfig::small(dir.path());
-        (cfg.nodes, cfg.partitions_per_node) = topology;
-        cfg.disable_columnar = disable_columnar;
-        cfg.disable_fusion = disable_fusion;
-        let instance = Instance::open(cfg).unwrap();
-        instance.execute("create dataverse Perf if not exists; use dataverse Perf;").unwrap();
-        instance
-    };
+    let layout = setup.layout;
+    let open = |disable_columnar: bool| open_setup(dir.path(), setup, disable_columnar, "Perf");
     let flush = |instance: &Arc<Instance>| {
         if layout != Layout::Memory {
             instance.dataset("MugshotUsers").unwrap().flush_all().unwrap();
@@ -737,6 +747,141 @@ fn sel2join_hint_compiles_to_an_index_nl_join() {
     // Without the hint it is the hash join of two index searches.
     let (plan, _) = instance.explain(&sel2join_text(&a, false)).unwrap();
     assert!(plan.contains("hash-join") && !plan.contains("index-nl-join"), "{plan}");
+}
+
+// ---------------------------------------------------------------------------
+// Primary-key lookups, pruned to the owning partition
+// ---------------------------------------------------------------------------
+
+/// Record `i` of the lookup datasets: `K32` keyed by an int32, `K64` by an
+/// int64, `KS` by the string `k{i}`.
+fn lookup_record(dataset: &str, i: i64, v: i64) -> Value {
+    let id = if dataset == "KS" { format!("\"k{i}\"") } else { i.to_string() };
+    asterix_adm::parse::parse_value(&format!("{{ \"id\": {id}, \"v\": {v} }}")).unwrap()
+}
+
+/// Three datasets of 100 records loaded in three stages like
+/// [`pushdown_instance`]: two flushes and a tail left in memory, each later
+/// stage rewriting (`v` becomes 5000) and deleting keys of the earlier ones.
+fn lookup_instance(setup: IxSetup) -> (Arc<Instance>, tempfile::TempDir) {
+    let dir = tempfile::TempDir::new().unwrap();
+    let layout = setup.layout;
+    let open = |disable_columnar: bool| open_setup(dir.path(), setup, disable_columnar, "Look");
+    let mut instance = open(matches!(layout, Layout::RowComponents | Layout::Mixed));
+    instance
+        .execute(
+            "create type T32 as open { id: int32, v: int64 };
+             create type T64 as open { id: int64, v: int64 };
+             create type TS as open { id: string, v: int64 };
+             create dataset K32(T32) primary key id;
+             create dataset K64(T64) primary key id;
+             create dataset KS(TS) primary key id;",
+        )
+        .unwrap();
+    let stage = |instance: &Arc<Instance>,
+                 ids: std::ops::Range<i64>,
+                 rewritten: Option<i64>,
+                 deleted: Option<i64>,
+                 flush: bool| {
+        for name in ["K32", "K64", "KS"] {
+            let d = instance.dataset(name).unwrap();
+            let key = |i| lookup_record(name, i, 0).field("id");
+            for i in ids.clone() {
+                d.insert(&lookup_record(name, i, i * 10)).unwrap();
+            }
+            if let Some(i) = rewritten {
+                assert!(d.delete_by_pk(&[key(i)]).unwrap());
+                d.insert(&lookup_record(name, i, 5000)).unwrap();
+            }
+            if let Some(i) = deleted {
+                assert!(d.delete_by_pk(&[key(i)]).unwrap());
+            }
+            if flush && layout != Layout::Memory {
+                d.flush_all().unwrap();
+            }
+        }
+    };
+    stage(&instance, 0..40, None, None, true);
+    if layout == Layout::Mixed {
+        drop(instance);
+        instance = open(false);
+    }
+    stage(&instance, 40..80, Some(5), Some(8), true);
+    stage(&instance, 80..100, Some(45), Some(48), false);
+    (instance, dir)
+}
+
+/// A primary-key equality runs on the one partition that owns the key. It
+/// must answer as the interpreter does (which still asks every partition)
+/// and as `DatasetRuntime::get` does (which routes the same way), whatever
+/// the key's type, the literal's width, the topology, the components the
+/// record sits in, fused or not — and keep doing so after a `delete`.
+#[test]
+fn key_lookups_answer_identically_on_every_layout_and_topology() {
+    // (dataset, literal, the key `get` is asked for): present in each
+    // stage, rewritten, deleted, absent; int64 and double literals against
+    // the int32 key, one of them too wide for it; a string key; keys of
+    // the wrong type.
+    let mut probes: Vec<(&str, String, Value)> = Vec::new();
+    for i in [17, 57, 90, 5, 45, 8, 48, 1000, -1] {
+        probes.push(("K32", i.to_string(), Value::Int64(i)));
+        probes.push(("K64", i.to_string(), Value::Int64(i)));
+        probes.push(("KS", format!("\"k{i}\""), Value::string(format!("k{i}"))));
+    }
+    probes.push(("K32", "57.0".into(), Value::Double(57.0)));
+    probes.push(("K32", "57.5".into(), Value::Double(57.5)));
+    probes.push(("K32", "3000000000".into(), Value::Int64(3_000_000_000)));
+    probes.push(("KS", "57".into(), Value::Int64(57)));
+    probes.push(("K64", "\"k57\"".into(), Value::string("k57")));
+
+    for layout in [Layout::Memory, Layout::RowComponents, Layout::Columnar, Layout::Mixed] {
+        for topology in [(1, 1), (2, 2), (4, 3)] {
+            for disable_fusion in [false, true] {
+                let setup = IxSetup { layout, disable_fusion, topology };
+                let (instance, _d) = lookup_instance(setup);
+                let lookup = |dataset: &str, literal: &str, key: &Value| -> Vec<String> {
+                    let q =
+                        format!("for $d in dataset {dataset} where $d.id = {literal} return $d");
+                    let got = canonical(instance.query(&q).unwrap());
+                    assert_eq!(
+                        got,
+                        canonical(interpreted(&instance, "Look", &q)),
+                        "{setup:?}: {q}"
+                    );
+                    let stored =
+                        instance.dataset(dataset).unwrap().get(std::slice::from_ref(key)).unwrap();
+                    assert_eq!(got, canonical(stored.into_iter().collect()), "{setup:?}: {q}");
+                    got
+                };
+                let mut found = 0;
+                for (dataset, literal, key) in &probes {
+                    found += lookup(dataset, literal, key).len();
+                }
+                // Per dataset 17, 57, 90, 5 and 45. (Not 57.0: the key
+                // encoding keeps a double apart from the integer beside
+                // it, on every path alike.)
+                assert_eq!(found, 3 * 5, "{setup:?}");
+                let rewritten = lookup("K32", "45", &Value::Int64(45));
+                assert!(rewritten[0].contains("5000"), "{setup:?}: {rewritten:?}");
+
+                // One partition searched, nothing gathered — and the same
+                // plan, re-bound, serves every key.
+                let (_, job) =
+                    instance.explain("for $d in dataset K32 where $d.id = 17 return $d").unwrap();
+                assert!(job.contains("btree-search Look.K32 (primary) [parts=1"), "{job}");
+                assert!(!job.contains("replicating"), "{setup:?}: {job}");
+
+                // `delete` finds its victim through the same pruned search.
+                for (dataset, literal, key) in &probes[3..6] {
+                    assert_eq!(lookup(dataset, literal, key).len(), 1, "{setup:?}");
+                    let del = format!("delete $d from dataset {dataset} where $d.id = {literal};");
+                    instance.execute(&del).unwrap();
+                    assert_eq!(lookup(dataset, literal, key).len(), 0, "{setup:?}: {del}");
+                }
+                assert_eq!(lookup("K64", "17", &Value::Int64(17)).len(), 1, "{setup:?}");
+            }
+        }
+    }
 }
 
 /// Access the instance's shared state (the provider constructor is public

@@ -475,6 +475,78 @@ fn registry_carries_storage_and_exchange_metrics() {
     assert!(json.contains("\"exchange.frames_sent\""));
 }
 
+/// "Zero threads for a point query" as a count: a primary-key equality is
+/// pruned to the partition that owns the key, so the lookup — like the
+/// constant query of an `insert` and the key search of a `delete` — is one
+/// pipeline, which the calling thread runs itself. Only jobs of several
+/// pipelines spawn, and they spawn one fewer than they have.
+#[test]
+fn point_queries_spawn_no_threads() {
+    let (instance, _dir) = join_instance(N);
+    instance
+        .execute(
+            r#"use dataverse Prof;
+               create type PairType as open { a: int64, b: int64 };
+               create dataset Pairs(PairType) primary key a, b;
+               insert into dataset Pairs ({ "a": 1, "b": 2, "c": "x" });"#,
+        )
+        .unwrap();
+    let spawned = || instance.exchange_stats().threads_spawned();
+    let frames = || instance.exchange_stats().frames_sent();
+
+    let before = (spawned(), frames());
+    let lookup =
+        instance.prepare("for $u in dataset MugshotUsers where $u.id = 7 return $u").unwrap();
+    for k in 1..=100i64 {
+        let rows = instance.execute_prepared(&lookup, &[asterix_adm::Value::Int64(k)]).unwrap();
+        let ids: Vec<i64> = rows.iter().map(|r| r.field("id").as_i64().unwrap()).collect();
+        assert_eq!(ids, if k <= N as i64 { vec![k] } else { vec![] }, "lookup of {k}");
+    }
+    for i in 0..10 {
+        let id = 1000 + i;
+        instance
+            .execute(&format!(
+                r#"insert into dataset MugshotUsers ({{ "id": {id}, "name": "new" }});"#
+            ))
+            .unwrap();
+    }
+    instance.execute("delete $u from dataset MugshotUsers where $u.id = 1003;").unwrap();
+    assert_eq!(
+        instance.query("for $u in dataset MugshotUsers where $u.id = 1003 return $u").unwrap(),
+        vec![]
+    );
+    assert_eq!(
+        (spawned(), frames()),
+        before,
+        "112 one-pipeline jobs started no thread and crossed no channel"
+    );
+
+    // A full scan on 4 partitions is 4 fused scan pipelines and the sink:
+    // four threads, the sink on the caller.
+    let rows = instance.query("for $u in dataset MugshotUsers return $u.id").unwrap();
+    assert_eq!(rows.len(), N + 9);
+    assert_eq!(spawned() - before.0, 4);
+    match instance.metrics().get("exchange.threads_spawned") {
+        Some(Metric::Counter(c)) => assert_eq!(c.get(), spawned()),
+        other => panic!("exchange.threads_spawned missing: {other:?}"),
+    }
+    assert!(instance.metrics_json().contains("\"exchange.threads_spawned\""));
+
+    // The plans say the same: the equality searches one partition and
+    // gathers nothing; a key range, and an equality on the first field of
+    // a composite key (hashed on both), search all four.
+    let job_of = |aql: &str| instance.explain(aql).unwrap().1;
+    let job = job_of("for $u in dataset MugshotUsers where $u.id = 7 return $u");
+    assert!(job.contains("btree-search Prof.MugshotUsers (primary) [parts=1"), "{job}");
+    assert!(!job.contains("replicating") && !job.contains("parts=4"), "{job}");
+    let job = job_of("for $u in dataset MugshotUsers where $u.id >= 7 and $u.id <= 8 return $u");
+    assert!(job.contains("btree-search Prof.MugshotUsers (primary) [parts=4"), "{job}");
+    let pair = "for $p in dataset Pairs where $p.a = 1 return $p.c";
+    let job = job_of(pair);
+    assert!(job.contains("btree-search Prof.Pairs (primary) [parts=4"), "{job}");
+    assert_eq!(instance.query(pair).unwrap(), vec![asterix_adm::Value::string("x")]);
+}
+
 /// The profiled Table-3 join yields a span tree rooted at the query's
 /// trace ID: compile phases and `execute` under the root, per-partition
 /// pipeline spans under `execute`, and an `op:` span for every operator

@@ -647,3 +647,90 @@ proptest! {
         prop_assert_eq!(collect(ScanBound::Keys(&keys)), expected);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Partition pruning
+// ---------------------------------------------------------------------------
+
+/// A lookup key as a query may spell it: an integer at any width, an
+/// integral double, or a string — small (likely stored) or anywhere inside
+/// the exact numeric range the ordkey tests keep.
+fn probe_key() -> impl Strategy<Value = Value> {
+    let n = prop_oneof![3 => -40i64..40, 1 => -8_999_999_999_999_999i64..9_000_000_000_000_000];
+    (n, 0u8..6).prop_map(|(n, shape)| match shape {
+        0 => Value::Int8(n as i8),
+        1 => Value::Int16(n as i16),
+        2 => Value::Int32(n as i32),
+        3 => Value::Int64(n),
+        4 => Value::Double(n as f64),
+        _ => Value::string(format!("k{n}")),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A primary-key equality is searched on the owning partition alone.
+    /// Whatever the key's declared type and the probe's spelling, that
+    /// pruned plan finds what a search of every partition finds and what
+    /// `DatasetRuntime::get` — which routes the same way — finds.
+    #[test]
+    fn pruned_key_lookup_equals_all_partition_search_and_get(
+        key_type in prop_oneof![Just("int32"), Just("int64"), Just("string")],
+        stored in prop::collection::vec(
+            prop_oneof![3 => -40i64..40, 1 => -8_999_999_999_999_999i64..9_000_000_000_000_000],
+            0..60,
+        ),
+        flush_after in 0usize..60,
+        probes in prop::collection::vec(probe_key(), 1..40),
+    ) {
+        use asterix_algebricks::metadata::{KeyBound, MetadataProvider};
+        use asterixdb::{ClusterConfig, Instance};
+
+        let dir = tempfile::TempDir::new().unwrap();
+        let mut cfg = ClusterConfig::small(dir.path());
+        (cfg.nodes, cfg.partitions_per_node) = (2, 2);
+        let instance = Instance::open(cfg).unwrap();
+        instance
+            .execute(&format!(
+                "create dataverse P; use dataverse P;
+                 create type T as open {{ id: {key_type} }};
+                 create dataset D(T) primary key id;"
+            ))
+            .unwrap();
+        let d = instance.dataset("D").unwrap();
+        let mut keys: Vec<Value> = stored
+            .iter()
+            .map(|&n| match key_type {
+                "int32" => Value::Int32(n as i32),
+                "int64" => Value::Int64(n),
+                _ => Value::string(format!("k{n}")),
+            })
+            .collect();
+        keys.sort_by(|a, b| a.total_cmp(b));
+        keys.dedup();
+        for (i, key) in keys.iter().enumerate() {
+            let mut r = Record::new();
+            r.set("id", key.clone());
+            r.set("n", Value::Int64(i as i64));
+            d.insert(&Value::record(r)).unwrap();
+            if i == flush_after {
+                d.flush_all().unwrap();
+            }
+        }
+
+        let provider = asterixdb::provider::InstanceProvider { shared: instance.shared_state() };
+        let lookup = instance.prepare("for $d in dataset D where $d.id = 0 return $d").unwrap();
+        // Every stored key is a probe too, so hits are never rare.
+        for probe in probes.iter().chain(&keys) {
+            let pruned = instance.execute_prepared(&lookup, std::slice::from_ref(probe)).unwrap();
+            let bound = || KeyBound::Inclusive(probe.clone());
+            let everywhere = provider.primary_range_all("P.D", bound(), bound()).unwrap();
+            prop_assert_eq!(&pruned, &everywhere, "{} key, probe {:?}", key_type, probe);
+            let got: Vec<Value> = d.get(std::slice::from_ref(probe)).unwrap().into_iter().collect();
+            prop_assert_eq!(&pruned, &got, "{} key, probe {:?}", key_type, probe);
+        }
+        let job = instance.explain("for $d in dataset D where $d.id = 0 return $d").unwrap().1;
+        prop_assert!(job.contains("btree-search P.D (primary) [parts=1"), "{}", job);
+    }
+}
