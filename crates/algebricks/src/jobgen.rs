@@ -292,6 +292,53 @@ fn memory_hungry_ops(op: &LogicalOp) -> usize {
     }
 }
 
+/// The share of its input a select — or of its dataset an index search —
+/// is taken to keep: one tenth, whatever the predicate.
+const ASSUMED_SELECTIVITY: u64 = 10;
+
+/// About how many rows `op` produces, bottom-up from what the provider
+/// says its datasets hold; `None` when some input cannot be sized (an
+/// unnest, a join, a dataset the provider does not count). Only its order
+/// between the two inputs of a hash join matters: the smaller one builds.
+fn estimated_rows(op: &LogicalOp, provider: &dyn MetadataProvider) -> Option<u64> {
+    let input_rows = |input: &LogicalOp| estimated_rows(input, provider);
+    Some(match op {
+        LogicalOp::DataSourceScan { dataset, .. } => provider.dataset_rows(dataset)?,
+        LogicalOp::IndexSearch { dataset, .. } => {
+            (provider.dataset_rows(dataset)? / ASSUMED_SELECTIVITY).max(1)
+        }
+        LogicalOp::Select { input, .. } => (input_rows(input)? / ASSUMED_SELECTIVITY).max(1),
+        LogicalOp::Limit { input, count, .. } => input_rows(input)?.min(*count as u64),
+        LogicalOp::Aggregate { .. } => 1,
+        LogicalOp::Assign { input, .. }
+        | LogicalOp::Order { input, .. }
+        | LogicalOp::GroupBy { input, .. } => input_rows(input)?,
+        _ => return None,
+    })
+}
+
+/// The field a hash join's probe input can test for build partners inside
+/// its scan: the input is a scan — bare, or under the one select whose
+/// conjuncts are pushed into that scan — and the join's one key is a field
+/// of the scanned record.
+fn probe_scan_field<'a>(probe: &LogicalOp, keys: &'a [LogicalExpr]) -> Option<&'a str> {
+    let scanned = match probe {
+        LogicalOp::DataSourceScan { var, .. } => var,
+        LogicalOp::Select { input, .. } => match input.as_ref() {
+            LogicalOp::DataSourceScan { var, .. } => var,
+            _ => return None,
+        },
+        _ => return None,
+    };
+    match keys {
+        [LogicalExpr::FieldAccess(base, field)] => match base.as_ref() {
+            LogicalExpr::Var(v) if v == scanned => Some(field),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Compile an optimized logical plan into a Hyracks job.
 pub fn compile(
     plan: &LogicalOp,
@@ -573,7 +620,7 @@ impl Gen {
             .iter()
             .filter_map(|e| {
                 let p = self.ordkey_pred(e, &schema)?;
-                Some(ScanFilter { field: p.path?, op: p.op, key: p.key })
+                Some(ScanFilter::Cmp { field: p.path?, op: p.op, key: p.key })
             })
             .collect()
     }
@@ -608,8 +655,9 @@ impl Gen {
     /// hands encoded tuple bytes straight into the byte-frame exchange.
     /// The provider is always offered a projection — the fields the plan
     /// touches of the scan variable, or all of them when it escapes —
-    /// carrying the filters of the select directly above, so columnar
-    /// components can filter first and assemble only what survives.
+    /// carrying the filters of the select directly above and of the hash
+    /// join the scan feeds as probe input, so columnar components can
+    /// filter first and assemble only what survives.
     fn build_scan(
         &mut self,
         dataset: &str,
@@ -623,7 +671,11 @@ impl Gen {
                 if raw.projected {
                     label.push_str(&proj.label());
                 }
-                Arc::new(SourceOp::from_raw_fn(label, raw.source))
+                let source = SourceOp::from_raw_fn(label, raw.source);
+                Arc::new(match proj.partner().filter(|_| raw.projected) {
+                    Some((_, id, join_nparts)) => source.with_join_filter(id, join_nparts),
+                    None => source,
+                })
             }
             None => {
                 let src = self.ctx.provider.scan_source(dataset)?;
@@ -660,30 +712,7 @@ impl Gen {
                 )?;
                 Ok((op, schema, part))
             }
-            LogicalOp::Select { input, condition } => {
-                // A select directly over a data scan — or over an inner
-                // index-NL join, for its conjuncts on the fetched records —
-                // pushes its ordkey-decidable conjuncts into the read: a
-                // columnar source then decides most rows on the filter
-                // columns' bytes before assembling anything. The select
-                // stays in the plan — the pushed filters only drop
-                // definite rejects.
-                let (in_op, schema, part) = match input.as_ref() {
-                    LogicalOp::DataSourceScan { dataset, var } => {
-                        let filters = self.scan_filters(condition, *var);
-                        self.build_scan(dataset, *var, filters)?
-                    }
-                    LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. } => {
-                        let filters = self.scan_filters(condition, *var);
-                        self.build_index_nl_join(input, filters)?
-                    }
-                    _ => self.build(input)?,
-                };
-                let sel = self.select_op("filter", condition, &schema)?;
-                let id = self.job.add(self.parts(part), Arc::new(sel));
-                self.job.connect(ConnectorKind::OneToOne, in_op, id);
-                Ok((id, schema, part))
-            }
+            LogicalOp::Select { input, condition } => self.build_select(input, condition, None),
             LogicalOp::Unnest { input, var, expr, positional, outer } => {
                 let (in_op, schema, part) = self.build(input)?;
                 let e = self.make_eval(expr, &schema)?;
@@ -715,78 +744,7 @@ impl Gen {
                         *kind,
                     );
                 }
-                let (l_op, l_schema, l_part) = self.build(left)?;
-                let (r_op, r_schema, r_part) = self.build(right)?;
-                // Compute key columns on both sides.
-                let l_key_vars: Vec<VarId> =
-                    (0..left_keys.len()).map(|i| fresh_var(&l_schema, &r_schema, i)).collect();
-                let r_key_vars: Vec<VarId> = (0..right_keys.len())
-                    .map(|i| fresh_var(&l_schema, &r_schema, i + left_keys.len()))
-                    .collect();
-                let kexprs: Vec<(VarId, LogicalExpr)> =
-                    l_key_vars.iter().zip(left_keys).map(|(v, e)| (*v, e.clone())).collect();
-                let (l_keyed, l_schema) =
-                    self.append_columns(l_op, &l_schema, l_part, "join-key", &kexprs)?;
-                let kexprs: Vec<(VarId, LogicalExpr)> =
-                    r_key_vars.iter().zip(right_keys).map(|(v, e)| (*v, e.clone())).collect();
-                let (r_keyed, r_schema) =
-                    self.append_columns(r_op, &r_schema, r_part, "join-key", &kexprs)?;
-                let l_key_cols: Vec<usize> =
-                    (l_schema.len() - left_keys.len()..l_schema.len()).collect();
-                let r_key_cols: Vec<usize> =
-                    (r_schema.len() - right_keys.len()..r_schema.len()).collect();
-                // Build = right, probe = left (so LeftOuter = ProbeOuter).
-                let jt = match kind {
-                    JoinKind::Inner => JoinType::Inner,
-                    JoinKind::LeftOuter => JoinType::ProbeOuter,
-                };
-                let mut hh =
-                    HybridHashJoinOp::new("equi", r_key_cols.clone(), l_key_cols.clone(), jt);
-                if let Some(b) = self.per_op_mem {
-                    hh = hh.with_budget(b);
-                }
-                // Runtime join filter (inner joins only: an outer probe must
-                // emit non-matching tuples, so pruning them would corrupt
-                // results). The build side publishes its key hashes when the
-                // build finishes; a probe-side consult drops non-matching
-                // tuples *before* the probe exchange ships them.
-                let mut probe_src = l_keyed;
-                if self.options.enable_runtime_filters && jt == JoinType::Inner {
-                    let fid = self.job.alloc_runtime_filter();
-                    hh = hh.with_runtime_filter(fid);
-                    let probe = self.job.add(
-                        self.parts(l_part),
-                        Arc::new(RuntimeFilterProbeOp {
-                            filter_id: fid,
-                            key_cols: l_key_cols.clone(),
-                            join_nparts: self.nparts,
-                        }),
-                    );
-                    self.job.connect(ConnectorKind::OneToOne, l_keyed, probe);
-                    probe_src = probe;
-                }
-                let join = self.job.add(self.nparts, Arc::new(hh));
-                self.job.connect(
-                    ConnectorKind::MToNPartitioning { fields: r_key_cols },
-                    r_keyed,
-                    join,
-                );
-                self.job.connect(
-                    ConnectorKind::MToNPartitioning { fields: l_key_cols },
-                    probe_src,
-                    join,
-                );
-                // Output = build(right) ++ probe(left).
-                let mut schema = r_schema;
-                schema.extend(l_schema);
-                let mut out = join;
-                if let Some(resid) = residual {
-                    let sel_op = self.select_op("residual", resid, &schema)?;
-                    let sel = self.job.add(self.nparts, Arc::new(sel_op));
-                    self.job.connect(ConnectorKind::OneToOne, join, sel);
-                    out = sel;
-                }
-                Ok((out, schema, Part::Distributed))
+                self.build_hash_join(left, right, left_keys, right_keys, residual.as_ref(), *kind)
             }
             LogicalOp::Join { left, right, condition, kind, .. } => {
                 self.build_nl_join(left, right, condition, *kind)
@@ -904,7 +862,7 @@ impl Gen {
                 }
                 let (in_op, schema, part) = self.build(input)?;
                 // A global limit needs a single stream.
-                let (stream, spart) = self.to_single(in_op, part);
+                let (stream, spart) = self.gathered(in_op, part);
                 let lim = self.job.add(1, Arc::new(LimitOp { limit: *count, offset: *offset }));
                 self.job.connect(ConnectorKind::OneToOne, stream, lim);
                 Ok((lim, schema, spart))
@@ -930,6 +888,172 @@ impl Gen {
             }
             LogicalOp::Emit { .. } => Err(HyracksError::InvalidJob("nested emit in plan".into())),
         }
+    }
+
+    /// A select. Directly over a data scan — or over an inner index-NL
+    /// join, for its conjuncts on the fetched records — it pushes its
+    /// ordkey-decidable conjuncts into the read: a columnar source then
+    /// decides most rows on the filter columns' bytes before assembling
+    /// anything. The select stays in the plan — the pushed filters only
+    /// drop definite rejects. `partner` is the test of the hash join this
+    /// select-over-a-scan is the probe input of; it rides into the scan
+    /// behind the select's own conjuncts.
+    fn build_select(
+        &mut self,
+        input: &LogicalOp,
+        condition: &LogicalExpr,
+        partner: Option<ScanFilter>,
+    ) -> Result<(OperatorId, Vec<VarId>, Part)> {
+        let (in_op, schema, part) = match input {
+            LogicalOp::DataSourceScan { dataset, var } => {
+                let mut filters = self.scan_filters(condition, *var);
+                filters.extend(partner);
+                self.build_scan(dataset, *var, filters)?
+            }
+            LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. } => {
+                let filters = self.scan_filters(condition, *var);
+                self.build_index_nl_join(input, filters)?
+            }
+            _ => self.build(input)?,
+        };
+        let sel = self.select_op("filter", condition, &schema)?;
+        let id = self.job.add(self.parts(part), Arc::new(sel));
+        self.job.connect(ConnectorKind::OneToOne, in_op, id);
+        Ok((id, schema, part))
+    }
+
+    /// A hash join's probe input, with the join's `partner` test — made
+    /// only for an input [`probe_scan_field`] accepts — pushed into its
+    /// scan.
+    fn build_probe_input(
+        &mut self,
+        op: &LogicalOp,
+        partner: Option<ScanFilter>,
+    ) -> Result<(OperatorId, Vec<VarId>, Part)> {
+        match (op, partner) {
+            (LogicalOp::DataSourceScan { dataset, var }, Some(partner)) => {
+                self.build_scan(dataset, *var, vec![partner])
+            }
+            (LogicalOp::Select { input, condition }, partner @ Some(_)) => {
+                self.build_select(input, condition, partner)
+            }
+            _ => self.build(op),
+        }
+    }
+
+    /// Append a join input's key expressions as columns bound to `var`,
+    /// `var + 1`, …; returns the input keyed and its key columns.
+    fn append_join_keys(
+        &mut self,
+        (op, schema, part): (OperatorId, Vec<VarId>, Part),
+        keys: &[LogicalExpr],
+        var: VarId,
+    ) -> Result<(OperatorId, Vec<VarId>, Part, Vec<usize>)> {
+        let kexprs: Vec<(VarId, LogicalExpr)> =
+            keys.iter().enumerate().map(|(i, e)| (var + i, e.clone())).collect();
+        let (op, schema) = self.append_columns(op, &schema, part, "join-key", &kexprs)?;
+        let key_cols = (schema.len() - keys.len()..schema.len()).collect();
+        Ok((op, schema, part, key_cols))
+    }
+
+    /// Hybrid hash join. The input estimated smaller builds — `left` when
+    /// the join is inner and both inputs can be sized; a tie, an input of
+    /// unknown size or an outer join (whose outer branch must probe) keeps
+    /// the order as written: build = right, probe = left. The estimates
+    /// are taken here, so a cached plan chooses per execution.
+    ///
+    /// An inner join also gets a runtime filter: the build side publishes
+    /// its key hashes when the build finishes, and a consult operator on
+    /// the probe branch drops non-matching tuples *before* the probe
+    /// exchange ships them (an outer probe must emit them, so pruning
+    /// would corrupt results). When the probe input is a scan, bare or
+    /// under one select, and the one join key is a field of the scanned
+    /// record, the same test is also pushed into the scan, which then
+    /// reads the other columns of a row only once its key has a partner.
+    fn build_hash_join(
+        &mut self,
+        left: &LogicalOp,
+        right: &LogicalOp,
+        left_keys: &[LogicalExpr],
+        right_keys: &[LogicalExpr],
+        residual: Option<&LogicalExpr>,
+        kind: JoinKind,
+    ) -> Result<(OperatorId, Vec<VarId>, Part)> {
+        let provider = self.ctx.provider.as_ref();
+        let (l_rows, r_rows) = (estimated_rows(left, provider), estimated_rows(right, provider));
+        let build_left =
+            kind == JoinKind::Inner && matches!((l_rows, r_rows), (Some(l), Some(r)) if l < r);
+        let (probe, probe_keys, probe_rows, build_rows) = if build_left {
+            (right, right_keys, r_rows, l_rows)
+        } else {
+            (left, left_keys, l_rows, r_rows)
+        };
+        let jt = match kind {
+            JoinKind::Inner => JoinType::Inner,
+            JoinKind::LeftOuter => JoinType::ProbeOuter,
+        };
+        let filter = (self.options.enable_runtime_filters && jt == JoinType::Inner)
+            .then(|| self.job.alloc_runtime_filter());
+        let partner = filter.zip(probe_scan_field(probe, probe_keys)).map(|(filter_id, field)| {
+            ScanFilter::Partner { field: field.into(), filter_id, join_nparts: self.nparts }
+        });
+        // Inputs are built in written order, whichever of them probes.
+        let (l_built, r_built) = if build_left {
+            (self.build(left)?, self.build_probe_input(right, partner)?)
+        } else {
+            (self.build_probe_input(left, partner)?, self.build(right)?)
+        };
+        let key_var = fresh_var(&l_built.1, &r_built.1, 0);
+        let l_keyed = self.append_join_keys(l_built, left_keys, key_var)?;
+        let r_keyed = self.append_join_keys(r_built, right_keys, key_var + left_keys.len())?;
+        let ((b_op, b_schema, _, b_key_cols), (p_op, p_schema, p_part, p_key_cols)) =
+            if build_left { (l_keyed, r_keyed) } else { (r_keyed, l_keyed) };
+
+        let size = |rows: Option<u64>| rows.map_or("?".into(), |n| n.to_string());
+        let mut hh = HybridHashJoinOp::new(
+            "equi",
+            b_key_cols.clone(),
+            p_key_cols.clone(),
+            jt,
+            b_schema.len(),
+        )
+        .with_sides(format!(
+            "[build={} ~{}, probe ~{}]",
+            if build_left { "left" } else { "right" },
+            size(build_rows),
+            size(probe_rows)
+        ));
+        if let Some(b) = self.per_op_mem {
+            hh = hh.with_budget(b);
+        }
+        let mut probe_src = p_op;
+        if let Some(fid) = filter {
+            hh = hh.with_runtime_filter(fid);
+            let consult = self.job.add(
+                self.parts(p_part),
+                Arc::new(RuntimeFilterProbeOp {
+                    filter_id: fid,
+                    key_cols: p_key_cols.clone(),
+                    join_nparts: self.nparts,
+                }),
+            );
+            self.job.connect(ConnectorKind::OneToOne, p_op, consult);
+            probe_src = consult;
+        }
+        let join = self.job.add(self.nparts, Arc::new(hh));
+        self.job.connect(ConnectorKind::MToNPartitioning { fields: b_key_cols }, b_op, join);
+        self.job.connect(ConnectorKind::MToNPartitioning { fields: p_key_cols }, probe_src, join);
+        // Output = build ++ probe, whichever input built.
+        let mut schema = b_schema;
+        schema.extend(p_schema);
+        let mut out = join;
+        if let Some(resid) = residual {
+            let sel_op = self.select_op("residual", resid, &schema)?;
+            let sel = self.job.add(self.nparts, Arc::new(sel_op));
+            self.job.connect(ConnectorKind::OneToOne, join, sel);
+            out = sel;
+        }
+        Ok((out, schema, Part::Distributed))
     }
 
     /// Sort: per-partition external sort, then a partitioning-merging
@@ -973,7 +1097,8 @@ impl Gen {
         Ok((merge, keyed_schema, Part::Single))
     }
 
-    fn to_single(&mut self, op: OperatorId, part: Part) -> (OperatorId, Part) {
+    /// `op`'s output as a single stream.
+    fn gathered(&mut self, op: OperatorId, part: Part) -> (OperatorId, Part) {
         match part {
             Part::Single => (op, Part::Single),
             Part::Distributed => {
@@ -1018,6 +1143,7 @@ impl Gen {
                     Ok(truthy(&eval(&cond, &r, &ctx).map_err(HyracksError::from)?))
                 },
                 jt,
+                r_width,
             )),
         );
         self.job.connect(ConnectorKind::MToNReplicating, r_op, join);
@@ -1584,6 +1710,235 @@ mod tests {
             assert_eq!(rows, vec![Value::Int64(3), Value::Int64(23)], "{d}");
             assert_eq!(rows, sort_vals(all.run().unwrap()), "{d}");
         }
+    }
+
+    // -- hash joins: which input builds, what the probe scan is asked -------
+
+    fn cmp(op: CompareOp, l: LogicalExpr, r: LogicalExpr) -> LogicalExpr {
+        LogicalExpr::Compare(op, Box::new(l), Box::new(r))
+    }
+
+    /// The first `n` users (`$0`), `n / 10` by estimate.
+    fn few_users(n: i64) -> LogicalOp {
+        let id = LogicalExpr::field(var(0), "id");
+        select(scan("U", 0), cmp(CompareOp::Lt, id, lit(Value::Int64(n))))
+    }
+
+    /// `left ⋈ right` on the given key pairs, emitting (user, message) ids.
+    fn join_plan(
+        left: LogicalOp,
+        right: LogicalOp,
+        keys: Vec<(LogicalExpr, LogicalExpr)>,
+        kind: JoinKind,
+    ) -> LogicalOp {
+        let (left_keys, right_keys) = keys.into_iter().unzip();
+        let (left, right) = (Box::new(left), Box::new(right));
+        emit(
+            LogicalOp::HashJoin { left, right, left_keys, right_keys, residual: None, kind },
+            LogicalExpr::RecordCtor(vec![
+                ("u".into(), LogicalExpr::field(var(0), "id")),
+                ("m".into(), LogicalExpr::field(var(1), "mid")),
+            ]),
+        )
+    }
+
+    /// The compiled job's description and its rows, which are the
+    /// interpreter's.
+    fn compile_and_run(
+        plan: &LogicalOp,
+        p: VecProvider,
+        options: &OptimizerOptions,
+    ) -> (String, Vec<Value>) {
+        let prov: Arc<dyn MetadataProvider> = Arc::new(p);
+        let fctx = FunctionContext::default();
+        let ictx = EvalCtx::new(Arc::clone(&prov), fctx.clone());
+        let interp =
+            crate::interp::eval_subplan(plan, &std::collections::HashMap::new(), &ictx).unwrap();
+        let compiled = compile(plan, prov, fctx, options).unwrap();
+        let job = compiled.describe();
+        let rows = sort_vals(compiled.run().unwrap());
+        assert_eq!(rows, sort_vals(interp), "{job}");
+        (job, rows)
+    }
+
+    fn u_id() -> LogicalExpr {
+        LogicalExpr::field(var(0), "id")
+    }
+
+    fn m_author() -> LogicalExpr {
+        LogicalExpr::field(var(1), "author")
+    }
+
+    #[test]
+    fn estimates_follow_the_plan_bottom_up() {
+        let p = vec_provider(100); // 100 users, 200 messages
+        let rows = |op: &LogicalOp| estimated_rows(op, &p);
+        assert_eq!(rows(&scan("M", 1)), Some(200));
+        assert_eq!(rows(&few_users(3)), Some(10), "a select keeps a tenth, whatever it says");
+        assert_eq!(rows(&select(few_users(3), lit(Value::Boolean(true)))), Some(1));
+        assert_eq!(rows(&select(select(few_users(3), var(0)), var(0))), Some(1), "never zero");
+        assert_eq!(rows(&pk_search(0, Some((3, true)), Some((3, true)))), Some(10));
+        let limit = |count| LogicalOp::Limit { input: Box::new(scan("M", 1)), count, offset: 0 };
+        assert_eq!((rows(&limit(7)), rows(&limit(700))), (Some(7), Some(200)));
+        let aggs = || vec![AggCall { var: 2, func: AggFunc::Count, sql: false, input: var(1) }];
+        assert_eq!(
+            rows(&LogicalOp::Aggregate { input: Box::new(scan("M", 1)), aggs: aggs() }),
+            Some(1)
+        );
+        let keys = vec![(3, m_author())];
+        let group = LogicalOp::GroupBy { input: Box::new(scan("M", 1)), keys, aggs: aggs() };
+        assert_eq!(rows(&assign(group, 4, var(3))), Some(200));
+        // What cannot be sized: an unnest, a join, an uncounted dataset.
+        let unnest = LogicalOp::Unnest {
+            input: Box::new(scan("U", 0)),
+            var: 5,
+            expr: var(0),
+            positional: None,
+            outer: false,
+        };
+        assert_eq!(rows(&select(unnest, var(5))), None);
+        assert_eq!(rows(&cross(scan("U", 0), scan("M", 1), var(0))), None);
+        assert_eq!(rows(&scan("Nowhere", 0)), None);
+        assert_eq!(estimated_rows(&scan("M", 1), &VecProvider { counts_rows: false, ..p }), None);
+    }
+
+    #[test]
+    fn the_smaller_input_builds_whichever_is_written_first() {
+        let options = OptimizerOptions::default();
+        // Two users by estimate against forty messages.
+        let users_first =
+            join_plan(few_users(5), scan("M", 1), vec![(u_id(), m_author())], JoinKind::Inner);
+        let messages_first =
+            join_plan(scan("M", 1), few_users(5), vec![(m_author(), u_id())], JoinKind::Inner);
+        let (job, rows) = compile_and_run(&users_first, vec_provider(20), &options);
+        assert!(job.contains("hybrid-hash-join equi [build=left ~2, probe ~40]"), "{job}");
+        assert_eq!(rows.len(), 10, "five users, two messages each");
+        let (job, swapped) = compile_and_run(&messages_first, vec_provider(20), &options);
+        assert!(job.contains("hybrid-hash-join equi [build=right ~2, probe ~40]"), "{job}");
+        assert_eq!(swapped, rows);
+
+        // Anything but "inner, both sized, left smaller" keeps the order
+        // as written: build = right.
+        let larger_left =
+            join_plan(scan("M", 1), scan("U", 0), vec![(m_author(), u_id())], JoinKind::Inner);
+        let unnested = LogicalOp::Unnest {
+            input: Box::new(few_users(5)),
+            var: 7,
+            expr: LogicalExpr::ListCtor { ordered: true, items: vec![lit(Value::Int64(1))] },
+            positional: None,
+            outer: false,
+        };
+        let self_join = emit(
+            LogicalOp::HashJoin {
+                left: Box::new(scan("U", 0)),
+                right: Box::new(scan("U", 1)),
+                left_keys: vec![u_id()],
+                right_keys: vec![LogicalExpr::field(var(1), "id")],
+                residual: None,
+                kind: JoinKind::Inner,
+            },
+            u_id(),
+        );
+        let uncounted = VecProvider { counts_rows: false, ..vec_provider(20) };
+        for (what, plan, p, sides) in [
+            ("a tie", self_join, vec_provider(20), "[build=right ~20, probe ~20]"),
+            ("the larger left", larger_left, vec_provider(30), "[build=right ~30, probe ~60]"),
+            (
+                "an unsized left",
+                join_plan(unnested, scan("M", 1), vec![(u_id(), m_author())], JoinKind::Inner),
+                vec_provider(20),
+                "[build=right ~40, probe ~?]",
+            ),
+            ("uncounted datasets", users_first.clone(), uncounted, "[build=right ~?, probe ~?]"),
+            (
+                "a left-outer join",
+                join_plan(
+                    few_users(5),
+                    scan("M", 1),
+                    vec![(u_id(), m_author())],
+                    JoinKind::LeftOuter,
+                ),
+                vec_provider(20),
+                "[build=right ~40, probe ~2]",
+            ),
+        ] {
+            let (job, _) = compile_and_run(&plan, p, &options);
+            assert!(job.contains(&format!("hybrid-hash-join equi {sides}")), "{what}: {job}");
+        }
+    }
+
+    #[test]
+    fn the_partner_test_rides_into_a_probe_scan_keyed_by_one_field() {
+        let options = OptimizerOptions::default();
+        let inner = |left, right, keys| join_plan(left, right, keys, JoinKind::Inner);
+        let pushed = "data-scan M [cols: author,mid] [filter: author in join #0]";
+        let consult = "runtime-filter-probe #0";
+
+        // A bare scan probing, on either side of the join as written.
+        let users_first = inner(few_users(5), scan("M", 1), vec![(u_id(), m_author())]);
+        let messages_first = inner(scan("M", 1), few_users(5), vec![(m_author(), u_id())]);
+        for plan in [&users_first, &messages_first] {
+            let (job, rows) = compile_and_run(plan, vec_provider(20), &options);
+            assert!(job.contains(pushed) && job.contains(consult), "{job}");
+            assert_eq!(rows.len(), 10);
+        }
+        // A scan under the select whose own conjuncts are pushed.
+        let mid = LogicalExpr::field(var(1), "mid");
+        let early = select(scan("M", 1), cmp(CompareOp::Lt, mid, lit(Value::Int64(30))));
+        let plan = inner(few_users(5), early, vec![(u_id(), m_author())]);
+        let (job, rows) = compile_and_run(&plan, vec_provider(20), &options);
+        assert!(job.contains("[build=left ~2, probe ~4]"), "{job}");
+        assert!(
+            job.contains("data-scan M [cols: author,mid] [filter: mid<?, author in join #0]"),
+            "{job}"
+        );
+        assert_eq!(rows.len(), 10, "messages 0-4 and 20-24, of users 0-4, are below 30");
+
+        // Not pushed: the probe is no scan, the key is not one field of
+        // the scanned record, or there is no filter to consult.
+        let assigned = assign(scan("M", 1), 9, lit(Value::Int64(1)));
+        let m_author_plus =
+            LogicalExpr::Arith('+', Box::new(m_author()), Box::new(lit(Value::Int64(0))));
+        let grp = LogicalExpr::field(var(0), "grp");
+        for (what, plan, consulted) in [
+            (
+                "a probe that is not a scan",
+                inner(few_users(5), assigned, vec![(u_id(), m_author())]),
+                true,
+            ),
+            (
+                "a computed key",
+                inner(few_users(5), scan("M", 1), vec![(u_id(), m_author_plus)]),
+                true,
+            ),
+            (
+                "a composite key",
+                inner(few_users(5), scan("M", 1), vec![(u_id(), m_author()), (grp, m_author())]),
+                true,
+            ),
+            (
+                "an outer join",
+                join_plan(
+                    scan("M", 1),
+                    few_users(5),
+                    vec![(m_author(), u_id())],
+                    JoinKind::LeftOuter,
+                ),
+                false,
+            ),
+        ] {
+            let (job, _) = compile_and_run(&plan, vec_provider(20), &options);
+            assert!(!job.contains("in join"), "{what}: {job}");
+            assert_eq!(job.contains(consult), consulted, "{what}: {job}");
+        }
+        let off = OptimizerOptions { enable_runtime_filters: false, ..Default::default() };
+        let (job, rows) = compile_and_run(&users_first, vec_provider(20), &off);
+        assert!(!job.contains("in join") && !job.contains(consult), "{job}");
+        assert!(
+            job.contains("[build=left ~2, probe ~40]"),
+            "the build side is still chosen: {job}"
+        );
+        assert_eq!(rows.len(), 10);
     }
 
     #[test]

@@ -37,17 +37,34 @@ pub enum KeyBound {
     Exclusive(Value),
 }
 
-/// A pushed-down `field <op> constant` scan pre-filter. `key` is the
-/// order-preserving `ordkey` encoding of the constant, so a columnar
-/// source can decide most rows by memcmp on one column's bytes before
-/// assembling anything. The filter is conservative: it only drops rows
-/// the comparison *definitely* rejects; the select above re-applies the
-/// full predicate to whatever comes through.
+/// A conjunct pushed into a read of the primary index as a pre-filter. It
+/// is conservative: it only drops rows it *definitely* rejects, and the
+/// operator it was derived from stays above the read and re-applies
+/// itself to whatever comes through.
 #[derive(Debug, Clone)]
-pub struct ScanFilter {
-    pub field: String,
-    pub op: CmpKind,
-    pub key: Vec<u8>,
+pub enum ScanFilter {
+    /// `field <op> constant`, from the select above the read. `key` is the
+    /// order-preserving `ordkey` encoding of the constant, so a columnar
+    /// source can decide most rows by memcmp on one column's bytes before
+    /// assembling anything.
+    Cmp { field: String, op: CmpKind, key: Vec<u8> },
+    /// "`field` has a build partner": the read is the probe input of the
+    /// inner hash join that publishes runtime filter `filter_id` — over
+    /// `join_nparts` partitions — and `field` is its one join key. The
+    /// source is handed the run's consult of that filter
+    /// (`asterix_hyracks::ops::RawSourceFn`), and the consult operator
+    /// above the read still sees every row the source lets through.
+    Partner { field: String, filter_id: usize, join_nparts: usize },
+}
+
+impl ScanFilter {
+    /// The conjunct as `explain` shows it, constants elided.
+    fn label(&self) -> String {
+        match self {
+            ScanFilter::Cmp { field, op, .. } => format!("{field}{}?", op.symbol()),
+            ScanFilter::Partner { field, filter_id, .. } => format!("{field} in join #{filter_id}"),
+        }
+    }
 }
 
 /// What a read of the primary index actually needs to produce, handed to
@@ -61,11 +78,23 @@ pub struct ScanProjection {
     /// when the variable escapes and whole records are needed.
     pub fields: Option<Vec<String>>,
     /// Every ordkey-decidable conjunct of the select directly above the
-    /// read (empty when there is none).
+    /// read, then the partner test of the hash join it is the probe input
+    /// of (empty when there is neither).
     pub filters: Vec<ScanFilter>,
 }
 
 impl ScanProjection {
+    /// The partner test among the filters: `(field, filter id, join
+    /// partitions)`.
+    pub fn partner(&self) -> Option<(&str, usize, usize)> {
+        self.filters.iter().find_map(|f| match f {
+            ScanFilter::Partner { field, filter_id, join_nparts } => {
+                Some((field.as_str(), *filter_id, *join_nparts))
+            }
+            ScanFilter::Cmp { .. } => None,
+        })
+    }
+
     /// What `explain` appends to the operator's name when the provider
     /// honors the projection: `[cols: a,b]` (or `[cols: *]`) and the
     /// pushed filters, constants elided.
@@ -73,8 +102,7 @@ impl ScanProjection {
         let cols = self.fields.as_ref().map_or("*".into(), |f| f.join(","));
         let mut label = format!(" [cols: {cols}]");
         if !self.filters.is_empty() {
-            let fs: Vec<String> =
-                self.filters.iter().map(|f| format!("{}{}?", f.field, f.op.symbol())).collect();
+            let fs: Vec<String> = self.filters.iter().map(ScanFilter::label).collect();
             label.push_str(&format!(" [filter: {}]", fs.join(", ")));
         }
         label
@@ -134,6 +162,15 @@ pub trait MetadataProvider: Send + Sync {
     /// alone for a primary-key equality. `None` (the default) searches
     /// every partition.
     fn primary_partition_of(&self, _dataset: &str, _key: &Value) -> Option<usize> {
+        None
+    }
+
+    /// About how many records the dataset holds, when the provider can say
+    /// without reading them — the compiler sizes join inputs by it, per
+    /// execution. An over-count is fine (an LSM index counts superseded
+    /// versions and tombstones); `None` (the default) leaves the plan as
+    /// written.
+    fn dataset_rows(&self, _dataset: &str) -> Option<u64> {
         None
     }
 
@@ -360,7 +397,9 @@ pub mod tests_support {
     /// A simple in-memory provider for compiler tests: named datasets as
     /// vectors of records, hash-partitioned on demand, no declared indexes
     /// (`btree_search_all` takes an index name as the name of the field it
-    /// would index, for hand-built index-NL joins).
+    /// would index, for hand-built index-NL joins). Its serialized scan
+    /// honors the projection's fields and partner test; comparisons are
+    /// left to the select above.
     pub struct VecProvider {
         pub datasets: std::collections::HashMap<String, Vec<Value>>,
         pub pk_fields: std::collections::HashMap<String, Vec<String>>,
@@ -368,6 +407,9 @@ pub mod tests_support {
         /// Answer [`MetadataProvider::primary_partition_of`] (the default);
         /// off, every primary-key search runs on all partitions.
         pub knows_owner: bool,
+        /// Answer [`MetadataProvider::dataset_rows`] (the default); off,
+        /// no dataset's size is known.
+        pub counts_rows: bool,
     }
 
     impl VecProvider {
@@ -377,6 +419,7 @@ pub mod tests_support {
                 pk_fields: Default::default(),
                 nparts,
                 knows_owner: true,
+                counts_rows: true,
             }
         }
 
@@ -384,6 +427,13 @@ pub mod tests_support {
             self.datasets.insert(name.to_string(), records);
             self.pk_fields.insert(name.to_string(), vec![pk.to_string()]);
         }
+    }
+
+    /// The partition a record sits on: datasets are hash-partitioned by
+    /// primary key, as real ones are.
+    fn partition_of(record: &Value, pk_fields: &[String], nparts: usize) -> usize {
+        let h = pk_fields.first().map(|f| record.field(f).stable_hash()).unwrap_or(0);
+        (h % nparts as u64) as usize
     }
 
     fn has_pk(record: &Value, pk_fields: &[String], pk: &[Value]) -> bool {
@@ -426,6 +476,10 @@ pub mod tests_support {
             self.knows_owner.then(|| (key.stable_hash() % self.nparts as u64) as usize)
         }
 
+        fn dataset_rows(&self, dataset: &str) -> Option<u64> {
+            self.datasets.get(dataset).filter(|_| self.counts_rows).map(|rs| rs.len() as u64)
+        }
+
         fn scan_source(&self, dataset: &str) -> Result<SourceFn> {
             let records = self.datasets.get(dataset).cloned().ok_or_else(|| {
                 asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}"))
@@ -433,14 +487,53 @@ pub mod tests_support {
             let pk_fields = self.primary_key_fields(dataset);
             Ok(Arc::new(move |partition, nparts, emit| {
                 for r in &records {
-                    // Hash-partition by primary key, as real datasets are.
-                    let h = pk_fields.first().map(|f| r.field(f).stable_hash()).unwrap_or(0);
-                    if (h % nparts as u64) as usize == partition {
+                    if partition_of(r, &pk_fields, nparts) == partition {
                         emit(vec![r.clone()])?;
                     }
                 }
                 Ok(())
             }))
+        }
+
+        fn raw_scan_source(
+            &self,
+            dataset: &str,
+            projection: &ScanProjection,
+        ) -> Result<Option<RawScan>> {
+            let Some(records) = self.datasets.get(dataset).cloned() else { return Ok(None) };
+            let pk_fields = self.primary_key_fields(dataset);
+            let fields = projection.fields.clone();
+            let partner = projection.partner().map(|(field, ..)| field.to_string());
+            let source: RawSourceFn = Arc::new(move |partition, nparts, mut consult, emit| {
+                for r in &records {
+                    if partition_of(r, &pk_fields, nparts) != partition {
+                        continue;
+                    }
+                    if let (Some(field), Some(consult)) = (&partner, consult.as_deref_mut()) {
+                        let key = asterix_adm::serde::encode(&r.field(field));
+                        consult.poll();
+                        if !consult.keep_value(asterix_adm::ValueRef::new(&key)) {
+                            continue;
+                        }
+                    }
+                    let row = match &fields {
+                        None => r.clone(),
+                        Some(fields) => {
+                            let mut rec = asterix_adm::Record::new();
+                            for f in fields {
+                                let v = r.field(f);
+                                if !matches!(v, Value::Missing) {
+                                    rec.set(f.clone(), v);
+                                }
+                            }
+                            Value::record(rec)
+                        }
+                    };
+                    emit(&asterix_adm::encode_tuple(std::slice::from_ref(&row)))?;
+                }
+                Ok(())
+            });
+            Ok(Some(RawScan { source, projected: true }))
         }
 
         fn primary_range_source(
@@ -453,8 +546,7 @@ pub mod tests_support {
             let pk_fields = self.primary_key_fields(dataset);
             Ok(Arc::new(move |partition, nparts, emit| {
                 for r in &records {
-                    let h = pk_fields.first().map(|f| r.field(f).stable_hash()).unwrap_or(0);
-                    if (h % nparts as u64) as usize == partition {
+                    if partition_of(r, &pk_fields, nparts) == partition {
                         emit(vec![r.clone()])?;
                     }
                 }

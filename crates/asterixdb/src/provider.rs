@@ -8,11 +8,12 @@ use std::sync::Arc;
 use asterix_adm::value::Rectangle;
 use asterix_adm::Value;
 use asterix_algebricks::metadata::{
-    IndexInfo, IndexKind, KeyBound, MetadataProvider, PrimaryFetch, RawScan, ScanProjection,
+    IndexInfo, IndexKind, KeyBound, MetadataProvider, PrimaryFetch, RawScan, ScanFilter,
+    ScanProjection,
 };
 use asterix_aql::translate::{AqlCatalog, FunctionDef};
 use asterix_hyracks::ops::{FetchFn, RawSourceFn, SourceFn};
-use asterix_hyracks::HyracksError;
+use asterix_hyracks::{FilterConsult, HyracksError};
 use asterix_metadata::{Catalog, DatasetKind, IndexKindMeta, METADATA_DATAVERSE};
 use asterix_storage::btree::ValueBound;
 use asterix_storage::inverted::Tokenizer;
@@ -39,28 +40,49 @@ fn cmp_kind_to_op(k: asterix_hyracks::ops::CmpKind) -> asterix_storage::CmpOp {
     }
 }
 
+/// The projection a scan or fetch of `ds` carries from plan to run: the
+/// compiler's, or `None` when it is declined — the columnar knob is off —
+/// and every record is served whole.
+fn pushed_projection(ds: &DatasetRuntime, projection: &ScanProjection) -> Option<ScanProjection> {
+    ds.columnar_scans_enabled().then(|| projection.clone())
+}
+
 /// The compiler's projection — the fields the query touches and the
-/// conjuncts it filters by — as it is pushed into storage, where columnar
-/// components decide the filters on raw column bytes and assemble only the
-/// survivors; and whether it was honored. Declined when the columnar knob
-/// is off: the scan or fetch then serves every record whole.
-fn storage_projection(
-    ds: &DatasetRuntime,
-    projection: &ScanProjection,
-) -> (asterix_storage::Projection, bool) {
-    if !ds.columnar_scans_enabled() {
-        return (asterix_storage::Projection::all(), false);
-    }
-    let filters = projection.filters.iter().map(|f| asterix_storage::ColumnFilter {
-        field: f.field.clone(),
-        op: cmp_kind_to_op(f.op),
-        key: f.key.clone(),
+/// conjuncts it filters by — as one run pushes it into storage, where
+/// columnar components decide the filters on raw column bytes and assemble
+/// only the survivors. A partner conjunct is decided by `partner`, the
+/// run's own consult of the join's filter; without one it is left out.
+fn storage_projection<'t>(
+    projection: Option<&ScanProjection>,
+    partner: Option<&'t ScanPartner<'_>>,
+) -> asterix_storage::Projection<'t> {
+    use asterix_storage::ColumnFilter;
+    let Some(projection) = projection else { return asterix_storage::Projection::all() };
+    let filters = projection.filters.iter().filter_map(|f| match f {
+        ScanFilter::Cmp { field, op, key } => Some(ColumnFilter::Cmp {
+            field: field.clone(),
+            op: cmp_kind_to_op(*op),
+            key: key.clone(),
+        }),
+        ScanFilter::Partner { field, .. } => {
+            partner.map(|test| ColumnFilter::Partner { field: field.clone(), test })
+        }
     });
-    let proj = asterix_storage::Projection {
-        fields: projection.fields.clone(),
-        filters: filters.collect(),
-    };
-    (proj, true)
+    asterix_storage::Projection { fields: projection.fields.clone(), filters: filters.collect() }
+}
+
+/// One run's consult of a join's runtime filter, as the partner test of
+/// that run's scan.
+struct ScanPartner<'a>(std::cell::RefCell<&'a mut FilterConsult>);
+
+impl asterix_storage::PartnerTest for ScanPartner<'_> {
+    fn poll(&self) {
+        self.0.borrow_mut().poll();
+    }
+
+    fn rejects(&self, value: &[u8]) -> bool {
+        !self.0.borrow_mut().keep_value(asterix_adm::ValueRef::new(value))
+    }
 }
 
 /// A live system-view generator: called at scan time to materialize the
@@ -275,6 +297,14 @@ impl MetadataProvider for InstanceProvider {
             .then(|| ds.partition_of(&ds.coerce_pk(std::slice::from_ref(key))))
     }
 
+    fn dataset_rows(&self, dataset: &str) -> Option<u64> {
+        // Stored datasets only (virtual and external ones have no runtime),
+        // counted off the components' metadata: never `DatasetRuntime::count`,
+        // which scans.
+        let ds = self.shared.dataset(dataset)?;
+        Some(ds.primary.iter().map(|t| t.lsm().stored_entries()).sum())
+    }
+
     fn scan_source(&self, dataset: &str) -> asterix_hyracks::Result<SourceFn> {
         if let Some(records) = self.virtual_records(dataset) {
             let records = records?;
@@ -308,10 +338,13 @@ impl MetadataProvider for InstanceProvider {
         // datasets (and unknown names, which must error through
         // `scan_source`) take the decoded fallback path.
         let Some(ds) = self.shared.dataset(dataset) else { return Ok(None) };
-        let (storage_proj, projected) = storage_projection(&ds, projection);
-        let source: RawSourceFn = Arc::new(move |partition, _nparts, emit| {
+        let pushed = pushed_projection(&ds, projection);
+        let projected = pushed.is_some();
+        let source: RawSourceFn = Arc::new(move |partition, _nparts, consult, emit| {
+            let partner = consult.map(|c| ScanPartner(std::cell::RefCell::new(c)));
+            let proj = storage_projection(pushed.as_ref(), partner.as_ref());
             let mut emit_err: Option<HyracksError> = None;
-            ds.scan_partition_projected(partition, &storage_proj, &mut |bytes| match emit(bytes) {
+            ds.scan_partition_projected(partition, &proj, &mut |bytes| match emit(bytes) {
                 Ok(()) => true,
                 Err(e) => {
                     emit_err = Some(e);
@@ -426,10 +459,12 @@ impl MetadataProvider for InstanceProvider {
         projection: &ScanProjection,
     ) -> asterix_hyracks::Result<PrimaryFetch> {
         let ds = self.runtime(dataset)?;
-        let (storage_proj, projected) = storage_projection(&ds, projection);
+        let pushed = pushed_projection(&ds, projection);
+        let projected = pushed.is_some();
         let fetch: FetchFn = Arc::new(move |pks, emit| {
+            let proj = storage_projection(pushed.as_ref(), None);
             let mut emit_err: Option<HyracksError> = None;
-            ds.fetch_projected(pks, &storage_proj, &mut |i, row| match emit(i, row) {
+            ds.fetch_projected(pks, &proj, &mut |i, row| match emit(i, row) {
                 Ok(()) => true,
                 Err(e) => {
                     emit_err = Some(e);

@@ -67,7 +67,7 @@ fn select_project_job(parts: usize) -> JobSpec {
 
 fn bench_select_project(c: &mut Criterion) {
     for parts in [1usize, 4, 8] {
-        let mut g = c.benchmark_group(&format!("vectorized/select_project_p{parts}"));
+        let mut g = c.benchmark_group(format!("vectorized/select_project_p{parts}"));
         g.sample_size(10);
         for (label, disable) in [("batch", false), ("disable_vectorization", true)] {
             g.bench_function(label, |b| {
@@ -127,7 +127,7 @@ fn join_job(parts: usize) -> (JobSpec, Arc<Mutex<Vec<Vec<Value>>>>) {
     let join = job.add(
         parts,
         Arc::new(
-            HybridHashJoinOp::new("equi", vec![0], vec![0], JoinType::Inner)
+            HybridHashJoinOp::new("equi", vec![0], vec![0], JoinType::Inner, 1)
                 .with_runtime_filter(fid),
         ),
     );
@@ -142,7 +142,7 @@ fn join_job(parts: usize) -> (JobSpec, Arc<Mutex<Vec<Vec<Value>>>>) {
 
 fn bench_join_probe(c: &mut Criterion) {
     for parts in [4usize, 8] {
-        let mut g = c.benchmark_group(&format!("vectorized/join_probe_p{parts}"));
+        let mut g = c.benchmark_group(format!("vectorized/join_probe_p{parts}"));
         g.sample_size(10);
         for (label, disable) in [("runtime_filter", false), ("disable_runtime_filters", true)] {
             g.bench_function(label, |b| {

@@ -383,30 +383,6 @@ impl Table3System for AsterixSystem {
     }
 }
 
-impl AsterixSystem {
-    /// The runtime-filter showcase join: `sel_join` with the datasets
-    /// reversed, so the *build* side is the selective user range and the
-    /// *probe* side scans every message. The tiny build publishes its key
-    /// filter almost immediately, and the probe prunes partner-less
-    /// messages before the repartition exchange — the natural `sel_join`
-    /// orientation (selective probe, full build) gives filters nothing to
-    /// do. Unhinted on purpose: this must compile to the hybrid hash join.
-    pub fn rev_sel_join(&self, lo: i64, hi: i64) -> usize {
-        self.instance
-            .query(&format!(
-                "for $m in dataset MugshotMessages \
-                 for $u in dataset MugshotUsers \
-                 where $m.author-id = $u.id \
-                   and $u.user-since >= {} and $u.user-since <= {} \
-                 return {{ \"uname\": $u.name, \"message\": $m.message }}",
-                dt(lo),
-                dt(hi)
-            ))
-            .expect("rev sel join")
-            .len()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // System-X stand-in
 // ---------------------------------------------------------------------------
@@ -549,7 +525,7 @@ impl Table3System for SystemX {
             }
         }
         let mut v: Vec<(i64, usize)> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1));
+        v.sort_by_key(|b| std::cmp::Reverse(b.1));
         v.truncate(10);
         v.len()
     }
@@ -697,7 +673,7 @@ impl Table3System for HiveLike {
             }
         }
         let mut v: Vec<(i64, usize)> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1));
+        v.sort_by_key(|b| std::cmp::Reverse(b.1));
         v.truncate(10);
         v.len()
     }
@@ -809,7 +785,7 @@ impl Table3System for MongoLike {
             }
         }
         let mut v: Vec<(i64, usize)> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1));
+        v.sort_by_key(|b| std::cmp::Reverse(b.1));
         v.truncate(10);
         v.len()
     }

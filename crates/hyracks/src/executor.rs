@@ -679,7 +679,7 @@ mod tests {
             })),
         );
         let join =
-            job.add(3, Arc::new(HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner)));
+            job.add(3, Arc::new(HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner, 1)));
         let (sink, collector) = collect_sink(&mut job);
         job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, build, join);
         job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, probe, join);
@@ -792,7 +792,7 @@ mod tests {
         let join = job.add(
             2,
             Arc::new(
-                HybridHashJoinOp::new("equi", vec![0], vec![0], JoinType::Inner)
+                HybridHashJoinOp::new("equi", vec![0], vec![0], JoinType::Inner, 1)
                     .with_runtime_filter(fid),
             ),
         );
@@ -840,6 +840,95 @@ mod tests {
         assert_eq!(got, (0..20).collect::<Vec<i64>>());
         assert_eq!(stats_off.published.get(), 0);
         assert_eq!(stats_off.pruned_tuples.get(), 0);
+    }
+
+    /// A source that applies its join's filter gets the consult of the run
+    /// it is in: the same job, run again over another build side, prunes by
+    /// that run's filter — what the first run published is gone with it.
+    #[test]
+    fn a_source_consults_the_filter_of_its_own_run() {
+        use crate::filter::FilterStats;
+        use crate::ops::RuntimeFilterProbeOp;
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let build_keys = Arc::new(Mutex::new(0..20i64));
+        let stats = FilterStats::default();
+        // Filters published once every build partition of the current run
+        // has: the counter runs on across runs.
+        let all_published = Arc::new(AtomicU64::new(0));
+
+        let mut job = JobSpec::new();
+        let keys = Arc::clone(&build_keys);
+        let build = job.add(
+            2,
+            Arc::new(SourceOp::new("build", move |p, n, emit| {
+                let keys = keys.lock().clone();
+                keys.filter(|k| *k as usize % n == p).try_for_each(|k| emit(vec![Value::Int64(k)]))
+            })),
+        );
+        let fid = job.alloc_runtime_filter();
+        // Probe keys 0..40, tested as a columnar scan tests them: on the
+        // key's encoded value, before there is a tuple — here once the
+        // build side has published, so that every key is decided.
+        let (gate, target) = (stats.clone(), Arc::clone(&all_published));
+        let probe = SourceOp::from_raw_fn(
+            "probe",
+            Arc::new(move |p, _n, partner, emit| {
+                let partner = partner.expect("the consult of the filter the source asked for");
+                while gate.published.get() < target.load(Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                partner.poll();
+                for k in (p as i64 * 20..).take(20) {
+                    let key = asterix_adm::serde::encode(&Value::Int64(k));
+                    if partner.keep_value(asterix_adm::ValueRef::new(&key)) {
+                        emit(&asterix_adm::encode_tuple(&[Value::Int64(k)]))?;
+                    }
+                }
+                Ok(())
+            }),
+        );
+        let probe = job.add(2, Arc::new(probe.with_join_filter(fid, 2)));
+        let consult = job.add(
+            2,
+            Arc::new(RuntimeFilterProbeOp { filter_id: fid, key_cols: vec![0], join_nparts: 2 }),
+        );
+        let join = job.add(
+            2,
+            Arc::new(
+                HybridHashJoinOp::new("equi", vec![0], vec![0], JoinType::Inner, 1)
+                    .with_runtime_filter(fid),
+            ),
+        );
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, build, join);
+        job.connect(ConnectorKind::OneToOne, probe, consult);
+        job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, consult, join);
+        job.connect(ConnectorKind::MToNReplicating, join, sink);
+        let cfg = ExecutorConfig {
+            filter_factory: Some(Arc::new(|hashes: &[u64]| {
+                let set: HashSet<u64> = hashes.iter().copied().collect();
+                Arc::new(move |h| set.contains(&h)) as crate::filter::KeyTest
+            })),
+            filter_stats: stats.clone(),
+            ..Default::default()
+        };
+
+        for (run, built) in [(1, 0..20i64), (2, 15..35)] {
+            *build_keys.lock() = built.clone();
+            all_published.store(2 * run, Ordering::SeqCst);
+            collector.lock().clear();
+            run_job_with(&job, &cfg).unwrap();
+            let mut got: Vec<i64> =
+                collector.lock().iter().map(|t| t[0].as_i64().unwrap()).collect();
+            got.sort_unstable();
+            assert_eq!(got, built.collect::<Vec<i64>>(), "run {run}");
+            // The source checked all 40 keys and pruned the 20 without a
+            // partner; the operator above checked its 20 survivors again.
+            assert_eq!(stats.checked.get(), run * 60, "run {run}");
+            assert_eq!(stats.pruned_tuples.get(), run * 20, "run {run}");
+        }
     }
 
     #[test]
@@ -1097,7 +1186,7 @@ mod tests {
             })),
         );
         let join =
-            job.add(3, Arc::new(HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner)));
+            job.add(3, Arc::new(HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner, 1)));
         let (sink, collector) = collect_sink(&mut job);
         job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, build, join);
         job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, probe, join);

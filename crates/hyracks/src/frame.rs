@@ -13,7 +13,7 @@
 use crossbeam::queue::SegQueue;
 use std::sync::OnceLock;
 
-use asterix_adm::{encode_tuple_into, AdmError, TupleRef, Value};
+use asterix_adm::{encode_tuple_into, AdmError, TupleRef, Value, ValueRef};
 
 /// A decoded runtime tuple: positional ADM values. Field-name → position
 /// mapping is a compile-time (Algebricks) concern; the runtime is purely
@@ -220,7 +220,7 @@ impl FramePool {
 
     /// Take a cleared frame, reusing a recycled one when available.
     pub fn take(&self) -> Frame {
-        self.frames.pop().unwrap_or_else(FrameBuf::new)
+        self.frames.pop().unwrap_or_default()
     }
 
     /// Return a frame for reuse. Its tuples are dropped; the backing
@@ -246,18 +246,20 @@ fn missing_hash() -> u64 {
     *H.get_or_init(|| Value::Missing.stable_hash())
 }
 
+/// Fold the stable hashes of a key's fields, in order, into the key's
+/// routing hash (FNV-1a over the field hashes).
+fn fold_key_hash(field_hashes: impl Iterator<Item = u64>) -> u64 {
+    field_hashes.fold(0xcbf2_9ce4_8422_2325, |h, vh| (h ^ vh).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// Compute the hash of the given tuple fields, for hash partitioning and
 /// hash joins. Uses the ADM stable hash so equal-comparing values (across
 /// numeric widths) land in the same partition; absent fields hash as
 /// MISSING.
 pub fn hash_fields(tuple: &Tuple, fields: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &f in fields {
-        let vh = tuple.get(f).map_or_else(missing_hash, |v| v.stable_hash());
-        h ^= vh;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fold_key_hash(
+        fields.iter().map(|&f| tuple.get(f).map_or_else(missing_hash, |v| v.stable_hash())),
+    )
 }
 
 /// [`hash_fields`] computed directly over an encoded tuple, bit-identical
@@ -265,12 +267,14 @@ pub fn hash_fields(tuple: &Tuple, fields: &[usize]) -> u64 {
 /// hasher sequence of `Value::stable_hash`, and an out-of-range field
 /// yields the MISSING encoding, which hashes as `Value::Missing`.
 pub fn hash_encoded_fields(tuple: &TupleRef<'_>, fields: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &f in fields {
-        h ^= tuple.field(f).stable_hash();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fold_key_hash(fields.iter().map(|&f| tuple.field(f).stable_hash()))
+}
+
+/// [`hash_encoded_fields`] of a one-column key, from the encoded key value
+/// alone — what a scan has in hand when it tests a join key before there
+/// is a tuple around it.
+pub fn hash_encoded_key(value: ValueRef<'_>) -> u64 {
+    fold_key_hash(std::iter::once(value.stable_hash()))
 }
 
 #[cfg(test)]
@@ -285,6 +289,28 @@ mod tests {
         assert_eq!(hash_fields(&a, &[0, 1]), hash_fields(&b, &[0, 1]));
         let c: Tuple = vec![Value::Int64(6), Value::string("x")];
         assert_ne!(hash_fields(&a, &[0]), hash_fields(&c, &[0]));
+    }
+
+    #[test]
+    fn one_value_hashes_as_the_one_column_key_holding_it() {
+        let mut record = asterix_adm::Record::new();
+        record.set("a", Value::Int32(1));
+        for v in [
+            Value::Int32(7),
+            Value::Int64(7),
+            Value::Double(7.0),
+            Value::string("seven"),
+            Value::Null,
+            Value::Missing,
+            Value::record(record),
+        ] {
+            let tuple = vec![v];
+            let in_tuple =
+                hash_encoded_fields(&TupleRef::new(&encode_tuple(&tuple)).unwrap(), &[0]);
+            let alone = hash_encoded_key(ValueRef::new(&asterix_adm::serde::encode(&tuple[0])));
+            assert_eq!(alone, in_tuple, "{tuple:?}");
+            assert_eq!(alone, hash_fields(&tuple, &[0]), "{tuple:?}");
+        }
     }
 
     #[test]

@@ -30,10 +30,10 @@ pub mod profile;
 pub use connector::{Comparator, ConnectorKind, ExchangeConfig, ExchangeStats};
 pub use error::{HyracksError, Result};
 pub use executor::{run_job, run_job_profiled, run_job_with, run_job_with_stats, ExecutorConfig};
-pub use filter::{FilterFactory, FilterStats, KeyTest, RuntimeFilterHub};
+pub use filter::{FilterConsult, FilterFactory, FilterStats, KeyTest, RuntimeFilterHub};
 pub use frame::{
-    hash_encoded_fields, hash_fields, Frame, FrameBuf, FramePool, SelBitmap, Tuple,
-    DEFAULT_FRAME_BYTES, FRAME_CAPACITY,
+    hash_encoded_fields, hash_encoded_key, hash_fields, Frame, FrameBuf, FramePool, SelBitmap,
+    Tuple, DEFAULT_FRAME_BYTES, FRAME_CAPACITY,
 };
 pub use job::{FusedChain, FusionPlan, JobSpec, OperatorId};
 pub use pipeline::{ExecEnv, PipelineCtx, PipelineOp};

@@ -132,9 +132,14 @@ fn read_spill(spill: &SpillGuard) -> Result<Vec<Vec<u8>>> {
 /// Grace-partitioned to disk by join-key hash and joined partition-wise.
 pub struct HybridHashJoinOp {
     label: String,
+    /// What `explain` appends to the name: which input builds, and the
+    /// sizes the compiler chose it by.
+    sides: String,
     pub build_keys: Vec<usize>,
     pub probe_keys: Vec<usize>,
     pub join_type: JoinType,
+    /// Arity of the build-side tuples (for ProbeOuter null padding).
+    pub build_arity: usize,
     pub mem_budget: usize,
     /// Grace fan-out when spilling.
     pub fanout: usize,
@@ -151,12 +156,15 @@ impl HybridHashJoinOp {
         build_keys: Vec<usize>,
         probe_keys: Vec<usize>,
         join_type: JoinType,
+        build_arity: usize,
     ) -> HybridHashJoinOp {
         HybridHashJoinOp {
             label: label.into(),
+            sides: String::new(),
             build_keys,
             probe_keys,
             join_type,
+            build_arity,
             mem_budget: 64 << 20,
             fanout: 16,
             filter_id: None,
@@ -165,6 +173,13 @@ impl HybridHashJoinOp {
 
     pub fn with_budget(mut self, bytes: usize) -> Self {
         self.mem_budget = bytes.max(1024);
+        self
+    }
+
+    /// Say in the operator's name which input builds (`[build=left ~2000,
+    /// probe ~100000]`).
+    pub fn with_sides(mut self, sides: impl Into<String>) -> Self {
+        self.sides = sides.into();
         self
     }
 
@@ -179,7 +194,6 @@ impl HybridHashJoinOp {
         &self,
         build: Vec<Vec<u8>>,
         probe: Vec<Vec<u8>>,
-        build_arity: usize,
         out: &mut OutputPort,
     ) -> Result<()> {
         let mut table: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
@@ -188,7 +202,7 @@ impl HybridHashJoinOp {
                 table.entry(k).or_default().push(bytes);
             }
         }
-        let pad = null_pad(build_arity);
+        let pad = null_pad(self.build_arity);
         let mut scratch = Vec::new();
         for p in probe {
             let matches =
@@ -211,7 +225,11 @@ impl HybridHashJoinOp {
 
 impl OperatorDescriptor for HybridHashJoinOp {
     fn name(&self) -> String {
-        format!("hybrid-hash-join {}", self.label)
+        if self.sides.is_empty() {
+            format!("hybrid-hash-join {}", self.label)
+        } else {
+            format!("hybrid-hash-join {} {}", self.label, self.sides)
+        }
     }
 
     fn blocking_inputs(&self) -> Vec<usize> {
@@ -232,7 +250,6 @@ impl OperatorDescriptor for HybridHashJoinOp {
         let fanout = self.fanout.max(2);
         let build_keys = self.build_keys.clone();
         let label = self.label.clone();
-        let mut build_arity = 0usize;
         // Runtime filter: collect every build tuple's key hash (unknown
         // keys included — they can only make the filter pass more, never
         // less, and probe-side unknowns are dropped at the join anyway).
@@ -242,7 +259,6 @@ impl OperatorDescriptor for HybridHashJoinOp {
             let input0 = &mut inputs[0];
             input0.for_each_raw(|enc| {
                 let r = TupleRef::new(enc)?;
-                build_arity = build_arity.max(r.field_count());
                 if collect_filter {
                     filter_hashes.push(hash_encoded_fields(&r, &build_keys));
                 }
@@ -288,7 +304,7 @@ impl OperatorDescriptor for HybridHashJoinOp {
             }
             let probe_keys = &self.probe_keys;
             let join_type = self.join_type;
-            let pad = null_pad(build_arity);
+            let pad = null_pad(self.build_arity);
             let mut scratch = Vec::new();
             inputs[1].for_each_raw(|p| {
                 let k = join_key(&TupleRef::new(p)?, probe_keys)?;
@@ -330,19 +346,24 @@ impl OperatorDescriptor for HybridHashJoinOp {
             }
             let build = read_spill(&bspill)?;
             let probe = read_spill(&pspill)?;
-            self.join_in_memory(build, probe, build_arity, out)?;
+            self.join_in_memory(build, probe, out)?;
         }
         Ok(())
     }
 }
+
+/// Does a (build, probe) tuple pair join?
+type JoinPredFn = Arc<dyn Fn(&Tuple, &Tuple) -> Result<bool> + Send + Sync>;
 
 /// Block nested-loop join with an arbitrary predicate over (build, probe)
 /// tuple pairs — the fallback for non-equijoins (spatial joins without an
 /// index, Query 5's inner pairing).
 pub struct NestedLoopJoinOp {
     label: String,
-    pred: Arc<dyn Fn(&Tuple, &Tuple) -> Result<bool> + Send + Sync>,
+    pred: JoinPredFn,
     pub join_type: JoinType,
+    /// Arity of the build-side tuples (for ProbeOuter null padding).
+    pub build_arity: usize,
 }
 
 impl NestedLoopJoinOp {
@@ -350,8 +371,9 @@ impl NestedLoopJoinOp {
         label: impl Into<String>,
         pred: impl Fn(&Tuple, &Tuple) -> Result<bool> + Send + Sync + 'static,
         join_type: JoinType,
+        build_arity: usize,
     ) -> NestedLoopJoinOp {
-        NestedLoopJoinOp { label: label.into(), pred: Arc::new(pred), join_type }
+        NestedLoopJoinOp { label: label.into(), pred: Arc::new(pred), join_type, build_arity }
     }
 }
 
@@ -373,8 +395,7 @@ impl OperatorDescriptor for NestedLoopJoinOp {
             build.push((asterix_adm::decode_tuple(enc)?, enc.to_vec()));
             Ok(true)
         })?;
-        let build_arity = build.iter().map(|(t, _)| t.len()).max().unwrap_or(0);
-        let pad = null_pad(build_arity);
+        let pad = null_pad(self.build_arity);
         let out = &mut outputs[0];
         let pred = &self.pred;
         let join_type = self.join_type;
@@ -585,7 +606,7 @@ mod tests {
 
     #[test]
     fn hash_join_inner() {
-        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner);
+        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner, 2);
         let out = run_join(
             &op,
             vec![kv(1, "a"), kv(2, "b"), kv(2, "b2")],
@@ -600,7 +621,7 @@ mod tests {
 
     #[test]
     fn hash_join_probe_outer() {
-        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::ProbeOuter);
+        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::ProbeOuter, 2);
         let mut out = run_join(&op, vec![kv(1, "a")], vec![kv(1, "x"), kv(9, "y")]);
         out.sort_by(|a, b| a[2].total_cmp(&b[2]));
         assert_eq!(out.len(), 2);
@@ -609,9 +630,68 @@ mod tests {
         assert_eq!(out[1][2], Value::Int64(9));
     }
 
+    /// A join partition whose build input is empty still pads an unmatched
+    /// probe tuple to the build side's width: the schema above says
+    /// "build ++ probe" whatever the partition happened to receive.
+    #[test]
+    fn probe_outer_pads_to_the_build_arity_where_a_build_partition_is_empty() {
+        use crate::connector::ConnectorKind;
+        use crate::job::JobSpec;
+        use crate::ops::{SinkOp, SourceOp};
+
+        // In memory, and with the build side Grace-partitioned to disk.
+        for budget in [None, Some(1024)] {
+            let mut job = JobSpec::new();
+            // Every build key is 7: one of the two join partitions gets
+            // the whole build side, the other nothing.
+            let build = job.add(
+                1,
+                Arc::new(SourceOp::new("build", |_, _, emit| {
+                    (0..200i64).try_for_each(|i| emit(vec![Value::Int64(7), Value::Int64(i)]))
+                })),
+            );
+            let probe = job.add(
+                1,
+                Arc::new(SourceOp::new("probe", |_, _, emit| {
+                    (0..40i64).try_for_each(|k| emit(vec![Value::Int64(k), Value::Int64(-k)]))
+                })),
+            );
+            let mut op = HybridHashJoinOp::new("outer", vec![0], vec![0], JoinType::ProbeOuter, 2);
+            if let Some(bytes) = budget {
+                op = op.with_budget(bytes);
+            }
+            let join = job.add(2, Arc::new(op));
+            let collector = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sink = job.add(1, Arc::new(SinkOp::new(Arc::clone(&collector))));
+            job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, build, join);
+            job.connect(ConnectorKind::MToNPartitioning { fields: vec![0] }, probe, join);
+            job.connect(ConnectorKind::MToNReplicating, join, sink);
+            crate::executor::run_job(&job).unwrap();
+
+            let rows = collector.lock();
+            assert_eq!(rows.len(), 200 + 39, "budget {budget:?}");
+            for row in rows.iter() {
+                assert_eq!(row.len(), 4, "budget {budget:?}: {row:?}");
+                let k = row[2].as_i64().expect("the probe key, behind the build columns");
+                assert_eq!(row[3], Value::Int64(-k));
+                let padded = [Value::Null, Value::Null];
+                assert_eq!(row[..2] == padded, k != 7, "budget {budget:?}: {row:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_loop_pads_to_the_build_arity_over_an_empty_build_input() {
+        let op = NestedLoopJoinOp::new("nl", |_, _| Ok(true), JoinType::ProbeOuter, 3);
+        let out = run_join(&op, vec![], vec![kv(1, "p")]);
+        let mut padded = vec![Value::Null; 3];
+        padded.extend(kv(1, "p"));
+        assert_eq!(out, vec![padded]);
+    }
+
     #[test]
     fn null_keys_never_join() {
-        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner);
+        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner, 2);
         let out = run_join(
             &op,
             vec![vec![Value::Null, Value::string("b")]],
@@ -625,7 +705,7 @@ mod tests {
         // Int32(7) on the build side joins Int64(7) / Double(7.0) probes:
         // the canonical key encoding collapses numeric widths just like
         // total_cmp equality did at the Value level.
-        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner);
+        let op = HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner, 2);
         let out = run_join(
             &op,
             vec![vec![Value::Int32(7), Value::string("b")]],
@@ -642,9 +722,10 @@ mod tests {
     fn grace_spill_matches_in_memory() {
         let build: Vec<Tuple> = (0..2000i64).map(|i| kv(i % 500, "b")).collect();
         let probe: Vec<Tuple> = (0..1000i64).map(|i| kv(i % 500, "p")).collect();
-        let big = HybridHashJoinOp::new("m", vec![0], vec![0], JoinType::Inner);
+        let big = HybridHashJoinOp::new("m", vec![0], vec![0], JoinType::Inner, 2);
         let expected = run_join(&big, build.clone(), probe.clone()).len();
-        let tiny = HybridHashJoinOp::new("s", vec![0], vec![0], JoinType::Inner).with_budget(2048);
+        let tiny =
+            HybridHashJoinOp::new("s", vec![0], vec![0], JoinType::Inner, 2).with_budget(2048);
         let got = run_join(&tiny, build, probe).len();
         assert_eq!(got, expected);
         assert_eq!(got, 2000 * 2); // each probe key matches 4 build rows; 1000 probes * 4
@@ -658,7 +739,8 @@ mod tests {
         let label = "guardtest";
         let build: Vec<Tuple> = (0..2000i64).map(|i| kv(i % 500, "b")).collect();
         let probe: Vec<Tuple> = (0..1000i64).map(|i| kv(i % 500, "p")).collect();
-        let op = HybridHashJoinOp::new(label, vec![0], vec![0], JoinType::Inner).with_budget(2048);
+        let op =
+            HybridHashJoinOp::new(label, vec![0], vec![0], JoinType::Inner, 2).with_budget(2048);
         let x = ExchangeConfig::default();
         let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
@@ -706,7 +788,8 @@ mod tests {
         let label = "canceljoin";
         let build: Vec<Tuple> = (0..2000i64).map(|i| kv(i % 500, "b")).collect();
         let probe: Vec<Tuple> = (0..1000i64).map(|i| kv(i % 500, "p")).collect();
-        let op = HybridHashJoinOp::new(label, vec![0], vec![0], JoinType::Inner).with_budget(2048);
+        let op =
+            HybridHashJoinOp::new(label, vec![0], vec![0], JoinType::Inner, 2).with_budget(2048);
         let x = ExchangeConfig::default();
         let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
@@ -751,8 +834,12 @@ mod tests {
 
     #[test]
     fn nested_loop_with_inequality() {
-        let op =
-            NestedLoopJoinOp::new("nl", |b, p| Ok(b[0].total_cmp(&p[0]).is_lt()), JoinType::Inner);
+        let op = NestedLoopJoinOp::new(
+            "nl",
+            |b, p| Ok(b[0].total_cmp(&p[0]).is_lt()),
+            JoinType::Inner,
+            2,
+        );
         let out = run_join(&op, vec![kv(1, "b1"), kv(5, "b5")], vec![kv(3, "p3"), kv(6, "p6")]);
         // b1<p3, b1<p6, b5<p6 → 3 rows.
         assert_eq!(out.len(), 3);

@@ -21,8 +21,8 @@ use asterix_adm::Value;
 use parking_lot::Mutex;
 
 use crate::connector::{InputPort, OutputPort};
-use crate::filter::{KeyTest, RuntimeFilterHub};
-use crate::frame::{hash_encoded_fields, FrameBuf, SelBitmap, Tuple};
+use crate::filter::FilterConsult;
+use crate::frame::{FrameBuf, SelBitmap, Tuple};
 use crate::pipeline::{ExecEnv, PipelineCtx, PipelineOp};
 use crate::Result;
 
@@ -39,9 +39,20 @@ pub type SourceFn =
 
 /// Produce *encoded* source tuples for one partition — the zero-copy scan
 /// path: storage hands the offset-prefixed tuple encoding straight to the
-/// exchange without materializing `Value`s.
-pub type RawSourceFn =
-    Arc<dyn Fn(usize, usize, &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> + Send + Sync>;
+/// exchange without materializing `Value`s. `(partition, nparts, partner,
+/// emit)`: `partner` is this run's consult of the join filter the source
+/// was asked to apply ([`SourceOp::with_join_filter`]), for the source to
+/// drop rows whose join key has no build partner before it assembles them.
+pub type RawSourceFn = Arc<
+    dyn Fn(
+            usize,
+            usize,
+            Option<&mut FilterConsult>,
+            &mut dyn FnMut(&[u8]) -> Result<()>,
+        ) -> Result<()>
+        + Send
+        + Sync,
+>;
 
 /// Resolve a batch of primary keys against the primary index:
 /// `(pks, emit)`. `pks` may come in any order and repeat; the callee sorts
@@ -140,6 +151,9 @@ fn decode_for_eval(bytes: &[u8], fields: Option<&[usize]>) -> Result<Tuple> {
 pub struct SourceOp {
     label: String,
     source: SourceBody,
+    /// `(filter id, join partitions)` of the runtime join filter a raw
+    /// source applies to its rows.
+    join_filter: Option<(usize, usize)>,
 }
 
 enum SourceBody {
@@ -155,16 +169,25 @@ impl SourceOp {
             + Sync
             + 'static,
     ) -> SourceOp {
-        SourceOp { label: label.into(), source: SourceBody::Decoded(Arc::new(f)) }
+        SourceOp::from_fn(label, Arc::new(f))
     }
 
     pub fn from_fn(label: impl Into<String>, f: SourceFn) -> SourceOp {
-        SourceOp { label: label.into(), source: SourceBody::Decoded(f) }
+        SourceOp { label: label.into(), source: SourceBody::Decoded(f), join_filter: None }
     }
 
     /// A source that emits encoded tuples (the serialized scan path).
     pub fn from_raw_fn(label: impl Into<String>, f: RawSourceFn) -> SourceOp {
-        SourceOp { label: label.into(), source: SourceBody::Raw(f) }
+        SourceOp { label: label.into(), source: SourceBody::Raw(f), join_filter: None }
+    }
+
+    /// Hand the raw source a consult of runtime filter `filter_id` (of a
+    /// join of `join_nparts` partitions). The consult is made per run, from
+    /// the run's own hub: a job can run again, and what one run's build
+    /// side published says nothing about the next run's.
+    pub fn with_join_filter(mut self, filter_id: usize, join_nparts: usize) -> SourceOp {
+        self.join_filter = Some((filter_id, join_nparts));
+        self
     }
 }
 
@@ -177,30 +200,36 @@ impl OperatorDescriptor for SourceOp {
         let env = ctx.env.clone();
         let OpCtx { partition, nparts, outputs, .. } = ctx;
         let out = &mut outputs[0];
-        match &self.source {
-            SourceBody::Decoded(f) => f(*partition, *nparts, &mut |t| out.push(t)),
-            SourceBody::Raw(f) if env.vectorized => {
-                // Vectorized scan head: batch emitted encodings into a
-                // frame and push it whole, so every downstream batch-aware
-                // stage (and the exchange) sees frame granularity.
-                let tpf = env.tuples_per_frame.max(1);
-                let mut batch = FrameBuf::new();
-                f(*partition, *nparts, &mut |bytes| {
-                    batch.push_encoded(bytes);
-                    if batch.tuple_count() >= tpf {
-                        let res = out.push_frame(&batch);
-                        batch.clear();
-                        return res;
-                    }
-                    Ok(())
-                })?;
-                if !batch.is_empty() {
-                    out.push_frame(&batch)?;
+        let f = match &self.source {
+            SourceBody::Decoded(f) => return f(*partition, *nparts, &mut |t| out.push(t)),
+            SourceBody::Raw(f) => f,
+        };
+        let mut partner = self
+            .join_filter
+            .map(|(id, join_nparts)| FilterConsult::new(&env.filters, id, join_nparts));
+        let res = if env.vectorized {
+            // Vectorized scan head: batch emitted encodings into a
+            // frame and push it whole, so every downstream batch-aware
+            // stage (and the exchange) sees frame granularity.
+            let tpf = env.tuples_per_frame.max(1);
+            let mut batch = FrameBuf::new();
+            f(*partition, *nparts, partner.as_mut(), &mut |bytes| {
+                batch.push_encoded(bytes);
+                if batch.tuple_count() >= tpf {
+                    let res = out.push_frame(&batch);
+                    batch.clear();
+                    return res;
                 }
                 Ok(())
-            }
-            SourceBody::Raw(f) => f(*partition, *nparts, &mut |bytes| out.push_encoded(bytes)),
+            })
+            .and_then(|()| if batch.is_empty() { Ok(()) } else { out.push_frame(&batch) })
+        } else {
+            f(*partition, *nparts, partner.as_mut(), &mut |bytes| out.push_encoded(bytes))
+        };
+        if let Some(partner) = &mut partner {
+            partner.flush_stats();
         }
+        res
     }
 }
 
@@ -272,8 +301,11 @@ impl PipelineOp for SinkStage {
 /// index lifecycle operators of §4.1), forwarding tuples downstream.
 pub struct ApplyOp {
     label: String,
-    apply: Arc<dyn Fn(usize, &Tuple) -> Result<()> + Send + Sync>,
+    apply: ApplyFn,
 }
+
+/// A side effect per `(partition, tuple)`.
+type ApplyFn = Arc<dyn Fn(usize, &Tuple) -> Result<()> + Send + Sync>;
 
 impl ApplyOp {
     pub fn new(
@@ -314,7 +346,7 @@ impl OperatorDescriptor for ApplyOp {
 
 struct ApplyStage {
     partition: usize,
-    apply: Arc<dyn Fn(usize, &Tuple) -> Result<()> + Send + Sync>,
+    apply: ApplyFn,
     next: Box<dyn PipelineOp>,
 }
 
@@ -917,103 +949,13 @@ impl PipelineOp for LimitStage {
     }
 }
 
-/// How many pass-through tuples a filter consumer routes to a
-/// not-yet-published partition before re-polling the hub.
-const FILTER_POLL_EVERY: u32 = 64;
-
-/// Consult-side state for runtime join filters, shared by the pull
-/// operator and the fused stage: per-join-partition cached [`KeyTest`]s
-/// and locally-accumulated stats (folded into the hub counters once, at
-/// end of stream).
-struct FilterConsult {
-    hub: Arc<RuntimeFilterHub>,
-    filter_id: usize,
-    key_cols: Vec<usize>,
-    join_nparts: usize,
-    cached: Vec<Option<KeyTest>>,
-    since_poll: u32,
-    checked: u64,
-    pruned: u64,
-}
-
-impl FilterConsult {
-    fn new(
-        env: &ExecEnv,
-        filter_id: usize,
-        key_cols: Vec<usize>,
-        join_nparts: usize,
-    ) -> FilterConsult {
-        let join_nparts = join_nparts.max(1);
-        FilterConsult {
-            hub: Arc::clone(&env.filters),
-            filter_id,
-            key_cols,
-            join_nparts,
-            cached: vec![None; join_nparts],
-            // Start saturated so the first tuple polls immediately: when
-            // the build finishes before the probe starts (small build
-            // sides, the common case), pruning kicks in from tuple one.
-            since_poll: FILTER_POLL_EVERY,
-            checked: 0,
-            pruned: 0,
-        }
-    }
-
-    /// Fetch filters published since the last poll.
-    fn poll(&mut self) {
-        self.since_poll = 0;
-        for p in 0..self.join_nparts {
-            if self.cached[p].is_none() {
-                self.cached[p] = self.hub.get(self.filter_id, p);
-            }
-        }
-    }
-
-    /// Keep this tuple? Routes the key hash exactly like the exchange
-    /// (`hash % join_nparts`) and tests that partition's filter;
-    /// pass-through until the filter is published (best-effort by design —
-    /// the filter has no false negatives, so a late check never changes
-    /// results, only prunes less).
-    fn keep(&mut self, bytes: &[u8]) -> Result<bool> {
-        let r = asterix_adm::TupleRef::new(bytes)?;
-        let h = hash_encoded_fields(&r, &self.key_cols);
-        let p = (h % self.join_nparts as u64) as usize;
-        if self.cached[p].is_none() {
-            self.since_poll += 1;
-            if self.since_poll >= FILTER_POLL_EVERY {
-                self.poll();
-            }
-        }
-        Ok(match &self.cached[p] {
-            None => true,
-            Some(test) => {
-                self.checked += 1;
-                if test(h) {
-                    true
-                } else {
-                    self.pruned += 1;
-                    false
-                }
-            }
-        })
-    }
-
-    /// Fold the locally-accumulated counts into the hub's shared stats.
-    fn flush_stats(&mut self) {
-        if self.checked > 0 {
-            self.hub.stats().checked.add(std::mem::take(&mut self.checked));
-        }
-        if self.pruned > 0 {
-            self.hub.stats().pruned_tuples.add(std::mem::take(&mut self.pruned));
-        }
-    }
-}
-
 /// Probe-side consult operator for runtime join filters: drops tuples
 /// whose join-key hash certainly has no build-side match *before* the
 /// exchange into the join. Jobgen inserts it on the probe branch of inner
-/// hash joins; it is fusible, so it rides the scan-headed pipeline thread
-/// — the scan itself consults the filter.
+/// hash joins; it is fusible, so it rides the scan-headed pipeline thread.
+/// It stays there when the scan below applies the same filter itself
+/// ([`SourceOp::with_join_filter`]): only columnar components decide
+/// pushed filters, and rows scanned before the build side published pass.
 pub struct RuntimeFilterProbeOp {
     /// Hub slot this probe consults ([`crate::job::JobSpec::alloc_runtime_filter`]).
     pub filter_id: usize,
@@ -1035,12 +977,8 @@ impl OperatorDescriptor for RuntimeFilterProbeOp {
 
     fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
         Ok(Box::new(RuntimeFilterStage {
-            consult: FilterConsult::new(
-                &ctx.env,
-                self.filter_id,
-                self.key_cols.clone(),
-                self.join_nparts,
-            ),
+            consult: FilterConsult::new(&ctx.env.filters, self.filter_id, self.join_nparts),
+            key_cols: self.key_cols.clone(),
             keep: SelBitmap::new(),
             compacted: FrameBuf::new(),
             next,
@@ -1049,8 +987,8 @@ impl OperatorDescriptor for RuntimeFilterProbeOp {
 
     fn run(&self, ctx: &mut OpCtx) -> Result<()> {
         let env = ctx.env.clone();
-        let mut consult =
-            FilterConsult::new(&env, self.filter_id, self.key_cols.clone(), self.join_nparts);
+        let mut consult = FilterConsult::new(&env.filters, self.filter_id, self.join_nparts);
+        let key_cols = &self.key_cols;
         let OpCtx { inputs, outputs, .. } = ctx;
         let out = &mut outputs[0];
         let res = if env.vectorized {
@@ -1061,7 +999,7 @@ impl OperatorDescriptor for RuntimeFilterProbeOp {
                 let n = frame.tuple_count();
                 keep.reset(n);
                 for i in 0..n {
-                    if consult.keep(frame.tuple_bytes(i))? {
+                    if consult.keep_tuple(&frame.tuple_ref(i)?, key_cols) {
                         keep.set(i);
                     }
                 }
@@ -1076,7 +1014,7 @@ impl OperatorDescriptor for RuntimeFilterProbeOp {
             })
         } else {
             inputs[0].for_each_raw(|bytes| {
-                if consult.keep(bytes)? {
+                if consult.keep_tuple(&asterix_adm::TupleRef::new(bytes)?, key_cols) {
                     out.push_encoded(bytes)?;
                 }
                 Ok(true)
@@ -1089,6 +1027,7 @@ impl OperatorDescriptor for RuntimeFilterProbeOp {
 
 struct RuntimeFilterStage {
     consult: FilterConsult,
+    key_cols: Vec<usize>,
     keep: SelBitmap,
     compacted: FrameBuf,
     next: Box<dyn PipelineOp>,
@@ -1096,7 +1035,7 @@ struct RuntimeFilterStage {
 
 impl PipelineOp for RuntimeFilterStage {
     fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.consult.keep(bytes)? {
+        if self.consult.keep_tuple(&asterix_adm::TupleRef::new(bytes)?, &self.key_cols) {
             self.next.push(bytes)?;
         }
         Ok(())
@@ -1107,7 +1046,7 @@ impl PipelineOp for RuntimeFilterStage {
         let n = frame.tuple_count();
         self.keep.reset(n);
         for i in 0..n {
-            if self.consult.keep(frame.tuple_bytes(i))? {
+            if self.consult.keep_tuple(&frame.tuple_ref(i)?, &self.key_cols) {
                 self.keep.set(i);
             }
         }
@@ -1541,8 +1480,11 @@ impl PipelineOp for DistinctStage {
 /// shapes).
 pub struct MapOp {
     label: String,
-    f: Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>,
+    f: FlatMapFn,
 }
+
+/// The tuples one input tuple becomes.
+type FlatMapFn = Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>;
 
 impl MapOp {
     pub fn new(
@@ -1584,7 +1526,7 @@ impl OperatorDescriptor for MapOp {
 }
 
 struct MapStage {
-    f: Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>,
+    f: FlatMapFn,
     scratch: Vec<u8>,
     next: Box<dyn PipelineOp>,
 }

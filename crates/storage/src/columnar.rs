@@ -151,34 +151,87 @@ impl CmpOp {
     }
 }
 
-/// A pushed-down `field <op> constant` predicate evaluated on one
-/// column's bytes before any row assembly. `key` is the precomputed
-/// `ordkey` encoding of the constant.
-#[derive(Debug, Clone)]
-pub struct ColumnFilter {
-    pub field: String,
-    pub op: CmpOp,
-    pub key: Vec<u8>,
+/// A membership test the engine above storage supplies for one scan: does
+/// a join-key value have a partner on the build side of a hash join? It is
+/// fed one column's raw values, so a row without a partner is dropped
+/// before any other column of it is read.
+pub trait PartnerTest {
+    /// Pick up what the build side has published since the last call.
+    /// Called once per row group, before any of its rows is tested.
+    fn poll(&self);
+
+    /// `true` when `value` — one field value's self-describing encoding —
+    /// DEFINITELY has no partner. While the build side has not published
+    /// yet nothing is rejected.
+    fn rejects(&self, value: &[u8]) -> bool;
 }
 
-impl ColumnFilter {
-    /// `true` when the row is DEFINITELY rejected by this filter: the
-    /// field is absent or unknown (comparisons with MISSING/NULL are
-    /// unknown, which a select drops), or its ordkey transcoding compares
-    /// false against the constant. Indecisive cases — non-scalar values,
-    /// numerics past the exact bound — keep the row; the select operator
-    /// above re-evaluates every surviving row, so this can only be used
-    /// under the predicate it was derived from.
+/// A pushed-down conjunct decided on one column's bytes before any row
+/// assembly: `field <op> constant`, or "`field` has a join partner".
+#[derive(Clone)]
+pub enum ColumnFilter<'t> {
+    /// `key` is the precomputed `ordkey` encoding of the constant.
+    Cmp { field: String, op: CmpOp, key: Vec<u8> },
+    /// The test belongs to one run of one scan (`'t`): it is handed in
+    /// when the scan starts, never stored with a plan.
+    Partner { field: String, test: &'t dyn PartnerTest },
+}
+
+impl fmt::Debug for ColumnFilter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ColumnFilter::Cmp { field, op, key } => f
+                .debug_struct("Cmp")
+                .field("field", field)
+                .field("op", op)
+                .field("key", key)
+                .finish(),
+            ColumnFilter::Partner { field, .. } => {
+                f.debug_struct("Partner").field("field", field).finish_non_exhaustive()
+            }
+        }
+    }
+}
+
+impl ColumnFilter<'_> {
+    /// The field whose bytes the filter reads.
+    pub fn field(&self) -> &str {
+        match self {
+            ColumnFilter::Cmp { field, .. } | ColumnFilter::Partner { field, .. } => field,
+        }
+    }
+
+    /// Called once per row group before its rows are decided.
+    pub fn begin_group(&self) {
+        if let ColumnFilter::Partner { test, .. } = self {
+            test.poll();
+        }
+    }
+
+    /// `true` when the row is DEFINITELY rejected by this filter. A
+    /// comparison rejects a field that is absent or unknown (comparisons
+    /// with MISSING/NULL are unknown, which a select drops) or whose
+    /// ordkey transcoding compares false against the constant; a partner
+    /// test rejects a present value its test rejects. Indecisive cases —
+    /// non-scalar values, numerics past the exact bound, a key field that
+    /// is absent, a build side that has not published — keep the row; the
+    /// operator above re-evaluates every surviving row, so this can only
+    /// be used under the predicate it was derived from.
     pub fn rejects(&self, field_sd: Option<&[u8]>, scratch: &mut Vec<u8>) -> bool {
-        let Some(bytes) = field_sd else { return true };
-        if ValueRef::new(bytes).is_unknown() {
-            return true;
+        match self {
+            ColumnFilter::Cmp { op, key, .. } => {
+                let Some(bytes) = field_sd else { return true };
+                if ValueRef::new(bytes).is_unknown() {
+                    return true;
+                }
+                scratch.clear();
+                if !asterix_adm::ordkey::encoded_scalar_key_into(bytes, scratch) {
+                    return false; // indecisive: let the select decide
+                }
+                !op.apply(scratch.as_slice().cmp(key.as_slice()))
+            }
+            ColumnFilter::Partner { test, .. } => field_sd.is_some_and(|bytes| test.rejects(bytes)),
         }
-        scratch.clear();
-        if !asterix_adm::ordkey::encoded_scalar_key_into(bytes, scratch) {
-            return false; // indecisive: let the select decide
-        }
-        !self.op.apply(scratch.as_slice().cmp(self.key.as_slice()))
     }
 }
 
@@ -187,16 +240,16 @@ impl ColumnFilter {
 /// or, with `fields: None`, the whole record — after every pushed filter
 /// has been decided on raw column bytes.
 #[derive(Debug, Clone)]
-pub struct Projection {
+pub struct Projection<'t> {
     /// `None` = all fields: the scan variable escapes, so surviving rows
     /// are spliced back into full records.
     pub fields: Option<Vec<String>>,
     /// Conjuncts of the predicate above the scan; a row any of them
     /// definitely rejects is never assembled.
-    pub filters: Vec<ColumnFilter>,
+    pub filters: Vec<ColumnFilter<'t>>,
 }
 
-impl Projection {
+impl Projection<'static> {
     /// Every field of every row: the plain full scan.
     pub fn all() -> Self {
         Projection { fields: None, filters: Vec::new() }

@@ -1224,19 +1224,20 @@ impl DiskComponent {
 
     /// Filter-first scan over a columnar component, bounded by a key range
     /// or by a sorted key list. Per row group it reads the key run and the
-    /// filter columns, decides every pushed filter on raw column bytes,
-    /// and only once a row of the group survives reads the remaining
-    /// projected runs and assembles the survivors — the named fields, or
-    /// the whole record for an all-fields projection. A key list drops the
-    /// keys the bloom filter rejects up front, visits only the groups
-    /// holding one of the rest, and within a group decides, reads and
-    /// yields for the wanted rows alone. Must only be called when
+    /// filter columns, decides every pushed filter — comparisons and a
+    /// join's partner test alike — on raw column bytes, and only once a
+    /// row of the group survives reads the remaining projected runs, each
+    /// no further than the last survivor, and assembles the survivors —
+    /// the named fields, or the whole record for an all-fields projection.
+    /// A key list drops the keys the bloom filter rejects up front, visits
+    /// only the groups holding one of the rest, and within a group
+    /// decides, reads and yields for the wanted rows alone. Must only be called when
     /// [`Self::is_columnar`]; row components are scanned with
     /// [`Self::range`] and probed with [`Self::get`].
     pub fn project_range<'a>(
         &'a self,
         bound: ScanBound<'a>,
-        proj: &Projection,
+        proj: &Projection<'a>,
     ) -> ProjectedIter<'a> {
         let Layout::Columnar(m) = &self.layout else {
             panic!("project_range on a row component");
@@ -1248,8 +1249,8 @@ impl DiskComponent {
         let slot_of = |name: &str| m.schema.column_index(name).unwrap_or(ncols);
         let fields: Option<Vec<(String, usize)>> =
             proj.fields.as_ref().map(|fs| fs.iter().map(|f| (f.clone(), slot_of(f))).collect());
-        let filters: Vec<(ColumnFilter, usize)> =
-            proj.filters.iter().map(|f| (f.clone(), slot_of(&f.field))).collect();
+        let filters: Vec<(ColumnFilter<'a>, usize)> =
+            proj.filters.iter().map(|f| (f.clone(), slot_of(f.field()))).collect();
         let mut filter_slots: Vec<usize> = filters.iter().map(|(_, s)| *s).collect();
         filter_slots.sort_unstable();
         filter_slots.dedup();
@@ -1453,17 +1454,18 @@ pub enum ProjKind {
 type KeyRow = ((usize, usize), u8);
 
 /// The presence-prefixed runs of a row group read so far, parsed for the
-/// selected shredded rows.
+/// shredded rows still in play: the selected ones while the filters are
+/// decided, their survivors from then on.
 struct Runs {
     /// Per slot (column, or last the rest run): its chunk, and where the
-    /// value ranges of the selected rows start in `ranges`.
+    /// value ranges of the rows in play start in `ranges`.
     chunks: Vec<Option<(Arc<Vec<u8>>, usize)>>,
     ranges: Vec<Option<(usize, usize)>>,
 }
 
 impl Runs {
-    /// The bytes of the `j`-th selected shredded row in one run: a column
-    /// value, or (last slot) the row's rest record.
+    /// The bytes of the `j`-th row in play in one run: a column value, or
+    /// (last slot) the row's rest record.
     fn bytes(&self, slot: usize, j: usize) -> Option<&[u8]> {
         let (buf, at) = self.chunks[slot].as_ref()?;
         self.ranges[at + j].map(|(a, b)| &buf[a..b])
@@ -1479,6 +1481,20 @@ impl Runs {
             Some(bytes)
         }
     }
+
+    /// Take the rejected ones out of the `rejected.len()` rows in play:
+    /// the runs read so far keep the survivors' ranges alone, and later
+    /// runs are parsed for them alone.
+    fn drop_rejected(&mut self, rejected: &[bool]) {
+        let Runs { chunks, ranges } = self;
+        let mut kept = Vec::with_capacity(ranges.capacity());
+        for (_, at) in chunks.iter_mut().flatten() {
+            let of_run = &ranges[*at..*at + rejected.len()];
+            *at = kept.len();
+            kept.extend(of_run.iter().zip(rejected).filter(|(_, r)| !**r).map(|(range, _)| *range));
+        }
+        *ranges = kept;
+    }
 }
 
 /// Filter-first iterator over one columnar component (see
@@ -1488,7 +1504,7 @@ pub struct ProjectedIter<'a> {
     comp: &'a DiskComponent,
     /// Fields to assemble with their slot; `None` = the whole record.
     fields: Option<Vec<(String, usize)>>,
-    filters: Vec<(ColumnFilter, usize)>,
+    filters: Vec<(ColumnFilter<'a>, usize)>,
     /// Slots the filters read, and the further slots assembly reads —
     /// both sorted and de-duplicated.
     filter_slots: Vec<usize>,
@@ -1573,7 +1589,7 @@ impl ProjectedIter<'_> {
 
     /// Read group `g` for the rows `select` names: decide the filters on
     /// them, read the late runs only if one survives (and each run only as
-    /// far as the last selected row), and yield them alone.
+    /// far as the last survivor), and yield the selected rows alone.
     fn materialize_group(&self, g: usize, select: Rows<'_>) -> Result<Vec<ProjEntry>> {
         let Layout::Columnar(m) = &self.comp.layout else { unreachable!() };
         let meta = &m.groups[g];
@@ -1622,11 +1638,10 @@ impl ProjectedIter<'_> {
             chunks: vec![None; ncols + 1],
             ranges: Vec::with_capacity((self.filter_slots.len() + self.late_slots.len()) * nshred),
         };
-        let load = |runs: &mut Runs, slot: usize| -> Result<()> {
+        let load = |runs: &mut Runs, slot: usize, ords: &[usize]| -> Result<()> {
             let buf = self.comp.read_chunk(m, g, 1 + slot)?;
             let at = runs.ranges.len();
-            let ords = shred_ords.iter().copied();
-            DiskComponent::parse_presence_chunk(&buf, ords, &mut runs.ranges)?;
+            DiskComponent::parse_presence_chunk(&buf, ords.iter().copied(), &mut runs.ranges)?;
             runs.chunks[slot] = Some((buf, at));
             Ok(())
         };
@@ -1634,24 +1649,31 @@ impl ProjectedIter<'_> {
         // Filter first: only the filter columns are read to decide which
         // rows are worth assembling. `rejected` stays empty without filters.
         let mut rejected: Vec<bool> = Vec::new();
-        let mut survivors = nshred;
         if nshred > 0 && !self.filters.is_empty() {
             for &slot in &self.filter_slots {
-                load(&mut runs, slot)?;
+                load(&mut runs, slot, &shred_ords)?;
             }
+            self.filters.iter().for_each(|(f, _)| f.begin_group());
             let mut scratch = Vec::new();
             rejected = (0..nshred)
                 .map(|j| {
                     self.filters
                         .iter()
-                        .any(|(f, slot)| f.rejects(runs.field(*slot, &f.field, j), &mut scratch))
+                        .any(|(f, slot)| f.rejects(runs.field(*slot, f.field(), j), &mut scratch))
                 })
                 .collect();
-            survivors -= rejected.iter().filter(|r| **r).count();
+            if rejected.contains(&true) {
+                runs.drop_rejected(&rejected);
+                let mut row = rejected.iter();
+                shred_ords.retain(|_| !row.next().expect("a verdict per shredded row"));
+            }
         }
+        // The late runs are read for the survivors alone, each no further
+        // than the last of them.
+        let survivors = shred_ords.len();
         if survivors > 0 {
             for &slot in &self.late_slots {
-                load(&mut runs, slot)?;
+                load(&mut runs, slot, &shred_ords)?;
             }
         }
         m.stats.rows_filtered.add((nshred - survivors) as u64);
@@ -1672,7 +1694,10 @@ impl ProjectedIter<'_> {
         };
 
         let mut out = Vec::with_capacity(selected.len());
-        let (mut j, mut pj) = (0usize, 0usize);
+        // A verdict per selected shredded row (none without filters), and
+        // the ordinals of the next survivor and the next spilled row.
+        let mut verdicts = rejected.iter();
+        let (mut sj, mut pj) = (0usize, 0usize);
         let mut parts: Vec<(&str, &[u8])> = Vec::new();
         let mut cols: Vec<Option<&[u8]>> = Vec::with_capacity(ncols);
         for row in selected {
@@ -1685,25 +1710,29 @@ impl ProjectedIter<'_> {
                     ProjKind::Row(buf[a..b].to_vec())
                 }
                 _ => {
-                    let shredded = j;
-                    j += 1;
-                    if rejected.get(shredded) == Some(&true) {
+                    if verdicts.next() == Some(&true) {
                         ProjKind::Filtered
-                    } else if let Some(fields) = &self.fields {
-                        parts.clear();
-                        for (name, slot) in fields {
-                            if let Some(b) = runs.field(*slot, name, shredded) {
-                                parts.push((name.as_str(), b));
-                            }
-                        }
-                        ProjKind::Assembled(colschema::encode_record_from_parts(&parts))
                     } else {
-                        cols.clear();
-                        cols.extend((0..ncols).map(|c| runs.bytes(c, shredded)));
-                        let rest = runs.bytes(ncols, shredded);
-                        let sd = colschema::splice_full(&m.schema, &cols, rest)
-                            .map_err(|e| StorageError::Corrupt(format!("splice failed: {e}")))?;
-                        ProjKind::Assembled(sd)
+                        let survivor = sj;
+                        sj += 1;
+                        if let Some(fields) = &self.fields {
+                            parts.clear();
+                            for (name, slot) in fields {
+                                if let Some(b) = runs.field(*slot, name, survivor) {
+                                    parts.push((name.as_str(), b));
+                                }
+                            }
+                            ProjKind::Assembled(colschema::encode_record_from_parts(&parts))
+                        } else {
+                            cols.clear();
+                            cols.extend((0..ncols).map(|c| runs.bytes(c, survivor)));
+                            let rest = runs.bytes(ncols, survivor);
+                            let sd =
+                                colschema::splice_full(&m.schema, &cols, rest).map_err(|e| {
+                                    StorageError::Corrupt(format!("splice failed: {e}"))
+                                })?;
+                            ProjKind::Assembled(sd)
+                        }
                     }
                 }
             };
@@ -1862,7 +1891,7 @@ mod tests {
         r.set("id", Value::Int64(i as i64));
         r.set("name", Value::string(format!("user-{i:04}")));
         r.set("score", Value::Double(i as f64 / 7.0));
-        if i % 5 == 0 {
+        if i.is_multiple_of(5) {
             r.set("flag", Value::Boolean(true));
         }
         encode(&Value::record(r))
@@ -1872,8 +1901,8 @@ mod tests {
         ColumnarOptions::new(Arc::new(SelfDescribingCodec))
     }
 
-    fn id_filter(op: CmpOp, v: i64) -> ColumnFilter {
-        ColumnFilter {
+    fn id_filter(op: CmpOp, v: i64) -> ColumnFilter<'static> {
+        ColumnFilter::Cmp {
             field: "id".into(),
             op,
             key: asterix_adm::ordkey::encode_value(&Value::Int64(v)),
@@ -1964,7 +1993,7 @@ mod tests {
             // "name" was not requested and must be absent from the output.
             assert!(adm_serde::encoded_record_field(rec, "name").is_none());
             let flag = adm_serde::encoded_record_field(rec, "flag");
-            assert_eq!(flag.is_some(), i % 5 == 0);
+            assert_eq!(flag.is_some(), i.is_multiple_of(5));
         }
         // The name/score columns were never read.
         assert!(opts.stats.bytes_skipped.get() > 0);
@@ -2064,7 +2093,7 @@ mod tests {
         assert!(c.schema().unwrap().column_index("x").is_some());
         let proj = Projection {
             fields: None,
-            filters: vec![ColumnFilter {
+            filters: vec![ColumnFilter::Cmp {
                 field: "x".into(),
                 op: CmpOp::Ge,
                 key: asterix_adm::ordkey::encode_value(&Value::Double(10.0)),
@@ -2261,34 +2290,42 @@ mod tests {
         assert!(c.get(&key(fp[0])).unwrap().is_none());
     }
 
-    #[test]
-    fn wanted_rows_keep_their_kind_and_rejected_groups_skip_the_late_runs() {
-        let dir = TempDir::new().unwrap();
-        let opts = columnar_opts();
-        // Row 3 mod 17 is antimatter, row 7 mod 10 spills (string id).
-        let mk = |i: u32| -> Entry {
-            if i % 17 == 3 {
-                Entry::tombstone(key(i))
-            } else if i % 10 == 7 {
-                let mut r = Record::new();
-                r.set("id", Value::string(format!("weird-{i}")));
-                Entry::put(key(i), encode(&Value::record(r)))
-            } else {
-                Entry::put(key(i), record_value(i))
-            }
-        };
-        let entries: Vec<Entry> = (0..600u32).map(mk).collect();
-        let c = DiskComponent::build_columnar(
-            &dir.path().join("c_0_0.dat"),
+    /// Entry `i` of a corpus of every row kind: row 3 mod 17 is antimatter,
+    /// row 7 mod 10 spills (string id), the rest shred.
+    fn mixed_entry(i: u32) -> Entry {
+        if i % 17 == 3 {
+            Entry::tombstone(key(i))
+        } else if i % 10 == 7 {
+            let mut r = Record::new();
+            r.set("id", Value::string(format!("weird-{i}")));
+            Entry::put(key(i), encode(&Value::record(r)))
+        } else {
+            Entry::put(key(i), record_value(i))
+        }
+    }
+
+    /// 600 [`mixed_entry`]s as one columnar component with a cold cache.
+    fn build_mixed(dir: &Path, opts: &ColumnarOptions) -> Arc<DiskComponent> {
+        let entries: Vec<Entry> = (0..600u32).map(mixed_entry).collect();
+        DiskComponent::build_columnar(
+            &dir.join("c_0_0.dat"),
             BufferCache::new(256),
             &ComponentConfig { page_size: 512, bloom_fpp: 0.01 },
-            &opts,
+            opts,
             0,
             0,
             &entries,
         )
         .unwrap()
-        .expect("mostly-stable data builds columnar");
+        .expect("mostly-stable data builds columnar")
+    }
+
+    #[test]
+    fn wanted_rows_keep_their_kind_and_rejected_groups_skip_the_late_runs() {
+        let dir = TempDir::new().unwrap();
+        let opts = columnar_opts();
+        let mk = mixed_entry;
+        let c = build_mixed(dir.path(), &opts);
         let proj = Projection {
             fields: Some(vec!["name".into()]),
             filters: vec![id_filter(CmpOp::Ge, 300)],
@@ -2319,6 +2356,107 @@ mod tests {
         assert_eq!(c.cache.stats().1 - misses0, 2, "key run + id run");
         assert_eq!(opts.stats.rows_filtered.get() - filtered0, wanted.len() as u64);
         assert_eq!(opts.stats.rows_assembled.get(), assembled0);
+    }
+
+    /// A partner test that knows which `id`s have one, and counts what it
+    /// is asked.
+    #[derive(Default)]
+    struct IdPartners {
+        ids: Vec<i64>,
+        polls: std::cell::Cell<usize>,
+        asked: std::cell::Cell<usize>,
+    }
+
+    impl crate::columnar::PartnerTest for IdPartners {
+        fn poll(&self) {
+            self.polls.set(self.polls.get() + 1);
+        }
+
+        fn rejects(&self, value: &[u8]) -> bool {
+            self.asked.set(self.asked.get() + 1);
+            !matches!(adm_serde::decode(value), Ok(Value::Int64(i)) if self.ids.contains(&i))
+        }
+    }
+
+    #[test]
+    fn partner_conjunct_reads_the_late_runs_of_groups_with_a_partner_only() {
+        let mk = mixed_entry;
+        let shredded = |i: &u32| i % 17 != 3 && i % 10 != 7;
+        // A cold cache per scan, so that misses count the runs it read.
+        let scan = |filters: Vec<ColumnFilter<'_>>| {
+            let dir = TempDir::new().unwrap();
+            let opts = columnar_opts();
+            let c = build_mixed(dir.path(), &opts);
+            let proj = Projection { fields: Some(vec!["name".into()]), filters };
+            let mut it = c.project_range(ScanBound::ALL, &proj);
+            let rows: Vec<ProjEntry> = it.by_ref().collect();
+            assert!(it.take_error().is_none());
+            let name_run = |k: u32| {
+                let Layout::Columnar(m) = &c.layout else { unreachable!() };
+                let name = m.schema.column_index("name").unwrap();
+                (group_of(&c, k), m.groups[group_of(&c, k)].chunks[1 + name].1 as u64)
+            };
+            let name_runs: Vec<(usize, u64)> = [100, 101, 450].map(name_run).to_vec();
+            (rows, c.cache.stats().1, opts.stats.bytes_skipped.get(), c.nblocks(), name_runs)
+        };
+        let id_of = |r: &ProjEntry| u32::from_be_bytes(r.key.as_slice().try_into().unwrap());
+        let assembled = |rows: &[ProjEntry]| -> Vec<u32> {
+            rows.iter().filter(|r| matches!(r.kind, ProjKind::Assembled(_))).map(id_of).collect()
+        };
+
+        // Nobody has a partner: every shredded row is decided on the `id`
+        // run, no `name` run is read.
+        let nobody = IdPartners::default();
+        let partner = |test| ColumnFilter::Partner { field: "id".into(), test };
+        let (rows, misses_nobody, skipped_nobody, groups, name_runs) = scan(vec![partner(&nobody)]);
+        assert_eq!(rows.len(), 600, "every key is yielded");
+        assert_eq!(nobody.polls.get(), groups, "polled once per row group");
+        assert_eq!(nobody.asked.get(), (0..600).filter(shredded).count());
+        for r in &rows {
+            let i = id_of(r);
+            match &r.kind {
+                ProjKind::Anti => assert_eq!(i % 17, 3),
+                ProjKind::Row(v) => assert_eq!((i % 10, v), (7, &mk(i).value)),
+                kind => assert_eq!((kind, shredded(&i)), (&ProjKind::Filtered, true), "row {i}"),
+            }
+        }
+
+        // Three ids in two groups have one: those rows are assembled, and
+        // only their groups' `name` runs are read on top.
+        let some = IdPartners { ids: vec![100, 101, 450], ..Default::default() };
+        let (rows, misses_some, skipped_some, _, _) = scan(vec![partner(&some)]);
+        assert_eq!(assembled(&rows), vec![100, 101, 450]);
+        assert_eq!(
+            rows.iter().filter(|r| r.kind == ProjKind::Filtered).count(),
+            some.asked.get() - 3
+        );
+        let mut partner_groups = name_runs.clone();
+        partner_groups.dedup();
+        assert_eq!(partner_groups.len(), 2, "100 and 101 share a group: {name_runs:?}");
+        assert_eq!(misses_some - misses_nobody, 2);
+        assert_eq!(
+            skipped_nobody - skipped_some,
+            partner_groups.iter().map(|(_, len)| len).sum::<u64>()
+        );
+
+        // Behind a range conjunct the test is asked about the rows the
+        // range keeps, and only the group of 450 reads its `name` run.
+        let behind = IdPartners { ids: vec![100, 101, 450], ..Default::default() };
+        let (rows, misses_behind, _, _, _) =
+            scan(vec![id_filter(CmpOp::Ge, 300), partner(&behind)]);
+        assert_eq!(assembled(&rows), vec![450]);
+        assert_eq!(behind.asked.get(), (300..600).filter(shredded).count());
+        assert_eq!(misses_behind - misses_nobody, 1);
+        let spilled = (0..600).filter(|i| i % 17 != 3 && i % 10 == 7).count();
+        assert_eq!(rows.iter().filter(|r| matches!(r.kind, ProjKind::Row(_))).count(), spilled);
+
+        // A row without the key field is not decided: `flag`, set on every
+        // fifth row, lives in the rest record.
+        let no_flag = IdPartners::default();
+        let (rows, ..) = scan(vec![ColumnFilter::Partner { field: "flag".into(), test: &no_flag }]);
+        let kept: Vec<u32> = (0..600).filter(|i| shredded(i) && i % 5 != 0).collect();
+        assert_eq!(assembled(&rows), kept);
+        assert_eq!(no_flag.asked.get(), (0..600).filter(|i| shredded(i) && i % 5 == 0).count());
     }
 
     /// A reader that holds the component keeps reading after `destroy()`.

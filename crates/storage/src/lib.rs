@@ -21,8 +21,8 @@ pub mod rtree;
 
 pub use cache::BufferCache;
 pub use columnar::{
-    CmpOp, ColumnFilter, ColumnarOptions, ColumnarStats, Projection, RowCodec, ScanBound,
-    SelfDescribingCodec,
+    CmpOp, ColumnFilter, ColumnarOptions, ColumnarStats, PartnerTest, Projection, RowCodec,
+    ScanBound, SelfDescribingCodec,
 };
 pub use component::{DiskComponent, Entry, ProjEntry, ProjKind};
 pub use error::{Result, StorageError};

@@ -2,6 +2,8 @@
 //! and indexed vs. scan plans, must agree on randomized data — the
 //! cross-checking oracle for the whole query stack.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -429,6 +431,30 @@ fn ix_ts(m: i64) -> i64 {
     m * 37 % 1440
 }
 
+/// Record `i` of a key dataset: `A` (30 records; `k` an int32 in 0..12) or
+/// `B` (150 records; `k` an int64 in 0..20, so two fifths of them have no
+/// partner in `A`), each with `s`, the key as a string. In either, `k` and
+/// `s` are NULL in some records and MISSING in others; `k` overrides the
+/// key.
+fn key_record(dataset: &str, i: i64, k: Option<i64>) -> Value {
+    let (modulus, nulls) = if dataset == "A" { (12, 7) } else { (20, 11) };
+    let k = k.unwrap_or(i % modulus);
+    let mut r = asterix_adm::Record::new();
+    r.set("id", Value::Int64(i));
+    match i % nulls {
+        3 => r.set("k", Value::Null),
+        5 => {}
+        _ if dataset == "A" => r.set("k", Value::Int32(k as i32)),
+        _ => r.set("k", Value::Int64(k)),
+    }
+    match i % nulls {
+        4 => r.set("s", Value::Null),
+        6 => {}
+        _ => r.set("s", Value::string(format!("s{k}"))),
+    }
+    Value::record(r)
+}
+
 /// Open (or re-open) the instance under `dir` the way `setup` runs it, in
 /// `dataverse`.
 fn open_setup(
@@ -447,18 +473,28 @@ fn open_setup(
     instance
 }
 
+/// The corpus of [`corpus_instance`] with the benchmark's secondary
+/// indexes (its `index_queries` instance).
+fn ix_instance(setup: IxSetup) -> (Arc<Instance>, tempfile::TempDir) {
+    corpus_instance(setup, true)
+}
+
 /// The benchmark's schema (`perf/src/env.rs`) cut down to the fields its
 /// shapes touch, under the benchmark's names, loaded in three stages like
 /// [`pushdown_instance`]: two flushes and a tail left in memory, each
 /// later stage rewriting and deleting messages of the earlier ones.
-fn ix_instance(setup: IxSetup) -> (Arc<Instance>, tempfile::TempDir) {
+/// Without the secondary indexes (the benchmark's `scan_queries` instance)
+/// it also holds the key datasets of [`key_record`], staged the same way.
+fn corpus_instance(setup: IxSetup, indexed: bool) -> (Arc<Instance>, tempfile::TempDir) {
     let dir = tempfile::TempDir::new().unwrap();
     let layout = setup.layout;
     let open = |disable_columnar: bool| open_setup(dir.path(), setup, disable_columnar, "Perf");
     let flush = |instance: &Arc<Instance>| {
         if layout != Layout::Memory {
-            instance.dataset("MugshotUsers").unwrap().flush_all().unwrap();
-            instance.dataset("MugshotMessages").unwrap().flush_all().unwrap();
+            let keyed: &[&str] = if indexed { &[] } else { &["A", "B"] };
+            for name in ["MugshotUsers", "MugshotMessages"].iter().chain(keyed) {
+                instance.dataset(name).unwrap().flush_all().unwrap();
+            }
         }
     };
     let mut instance = open(matches!(layout, Layout::RowComponents | Layout::Mixed));
@@ -472,28 +508,59 @@ fn ix_instance(setup: IxSetup) -> (Arc<Instance>, tempfile::TempDir) {
                  in-response-to: int64?, message: string
              };
              create dataset MugshotUsers(MugshotUserType) primary key id;
-             create dataset MugshotMessages(MugshotMessageType) primary key message-id;
-             create index msUserSinceIdx on MugshotUsers(user-since);
-             create index msTimestampIdx on MugshotMessages(timestamp);
-             create index msAuthorIdx on MugshotMessages(author-id) type btree;",
+             create dataset MugshotMessages(MugshotMessageType) primary key message-id;",
         )
         .unwrap();
+    let more = if indexed {
+        "create index msUserSinceIdx on MugshotUsers(user-since);
+         create index msTimestampIdx on MugshotMessages(timestamp);
+         create index msAuthorIdx on MugshotMessages(author-id) type btree;"
+    } else {
+        "create type K32 as open { id: int64, k: int32?, s: string? };
+         create type K64 as open { id: int64, k: int64?, s: string? };
+         create dataset A(K32) primary key id;
+         create dataset B(K64) primary key id;
+         create dataset E(K32) primary key id;"
+    };
+    instance.execute(more).unwrap();
+    // Every twentieth message loads an `A` record beside it, every fourth
+    // a `B` record.
     let load = |instance: &Arc<Instance>, ids: std::ops::Range<i64>| {
         let messages = instance.dataset("MugshotMessages").unwrap();
-        for m in ids {
+        for m in ids.clone() {
             messages.insert(&ix_message(m, ix_ts(m))).unwrap();
+        }
+        if !indexed {
+            let (a, b) = (instance.dataset("A").unwrap(), instance.dataset("B").unwrap());
+            for i in ids {
+                if i % 20 == 0 {
+                    a.insert(&key_record("A", i / 20, None)).unwrap();
+                }
+                if i % 4 == 0 {
+                    b.insert(&key_record("B", i / 4, None)).unwrap();
+                }
+            }
         }
     };
     // A rewrite moves the message out of every window the queries use (and
-    // its index entries with it); a delete removes it.
+    // its index entries with it); a delete removes it. An early `B` record
+    // goes the same way: to a key without a partner, or away.
     let rewrite = |instance: &Arc<Instance>, m: i64| {
         let messages = instance.dataset("MugshotMessages").unwrap();
         assert!(messages.delete_by_pk(&[Value::Int64(m)]).unwrap());
         messages.insert(&ix_message(m, 1439)).unwrap();
+        if !indexed {
+            let b = instance.dataset("B").unwrap();
+            assert!(b.delete_by_pk(&[Value::Int64(m % 100)]).unwrap());
+            b.insert(&key_record("B", m % 100, Some(1000))).unwrap();
+        }
     };
     let delete = |instance: &Arc<Instance>, m: i64| {
         let messages = instance.dataset("MugshotMessages").unwrap();
         assert!(messages.delete_by_pk(&[Value::Int64(m)]).unwrap());
+        if !indexed {
+            assert!(instance.dataset("B").unwrap().delete_by_pk(&[Value::Int64(m % 100)]).unwrap());
+        }
     };
 
     let users = instance.dataset("MugshotUsers").unwrap();
@@ -691,31 +758,262 @@ fn index_plans_answer_identically_on_every_layout_and_topology() {
 
             // The left-outer join: compiled against interpreted, and the
             // same on every instance.
-            let provider: Arc<dyn MetadataProvider> =
-                Arc::new(asterixdb::provider::InstanceProvider {
-                    shared: instance_shared(&instance),
-                });
-            let fctx = FunctionContext::default();
-            let options = OptimizerOptions::default();
-            let compiled = asterix_algebricks::jobgen::compile(
-                &outer_plan,
-                Arc::clone(&provider),
-                fctx.clone(),
-                &options,
-            )
-            .unwrap();
-            let cfg = asterix_hyracks::ExecutorConfig { disable_fusion, ..Default::default() };
-            let stats = Arc::new(asterix_hyracks::ExchangeStats::new());
-            let got = canonical(compiled.run_with(&cfg, &stats).unwrap());
-            let ctx = EvalCtx::new(provider, fctx);
-            let interp_rows = interp::eval_subplan(&outer_plan, &HashMap::new(), &ctx).unwrap();
-            assert_eq!(got, canonical(interp_rows), "{setup:?}: left-outer index-NL join");
+            let (got, interp_rows) = compiled_and_interpreted(&instance, setup, &outer_plan);
+            assert_eq!(got, interp_rows, "{setup:?}: left-outer index-NL join");
             // A padded row's `$m` is null, so its `m` field is missing.
             let padded = got.iter().filter(|r| !r.contains("\"m\"")).count();
             assert_eq!(padded, (IX_USERS - 60) as usize, "{setup:?}");
             assert_eq!(got.len(), padded + IX_MESSAGES as usize - 3, "three messages are deleted");
             let want = outer_expected.get_or_insert_with(|| got.clone());
             assert_eq!(&got, want, "{setup:?}: left-outer index-NL join");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hash joins: the smaller input builds, the probe scan tests its key first
+// ---------------------------------------------------------------------------
+
+/// `Family::SelJoin` of `perf/src/shapes.rs` without the hint, verbatim —
+/// or with its `for` clauses the other way round.
+fn seljoin_text(a: &[String; 4], users_first: bool) -> String {
+    format!(
+        "{} where $m.author-id = $u.id \
+           and $u.user-since >= {} and $u.user-since <= {} \
+         return {{ \"uname\": $u.name, \"message\": $m.message }}",
+        join_fors(users_first),
+        a[0],
+        a[1]
+    )
+}
+
+fn join_fors(users_first: bool) -> String {
+    let (u, m) = (format!("for $u in dataset {USERS}"), format!("for $m in dataset {MESSAGES}"));
+    if users_first {
+        format!("{u} {m}")
+    } else {
+        format!("{m} {u}")
+    }
+}
+
+/// The benchmark's two un-indexed join families in both written orders at
+/// a small and a large window, then joins of the key datasets: an int32
+/// key against an int64 one from either side, string keys, NULL and
+/// MISSING keys on both sides throughout, and build sides that are empty.
+fn hash_join_queries() -> Vec<String> {
+    let mut out = Vec::new();
+    for ((ulo, uhi), (lo, hi)) in [((100, 160), (200, 260)), ((0, 900), (100, 1000))] {
+        let a = [minute(ulo), minute(uhi), minute(lo), minute(hi)];
+        for users_first in [true, false] {
+            out.push(seljoin_text(&a, users_first));
+            let sel2join = sel2join_text(&a, false);
+            out.push(match users_first {
+                true => sel2join,
+                false => sel2join.replace(&join_fors(true), &join_fors(false)),
+            });
+        }
+    }
+    let ab = "return { \"a\": $a.id, \"b\": $b.id }";
+    for fors in
+        ["for $a in dataset A for $b in dataset B", "for $b in dataset B for $a in dataset A"]
+    {
+        // `A` is the smaller: `B` probes, its int64 keys against int32s.
+        out.push(format!("{fors} where $a.k = $b.k {ab}"));
+        out.push(format!("{fors} where $b.s = $a.s {ab}"));
+        // A tenth of `B` is smaller still: `A` probes.
+        out.push(format!("{fors} where $a.k = $b.k and $b.id < 70 {ab}"));
+        out.push(format!("{fors} where $a.s = $b.s and $b.id >= 40 and $a.id < 25 {ab}"));
+        // Nothing to build on.
+        out.push(format!("{fors} where $a.k = $b.k and $a.id < 0 {ab}"));
+    }
+    out.push("for $e in dataset E for $b in dataset B where $e.k = $b.k return $b.id".into());
+    out.push("for $b in dataset B for $e in dataset E where $e.s = $b.s return $b.id".into());
+    out
+}
+
+/// Every user with the ids of the messages they wrote in a narrow window,
+/// as a left-outer hash join (no AQL construct compiles to one): few
+/// messages build, so on twelve partitions most build inputs are empty.
+fn left_outer_hash_plan() -> asterix_algebricks::plan::LogicalOp {
+    use asterix_algebricks::expr::{CompareOp, LogicalExpr};
+    use asterix_algebricks::plan::{JoinKind, LogicalOp};
+    let field = |v, name: &str| LogicalExpr::field(LogicalExpr::Var(v), name);
+    let early = LogicalExpr::Compare(
+        CompareOp::Lt,
+        Box::new(field(1, "message-id")),
+        Box::new(LogicalExpr::Const(Value::Int64(20))),
+    );
+    LogicalOp::Emit {
+        input: Box::new(LogicalOp::HashJoin {
+            left: Box::new(LogicalOp::DataSourceScan { dataset: USERS.into(), var: 0 }),
+            right: Box::new(LogicalOp::Select {
+                input: Box::new(LogicalOp::DataSourceScan { dataset: MESSAGES.into(), var: 1 }),
+                condition: early,
+            }),
+            left_keys: vec![field(0, "id")],
+            right_keys: vec![field(1, "author-id")],
+            residual: None,
+            kind: JoinKind::LeftOuter,
+        }),
+        expr: LogicalExpr::RecordCtor(vec![
+            ("u".into(), field(0, "id")),
+            ("name".into(), field(0, "name")),
+            ("m".into(), field(1, "message-id")),
+        ]),
+    }
+}
+
+/// Run `plan` compiled, as `setup` runs queries, and interpreted.
+fn compiled_and_interpreted(
+    instance: &Instance,
+    setup: IxSetup,
+    plan: &asterix_algebricks::plan::LogicalOp,
+) -> (Vec<String>, Vec<String>) {
+    let provider: Arc<dyn MetadataProvider> =
+        Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(instance) });
+    let fctx = FunctionContext::default();
+    let options = OptimizerOptions::default();
+    let compiled =
+        asterix_algebricks::jobgen::compile(plan, Arc::clone(&provider), fctx.clone(), &options)
+            .unwrap();
+    let cfg = asterix_hyracks::ExecutorConfig {
+        disable_fusion: setup.disable_fusion,
+        ..Default::default()
+    };
+    let stats = Arc::new(asterix_hyracks::ExchangeStats::new());
+    let got = canonical(compiled.run_with(&cfg, &stats).unwrap());
+    let ctx = EvalCtx::new(provider, fctx);
+    let interp_rows = interp::eval_subplan(plan, &HashMap::new(), &ctx).unwrap();
+    (got, canonical(interp_rows))
+}
+
+/// The ids of the messages a scan lets through when it is asked for
+/// partners among `authors`, their filter published before it starts.
+fn message_ids_with_partners(instance: &Instance, authors: &[i64]) -> Vec<i64> {
+    let authors: Vec<Value> = authors.iter().map(|a| Value::Int64(*a)).collect();
+    let rows = common::scan_with_published_partners(
+        instance,
+        MESSAGES,
+        "author-id",
+        &["message-id"],
+        &authors,
+    );
+    let mut ids: Vec<i64> = rows.iter().map(|m| m.field("message-id").as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// An un-indexed equijoin answers as the interpreter does — rows compared
+/// sorted: which input builds changes the order they come out in, and AQL
+/// promises none — whichever `for` is written first, whatever the key's
+/// type and wherever it is NULL or MISSING, on every storage layout, fused
+/// and unfused, on one partition, on four and on twelve; and as an
+/// instance that never flushed does.
+#[test]
+fn hash_joins_answer_identically_on_every_layout_and_topology() {
+    let queries = hash_join_queries();
+    let reference_setup =
+        IxSetup { layout: Layout::Memory, disable_fusion: false, topology: (1, 1) };
+    let (reference, _d0) = corpus_instance(reference_setup, false);
+    let expected: Vec<Vec<String>> =
+        queries.iter().map(|q| canonical(reference.query(q).unwrap())).collect();
+    for (q, rows) in queries.iter().zip(&expected) {
+        let empty_build = q.contains("$a.id < 0") || q.contains("dataset E");
+        assert_eq!(rows.is_empty(), empty_build, "{} rows: {q}", rows.len());
+    }
+    // Written either way round a join is the same join.
+    for pair in expected[..8].chunks(4) {
+        assert_eq!((&pair[0], &pair[1]), (&pair[2], &pair[3]));
+    }
+    assert_eq!(expected[8..13], expected[13..18]);
+
+    let outer_plan = left_outer_hash_plan();
+    let mut outer_expected: Option<Vec<String>> = None;
+    for layout in [
+        Layout::Memory,
+        Layout::RowComponents,
+        Layout::Columnar,
+        Layout::Mixed,
+        Layout::ColumnarKnobOff,
+    ] {
+        for topology in [(1, 1), (2, 2), (4, 3)] {
+            for disable_fusion in [false, true] {
+                let setup = IxSetup { layout, disable_fusion, topology };
+                let (instance, _d) = corpus_instance(setup, false);
+                for (q, want) in queries.iter().zip(&expected) {
+                    assert_eq!(&canonical(instance.query(q).unwrap()), want, "{setup:?}: {q}");
+                    assert_eq!(
+                        &canonical(interpreted(&instance, "Perf", q)),
+                        want,
+                        "{setup:?} interpreted: {q}"
+                    );
+                }
+
+                // The selected users build and the messages' scan is asked
+                // for partners, whichever is written first — unless the
+                // knob declines what is pushed into scans.
+                let a = [minute(100), minute(160), minute(200), minute(260)];
+                let pushing = !matches!(layout, Layout::RowComponents | Layout::ColumnarKnobOff);
+                for users_first in [true, false] {
+                    let (_, job) = instance.explain(&seljoin_text(&a, users_first)).unwrap();
+                    let sides = if users_first { "build=left" } else { "build=right" };
+                    // 80 users, a tenth selected; 600 messages and, once
+                    // flushed, the six superseded versions and three
+                    // tombstones beside them.
+                    assert!(
+                        job.contains(&format!("equi [{sides} ~8, probe ~60")),
+                        "{setup:?}: {job}"
+                    );
+                    let pushed = job.contains(
+                        "data-scan Perf.MugshotMessages [cols: author-id,message] \
+                         [filter: author-id in join #0]",
+                    );
+                    assert_eq!(pushed, pushing, "{setup:?}: {job}");
+                    assert!(job.contains("runtime-filter-probe #0"), "{setup:?}: {job}");
+                    let (_, job) = instance.explain(&sel2join_text(&a, false)).unwrap();
+                    let pushed = job.contains(
+                        "[cols: author-id,message,timestamp] \
+                         [filter: timestamp>=?, timestamp<?, author-id in join #0]",
+                    );
+                    assert_eq!(pushed, pushing, "{setup:?}: {job}");
+                }
+
+                // What the test in the scan decides, with the filter there
+                // before the scan: no message of a wanted author is lost,
+                // and those of the others go where columnar components
+                // hold them — 550 were flushed, the first 250 row-major on
+                // the mixed instance, and twelve (of sixty) authors are
+                // wanted.
+                let authors: Vec<i64> = (0..60).step_by(5).collect();
+                let through = message_ids_with_partners(&instance, &authors);
+                let wanted = format!(
+                    "for $m in dataset {MESSAGES} where $m.author-id % 5 = 0 return $m.message-id"
+                );
+                let wanted: Vec<i64> =
+                    reference.query(&wanted).unwrap().iter().map(|m| m.as_i64().unwrap()).collect();
+                assert!(wanted.iter().all(|m| through.binary_search(m).is_ok()), "{setup:?}");
+                let dropped = IX_MESSAGES as usize - 3 - through.len();
+                let decided = match layout {
+                    Layout::Columnar => 550,
+                    Layout::Mixed => 300,
+                    _ => 0,
+                };
+                assert!(
+                    if decided == 0 { dropped == 0 } else { dropped > decided / 2 },
+                    "{setup:?}: {dropped} messages dropped in the scan"
+                );
+
+                // The left-outer join: compiled against interpreted, and
+                // the same on every instance; a user without a message in
+                // the window comes out padded — `$m` null, `m` missing —
+                // with its own fields where they belong.
+                let (got, interp_rows) = compiled_and_interpreted(&instance, setup, &outer_plan);
+                assert_eq!(got, interp_rows, "{setup:?}: left-outer hash join");
+                let padded: Vec<&String> = got.iter().filter(|r| !r.contains("\"m\"")).collect();
+                assert!(padded.len() > 60 && padded.iter().all(|r| r.contains("\"name\": \"u")));
+                let want = outer_expected.get_or_insert_with(|| got.clone());
+                assert_eq!(&got, want, "{setup:?}: left-outer hash join");
+            }
         }
     }
 }

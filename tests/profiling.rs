@@ -107,7 +107,8 @@ fn profile_reconciles_index_nl_join_with_cardinalities() {
 }
 
 /// The unhinted equijoin compiles to a hybrid hash join whose build port
-/// (0) saw the inner input and probe port (1) the outer input.
+/// (0) saw the inner input and probe port (1) the outer input: between
+/// inputs of one size the join builds on the right one, as written.
 #[test]
 fn profile_distinguishes_hash_join_build_and_probe_inputs() {
     let (instance, _dir) = join_instance(N);
@@ -122,11 +123,13 @@ fn profile_distinguishes_hash_join_build_and_probe_inputs() {
     assert_eq!(profile.rows.len(), N);
 
     let join = profile.operator("hybrid-hash-join").expect("hash join in profile");
+    assert!(join.name.contains("equi [build=right ~20, probe ~20]"), "{}", join.name);
     assert_eq!(join.tuples_in_port(0) as usize, N, "build side = messages input");
     assert_eq!(join.tuples_in_port(1) as usize, N, "probe side = users input");
     assert_eq!(join.tuples_out() as usize, N);
 
-    // Both scans fed the join in full.
+    // Both scans fed the join in full (every user has a partner, so the
+    // users scan drops none).
     for ds in ["MugshotUsers", "MugshotMessages"] {
         let scan = profile
             .operators
@@ -327,17 +330,25 @@ fn vectorization_preserves_results_and_operator_tuple_counts() {
             sorted_rows(&sp.rows),
             "vectorized and scalar rows must be identical: {q}"
         );
-        // How many probe tuples the runtime filter prunes depends on when
-        // the build side publishes it, so what the consult operator lets
-        // through and what the join's probe port receives differ from run
-        // to run; the consult's input and the join's output do not.
+        // How many probe rows the runtime filter prunes — in the probe
+        // scan, then in the consult operator above it — depends on when
+        // the build side publishes it, so every count from that scan's
+        // output to the join's probe port differs from run to run; the
+        // build side's counts and the join's output do not. (The key
+        // assigns of both sides go by one name.)
         let counts = |p: &asterixdb::QueryProfile| -> BTreeMap<String, (u64, u64)> {
             let mut m = BTreeMap::new();
             for o in &p.operators.operators {
+                let on_probe_path = ["assign join-key", "runtime-filter-probe"]
+                    .iter()
+                    .any(|name| o.name.starts_with(name));
+                if on_probe_path {
+                    continue;
+                }
                 let e = m.entry(o.name.clone()).or_insert((0u64, 0u64));
                 let is_join = o.name.starts_with("hybrid-hash-join");
                 e.0 += if is_join { o.tuples_in_port(0) } else { o.tuples_in() };
-                if !o.name.starts_with("runtime-filter-probe") {
+                if !o.name.contains(" in join #") {
                     e.1 += o.tuples_out();
                 }
             }
@@ -349,9 +360,10 @@ fn vectorization_preserves_results_and_operator_tuple_counts() {
 
 /// Runtime join filters prune partner-less probe tuples before the
 /// exchange without changing results, and the profiled tuple counts
-/// reconcile exactly: the consult operator's in/out delta equals the
-/// `filters.pruned_tuples` metric delta, and what it let through is what
-/// the join's probe port received.
+/// reconcile exactly: what the probe scan dropped on its key column plus
+/// the consult operator's in/out delta equals the `filters.pruned_tuples`
+/// metric delta, and what the consult let through is what the join's
+/// probe port received.
 #[test]
 fn runtime_filters_prune_probe_tuples_and_reconcile_counts() {
     let query = r#"for $u in dataset MugshotUsers
@@ -380,8 +392,11 @@ fn runtime_filters_prune_probe_tuples_and_reconcile_counts() {
 
     // Filters-on: each build partition published at end-of-build. Pruning
     // itself is best-effort (the probe may outrun publication), but the
-    // counts must reconcile exactly: scan out = consult in, and consult
-    // in − consult out = pruned tuples.
+    // counts must reconcile exactly: scan out + dropped in the scan = rows
+    // scanned, and dropped in the scan + consult in − consult out = pruned
+    // tuples. (The users scan carries the partner test and nothing else,
+    // and this is the instance's only query: the rows its columnar
+    // components filtered are the rows that test dropped.)
     assert_eq!(on.filter_stats().published.get(), on.config().partitions() as u64);
     let consult =
         on_profile.operators.find("runtime-filter-probe").expect("consult operator in profile");
@@ -392,9 +407,20 @@ fn runtime_filters_prune_probe_tuples_and_reconcile_counts() {
         .find(|o| o.name.starts_with("data-scan") && o.name.contains("MugshotUsers"))
         .expect("users data-scan in profile");
     let join = on_profile.operator("hybrid-hash-join").expect("hash join in profile");
-    assert_eq!(scan.tuples_out(), 2 * N as u64, "probe scan sees matched + partner-less users");
+    assert!(scan.name.ends_with("[cols: id] [filter: id in join #0]"), "{}", scan.name);
+    assert!(join.name.contains("equi [build=right ~20, probe ~40]"), "{}", join.name);
+    let scan_pruned = on.columnar_stats().rows_filtered.get();
+    assert_eq!(
+        scan.tuples_out() + scan_pruned,
+        2 * N as u64,
+        "probe scan reads matched + partner-less users"
+    );
     let pruned = on.filter_stats().pruned_tuples.get();
-    assert_eq!(consult.tuples_in(), consult.tuples_out() + pruned, "consult drops = pruned");
+    assert_eq!(
+        scan_pruned + consult.tuples_in() - consult.tuples_out(),
+        pruned,
+        "scan drops + consult drops = pruned"
+    );
     assert_eq!(join.tuples_in_port(1), consult.tuples_out(), "join probe port = consult out");
     assert_eq!(join.tuples_out(), N as u64);
 

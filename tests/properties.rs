@@ -5,6 +5,8 @@
 //! * the LSM tree behaves like a sorted map under arbitrary workloads with
 //!   interleaved flushes and merges.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -413,7 +415,7 @@ proptest! {
         let d2 = tempfile::TempDir::new().unwrap();
         let col = mk(d1.path(), Some(ColumnarOptions::new(Arc::new(SelfDescribingCodec))));
         let row = mk(d2.path(), None);
-        let mut put = |k: u16, bytes: Vec<u8>| {
+        let put = |k: u16, bytes: Vec<u8>| {
             col.insert(k.to_be_bytes().to_vec(), bytes.clone()).unwrap();
             row.insert(k.to_be_bytes().to_vec(), bytes).unwrap();
         };
@@ -616,7 +618,7 @@ proptest! {
         }
         let filters = bounds
             .iter()
-            .map(|(ge, n)| ColumnFilter {
+            .map(|(ge, n)| ColumnFilter::Cmp {
                 field: "n".into(),
                 op: if *ge { CmpOp::Ge } else { CmpOp::Lt },
                 key: ordkey::encode_value(&Value::Int64(*n)),
@@ -732,5 +734,137 @@ proptest! {
         }
         let job = instance.explain("for $d in dataset D where $d.id = 0 return $d").unwrap().1;
         prop_assert!(job.contains("btree-search P.D (primary) [parts=1"), "{}", job);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hash joins: the partner test in the probe scan
+// ---------------------------------------------------------------------------
+
+/// A join key as one record holds it: a small number (so that partners are
+/// common), NULL, or absent.
+fn join_key() -> impl Strategy<Value = Option<Option<i64>>> {
+    prop_oneof![8 => (-12i64..12).prop_map(|n| Some(Some(n))), 1 => Just(Some(None)), 1 => Just(None)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An inner equijoin whose probe scan is asked for partners answers as
+    /// the plan without runtime filters does and as the interpreter does,
+    /// whatever the keys' types and widths and wherever they are NULL or
+    /// MISSING. And the test in the scan itself — here with the build
+    /// side's filter published before the scan starts, which a running
+    /// join cannot promise — never drops a row the join would match, and
+    /// drops every flushed row whose key has no partner.
+    #[test]
+    fn partner_test_never_drops_a_row_the_join_would_match(
+        key_type in prop_oneof![Just("int32"), Just("int64"), Just("string")],
+        probe_keys in prop::collection::vec(join_key(), 1..80),
+        build_keys in prop::collection::vec(join_key(), 0..12),
+        flush_after in 0usize..80,
+    ) {
+        use std::collections::HashSet;
+        use asterix_adm::functions::FunctionContext;
+        use asterix_algebricks::metadata::MetadataProvider;
+        use asterix_algebricks::rules::{optimize, OptimizerOptions};
+        use asterixdb::{ClusterConfig, Instance};
+
+        let dir = tempfile::TempDir::new().unwrap();
+        let mut cfg = ClusterConfig::small(dir.path());
+        (cfg.nodes, cfg.partitions_per_node) = (2, 2);
+        let instance = Instance::open(cfg).unwrap();
+        // The build side always holds int64s — or strings — whatever the
+        // probe side's width.
+        let build_type = if key_type == "string" { "string" } else { "int64" };
+        instance
+            .execute(&format!(
+                "create dataverse J; use dataverse J;
+                 create type PT as open {{ id: int64, k: {key_type}? }};
+                 create type ST as open {{ id: int64, k: {build_type}? }};
+                 create dataset P(PT) primary key id;
+                 create dataset S(ST) primary key id;"
+            ))
+            .unwrap();
+        let key_value = |ty: &str, n: i64| match ty {
+            "int32" => Value::Int32(n as i32),
+            "int64" => Value::Int64(n),
+            _ => Value::string(format!("k{n}")),
+        };
+        let load = |name: &str, ty: &str, keys: &[Option<Option<i64>>], flush_after: usize| {
+            let d = instance.dataset(name).unwrap();
+            for (i, key) in keys.iter().enumerate() {
+                let mut r = Record::new();
+                r.set("id", Value::Int64(i as i64));
+                match key {
+                    Some(Some(n)) => r.set("k", key_value(ty, *n)),
+                    Some(None) => r.set("k", Value::Null),
+                    None => {}
+                }
+                d.insert(&Value::record(r)).unwrap();
+                if i == flush_after {
+                    d.flush_all().unwrap();
+                }
+            }
+        };
+        // Ten times the build side and more, so that it is `P` that probes.
+        let probe_keys: Vec<_> = probe_keys.iter().cycle().take(probe_keys.len().max(130)).collect();
+        let probe_keys: Vec<Option<Option<i64>>> = probe_keys.into_iter().copied().collect();
+        load("P", key_type, &probe_keys, flush_after);
+        load("S", build_type, &build_keys, usize::MAX);
+
+        // End to end, three ways.
+        let q = "for $s in dataset S for $p in dataset P where $s.k = $p.k \
+                 return { \"s\": $s.id, \"p\": $p.id }";
+        let sorted = |mut rows: Vec<Value>| {
+            rows.sort_by(|a, b| a.total_cmp(b));
+            rows
+        };
+        let job = instance.explain(q).unwrap().1;
+        prop_assert!(job.contains("data-scan J.P [cols: id,k] [filter: k in join #0]"), "{}", job);
+        let pushed = sorted(instance.query(q).unwrap());
+        let partners: HashSet<i64> = build_keys.iter().filter_map(|k| k.flatten()).collect();
+        let has_partner = |k: &Option<Option<i64>>| k.flatten().is_some_and(|n| partners.contains(&n));
+        let matches = |n: i64| build_keys.iter().filter(|k| **k == Some(Some(n))).count();
+        let joined: usize = probe_keys.iter().filter_map(|k| k.flatten()).map(matches).sum();
+        prop_assert_eq!(pushed.len(), joined);
+
+        let shared = instance.shared_state();
+        let provider: Arc<dyn MetadataProvider> =
+            Arc::new(asterixdb::provider::InstanceProvider { shared: Arc::clone(&shared) });
+        let catalog =
+            asterixdb::provider::SessionCatalog { shared, current_dataverse: "J".into() };
+        let plan = asterix_aql::translate::Translator::new(&catalog)
+            .translate_query(&asterix_aql::parser::parse_expression(q).unwrap())
+            .unwrap();
+        let fctx = FunctionContext::default();
+        let plan = optimize(plan, &provider, &fctx, &OptimizerOptions::default());
+        let ctx = asterix_algebricks::expr::EvalCtx::new(Arc::clone(&provider), fctx);
+        let interpreted =
+            asterix_algebricks::interp::eval_subplan(&plan, &std::collections::HashMap::new(), &ctx)
+                .unwrap();
+        prop_assert_eq!(&pushed, &sorted(interpreted));
+
+        instance.optimizer_options.write().enable_runtime_filters = false;
+        prop_assert!(!instance.explain(q).unwrap().1.contains("in join"));
+        prop_assert_eq!(&pushed, &sorted(instance.query(q).unwrap()));
+
+        // The scan alone, under the filter the build side would publish:
+        // an exact one, so what it lets through it cannot blame on chance.
+        let built: Vec<Value> = partners.iter().map(|n| key_value(build_type, *n)).collect();
+        let came_through: HashSet<i64> =
+            common::scan_with_published_partners(&instance, "J.P", "k", &["id", "k"], &built)
+                .iter()
+                .map(|row| row.field("id").as_i64().unwrap())
+                .collect();
+        for (i, key) in probe_keys.iter().enumerate() {
+            // Undecided: a row still in memory, a row without the key field.
+            let decided = i <= flush_after && key.is_some();
+            let through = came_through.contains(&(i as i64));
+            prop_assert!(
+                if decided { through == has_partner(key) } else { through },
+                "row {} with key {:?}: through = {}, partners {:?}", i, key, through, partners
+            );
+        }
     }
 }
