@@ -158,9 +158,8 @@ const MAX_PATH_DEPTH: usize = 3;
 #[derive(Debug, Default)]
 pub struct SchemaBuilder {
     rows: u64,
-    /// Top-level field names in first-seen order (column order is data
-    /// arrival order, matching the row encoding's field order for
-    /// homogeneous loads).
+    /// Top-level field names in first-seen order: the column order of
+    /// fields the record type does not declare.
     order: Vec<String>,
     top: BTreeMap<String, PathStat>,
     nested: BTreeMap<String, PathStat>,
@@ -179,50 +178,62 @@ impl SchemaBuilder {
     /// (recording nothing) when the bytes do not encode a record — such
     /// rows can only be stored on the spill path.
     pub fn observe(&mut self, record_sd: &[u8]) -> bool {
-        let mut order = std::mem::take(&mut self.order);
-        let mut top = std::mem::take(&mut self.top);
-        let mut nested = std::mem::take(&mut self.nested);
+        let SchemaBuilder { rows, order, top, nested } = self;
+        // One path buffer for every nested field of the row; a name or a
+        // path is allocated only the first time it is seen.
+        let mut path = String::new();
         let is_record = for_each_record_field(record_sd, &mut |name, bytes| {
             let tag = bytes.first().copied().unwrap_or(serde::T_MISSING);
-            if !top.contains_key(name) {
-                order.push(name.to_string());
+            match top.get_mut(name) {
+                Some(s) => s.note(tag),
+                None => {
+                    order.push(name.to_string());
+                    top.entry(name.to_string()).or_default().note(tag);
+                }
             }
-            top.entry(name.to_string()).or_default().note(tag);
             if tag == serde::T_RECORD {
-                Self::observe_nested(&mut nested, name, bytes, 1);
+                path.clear();
+                path.push_str(name);
+                Self::observe_nested(nested, &mut path, bytes, 1);
             }
             true
         });
-        self.order = order;
-        self.top = top;
-        self.nested = nested;
         match is_record {
             Ok(true) => {
-                self.rows += 1;
+                *rows += 1;
                 true
             }
             _ => false,
         }
     }
 
+    /// Note every field of the nested record `bytes` found at `path`,
+    /// which is restored before returning.
     fn observe_nested(
         nested: &mut BTreeMap<String, PathStat>,
-        prefix: &str,
+        path: &mut String,
         bytes: &[u8],
         depth: usize,
     ) {
         if depth > MAX_PATH_DEPTH {
             return;
         }
+        let prefix = path.len();
         let _ = for_each_record_field(bytes, &mut |name, fbytes| {
             let tag = fbytes.first().copied().unwrap_or(serde::T_MISSING);
-            let path = format!("{prefix}.{name}");
-            nested.entry(path.clone()).or_default().note(tag);
+            path.truncate(prefix);
+            path.push('.');
+            path.push_str(name);
+            match nested.get_mut(path.as_str()) {
+                Some(s) => s.note(tag),
+                None => nested.entry(path.clone()).or_default().note(tag),
+            }
             if tag == serde::T_RECORD {
-                Self::observe_nested(nested, &path, fbytes, depth + 1);
+                Self::observe_nested(nested, path, fbytes, depth + 1);
             }
             true
         });
+        path.truncate(prefix);
     }
 
     /// Every observed field path (top-level and dotted nested) with its
@@ -249,26 +260,44 @@ impl SchemaBuilder {
     /// whole at shred time. Genuinely heterogeneous and rare fields are
     /// left to the per-row "rest" record; always-null fields have no
     /// useful column representation either. At most `max_columns` survive
-    /// (highest presence wins); column order is first-seen order.
-    pub fn finish(self, min_presence: f64, max_columns: usize) -> InferredSchema {
+    /// (highest presence wins).
+    ///
+    /// Columns come in `declared` order — the record type's fields, in
+    /// the order the typed encoding yields them — and then the undeclared
+    /// (open) fields in first-seen order. Which fields a component's first
+    /// rows hold therefore moves no declared column, so the components of
+    /// a stable dataset infer one column list, and a spliced record
+    /// already is in typed order.
+    pub fn finish(
+        self,
+        declared: &[String],
+        min_presence: f64,
+        max_columns: usize,
+    ) -> InferredSchema {
         if self.rows == 0 {
             return InferredSchema::default();
         }
         let threshold = ((self.rows as f64) * min_presence).ceil().max(1.0) as u64;
+        let rank = |name: &str, seen: usize| {
+            declared.iter().position(|d| d == name).unwrap_or(declared.len() + seen)
+        };
         let mut picked: Vec<(usize, ColumnSpec)> = Vec::new();
         for (i, name) in self.order.iter().enumerate() {
             let s = &self.top[name];
             if s.count >= threshold {
                 if let Some(tag) = s.dominant() {
-                    picked.push((i, ColumnSpec { name: name.clone(), tag, count: s.count }));
+                    picked.push((
+                        rank(name, i),
+                        ColumnSpec { name: name.clone(), tag, count: s.count },
+                    ));
                 }
             }
         }
         if picked.len() > max_columns {
             picked.sort_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
             picked.truncate(max_columns);
-            picked.sort_by_key(|(i, _)| *i);
         }
+        picked.sort_by_key(|(rank, _)| *rank);
         InferredSchema { columns: picked.into_iter().map(|(_, c)| c).collect(), rows: self.rows }
     }
 }
@@ -381,12 +410,13 @@ pub fn splice_full(
 /// The record `sd` with its top-level fields in the order the typed
 /// encoding yields them for `rt` ([`serde::decode_typed`]): declared fields
 /// in declared order, then open fields as encountered. [`splice_full`]
-/// emits columns in first-seen order, which differs whenever an optional
-/// field was absent from the component's first row; a reader that hands
-/// spliced records out without a typed round trip calls this to give every
-/// storage format the same field order. Returns `sd` itself when it is
-/// already in that order (or is not a record), else the re-ordered copy
-/// built in `buf`.
+/// emits the columns first and the rest record's fields after them, which
+/// differs from that order when a declared field did not earn a column
+/// but an open field did, or when the schema was inferred without the
+/// declared order; a reader that hands spliced records out without a
+/// typed round trip calls this to give every storage format the same
+/// field order. Returns `sd` itself when it is already in that order (or
+/// is not a record), else the re-ordered copy built in `buf`.
 pub fn in_typed_order<'a>(sd: &'a [u8], rt: &RecordType, buf: &'a mut Vec<u8>) -> Result<&'a [u8]> {
     // A field's rank: its declared position, or past every declared field.
     let rank = |name: &str| rt.fields.iter().position(|f| f.name == name).unwrap_or(usize::MAX);
@@ -446,7 +476,7 @@ mod tests {
             }
             assert!(b.observe(&encode(&rec(&fields))));
         }
-        let schema = b.finish(0.5, 16);
+        let schema = b.finish(&[], 0.5, 16);
         let names: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["id", "name", "nullable"]);
         assert_eq!(schema.rows, 10);
@@ -471,9 +501,47 @@ mod tests {
             }
             b.observe(&encode(&rec(&fields)));
         }
-        let schema = b.finish(0.0, 2);
+        let schema = b.finish(&[], 0.0, 2);
         let names: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+    }
+
+    /// Which fields the first rows hold does not move a declared column:
+    /// declared fields come in declared order, open fields after them in
+    /// first-seen order, also when `max_columns` cuts the list.
+    #[test]
+    fn columns_follow_the_declared_order_then_first_seen_open_fields() {
+        let declared = ["id", "name", "score"].map(String::from);
+        let mut b = SchemaBuilder::new();
+        // The first row lacks `name` and `score` and holds the open `z`.
+        b.observe(&encode(&rec(&[("id", Value::Int64(0)), ("z", Value::Int64(0))])));
+        for i in 1..4i64 {
+            b.observe(&encode(&rec(&[
+                ("id", Value::Int64(i)),
+                ("name", Value::string("n")),
+                ("score", Value::Double(0.5)),
+                ("y", Value::Int64(i)),
+                ("z", Value::Int64(i)),
+            ])));
+        }
+        let names = |s: &InferredSchema| -> Vec<String> {
+            s.columns.iter().map(|c| c.name.clone()).collect()
+        };
+        let all = b.finish(&declared, 0.0, 16);
+        assert_eq!(names(&all), ["id", "name", "score", "z", "y"]);
+        assert_eq!(all.columns.iter().map(|c| c.count).collect::<Vec<_>>(), [4, 3, 3, 4, 3]);
+        // Without a declared order, columns are in first-seen order.
+        let mut b = SchemaBuilder::new();
+        b.observe(&encode(&rec(&[("id", Value::Int64(0)), ("z", Value::Int64(0))])));
+        b.observe(&encode(&rec(&[("name", Value::string("n")), ("id", Value::Int64(1))])));
+        assert_eq!(names(&b.finish(&[], 0.0, 16)), ["id", "z", "name"]);
+        // A cut keeps the most present columns, still in declared order.
+        let mut b = SchemaBuilder::new();
+        b.observe(&encode(&rec(&[("z", Value::Int64(0)), ("score", Value::Double(0.5))])));
+        b.observe(&encode(&rec(&[("z", Value::Int64(1)), ("id", Value::Int64(1))])));
+        b.observe(&encode(&rec(&[("score", Value::Double(1.5)), ("id", Value::Int64(2))])));
+        b.observe(&encode(&rec(&[("id", Value::Int64(3))])));
+        assert_eq!(names(&b.finish(&declared, 0.0, 2)), ["id", "score"]);
     }
 
     #[test]
@@ -493,7 +561,7 @@ mod tests {
         for e in &encoded {
             assert!(b.observe(e));
         }
-        let schema = b.finish(0.5, 16);
+        let schema = b.finish(&[], 0.5, 16);
         assert!(schema.column_index("id").is_some());
         for e in &encoded {
             let s = shred(&schema, e).expect("shreddable");
@@ -507,7 +575,7 @@ mod tests {
         let mut b = SchemaBuilder::new();
         let good = encode(&rec(&[("id", Value::Int64(1))]));
         b.observe(&good);
-        let schema = b.finish(0.0, 4);
+        let schema = b.finish(&[], 0.0, 4);
         let bad_tag = encode(&rec(&[("id", Value::string("oops"))]));
         assert!(shred(&schema, &bad_tag).is_none());
         // A duplicate field name makes splice order ambiguous.

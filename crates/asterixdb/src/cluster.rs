@@ -22,7 +22,8 @@ pub struct ClusterConfig {
     pub base_dir: PathBuf,
     /// In-memory LSM component budget per index partition, in bytes.
     pub mem_component_budget: usize,
-    /// Buffer cache capacity in pages (shared per instance).
+    /// Buffer cache capacity in entries (shared per instance): a row page
+    /// or one column chunk each, whatever its size (see `storage::cache`).
     pub buffer_cache_pages: usize,
     /// Lock stripes in the shared buffer cache (clamped so small caches
     /// keep useful per-shard capacity).

@@ -59,6 +59,19 @@ pub fn extract_path(record: &Value, path: &str) -> Value {
 pub struct TypedRowCodec {
     registry: TypeRegistry,
     datatype: Datatype,
+    /// The record type's declared fields, in declared order — the order
+    /// `decode_typed` yields them, and the column order of every component.
+    declared: Vec<String>,
+}
+
+impl TypedRowCodec {
+    pub fn new(registry: TypeRegistry, datatype: Datatype) -> Self {
+        let declared = match registry.resolve(&datatype) {
+            Ok(Datatype::Record(rt)) => rt.fields.iter().map(|f| f.name.clone()).collect(),
+            _ => Vec::new(),
+        };
+        TypedRowCodec { registry, datatype, declared }
+    }
 }
 
 impl RowCodec for TypedRowCodec {
@@ -70,6 +83,10 @@ impl RowCodec for TypedRowCodec {
     fn to_stored(&self, sd: &[u8]) -> Option<Vec<u8>> {
         let v = adm_serde::decode(sd).ok()?;
         adm_serde::encode_typed(&self.registry, &v, &self.datatype).ok()
+    }
+
+    fn declared_fields(&self) -> &[String] {
+        &self.declared
     }
 }
 
@@ -160,7 +177,7 @@ impl DatasetRuntime {
         // Primary indexes store whole records and flush them column-major
         // when the data's schema is stable.
         let codec: Arc<dyn RowCodec> =
-            Arc::new(TypedRowCodec { registry: registry.clone(), datatype: datatype.clone() });
+            Arc::new(TypedRowCodec::new(registry.clone(), datatype.clone()));
         let columnar = ColumnarOptions { codec, stats: columnar_stats };
         for p in 0..nparts {
             let dir = cfg.index_dir(p, &meta.dataverse, &dir_name, "primary");

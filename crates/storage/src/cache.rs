@@ -1,9 +1,17 @@
-//! A shared buffer cache for disk-component pages.
+//! A shared buffer cache for disk-component reads.
 //!
-//! Disk components read their data in fixed-size pages through this cache;
-//! it bounds memory and avoids re-reading hot pages (e.g. the root of the
-//! page index, or frequently probed leaf pages). Eviction is CLOCK —
-//! simpler than LRU under a lock and good enough for a scan+probe mix.
+//! Disk components read their data through this cache one entry at a
+//! time: a row component's page, or a columnar component's column chunk —
+//! one run of one row group, whatever its size (a key chunk is about one
+//! [`PAGE_SIZE`], a chunk of long text values many times that). Capacity
+//! is a number of entries, not of bytes or 4 KiB pages, so the bytes held
+//! depend on which runs are hot; a byte budget was tried and lowered the
+//! hit rate of a mixed ingest workload, because a few large chunks pushed
+//! out many small hot ones. The cache avoids re-reading hot entries (key
+//! runs, filter columns, frequently probed pages). Merges do not read
+//! through it: a copy merge fetches each input group with one positioned
+//! read of the file. Eviction is CLOCK — simpler than LRU under a lock and
+//! good enough for a scan+probe mix.
 //!
 //! The cache is **lock-striped**: pages are spread across N shards by a
 //! hash of their [`PageKey`], each shard guarded by its own mutex with its
@@ -19,10 +27,12 @@ use std::sync::Arc;
 use asterix_obs::{Counter, MetricsRegistry};
 use asterix_sync::Mutex;
 
-/// Default page size for disk components (4 KiB).
+/// Default page size for disk components (4 KiB): the size at which a row
+/// page, or a columnar row group's key run, is cut.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Cache key: a component-unique file id plus the page index in that file.
+/// Cache key: a component-unique file id plus the entry's index in that
+/// file (a page number, or a column chunk's `group * slots + slot`).
 pub type PageKey = (u64, u32);
 
 /// Default shard count for [`BufferCache::new`]; small caches collapse to
@@ -85,8 +95,8 @@ pub struct BufferCache {
 }
 
 impl BufferCache {
-    /// Create a cache holding at most (about) `capacity` pages, with the
-    /// default shard count.
+    /// Create a cache holding at most (about) `capacity` entries, of any
+    /// size each, with the default shard count.
     pub fn new(capacity: usize) -> Arc<Self> {
         BufferCache::with_shards(capacity, DEFAULT_CACHE_SHARDS)
     }

@@ -27,6 +27,15 @@ use asterix_obs::{Counter, MetricsRegistry};
 pub trait RowCodec: Send + Sync {
     fn to_self_describing(&self, stored: &[u8]) -> Option<Vec<u8>>;
     fn to_stored(&self, sd: &[u8]) -> Option<Vec<u8>>;
+
+    /// The rows' declared top-level field names, in the order
+    /// `to_self_describing` yields them: the column order schema inference
+    /// follows ([`asterix_adm::colschema::SchemaBuilder::finish`]), so that
+    /// every component of a stable dataset infers the same column list.
+    /// Empty — first-seen order — for rows without a declared type.
+    fn declared_fields(&self) -> &[String] {
+        &[]
+    }
 }
 
 /// Identity codec for stores whose row format already is the

@@ -28,7 +28,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use asterix_adm::colschema::{self, InferredSchema};
+use asterix_adm::colschema::{self, ColumnSpec, InferredSchema};
 use asterix_adm::serde as adm_serde;
 
 use crate::bloom::BloomFilter;
@@ -377,7 +377,7 @@ impl DiskComponent {
         if live_rows == 0 {
             return Ok(None);
         }
-        let schema = builder.finish(MIN_PRESENCE, MAX_COLUMNS);
+        let schema = builder.finish(codec.declared_fields(), MIN_PRESENCE, MAX_COLUMNS);
         if schema.columns.is_empty() {
             return Ok(None);
         }
@@ -385,7 +385,6 @@ impl DiskComponent {
         // Pass 2: shred and verify each row; anything surprising spills.
         let mut plans: Vec<Plan<'_>> = Vec::with_capacity(entries.len());
         let mut shredded = 0u64;
-        let mut spilled = 0u64;
         for (e, sd) in entries.iter().zip(&sds) {
             if e.antimatter {
                 plans.push(Plan::Anti);
@@ -401,10 +400,7 @@ impl DiskComponent {
                     (back == e.value).then_some(Plan::Shred { cols: s.cols, rest: s.rest })
                 })
                 .unwrap_or(Plan::Spill);
-            match plan {
-                Plan::Shred { .. } => shredded += 1,
-                _ => spilled += 1,
-            }
+            shredded += u64::from(matches!(plan, Plan::Shred { .. }));
             plans.push(plan);
         }
         if (shredded as f64) < MIN_SHRED_FRACTION * live_rows as f64 {
@@ -412,185 +408,92 @@ impl DiskComponent {
         }
 
         // Pass 3: write row groups.
-        let ncols = schema.columns.len();
-        let mut file = File::create(path)?;
-        let mut bloom = BloomFilter::with_capacity(entries.len(), cfg.bloom_fpp);
-        let mut groups: Vec<GroupMeta> = Vec::new();
-        let mut offset = 0u64;
-
-        let mut key_buf: Vec<u8> = Vec::with_capacity(cfg.page_size * 2);
-        let mut col_bufs: Vec<Vec<u8>> = vec![Vec::new(); ncols];
-        let mut rest_buf: Vec<u8> = Vec::new();
-        let mut spill_buf: Vec<u8> = Vec::new();
-        let mut group_first: Option<Vec<u8>> = None;
-        let mut group_rows = 0u32;
-
-        let flush_group = |file: &mut File,
-                           groups: &mut Vec<GroupMeta>,
-                           key_buf: &mut Vec<u8>,
-                           col_bufs: &mut Vec<Vec<u8>>,
-                           rest_buf: &mut Vec<u8>,
-                           spill_buf: &mut Vec<u8>,
-                           group_first: &mut Option<Vec<u8>>,
-                           group_rows: &mut u32,
-                           offset: &mut u64|
-         -> Result<()> {
-            if *group_rows == 0 {
-                return Ok(());
-            }
-            let mut chunks = Vec::with_capacity(ncols + 3);
-            let write_chunk =
-                |file: &mut File, buf: &mut Vec<u8>, offset: &mut u64| -> Result<(u64, u32)> {
-                    let at = *offset;
-                    let len = buf.len() as u32;
-                    if len > 0 {
-                        file.write_all(buf)?;
-                        *offset += len as u64;
-                        buf.clear();
-                    }
-                    Ok((at, len))
-                };
-            chunks.push(write_chunk(file, key_buf, offset)?);
-            for cb in col_bufs.iter_mut() {
-                chunks.push(write_chunk(file, cb, offset)?);
-            }
-            chunks.push(write_chunk(file, rest_buf, offset)?);
-            chunks.push(write_chunk(file, spill_buf, offset)?);
-            groups.push(GroupMeta {
-                first_key: group_first.take().unwrap_or_default(),
-                nrows: *group_rows,
-                chunks,
-            });
-            *group_rows = 0;
-            Ok(())
-        };
-
+        let mut w = GroupWriter::create(path, cfg, schema.columns.len(), entries.len())?;
         for (e, plan) in entries.iter().zip(&plans) {
-            if group_first.is_none() {
-                group_first = Some(e.key.clone());
-            }
-            bloom.insert(&e.key);
-            write_varint(&mut key_buf, e.key.len() as u64);
-            key_buf.extend_from_slice(&e.key);
             match plan {
-                Plan::Anti => key_buf.push(KIND_ANTIMATTER),
-                Plan::Spill => {
-                    key_buf.push(KIND_SPILL);
-                    write_varint(&mut spill_buf, e.value.len() as u64);
-                    spill_buf.extend_from_slice(&e.value);
-                }
+                Plan::Anti => w.antimatter(&e.key)?,
+                Plan::Spill => w.spill(&e.key, &e.value)?,
                 Plan::Shred { cols, rest } => {
-                    key_buf.push(KIND_SHREDDED);
-                    for (cb, col) in col_bufs.iter_mut().zip(cols) {
-                        match col {
-                            Some(bytes) => {
-                                cb.push(1);
-                                write_varint(cb, bytes.len() as u64);
-                                cb.extend_from_slice(bytes);
-                            }
-                            None => cb.push(0),
-                        }
-                    }
-                    match rest {
-                        Some(bytes) => {
-                            rest_buf.push(1);
-                            write_varint(&mut rest_buf, bytes.len() as u64);
-                            rest_buf.extend_from_slice(bytes);
-                        }
-                        None => rest_buf.push(0),
-                    }
+                    w.shredded(&e.key, cols.iter().copied(), rest.as_deref())?
                 }
             }
-            group_rows += 1;
-            if key_buf.len() >= cfg.page_size {
-                flush_group(
-                    &mut file,
-                    &mut groups,
-                    &mut key_buf,
-                    &mut col_bufs,
-                    &mut rest_buf,
-                    &mut spill_buf,
-                    &mut group_first,
-                    &mut group_rows,
-                    &mut offset,
-                )?;
-            }
         }
-        flush_group(
-            &mut file,
-            &mut groups,
-            &mut key_buf,
-            &mut col_bufs,
-            &mut rest_buf,
-            &mut spill_buf,
-            &mut group_first,
-            &mut group_rows,
-            &mut offset,
-        )?;
+        w.finish(path, cache, columnar, schema, min_seq, max_seq).map(Some)
+    }
 
-        // Group directory.
-        let dir_offset = offset;
-        let mut dir_buf = Vec::new();
-        write_varint(&mut dir_buf, groups.len() as u64);
-        for g in &groups {
-            write_varint(&mut dir_buf, g.first_key.len() as u64);
-            dir_buf.extend_from_slice(&g.first_key);
-            dir_buf.extend_from_slice(&g.nrows.to_le_bytes());
-            for (off, len) in &g.chunks {
-                dir_buf.extend_from_slice(&off.to_le_bytes());
-                dir_buf.extend_from_slice(&len.to_le_bytes());
-            }
+    /// Merge columnar components that share one column list by copying
+    /// their rows' bytes: keys merge newest-wins — among equal keys the
+    /// input with the highest `max_seq` — and each winner's key, kind,
+    /// column values, rest record or spilled row go to the output as they
+    /// are, under the inputs' schema, with no codec call, no inference, no
+    /// shredding and no re-verification: every shredded row was verified
+    /// when it was first written, and the same (name, tag) list splices
+    /// it back into the same bytes. Antimatter is dropped when
+    /// `drop_antimatter` (the merge includes the oldest component), else
+    /// copied like any row. Each input group is read with one positioned
+    /// read of the file, outside the buffer cache: a merge reads every byte
+    /// once, and caching them would only evict what queries reuse.
+    ///
+    /// Returns `Ok(None)` — the caller then rebuilds from stored rows —
+    /// when an input is row-layout or the inputs' column lists differ.
+    pub fn merge_columnar(
+        path: &Path,
+        cache: Arc<BufferCache>,
+        cfg: &ComponentConfig,
+        columnar: &ColumnarOptions,
+        inputs: &[Arc<DiskComponent>],
+        drop_antimatter: bool,
+    ) -> Result<Option<Arc<DiskComponent>>> {
+        let mut metas = Vec::with_capacity(inputs.len());
+        for c in inputs {
+            let Layout::Columnar(m) = &c.layout else { return Ok(None) };
+            metas.push((c.as_ref(), m));
         }
-        file.write_all(&dir_buf)?;
-
-        // Schema blob.
-        let schema_offset = dir_offset + dir_buf.len() as u64;
-        let schema_bytes = schema.to_bytes();
-        file.write_all(&schema_bytes)?;
-
-        // Bloom filter.
-        let bloom_offset = schema_offset + schema_bytes.len() as u64;
-        let bloom_bytes = bloom.to_bytes();
-        file.write_all(&bloom_bytes)?;
-
-        // Footer.
-        let entry_count = entries.len() as u64;
-        let mut footer = Vec::with_capacity(COL_FOOTER as usize);
-        footer.extend_from_slice(&dir_offset.to_le_bytes());
-        footer.extend_from_slice(&schema_offset.to_le_bytes());
-        footer.extend_from_slice(&bloom_offset.to_le_bytes());
-        footer.extend_from_slice(&entry_count.to_le_bytes());
-        footer.extend_from_slice(&min_seq.to_le_bytes());
-        footer.extend_from_slice(&max_seq.to_le_bytes());
-        footer.extend_from_slice(&(ncols as u64).to_le_bytes());
-        footer.extend_from_slice(&MAGIC_COLUMNAR.to_le_bytes());
-        file.write_all(&footer)?;
-        file.sync_all()?;
-
-        let marker = Self::marker_path(path);
-        File::create(&marker)?.sync_all()?;
-
-        columnar.stats.components.inc();
-        columnar.stats.fallback_rows.add(spilled);
-
-        let file_len = bloom_offset + bloom_bytes.len() as u64 + COL_FOOTER;
-        Ok(Some(Arc::new(DiskComponent {
-            path: path.to_path_buf(),
-            file: File::open(path)?,
-            file_id: next_file_id(),
-            cache,
-            layout: Layout::Columnar(ColMeta {
-                groups,
-                schema,
-                codec: Arc::clone(&columnar.codec),
-                stats: Arc::clone(&columnar.stats),
-            }),
-            bloom,
-            entry_count,
-            file_len,
-            min_seq,
-            max_seq,
-        })))
+        let Some(&(_, first)) = metas.first() else { return Ok(None) };
+        fn column_list(m: &ColMeta) -> impl Iterator<Item = (&str, u8)> {
+            m.schema.columns.iter().map(|c| (c.name.as_str(), c.tag))
+        }
+        if !metas.iter().all(|(_, m)| column_list(m).eq(column_list(first))) {
+            return Ok(None);
+        }
+        // Newest first, so that among equal keys the first cursor wins.
+        metas.sort_by_key(|(c, _)| std::cmp::Reverse(c.max_seq));
+        let min_seq = inputs.iter().map(|c| c.min_seq).min().unwrap_or(0);
+        let max_seq = inputs.iter().map(|c| c.max_seq).max().unwrap_or(0);
+        let ncols = first.schema.columns.len();
+        let expected: u64 = inputs.iter().map(|c| c.entry_count).sum();
+        let mut w = GroupWriter::create(path, cfg, ncols, expected as usize)?;
+        let mut cursors =
+            metas.iter().map(|&(c, m)| GroupCursor::new(c, m)).collect::<Result<Vec<_>>>()?;
+        loop {
+            let mut winner: Option<usize> = None;
+            for (i, c) in cursors.iter().enumerate() {
+                let Some(key) = c.key() else { continue };
+                if winner.and_then(|w| cursors[w].key()).is_none_or(|best| key < best) {
+                    winner = Some(i);
+                }
+            }
+            let Some(win) = winner else { break };
+            // Older versions of the winner's key are passed over unwritten.
+            for i in win + 1..cursors.len() {
+                if cursors[i].key() == cursors[win].key() {
+                    cursors[i].step(None)?;
+                }
+            }
+            let keep = !(drop_antimatter && cursors[win].is_antimatter());
+            cursors[win].step(keep.then_some(&mut w))?;
+        }
+        let schema = InferredSchema {
+            columns: first
+                .schema
+                .columns
+                .iter()
+                .zip(&w.present)
+                .map(|(c, &count)| ColumnSpec { count, ..c.clone() })
+                .collect(),
+            rows: w.live,
+        };
+        w.finish(path, cache, columnar, schema, min_seq, max_seq).map(Some)
     }
 
     /// Open a previously built component, verifying its validity marker.
@@ -1179,6 +1082,344 @@ impl DiskComponent {
     }
 }
 
+/// The row-group writer of every columnar component: a flush's build and
+/// a copy merge hand it rows in key order, and it cuts a group once the
+/// key run reaches the page size, writing the group's key run, one run
+/// per column, the rest run and the spill run back to back.
+struct GroupWriter {
+    file: File,
+    page_size: usize,
+    bloom: BloomFilter,
+    groups: Vec<GroupMeta>,
+    offset: u64,
+    rows: u64,
+    /// What was written: per column the shredded rows holding a value, the
+    /// live (shredded or spilled) rows, and the spilled ones.
+    present: Vec<u64>,
+    live: u64,
+    spilled: u64,
+    key_buf: Vec<u8>,
+    col_bufs: Vec<Vec<u8>>,
+    rest_buf: Vec<u8>,
+    spill_buf: Vec<u8>,
+    group_first: Option<Vec<u8>>,
+    group_rows: u32,
+}
+
+/// Append one row's entry to a presence-prefixed run (column or rest).
+fn push_present(run: &mut Vec<u8>, value: Option<&[u8]>) {
+    match value {
+        Some(bytes) => {
+            run.push(1);
+            write_varint(run, bytes.len() as u64);
+            run.extend_from_slice(bytes);
+        }
+        None => run.push(0),
+    }
+}
+
+impl GroupWriter {
+    /// Start a component of `ncols` columns whose bloom filter is sized
+    /// for `expected` keys.
+    fn create(path: &Path, cfg: &ComponentConfig, ncols: usize, expected: usize) -> Result<Self> {
+        Ok(GroupWriter {
+            file: File::create(path)?,
+            page_size: cfg.page_size,
+            bloom: BloomFilter::with_capacity(expected, cfg.bloom_fpp),
+            groups: Vec::new(),
+            offset: 0,
+            rows: 0,
+            present: vec![0; ncols],
+            live: 0,
+            spilled: 0,
+            key_buf: Vec::with_capacity(cfg.page_size * 2),
+            col_bufs: vec![Vec::new(); ncols],
+            rest_buf: Vec::new(),
+            spill_buf: Vec::new(),
+            group_first: None,
+            group_rows: 0,
+        })
+    }
+
+    /// A row's key and kind on the key run.
+    fn key(&mut self, key: &[u8], kind: u8) {
+        if self.group_first.is_none() {
+            self.group_first = Some(key.to_vec());
+        }
+        self.bloom.insert(key);
+        write_varint(&mut self.key_buf, key.len() as u64);
+        self.key_buf.extend_from_slice(key);
+        self.key_buf.push(kind);
+    }
+
+    fn antimatter(&mut self, key: &[u8]) -> Result<()> {
+        self.key(key, KIND_ANTIMATTER);
+        self.end_row()
+    }
+
+    /// A row stored whole on the spill run.
+    fn spill(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.key(key, KIND_SPILL);
+        write_varint(&mut self.spill_buf, value.len() as u64);
+        self.spill_buf.extend_from_slice(value);
+        self.live += 1;
+        self.spilled += 1;
+        self.end_row()
+    }
+
+    /// A shredded row: per column its field's bytes (`None` = absent),
+    /// and its rest record.
+    fn shredded<'v>(
+        &mut self,
+        key: &[u8],
+        cols: impl IntoIterator<Item = Option<&'v [u8]>>,
+        rest: Option<&[u8]>,
+    ) -> Result<()> {
+        self.key(key, KIND_SHREDDED);
+        for ((run, present), col) in self.col_bufs.iter_mut().zip(&mut self.present).zip(cols) {
+            *present += u64::from(col.is_some());
+            push_present(run, col);
+        }
+        push_present(&mut self.rest_buf, rest);
+        self.live += 1;
+        self.end_row()
+    }
+
+    fn end_row(&mut self) -> Result<()> {
+        self.rows += 1;
+        self.group_rows += 1;
+        if self.key_buf.len() >= self.page_size {
+            self.flush_group()?;
+        }
+        Ok(())
+    }
+
+    /// Write the open group's runs; an empty run occupies no file space.
+    fn flush_group(&mut self) -> Result<()> {
+        if self.group_rows == 0 {
+            return Ok(());
+        }
+        let GroupWriter { file, offset, key_buf, col_bufs, rest_buf, spill_buf, .. } = self;
+        let mut chunks = Vec::with_capacity(col_bufs.len() + 3);
+        let runs = std::iter::once(key_buf).chain(col_bufs.iter_mut()).chain([rest_buf, spill_buf]);
+        for run in runs {
+            chunks.push((*offset, run.len() as u32));
+            if !run.is_empty() {
+                file.write_all(run)?;
+                *offset += run.len() as u64;
+                run.clear();
+            }
+        }
+        self.groups.push(GroupMeta {
+            first_key: self.group_first.take().unwrap_or_default(),
+            nrows: self.group_rows,
+            chunks,
+        });
+        self.group_rows = 0;
+        Ok(())
+    }
+
+    /// Write the last group, the group directory, the schema blob, the
+    /// bloom filter and the footer; make the file durable, then create its
+    /// validity marker.
+    fn finish(
+        mut self,
+        path: &Path,
+        cache: Arc<BufferCache>,
+        columnar: &ColumnarOptions,
+        schema: InferredSchema,
+        min_seq: u64,
+        max_seq: u64,
+    ) -> Result<Arc<DiskComponent>> {
+        self.flush_group()?;
+        let GroupWriter { mut file, groups, offset, bloom, rows, spilled, .. } = self;
+        let ncols = schema.columns.len();
+
+        // Group directory.
+        let dir_offset = offset;
+        let mut dir_buf = Vec::new();
+        write_varint(&mut dir_buf, groups.len() as u64);
+        for g in &groups {
+            write_varint(&mut dir_buf, g.first_key.len() as u64);
+            dir_buf.extend_from_slice(&g.first_key);
+            dir_buf.extend_from_slice(&g.nrows.to_le_bytes());
+            for (off, len) in &g.chunks {
+                dir_buf.extend_from_slice(&off.to_le_bytes());
+                dir_buf.extend_from_slice(&len.to_le_bytes());
+            }
+        }
+        file.write_all(&dir_buf)?;
+
+        // Schema blob.
+        let schema_offset = dir_offset + dir_buf.len() as u64;
+        let schema_bytes = schema.to_bytes();
+        file.write_all(&schema_bytes)?;
+
+        // Bloom filter.
+        let bloom_offset = schema_offset + schema_bytes.len() as u64;
+        let bloom_bytes = bloom.to_bytes();
+        file.write_all(&bloom_bytes)?;
+
+        // Footer.
+        let mut footer = Vec::with_capacity(COL_FOOTER as usize);
+        footer.extend_from_slice(&dir_offset.to_le_bytes());
+        footer.extend_from_slice(&schema_offset.to_le_bytes());
+        footer.extend_from_slice(&bloom_offset.to_le_bytes());
+        footer.extend_from_slice(&rows.to_le_bytes());
+        footer.extend_from_slice(&min_seq.to_le_bytes());
+        footer.extend_from_slice(&max_seq.to_le_bytes());
+        footer.extend_from_slice(&(ncols as u64).to_le_bytes());
+        footer.extend_from_slice(&MAGIC_COLUMNAR.to_le_bytes());
+        file.write_all(&footer)?;
+        file.sync_all()?;
+
+        let marker = DiskComponent::marker_path(path);
+        File::create(&marker)?.sync_all()?;
+
+        columnar.stats.components.inc();
+        columnar.stats.fallback_rows.add(spilled);
+
+        let file_len = bloom_offset + bloom_bytes.len() as u64 + COL_FOOTER;
+        Ok(Arc::new(DiskComponent {
+            path: path.to_path_buf(),
+            file: File::open(path)?,
+            file_id: next_file_id(),
+            cache,
+            layout: Layout::Columnar(ColMeta {
+                groups,
+                schema,
+                codec: Arc::clone(&columnar.codec),
+                stats: Arc::clone(&columnar.stats),
+            }),
+            bloom,
+            entry_count: rows,
+            file_len,
+            min_seq,
+            max_seq,
+        }))
+    }
+}
+
+/// One input of a copy merge ([`DiskComponent::merge_columnar`]), a row
+/// group at a time: each group is read with one positioned read of the
+/// file, and walked with one cursor per run.
+struct GroupCursor<'a> {
+    comp: &'a DiskComponent,
+    groups: &'a [GroupMeta],
+    ncols: usize,
+    next_group: usize,
+    /// The current group's bytes, from its key run to its last run.
+    buf: Vec<u8>,
+    /// The current group's rows: key range in `buf`, and kind.
+    rows: Vec<KeyRow>,
+    row: usize,
+    /// Per slot — key run, columns, rest run, spill run — the cursor and
+    /// the end of the run in `buf`.
+    runs: Vec<(usize, usize)>,
+    /// The current shredded row's value ranges in `buf`: its columns, then
+    /// its rest record.
+    values: Vec<Option<(usize, usize)>>,
+}
+
+impl<'a> GroupCursor<'a> {
+    fn new(comp: &'a DiskComponent, m: &'a ColMeta) -> Result<Self> {
+        let mut cursor = GroupCursor {
+            comp,
+            groups: &m.groups,
+            ncols: m.schema.columns.len(),
+            next_group: 0,
+            buf: Vec::new(),
+            rows: Vec::new(),
+            row: 0,
+            runs: Vec::new(),
+            values: Vec::new(),
+        };
+        cursor.load()?;
+        Ok(cursor)
+    }
+
+    /// Read the next group holding a row, if any.
+    fn load(&mut self) -> Result<()> {
+        self.rows.clear();
+        self.row = 0;
+        while self.rows.is_empty() {
+            let Some(g) = self.groups.get(self.next_group) else { return Ok(()) };
+            self.next_group += 1;
+            let start = g.chunks[0].0;
+            let end = g.chunks.iter().map(|&(off, len)| off + len as u64).max().unwrap_or(start);
+            self.buf.clear();
+            self.buf.resize((end - start) as usize, 0);
+            self.comp.file.read_exact_at(&mut self.buf, start)?;
+            self.runs.clear();
+            for &(off, len) in &g.chunks {
+                let at = match (len, off.checked_sub(start)) {
+                    (0, _) => 0,
+                    (_, Some(at)) => at as usize,
+                    (_, None) => {
+                        return Err(StorageError::Corrupt(
+                            "chunk before its group's key run".into(),
+                        ))
+                    }
+                };
+                self.runs.push((at, at + len as usize));
+            }
+            let (k0, k1) = self.runs[0];
+            self.rows = DiskComponent::parse_key_chunk(&self.buf[k0..k1], g.nrows)?;
+            for ((a, b), _) in &mut self.rows {
+                *a += k0;
+                *b += k0;
+            }
+        }
+        Ok(())
+    }
+
+    /// The current row's key; `None` once the input is exhausted.
+    fn key(&self) -> Option<&[u8]> {
+        self.rows.get(self.row).map(|&((a, b), _)| &self.buf[a..b])
+    }
+
+    fn is_antimatter(&self) -> bool {
+        self.rows.get(self.row).is_some_and(|(_, kind)| *kind == KIND_ANTIMATTER)
+    }
+
+    /// Move past the current row, copying it into `out` when given.
+    fn step(&mut self, out: Option<&mut GroupWriter>) -> Result<()> {
+        let ((a, b), kind) = self.rows[self.row];
+        let ncols = self.ncols;
+        match kind {
+            KIND_SHREDDED => {
+                self.values.clear();
+                for (pos, end) in &mut self.runs[1..ncols + 2] {
+                    self.values.push(DiskComponent::presence_next(&self.buf[..*end], pos)?);
+                }
+                if let Some(w) = out {
+                    let buf = &self.buf;
+                    let value = |r: &Option<(usize, usize)>| r.map(|(x, y)| &buf[x..y]);
+                    let (cols, rest) = self.values.split_at(ncols);
+                    w.shredded(&buf[a..b], cols.iter().map(value), value(&rest[0]))?;
+                }
+            }
+            KIND_SPILL => {
+                let (pos, end) = &mut self.runs[ncols + 2];
+                let (x, y) = DiskComponent::spill_next(&self.buf[..*end], pos)?;
+                if let Some(w) = out {
+                    w.spill(&self.buf[a..b], &self.buf[x..y])?;
+                }
+            }
+            _ => {
+                if let Some(w) = out {
+                    w.antimatter(&self.buf[a..b])?;
+                }
+            }
+        }
+        self.row += 1;
+        if self.row == self.rows.len() {
+            self.load()?;
+        }
+        Ok(())
+    }
+}
+
 struct RowMeta {
     pages: Vec<PageMeta>,
     bloom: BloomFilter,
@@ -1197,8 +1438,8 @@ struct ColFileMeta {
 }
 
 /// Forward iterator over one component's entries in a key range, as stored
-/// (exact row bytes, antimatter included) — what merges, and reads that
-/// decode whole records, consume. Works on both layouts.
+/// (exact row bytes, antimatter included) — what rebuilding merges, and
+/// reads that decode whole records, consume. Works on both layouts.
 pub struct ComponentIter {
     comp: Arc<DiskComponent>,
     block_idx: usize,
@@ -1338,7 +1579,8 @@ pub struct ProjectedIter<'a> {
     rows: std::vec::IntoIter<ProjEntry>,
     error: Option<StorageError>,
     /// Whether the groups read add to `storage.columnar.*`: a query's
-    /// reads do, a [`ComponentIter`]'s (merges, whole-record reads) do not.
+    /// reads do, a [`ComponentIter`]'s (rebuilding merges, whole-record
+    /// reads) do not.
     counted: bool,
 }
 

@@ -67,9 +67,10 @@ pub struct LsmConfig {
     /// memory components per index). Bounds write-path memory to roughly
     /// `(1 + max_frozen) × mem_budget`.
     pub max_frozen: usize,
-    /// Columnar storage for this tree's values: flushes and merges infer a
-    /// schema from the sealed rows and build column-major components when
-    /// the data is stable enough (row layout remains the fallback). `None`
+    /// Columnar storage for this tree's values: flushes (and merges that
+    /// cannot copy their inputs' runs) infer a schema from the rows and
+    /// build column-major components when the data is stable enough (row
+    /// layout remains the fallback). `None`
     /// keeps the tree purely row-oriented. A tree that ever built columnar
     /// components must keep supplying the codec here, or they cannot be
     /// reopened; a row-only tree reopened with it reads its row
@@ -153,6 +154,9 @@ pub struct LsmMetrics {
     pub flushes: Counter,
     /// Completed merges (policy-triggered or manual).
     pub merges: Counter,
+    /// Those of them that copied column runs
+    /// ([`DiskComponent::merge_columnar`]) instead of rebuilding.
+    pub merges_copied: Counter,
     /// Flush durations (seal dequeue → component installed), microseconds.
     pub flush_us: Histogram,
     /// Merge durations, microseconds.
@@ -166,6 +170,7 @@ impl LsmMetrics {
     pub fn register_into(&self, reg: &MetricsRegistry, prefix: &str) {
         reg.register_counter(&format!("{prefix}.flushes"), &self.flushes);
         reg.register_counter(&format!("{prefix}.merges"), &self.merges);
+        reg.register_counter(&format!("{prefix}.merges_copied"), &self.merges_copied);
         reg.register_histogram(&format!("{prefix}.flush_us"), &self.flush_us);
         reg.register_histogram(&format!("{prefix}.merge_us"), &self.merge_us);
         reg.register_gauge(&format!("{prefix}.components"), &self.components);
@@ -231,12 +236,16 @@ impl LsmInner {
         self.frozen_cv.notify_all();
     }
 
+    fn component_config(&self) -> ComponentConfig {
+        ComponentConfig { page_size: self.cfg.page_size, bloom_fpp: self.cfg.bloom_fpp }
+    }
+
     /// Build one disk component from sorted entries, preferring the
     /// columnar layout when the tree has one and the data's schema is
     /// stable enough; otherwise (or when the columnar build declines) the
-    /// row layout is used. Flushes and merges share this, which is what
-    /// lets a merge re-infer across its inputs and promote row components
-    /// to columnar.
+    /// row layout is used. Flushes and rebuilding merges share this, which
+    /// is what lets a merge re-infer across its inputs and promote row
+    /// components to columnar.
     fn build_component(
         &self,
         path: &Path,
@@ -244,7 +253,7 @@ impl LsmInner {
         max_seq: u64,
         entries: Vec<Entry>,
     ) -> Result<Arc<DiskComponent>> {
-        let ccfg = ComponentConfig { page_size: self.cfg.page_size, bloom_fpp: self.cfg.bloom_fpp };
+        let ccfg = self.component_config();
         if let Some(col) = &self.cfg.columnar {
             if let Some(c) = DiskComponent::build_columnar(
                 path,
@@ -403,54 +412,28 @@ impl LsmInner {
             let st = self.state.read();
             st.disk.iter().map(|c| c.min_seq).min() == Some(min_seq)
         };
-        // K-way merge, newest (lowest index in st.disk order) wins.
-        let mut iters: Vec<_> = inputs.iter().map(|c| c.range(None, None)).collect();
-        let mut heads: Vec<Option<Entry>> = iters.iter_mut().map(|i| i.next()).collect();
-        let mut merged: Vec<Entry> = Vec::new();
-        loop {
-            let mut best: Option<(usize, &[u8], u64)> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if let Some(e) = h {
-                    let seq = inputs[i].max_seq;
-                    match best {
-                        None => best = Some((i, &e.key, seq)),
-                        Some((_, bk, bseq)) => {
-                            if e.key.as_slice() < bk || (e.key.as_slice() == bk && seq > bseq) {
-                                best = Some((i, &e.key, seq));
-                            }
-                        }
-                    }
-                }
-            }
-            let Some((winner, _, _)) = best else { break };
-            let mut entry = heads[winner].take().unwrap();
-            heads[winner] = iters[winner].next();
-            for i in 0..heads.len() {
-                loop {
-                    let same = matches!(&heads[i], Some(e) if e.key == entry.key);
-                    if !same {
-                        break;
-                    }
-                    heads[i] = iters[i].next();
-                }
-            }
-            if entry.antimatter && includes_oldest {
-                continue; // fully compacted away
-            }
-            // A value reconstructed from column runs comes out of the
-            // codec's encoder with spare capacity, and every entry is held
-            // until the merged component is built.
-            entry.value.shrink_to_fit();
-            merged.push(entry);
-        }
-        for mut it in iters {
-            if let Some(e) = it.take_error() {
-                return Err(e);
-            }
-        }
         let out_path = self.dir.join(format!("c_{min_seq:012}_{max_seq:012}.dat"));
-        let n = merged.len();
-        let comp = self.build_component(&out_path, min_seq, max_seq, merged)?;
+        // Inputs that are all columnar under one column list are merged by
+        // copying their runs; anything else is rebuilt from stored rows.
+        let copy = match &self.cfg.columnar {
+            Some(col) => DiskComponent::merge_columnar(
+                &out_path,
+                Arc::clone(&self.cache),
+                &self.component_config(),
+                col,
+                inputs,
+                includes_oldest,
+            )?,
+            None => None,
+        };
+        let (comp, copied) = match copy {
+            Some(comp) => (comp, true),
+            None => {
+                let merged = merge_entries(inputs, includes_oldest)?;
+                (self.build_component(&out_path, min_seq, max_seq, merged)?, false)
+            }
+        };
+        let n = comp.entry_count();
         // Atomically swap the component list, then destroy the inputs.
         let input_paths: Vec<PathBuf> = inputs.iter().map(|c| c.path().to_path_buf()).collect();
         let ncomp = {
@@ -465,13 +448,18 @@ impl LsmInner {
         }
         let took = merge_started.elapsed();
         self.metrics.merges.inc();
+        if copied {
+            self.metrics.merges_copied.inc();
+        }
         self.metrics.merge_us.record_duration(took);
         self.metrics.components.set(ncomp as i64);
         log_event(
             "storage.lsm",
             "merge",
             &[
+                ("output", out_path.display().to_string().into()),
                 ("inputs", inputs.len().into()),
+                ("copied", usize::from(copied).into()),
                 ("entries", n.into()),
                 ("duration_us", (took.as_micros() as u64).into()),
                 ("components", ncomp.into()),
@@ -481,6 +469,57 @@ impl LsmInner {
         self.observer.on_merge(&input_paths, &out_path);
         Ok(())
     }
+}
+
+/// The rebuilding merge's input: every input's stored rows, k-way merged
+/// newest-wins — among equal keys the input with the highest `max_seq` —
+/// with antimatter dropped when `drop_antimatter`.
+fn merge_entries(inputs: &[Arc<DiskComponent>], drop_antimatter: bool) -> Result<Vec<Entry>> {
+    let mut iters: Vec<_> = inputs.iter().map(|c| c.range(None, None)).collect();
+    let mut heads: Vec<Option<Entry>> = iters.iter_mut().map(|i| i.next()).collect();
+    let mut merged: Vec<Entry> = Vec::new();
+    loop {
+        let mut best: Option<(usize, &[u8], u64)> = None;
+        for (i, h) in heads.iter().enumerate() {
+            if let Some(e) = h {
+                let seq = inputs[i].max_seq;
+                match best {
+                    None => best = Some((i, &e.key, seq)),
+                    Some((_, bk, bseq)) => {
+                        if e.key.as_slice() < bk || (e.key.as_slice() == bk && seq > bseq) {
+                            best = Some((i, &e.key, seq));
+                        }
+                    }
+                }
+            }
+        }
+        let Some((winner, _, _)) = best else { break };
+        let mut entry = heads[winner].take().unwrap();
+        heads[winner] = iters[winner].next();
+        for i in 0..heads.len() {
+            loop {
+                let same = matches!(&heads[i], Some(e) if e.key == entry.key);
+                if !same {
+                    break;
+                }
+                heads[i] = iters[i].next();
+            }
+        }
+        if entry.antimatter && drop_antimatter {
+            continue; // fully compacted away
+        }
+        // A value reconstructed from column runs comes out of the codec's
+        // encoder with spare capacity, and every entry is held until the
+        // merged component is built.
+        entry.value.shrink_to_fit();
+        merged.push(entry);
+    }
+    for mut it in iters {
+        if let Some(e) = it.take_error() {
+            return Err(e);
+        }
+    }
+    Ok(merged)
 }
 
 /// The maintenance thread: flushes sealed components and merges disk
@@ -1574,7 +1613,9 @@ mod tests {
         t.delete(k(42)).unwrap();
         t.flush().unwrap();
         t.merge_all().unwrap();
-        // The merged output re-infers a schema and stays columnar.
+        // Both flushes inferred one column list: the merge copies their
+        // runs, and the output stays columnar.
+        assert_eq!(t.metrics().merges_copied.get(), 1);
         assert_eq!(t.columnar_component_count(), 1);
         for i in 0..300u32 {
             let got = t.get(&k(i)).unwrap();
@@ -1587,9 +1628,9 @@ mod tests {
         assert_eq!(t.scan(None, None).unwrap().len(), 299);
     }
 
-    /// Merges and whole-record reads (`live_count`) read columnar
-    /// components through the scans' group reader, but they are not
-    /// queries: the scan counters of `storage.columnar.*` stay put.
+    /// Merges and whole-record reads (`live_count`, through the scans'
+    /// group reader) read columnar components, but they are not queries:
+    /// the scan counters of `storage.columnar.*` stay put.
     #[test]
     fn merges_and_live_count_leave_the_columnar_scan_counters_alone() {
         let dir = TempDir::new().unwrap();
@@ -1818,5 +1859,215 @@ mod tests {
             release_tx.send(()).unwrap();
         });
         assert_eq!(t.columnar_component_count(), 3);
+    }
+
+    // ---- merges never change what a tree reads ----
+
+    use asterix_adm::{colschema, serde as adm_serde};
+    use asterix_testkit::rng::{Rng, SeedableRng, StdRng};
+
+    /// The identity codec with a declared field order, as a typed
+    /// dataset's codec supplies one.
+    struct DeclaredCodec(Vec<String>);
+
+    impl crate::columnar::RowCodec for DeclaredCodec {
+        fn to_self_describing(&self, stored: &[u8]) -> Option<Vec<u8>> {
+            Some(stored.to_vec())
+        }
+
+        fn to_stored(&self, sd: &[u8]) -> Option<Vec<u8>> {
+            Some(sd.to_vec())
+        }
+
+        fn declared_fields(&self) -> &[String] {
+            &self.0
+        }
+    }
+
+    /// The merge inputs a [`merge_never_changes_reads`] tree is given.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Inputs {
+        /// Four columnar flushes under one column list: every merge copies.
+        OneList,
+        /// The second and third flushes' rows hold one more field, a
+        /// column the others lack: every merge rebuilds.
+        ListsDiffer,
+        /// The first flush is written by a row-only tree: the merge of the
+        /// two newest copies, the full merge rebuilds.
+        RowFirst,
+    }
+
+    /// A random record: `id` — a string one row in thirty, a minority tag
+    /// that spills the row — then the optional `name` and `score`
+    /// (sometimes NULL), with `extra` the open field `extra`, the open field
+    /// `tag` in half the rows, and a rare `note` that stays in the rest
+    /// record.
+    fn random_record(rng: &mut StdRng, id: u32, extra: bool) -> Vec<u8> {
+        let mut r = Record::new();
+        if rng.gen_bool(1.0 / 30.0) {
+            r.set("id", Value::string(format!("s{id}")));
+        } else {
+            r.set("id", Value::Int64(id as i64));
+        }
+        if rng.gen_bool(0.7) {
+            r.set("name", Value::string(format!("n{}", rng.gen_range(0..1000i64))));
+        }
+        if rng.gen_bool(0.8) {
+            let score = if rng.gen_bool(0.1) {
+                Value::Null
+            } else {
+                Value::Double(rng.gen_range(0.0..99.0))
+            };
+            r.set("score", score);
+        }
+        if extra {
+            r.set("extra", Value::Boolean(true));
+        }
+        if rng.gen_bool(0.5) {
+            r.set("tag", Value::Int64(rng.gen_range(0..5i64)));
+        }
+        if rng.gen_bool(0.08) {
+            r.set("note", Value::string("rare"));
+        }
+        encode(&Value::record(r))
+    }
+
+    /// Everything a tree answers, each row as a reader sees it.
+    #[derive(PartialEq)]
+    struct Reads {
+        gets: Vec<Option<Vec<u8>>>,
+        scan: Vec<(Vec<u8>, Vec<u8>)>,
+        /// `scan_projected` of all fields.
+        whole: Vec<(Vec<u8>, Vec<u8>)>,
+        /// `scan_projected` of `score` and `id` behind the pushed filter
+        /// `id >= 40`, every row cut to those fields and the predicate
+        /// applied, as the operators above a scan do.
+        named: Vec<(Vec<u8>, Vec<u8>)>,
+    }
+
+    fn reads(t: &LsmTree) -> Reads {
+        let fields = vec!["score".to_string(), "id".to_string()];
+        let cut = |rec: &[u8]| {
+            let parts: Vec<(&str, &[u8])> = fields
+                .iter()
+                .filter_map(|f| adm_serde::encoded_record_field(rec, f).map(|b| (f.as_str(), b)))
+                .collect();
+            colschema::encode_record_from_parts(&parts)
+        };
+        let passes = |rec: &[u8]| {
+            let id = adm_serde::encoded_record_field(rec, "id").map(adm_serde::decode);
+            matches!(id, Some(Ok(Value::Int64(id))) if id >= 40)
+        };
+        let projected = |proj: &Projection, named: bool| {
+            let mut out = Vec::new();
+            t.scan_projected(ScanBound::ALL, proj, |key, v| {
+                let (ScanValue::Row(rec) | ScanValue::Assembled(rec)) = v;
+                if !named {
+                    out.push((key.to_vec(), rec.to_vec()));
+                } else if passes(rec) {
+                    out.push((key.to_vec(), cut(rec)));
+                }
+                true
+            })
+            .unwrap();
+            out
+        };
+        let filter = crate::columnar::ColumnFilter::Cmp {
+            field: "id".into(),
+            op: crate::columnar::CmpOp::Ge,
+            key: asterix_adm::ordkey::encode_value(&Value::Int64(40)),
+        };
+        let named = Projection { fields: Some(fields.clone()), filters: vec![filter] };
+        Reads {
+            gets: (0..130).map(|i| t.get(&k(i)).unwrap()).collect(),
+            scan: t.scan(None, None).unwrap(),
+            whole: projected(&Projection::all(), false),
+            named: projected(&named, true),
+        }
+    }
+
+    fn assert_same_reads(got: &Reads, want: &Reads, when: &str) {
+        fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+            (a.len() != b.len())
+                .then_some(a.len().min(b.len()))
+                .or_else(|| a.iter().zip(b).position(|(x, y)| x != y))
+        }
+        for (what, diff) in [
+            ("get", first_diff(&got.gets, &want.gets)),
+            ("scan", first_diff(&got.scan, &want.scan)),
+            ("all-fields scan_projected", first_diff(&got.whole, &want.whole)),
+            ("named scan_projected", first_diff(&got.named, &want.named)),
+        ] {
+            assert!(diff.is_none(), "{when}: {what} changed, first at row {diff:?}");
+        }
+    }
+
+    /// Four flushes over keys that overlap across them — the first writes
+    /// keys 0..80, each later one 60 random writes over 0..120, a third of
+    /// them deletes — then a merge of the two newest components (which
+    /// must keep their tombstones) and a full merge, each read before and
+    /// after. Returns the tree's `(merges, merges_copied)`.
+    fn merge_never_changes_reads(inputs: Inputs, seed: u64) -> (u64, u64) {
+        let dir = TempDir::new().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let declared = ["id", "name", "score"].map(String::from).to_vec();
+        let cfg = LsmConfig {
+            columnar: Some(ColumnarOptions::new(Arc::new(DeclaredCodec(declared)))),
+            ..columnar_cfg()
+        };
+        let first_flush = |t: &LsmTree, rng: &mut StdRng| {
+            for i in 0..80u32 {
+                t.insert(k(i), random_record(rng, i, false)).unwrap();
+            }
+            t.flush().unwrap();
+        };
+        if inputs == Inputs::RowFirst {
+            first_flush(&open(dir.path(), MergePolicy::NoMerge, 1 << 20), &mut rng);
+        }
+        let t =
+            LsmTree::open(dir.path(), cfg, BufferCache::new(256), Arc::new(NullObserver)).unwrap();
+        if inputs != Inputs::RowFirst {
+            first_flush(&t, &mut rng);
+        }
+        for flush in 1..4 {
+            let extra = inputs == Inputs::ListsDiffer && flush < 3;
+            for _ in 0..60 {
+                let i = rng.gen_range(0..120usize) as u32;
+                if rng.gen_bool(1.0 / 3.0) {
+                    t.delete(k(i)).unwrap();
+                } else {
+                    t.insert(k(i), random_record(&mut rng, i, extra)).unwrap();
+                }
+            }
+            t.flush().unwrap();
+        }
+        let columnar = if inputs == Inputs::RowFirst { 3 } else { 4 };
+        assert_eq!((t.disk_component_count(), t.columnar_component_count()), (4, columnar));
+        let before = reads(&t);
+        assert!(before.gets.iter().any(Option::is_none) && before.named.len() > 10);
+
+        let newest = t.inner.state.read().disk[..2].to_vec();
+        t.inner.merge_components(&newest, &TraceContext::disabled()).unwrap();
+        assert_eq!(t.disk_component_count(), 3);
+        assert_same_reads(&reads(&t), &before, "after merging the two newest");
+        t.merge_all().unwrap();
+        assert_eq!((t.disk_component_count(), t.columnar_component_count()), (1, 1));
+        assert_same_reads(&reads(&t), &before, "after the full merge");
+        (t.metrics().merges.get(), t.metrics().merges_copied.get())
+    }
+
+    #[test]
+    fn copy_merges_never_change_what_a_tree_reads() {
+        for seed in 1..=4 {
+            assert_eq!(merge_never_changes_reads(Inputs::OneList, seed), (2, 2), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn rebuilding_merges_never_change_what_a_tree_reads() {
+        for seed in 1..=4 {
+            assert_eq!(merge_never_changes_reads(Inputs::ListsDiffer, seed), (2, 0), "seed {seed}");
+            assert_eq!(merge_never_changes_reads(Inputs::RowFirst, seed), (2, 1), "seed {seed}");
+        }
     }
 }

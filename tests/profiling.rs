@@ -960,3 +960,89 @@ fn shred_fallback_row_components_read_identically() {
         assert_eq!(sorted_rows(&mixed.query(q).unwrap()), want, "{q}");
     }
 }
+
+/// A merge of columnar components that share one column list copies their
+/// runs, reading nothing through the buffer cache. The two flushes infer
+/// one list because columns follow the declared order: the first row of
+/// the first flush lacks both optional fields, which in first-seen order
+/// would put the open field `tag` before them. What the copy writes is an
+/// ordinary component: it validates, it reopens, and a whole record
+/// spliced from it is already in typed order.
+#[test]
+fn merge_of_one_column_list_copies_runs_outside_the_buffer_cache() {
+    use asterix_adm::{colschema, Datatype};
+    use asterix_storage::{DiskComponent, MergePolicy, Projection, ScanBound, ScanValue};
+
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let mut cfg = ClusterConfig::small(dir.path().join("db"));
+    (cfg.nodes, cfg.partitions_per_node) = (1, 1);
+    cfg.merge_policy = MergePolicy::NoMerge;
+    let instance = Instance::open(cfg.clone()).unwrap();
+    instance
+        .execute(
+            r#"
+        create dataverse Prof;
+        use dataverse Prof;
+        create type MsgType as open { id: int64, author: string, score: double?, note: string? };
+        create dataset D(MsgType) primary key id;
+    "#,
+        )
+        .unwrap();
+    let ds = instance.dataset("D").unwrap();
+    let lsm = ds.primary[0].lsm();
+    for batch in 0..2i64 {
+        for id in batch * 40..batch * 40 + 40 {
+            let optional = match id {
+                0 => String::new(),
+                _ => format!(r#", "score": {id}.5, "note": "n{id}""#),
+            };
+            let record =
+                format!(r#"{{ "id": {id}, "author": "a{id}"{optional}, "tag": "t{id}" }}"#);
+            instance.execute(&format!("insert into dataset D ({record});")).unwrap();
+        }
+        ds.flush_all().unwrap();
+    }
+    assert_eq!((lsm.disk_component_count(), lsm.columnar_component_count()), (2, 2));
+    let all = "for $m in dataset D order by $m.id return $m;";
+    let before = instance.query(all).unwrap();
+    assert_eq!(before.len(), 80);
+
+    let (hits, misses, _) = instance.cache_stats();
+    lsm.merge_all().unwrap();
+    let (hits_after, misses_after, _) = instance.cache_stats();
+    assert_eq!((hits_after, misses_after), (hits, misses), "the merge read through the cache");
+    assert_eq!((lsm.metrics().merges.get(), lsm.metrics().merges_copied.get()), (1, 1));
+    match instance.metrics().get("lsm.Prof.D.p0.merges_copied") {
+        Some(Metric::Counter(c)) => assert_eq!(c.get(), 1),
+        other => panic!("lsm.Prof.D.p0.merges_copied: {other:?}"),
+    }
+    assert_eq!((lsm.disk_component_count(), lsm.columnar_component_count()), (1, 1));
+    let files = DiskComponent::scavenge_dir(lsm.dir()).unwrap();
+    assert_eq!(files.len(), 1, "{files:?}");
+    DiskComponent::validate(&files[0]).unwrap();
+
+    // Every row is spliced from the copied runs, and comes out in the
+    // order the typed encoding yields.
+    let Ok(Datatype::Record(rt)) = ds.registry.resolve(&ds.datatype) else {
+        panic!("D's type is a record type")
+    };
+    let mut buf = Vec::new();
+    let mut spliced = 0;
+    lsm.scan_projected(ScanBound::ALL, &Projection::all(), |_, value| {
+        let ScanValue::Assembled(sd) = value else { panic!("a row came back unshredded") };
+        let ordered = colschema::in_typed_order(sd, &rt, &mut buf).unwrap();
+        assert!(std::ptr::eq(ordered, sd), "re-ordered a spliced record");
+        spliced += 1;
+        true
+    })
+    .unwrap();
+    assert_eq!(spliced, 80);
+    assert_eq!(instance.query(all).unwrap(), before);
+
+    drop((ds, instance));
+    let instance = Instance::open(cfg).unwrap();
+    instance.execute("use dataverse Prof;").unwrap();
+    let ds = instance.dataset("D").unwrap();
+    assert_eq!(ds.primary[0].lsm().columnar_component_count(), 1);
+    assert_eq!(instance.query(all).unwrap(), before, "the merged component reopens");
+}

@@ -373,7 +373,7 @@ proptest! {
         for e in &encoded {
             b.observe(e);
         }
-        let schema = b.finish(0.25, 16);
+        let schema = b.finish(&[], 0.25, 16);
         let fields_of = |buf: &[u8]| {
             let mut v: Vec<(String, Vec<u8>)> = Vec::new();
             adm_serde::for_each_record_field(buf, &mut |n, b| {
@@ -510,7 +510,7 @@ proptest! {
         for (_, sd) in &stored {
             b.observe(sd);
         }
-        let schema = b.finish(0.25, 16);
+        let schema = b.finish(&[], 0.25, 16);
         let mut buf = Vec::new();
         for (typed, sd) in &stored {
             let Some(s) = shred(&schema, sd) else { continue };
