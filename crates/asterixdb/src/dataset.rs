@@ -18,8 +18,8 @@ use asterix_metadata::{DatasetMeta, IndexKindMeta, IndexMeta};
 use asterix_storage::btree::{LsmBTree, ValueBound};
 use asterix_storage::inverted::{InvertedIndex, Tokenizer};
 use asterix_storage::keycodec;
-use asterix_storage::lsm::{LsmConfig, LsmObserver, ScanValue};
-use asterix_storage::rtree::LsmRTree;
+use asterix_storage::lsm::{LsmConfig, LsmObserver, LsmTree, ScanValue};
+use asterix_storage::spatial::SpatialIndex;
 use asterix_storage::{
     BufferCache, ColumnarOptions, ColumnarStats, Projection, RowCodec, ScanBound,
 };
@@ -121,8 +121,19 @@ impl LsmObserver for FlushLogger {
 /// One partition of a secondary index.
 pub enum SecondaryPartition {
     BTree(LsmBTree),
-    RTree(LsmRTree),
+    Spatial(SpatialIndex),
     Inverted(InvertedIndex),
+}
+
+impl SecondaryPartition {
+    /// The LSM tree every index kind keeps its entries in.
+    pub fn lsm(&self) -> &LsmTree {
+        match self {
+            SecondaryPartition::BTree(t) => t.lsm(),
+            SecondaryPartition::Spatial(t) => t.lsm(),
+            SecondaryPartition::Inverted(t) => t.lsm(),
+        }
+    }
 }
 
 /// A secondary index across all partitions.
@@ -254,10 +265,11 @@ impl DatasetRuntime {
                     Arc::clone(&self.cache),
                     observer,
                 )?),
-                IndexKindMeta::RTree => SecondaryPartition::RTree(LsmRTree::open(
+                IndexKindMeta::RTree => SecondaryPartition::Spatial(SpatialIndex::open(
                     &dir,
-                    self.cfg.mem_component_budget,
+                    Self::lsm_config(&self.cfg),
                     Arc::clone(&self.cache),
+                    observer,
                 )?),
                 IndexKindMeta::Keyword => SecondaryPartition::Inverted(InvertedIndex::open(
                     &dir,
@@ -566,7 +578,7 @@ impl DatasetRuntime {
                     t.insert(&composite, Vec::new())?;
                 }
             }
-            SecondaryPartition::RTree(t) => {
+            SecondaryPartition::Spatial(t) => {
                 let mbr: Rectangle = asterix_adm::spatial::mbr(field_value)?;
                 if is_delete {
                     t.delete(mbr, pk)?;
@@ -822,13 +834,7 @@ impl DatasetRuntime {
     pub fn size_bytes(&self) -> u64 {
         let mut total: u64 = self.primary.iter().map(|t| t.lsm().size_bytes()).sum();
         for ix in self.secondaries.read().iter() {
-            for p in &ix.partitions {
-                total += match p {
-                    SecondaryPartition::BTree(t) => t.lsm().size_bytes(),
-                    SecondaryPartition::RTree(t) => t.size_bytes(),
-                    SecondaryPartition::Inverted(t) => t.lsm().size_bytes(),
-                };
-            }
+            total += ix.partitions.iter().map(|p| p.lsm().size_bytes()).sum::<u64>();
         }
         total
     }
@@ -845,15 +851,7 @@ impl DatasetRuntime {
         }
         for ix in self.secondaries.read().iter() {
             for p in &ix.partitions {
-                match p {
-                    SecondaryPartition::BTree(t) => {
-                        t.lsm().flush()?;
-                    }
-                    SecondaryPartition::RTree(t) => t.flush()?,
-                    SecondaryPartition::Inverted(t) => {
-                        t.lsm().flush()?;
-                    }
-                }
+                p.lsm().flush()?;
             }
         }
         Ok(())

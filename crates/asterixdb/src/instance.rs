@@ -31,7 +31,7 @@ use asterix_txn::wal::{Durability, LogManager};
 use asterix_txn::{recover, LockManager, RecoveryTarget};
 
 use crate::cluster::ClusterConfig;
-use crate::dataset::{DatasetRuntime, SecondaryPartition};
+use crate::dataset::DatasetRuntime;
 use crate::error::{AsterixError, Result};
 use crate::profile::QueryProfile;
 use crate::provider::{InstanceProvider, SessionCatalog, Shared};
@@ -1082,17 +1082,7 @@ impl Instance {
         for ix in rt.secondaries.read().iter() {
             for (p, part) in ix.partitions.iter().enumerate() {
                 let prefix = format!("{base}.{}.p{p}", ix.meta.name);
-                match part {
-                    SecondaryPartition::BTree(t) => {
-                        t.lsm().metrics().register_into(&self.metrics, &prefix)
-                    }
-                    SecondaryPartition::Inverted(t) => {
-                        t.lsm().metrics().register_into(&self.metrics, &prefix)
-                    }
-                    // The R-tree variant manages its own component
-                    // lifecycle and is not LSM-metered yet.
-                    SecondaryPartition::RTree(_) => {}
-                }
+                part.lsm().metrics().register_into(&self.metrics, &prefix);
             }
         }
     }

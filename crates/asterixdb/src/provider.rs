@@ -416,7 +416,7 @@ impl MetadataProvider for InstanceProvider {
         let ds = self.runtime(dataset)?;
         let ix = ds.secondary(index).ok_or_else(|| op_err(format!("unknown index {index}")))?;
         Ok(Arc::new(move |partition, _nparts, emit| {
-            let SecondaryPartition::RTree(t) = &ix.partitions[partition] else {
+            let SecondaryPartition::Spatial(t) = &ix.partitions[partition] else {
                 return Err(op_err(format!("{} is not an rtree index", ix.meta.name)));
             };
             for pk in t.search(&query).map_err(op_err)? {

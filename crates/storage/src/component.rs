@@ -741,7 +741,10 @@ impl DiskComponent {
         self.read_span((group * m.slots() + slot) as u32, off, len as usize)
     }
 
-    fn parse_page(buf: &[u8]) -> Result<Vec<Entry>> {
+    /// The entries of a row page with keys in `[lo, hi)` (`None` bounds are
+    /// open): the page's keys are sorted, so the ones below `lo` are
+    /// stepped over without a copy and the first at `hi` ends the parse.
+    fn parse_page(buf: &[u8], lo: Option<&[u8]>, hi: Option<&[u8]>) -> Result<Vec<Entry>> {
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos < buf.len() {
@@ -753,11 +756,15 @@ impl DiskComponent {
             if pos + klen + vlen > buf.len() {
                 return Err(StorageError::Corrupt("entry spans past page".into()));
             }
-            let key = buf[pos..pos + klen].to_vec();
-            pos += klen;
-            let value = buf[pos..pos + vlen].to_vec();
-            pos += vlen;
-            out.push(Entry { key, antimatter: anti, value });
+            let key = &buf[pos..pos + klen];
+            if hi.is_some_and(|hi| key >= hi) {
+                break;
+            }
+            if lo.is_none_or(|lo| key >= lo) {
+                let value = buf[pos + klen..pos + klen + vlen].to_vec();
+                out.push(Entry { key: key.to_vec(), antimatter: anti, value });
+            }
+            pos += klen + vlen;
         }
         Ok(out)
     }
@@ -911,13 +918,7 @@ impl DiskComponent {
             Layout::Row { pages } => {
                 let meta = &pages[idx];
                 let page = self.read_span(idx as u32, meta.offset, meta.len as usize)?;
-                let mut entries = Self::parse_page(&page)?;
-                let end = hi
-                    .map_or(entries.len(), |hi| entries.partition_point(|e| e.key.as_slice() < hi));
-                entries.truncate(end);
-                let start = lo.map_or(0, |lo| entries.partition_point(|e| e.key.as_slice() < lo));
-                entries.drain(..start);
-                Ok(entries)
+                Self::parse_page(&page, lo, hi)
             }
             Layout::Columnar(m) => {
                 let mut reader = self.project_range(ScanBound::ALL, &Projection::all());

@@ -130,13 +130,12 @@ impl InvertedIndex {
         let prefix = encode_key(&[Value::string(token)])?;
         let hi = crate::keycodec::prefix_successor(&prefix);
         let mut out = Vec::new();
-        self.tree.scan_with(Some(&prefix), hi.as_deref(), |k, _| {
-            if let Ok(mut vals) = crate::keycodec::decode_key(k) {
-                // Strip the token, keep the pk suffix.
-                vals.remove(0);
-                out.push(vals);
-            }
-            true
+        self.tree.try_scan_with(Some(&prefix), hi.as_deref(), |k, _| {
+            let mut vals = crate::keycodec::decode_key(k)?;
+            // Strip the token, keep the pk suffix.
+            vals.remove(0);
+            out.push(vals);
+            Ok(())
         })?;
         Ok(out)
     }
@@ -339,6 +338,18 @@ mod tests {
         ix.insert(&Value::string("ab"), &[Value::Int64(1)]).unwrap();
         // |G("ab")| = 4 with k=3; ed=2 → lower bound 4 - 6 ≤ 0 → fallback.
         assert!(ix.fuzzy_candidates("ab", 2).is_err());
+    }
+
+    #[test]
+    fn undecodable_postings_are_errors() {
+        let dir = TempDir::new().unwrap();
+        let ix = open(dir.path(), Tokenizer::Keyword);
+        ix.insert(&Value::string("hello"), &[Value::Int64(1)]).unwrap();
+        let mut key = encode_key(&[Value::string("hello")]).unwrap();
+        key.extend_from_slice(&[0xEE, 0xEE]);
+        ix.lsm().insert(key, Vec::new()).unwrap();
+        assert!(ix.lookup_token("hello").is_err());
+        assert!(ix.lookup_token("other").unwrap().is_empty());
     }
 
     #[test]

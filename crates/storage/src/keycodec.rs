@@ -105,7 +105,7 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) -> Result<()> {
         }
         other => {
             // Spatial values and records are not valid B+-tree keys; the
-            // R-tree handles spatial keys.
+            // spatial index keys MBRs its own way.
             return Err(StorageError::Adm(AdmError::InvalidArgument(format!(
                 "{} cannot be used as a B+-tree key",
                 other.type_name()

@@ -4,9 +4,9 @@
 //! LSM-ification framework (in-memory component, immutable bloom-filtered
 //! disk components, flush/merge with pluggable merge policies, antimatter
 //! deletes, validity-marker shadowing), an order-preserving key codec for
-//! ADM values, and three concrete index structures on top of it — the LSM
-//! B+-tree, the LSM R-tree, and LSM inverted (keyword / n-gram) indexes —
-//! all sharing one buffer cache.
+//! ADM values, and three key layouts on that one [`LsmTree`] — the
+//! composite-key B+-tree, the inverted (keyword / n-gram) indexes and the
+//! Z-order spatial index — all sharing one buffer cache.
 
 pub mod bloom;
 pub mod btree;
@@ -17,7 +17,7 @@ pub mod error;
 pub mod inverted;
 pub mod keycodec;
 pub mod lsm;
-pub mod rtree;
+pub mod spatial;
 
 pub use cache::BufferCache;
 pub use columnar::{

@@ -9,9 +9,8 @@
 //! mutable component, then sealed-but-unflushed components newest → oldest,
 //! then disk components, so no visibility gap exists at any point of the
 //! flush pipeline. Deletes are antimatter entries. This harness backs the
-//! LSM B+-tree directly and (through composite keys) the inverted indexes;
-//! the R-tree has its own spatially-organized variant sharing the same
-//! component lifecycle.
+//! LSM B+-tree directly and, through their key layouts, the inverted and
+//! spatial indexes.
 //!
 //! Background I/O failures are *deferred*: they surface as the error of the
 //! next write, [`LsmTree::flush`], or [`LsmTree::close`] call, mirroring
@@ -848,6 +847,22 @@ impl LsmTree {
             }
         }
         Ok(())
+    }
+
+    /// [`LsmTree::scan_with`] with a visitor that can fail: its first error
+    /// stops the scan and is what the call returns.
+    pub fn try_scan_with(
+        &self,
+        lo: Option<&[u8]>,
+        hi: Option<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut err = None;
+        self.scan_with(lo, hi, |k, v| {
+            err = f(k, v).err();
+            err.is_none()
+        })?;
+        err.map_or(Ok(()), Err)
     }
 
     /// Filter-first merged scan over `bound` — a key range, or the sorted

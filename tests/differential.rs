@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use asterix_adm::functions::FunctionContext;
+use asterix_adm::value::{Circle, Line, Point, Rectangle};
 use asterix_adm::Value;
 use asterix_algebricks::expr::EvalCtx;
 use asterix_algebricks::interp;
@@ -1059,6 +1060,181 @@ fn key_lookups_answer_identically_on_every_layout_and_topology() {
             assert_eq!(lookup(dataset, literal, key).len(), 0, "{setup:?}: {del}");
         }
         assert_eq!(lookup("K64", "17", &Value::Int64(17)).len(), 1, "{setup:?}");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Spatial searches: Z-order point keys and the linear pass over other MBRs
+// ---------------------------------------------------------------------------
+
+/// Record `id` of `G`: a point `pt` and, if any, a `shape`.
+fn geo_record(id: i64, pt: Point, shape: Option<Value>) -> Value {
+    let mut fields = vec![("id", Value::Int64(id)), ("pt", Value::Point(pt))];
+    fields.extend(shape.map(|s| ("shape", s)));
+    Value::record(asterix_adm::Record::from_fields(fields))
+}
+
+/// A shape near `p`, of the kind `k` picks: rectangle, circle, line,
+/// polygon or point.
+fn geo_shape(k: i64, p: Point) -> Value {
+    let at = |dx: f64, dy: f64| Point::new(p.x + dx, p.y + dy);
+    match k % 5 {
+        0 => Value::Rectangle(Rectangle::new(p, at(3.0, 1.5))),
+        1 => Value::Circle(Circle { center: p, radius: 2.5 }),
+        2 => Value::Line(Line { a: p, b: at(-4.0, 2.0) }),
+        3 => Value::Polygon(Arc::from(vec![p, at(5.0, 0.0), at(2.5, 4.0)])),
+        _ => Value::Point(p),
+    }
+}
+
+/// `G` loaded in three stages: 120 points a stage on a half-unit lattice,
+/// so many lie on the windows' edges, every fourth record with a shape
+/// too; stage 0 adds a point at x = −0.0 and three at magnitudes near
+/// 1e300; each later stage deletes records of the stage before it and
+/// re-inserts one deleted key at a new location.
+fn geo_corpus() -> Corpus {
+    Corpus {
+        dataverse: "Geo",
+        ddl: "create type GT as open { id: int64, pt: point };
+              create dataset G(GT) primary key id;
+              create index ptIdx on G(pt) type rtree;
+              create index shapeIdx on G(shape) type rtree;"
+            .into(),
+        flushed: vec!["G"],
+        load: Box::new(|instance, stage| {
+            let g = instance.dataset("G").unwrap();
+            let mut rng = StdRng::seed_from_u64(0x5EA + stage as u64);
+            let mut lattice = || {
+                Point::new(
+                    rng.gen_range(-100..100) as f64 * 0.5,
+                    rng.gen_range(-100..100) as f64 * 0.5,
+                )
+            };
+            let base = stage as i64 * 1000;
+            for id in base..base + 120 {
+                let p = lattice();
+                g.insert(&geo_record(id, p, (id % 4 == 0).then(|| geo_shape(id / 4, p)))).unwrap();
+            }
+            if stage == 0 {
+                let minus_zero = Point::new(-0.0, 5.0);
+                g.insert(&geo_record(900, minus_zero, Some(Value::Point(minus_zero)))).unwrap();
+                for (id, x, y) in [(901, 1e300, -1e300), (902, -1e300, 3.0), (903, 4.0, 9e299)] {
+                    g.insert(&geo_record(id, Point::new(x, y), None)).unwrap();
+                }
+                return;
+            }
+            let prev = base - 1000;
+            for id in [prev + 3, prev + 8, prev + 12, prev + 40] {
+                assert!(g.delete_by_pk(&[Value::Int64(id)]).unwrap());
+            }
+            let moved = lattice();
+            g.insert(&geo_record(prev + 8, moved, Some(geo_shape(stage as i64, moved)))).unwrap();
+        }),
+    }
+}
+
+/// Windows over `pt` and `shape`, and distances from a point.
+fn geo_queries() -> Vec<String> {
+    let windows = [
+        "0,0 10,10",
+        "-20,-7.5 -5,7.5",
+        "-2.5,-30 -2.5,30",
+        "12.5,-50 50,-12.5",
+        "1e299,-1e301 1e301,0",
+        "-1e301,-1e301 1e301,1e301",
+    ];
+    let ret = "return $g.id";
+    let mut queries: Vec<String> = Vec::new();
+    for field in ["pt", "shape"] {
+        for w in windows {
+            queries.push(format!(
+                "for $g in dataset G where spatial-intersect($g.{field}, rectangle(\"{w}\")) {ret}"
+            ));
+        }
+    }
+    for (center, d) in [("3,4", "6.5"), ("-0.0,5", "2.5"), ("-20,-20", "10.0"), ("4,9e299", "1.0")]
+    {
+        queries.push(format!(
+            "for $g in dataset G where spatial-distance($g.pt, point(\"{center}\")) <= {d} {ret}"
+        ));
+    }
+    queries
+}
+
+/// Each query's answer through the spatial index, checked against the
+/// same query with index access off.
+fn spatial_answers(
+    setup: Setup,
+    step: &str,
+    instance: &Instance,
+    queries: &[String],
+) -> Vec<Vec<String>> {
+    queries
+        .iter()
+        .map(|q| {
+            let (plan, _) = instance.explain(q).unwrap();
+            assert!(plan.contains("rtree-search"), "{setup:?} {step}: {plan}");
+            let got = canonical(instance.query(q).unwrap());
+            instance.optimizer_options.write().enable_index_access = false;
+            let (plan, _) = instance.explain(q).unwrap();
+            assert!(!plan.contains("rtree-search"), "{setup:?} {step}: {plan}");
+            let want = canonical(instance.query(q).unwrap());
+            instance.optimizer_options.write().enable_index_access = true;
+            assert_eq!(got, want, "{setup:?} {step}: {q}");
+            got
+        })
+        .collect()
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// A spatial search answers as a scan does — points on the window's
+/// edges, at x = −0.0 and near ±1e300, rectangles, circles, lines and
+/// polygons, deleted and moved records alike — on every layout and
+/// topology, staged, after a flush and a full merge of every index, and
+/// after a kill and reopen.
+#[test]
+fn spatial_searches_answer_identically_on_every_layout_and_topology() {
+    let queries = geo_queries();
+    let mut reference: Option<Vec<Vec<String>>> = None;
+    for_each_setup(&Layout::ALL, &[(1, 1), (2, 2), (4, 3)], &geo_corpus(), |setup, instance| {
+        let answers = spatial_answers(setup, "staged", instance, &queries);
+        let want = reference.get_or_insert_with(|| answers.clone());
+        assert_eq!(&answers, want, "{setup:?}");
+        let has = |q: usize, id: i64| want[q].contains(&id.to_string());
+        assert!(has(0, 900) && has(6, 900) && has(13, 900), "the point at x = -0.0");
+        assert!(has(4, 901) && has(5, 902) && has(15, 903), "the points near 1e300");
+        assert!(want.iter().map(Vec::len).sum::<usize>() > 300, "{want:?}");
+
+        let g = instance.dataset("G").unwrap();
+        g.flush_all().unwrap();
+        for ix in g.secondaries.read().iter() {
+            for p in &ix.partitions {
+                p.lsm().merge_all().unwrap();
+                assert!(p.lsm().disk_component_count() <= 1, "{setup:?}");
+            }
+        }
+        assert_eq!(&spatial_answers(setup, "merged", instance, &queries), want, "{setup:?}");
+
+        // The files as a kill would leave them, opened as a new instance.
+        let copy = asterix_testkit::TempDir::new().unwrap();
+        copy_dir(&instance.config().base_dir, copy.path());
+        let cfg =
+            ClusterConfig { base_dir: copy.path().to_path_buf(), ..instance.config().clone() };
+        let reopened = Instance::open(cfg).unwrap();
+        reopened.execute("use dataverse Geo;").unwrap();
+        assert_eq!(&spatial_answers(setup, "reopened", &reopened, &queries), want, "{setup:?}");
     });
 }
 

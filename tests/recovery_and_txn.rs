@@ -230,3 +230,157 @@ fn readers_see_consistent_data_during_writes() {
     writer.join().unwrap();
     assert_eq!(instance.query("for $d in dataset D return $d;").unwrap().len(), 400);
 }
+
+const GEO_DDL: &str = r#"
+    create dataverse G;
+    use dataverse G;
+    create type P as open { id: int64, loc: point };
+    create dataset Places(P) primary key id;
+    create index locIdx on Places(loc) type rtree;
+"#;
+
+const GEO_QUERY: &str = r#"for $p in dataset Places
+    where spatial-intersect($p.loc, rectangle("2,2 6,6")) return $p.id;"#;
+
+fn insert_place(instance: &Instance, id: i64) {
+    let (x, y) = ((id % 10) as f64, (id / 10 % 10) as f64);
+    instance
+        .execute(&format!(
+            "insert into dataset Places ({{ \"id\": {id}, \"loc\": point(\"{x},{y}\") }});"
+        ))
+        .unwrap();
+}
+
+fn sorted_ids(instance: &Instance, q: &str) -> Vec<i64> {
+    let mut ids: Vec<i64> =
+        instance.query(q).unwrap().iter().map(|v| v.as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Counts the replayed updates per (dataset, index code).
+#[derive(Default)]
+struct CountingTarget(std::collections::HashMap<(u32, u32), usize>);
+
+impl asterix_txn::RecoveryTarget for CountingTarget {
+    fn replay_insert(&mut self, ds: u32, ix: u32, _: &[u8], _: &[u8]) -> asterix_txn::Result<()> {
+        *self.0.entry((ds, ix)).or_default() += 1;
+        Ok(())
+    }
+
+    fn replay_delete(&mut self, ds: u32, ix: u32, _: &[u8], _: &[u8]) -> asterix_txn::Result<()> {
+        *self.0.entry((ds, ix)).or_default() += 1;
+        Ok(())
+    }
+}
+
+/// The spatial index writes flush watermarks like every LSM index, so
+/// recovery skips its flushed updates; a kill and reopen keeps its answers
+/// and its `lsm.*` metrics.
+#[test]
+fn recovery_skips_flushed_spatial_updates_and_keeps_the_answers() {
+    use asterix_txn::wal::{LogManager, LogRecord};
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let flushes = "lsm.G.Places.locIdx.p0.flushes";
+    let before = {
+        let instance = open(dir.path());
+        instance.execute(GEO_DDL).unwrap();
+        for id in 0..100 {
+            insert_place(&instance, id);
+        }
+        let ds = instance.dataset("Places").unwrap();
+        ds.flush_all().unwrap();
+        // Writes the flush did not cover: a move and new records.
+        instance.execute("delete $p from dataset Places where $p.id = 33;").unwrap();
+        for id in 100..130 {
+            insert_place(&instance, id);
+        }
+        assert!(instance.metrics_json().contains(flushes), "{}", instance.metrics_json());
+
+        let ix = ds.secondary("locIdx").unwrap();
+        let log = instance.config().node_log_path(instance.config().node_of(0));
+        let code = asterixdb::dataset::wal_index_code(ix.id, 0);
+        let records = LogManager::read_all_records(&log).unwrap();
+        let is_ix = |d: &u32, i: &u32| (*d, *i) == (ds.id, code);
+        let logged = records
+            .iter()
+            .filter(|(_, r)| matches!(r, LogRecord::Update { dataset, index, .. } if is_ix(dataset, index)))
+            .count();
+        assert!(records.iter().any(
+            |(_, r)| matches!(r, LogRecord::Flush { dataset, index, .. } if is_ix(dataset, index))
+        ));
+        let mut target = CountingTarget::default();
+        let stats = asterix_txn::recover(&log, &mut target).unwrap();
+        let replayed = target.0.get(&(ds.id, code)).copied().unwrap_or(0);
+        assert!(
+            stats.skipped_flushed > 0 && replayed < logged,
+            "{replayed} of {logged}: {stats:?}"
+        );
+        sorted_ids(&instance, GEO_QUERY)
+        // Killed: dropped without a flush.
+    };
+    assert_eq!(before.len(), 24 + 5, "a 5x5 block less 33, and 122..=126: {before:?}");
+    let instance = open(dir.path());
+    instance.execute("use dataverse G;").unwrap();
+    let (plan, _) = instance.explain(GEO_QUERY).unwrap();
+    assert!(plan.contains("rtree-search"), "{plan}");
+    assert_eq!(sorted_ids(&instance, GEO_QUERY), before);
+    assert!(instance.metrics_json().contains(flushes));
+}
+
+/// Points loaded before and during a stream of background flushes stay
+/// visible to a concurrent window search at every moment: a sealed memory
+/// component is searched until its disk component is installed.
+#[test]
+fn spatial_search_sees_every_point_while_flushes_run() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use asterix_adm::value::{Point, Rectangle};
+    use asterix_adm::Value;
+    use asterix_storage::lsm::{LsmConfig, NullObserver};
+    use asterix_storage::spatial::SpatialIndex;
+    use asterix_storage::BufferCache;
+
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let cfg = LsmConfig { mem_budget: 8 << 10, ..LsmConfig::default() };
+    let ix = SpatialIndex::open(dir.path(), cfg, BufferCache::new(1024), Arc::new(NullObserver))
+        .unwrap();
+    // Every tenth point falls inside the window.
+    let point = |i: usize| {
+        let (x, y) = ((i % 10) as f64 * 2.0, (i / 10 % 100) as f64);
+        Rectangle::new(Point::new(x, y), Point::new(x, y))
+    };
+    let window = Rectangle::new(Point::new(0.0, 0.0), Point::new(1.0, 100.0));
+    const PRELOADED: usize = 100;
+    const TOTAL: usize = 5_000;
+    for i in 0..PRELOADED {
+        ix.insert(point(i), &[Value::Int64(i as i64)]).unwrap();
+    }
+    let inserted = AtomicUsize::new(PRELOADED);
+    let searches = std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in PRELOADED..TOTAL {
+                ix.insert(point(i), &[Value::Int64(i as i64)]).unwrap();
+                inserted.store(i + 1, Ordering::SeqCst);
+            }
+        });
+        let mut searches = 0;
+        loop {
+            let done = inserted.load(Ordering::SeqCst);
+            let mut hits: Vec<i64> =
+                ix.search(&window).unwrap().iter().map(|pk| pk[0].as_i64().unwrap()).collect();
+            hits.sort_unstable();
+            let missing: Vec<usize> = (0..done)
+                .step_by(10)
+                .filter(|i| hits.binary_search(&(*i as i64)).is_err())
+                .collect();
+            assert!(missing.is_empty(), "search {searches} lost {missing:?} of {done}");
+            searches += 1;
+            if done == TOTAL {
+                break searches;
+            }
+        }
+    });
+    assert!(ix.lsm().metrics().flushes.get() >= 10, "{}", ix.lsm().metrics().flushes.get());
+    assert!(searches > 1);
+}
