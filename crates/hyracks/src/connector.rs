@@ -723,21 +723,6 @@ impl InputPort {
         }
     }
 
-    /// An input port that yields nothing (for testing/synthetic ops).
-    pub fn empty() -> InputPort {
-        let (stats, pool) = inert();
-        InputPort {
-            receivers: Vec::new(),
-            mode: InputMode::Any,
-            lookahead: Vec::new(),
-            exhausted: Vec::new(),
-            stats,
-            pool,
-            meter: None,
-            cancel: None,
-        }
-    }
-
     /// Attach a profiling meter counting tuples/frames/bytes arriving at
     /// this port.
     pub(crate) fn set_meter(&mut self, meter: Arc<PortMeter>) {
@@ -826,57 +811,7 @@ impl InputPort {
         }
     }
 
-    /// Drain the port, invoking `f` with every *encoded* tuple — the
-    /// zero-decode path for forwarding operators. Stops early (and
-    /// discards the rest) if `f` returns `false`.
-    pub fn for_each_raw(&mut self, mut f: impl FnMut(&[u8]) -> Result<bool>) -> Result<()> {
-        match &self.mode {
-            InputMode::Any => {
-                while let Some(frame) = self.recv_any() {
-                    // Blocking operators (sort/join builds) consume whole
-                    // inputs before pushing anything, so the read side is a
-                    // cancellation point too — at frame granularity, before
-                    // more work is invested in the frame's tuples.
-                    if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        self.pool.give(frame);
-                        self.drain();
-                        return Err(HyracksError::Cancelled);
-                    }
-                    let mut keep_going = true;
-                    for i in 0..frame.tuple_count() {
-                        if keep_going && !f(frame.tuple_bytes(i))? {
-                            keep_going = false;
-                        }
-                    }
-                    self.pool.give(frame);
-                    if !keep_going {
-                        self.drain();
-                        return Ok(());
-                    }
-                }
-                Ok(())
-            }
-            InputMode::Merge(cmp) => {
-                let cmp = Arc::clone(cmp);
-                loop {
-                    if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        self.drain();
-                        return Err(HyracksError::Cancelled);
-                    }
-                    let Some(i) = self.best_source(&cmp) else { return Ok(()) };
-                    let cur = self.lookahead[i].as_ref().unwrap();
-                    let keep = f(cur.frame.tuple_bytes(cur.idx))?;
-                    self.advance(i);
-                    if !keep {
-                        self.drain();
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drain the port frame-at-a-time — the vectorized consumer path. In
+    /// Drain the port frame-at-a-time — the port's one reader. In
     /// arrival-order mode each received frame is handed to `f` whole (no
     /// per-tuple dispatch at all); in merge mode the merged stream is
     /// re-batched into a scratch frame so `f` still sees order-preserving
@@ -885,6 +820,10 @@ impl InputPort {
         match &self.mode {
             InputMode::Any => {
                 while let Some(frame) = self.recv_any() {
+                    // Blocking stages (sorts, join builds) consume whole
+                    // inputs before pushing anything, so the read side is a
+                    // cancellation point too — at frame granularity, before
+                    // more work is invested in the frame's tuples.
                     if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
                         self.pool.give(frame);
                         self.drain();
@@ -929,23 +868,6 @@ impl InputPort {
                 Ok(())
             }
         }
-    }
-
-    /// Drain the port, decoding each tuple for `f` (the staged-migration
-    /// operator boundary); stops early (and discards the rest) if `f`
-    /// returns `false`.
-    pub fn for_each(&mut self, mut f: impl FnMut(Tuple) -> Result<bool>) -> Result<()> {
-        self.for_each_raw(|bytes| f(asterix_adm::decode_tuple(bytes)?))
-    }
-
-    /// Collect the whole input into a vector (blocking operators).
-    pub fn collect(&mut self) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.for_each(|t| {
-            out.push(t);
-            Ok(true)
-        })?;
-        Ok(out)
     }
 
     /// Consume and discard what is currently queued, recycle the frames,
@@ -1076,6 +998,7 @@ pub fn wire(
 mod tests {
     use super::*;
     use crate::ops::{sort_comparator, SortKey};
+    use crate::pipeline::testing::read_all;
     use asterix_adm::{encode_tuple, Value};
 
     fn t(i: i64) -> Tuple {
@@ -1093,7 +1016,7 @@ mod tests {
         outs[1].push(t(1)).unwrap();
         drop(outs);
         for (i, mut port) in ins.into_iter().enumerate() {
-            let got = port.collect().unwrap();
+            let got = read_all(&mut port).unwrap();
             assert_eq!(got, vec![t(i as i64)]);
         }
     }
@@ -1114,7 +1037,7 @@ mod tests {
         let mut total = 0;
         let mut per_part: Vec<Vec<i64>> = Vec::new();
         for mut port in ins {
-            let got = port.collect().unwrap();
+            let got = read_all(&mut port).unwrap();
             total += got.len();
             per_part.push(got.iter().map(|t| t[0].as_i64().unwrap()).collect());
         }
@@ -1126,7 +1049,7 @@ mod tests {
         let landed: Vec<usize> = ins2
             .into_iter()
             .enumerate()
-            .filter_map(|(i, mut p)| (!p.collect().unwrap().is_empty()).then_some(i))
+            .filter_map(|(i, mut p)| (!read_all(&mut p).unwrap().is_empty()).then_some(i))
             .collect();
         assert_eq!(landed.len(), 1);
         assert!(per_part[landed[0]].contains(&7));
@@ -1144,7 +1067,7 @@ mod tests {
         }
         drop(outs);
         for mut port in ins {
-            let got = port.collect().unwrap();
+            let got = read_all(&mut port).unwrap();
             // Every value arrived an even number of times (both copies
             // routed to the same destination).
             let mut counts = std::collections::HashMap::new();
@@ -1163,7 +1086,7 @@ mod tests {
         drop(outs);
         for mut port in ins {
             let mut got: Vec<i64> =
-                port.collect().unwrap().iter().map(|t| t[0].as_i64().unwrap()).collect();
+                read_all(&mut port).unwrap().iter().map(|t| t[0].as_i64().unwrap()).collect();
             got.sort_unstable();
             assert_eq!(got, vec![1, 2]);
         }
@@ -1184,7 +1107,7 @@ mod tests {
         }
         drop(outs);
         let got: Vec<i64> =
-            ins[0].collect().unwrap().iter().map(|t| t[0].as_i64().unwrap()).collect();
+            read_all(&mut ins[0]).unwrap().iter().map(|t| t[0].as_i64().unwrap()).collect();
         let expect: Vec<i64> = (0..30).collect();
         assert_eq!(got, expect);
     }
@@ -1199,7 +1122,8 @@ mod tests {
             outs[0].push(t(i)).unwrap(); // src partition 0, node 0
         }
         drop(outs);
-        let counts: Vec<usize> = ins.into_iter().map(|mut p| p.collect().unwrap().len()).collect();
+        let counts: Vec<usize> =
+            ins.into_iter().map(|mut p| read_all(&mut p).unwrap().len()).collect();
         // Everything from node 0 stays on node 0's partitions (0 and 1).
         assert_eq!(counts[2] + counts[3], 0);
         assert_eq!(counts[0] + counts[1], 100);
@@ -1212,16 +1136,16 @@ mod tests {
             outs[0].push(t(i)).unwrap();
         }
         drop(outs);
-        let mut n = 0;
+        let mut frames = 0;
         ins[0]
-            .for_each(|_| {
-                n += 1;
-                Ok(n < 10)
+            .for_each_frame(|_| {
+                frames += 1;
+                Ok(false)
             })
             .unwrap();
-        assert_eq!(n, 10);
+        assert_eq!(frames, 1);
         // Port fully drained afterwards.
-        assert!(ins[0].collect().unwrap().is_empty());
+        assert!(read_all(&mut ins[0]).unwrap().is_empty());
     }
 
     #[test]
@@ -1262,7 +1186,7 @@ mod tests {
         }
         assert_eq!(pushed, FRAME_CAPACITY as u64 * 4, "live destination keeps accepting");
         drop(outs);
-        let got = ins[0].collect().unwrap();
+        let got = read_all(&mut ins[0]).unwrap();
         assert!(!got.is_empty());
         assert!(got.iter().all(|t| hash_fields(t, &[0]).is_multiple_of(2)));
     }
@@ -1275,7 +1199,7 @@ mod tests {
             outs[0].push(t(i)).unwrap();
         }
         drop(outs);
-        assert_eq!(ins[0].collect().unwrap().len(), FRAME_CAPACITY * 2);
+        assert_eq!(read_all(&mut ins[0]).unwrap().len(), FRAME_CAPACITY * 2);
         drop(ins);
         assert!(cfg.pool.pooled() >= 2, "drained frames return to the pool");
         assert_eq!(cfg.stats.frames_sent(), 2);
@@ -1297,7 +1221,7 @@ mod tests {
         }
         outs[0].flush().unwrap();
         drop(outs);
-        assert_eq!(ins[0].collect().unwrap().len(), 10);
+        assert_eq!(read_all(&mut ins[0]).unwrap().len(), 10);
         assert_eq!(cfg.stats.bytes_sent(), expected);
     }
 
@@ -1348,7 +1272,7 @@ mod tests {
             drop(outs);
             drop(outs2);
             for (mut a, mut b) in ins.into_iter().zip(ins2) {
-                assert_eq!(a.collect().unwrap(), b.collect().unwrap(), "{}", kind.name());
+                assert_eq!(read_all(&mut a).unwrap(), read_all(&mut b).unwrap(), "{}", kind.name());
             }
         }
     }
@@ -1411,7 +1335,7 @@ mod tests {
             outs[0].push(t(i)).unwrap();
         }
         drop(outs);
-        assert_eq!(ins[0].collect().unwrap().len(), 100);
+        assert_eq!(read_all(&mut ins[0]).unwrap().len(), 100);
         assert!(
             cfg.stats.frames_sent() > 10,
             "only {} frames for 100 tuples at 64-byte frames",

@@ -2,10 +2,12 @@
 //! partition, and propagates failures.
 //!
 //! This is the Node Controller side of §4.1 collapsed into one process:
-//! every partition of every operator runs concurrently; blocking operators
-//! (declared via `blocking_inputs`, the activity split) impose the stage
-//! ordering implicitly by consuming their blocking inputs to completion
-//! before emitting.
+//! every pipeline of every chain partition runs concurrently. A pipeline is
+//! its head's `run` — a source's own, or the provided driver feeding the
+//! head's activities from its input ports in input order — with the rest
+//! of the chain stacked behind it as push stages. Blocking activities
+//! (sort, group-by, aggregate, a join's build) impose the stage ordering
+//! implicitly by consuming their input to completion before emitting.
 //!
 //! A job of N pipelines spawns N − 1 threads: the calling thread runs one
 //! pipeline itself, through the same body as the spawned ones, between
@@ -140,31 +142,50 @@ pub fn run_job_profiled(
 }
 
 /// One pipeline of a job, wired and ready to run: a fused chain (or a lone
-/// operator) on one partition. The head operator runs its `run` body (for
-/// a streaming head, the provided one driving its push stage); chain
-/// members after it run as push stages stacked onto the head's output
-/// port.
+/// operator) on one partition. The head operator runs its `run` body; the
+/// members after it are instantiated as push stages stacked onto the
+/// head's output port when the pipeline starts, under its trace context.
 struct Pipeline {
-    desc: Arc<dyn OperatorDescriptor>,
+    /// Chain members, head first.
+    ops: Vec<Arc<dyn OperatorDescriptor>>,
     partition: usize,
     nparts: usize,
-    node: usize,
     inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
+    /// The tail's real output port, or a discard sink when the chain ends
+    /// the job.
+    output: OutputPort,
+    /// Profiled runs: per fused edge, head first, the upstream member's
+    /// output meter and the downstream member's input meter.
+    edge_meters: Vec<Vec<Arc<PortMeter>>>,
     /// Busy-time slots for every chain member on a profiled run (all get
     /// the pipeline's elapsed run time — they shared the thread).
     busy: Vec<Arc<asterix_sync::Mutex<Duration>>>,
-    /// Chain-member operator names on a traced run, for per-operator
-    /// trace spans (same sharing semantics as `busy`).
-    op_names: Vec<String>,
-    fused: bool,
 }
 
 impl Pipeline {
     /// Thread and span name; formatted only for a pipeline that is spawned
     /// or traced.
     fn name(&self) -> String {
-        format!("{}[{}]", self.desc.name(), self.partition)
+        format!("{}[{}]", self.ops[0].name(), self.partition)
+    }
+
+    /// The head's output port: `output` itself, or — for a chain — a port
+    /// backed by the other members' push stages, stacked tail-first onto
+    /// `output`. Each interior edge gets a FusedEdge adapter that meters
+    /// tuples for the adjacent operators' profiles.
+    fn head_output(&mut self, env: &ExecEnv, output: OutputPort) -> Result<OutputPort> {
+        if self.ops.len() == 1 {
+            return Ok(output);
+        }
+        let mut next: Box<dyn PipelineOp> = Box::new(PortSink::new(output));
+        for (i, op) in self.ops.iter().enumerate().skip(1).rev() {
+            let ctx =
+                PipelineCtx { partition: self.partition, nparts: self.nparts, env: env.clone() };
+            let stage = op.pipeline(ctx, next)?;
+            let meters = self.edge_meters.get(i - 1).cloned().unwrap_or_default();
+            next = Box::new(FusedEdge::new(meters, stage));
+        }
+        Ok(OutputPort::fused(next, env.cancel.clone()))
     }
 
     /// The body of every pipeline, whichever thread runs it: a spawned
@@ -172,45 +193,37 @@ impl Pipeline {
     fn run(mut self, mut env: ExecEnv, trace: &TraceContext, stats: &ExchangeStats) -> Result<()> {
         let run_started = Instant::now();
         // Per-pipeline trace context: a span labelled with the partition,
-        // under which operator spans, send-block spans, and spill spans
-        // nest. Untraced, nothing is formatted or allocated.
+        // under which operator spans, send-block spans, and spill spans of
+        // every chain member nest. Untraced, nothing is formatted or
+        // allocated.
         let tspan = if trace.is_enabled() {
             trace.with_label(&format!("p{}", self.partition)).span(&self.name())
         } else {
             TraceSpan::default()
         };
         let child = tspan.context();
+        let mut output = std::mem::replace(&mut self.output, OutputPort::sink());
         if child.is_enabled() {
-            for out in self.outputs.iter_mut() {
-                out.set_trace(child.clone());
-            }
+            output.set_trace(child.clone());
             env.trace = child.clone();
         }
-        let mut ctx = OpCtx {
-            partition: self.partition,
-            nparts: self.nparts,
-            node: self.node,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            env,
-        };
-        let result = self.desc.run(&mut ctx);
-        // Drain remaining input so upstream memory is freed even on early
-        // exit/error, then finish the output ports — a fused port's stages
-        // deliver their buffered output — before they drop and close.
-        for input in ctx.inputs.iter_mut() {
-            input.drain();
-        }
-        let mut fin: Result<()> = Ok(());
-        for out in ctx.outputs.iter_mut() {
-            if let Err(e) = out.finish() {
-                if fin.is_ok() {
-                    fin = Err(e);
+        let (result, fin) = match self.head_output(&env, output) {
+            Ok(output) => {
+                let mut ctx = OpCtx { partition: self.partition, nparts: self.nparts, output, env };
+                let result = self.ops[0].run(&mut ctx, &mut self.inputs);
+                // Drain remaining input so upstream memory is freed even on
+                // early exit/error, then finish the output port — a fused
+                // port's stages deliver their buffered output — before it
+                // drops and closes.
+                for input in self.inputs.iter_mut() {
+                    input.drain();
                 }
+                (result, ctx.output.finish())
             }
-        }
+            Err(e) => (Err(e), Ok(())),
+        };
         let elapsed = run_started.elapsed();
-        if self.fused {
+        if self.ops.len() > 1 {
             stats.on_pipeline_done(elapsed);
         }
         for b in &self.busy {
@@ -220,8 +233,8 @@ impl Pipeline {
             // One span per chain member, mirroring the busy meters: all
             // share the thread, so all get the pipeline's elapsed time.
             let elapsed_us = elapsed.as_micros() as u64;
-            for op in &self.op_names {
-                child.record(&format!("op:{op}"), tspan.start_us(), elapsed_us);
+            for op in &self.ops {
+                child.record(&format!("op:{}", op.name()), tspan.start_us(), elapsed_us);
             }
         }
         tspan.finish();
@@ -286,7 +299,8 @@ fn run_job_inner(
     // no factory, publish is a no-op and every consult passes tuples
     // through.
     let env = ExecEnv {
-        tuples_per_frame: cfg.tuples_per_frame.max(1),
+        tuples_per_frame: xcfg.tuples_per_frame,
+        frame_bytes: xcfg.frame_bytes,
         filters: RuntimeFilterHub::new(
             job.nfilters(),
             cfg.filter_factory.clone(),
@@ -294,6 +308,7 @@ fn run_job_inner(
         ),
         // Each pipeline swaps in its own labelled child context.
         trace: TraceContext::disabled(),
+        cancel: cfg.cancel.clone(),
     };
 
     // Wire every surviving connector: per source partition output ports,
@@ -314,9 +329,8 @@ fn run_job_inner(
         conn_ins.push(ins.into_iter().map(Some).collect());
     }
 
-    // One pipeline per (chain, partition). Build every one before running
-    // any, so an instantiation error cannot leave already-spawned threads
-    // running against half-wired channels.
+    // One pipeline per (chain, partition). Wire every one before running
+    // any, so no thread starts against half-wired channels.
     let mut pending: Vec<Pipeline> = Vec::with_capacity(total_threads);
     // The last pipeline whose chain ends the job (its tail feeds no
     // connector): the one holding the result sink.
@@ -325,19 +339,20 @@ fn run_job_inner(
         let head = chain.ops[0];
         let tail = *chain.ops.last().expect("chains are non-empty");
         let in_conns = job.inputs_of(head);
-        let out_conns = job.outputs_of(tail);
+        let out_conn = job.outputs_of(tail).first().copied();
         for p in 0..chain.nparts {
-            let node = node_of(p);
             let mut inputs: Vec<InputPort> = in_conns
                 .iter()
                 .map(|&ci| conn_ins[ci][p].take().expect("input port taken twice"))
                 .collect();
-            let mut outputs: Vec<OutputPort> = out_conns
-                .iter()
-                .map(|&ci| conn_outs[ci][p].take().expect("output port taken twice"))
-                .collect();
+            let mut output = match out_conn {
+                Some(ci) => conn_outs[ci][p].take().expect("output port taken twice"),
+                None => OutputPort::sink(),
+            };
             // When profiling, meter every real port (in connector order)
-            // and keep busy-time handles for every chain member.
+            // and every fused edge, and keep busy-time handles for every
+            // chain member.
+            let mut edge_meters = Vec::new();
             let mut busy: Vec<Arc<asterix_sync::Mutex<Duration>>> = Vec::new();
             if let Some(pb) = profile.as_mut() {
                 for port in inputs.iter_mut() {
@@ -345,62 +360,32 @@ fn run_job_inner(
                     port.set_meter(Arc::clone(&m));
                     pb.meters[head.0][p].inputs.push(m);
                 }
-                for port in outputs.iter_mut() {
+                if out_conn.is_some() {
                     let m = Arc::new(PortMeter::default());
-                    port.set_meter(Arc::clone(&m));
+                    output.set_meter(Arc::clone(&m));
                     pb.meters[tail.0][p].outputs.push(m);
+                }
+                for edge in chain.ops.windows(2) {
+                    let (m_out, m_in) = (Arc::default(), Arc::default());
+                    pb.meters[edge[0].0][p].outputs.push(Arc::clone(&m_out));
+                    pb.meters[edge[1].0][p].inputs.push(Arc::clone(&m_in));
+                    edge_meters.push(vec![m_out, m_in]);
                 }
                 for op in &chain.ops {
                     busy.push(Arc::clone(&pb.meters[op.0][p].busy));
                 }
             }
-            if chain.ops.len() > 1 {
-                // Stack the push stages tail-first onto the tail's real
-                // output port (or a discard sink when the chain ends the
-                // job). Each interior edge gets a FusedEdge adapter that
-                // meters tuples for the adjacent operators' profiles.
-                let tail_port = outputs.pop().unwrap_or_else(OutputPort::sink);
-                let mut next: Box<dyn PipelineOp> = Box::new(PortSink::new(tail_port));
-                for idx in (1..chain.ops.len()).rev() {
-                    let opid = chain.ops[idx];
-                    let ctx =
-                        PipelineCtx { partition: p, nparts: chain.nparts, node, env: env.clone() };
-                    let stage = job.ops[opid.0].desc.pipeline(ctx, next)?;
-                    let meters = match profile.as_mut() {
-                        Some(pb) => {
-                            let m_out = Arc::new(PortMeter::default());
-                            let m_in = Arc::new(PortMeter::default());
-                            pb.meters[chain.ops[idx - 1].0][p].outputs.push(Arc::clone(&m_out));
-                            pb.meters[opid.0][p].inputs.push(Arc::clone(&m_in));
-                            vec![m_out, m_in]
-                        }
-                        None => Vec::new(),
-                    };
-                    next = Box::new(FusedEdge::new(meters, stage));
-                }
-                outputs = vec![OutputPort::fused(next, xcfg.cancel.clone())];
-            }
-            if outputs.is_empty() {
-                outputs.push(OutputPort::sink());
-            }
-            let op_names = if cfg.trace.is_enabled() {
-                chain.ops.iter().map(|id| job.ops[id.0].desc.name()).collect()
-            } else {
-                Vec::new()
-            };
-            if out_conns.is_empty() {
+            if out_conn.is_none() {
                 last_terminal = Some(pending.len());
             }
             pending.push(Pipeline {
-                desc: Arc::clone(&job.ops[head.0].desc),
+                ops: chain.ops.iter().map(|op| Arc::clone(&job.ops[op.0].desc)).collect(),
                 partition: p,
                 nparts: chain.nparts,
-                node,
                 inputs,
-                outputs,
+                output,
+                edge_meters,
                 busy,
-                op_names,
-                fused: chain.ops.len() > 1,
             });
         }
     }
@@ -461,7 +446,7 @@ mod tests {
     use crate::connector::ConnectorKind;
     use crate::ops::{
         AggKind, AggSpec, AssignOp, GroupMode, HashGroupOp, HybridHashJoinOp, JoinType, LimitOp,
-        ScalarAggOp, SelectOp, SinkOp, SortKey, SortOp, SourceOp, UnionAllOp,
+        ScalarAggOp, SelectOp, SinkOp, SortKey, SortOp, SourceOp,
     };
     use asterix_adm::Value;
     use asterix_sync::Mutex;
@@ -692,20 +677,6 @@ mod tests {
         run_job(&job).unwrap();
         let got: Vec<i64> = collector.lock().iter().map(|t| t[0].as_i64().unwrap()).collect();
         assert_eq!(got, vec![999, 998, 997, 996, 995]);
-    }
-
-    #[test]
-    fn union_all_merges_branches() {
-        let mut job = JobSpec::new();
-        let a = job.add(2, int_source("a", 10));
-        let b = job.add(2, int_source("b", 10));
-        let u = job.add(2, Arc::new(UnionAllOp));
-        let (sink, collector) = collect_sink(&mut job);
-        job.connect(ConnectorKind::OneToOne, a, u);
-        job.connect(ConnectorKind::OneToOne, b, u);
-        job.connect(ConnectorKind::MToNReplicating, u, sink);
-        run_job(&job).unwrap();
-        assert_eq!(collector.lock().len(), 40);
     }
 
     #[test]
@@ -1192,13 +1163,26 @@ mod tests {
             fn name(&self) -> String {
                 "tag-dst".into()
             }
-            fn run(&self, ctx: &mut crate::ops::OpCtx) -> Result<()> {
-                let crate::ops::OpCtx { partition, inputs, outputs, .. } = ctx;
-                inputs[0].for_each(|mut row| {
-                    row.push(Value::Int64(*partition as i64));
-                    outputs[0].push(row)?;
-                    Ok(true)
-                })
+            fn pipeline(
+                &self,
+                ctx: PipelineCtx,
+                next: Box<dyn PipelineOp>,
+            ) -> Result<Box<dyn PipelineOp>> {
+                Ok(Box::new(TagStage(ctx.partition, next)))
+            }
+        }
+        struct TagStage(usize, Box<dyn PipelineOp>);
+        impl PipelineOp for TagStage {
+            fn push(&mut self, bytes: &[u8]) -> Result<()> {
+                let mut row = asterix_adm::decode_tuple(bytes)?;
+                row.push(Value::Int64(self.0 as i64));
+                self.1.push(&asterix_adm::encode_tuple(&row))
+            }
+            fn flush(&mut self) -> Result<()> {
+                self.1.flush()
+            }
+            fn finish(&mut self) -> Result<()> {
+                self.1.finish()
             }
         }
 
@@ -1466,12 +1450,34 @@ mod tests {
         assert_eq!(collector.lock().len(), 3, "the limit was satisfied before the failure");
     }
 
-    /// A streaming operator has one body, its push stage, whether it is
-    /// fused behind a source or heads its own pipeline behind a
+    /// Emits `(i, i % 10)` for `i` in `0..n`, flushing its port every 1000
+    /// tuples: a flush reaches the stages fused behind it (never past a
+    /// channel), and must not make a blocking one emit early.
+    struct FlushingGen(i64);
+
+    impl OperatorDescriptor for FlushingGen {
+        fn name(&self) -> String {
+            "gen".into()
+        }
+
+        fn run(&self, ctx: &mut OpCtx, _inputs: &mut [InputPort]) -> Result<()> {
+            for i in 0..self.0 {
+                ctx.output.push(vec![Value::Int64(i), Value::Int64(i % 10)])?;
+                if i % 1000 == 999 {
+                    ctx.output.flush()?;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Every single-input operator has one body, its push stage, whether
+    /// it is fused behind a source or heads its own pipeline behind a
     /// repartitioning edge (the provided `run` drives it): both answer
     /// byte-identically. The heads that buffer — the fetch and the index-NL
-    /// join hold a partial key batch, the sink its rows — deliver that tail
-    /// only because the provided `run` finishes their stage.
+    /// join hold a partial key batch, the sink its rows, the sort, group
+    /// and aggregate everything — deliver only because the provided `run`
+    /// finishes their stage.
     #[test]
     fn every_streaming_operator_answers_alike_fused_and_at_the_head() {
         use crate::ops::{
@@ -1538,6 +1544,31 @@ mod tests {
                     JoinType::ProbeOuter,
                     1,
                 )),
+                "sort" | "sort-spilling" => {
+                    let keys = vec![SortKey::field(1, false), SortKey::field(0, true)];
+                    let sort = SortOp::new("k", keys);
+                    Arc::new(if name == "sort" { sort } else { sort.with_budget(4096) })
+                }
+                "group-partial" => Arc::new(
+                    HashGroupOp::new(
+                        "p",
+                        vec![1],
+                        vec![AggSpec::new(AggKind::Count, 0), AggSpec::new(AggKind::Sum, 0)],
+                        GroupMode::Partial,
+                    )
+                    .with_budget(1024),
+                ),
+                "group-complete" => Arc::new(HashGroupOp::new(
+                    "c",
+                    vec![1],
+                    vec![AggSpec::new(AggKind::Avg, 0), AggSpec::new(AggKind::Max, 0)],
+                    GroupMode::Complete,
+                )),
+                "aggregate" => Arc::new(ScalarAggOp::new(
+                    "a",
+                    vec![AggSpec::new(AggKind::Sum, 0), AggSpec::new(AggKind::Count, 1)],
+                    GroupMode::Complete,
+                )),
                 other => unreachable!("{other}"),
             };
             op
@@ -1547,12 +1578,7 @@ mod tests {
         let run = |name: &str, head: bool| -> Vec<Vec<u8>> {
             let rows = Arc::new(Mutex::new(Vec::new()));
             let mut job = JobSpec::new();
-            let src = job.add(
-                1,
-                Arc::new(SourceOp::new("gen", |_p, _n, emit| {
-                    (0..N).try_for_each(|i| emit(vec![Value::Int64(i), Value::Int64(i % 10)]))
-                })),
-            );
+            let src = job.add(1, Arc::new(FlushingGen(N)));
             let op = streaming(name, &mut job, &rows);
             let op = job.add(1, op);
             let edge = match head {
@@ -1569,7 +1595,13 @@ mod tests {
             assert_eq!(chains.last().unwrap().ops[0] == op, head, "{name}");
             run_job(&job).unwrap();
             let rows = rows.lock();
-            rows.iter().map(|t| asterix_adm::encode_tuple(t)).collect()
+            let mut rows: Vec<Vec<u8>> =
+                rows.iter().map(|t| asterix_adm::encode_tuple(t)).collect();
+            // A hash table emits in no particular order.
+            if name.starts_with("group") {
+                rows.sort();
+            }
+            rows
         };
         let mut differ = Vec::new();
         for name in [
@@ -1585,9 +1617,17 @@ mod tests {
             "distinct",
             "map",
             "index-nl",
+            "sort",
+            "sort-spilling",
+            "group-partial",
+            "group-complete",
+            "aggregate",
         ] {
             let (fused, head) = (run(name, false), run(name, true));
             assert!(!fused.is_empty(), "{name}");
+            if name == "group-partial" {
+                assert!(fused.len() > 10, "the budget flushes partial groups early");
+            }
             if fused != head {
                 differ.push(format!(
                     "{name}: {} rows fused, {} at the head",
@@ -1598,6 +1638,33 @@ mod tests {
         }
         assert!(differ.is_empty(), "{differ:?}");
         assert_eq!(applied.load(Ordering::Relaxed), 2 * N as u64);
+
+        // A LIMIT fused behind a sort stops its emission early: the apply
+        // between them sees a few tuples of the first emitted frame.
+        let seen = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&seen);
+        let mut job = JobSpec::new();
+        let src = job.add(1, int_source("scan", 100_000));
+        let sort = job.add(1, Arc::new(SortOp::new("k", vec![SortKey::field(0, true)])));
+        let apply = job.add(
+            1,
+            Arc::new(ApplyOp::new("count", move |_, _| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })),
+        );
+        let limit = job.add(1, Arc::new(LimitOp { limit: 3, offset: 0 }));
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::OneToOne, src, sort);
+        job.connect(ConnectorKind::OneToOne, sort, apply);
+        job.connect(ConnectorKind::OneToOne, apply, limit);
+        job.connect(ConnectorKind::OneToOne, limit, sink);
+        assert_eq!(job.fusion_plan().unwrap().total_threads(), 1);
+        run_job(&job).unwrap();
+        let got: Vec<i64> = collector.lock().iter().map(|t| t[0].as_i64().unwrap()).collect();
+        assert_eq!(got, vec![99_999, 99_998, 99_997]);
+        let n = seen.load(Ordering::Relaxed);
+        assert!(n < 20_000, "the sort emitted {n} tuples after the limit was satisfied");
 
         // A LIMIT heading its pipeline stops its producer early: the
         // closed input port hangs up on the channel it reads.
@@ -1623,5 +1690,99 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2]);
         let n = emitted.load(Ordering::Relaxed);
         assert!(n < 20_000, "producer emitted {n} tuples after the limit was satisfied");
+    }
+
+    /// A sort fused behind its producer records its spill runs under the
+    /// span of the pipeline it rides.
+    #[test]
+    fn a_fused_sort_traces_its_spill_runs_under_the_pipeline_span() {
+        let trace = asterix_obs::TraceContext::new_trace(4096);
+        let root = trace.span("execute");
+        let mut job = JobSpec::new();
+        let src = job.add(1, int_source("scan", 2000));
+        let sort =
+            job.add(1, Arc::new(SortOp::new("k", vec![SortKey::field(0, true)]).with_budget(1024)));
+        let (sink, collector) = collect_sink(&mut job);
+        job.connect(ConnectorKind::OneToOne, src, sort);
+        job.connect(ConnectorKind::OneToOne, sort, sink);
+        let cfg = ExecutorConfig { trace: root.context(), ..Default::default() };
+        run_job_with(&job, &cfg).unwrap();
+        let root_id = root.span_id();
+        root.finish();
+        assert_eq!(collector.lock().len(), 2000);
+        let events = trace.sink().unwrap().events();
+        let pipelines: Vec<u64> = events
+            .iter()
+            .filter(|e| e.parent_id == root_id && !e.name.starts_with("op:"))
+            .map(|e| e.span_id)
+            .collect();
+        let spills: Vec<&asterix_obs::TraceEvent> =
+            events.iter().filter(|e| e.name == "sort.spill_run").collect();
+        assert!(spills.len() > 1, "a 1 KiB budget spills runs: {events:#?}");
+        for spill in spills {
+            assert!(pipelines.contains(&spill.parent_id), "orphan spill span {spill:?}");
+        }
+    }
+
+    /// A sort emits long after its last input frame was checked: the
+    /// cancellation of its job, explicit or by deadline, still stops the
+    /// emission — here by an apply fused behind it, at its 10th tuple.
+    #[test]
+    fn a_cancelled_job_stops_a_fused_sort_emitting() {
+        use crate::ops::ApplyOp;
+        use asterix_rm::CancellationToken;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        const N: i64 = 200_000;
+        // At its 10th tuple the apply cancels the token (`explicit`) or
+        // waits out its deadline. Returns the job's outcome, the rows the
+        // sink landed, and the time from the start of the job to the 10th
+        // tuple, if the sort emitted one before the job was cancelled.
+        let run = |token: CancellationToken, explicit: bool| {
+            let started = Instant::now();
+            let reached = Arc::new(Mutex::new(None));
+            let seen = Arc::new(AtomicU64::new(0));
+            let (cancel, at) = (token.clone(), Arc::clone(&reached));
+            let mut job = JobSpec::new();
+            let src = job.add(1, int_source("scan", N));
+            let sort = job.add(1, Arc::new(SortOp::new("k", vec![SortKey::field(0, true)])));
+            let apply = job.add(
+                1,
+                Arc::new(ApplyOp::new("cancel", move |_, _| {
+                    if seen.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
+                        *at.lock() = Some(started.elapsed());
+                        if explicit {
+                            cancel.cancel();
+                        }
+                        while !cancel.is_cancelled() {
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    Ok(())
+                })),
+            );
+            let (sink, collector) = collect_sink(&mut job);
+            job.connect(ConnectorKind::OneToOne, src, sort);
+            job.connect(ConnectorKind::OneToOne, sort, apply);
+            job.connect(ConnectorKind::OneToOne, apply, sink);
+            let cfg = ExecutorConfig { cancel: Some(token), ..Default::default() };
+            let res = run_job_with(&job, &cfg);
+            let rows = collector.lock().len();
+            let reached = *reached.lock();
+            (res, rows, reached)
+        };
+
+        let (res, rows, reached) = run(CancellationToken::new(), true);
+        let reached = reached.expect("the sort emitted");
+        assert!(matches!(res, Err(HyracksError::Cancelled)), "expected Cancelled, got {res:?}");
+        assert!(rows < 20_000, "the sink landed {rows} of {N} rows after the cancel");
+
+        // The deadline fires while the apply waits at its 10th tuple: well
+        // after the whole input was sorted, as the first run measured (a
+        // host slow enough to be cancelled while sorting still passes).
+        let deadline = CancellationToken::deadline_in(3 * reached + Duration::from_millis(100));
+        let (res, rows, _) = run(deadline, false);
+        assert!(matches!(res, Err(HyracksError::Cancelled)), "expected Cancelled, got {res:?}");
+        assert!(rows < 20_000, "the sink landed {rows} of {N} rows after the deadline");
     }
 }

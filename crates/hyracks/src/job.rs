@@ -1,5 +1,5 @@
 //! Job specifications: DAGs of operators and connectors, plus the
-//! activity/stage analysis of §4.1.
+//! activity/stage analysis of §4.1 and the fusion plan the executor runs.
 //!
 //! "As the first step in the execution of a submitted Hyracks Job, its
 //! Operators are expanded into their constituent Activities. [...] the
@@ -43,8 +43,9 @@ pub struct JobSpec {
 /// partition, head first. A chain of length 1 is an unfused operator.
 #[derive(Debug, Clone)]
 pub struct FusedChain {
-    /// Chain members in push order (the head runs its `run` body, the rest
-    /// as push stages behind it).
+    /// Chain members in push order (the head runs its `run` body — a
+    /// source's own or the provided driver of its activities — and the
+    /// rest run as push stages behind it).
     pub ops: Vec<OperatorId>,
     /// Partition count shared by every member.
     pub nparts: usize,
@@ -163,46 +164,38 @@ impl JobSpec {
     }
 
     /// Pipeline-fusion analysis: find maximal chains of operators linked by
-    /// same-partition OneToOne connectors whose downstream end can run as a
-    /// push stage, so the executor can run each chain as **one thread per
-    /// partition** instead of one per (operator, partition).
+    /// same-partition OneToOne connectors, so the executor can run each
+    /// chain as **one thread per partition** instead of one per (operator,
+    /// partition).
     ///
-    /// A connector edge `src → dst` is fused away iff:
-    /// - it is a [`ConnectorKind::OneToOne`] between equal partition counts
-    ///   (so partition `p` feeds partition `p` with no data movement),
-    /// - it is `src`'s only output and `dst`'s only input (fan-out and
-    ///   fan-in edges keep their channels),
-    /// - `dst` has at most one output (a push stage forwards to one next),
-    /// - `dst` declares no blocking inputs (blocking edges cut stages,
-    ///   exactly as in [`JobSpec::stages`]), and
-    /// - `dst` opts in via [`OperatorDescriptor::fusible`].
+    /// A connector edge `src → dst` is fused away iff it is a
+    /// [`ConnectorKind::OneToOne`] between equal partition counts (so
+    /// partition `p` feeds partition `p` with no data movement) and `dst`'s
+    /// only input: `dst` then runs as a push stage behind `src`, blocking
+    /// or not. Everything else — repartition, broadcast, merge, a join's
+    /// inputs — keeps its channel, bounded-frame backpressure, and thread.
     ///
-    /// Everything else — repartition, broadcast, merge, blocking edges —
-    /// keeps its channel, bounded-frame backpressure, and thread.
+    /// Errors on a cycle, and on an operator feeding more than one
+    /// connector (an operator has one output).
     pub fn fusion_plan(&self) -> Result<FusionPlan> {
         self.topo_order()?; // validates acyclicity
         let n = self.ops.len();
+        for op in (0..n).map(OperatorId) {
+            let outputs = self.outputs_of(op).len();
+            if outputs > 1 {
+                return Err(crate::HyracksError::InvalidJob(format!(
+                    "operator {} feeds {outputs} connectors; an operator has one output",
+                    self.op_name(op)
+                )));
+            }
+        }
         let mut fused_conns = vec![false; self.conns.len()];
         for (ci, c) in self.conns.iter().enumerate() {
-            if !matches!(c.kind, ConnectorKind::OneToOne) {
-                continue;
-            }
-            let (s, d) = (c.src.0, c.dst.0);
-            if s == d || self.ops[s].nparts != self.ops[d].nparts {
-                // Mismatched OneToOne arity stays unfused so wiring raises
-                // its usual error.
-                continue;
-            }
-            if self.outputs_of(c.src) != [ci] || self.inputs_of(c.dst) != [ci] {
-                continue;
-            }
-            if self.outputs_of(c.dst).len() > 1 {
-                continue;
-            }
-            if !self.ops[d].desc.blocking_inputs().is_empty() || !self.ops[d].desc.fusible() {
-                continue;
-            }
-            fused_conns[ci] = true;
+            // A mismatched OneToOne arity stays unfused so wiring raises
+            // its usual error.
+            fused_conns[ci] = matches!(c.kind, ConnectorKind::OneToOne)
+                && self.ops[c.src.0].nparts == self.ops[c.dst.0].nparts
+                && self.inputs_of(c.dst) == [ci];
         }
 
         // Chains: follow fused edges from every op with no fused
@@ -364,26 +357,29 @@ mod tests {
 
     #[test]
     fn fusion_plan_keeps_blocking_fan_in_and_mismatched_edges() {
-        use crate::ops::{SortKey, SortOp, UnionAllOp};
+        use crate::ops::{HybridHashJoinOp, JoinType, SelectOp, SortKey, SortOp};
 
-        // a(2) -1:1-> union(2) <-1:1- b(2); union -1:1-> sort(2): none fuse
-        // (union has two inputs and is not fusible; sort blocks input 0).
+        // a(2) -1:1-> sort(2) -1:1-> join(2) <-1:1- b(2): the sort is a
+        // single-input operator behind a 1:1 edge, so it fuses — blocking
+        // or not — while neither of the join's two inputs does.
         let mut job = JobSpec::new();
         let a = job.add(2, source());
         let b = job.add(2, source());
-        let u = job.add(2, Arc::new(UnionAllOp));
         let sort = job.add(2, Arc::new(SortOp::new("k", vec![SortKey::field(0, false)])));
-        job.connect(ConnectorKind::OneToOne, a, u);
-        job.connect(ConnectorKind::OneToOne, b, u);
-        job.connect(ConnectorKind::OneToOne, u, sort);
+        let join =
+            job.add(2, Arc::new(HybridHashJoinOp::new("j", vec![0], vec![0], JoinType::Inner, 1)));
+        job.connect(ConnectorKind::OneToOne, a, sort);
+        job.connect(ConnectorKind::OneToOne, sort, join);
+        job.connect(ConnectorKind::OneToOne, b, join);
         let plan = job.fusion_plan().unwrap();
-        assert!(plan.fused_conns.iter().all(|&f| !f));
-        assert_eq!(plan.total_threads(), 8);
+        assert_eq!(plan.fused_conns, vec![true, false, false]);
+        let chains: Vec<Vec<OperatorId>> = plan.chains.iter().map(|c| c.ops.clone()).collect();
+        assert_eq!(chains, vec![vec![a, sort], vec![b], vec![join]]);
+        assert_eq!(plan.total_threads(), 6);
 
         // A OneToOne between mismatched partition counts stays unfused so
         // wiring reports the arity error instead of fusion hiding it.
         let mut bad = JobSpec::new();
-        use crate::ops::SelectOp;
         let x = bad.add(2, source());
         let y = bad.add(3, Arc::new(SelectOp::new("f", Arc::new(|_: &Vec<Value>| Ok(true)))));
         bad.connect(ConnectorKind::OneToOne, x, y);

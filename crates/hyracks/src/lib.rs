@@ -2,20 +2,22 @@
 //!
 //! Hyracks executes Jobs: DAGs of **Operators** connected by **Connectors**.
 //! Operators consume partitions of their inputs and produce output
-//! partitions; connectors redistribute data between them. This reproduction
-//! runs every operator partition on its own thread, with frames (batches of
-//! ADM tuples) flowing through channels — the thread-per-partition analogue
-//! of the paper's shared-nothing cluster, preserving the same dataflow
-//! semantics (partitioning, replication, merging) and the same
-//! activity/stage structure (blocking operators like hash-join build or
-//! sort run-generation split jobs into stages).
+//! partitions; connectors redistribute data between them. Every operator
+//! but a source is a set of push-stage *activities* (one per input), and
+//! this reproduction runs every pipeline — a chain of operators linked by
+//! same-partition one-to-one edges, on one partition — on its own thread,
+//! with frames (batches of ADM tuples) flowing through channels between
+//! pipelines: the thread-per-pipeline analogue of the paper's
+//! shared-nothing cluster, preserving the same dataflow semantics
+//! (partitioning, replication, merging) and the same activity/stage
+//! structure (blocking activities like hash-join build or sort run
+//! generation split jobs into stages).
 //!
 //! The operator library covers the paper's §4.1 inventory: joins
 //! (hybrid-hash with Grace-style spilling, nested-loop, index nested-loop),
-//! aggregation (hash and preclustered group-by, local/global scalar
-//! aggregation), external sort, select/assign/project/limit/unnest, index
-//! lifecycle operators (scans, searches, insert/delete), and the six
-//! connector kinds.
+//! aggregation (hash group-by, local/global scalar aggregation), external
+//! sort, select/assign/project/limit/unnest, index lifecycle operators
+//! (scans, searches, insert/delete), and the six connector kinds.
 
 pub mod connector;
 pub mod error;

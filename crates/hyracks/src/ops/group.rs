@@ -1,16 +1,19 @@
-//! Aggregation operators (§4.1): HashGroup, PreclusteredGroup, and the
-//! scalar Local/Global aggregation pair that Figure 6 shows for Query 10
-//! ("a Local Aggregation Operator that pre-aggregates the records for the
-//! local node and a Global Aggregation Operator that aggregates the results
-//! of the Local Aggregation Operators").
+//! Aggregation operators (§4.1): HashGroup and the scalar Local/Global
+//! aggregation pair that Figure 6 shows for Query 10 ("a Local Aggregation
+//! Operator that pre-aggregates the records for the local node and a Global
+//! Aggregation Operator that aggregates the results of the Local
+//! Aggregation Operators"). Both are one push stage: accumulate in `push`,
+//! emit in `finish` — a scalar aggregate is a group-by on no key that
+//! emits its one row even over an empty input.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use asterix_adm::{ordkey, AdmError, TupleRef, Value};
 
-use super::{OpCtx, OperatorDescriptor};
+use super::OperatorDescriptor;
 use crate::frame::Tuple;
+use crate::pipeline::{FrameOut, PipelineCtx, PipelineOp};
 use crate::Result;
 
 /// Aggregate function kinds. `sql` variants skip unknowns; AQL variants
@@ -217,7 +220,7 @@ impl AggState {
                         *poisoned = true;
                     }
                 } else {
-                    sum.add_assign_from(&partial[0]);
+                    *sum += partial[0].as_f64().unwrap_or(0.0);
                     *count += partial[1].as_i64().unwrap_or(0);
                 }
             }
@@ -262,18 +265,6 @@ impl AggState {
     }
 }
 
-trait AddAssignFrom {
-    fn add_assign_from(&mut self, v: &Value);
-}
-
-impl AddAssignFrom for f64 {
-    fn add_assign_from(&mut self, v: &Value) {
-        if let Some(f) = v.as_f64() {
-            *self += f;
-        }
-    }
-}
-
 /// Whether a grouping operator computes partials, finals from partials, or
 /// everything in one step — the local/global split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,59 +277,41 @@ pub enum GroupMode {
     Complete,
 }
 
-fn run_grouping(
-    label: &str,
-    keys: &[usize],
-    aggs: &[AggSpec],
+/// What a grouping stage computes per group, and how it reads its input.
+struct Aggregates {
+    aggs: Vec<AggSpec>,
+    /// Per aggregate, where its partial fields start in a `Final` input:
+    /// they follow the key fields in declared order.
+    offsets: Vec<usize>,
     mode: GroupMode,
-    ctx: &mut OpCtx,
-    preclustered: bool,
-    mem_budget: usize,
-) -> Result<()> {
-    let OpCtx { inputs, outputs, .. } = ctx;
-    let out = &mut outputs[0];
-    let _ = label;
+}
 
-    let mut emit_group = |key_vals: Tuple, states: Vec<AggState>| -> Result<()> {
-        let mut row: Tuple = key_vals;
-        for st in &states {
-            match mode {
-                GroupMode::Partial => row.extend(st.partial()),
-                GroupMode::Final | GroupMode::Complete => row.push(st.finish()),
-            }
-        }
-        out.push(row)
-    };
+impl Aggregates {
+    fn new(nkeys: usize, aggs: &[AggSpec], mode: GroupMode) -> Aggregates {
+        let offsets = aggs
+            .iter()
+            .scan(nkeys, |off, spec| {
+                let at = *off;
+                *off += spec.partial_arity();
+                Some(at)
+            })
+            .collect();
+        Aggregates { aggs: aggs.to_vec(), offsets, mode }
+    }
 
-    // Group keys are the canonical comparison-key encodings of the key
-    // fields, read straight off the encoded tuple: byte equality is ADM
-    // `total_cmp` equality, so no custom Eq/Hash wrapper is needed. The
-    // first occurrence's decoded key values are kept for emission.
-    let extract_key = |r: &TupleRef<'_>| -> Result<(Vec<u8>, Tuple)> {
-        let mut kb = Vec::new();
-        let mut kvals: Tuple = Vec::with_capacity(keys.len());
-        for &i in keys {
-            let v = r.field_value(i)?;
-            ordkey::encode_value_into(&mut kb, &v);
-            kvals.push(v);
-        }
-        Ok((kb, kvals))
-    };
+    fn init(&self) -> Vec<AggState> {
+        self.aggs.iter().map(AggState::init).collect()
+    }
 
-    let feed = |states: &mut Vec<AggState>, r: &TupleRef<'_>| -> Result<()> {
-        for (spec, st) in aggs.iter().zip(states.iter_mut()) {
-            match mode {
+    /// Fold one input tuple into a group's states: only the aggregated
+    /// fields are decoded, not the tuple.
+    fn feed(&self, states: &mut [AggState], r: &TupleRef<'_>) -> Result<()> {
+        for ((spec, st), &off) in self.aggs.iter().zip(states).zip(&self.offsets) {
+            match self.mode {
                 GroupMode::Partial | GroupMode::Complete => {
-                    // Only the aggregated field is decoded, not the tuple.
                     st.accumulate(spec, &r.field_value(spec.field)?)?;
                 }
                 GroupMode::Final => {
-                    // Partial fields follow the key fields in declared
-                    // order; compute this aggregate's slice.
-                    let mut off = keys.len();
-                    for prior in aggs.iter().take_while(|p| !std::ptr::eq(*p, spec)) {
-                        off += prior.partial_arity();
-                    }
                     let slice: Vec<Value> = (0..spec.partial_arity())
                         .map(|i| r.field_value(off + i))
                         .collect::<asterix_adm::Result<_>>()?;
@@ -347,62 +320,104 @@ fn run_grouping(
             }
         }
         Ok(())
-    };
+    }
 
-    if preclustered {
-        // Input arrives clustered by key: emit each group as it closes.
-        let mut current: Option<(Vec<u8>, Tuple, Vec<AggState>)> = None;
-        inputs[0].for_each_raw(|bytes| {
-            let r = TupleRef::new(bytes)?;
-            let (kb, kvals) = extract_key(&r)?;
-            let close = matches!(&current, Some((k, _, _)) if *k != kb);
-            if close {
-                let (_, kv, states) = current.take().unwrap();
-                emit_group(kv, states)?;
+    /// A group's output row: its key values, then its partials or finals.
+    fn row(&self, mut row: Tuple, states: &[AggState]) -> Tuple {
+        for st in states {
+            match self.mode {
+                GroupMode::Partial => row.extend(st.partial()),
+                GroupMode::Final | GroupMode::Complete => row.push(st.finish()),
             }
-            if current.is_none() {
-                current = Some((kb, kvals, aggs.iter().map(AggState::init).collect()));
-            }
-            feed(&mut current.as_mut().unwrap().2, &r)?;
-            Ok(true)
-        })?;
-        if let Some((_, kv, states)) = current.take() {
-            emit_group(kv, states)?;
         }
-    } else {
-        // In Partial mode the hash table is bounded by the operator's memory
-        // budget: when the (approximate) footprint overflows, the partial
-        // groups so far are flushed downstream and the table restarts. The
-        // Final aggregator recombines by key, so early partials stay
-        // correct — this trades output volume for bounded memory.
-        let spill_partials = mode == GroupMode::Partial && mem_budget > 0;
-        let mut table: HashMap<Vec<u8>, (Tuple, Vec<AggState>)> = HashMap::new();
-        let mut approx_bytes = 0usize;
-        inputs[0].for_each_raw(|bytes| {
-            let r = TupleRef::new(bytes)?;
-            let (kb, kvals) = extract_key(&r)?;
-            let entry_cost = kb.len() * 2 + aggs.len() * 48 + 64;
-            let (_, states) = match table.entry(kb) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    approx_bytes += entry_cost;
-                    e.insert((kvals, aggs.iter().map(AggState::init).collect()))
-                }
-            };
-            feed(states, &r)?;
-            if spill_partials && approx_bytes > mem_budget {
-                for (_, (kv, states)) in table.drain() {
-                    emit_group(kv, states)?;
-                }
-                approx_bytes = 0;
-            }
-            Ok(true)
-        })?;
-        for (_, (kv, states)) in table {
-            emit_group(kv, states)?;
+        row
+    }
+}
+
+/// One partition of a grouping operator: the groups seen so far, keyed by
+/// the canonical comparison-key encodings of their key fields — byte
+/// equality is ADM `total_cmp` equality, so no custom Eq/Hash wrapper is
+/// needed — each with the first occurrence's decoded key values (for
+/// emission) and its running aggregate states.
+struct GroupStage {
+    keys: Vec<usize>,
+    aggs: Aggregates,
+    /// Partial groups are flushed downstream once the table's approximate
+    /// footprint passes this; 0 holds every group.
+    budget: usize,
+    /// A scalar aggregate emits its row even when no tuple arrived.
+    scalar: bool,
+    table: HashMap<Vec<u8>, (Tuple, Vec<AggState>)>,
+    approx_bytes: usize,
+    out: FrameOut,
+}
+
+impl GroupStage {
+    fn new(
+        keys: &[usize],
+        aggs: &[AggSpec],
+        mode: GroupMode,
+        budget: usize,
+        ctx: PipelineCtx,
+        next: Box<dyn PipelineOp>,
+    ) -> GroupStage {
+        GroupStage {
+            keys: keys.to_vec(),
+            aggs: Aggregates::new(keys.len(), aggs, mode),
+            budget,
+            scalar: false,
+            table: HashMap::new(),
+            approx_bytes: 0,
+            out: FrameOut::new(&ctx.env, next),
         }
     }
-    Ok(())
+
+    /// Emit every group in the table, leaving it empty.
+    fn emit(&mut self) -> Result<()> {
+        for (_, (key, states)) in self.table.drain() {
+            self.out.push_values(&self.aggs.row(key, &states))?;
+        }
+        self.approx_bytes = 0;
+        Ok(())
+    }
+}
+
+impl PipelineOp for GroupStage {
+    fn push(&mut self, bytes: &[u8]) -> Result<()> {
+        let r = TupleRef::new(bytes)?;
+        let mut kb = Vec::new();
+        let mut kvals: Tuple = Vec::with_capacity(self.keys.len());
+        for &i in &self.keys {
+            let v = r.field_value(i)?;
+            ordkey::encode_value_into(&mut kb, &v);
+            kvals.push(v);
+        }
+        let entry_cost = kb.len() * 2 + self.aggs.aggs.len() * 48 + 64;
+        let (_, states) = match self.table.entry(kb) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.approx_bytes += entry_cost;
+                e.insert((kvals, self.aggs.init()))
+            }
+        };
+        self.aggs.feed(states, &r)?;
+        // In Partial mode the table is bounded by the budget: the partial
+        // groups so far go downstream and the table restarts. The Final
+        // aggregator recombines by key, so early partials stay correct —
+        // this trades output volume for bounded memory.
+        if self.budget > 0 && self.approx_bytes > self.budget {
+            self.emit()?;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        if self.scalar && self.table.is_empty() {
+            self.table.insert(Vec::new(), (Vec::new(), self.aggs.init()));
+        }
+        let emitted = self.emit();
+        self.out.finish(emitted)
+    }
 }
 
 /// Default hash-group memory budget when the workload manager hands out
@@ -446,40 +461,11 @@ impl OperatorDescriptor for HashGroupOp {
         vec![0]
     }
 
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        run_grouping(&self.label, &self.keys, &self.aggs, self.mode, ctx, false, self.mem_budget)
-    }
-}
-
-/// Group-by over key-clustered input ("PreclusteredGroup"): streams, no
-/// hash table, emits groups as they close.
-pub struct PreclusteredGroupOp {
-    label: String,
-    pub keys: Vec<usize>,
-    pub aggs: Vec<AggSpec>,
-    pub mode: GroupMode,
-}
-
-impl PreclusteredGroupOp {
-    pub fn new(
-        label: impl Into<String>,
-        keys: Vec<usize>,
-        aggs: Vec<AggSpec>,
-        mode: GroupMode,
-    ) -> PreclusteredGroupOp {
-        PreclusteredGroupOp { label: label.into(), keys, aggs, mode }
-    }
-}
-
-impl OperatorDescriptor for PreclusteredGroupOp {
-    fn name(&self) -> String {
-        format!("preclustered-group {} ({:?})", self.label, self.mode)
-    }
-
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        // Preclustered grouping streams one group at a time; no table, no
-        // budget to enforce.
-        run_grouping(&self.label, &self.keys, &self.aggs, self.mode, ctx, true, 0)
+    fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
+        // Only partials may leave early: a Final or Complete table must
+        // hold every group.
+        let budget = if self.mode == GroupMode::Partial { self.mem_budget } else { 0 };
+        Ok(Box::new(GroupStage::new(&self.keys, &self.aggs, self.mode, budget, ctx, next)))
     }
 }
 
@@ -513,41 +499,10 @@ impl OperatorDescriptor for ScalarAggOp {
         vec![0]
     }
 
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { inputs, outputs, .. } = ctx;
-        let out = &mut outputs[0];
-        let aggs = &self.aggs;
-        let mode = self.mode;
-        let mut states: Vec<AggState> = aggs.iter().map(AggState::init).collect();
-        inputs[0].for_each_raw(|bytes| {
-            let r = TupleRef::new(bytes)?;
-            for (spec, st) in aggs.iter().zip(states.iter_mut()) {
-                match mode {
-                    GroupMode::Partial | GroupMode::Complete => {
-                        st.accumulate(spec, &r.field_value(spec.field)?)?;
-                    }
-                    GroupMode::Final => {
-                        let mut off = 0usize;
-                        for prior in aggs.iter().take_while(|p| !std::ptr::eq(*p, spec)) {
-                            off += prior.partial_arity();
-                        }
-                        let slice: Vec<Value> = (0..spec.partial_arity())
-                            .map(|i| r.field_value(off + i))
-                            .collect::<asterix_adm::Result<_>>()?;
-                        st.combine(spec, &slice)?;
-                    }
-                }
-            }
-            Ok(true)
-        })?;
-        let mut row: Tuple = Vec::new();
-        for st in &states {
-            match mode {
-                GroupMode::Partial => row.extend(st.partial()),
-                GroupMode::Final | GroupMode::Complete => row.push(st.finish()),
-            }
-        }
-        out.push(row)
+    fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
+        let mut stage = GroupStage::new(&[], &self.aggs, self.mode, 0, ctx, next);
+        stage.scalar = true;
+        Ok(Box::new(stage))
     }
 }
 
@@ -555,26 +510,18 @@ impl OperatorDescriptor for ScalarAggOp {
 mod tests {
     use super::*;
     use crate::connector::{wire, ConnectorKind, ExchangeConfig};
+    use crate::pipeline::testing::{read_all, run_partition};
 
     fn run_op(op: &dyn OperatorDescriptor, input: Vec<Tuple>) -> Vec<Tuple> {
         let x = ExchangeConfig::default();
         let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in input {
             in_outs[0].push(t).unwrap();
         }
         drop(in_outs);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs: ins,
-            outputs: outs,
-            env: Default::default(),
-        };
-        op.run(&mut ctx).unwrap();
-        drop(ctx);
-        res_ins[0].collect().unwrap()
+        run_partition(op, ins, outs.remove(0)).unwrap();
+        read_all(&mut res_ins[0]).unwrap()
     }
 
     fn rows(pairs: &[(i64, i64)]) -> Vec<Tuple> {
@@ -625,22 +572,6 @@ mod tests {
         assert_eq!(two_step, one_step);
         // avg of group 1 = 20.
         assert_eq!(one_step[0][1], Value::Double(20.0));
-    }
-
-    #[test]
-    fn preclustered_group_streams_groups() {
-        let op = PreclusteredGroupOp::new(
-            "p",
-            vec![0],
-            vec![AggSpec::new(AggKind::Count, 1)],
-            GroupMode::Complete,
-        );
-        // Input clustered by key.
-        let out = run_op(&op, rows(&[(1, 0), (1, 0), (2, 0), (3, 0), (3, 0)]));
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], vec![Value::Int64(1), Value::Int64(2)]);
-        assert_eq!(out[1], vec![Value::Int64(2), Value::Int64(1)]);
-        assert_eq!(out[2], vec![Value::Int64(3), Value::Int64(2)]);
     }
 
     #[test]

@@ -8,21 +8,24 @@
 //! buckets hold raw tuple encodings, output rows are built by byte-level
 //! concatenation ([`concat_tuples_into`]), and Grace spill partitions are
 //! files of raw tuple bytes hashed with the byte-level field hasher.
+//!
+//! The hash and nested-loop joins are two activities each, one per input
+//! (§4.1): a build stage takes input 0 and leaves what it built in a
+//! [`Handoff`] when it finishes; the probe stage takes input 1 and emits.
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use asterix_adm::{concat_tuples_into, encode_tuple, ordkey, TupleRef, Value};
 
-use super::{Batched, BatchedStage, FetchFn, OpCtx, OperatorDescriptor, FETCH_BATCH};
-use crate::connector::OutputPort;
+use super::{Batched, BatchedStage, FetchFn, OperatorDescriptor, SpillGuard, FETCH_BATCH};
+use crate::filter::RuntimeFilterHub;
 use crate::frame::{hash_encoded_fields, FrameBuf, Tuple};
-use crate::pipeline::{PipelineCtx, PipelineOp};
+use crate::pipeline::{FrameOut, Handoff, PipelineCtx, PipelineOp};
 use crate::Result;
+use asterix_sync::Mutex;
 
 /// Join type: inner, or outer on the probe input (unmatched probe tuples
 /// are emitted with nulls on the build side; the compiler arranges the
@@ -54,31 +57,11 @@ fn null_pad(arity: usize) -> Vec<u8> {
     encode_tuple(&vec![Value::Null; arity])
 }
 
-/// Concatenate two encoded tuples and push the result.
-fn push_concat(out: &mut OutputPort, scratch: &mut Vec<u8>, b: &[u8], p: &[u8]) -> Result<()> {
+/// Concatenate two encoded tuples and emit the result.
+fn push_concat(out: &mut FrameOut, scratch: &mut Vec<u8>, b: &[u8], p: &[u8]) -> Result<()> {
     scratch.clear();
     concat_tuples_into(scratch, &TupleRef::new(b)?, &TupleRef::new(p)?);
-    out.push_encoded(scratch)
-}
-
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn spill_path(tag: &str) -> PathBuf {
-    let n = SPILL_SEQ.fetch_add(1, AtomicOrdering::Relaxed);
-    std::env::temp_dir().join(format!("asterix-join-{}-{tag}-{n}.part", std::process::id()))
-}
-
-/// Owns one spill file on disk and deletes it on drop, so every exit from
-/// the join — clean merge, early `?`, panicking thread — removes its temp
-/// files. Same RAII shape as the sort operator's RunReader.
-struct SpillGuard {
-    path: PathBuf,
-}
-
-impl Drop for SpillGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
+    out.push(scratch)
 }
 
 struct SpillWriter {
@@ -89,9 +72,9 @@ struct SpillWriter {
 
 impl SpillWriter {
     fn create(tag: &str) -> Result<SpillWriter> {
-        let path = spill_path(tag);
-        let w = BufWriter::new(File::create(&path)?);
-        Ok(SpillWriter { w, guard: SpillGuard { path }, count: 0 })
+        let guard = SpillGuard::new("join", tag, "part");
+        let w = BufWriter::new(File::create(&guard.path)?);
+        Ok(SpillWriter { w, guard, count: 0 })
     }
 
     /// Append one raw tuple encoding, length-prefixed.
@@ -189,38 +172,6 @@ impl HybridHashJoinOp {
         self.filter_id = Some(id);
         self
     }
-
-    fn join_in_memory(
-        &self,
-        build: Vec<Vec<u8>>,
-        probe: Vec<Vec<u8>>,
-        out: &mut OutputPort,
-    ) -> Result<()> {
-        let mut table: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-        for bytes in build {
-            if let Some(k) = join_key(&TupleRef::new(&bytes)?, &self.build_keys)? {
-                table.entry(k).or_default().push(bytes);
-            }
-        }
-        let pad = null_pad(self.build_arity);
-        let mut scratch = Vec::new();
-        for p in probe {
-            let matches =
-                join_key(&TupleRef::new(&p)?, &self.probe_keys)?.and_then(|k| table.get(&k));
-            match matches {
-                Some(ms) => {
-                    for b in ms {
-                        push_concat(out, &mut scratch, b, &p)?;
-                    }
-                }
-                None if self.join_type == JoinType::ProbeOuter => {
-                    push_concat(out, &mut scratch, &pad, &p)?;
-                }
-                None => {}
-            }
-        }
-        Ok(())
-    }
 }
 
 impl OperatorDescriptor for HybridHashJoinOp {
@@ -236,119 +187,219 @@ impl OperatorDescriptor for HybridHashJoinOp {
         vec![0] // the Build activity
     }
 
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let env = ctx.env.clone();
-        let partition = ctx.partition;
-        let OpCtx { inputs, outputs, .. } = ctx;
-        // Build phase: buffer encoded tuples until budget, then switch to
-        // Grace spilling.
-        let mut build_mem: Vec<Vec<u8>> = Vec::new();
-        let mut bytes = 0usize;
-        let mut spilled = false;
-        let mut build_writers: Vec<SpillWriter> = Vec::new();
-        let budget = self.mem_budget;
-        let fanout = self.fanout.max(2);
-        let build_keys = self.build_keys.clone();
-        let label = self.label.clone();
-        // Runtime filter: collect every build tuple's key hash (unknown
-        // keys included — they can only make the filter pass more, never
-        // less, and probe-side unknowns are dropped at the join anyway).
-        let collect_filter = self.filter_id.is_some();
-        let mut filter_hashes: Vec<u64> = Vec::new();
-        {
-            let input0 = &mut inputs[0];
-            input0.for_each_raw(|enc| {
-                let r = TupleRef::new(enc)?;
-                if collect_filter {
-                    filter_hashes.push(hash_encoded_fields(&r, &build_keys));
-                }
-                if !spilled {
-                    bytes += enc.len() + 32;
-                    build_mem.push(enc.to_vec());
-                    if bytes >= budget {
-                        spilled = true;
-                        for i in 0..fanout {
-                            build_writers.push(SpillWriter::create(&format!("{label}-b{i}"))?);
-                        }
-                        for enc in build_mem.drain(..) {
-                            let h = hash_encoded_fields(&TupleRef::new(&enc)?, &build_keys)
-                                as usize
-                                % fanout;
-                            build_writers[h].write(&enc)?;
-                        }
-                    }
-                } else {
-                    let h = hash_encoded_fields(&r, &build_keys) as usize % fanout;
-                    build_writers[h].write(enc)?;
-                }
-                Ok(true)
-            })?;
-        }
-        // End of build: publish this partition's filter before touching the
-        // probe input, so probe-side producers start pruning as early as
-        // possible. An empty build partition publishes too — its filter
-        // rejects every key, which is exactly right for an inner join.
-        if let Some(id) = self.filter_id {
-            env.filters.publish(id, partition, &filter_hashes);
-            drop(filter_hashes);
-        }
+    fn activities(
+        &self,
+        ctx: PipelineCtx,
+        next: Box<dyn PipelineOp>,
+    ) -> Result<Vec<Box<dyn PipelineOp>>> {
+        let built: Handoff<Built> = Arc::new(Mutex::new(None));
+        let build = HashBuild {
+            label: self.label.clone(),
+            keys: self.build_keys.clone(),
+            budget: self.mem_budget,
+            fanout: self.fanout.max(2),
+            rows: Vec::new(),
+            bytes: 0,
+            spill: Vec::new(),
+            filter: self.filter_id.map(|id| (id, ctx.partition, Arc::clone(&ctx.env.filters))),
+            filter_hashes: Vec::new(),
+            built: Arc::clone(&built),
+        };
+        let probe = HashProbe {
+            build_keys: self.build_keys.clone(),
+            built,
+            state: None,
+            matches: Matches {
+                keys: self.probe_keys.clone(),
+                join_type: self.join_type,
+                pad: null_pad(self.build_arity),
+                scratch: Vec::new(),
+                out: FrameOut::new(&ctx.env, next),
+            },
+        };
+        Ok(vec![Box::new(build), Box::new(probe)])
+    }
+}
 
-        let out = &mut outputs[0];
-        if !spilled {
-            // Pure in-memory: stream the probe side.
-            let mut table: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-            for enc in build_mem {
-                if let Some(k) = join_key(&TupleRef::new(&enc)?, &self.build_keys)? {
-                    table.entry(k).or_default().push(enc);
-                }
-            }
-            let probe_keys = &self.probe_keys;
-            let join_type = self.join_type;
-            let pad = null_pad(self.build_arity);
-            let mut scratch = Vec::new();
-            inputs[1].for_each_raw(|p| {
-                let k = join_key(&TupleRef::new(p)?, probe_keys)?;
-                match k.and_then(|k| table.get(&k)) {
-                    Some(ms) => {
-                        for b in ms {
-                            push_concat(out, &mut scratch, b, p)?;
-                        }
-                    }
-                    None if join_type == JoinType::ProbeOuter => {
-                        push_concat(out, &mut scratch, &pad, p)?;
-                    }
-                    None => {}
-                }
-                Ok(true)
-            })?;
-            return Ok(());
-        }
+/// Build-side tuples by join key (unknown keys never join, so they are
+/// left out).
+type JoinTable = HashMap<Vec<u8>, Vec<Vec<u8>>>;
 
-        // Grace: partition the probe side the same way, then join pairwise.
-        // Each part's SpillGuard deletes its file when the pair goes out of
-        // scope — after a clean merge, on an early `?`, or on panic alike.
-        let build_parts: Vec<(SpillGuard, usize)> =
-            build_writers.into_iter().map(|w| w.finish()).collect::<Result<_>>()?;
-        let mut probe_writers: Vec<SpillWriter> = (0..fanout)
-            .map(|i| SpillWriter::create(&format!("{label}-p{i}")))
-            .collect::<Result<_>>()?;
-        let probe_keys = self.probe_keys.clone();
-        inputs[1].for_each_raw(|enc| {
-            let h = hash_encoded_fields(&TupleRef::new(enc)?, &probe_keys) as usize % fanout;
-            probe_writers[h].write(enc)?;
-            Ok(true)
-        })?;
-        let probe_parts: Vec<(SpillGuard, usize)> =
-            probe_writers.into_iter().map(|w| w.finish()).collect::<Result<_>>()?;
-        for ((bspill, bcount), (pspill, pcount)) in build_parts.into_iter().zip(probe_parts) {
-            if pcount == 0 && (bcount == 0 || self.join_type == JoinType::Inner) {
-                continue;
+fn join_table(build: Vec<Vec<u8>>, keys: &[usize]) -> Result<JoinTable> {
+    let mut table = JoinTable::new();
+    for bytes in build {
+        if let Some(k) = join_key(&TupleRef::new(&bytes)?, keys)? {
+            table.entry(k).or_default().push(bytes);
+        }
+    }
+    Ok(table)
+}
+
+/// What a hash join's probe activity joins against: the build side in
+/// memory, or Grace-partitioned on disk with the probe side following it
+/// there partition by partition. Each part's SpillGuard deletes its file
+/// when the pair goes out of scope — after a clean merge, on an early `?`,
+/// or on panic alike.
+enum Built {
+    Memory(JoinTable),
+    Grace { build: Vec<(SpillGuard, usize)>, probe: Vec<SpillWriter> },
+}
+
+/// A hash join's Build activity: encoded tuples buffered until the budget,
+/// then Grace-partitioned to disk by join-key hash.
+struct HashBuild {
+    label: String,
+    keys: Vec<usize>,
+    budget: usize,
+    fanout: usize,
+    rows: Vec<Vec<u8>>,
+    bytes: usize,
+    /// One writer per Grace partition once the build side spilled.
+    spill: Vec<SpillWriter>,
+    /// `(filter id, partition, hub)` of the runtime filter published at
+    /// end of build.
+    filter: Option<(usize, usize, Arc<RuntimeFilterHub>)>,
+    /// Every build tuple's key hash (unknown keys included — they can only
+    /// make the filter pass more, never less, and probe-side unknowns are
+    /// dropped at the join anyway).
+    filter_hashes: Vec<u64>,
+    built: Handoff<Built>,
+}
+
+impl HashBuild {
+    fn spill_part(&self, r: &TupleRef<'_>) -> usize {
+        hash_encoded_fields(r, &self.keys) as usize % self.fanout
+    }
+
+    fn spill_writers(&self, side: char) -> Result<Vec<SpillWriter>> {
+        (0..self.fanout)
+            .map(|i| SpillWriter::create(&format!("{}-{side}{i}", self.label)))
+            .collect()
+    }
+}
+
+impl PipelineOp for HashBuild {
+    fn push(&mut self, enc: &[u8]) -> Result<()> {
+        let r = TupleRef::new(enc)?;
+        if self.filter.is_some() {
+            self.filter_hashes.push(hash_encoded_fields(&r, &self.keys));
+        }
+        if !self.spill.is_empty() {
+            let h = self.spill_part(&r);
+            return self.spill[h].write(enc);
+        }
+        self.bytes += enc.len() + 32;
+        self.rows.push(enc.to_vec());
+        if self.bytes >= self.budget {
+            self.spill = self.spill_writers('b')?;
+            for enc in std::mem::take(&mut self.rows) {
+                let h = self.spill_part(&TupleRef::new(&enc)?);
+                self.spill[h].write(&enc)?;
             }
-            let build = read_spill(&bspill)?;
-            let probe = read_spill(&pspill)?;
-            self.join_in_memory(build, probe, out)?;
         }
         Ok(())
+    }
+
+    /// End of build: publish this partition's filter before the probe input
+    /// is touched, so probe-side producers start pruning as early as
+    /// possible. An empty build partition publishes too — its filter
+    /// rejects every key, which is exactly right for an inner join.
+    fn finish(&mut self) -> Result<()> {
+        if let Some((id, partition, hub)) = &self.filter {
+            hub.publish(*id, *partition, &std::mem::take(&mut self.filter_hashes));
+        }
+        let built = if self.spill.is_empty() {
+            Built::Memory(join_table(std::mem::take(&mut self.rows), &self.keys)?)
+        } else {
+            let build = std::mem::take(&mut self.spill);
+            let build = build.into_iter().map(|w| w.finish()).collect::<Result<_>>()?;
+            Built::Grace { build, probe: self.spill_writers('p')? }
+        };
+        *self.built.lock() = Some(built);
+        Ok(())
+    }
+}
+
+/// A hash join's Probe activity: probe tuples stream against the table,
+/// or follow the build side to disk and are joined partition-wise at end
+/// of input.
+struct HashProbe {
+    build_keys: Vec<usize>,
+    built: Handoff<Built>,
+    /// Taken from the handoff at the first probe tuple.
+    state: Option<Built>,
+    matches: Matches,
+}
+
+/// Emits the matches of probe tuples against a build table.
+struct Matches {
+    keys: Vec<usize>,
+    join_type: JoinType,
+    /// Build-side nulls an unmatched ProbeOuter tuple is padded with.
+    pad: Vec<u8>,
+    scratch: Vec<u8>,
+    out: FrameOut,
+}
+
+impl Matches {
+    fn probe(&mut self, table: &JoinTable, p: &[u8]) -> Result<()> {
+        let out = &mut self.out;
+        match join_key(&TupleRef::new(p)?, &self.keys)?.and_then(|k| table.get(&k)) {
+            Some(ms) => ms.iter().try_for_each(|b| push_concat(out, &mut self.scratch, b, p)),
+            None if self.join_type == JoinType::ProbeOuter => {
+                push_concat(out, &mut self.scratch, &self.pad, p)
+            }
+            None => Ok(()),
+        }
+    }
+}
+
+/// What the build activity left; a build that failed left nothing, which
+/// joins as an empty build side.
+fn take_built(built: &Handoff<Built>) -> Built {
+    built.lock().take().unwrap_or_else(|| Built::Memory(JoinTable::new()))
+}
+
+impl HashProbe {
+    /// Join the Grace partitions pairwise.
+    fn join_spilled(&mut self) -> Result<()> {
+        let state = self.state.take().unwrap_or_else(|| take_built(&self.built));
+        let Built::Grace { build, probe } = state else { return Ok(()) };
+        let probe: Vec<(SpillGuard, usize)> =
+            probe.into_iter().map(|w| w.finish()).collect::<Result<_>>()?;
+        for ((bspill, bcount), (pspill, pcount)) in build.into_iter().zip(probe) {
+            if pcount == 0 && (bcount == 0 || self.matches.join_type == JoinType::Inner) {
+                continue;
+            }
+            let table = join_table(read_spill(&bspill)?, &self.build_keys)?;
+            for p in read_spill(&pspill)? {
+                self.matches.probe(&table, &p)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl PipelineOp for HashProbe {
+    fn push(&mut self, enc: &[u8]) -> Result<()> {
+        let built = &self.built;
+        match self.state.get_or_insert_with(|| take_built(built)) {
+            Built::Memory(table) => self.matches.probe(table, enc),
+            Built::Grace { probe, .. } => {
+                let h = hash_encoded_fields(&TupleRef::new(enc)?, &self.matches.keys) as usize;
+                let part = h % probe.len();
+                probe[part].write(enc)
+            }
+        }
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.matches.out.flush()
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        let emitted = self.join_spilled();
+        self.matches.out.finish(emitted)
     }
 }
 
@@ -386,34 +437,85 @@ impl OperatorDescriptor for NestedLoopJoinOp {
         vec![0]
     }
 
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { inputs, outputs, .. } = ctx;
-        // The predicate needs decoded values; keep the encoding alongside
-        // so matched rows are emitted by byte concatenation, not cloning.
-        let mut build: Vec<(Tuple, Vec<u8>)> = Vec::new();
-        inputs[0].for_each_raw(|enc| {
-            build.push((asterix_adm::decode_tuple(enc)?, enc.to_vec()));
-            Ok(true)
-        })?;
-        let pad = null_pad(self.build_arity);
-        let out = &mut outputs[0];
-        let pred = &self.pred;
-        let join_type = self.join_type;
-        let mut scratch = Vec::new();
-        inputs[1].for_each_raw(|penc| {
-            let p = asterix_adm::decode_tuple(penc)?;
-            let mut matched = false;
-            for (b, benc) in &build {
-                if pred(b, &p)? {
-                    matched = true;
-                    push_concat(out, &mut scratch, benc, penc)?;
-                }
+    fn activities(
+        &self,
+        ctx: PipelineCtx,
+        next: Box<dyn PipelineOp>,
+    ) -> Result<Vec<Box<dyn PipelineOp>>> {
+        let built: Handoff<NlRows> = Arc::new(Mutex::new(None));
+        let probe = NlProbe {
+            pred: Arc::clone(&self.pred),
+            join_type: self.join_type,
+            pad: null_pad(self.build_arity),
+            built: Arc::clone(&built),
+            build: None,
+            scratch: Vec::new(),
+            out: FrameOut::new(&ctx.env, next),
+        };
+        Ok(vec![Box::new(NlBuild { rows: Vec::new(), built }), Box::new(probe)])
+    }
+}
+
+/// Build-side tuples of a nested-loop join: the predicate needs decoded
+/// values; the encoding is kept alongside so matched rows are emitted by
+/// byte concatenation, not cloning.
+type NlRows = Vec<(Tuple, Vec<u8>)>;
+
+/// A nested-loop join's build activity: buffers every build tuple.
+struct NlBuild {
+    rows: NlRows,
+    built: Handoff<NlRows>,
+}
+
+impl PipelineOp for NlBuild {
+    fn push(&mut self, enc: &[u8]) -> Result<()> {
+        self.rows.push((asterix_adm::decode_tuple(enc)?, enc.to_vec()));
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        *self.built.lock() = Some(std::mem::take(&mut self.rows));
+        Ok(())
+    }
+}
+
+/// A nested-loop join's probe activity: every probe tuple against every
+/// build tuple.
+struct NlProbe {
+    pred: JoinPredFn,
+    join_type: JoinType,
+    pad: Vec<u8>,
+    built: Handoff<NlRows>,
+    /// Taken from the handoff at the first probe tuple.
+    build: Option<NlRows>,
+    scratch: Vec<u8>,
+    out: FrameOut,
+}
+
+impl PipelineOp for NlProbe {
+    fn push(&mut self, penc: &[u8]) -> Result<()> {
+        let built = &self.built;
+        let build = self.build.get_or_insert_with(|| built.lock().take().unwrap_or_default());
+        let p = asterix_adm::decode_tuple(penc)?;
+        let mut matched = false;
+        for (b, benc) in build.iter() {
+            if (self.pred)(b, &p)? {
+                matched = true;
+                push_concat(&mut self.out, &mut self.scratch, benc, penc)?;
             }
-            if !matched && join_type == JoinType::ProbeOuter {
-                push_concat(out, &mut scratch, &pad, penc)?;
-            }
-            Ok(true)
-        })
+        }
+        if !matched && self.join_type == JoinType::ProbeOuter {
+            push_concat(&mut self.out, &mut self.scratch, &self.pad, penc)?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.out.flush()
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        self.out.finish(Ok(()))
     }
 }
 
@@ -472,10 +574,6 @@ impl IndexNestedLoopJoinOp {
 impl OperatorDescriptor for IndexNestedLoopJoinOp {
     fn name(&self) -> String {
         format!("index-nested-loop-join {}", self.label)
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn pipeline(
@@ -566,13 +664,13 @@ impl IndexNlBatch {
 mod tests {
     use super::*;
     use crate::connector::{wire, ConnectorKind, ExchangeConfig};
-    use crate::ops::OpCtx;
+    use crate::pipeline::testing::{read_all, run_partition};
 
     fn run_join(op: &dyn OperatorDescriptor, build: Vec<Tuple>, probe: Vec<Tuple>) -> Vec<Tuple> {
         let x = ExchangeConfig::default();
         let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in build {
             b_out[0].push(t).unwrap();
         }
@@ -583,17 +681,8 @@ mod tests {
         drop(p_out);
         let mut inputs = b_in;
         inputs.extend(p_in);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs,
-            outputs: r_out,
-            env: Default::default(),
-        };
-        op.run(&mut ctx).unwrap();
-        drop(ctx);
-        r_in[0].collect().unwrap()
+        run_partition(op, inputs, r_out.remove(0)).unwrap();
+        read_all(&mut r_in[0]).unwrap()
     }
 
     fn kv(k: i64, v: &str) -> Tuple {
@@ -740,7 +829,7 @@ mod tests {
         let x = ExchangeConfig::default();
         let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in build {
             b_out[0].push(t).unwrap();
         }
@@ -752,17 +841,8 @@ mod tests {
         drop(r_in); // downstream is gone
         let mut inputs = b_in;
         inputs.extend(p_in);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs,
-            outputs: r_out,
-            env: Default::default(),
-        };
-        let res = op.run(&mut ctx);
+        let res = run_partition(&op, inputs, r_out.remove(0));
         assert!(res.is_err(), "merge into a closed downstream must error");
-        drop(ctx);
         let marker = format!("asterix-join-{}-{label}", std::process::id());
         let leaked: Vec<String> = std::fs::read_dir(std::env::temp_dir())
             .unwrap()
@@ -791,7 +871,7 @@ mod tests {
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let token = CancellationToken::new();
         let out_cfg = ExchangeConfig { cancel: Some(token.clone()), ..Default::default() };
-        let (r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
+        let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
         for t in build {
             b_out[0].push(t).unwrap();
         }
@@ -803,20 +883,11 @@ mod tests {
         token.cancel();
         let mut inputs = b_in;
         inputs.extend(p_in);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs,
-            outputs: r_out,
-            env: Default::default(),
-        };
-        let res = op.run(&mut ctx);
+        let res = run_partition(&op, inputs, r_out.remove(0));
         assert!(
             matches!(res, Err(crate::HyracksError::Cancelled)),
             "expected Cancelled, got {res:?}"
         );
-        drop(ctx);
         drop(r_in);
         let marker = format!("asterix-join-{}-{label}", std::process::id());
         let leaked: Vec<String> = std::fs::read_dir(std::env::temp_dir())
@@ -882,7 +953,7 @@ mod tests {
         let out = if fused {
             use crate::pipeline::testing::{Recorder, RecorderStage};
             let rec = Arc::new(asterix_sync::Mutex::new(Recorder::default()));
-            let ctx = PipelineCtx { partition: 0, nparts: 1, node: 0, env: Default::default() };
+            let ctx = PipelineCtx { partition: 0, nparts: 1, env: Default::default() };
             let mut stage = op.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
             for t in &outers {
                 stage.push(&encode_tuple(t)).unwrap();
@@ -900,22 +971,13 @@ mod tests {
             // side is the two callbacks.
             let x = ExchangeConfig::default();
             let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-            let (r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+            let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
             for t in outers {
                 b_out[0].push(t).unwrap();
             }
             drop(b_out);
-            let mut ctx = OpCtx {
-                partition: 0,
-                nparts: 1,
-                node: 0,
-                inputs: b_in,
-                outputs: r_out,
-                env: Default::default(),
-            };
-            op.run(&mut ctx).unwrap();
-            drop(ctx);
-            r_in[0].collect().unwrap()
+            run_partition(&op, b_in, r_out.remove(0)).unwrap();
+            read_all(&mut r_in[0]).unwrap()
         };
         let batches = batches.lock().clone();
         (out, batches)

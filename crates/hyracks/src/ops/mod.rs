@@ -1,23 +1,26 @@
 //! The operator library (§4.1).
 //!
-//! Operators are stateless descriptors; per-partition state lives inside
-//! `run`, which the executor invokes once per partition, or inside the push
-//! stage a streaming operator instantiates per partition
-//! ([`OperatorDescriptor::pipeline`]) — a streaming operator's one body,
-//! whether it is fused behind another operator or heads its own pipeline.
-//! Expression evaluation is injected as closures so the runtime stays
-//! data-language-neutral (the same property that lets Hyracks host
-//! Hivesterix and VXQuery in the paper's software stack, Figure 5).
+//! Operators are stateless descriptors. Per-partition state lives in the
+//! push stages an operator instantiates per partition — one for a
+//! single-input operator ([`OperatorDescriptor::pipeline`]), a build and a
+//! probe for a join ([`OperatorDescriptor::activities`]) — whether the
+//! operator is fused behind another or heads its own pipeline. Only a
+//! source has a `run` body of its own. Expression evaluation is injected
+//! as closures so the runtime stays data-language-neutral (the same
+//! property that lets Hyracks host Hivesterix and VXQuery in the paper's
+//! software stack, Figure 5).
 
 mod group;
 mod join;
 mod sort;
 
-pub use group::{AggKind, AggSpec, GroupMode, HashGroupOp, PreclusteredGroupOp, ScalarAggOp};
+pub use group::{AggKind, AggSpec, GroupMode, HashGroupOp, ScalarAggOp};
 pub use join::{HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, NestedLoopJoinOp};
 pub use sort::{sort_comparator, SortKey, SortOp};
 
 use std::cmp::Ordering;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use asterix_adm::Value;
@@ -26,7 +29,7 @@ use asterix_sync::Mutex;
 use crate::connector::{InputPort, OutputPort};
 use crate::filter::FilterConsult;
 use crate::frame::{FrameBuf, SelBitmap, Tuple};
-use crate::pipeline::{ExecEnv, PipelineCtx, PipelineOp, PortSink};
+use crate::pipeline::{finish_after, ExecEnv, PipelineCtx, PipelineOp, PortSink};
 use crate::{HyracksError, Result};
 
 /// Evaluate an expression over a tuple.
@@ -73,22 +76,20 @@ pub type FetchFn =
 /// a row group, and a bounded slice of the query's memory either way.
 pub const FETCH_BATCH: usize = 4096;
 
-/// Per-partition execution context handed to `run`.
+/// Per-partition execution context handed to `run`: what a source reads.
 pub struct OpCtx {
     pub partition: usize,
     pub nparts: usize,
-    /// Simulated node hosting this partition.
-    pub node: usize,
-    pub inputs: Vec<InputPort>,
-    pub outputs: Vec<OutputPort>,
-    /// Job-wide execution environment (frame batching target,
-    /// runtime-filter hub, trace context).
+    /// The partition's output port.
+    pub output: OutputPort,
+    /// Job-wide execution environment (frame batching targets,
+    /// runtime-filter hub, trace context, cancellation token).
     pub env: ExecEnv,
 }
 
 /// An operator: named, with declared blocking inputs (activity structure)
-/// and a per-partition body — a push stage for a streaming operator, a
-/// `run` for any other.
+/// and a per-partition body — push stages for every operator but a
+/// source, which overrides `run`.
 pub trait OperatorDescriptor: Send + Sync {
     /// Display name (used by `JobSpec::describe`, Figure 6 style).
     fn name(&self) -> String;
@@ -100,48 +101,75 @@ pub trait OperatorDescriptor: Send + Sync {
         Vec::new()
     }
 
-    /// Whether this operator is a push stage ([`OperatorDescriptor::pipeline`]):
-    /// streaming, single-input, non-blocking, and so fusible behind the
-    /// operator feeding it. Sources are chain *heads* (they keep their
-    /// `run` body), never stages, so they stay `false`; so do multi-input
-    /// and multi-output operators.
-    fn fusible(&self) -> bool {
-        false
-    }
-
-    /// Instantiate this operator as a push stage feeding `next`. Only
-    /// called when [`OperatorDescriptor::fusible`] is true.
+    /// Instantiate a single-input operator as a push stage feeding `next`.
     fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
         let _ = (ctx, next);
-        Err(crate::HyracksError::InvalidJob(format!(
-            "operator {} cannot run as a fused pipeline stage",
+        Err(HyracksError::InvalidJob(format!(
+            "operator {} cannot run as a pipeline stage",
             self.name()
         )))
     }
 
-    /// Execute one partition. The default serves a streaming operator that
-    /// heads its pipeline: its push stage runs over the partition's real
-    /// output port, is fed every input frame, and is finished exactly once
-    /// — on success and on error. The stage returning
-    /// [`HyracksError::DownstreamClosed`] stops the feed cleanly, as a
-    /// closed channel does. Every operator that is not a push stage
+    /// Instantiate one push stage per input, in input order: the provided
+    /// `run` feeds input `i` to stage `i` and finishes it before it feeds
+    /// the next. The last stage feeds `next`; a join's build stage leaves
+    /// its table for the probe stage. A single-input operator has one
+    /// stage, its [`OperatorDescriptor::pipeline`].
+    fn activities(
+        &self,
+        ctx: PipelineCtx,
+        next: Box<dyn PipelineOp>,
+    ) -> Result<Vec<Box<dyn PipelineOp>>> {
+        Ok(vec![self.pipeline(ctx, next)?])
+    }
+
+    /// Execute one partition. The default drives an operator that heads
+    /// its pipeline: its stages run over the partition's output port, each
+    /// is fed its input's frames and finished exactly once — on success
+    /// and on error. A stage returning [`HyracksError::DownstreamClosed`]
+    /// stops its feed cleanly, as a closed channel does. Only a source
     /// overrides it.
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let pctx = PipelineCtx {
-            partition: ctx.partition,
-            nparts: ctx.nparts,
-            node: ctx.node,
-            env: ctx.env.clone(),
-        };
-        let port = ctx.outputs.pop().unwrap_or_else(OutputPort::sink);
-        let mut stage = self.pipeline(pctx, Box::new(PortSink::new(port)))?;
-        let fed = ctx.inputs[0].for_each_frame(|frame| match stage.push_frame(frame) {
-            Ok(()) => Ok(true),
-            Err(HyracksError::DownstreamClosed) => Ok(false),
-            Err(e) => Err(e),
-        });
-        let finished = stage.finish();
-        fed.and(finished)
+    fn run(&self, ctx: &mut OpCtx, inputs: &mut [InputPort]) -> Result<()> {
+        let pctx =
+            PipelineCtx { partition: ctx.partition, nparts: ctx.nparts, env: ctx.env.clone() };
+        let port = std::mem::replace(&mut ctx.output, OutputPort::sink());
+        let mut stages = self.activities(pctx, Box::new(PortSink::new(port)))?;
+        let mut res = Ok(());
+        for (i, stage) in stages.iter_mut().enumerate() {
+            if let (Ok(()), Some(input)) = (&res, inputs.get_mut(i)) {
+                res = input.for_each_frame(|frame| match stage.push_frame(frame) {
+                    Ok(()) => Ok(true),
+                    Err(HyracksError::DownstreamClosed) => Ok(false),
+                    Err(e) => Err(e),
+                });
+            }
+            let finished = stage.finish();
+            res = res.and(finished);
+        }
+        res
+    }
+}
+
+/// One spill file of an operator (a sort run, a Grace partition), deleted
+/// on drop — so *every* exit from the operator (clean merge, error `?`,
+/// cancellation unwind, panic) removes its temp files.
+pub(crate) struct SpillGuard {
+    pub(crate) path: PathBuf,
+}
+
+impl SpillGuard {
+    /// A fresh path, `asterix-<kind>-<pid>-<tag>-<n>.<ext>` in the temp dir.
+    pub(crate) fn new(kind: &str, tag: &str, ext: &str) -> SpillGuard {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, AtomicOrdering::Relaxed);
+        let name = format!("asterix-{kind}-{}-{tag}-{n}.{ext}", std::process::id());
+        SpillGuard { path: std::env::temp_dir().join(name) }
+    }
+}
+
+impl Drop for SpillGuard {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -222,10 +250,8 @@ impl OperatorDescriptor for SourceOp {
         self.label.clone()
     }
 
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let env = ctx.env.clone();
-        let OpCtx { partition, nparts, outputs, .. } = ctx;
-        let out = &mut outputs[0];
+    fn run(&self, ctx: &mut OpCtx, _inputs: &mut [InputPort]) -> Result<()> {
+        let OpCtx { partition, nparts, output: out, env } = ctx;
         let f = match &self.source {
             SourceBody::Decoded(f) => return f(*partition, *nparts, &mut |t| out.push(t)),
             SourceBody::Raw(f) => f,
@@ -269,10 +295,6 @@ impl SinkOp {
 impl OperatorDescriptor for SinkOp {
     fn name(&self) -> String {
         "result-sink".into()
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn pipeline(
@@ -331,10 +353,6 @@ impl ApplyOp {
 impl OperatorDescriptor for ApplyOp {
     fn name(&self) -> String {
         self.label.clone()
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
@@ -488,10 +506,6 @@ impl OperatorDescriptor for SelectOp {
         format!("select {}", self.label)
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn pipeline(
         &self,
         _ctx: PipelineCtx,
@@ -605,10 +619,6 @@ impl OperatorDescriptor for AssignOp {
         format!("assign {}", self.label)
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn pipeline(
         &self,
         _ctx: PipelineCtx,
@@ -679,10 +689,6 @@ impl OperatorDescriptor for ProjectOp {
         format!("project {:?}", self.fields)
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn pipeline(
         &self,
         _ctx: PipelineCtx,
@@ -751,10 +757,6 @@ impl OperatorDescriptor for LimitOp {
         }
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn pipeline(
         &self,
         _ctx: PipelineCtx,
@@ -809,7 +811,7 @@ impl PipelineOp for LimitStage {
 /// Probe-side consult operator for runtime join filters: drops tuples
 /// whose join-key hash certainly has no build-side match *before* the
 /// exchange into the join. Jobgen inserts it on the probe branch of inner
-/// hash joins; it is fusible, so it rides the scan-headed pipeline thread.
+/// hash joins, behind the scan, so it rides the scan-headed pipeline thread.
 /// It stays there when the scan below applies the same filter itself
 /// ([`SourceOp::with_join_filter`]): only columnar components decide
 /// pushed filters, and rows scanned before the build side published pass.
@@ -826,10 +828,6 @@ pub struct RuntimeFilterProbeOp {
 impl OperatorDescriptor for RuntimeFilterProbeOp {
     fn name(&self) -> String {
         format!("runtime-filter-probe #{} {:?}", self.filter_id, self.key_cols)
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
@@ -925,10 +923,6 @@ impl OperatorDescriptor for UnnestOp {
         format!("unnest {}", self.label)
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn pipeline(
         &self,
         _ctx: PipelineCtx,
@@ -999,63 +993,6 @@ impl PipelineOp for UnnestStage {
     }
 }
 
-/// Forward all inputs to the single output (bag union).
-pub struct UnionAllOp;
-
-impl OperatorDescriptor for UnionAllOp {
-    fn name(&self) -> String {
-        "union-all".into()
-    }
-
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { inputs, outputs, .. } = ctx;
-        let out = &mut outputs[0];
-        for input in inputs.iter_mut() {
-            // Pure forwarding: never decodes a tuple.
-            input.for_each_raw(|bytes| {
-                out.push_encoded(bytes)?;
-                Ok(true)
-            })?;
-        }
-        Ok(())
-    }
-}
-
-/// Forward the input to every output — a Feed Joint (§4.5): "like a
-/// network tap [...] allows data to be routed simultaneously along
-/// multiple paths".
-pub struct ReplicateOp;
-
-impl OperatorDescriptor for ReplicateOp {
-    fn name(&self) -> String {
-        "replicate (feed joint)".into()
-    }
-
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { inputs, outputs, .. } = ctx;
-        let n = outputs.len();
-        let mut closed = vec![false; n];
-        // Byte forwarding: each tap gets the same encoding appended to its
-        // frame — no per-tap tuple clone.
-        inputs[0].for_each_raw(|bytes| {
-            let mut all_closed = true;
-            for (i, out) in outputs.iter_mut().enumerate() {
-                if closed[i] {
-                    continue;
-                }
-                // One tap hanging up must not starve the others; only stop
-                // consuming once every downstream path is gone.
-                match out.push_encoded(bytes) {
-                    Ok(()) => all_closed = false,
-                    Err(crate::HyracksError::DownstreamClosed) => closed[i] = true,
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(!all_closed)
-        })
-    }
-}
-
 /// Primary-index lookup of a batch of keys (Figure 6's step after the
 /// `$pk` sort): input tuples are primary keys, output tuples the records
 /// they name. Keys are buffered [`FETCH_BATCH`] at a time and fetched as
@@ -1076,10 +1013,6 @@ impl PrimaryFetchOp {
 impl OperatorDescriptor for PrimaryFetchOp {
     fn name(&self) -> String {
         self.label.clone()
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn pipeline(
@@ -1122,8 +1055,8 @@ impl<B: Batched> PipelineOp for BatchedStage<B> {
 
     fn finish(&mut self) -> Result<()> {
         let next = &mut self.next;
-        self.batch.drain(&mut |row| next.push(row))?;
-        self.next.finish()
+        let drained = self.batch.drain(&mut |row| next.push(row));
+        finish_after(drained, self.next.as_mut())
     }
 }
 
@@ -1178,10 +1111,6 @@ pub struct DistinctOp {
 impl OperatorDescriptor for DistinctOp {
     fn name(&self) -> String {
         format!("distinct {:?}", self.keys)
-    }
-
-    fn fusible(&self) -> bool {
-        true
     }
 
     fn pipeline(
@@ -1249,10 +1178,6 @@ impl OperatorDescriptor for MapOp {
         self.label.clone()
     }
 
-    fn fusible(&self) -> bool {
-        true
-    }
-
     fn pipeline(
         &self,
         _ctx: PipelineCtx,
@@ -1292,7 +1217,7 @@ impl PipelineOp for MapStage {
 mod tests {
     use super::*;
     use crate::connector::{wire, ConnectorKind, ExchangeConfig};
-    use crate::pipeline::testing::{Recorder, RecorderStage};
+    use crate::pipeline::testing::{read_all, run_partition, Recorder, RecorderStage};
 
     /// A fetch that knows a record for every even key and logs the size of
     /// each batch it is handed.
@@ -1315,7 +1240,7 @@ mod tests {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let op = PrimaryFetchOp::new("fetch", even_keys(&batches));
         let rec = Arc::new(Mutex::new(Recorder::default()));
-        let ctx = PipelineCtx { partition: 0, nparts: 1, node: 0, env: Default::default() };
+        let ctx = PipelineCtx { partition: 0, nparts: 1, env: Default::default() };
         let mut stage = op.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
         let push = |stage: &mut Box<dyn PipelineOp>, keys: std::ops::Range<i64>| {
             for k in keys {
@@ -1343,22 +1268,13 @@ mod tests {
         let op = PrimaryFetchOp::new("fetch", even_keys(&batches));
         let x = ExchangeConfig::default();
         let (mut k_out, k_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for k in 0..9i64 {
             k_out[0].push(vec![Value::Int64(k)]).unwrap();
         }
         drop(k_out);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs: k_in,
-            outputs: r_out,
-            env: Default::default(),
-        };
-        op.run(&mut ctx).unwrap();
-        drop(ctx);
-        let out = r_in[0].collect().unwrap();
+        run_partition(&op, k_in, r_out.remove(0)).unwrap();
+        let out = read_all(&mut r_in[0]).unwrap();
         assert_eq!(*batches.lock(), vec![9]);
         let want: Vec<Tuple> =
             (0..9).step_by(2).map(|k| vec![Value::string(format!("rec-{k}"))]).collect();

@@ -8,22 +8,23 @@
 //! are segmented `memcmp`s over those key bytes (with per-key descending
 //! reversal); tuple values are never re-decoded to compare. Spill runs
 //! store the raw `(key, tuple)` byte pairs, so merging reads compare and
-//! forward without any deserialization. The run-generation side is a
-//! blocking activity, so a sort splits its job into stages exactly as §4.1
+//! forward without any deserialization. The sort is one push stage: run
+//! generation in `push`, the merge in `finish` — a blocking activity, so
+//! nothing leaves the sort before its input has ended, exactly as §4.1
 //! describes.
 
 use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use asterix_adm::{ordkey, TupleRef, Value};
+use asterix_obs::TraceContext;
 
-use super::{EvalFn, OpCtx, OperatorDescriptor};
+use super::{EvalFn, OperatorDescriptor, SpillGuard};
 use crate::connector::Comparator;
 use crate::frame::Tuple;
+use crate::pipeline::{FrameOut, PipelineCtx, PipelineOp};
 use crate::Result;
 
 /// One sort key: an expression and a direction. Keys built with
@@ -127,31 +128,11 @@ struct Row {
     bytes: Vec<u8>,
 }
 
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn spill_path(label: &str) -> PathBuf {
-    let n = SPILL_SEQ.fetch_add(1, AtomicOrdering::Relaxed);
-    std::env::temp_dir().join(format!("asterix-sort-{}-{}-{}.run", std::process::id(), label, n))
-}
-
-/// Owns one spill run on disk and deletes it on drop — the same RAII shape
-/// as the grace join's guards, so *every* exit from the sort (clean merge,
-/// error `?`, cancellation unwind, panic) removes its temp files.
-struct SpillGuard {
-    path: PathBuf,
-}
-
-impl Drop for SpillGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 /// Spill a sorted batch: `[u32 key_len][key][u32 tuple_len][tuple]` per
 /// row — raw bytes in, raw bytes out, nothing re-encoded. The returned
 /// guard owns the file from the moment it exists on disk.
 fn write_run(label: &str, rows: &[Row]) -> Result<SpillGuard> {
-    let guard = SpillGuard { path: spill_path(label) };
+    let guard = SpillGuard::new("sort", label, "run");
     let mut w = BufWriter::new(File::create(&guard.path)?);
     for row in rows {
         w.write_all(&(row.key.len() as u32).to_le_bytes())?;
@@ -234,42 +215,46 @@ impl OperatorDescriptor for SortOp {
         vec![0] // run generation consumes everything before merge emits
     }
 
-    fn run(&self, ctx: &mut OpCtx) -> Result<()> {
-        let OpCtx { inputs, outputs, env, .. } = ctx;
-        let trace = env.trace.clone();
+    fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
+        Ok(Box::new(SortStage {
+            label: self.label.clone(),
+            keys: self.keys.clone(),
+            budget: self.mem_budget,
+            trace: ctx.env.trace.clone(),
+            mem: Vec::new(),
+            mem_bytes: 0,
+            runs: Vec::new(),
+            out: FrameOut::new(&ctx.env, next),
+        }))
+    }
+}
+
+/// One partition of a sort: rows buffered in memory up to the budget, the
+/// runs spilled before them, and where the merged output goes.
+struct SortStage {
+    label: String,
+    keys: Vec<SortKey>,
+    budget: usize,
+    trace: TraceContext,
+    mem: Vec<Row>,
+    mem_bytes: usize,
+    runs: Vec<SpillGuard>,
+    out: FrameOut,
+}
+
+impl SortStage {
+    /// K-way merge of the spilled runs and the in-memory tail; all head
+    /// comparisons are normalized-key memcmps.
+    fn emit(&mut self) -> Result<()> {
         let keys = &self.keys;
-        let mut mem: Vec<Row> = Vec::new();
-        let mut mem_bytes = 0usize;
-        let mut runs: Vec<SpillGuard> = Vec::new();
-        let budget = self.mem_budget;
-        let label = self.label.clone();
-        inputs[0].for_each_raw(|bytes| {
-            let mut key = Vec::new();
-            norm_key_into(&mut key, keys, bytes)?;
-            mem_bytes += key.len() + bytes.len() + 64;
-            mem.push(Row { key, bytes: bytes.to_vec() });
-            if mem_bytes >= budget {
-                let spill = trace.span("sort.spill_run");
-                mem.sort_by(|a, b| cmp_norm(keys, &a.key, &b.key));
-                runs.push(write_run(&label, &mem)?);
-                spill.finish();
-                mem.clear();
-                mem_bytes = 0;
-            }
-            Ok(true)
-        })?;
+        let mut mem = std::mem::take(&mut self.mem);
         mem.sort_by(|a, b| cmp_norm(keys, &a.key, &b.key));
-        let out = &mut outputs[0];
-        if runs.is_empty() {
-            for row in &mem {
-                out.push_encoded(&row.bytes)?;
-            }
-            return Ok(());
+        let out = &mut self.out;
+        if self.runs.is_empty() {
+            return mem.iter().try_for_each(|row| out.push(&row.bytes));
         }
-        // K-way merge of spilled runs plus the in-memory tail; all head
-        // comparisons are normalized-key memcmps.
-        let mut readers: Vec<RunReader> = Vec::with_capacity(runs.len());
-        for guard in runs {
+        let mut readers: Vec<RunReader> = Vec::with_capacity(self.runs.len());
+        for guard in self.runs.drain(..) {
             readers.push(RunReader::open(guard)?);
         }
         let mut mem_iter = mem.into_iter().peekable();
@@ -297,16 +282,39 @@ impl OperatorDescriptor for SortOp {
                 (_, None) => false,
             };
             if take_mem {
-                out.push_encoded(&mem_iter.next().unwrap().bytes)?;
+                out.push(&mem_iter.next().unwrap().bytes)?;
             } else if let Some(b) = best {
                 let row = readers[b].head.take().unwrap();
                 readers[b].advance()?;
-                out.push_encoded(&row.bytes)?;
+                out.push(&row.bytes)?;
             } else {
-                break;
+                return Ok(());
             }
         }
+    }
+}
+
+impl PipelineOp for SortStage {
+    fn push(&mut self, bytes: &[u8]) -> Result<()> {
+        let mut key = Vec::new();
+        norm_key_into(&mut key, &self.keys, bytes)?;
+        self.mem_bytes += key.len() + bytes.len() + 64;
+        self.mem.push(Row { key, bytes: bytes.to_vec() });
+        if self.mem_bytes >= self.budget {
+            let spill = self.trace.span("sort.spill_run");
+            let keys = &self.keys;
+            self.mem.sort_by(|a, b| cmp_norm(keys, &a.key, &b.key));
+            self.runs.push(write_run(&self.label, &self.mem)?);
+            spill.finish();
+            self.mem.clear();
+            self.mem_bytes = 0;
+        }
         Ok(())
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        let emitted = self.emit();
+        self.out.finish(emitted)
     }
 }
 
@@ -314,27 +322,19 @@ impl OperatorDescriptor for SortOp {
 mod tests {
     use super::*;
     use crate::connector::{wire, ConnectorKind, ExchangeConfig};
+    use crate::pipeline::testing::{read_all, run_partition};
     use asterix_adm::Value;
 
     fn run_sort(op: SortOp, input: Vec<Tuple>) -> Vec<Tuple> {
         let x = ExchangeConfig::default();
         let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in input {
             in_outs[0].push(t).unwrap();
         }
         drop(in_outs);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs: ins,
-            outputs: outs,
-            env: Default::default(),
-        };
-        op.run(&mut ctx).unwrap();
-        drop(ctx);
-        res_ins[0].collect().unwrap()
+        run_partition(&op, ins, outs.remove(0)).unwrap();
+        read_all(&mut res_ins[0]).unwrap()
     }
 
     #[test]
@@ -428,27 +428,18 @@ mod tests {
         let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &feed).unwrap();
         let token = CancellationToken::new();
         let out_cfg = ExchangeConfig { cancel: Some(token.clone()), ..Default::default() };
-        let (outs, res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
+        let (mut outs, res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
         for t in input {
             in_outs[0].push(t).unwrap();
         }
         drop(in_outs);
         token.cancel();
         let op = SortOp::new(label, vec![SortKey::field(0, false)]).with_budget(4096);
-        let mut ctx = OpCtx {
-            partition: 0,
-            nparts: 1,
-            node: 0,
-            inputs: ins,
-            outputs: outs,
-            env: Default::default(),
-        };
-        let res = op.run(&mut ctx);
+        let res = run_partition(&op, ins, outs.remove(0));
         assert!(
             matches!(res, Err(crate::HyracksError::Cancelled)),
             "expected Cancelled, got {res:?}"
         );
-        drop(ctx);
         drop(res_ins);
         let marker = format!("asterix-sort-{}-{label}", std::process::id());
         let leaked: Vec<String> = std::fs::read_dir(std::env::temp_dir())

@@ -397,6 +397,104 @@ fn registry_carries_storage_and_exchange_metrics() {
     assert!(json.contains("\"exchange.frames_sent\""));
 }
 
+/// The Table 3 shapes as compiled on 2 nodes × 1 partition, counted in
+/// threads: a job of N pipelines spawns N − 1. A sort, group-by or
+/// aggregate behind a 1:1 edge rides its producer's pipeline, so Figure 6's
+/// `secondary search →1:1→ sort $pk →1:1→ primary fetch` is one pipeline
+/// per partition; a hash join's two inputs still arrive over exchanges.
+#[test]
+fn table3_shapes_spawn_one_thread_per_pipeline_but_the_callers() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let mut cfg = ClusterConfig::small(dir.path().join("db"));
+    cfg.nodes = 2;
+    cfg.partitions_per_node = 1;
+    let instance = Instance::open(cfg).unwrap();
+    instance
+        .execute(
+            r#"
+        create dataverse T3;
+        use dataverse T3;
+        create type UserType as open { id: int64, user-since: datetime };
+        create type MsgType as open { message-id: int64, author-id: int64, timestamp: datetime };
+        create dataset MugshotUsers(UserType) primary key id;
+        create dataset MugshotMessages(MsgType) primary key message-id;
+        create index msUserSinceIdx on MugshotUsers(user-since);
+        create index msTimestampIdx on MugshotMessages(timestamp);
+        create index msAuthorIdx on MugshotMessages(author-id) type btree;
+    "#,
+        )
+        .unwrap();
+    let day = |d: i64| format!("datetime(\"2010-01-{:02}T00:00:00\")", d % 28 + 1);
+    for i in 0..40i64 {
+        instance
+            .execute(&format!(
+                r#"use dataverse T3; insert into dataset MugshotUsers (
+                    {{ "id": {i}, "name": "u{i}", "user-since": {} }});"#,
+                day(i)
+            ))
+            .unwrap();
+    }
+    for i in 0..200i64 {
+        instance
+            .execute(&format!(
+                r#"use dataverse T3; insert into dataset MugshotMessages (
+                    {{ "message-id": {i}, "author-id": {}, "timestamp": {}, "message": "m{i}" }});"#,
+                i % 40,
+                day(i * 7)
+            ))
+            .unwrap();
+    }
+    let (lo, hi) = (day(4), day(20));
+    let join = |hint: &str, two: bool| {
+        let also = if two {
+            format!(" and $m.timestamp >= {lo} and $m.timestamp < {hi}")
+        } else {
+            String::new()
+        };
+        format!(
+            "for $u in dataset MugshotUsers for $m in dataset MugshotMessages \
+             where $m.author-id {hint}= $u.id and $u.user-since >= {lo} and $u.user-since <= {hi}{also} \
+             return {{ \"uname\": $u.name, \"message\": $m.message }}"
+        )
+    };
+    let range = format!(
+        "for $m in dataset MugshotMessages where $m.timestamp >= {lo} and $m.timestamp < {hi} return $m"
+    );
+    let agg = format!(
+        "avg( for $m in dataset MugshotMessages where $m.timestamp >= {lo} and $m.timestamp < {hi} \
+         return string-length($m.message) )"
+    );
+    let grpagg = format!(
+        "for $m in dataset MugshotMessages where $m.timestamp >= {lo} and $m.timestamp < {hi} \
+         group by $aid := $m.author-id with $m let $cnt := count($m) \
+         order by $cnt desc limit 10 return {{ \"author\": $aid, \"cnt\": $cnt }}"
+    );
+    // (shape, query, threads spawned through the indexes, and without).
+    let shapes = [
+        ("range", range.clone(), range, 2, 2),
+        ("seljoin", join("/*+ indexnl */ ", false), join("", false), 2, 6),
+        ("sel2join", join("/*+ indexnl */ ", true), join("", true), 2, 6),
+        ("agg", agg.clone(), agg, 2, 2),
+        ("grpagg", grpagg.clone(), grpagg, 4, 4),
+    ];
+    let spawned = || instance.exchange_stats().threads_spawned();
+    let use_t3 = |aql: &str| format!("use dataverse T3; {aql}");
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for indexes in [true, false] {
+        instance.optimizer_options.write().enable_index_access = indexes;
+        for (name, ix, scan, via_ix, via_scan) in &shapes {
+            let aql = use_t3(if indexes { ix } else { scan });
+            let before = spawned();
+            let rows = instance.query(&aql).unwrap();
+            assert!(!rows.is_empty(), "{name} (indexes: {indexes}) selects nothing");
+            got.push((*name, indexes, spawned() - before));
+            want.push((*name, indexes, if indexes { *via_ix } else { *via_scan }));
+        }
+    }
+    assert_eq!(got, want);
+}
+
 /// "Zero threads for a point query" as a count: a primary-key equality is
 /// pruned to the partition that owns the key, so the lookup — like the
 /// constant query of an `insert` and the key search of a `delete` — is one
