@@ -256,7 +256,7 @@ impl SchemaBuilder {
     /// Freeze the schema: a top-level field becomes a column when it was
     /// present in at least `min_presence` of the observed rows and one
     /// type tag dominates its non-null occurrences (see
-    /// [`DOMINANT_TAG_FRACTION`]); rows carrying a minority tag spill
+    /// `DOMINANT_TAG_FRACTION`); rows carrying a minority tag spill
     /// whole at shred time. Genuinely heterogeneous and rare fields are
     /// left to the per-row "rest" record; always-null fields have no
     /// useful column representation either. At most `max_columns` survive

@@ -3,6 +3,7 @@
 //! tokenizer used by `ngram(k)` indexes and fuzzy string search.
 
 use crate::error::{AdmError, Result};
+use crate::Value;
 
 /// `contains(s, sub)` — substring test.
 pub fn contains(s: &str, sub: &str) -> bool {
@@ -416,6 +417,61 @@ pub fn gram_tokens(s: &str, k: usize) -> Vec<String> {
         return Vec::new();
     }
     padded.windows(k).map(|w| w.iter().collect()).collect()
+}
+
+/// How an inverted index splits values into tokens — at insert and for a
+/// search's needle alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Tokenizer {
+    /// Word tokens of a string, or the string elements of a list/bag —
+    /// the `keyword` index type.
+    Keyword,
+    /// Lowercased k-grams with `#` padding — the `ngram(k)` index type.
+    NGram(usize),
+}
+
+impl Tokenizer {
+    /// Tokenize an ADM value. Strings tokenize directly; lists/bags
+    /// tokenize element-wise (for keyword indexes on tag bags, Query 13);
+    /// unknowns have no tokens.
+    pub fn tokens(&self, v: &Value) -> Result<Vec<String>> {
+        let mut out = Vec::new();
+        match v {
+            Value::String(s) => self.push_tokens(s, false, &mut out),
+            Value::OrderedList(items) | Value::UnorderedList(items) => {
+                for item in items.iter() {
+                    match item {
+                        Value::String(s) => self.push_tokens(s, true, &mut out),
+                        other if other.is_unknown() => {}
+                        other => {
+                            return Err(AdmError::InvalidArgument(format!(
+                                "cannot tokenize {} element",
+                                other.type_name()
+                            )))
+                        }
+                    }
+                }
+            }
+            v if v.is_unknown() => {}
+            other => {
+                return Err(AdmError::InvalidArgument(format!(
+                    "cannot tokenize {}",
+                    other.type_name()
+                )))
+            }
+        }
+        Ok(out)
+    }
+
+    fn push_tokens(&self, s: &str, element: bool, out: &mut Vec<String>) {
+        match self {
+            // Bag elements are whole tokens for keyword indexes (tags are
+            // matched as units).
+            Tokenizer::Keyword if element => out.push(s.to_lowercase()),
+            Tokenizer::Keyword => out.extend(word_tokens(s)),
+            Tokenizer::NGram(k) => out.extend(gram_tokens(s, *k)),
+        }
+    }
 }
 
 /// Levenshtein edit distance.

@@ -9,12 +9,11 @@
 
 use std::collections::HashMap;
 
-use asterix_adm::value::Rectangle;
 use asterix_adm::{AdmError, Value};
 
 use crate::expr::{eval, truthy, EvalCtx, VarId, VarResolver};
-use crate::metadata::{IndexKind, KeyBound};
-use crate::plan::{AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp};
+use crate::metadata::{IndexProbe, KeyBound};
+use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp};
 
 /// A row of variable bindings.
 pub type Env = HashMap<VarId, Value>;
@@ -260,14 +259,13 @@ pub fn eval_rows(
                 let matches: Vec<Value> = if key.is_unknown() {
                     Vec::new()
                 } else {
+                    let probe = IndexProbe::Range {
+                        lo: KeyBound::Inclusive(key.clone()),
+                        hi: KeyBound::Inclusive(key),
+                    };
                     let pks = ctx
                         .provider
-                        .btree_search_all(
-                            dataset,
-                            index,
-                            KeyBound::Inclusive(key.clone()),
-                            KeyBound::Inclusive(key),
-                        )
+                        .secondary_search_all(dataset, index, probe)
                         .map_err(adm_err)?;
                     let mut recs = Vec::with_capacity(pks.len());
                     for pk in pks {
@@ -403,61 +401,18 @@ pub fn index_search_records(
     outer: &dyn VarResolver,
     ctx: &EvalCtx,
 ) -> asterix_adm::Result<Vec<Value>> {
-    let bound = |b: &Option<(crate::expr::LogicalExpr, bool)>| -> asterix_adm::Result<KeyBound> {
-        Ok(match b {
-            None => KeyBound::Unbounded,
-            Some((e, inclusive)) => {
-                let v = eval(e, outer, ctx)?;
-                if *inclusive {
-                    KeyBound::Inclusive(v)
-                } else {
-                    KeyBound::Exclusive(v)
-                }
-            }
-        })
-    };
-    match spec {
-        IndexSearchSpec::PrimaryRange { lo, hi } => {
-            ctx.provider.primary_range_all(dataset, bound(lo)?, bound(hi)?).map_err(adm_err)
-        }
-        IndexSearchSpec::BTreeRange { lo, hi } => {
-            let pks = ctx
-                .provider
-                .btree_search_all(dataset, index, bound(lo)?, bound(hi)?)
-                .map_err(adm_err)?;
+    let value = |e: &crate::expr::LogicalExpr| eval(e, outer, ctx);
+    if let IndexSearchSpec::PrimaryRange { lo, hi } = spec {
+        let (lo, hi) = (key_bound(lo, value)?, key_bound(hi, value)?);
+        return ctx.provider.primary_range_all(dataset, lo, hi).map_err(adm_err);
+    }
+    match spec.probe(&*ctx.provider, dataset, index, value)? {
+        Some(probe) => {
+            let pks = ctx.provider.secondary_search_all(dataset, index, probe).map_err(adm_err)?;
             fetch_records(dataset, pks, ctx)
         }
-        IndexSearchSpec::RTree { query } => {
-            let q = eval(query, outer, ctx)?;
-            let rect: Rectangle = asterix_adm::spatial::mbr(&q)?;
-            let pks = ctx.provider.rtree_search_all(dataset, index, &rect).map_err(adm_err)?;
-            fetch_records(dataset, pks, ctx)
-        }
-        IndexSearchSpec::InvertedConjunctive { needle } => {
-            let v = eval(needle, outer, ctx)?;
-            let tokens = tokenize_for(ctx, dataset, index, &v)?;
-            let n = tokens.len();
-            let pks = ctx
-                .provider
-                .inverted_search_all(dataset, index, &tokens, n.max(1))
-                .map_err(adm_err)?;
-            fetch_records(dataset, pks, ctx)
-        }
-        IndexSearchSpec::InvertedFuzzy { needle, edit_distance } => {
-            let v = eval(needle, outer, ctx)?;
-            let s = v.as_str().ok_or_else(|| adm_err("fuzzy search needle must be a string"))?;
-            let k = gram_len(ctx, dataset, index)?;
-            let grams = asterix_adm::strings::gram_tokens(s, k);
-            let lower = grams.len().saturating_sub(k * edit_distance);
-            if lower == 0 {
-                // Degenerate threshold: fall back to scanning everything;
-                // the postcondition filter does the exact check.
-                return ctx.provider.scan_all(dataset).map_err(adm_err);
-            }
-            let pks =
-                ctx.provider.inverted_search_all(dataset, index, &grams, lower).map_err(adm_err)?;
-            fetch_records(dataset, pks, ctx)
-        }
+        // The index cannot narrow the search: the postcondition decides.
+        None => ctx.provider.scan_all(dataset).map_err(adm_err),
     }
 }
 
@@ -487,39 +442,6 @@ fn fetch_records(
         }
     }
     Ok(out)
-}
-
-fn tokenize_for(
-    ctx: &EvalCtx,
-    dataset: &str,
-    index: &str,
-    v: &Value,
-) -> asterix_adm::Result<Vec<String>> {
-    let kind = ctx
-        .provider
-        .indexes(dataset)
-        .into_iter()
-        .find(|i| i.name == index)
-        .map(|i| i.kind)
-        .ok_or_else(|| adm_err(format!("unknown index {index}")))?;
-    match (kind, v) {
-        (IndexKind::Keyword, Value::String(s)) => Ok(asterix_adm::strings::word_tokens(s)),
-        (IndexKind::Keyword, v) if v.as_list().is_some() => Ok(v
-            .as_list()
-            .unwrap()
-            .iter()
-            .filter_map(|x| x.as_str().map(|s| s.to_lowercase()))
-            .collect()),
-        (IndexKind::NGram(k), Value::String(s)) => Ok(asterix_adm::strings::gram_tokens(s, k)),
-        _ => Err(adm_err("cannot tokenize needle for this index")),
-    }
-}
-
-fn gram_len(ctx: &EvalCtx, dataset: &str, index: &str) -> asterix_adm::Result<usize> {
-    match ctx.provider.indexes(dataset).into_iter().find(|i| i.name == index).map(|i| i.kind) {
-        Some(IndexKind::NGram(k)) => Ok(k),
-        _ => Err(adm_err(format!("{index} is not an ngram index"))),
-    }
 }
 
 fn eval_agg(

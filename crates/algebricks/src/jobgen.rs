@@ -27,8 +27,8 @@ use asterix_hyracks::ops::{
 use asterix_hyracks::{HyracksError, Result};
 
 use crate::expr::{eval, truthy, CompareOp, EvalCtx, LogicalExpr, TupleResolver, VarId};
-use crate::metadata::{KeyBound, MetadataProvider, ScanFilter, ScanProjection};
-use crate::plan::{AggFunc, IndexSearchSpec, JoinKind, LogicalOp, SortSpec};
+use crate::metadata::{IndexProbe, KeyBound, MetadataProvider, ScanFilter, ScanProjection};
+use crate::plan::{key_bound, AggFunc, IndexSearchSpec, JoinKind, LogicalOp, SortSpec};
 use crate::rules::OptimizerOptions;
 
 /// How an operator's output is spread across partitions.
@@ -80,9 +80,10 @@ impl CompiledQuery {
     }
 
     /// Like [`CompiledQuery::run_with`], but meters every operator port and
-    /// times every partition, returning the per-operator [`JobProfile`]
-    /// alongside the results. Operator ids in the profile are the ids this
-    /// compilation assigned, so rows map back to plan nodes.
+    /// times every partition, returning the per-operator
+    /// [`JobProfile`](asterix_hyracks::JobProfile) alongside the results.
+    /// Operator ids in the profile are the ids this compilation assigned,
+    /// so rows map back to plan nodes.
     pub fn run_profiled_with(
         &self,
         cfg: &asterix_hyracks::executor::ExecutorConfig,
@@ -573,14 +574,6 @@ impl Gen {
     fn const_value(&self, expr: &LogicalExpr) -> Result<Value> {
         let empty: std::collections::HashMap<VarId, Value> = Default::default();
         eval(expr, &empty, &self.ctx).map_err(HyracksError::from)
-    }
-
-    fn key_bound(&self, b: &Option<(LogicalExpr, bool)>) -> Result<KeyBound> {
-        Ok(match b {
-            None => KeyBound::Unbounded,
-            Some((e, true)) => KeyBound::Inclusive(self.const_value(e)?),
-            Some((e, false)) => KeyBound::Exclusive(self.const_value(e)?),
-        })
     }
 
     /// Append computed expression columns; returns (op, new schema) where
@@ -1141,11 +1134,12 @@ impl Gen {
         Ok((join, combined, l_part))
     }
 
-    /// The Figure 6 access-path shape: secondary search → sort(pk) →
-    /// primary lookup → post-validation select. A primary-key search is
-    /// the bounded read of the primary index a scan makes, under the same
-    /// post-validation. Every read of the primary index carries the
-    /// post-validation's pushable conjuncts as its filters.
+    /// The Figure 6 access-path shape: secondary search (pk tuples) →
+    /// sort(pk) → batched primary-index fetch of `var`'s records →
+    /// post-validation select. A primary-key search is the bounded read of
+    /// the primary index a scan makes, under the same post-validation.
+    /// Every read of the primary index carries the post-validation's
+    /// pushable conjuncts as its filters.
     fn build_index_search(
         &mut self,
         dataset: &str,
@@ -1159,49 +1153,35 @@ impl Gen {
         let filters = postcondition.map_or(Vec::new(), |post| self.scan_filters(post, var));
         let tail: OperatorId = match spec {
             IndexSearchSpec::PrimaryRange { lo, hi } => {
-                let bounds = (self.key_bound(lo)?, self.key_bound(hi)?);
+                let value = |e: &LogicalExpr| self.const_value(e);
+                let bounds = (key_bound(lo, value)?, key_bound(hi, value)?);
                 let (op, _, read_part) = self.build_scan(dataset, var, filters, Some(bounds))?;
                 part = read_part;
                 op
             }
-            IndexSearchSpec::BTreeRange { lo, hi } => {
-                let src = provider.btree_search_source(
-                    dataset,
-                    index,
-                    self.key_bound(lo)?,
-                    self.key_bound(hi)?,
-                )?;
-                self.secondary_then_primary(dataset, index, src, var, filters)?
-            }
-            IndexSearchSpec::RTree { query } => {
-                let q = self.const_value(query)?;
-                let rect = asterix_adm::spatial::mbr(&q).map_err(HyracksError::from)?;
-                let src = provider.rtree_search_source(dataset, index, rect)?;
-                self.secondary_then_primary(dataset, index, src, var, filters)?
-            }
-            IndexSearchSpec::InvertedConjunctive { needle } => {
-                let v = self.const_value(needle)?;
-                let tokens = tokens_for(&provider, dataset, index, &v)?;
-                let n = tokens.len().max(1);
-                let src = provider.inverted_search_source(dataset, index, tokens, n)?;
-                self.secondary_then_primary(dataset, index, src, var, filters)?
-            }
-            IndexSearchSpec::InvertedFuzzy { needle, edit_distance } => {
-                let v = self.const_value(needle)?;
-                let s = v.as_str().ok_or_else(|| {
-                    HyracksError::Operator("fuzzy needle must be a string".into())
-                })?;
-                let k = gram_len_of(&provider, dataset, index)?;
-                let grams = asterix_adm::strings::gram_tokens(s, k);
-                let lower = grams.len().saturating_sub(k * edit_distance);
-                if lower == 0 {
-                    // Degenerate bound: scan; postcondition still verifies.
-                    self.build_scan(dataset, var, filters, None)?.0
-                } else {
-                    let src = provider.inverted_search_source(dataset, index, grams, lower)?;
-                    self.secondary_then_primary(dataset, index, src, var, filters)?
+            _ => match spec.probe(&*provider, dataset, index, |e| self.const_value(e))? {
+                Some(probe) => {
+                    let label = format!("{}-search {dataset}.{index}", spec.kind_word());
+                    let search = provider.secondary_search(dataset, index, probe)?;
+                    let search =
+                        self.job.add(self.nparts, Arc::new(SourceOp::from_fn(label, search)));
+                    // Sort primary keys "to improve the access pattern on the
+                    // primary index" (Figure 6 discussion): sorted keys reach
+                    // the fetch in batches that each cover one stretch of it.
+                    let sort_op = self.sort_op("$pk", vec![SortKey::field(0, false)]);
+                    let sort = self.job.add(self.nparts, Arc::new(sort_op));
+                    self.job.connect(ConnectorKind::OneToOne, search, sort);
+                    let (fetch, projection) = self.primary_fetch(dataset, var, filters)?;
+                    let label = format!("btree-search {dataset} (primary){projection}");
+                    let lookup =
+                        self.job.add(self.nparts, Arc::new(PrimaryFetchOp::new(label, fetch)));
+                    self.job.connect(ConnectorKind::OneToOne, sort, lookup);
+                    lookup
                 }
-            }
+                // The index cannot narrow the search: scan, and let the
+                // post-validation decide.
+                None => self.build_scan(dataset, var, filters, None)?.0,
+            },
         };
         let schema = vec![var];
         let mut out = tail;
@@ -1212,40 +1192,6 @@ impl Gen {
             out = sel;
         }
         Ok((out, schema, part))
-    }
-
-    /// secondary search (pk tuples) → sort pk → batched primary-index
-    /// fetch of `var`'s records, with the projection a scan would get
-    /// under `filters`.
-    fn secondary_then_primary(
-        &mut self,
-        dataset: &str,
-        index: &str,
-        src: asterix_hyracks::ops::SourceFn,
-        var: VarId,
-        filters: Vec<ScanFilter>,
-    ) -> Result<OperatorId> {
-        let search = self.job.add(
-            self.nparts,
-            Arc::new(SourceOp::from_fn(format!("btree-search {dataset}.{index}"), src)),
-        );
-        // Sort primary keys "to improve the access pattern on the primary
-        // index" (Figure 6 discussion): sorted keys reach the fetch in
-        // batches that each cover one stretch of the primary index.
-        let sort = self
-            .job
-            .add(self.nparts, Arc::new(self.sort_op("$pk", vec![SortKey::field(0, false)])));
-        self.job.connect(ConnectorKind::OneToOne, search, sort);
-        let (fetch, projection) = self.primary_fetch(dataset, var, filters)?;
-        let lookup = self.job.add(
-            self.nparts,
-            Arc::new(PrimaryFetchOp::new(
-                format!("btree-search {dataset} (primary){projection}"),
-                fetch,
-            )),
-        );
-        self.job.connect(ConnectorKind::OneToOne, sort, lookup);
-        Ok(lookup)
     }
 
     /// Index nested-loop join: the outer side probes the secondary index
@@ -1278,12 +1224,11 @@ impl Gen {
                     if key.is_unknown() {
                         return Ok(vec![]);
                     }
-                    provider.btree_search_all(
-                        &dataset_c,
-                        &index_c,
-                        KeyBound::Inclusive(key.clone()),
-                        KeyBound::Inclusive(key),
-                    )
+                    let probe = IndexProbe::Range {
+                        lo: KeyBound::Inclusive(key.clone()),
+                        hi: KeyBound::Inclusive(key),
+                    };
+                    provider.secondary_search_all(&dataset_c, &index_c, probe)
                 },
                 fetch,
                 jt,
@@ -1336,40 +1281,6 @@ fn agg_kind(f: AggFunc) -> AggKind {
         AggFunc::Max => AggKind::Max,
         AggFunc::Avg => AggKind::Avg,
         AggFunc::Listify => AggKind::Listify,
-    }
-}
-
-fn tokens_for(
-    provider: &Arc<dyn MetadataProvider>,
-    dataset: &str,
-    index: &str,
-    v: &Value,
-) -> Result<Vec<String>> {
-    use crate::metadata::IndexKind;
-    let kind = provider
-        .indexes(dataset)
-        .into_iter()
-        .find(|i| i.name == index)
-        .map(|i| i.kind)
-        .ok_or_else(|| HyracksError::Operator(format!("unknown index {index}")))?;
-    match (kind, v) {
-        (IndexKind::Keyword, Value::String(s)) => Ok(asterix_adm::strings::word_tokens(s)),
-        (IndexKind::Keyword, v) if v.as_list().is_some() => Ok(v
-            .as_list()
-            .unwrap()
-            .iter()
-            .filter_map(|x| x.as_str().map(|s| s.to_lowercase()))
-            .collect()),
-        (IndexKind::NGram(k), Value::String(s)) => Ok(asterix_adm::strings::gram_tokens(s, k)),
-        _ => Err(HyracksError::Operator("cannot tokenize needle".into())),
-    }
-}
-
-fn gram_len_of(provider: &Arc<dyn MetadataProvider>, dataset: &str, index: &str) -> Result<usize> {
-    use crate::metadata::IndexKind;
-    match provider.indexes(dataset).into_iter().find(|i| i.name == index).map(|i| i.kind) {
-        Some(IndexKind::NGram(k)) => Ok(k),
-        _ => Err(HyracksError::Operator(format!("{index} is not an ngram index"))),
     }
 }
 

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use asterix_adm::strings::Tokenizer;
 use asterix_adm::value::Rectangle;
 use asterix_adm::Value;
 
@@ -18,6 +19,18 @@ pub enum IndexKind {
     RTree,
     Keyword,
     NGram(usize),
+}
+
+impl IndexKind {
+    /// How an inverted index of this kind tokenizes (`None` for B-trees
+    /// and R-trees).
+    pub fn tokenizer(&self) -> Option<Tokenizer> {
+        match self {
+            IndexKind::Keyword => Some(Tokenizer::Keyword),
+            IndexKind::NGram(k) => Some(Tokenizer::NGram(*k)),
+            IndexKind::BTree | IndexKind::RTree => None,
+        }
+    }
 }
 
 /// Descriptor of a secondary index.
@@ -35,6 +48,23 @@ pub enum KeyBound {
     Unbounded,
     Inclusive(Value),
     Exclusive(Value),
+}
+
+/// What a search of a secondary index looks for, resolved from the plan's
+/// [`IndexSearchSpec`](crate::plan::IndexSearchSpec) by
+/// [`IndexSearchSpec::probe`](crate::plan::IndexSearchSpec::probe). A
+/// B-tree answers `Range`, an R-tree `Window` and an inverted index
+/// `Tokens`; the search emits primary keys, a superset of the answer the
+/// post-validation then decides.
+#[derive(Debug, Clone)]
+pub enum IndexProbe {
+    /// Entries whose (first) key field lies between the bounds.
+    Range { lo: KeyBound, hi: KeyBound },
+    /// Entries whose MBR intersects the window.
+    Window(Rectangle),
+    /// Entries holding at least `min_matches` (≥ 1) of the distinct
+    /// `tokens` (T-occurrence).
+    Tokens { tokens: Vec<String>, min_matches: usize },
 }
 
 /// A conjunct pushed into a read of the primary index as a pre-filter. It
@@ -194,31 +224,10 @@ pub trait MetadataProvider: Send + Sync {
         hi: KeyBound,
     ) -> Result<RawSourceFn>;
 
-    /// Secondary B-tree search: emits one tuple per matching entry, columns
-    /// = primary-key fields (§2.2: "The result of a secondary key lookup is
-    /// a set of primary keys").
-    fn btree_search_source(
-        &self,
-        dataset: &str,
-        index: &str,
-        lo: KeyBound,
-        hi: KeyBound,
-    ) -> Result<SourceFn>;
-
-    /// R-tree search: emits primary-key tuples for entries intersecting
-    /// the query rectangle.
-    fn rtree_search_source(&self, dataset: &str, index: &str, query: Rectangle)
-        -> Result<SourceFn>;
-
-    /// Inverted-index search: primary keys matching at least `threshold`
-    /// of `tokens`.
-    fn inverted_search_source(
-        &self,
-        dataset: &str,
-        index: &str,
-        tokens: Vec<String>,
-        threshold: usize,
-    ) -> Result<SourceFn>;
+    /// Search of a secondary index: emits one tuple per matching entry of
+    /// the caller's partition, columns = primary-key fields (§2.2: "The
+    /// result of a secondary key lookup is a set of primary keys").
+    fn secondary_search(&self, dataset: &str, index: &str, probe: IndexProbe) -> Result<SourceFn>;
 
     /// Batched primary-index fetch — the key-list twin of
     /// [`Self::raw_scan_source`], taking the same `projection` and emitting
@@ -239,31 +248,25 @@ pub trait MetadataProvider: Send + Sync {
     /// Cross-partition primary-index range scan returning records.
     fn primary_range_all(&self, dataset: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>>;
 
-    /// Cross-partition secondary B-tree search returning primary keys.
-    fn btree_search_all(
+    /// [`Self::secondary_search`] over every partition, collected: the
+    /// probe of an index nested-loop join and the interpreter's searches.
+    fn secondary_search_all(
         &self,
         dataset: &str,
         index: &str,
-        lo: KeyBound,
-        hi: KeyBound,
-    ) -> Result<Vec<Vec<Value>>>;
-
-    /// Cross-partition R-tree search returning primary keys.
-    fn rtree_search_all(
-        &self,
-        dataset: &str,
-        index: &str,
-        query: &Rectangle,
-    ) -> Result<Vec<Vec<Value>>>;
-
-    /// Cross-partition inverted search returning primary keys.
-    fn inverted_search_all(
-        &self,
-        dataset: &str,
-        index: &str,
-        tokens: &[String],
-        threshold: usize,
-    ) -> Result<Vec<Vec<Value>>>;
+        probe: IndexProbe,
+    ) -> Result<Vec<Vec<Value>>> {
+        let search = self.secondary_search(dataset, index, probe)?;
+        let nparts = self.partitions();
+        let mut out = Vec::new();
+        for p in 0..nparts {
+            search(p, nparts, &mut |pk| {
+                out.push(pk);
+                Ok(())
+            })?;
+        }
+        Ok(out)
+    }
 }
 
 /// Test support: a provider with no datasets.
@@ -309,31 +312,11 @@ pub mod tests_support {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
-        fn btree_search_source(
+        fn secondary_search(
             &self,
             dataset: &str,
             _index: &str,
-            _lo: KeyBound,
-            _hi: KeyBound,
-        ) -> Result<SourceFn> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
-        fn rtree_search_source(
-            &self,
-            dataset: &str,
-            _index: &str,
-            _query: Rectangle,
-        ) -> Result<SourceFn> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
-        fn inverted_search_source(
-            &self,
-            dataset: &str,
-            _index: &str,
-            _tokens: Vec<String>,
-            _threshold: usize,
+            _probe: IndexProbe,
         ) -> Result<SourceFn> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
@@ -349,41 +332,13 @@ pub mod tests_support {
         fn lookup_pk(&self, dataset: &str, _pk: &[Value]) -> Result<Option<Value>> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
-
-        fn btree_search_all(
-            &self,
-            dataset: &str,
-            _index: &str,
-            _lo: KeyBound,
-            _hi: KeyBound,
-        ) -> Result<Vec<Vec<Value>>> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
-        fn rtree_search_all(
-            &self,
-            dataset: &str,
-            _index: &str,
-            _query: &Rectangle,
-        ) -> Result<Vec<Vec<Value>>> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
-        fn inverted_search_all(
-            &self,
-            dataset: &str,
-            _index: &str,
-            _tokens: &[String],
-            _threshold: usize,
-        ) -> Result<Vec<Vec<Value>>> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
     }
 
     /// A simple in-memory provider for compiler tests: named datasets as
     /// vectors of records, hash-partitioned on demand, no declared indexes
-    /// (`btree_search_all` takes an index name as the name of the field it
-    /// would index, for hand-built index-NL joins). Its read honors the key
+    /// (its secondary search answers a `Range` probe and takes the index
+    /// name as the name of the field it would index, for hand-built
+    /// index-NL joins). Its read honors the key
     /// bounds (on the first key field), the projection's fields and its
     /// partner test, its fetch the projection's fields; comparisons are
     /// left to the select above.
@@ -513,28 +468,28 @@ pub mod tests_support {
                 .collect())
         }
 
-        fn btree_search_source(
+        fn secondary_search(
             &self,
-            _d: &str,
-            _i: &str,
-            _lo: KeyBound,
-            _hi: KeyBound,
+            dataset: &str,
+            index: &str,
+            probe: IndexProbe,
         ) -> Result<SourceFn> {
-            Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
-        }
-
-        fn rtree_search_source(&self, _d: &str, _i: &str, _q: Rectangle) -> Result<SourceFn> {
-            Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
-        }
-
-        fn inverted_search_source(
-            &self,
-            _d: &str,
-            _i: &str,
-            _t: Vec<String>,
-            _th: usize,
-        ) -> Result<SourceFn> {
-            Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
+            let IndexProbe::Range { lo, hi } = probe else {
+                return Err(asterix_hyracks::HyracksError::Operator("no indexes".into()));
+            };
+            let records = self.scan_all(dataset)?;
+            let pk_fields = self.primary_key_fields(dataset);
+            let field = index.to_string();
+            Ok(Arc::new(move |partition, nparts, emit| {
+                for r in &records {
+                    if partition_of(r, &pk_fields, nparts) == partition
+                        && within(&r.field(&field), &lo, &hi)
+                    {
+                        emit(pk_fields.iter().map(|f| r.field(f)).collect())?;
+                    }
+                }
+                Ok(())
+            }))
         }
 
         fn primary_fetch(&self, dataset: &str, projection: &ScanProjection) -> Result<FetchFn> {
@@ -565,36 +520,6 @@ pub mod tests_support {
         fn lookup_pk(&self, dataset: &str, pk: &[Value]) -> Result<Option<Value>> {
             let pk_fields = self.primary_key_fields(dataset);
             Ok(self.scan_all(dataset)?.into_iter().find(|r| has_pk(r, &pk_fields, pk)))
-        }
-
-        fn btree_search_all(
-            &self,
-            dataset: &str,
-            index: &str,
-            lo: KeyBound,
-            hi: KeyBound,
-        ) -> Result<Vec<Vec<Value>>> {
-            let pk_fields = self.primary_key_fields(dataset);
-            Ok(self
-                .scan_all(dataset)?
-                .iter()
-                .filter(|r| within(&r.field(index), &lo, &hi))
-                .map(|r| pk_fields.iter().map(|f| r.field(f)).collect())
-                .collect())
-        }
-
-        fn rtree_search_all(&self, _d: &str, _i: &str, _q: &Rectangle) -> Result<Vec<Vec<Value>>> {
-            Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
-        }
-
-        fn inverted_search_all(
-            &self,
-            _d: &str,
-            _i: &str,
-            _t: &[String],
-            _th: usize,
-        ) -> Result<Vec<Vec<Value>>> {
-            Err(asterix_hyracks::HyracksError::Operator("no indexes".into()))
         }
     }
 }

@@ -5,9 +5,11 @@
 //! select, unnest, join, group-by, order, limit, distinct, datasource-scan)
 //! plus the access-path operators that the index-introduction rules insert.
 
-use asterix_adm::Value;
+use asterix_adm::strings::Tokenizer;
+use asterix_adm::{AdmError, Value};
 
 use crate::expr::{LogicalExpr, VarId};
+use crate::metadata::{IndexKind, IndexProbe, KeyBound, MetadataProvider};
 
 /// Join kinds. AQL surfaces inner joins and (through nested plans /
 /// outer-unnest) left-outer semantics.
@@ -90,6 +92,90 @@ pub enum IndexSearchSpec {
     /// `edit_distance` of `needle` (candidates; the postcondition
     /// verifies).
     InvertedFuzzy { needle: LogicalExpr, edit_distance: usize },
+}
+
+impl IndexSearchSpec {
+    /// The word `explain` names the search by, in the plan and the job
+    /// alike: `btree`, `rtree`, `keyword` or `ngram-fuzzy`.
+    pub fn kind_word(&self) -> &'static str {
+        match self {
+            IndexSearchSpec::PrimaryRange { .. } | IndexSearchSpec::BTreeRange { .. } => "btree",
+            IndexSearchSpec::RTree { .. } => "rtree",
+            IndexSearchSpec::InvertedConjunctive { .. } => "keyword",
+            IndexSearchSpec::InvertedFuzzy { .. } => "ngram-fuzzy",
+        }
+    }
+
+    /// The probe this search makes of secondary index `index` of
+    /// `dataset`, `value` evaluating its bounds, window and needle — the
+    /// one resolution the compiled job and the interpreter share. A needle
+    /// is tokenized as the index tokenizes what it stores. `None`: the
+    /// index cannot narrow the search, so the dataset is scanned and the
+    /// post-validation decides. That is so when no token is required (an
+    /// n-gram needle of at most `k·ed` distinct grams, a keyword needle of
+    /// none, an unknown needle) and when the needle cannot be an indexed
+    /// value (an n-gram needle that is not a string, a keyword needle the
+    /// tokenizer rejects).
+    pub fn probe<E: From<AdmError>>(
+        &self,
+        provider: &dyn MetadataProvider,
+        dataset: &str,
+        index: &str,
+        value: impl Fn(&LogicalExpr) -> Result<Value, E>,
+    ) -> Result<Option<IndexProbe>, E> {
+        let (needle, edit_distance) = match self {
+            IndexSearchSpec::BTreeRange { lo, hi } => {
+                let (lo, hi) = (key_bound(lo, &value)?, key_bound(hi, &value)?);
+                return Ok(Some(IndexProbe::Range { lo, hi }));
+            }
+            IndexSearchSpec::RTree { query } => {
+                let window = asterix_adm::spatial::mbr(&value(query)?)?;
+                return Ok(Some(IndexProbe::Window(window)));
+            }
+            IndexSearchSpec::InvertedConjunctive { needle } => (needle, None),
+            IndexSearchSpec::InvertedFuzzy { needle, edit_distance } => {
+                (needle, Some(*edit_distance))
+            }
+            IndexSearchSpec::PrimaryRange { .. } => {
+                return Err(
+                    AdmError::InvalidArgument("a primary-key search has no probe".into()).into()
+                )
+            }
+        };
+        let indexes = provider.indexes(dataset);
+        let kind = indexes.iter().find(|i| i.name == index).map(|i| &i.kind);
+        let needle = value(needle)?;
+        let (tokenizer, slack) = match (kind.and_then(IndexKind::tokenizer), edit_distance) {
+            (Some(tokenizer), None) => (tokenizer, 0),
+            (Some(Tokenizer::NGram(_)), Some(_)) if needle.as_str().is_none() => return Ok(None),
+            // An edit touches at most k grams, so a string within `ed` edits
+            // of the needle shares at least |G| − k·ed of its distinct grams.
+            (Some(Tokenizer::NGram(k)), Some(ed)) => (Tokenizer::NGram(k), k.saturating_mul(ed)),
+            _ => {
+                let word = self.kind_word();
+                return Err(
+                    AdmError::InvalidArgument(format!("{index} has no {word} search")).into()
+                );
+            }
+        };
+        let Ok(mut tokens) = tokenizer.tokens(&needle) else { return Ok(None) };
+        tokens.sort_unstable();
+        tokens.dedup();
+        let min_matches = tokens.len().saturating_sub(slack);
+        Ok((min_matches > 0).then_some(IndexProbe::Tokens { tokens, min_matches }))
+    }
+}
+
+/// A search bound, `value` evaluating its expression.
+pub fn key_bound<E>(
+    bound: &Option<(LogicalExpr, bool)>,
+    value: impl Fn(&LogicalExpr) -> Result<Value, E>,
+) -> Result<KeyBound, E> {
+    Ok(match bound {
+        None => KeyBound::Unbounded,
+        Some((e, true)) => KeyBound::Inclusive(value(e)?),
+        Some((e, false)) => KeyBound::Exclusive(value(e)?),
+    })
 }
 
 /// A logical operator. `input` boxes form the tree.
@@ -296,16 +382,10 @@ impl LogicalOp {
             LogicalOp::EmptyTupleSource => "empty-tuple-source".into(),
             LogicalOp::DataSourceScan { dataset, .. } => format!("data-scan {dataset}"),
             LogicalOp::IndexSearch { dataset, index, spec, .. } => {
-                let kind = match spec {
-                    IndexSearchSpec::PrimaryRange { .. } => {
-                        return format!("btree-search {dataset} (primary)")
-                    }
-                    IndexSearchSpec::BTreeRange { .. } => "btree",
-                    IndexSearchSpec::RTree { .. } => "rtree",
-                    IndexSearchSpec::InvertedConjunctive { .. } => "keyword",
-                    IndexSearchSpec::InvertedFuzzy { .. } => "ngram-fuzzy",
-                };
-                format!("{kind}-search {dataset}.{index}")
+                if let IndexSearchSpec::PrimaryRange { .. } = spec {
+                    return format!("btree-search {dataset} (primary)");
+                }
+                format!("{}-search {dataset}.{index}", spec.kind_word())
             }
             LogicalOp::Assign { var, .. } => format!("assign $v{var}"),
             LogicalOp::Select { .. } => "select".into(),

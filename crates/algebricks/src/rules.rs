@@ -997,8 +997,9 @@ fn optimize_expr_subplans(
 mod tests {
     use super::*;
     use crate::metadata::tests_support::VecProvider;
-    use crate::metadata::IndexInfo;
+    use crate::metadata::{IndexInfo, IndexProbe};
     use crate::plan::build::*;
+    use asterix_adm::AdmError;
 
     struct IndexedProvider {
         inner: VecProvider,
@@ -1027,31 +1028,13 @@ mod tests {
         ) -> asterix_hyracks::Result<asterix_hyracks::ops::RawSourceFn> {
             self.inner.raw_scan_source(d, p, lo, hi)
         }
-        fn btree_search_source(
+        fn secondary_search(
             &self,
             d: &str,
             i: &str,
-            lo: crate::metadata::KeyBound,
-            hi: crate::metadata::KeyBound,
+            probe: crate::metadata::IndexProbe,
         ) -> asterix_hyracks::Result<asterix_hyracks::ops::SourceFn> {
-            self.inner.btree_search_source(d, i, lo, hi)
-        }
-        fn rtree_search_source(
-            &self,
-            d: &str,
-            i: &str,
-            q: asterix_adm::value::Rectangle,
-        ) -> asterix_hyracks::Result<asterix_hyracks::ops::SourceFn> {
-            self.inner.rtree_search_source(d, i, q)
-        }
-        fn inverted_search_source(
-            &self,
-            d: &str,
-            i: &str,
-            t: Vec<String>,
-            th: usize,
-        ) -> asterix_hyracks::Result<asterix_hyracks::ops::SourceFn> {
-            self.inner.inverted_search_source(d, i, t, th)
+            self.inner.secondary_search(d, i, probe)
         }
         fn primary_fetch(
             &self,
@@ -1074,32 +1057,6 @@ mod tests {
         ) -> asterix_hyracks::Result<Vec<Value>> {
             self.inner.primary_range_all(d, lo, hi)
         }
-        fn btree_search_all(
-            &self,
-            d: &str,
-            i: &str,
-            lo: crate::metadata::KeyBound,
-            hi: crate::metadata::KeyBound,
-        ) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
-            self.inner.btree_search_all(d, i, lo, hi)
-        }
-        fn rtree_search_all(
-            &self,
-            d: &str,
-            i: &str,
-            q: &asterix_adm::value::Rectangle,
-        ) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
-            self.inner.rtree_search_all(d, i, q)
-        }
-        fn inverted_search_all(
-            &self,
-            d: &str,
-            i: &str,
-            t: &[String],
-            th: usize,
-        ) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
-            self.inner.inverted_search_all(d, i, t, th)
-        }
     }
 
     fn provider_with_index(kind: IndexKind, field: &str) -> Arc<dyn MetadataProvider> {
@@ -1117,6 +1074,67 @@ mod tests {
 
     fn eq(a: LogicalExpr, b: LogicalExpr) -> LogicalExpr {
         LogicalExpr::Compare(CompareOp::Eq, Box::new(a), Box::new(b))
+    }
+
+    /// The probe `spec` resolves to on an index `ix` of `kind`.
+    fn probe_of(kind: IndexKind, spec: IndexSearchSpec) -> Result<Option<IndexProbe>, AdmError> {
+        let provider = provider_with_index(kind, "f");
+        spec.probe(&*provider, "DS", "ix", |e| match e {
+            LogicalExpr::Const(v) => Ok(v.clone()),
+            other => Err(AdmError::InvalidArgument(format!("{other:?}"))),
+        })
+    }
+
+    fn fuzzy(needle: Value, edit_distance: usize) -> IndexSearchSpec {
+        IndexSearchSpec::InvertedFuzzy { needle: LogicalExpr::Const(needle), edit_distance }
+    }
+
+    fn tokens(probe: Option<IndexProbe>) -> Option<(Vec<String>, usize)> {
+        match probe? {
+            IndexProbe::Tokens { tokens, min_matches } => Some((tokens, min_matches)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn ngram_bound_of_zero_scans() {
+        let grams = |t: &[&str]| t.iter().map(|g| g.to_string()).collect::<Vec<_>>();
+        // |G("ab")| = 4 with k = 3: ed 1 leaves 1 gram, ed 2 none — a scan.
+        let probe = probe_of(IndexKind::NGram(3), fuzzy(Value::string("ab"), 1)).unwrap();
+        assert_eq!(tokens(probe), Some((grams(&["##a", "#ab", "ab#", "b##"]), 1)));
+        assert!(probe_of(IndexKind::NGram(3), fuzzy(Value::string("ab"), 2)).unwrap().is_none());
+        // The bound counts distinct grams: "aaaaa" has 6 bigrams but 3
+        // distinct ones, and "aaaaa" itself matches only those 3.
+        let probe = probe_of(IndexKind::NGram(2), fuzzy(Value::string("AAAAA"), 1)).unwrap();
+        assert_eq!(tokens(probe), Some((grams(&["#a", "a#", "aa"]), 1)));
+        // A needle that is not one string cannot name an indexed string.
+        for needle in [Value::Null, Value::Int64(7), Value::ordered_list(vec![Value::string("ab")])]
+        {
+            assert!(probe_of(IndexKind::NGram(2), fuzzy(needle, 0)).unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn fuzzy_search_needs_an_ngram_index() {
+        assert!(probe_of(IndexKind::Keyword, fuzzy(Value::string("abc"), 1)).is_err());
+        assert!(probe_of(IndexKind::BTree, fuzzy(Value::string("abc"), 1)).is_err());
+    }
+
+    #[test]
+    fn keyword_needles_tokenize_as_indexed_values() {
+        let keyword = |needle: Value| {
+            let spec = IndexSearchSpec::InvertedConjunctive { needle: LogicalExpr::Const(needle) };
+            tokens(probe_of(IndexKind::Keyword, spec).unwrap())
+        };
+        let words =
+            |t: &[&str]| Some((t.iter().map(|w| w.to_string()).collect::<Vec<_>>(), t.len()));
+        assert_eq!(keyword(Value::string("Tonight, tonight!")), words(&["tonight"]));
+        let bag = Value::unordered_list(vec![Value::string("Live Music"), Value::Null]);
+        assert_eq!(keyword(bag), words(&["live music"]));
+        // No token to require, or a needle no keyword index stores: scan.
+        assert_eq!(keyword(Value::string("!?")), None);
+        assert_eq!(keyword(Value::Missing), None);
+        assert_eq!(keyword(Value::unordered_list(vec![Value::Int64(1)])), None);
     }
 
     #[test]

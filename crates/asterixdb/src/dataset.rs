@@ -12,11 +12,13 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use asterix_adm::strings::Tokenizer;
 use asterix_adm::value::Rectangle;
 use asterix_adm::{colschema, serde as adm_serde, Datatype, TypeRegistry, Value};
+use asterix_algebricks::metadata::{IndexProbe, KeyBound};
 use asterix_metadata::{DatasetMeta, IndexKindMeta, IndexMeta};
 use asterix_storage::btree::{LsmBTree, ValueBound};
-use asterix_storage::inverted::{InvertedIndex, Tokenizer};
+use asterix_storage::inverted::InvertedIndex;
 use asterix_storage::keycodec;
 use asterix_storage::lsm::{LsmConfig, LsmObserver, LsmTree, ScanValue};
 use asterix_storage::spatial::SpatialIndex;
@@ -133,6 +135,42 @@ impl SecondaryPartition {
             SecondaryPartition::Spatial(t) => t.lsm(),
             SecondaryPartition::Inverted(t) => t.lsm(),
         }
+    }
+
+    /// The primary keys of this partition's entries that `probe` matches,
+    /// handed to `emit` until it returns `false` — the one place a probe
+    /// meets an index kind.
+    pub fn search(
+        &self,
+        probe: &IndexProbe,
+        emit: &mut dyn FnMut(Vec<Value>) -> bool,
+    ) -> Result<()> {
+        let pks = match (self, probe) {
+            (SecondaryPartition::BTree(t), IndexProbe::Range { lo, hi }) => {
+                let (lo, hi) = (to_value_bound(lo.clone()), to_value_bound(hi.clone()));
+                return Ok(t.range_with(&lo, &hi, |key, _| emit(t.split_key(key).1.to_vec()))?);
+            }
+            (SecondaryPartition::Spatial(t), IndexProbe::Window(window)) => t.search(window)?,
+            (SecondaryPartition::Inverted(t), IndexProbe::Tokens { tokens, min_matches }) => {
+                t.t_occurrence(tokens, *min_matches)?
+            }
+            _ => return Err(AsterixError::Execution(format!("no such search: {probe:?}"))),
+        };
+        for pk in pks {
+            if !emit(pk) {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A compiler bound as a storage bound.
+pub(crate) fn to_value_bound(b: KeyBound) -> ValueBound {
+    match b {
+        KeyBound::Unbounded => ValueBound::Unbounded,
+        KeyBound::Inclusive(v) => ValueBound::Included(vec![v]),
+        KeyBound::Exclusive(v) => ValueBound::Excluded(vec![v]),
     }
 }
 

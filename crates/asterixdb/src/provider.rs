@@ -5,21 +5,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use asterix_adm::value::Rectangle;
 use asterix_adm::Value;
 use asterix_algebricks::metadata::{
-    IndexInfo, IndexKind, KeyBound, MetadataProvider, ScanFilter, ScanProjection,
+    IndexInfo, IndexKind, IndexProbe, KeyBound, MetadataProvider, ScanFilter, ScanProjection,
 };
 use asterix_aql::translate::{AqlCatalog, FunctionDef};
 use asterix_hyracks::ops::{FetchFn, RawSourceFn, SourceFn};
 use asterix_hyracks::{FilterConsult, HyracksError};
 use asterix_metadata::{Catalog, DatasetKind, IndexKindMeta, METADATA_DATAVERSE};
 use asterix_storage::btree::ValueBound;
-use asterix_storage::inverted::Tokenizer;
 use asterix_storage::ScanBound;
 use asterix_sync::RwLock;
 
-use crate::dataset::{DatasetRuntime, SecondaryPartition};
+use crate::dataset::{to_value_bound, DatasetRuntime};
 use crate::error::AsterixError;
 
 fn op_err(e: impl std::fmt::Display) -> HyracksError {
@@ -172,14 +170,6 @@ pub struct InstanceProvider {
     pub shared: Arc<Shared>,
 }
 
-fn to_value_bound(b: KeyBound) -> ValueBound {
-    match b {
-        KeyBound::Unbounded => ValueBound::Unbounded,
-        KeyBound::Inclusive(v) => ValueBound::Included(vec![v]),
-        KeyBound::Exclusive(v) => ValueBound::Excluded(vec![v]),
-    }
-}
-
 /// The primary keys a read of a stored dataset covers, encoded once per
 /// plan: an equality on a single-field key is a one-key list — the
 /// bloom-checked read `get` and the fetch make — and anything else a byte
@@ -234,34 +224,21 @@ impl InstanceProvider {
         None
     }
 
-    fn coerce_bounds(
-        &self,
-        ds: &Arc<DatasetRuntime>,
-        index: Option<&str>,
+    /// `b` coerced to the declared type of the primary key's first field,
+    /// or of `index`'s.
+    fn coerce_bound(
+        ds: &DatasetRuntime,
+        index: Option<&asterix_metadata::IndexMeta>,
         b: KeyBound,
     ) -> KeyBound {
-        match (index, b) {
-            (None, KeyBound::Inclusive(v)) => {
-                KeyBound::Inclusive(ds.coerce_pk(&[v]).pop().unwrap())
-            }
-            (None, KeyBound::Exclusive(v)) => {
-                KeyBound::Exclusive(ds.coerce_pk(&[v]).pop().unwrap())
-            }
-            (Some(ix), KeyBound::Inclusive(v)) => {
-                let meta = ds.secondary(ix).map(|s| s.meta.clone());
-                match meta {
-                    Some(m) => KeyBound::Inclusive(ds.coerce_secondary_key(&m, &v)),
-                    None => KeyBound::Inclusive(v),
-                }
-            }
-            (Some(ix), KeyBound::Exclusive(v)) => {
-                let meta = ds.secondary(ix).map(|s| s.meta.clone());
-                match meta {
-                    Some(m) => KeyBound::Exclusive(ds.coerce_secondary_key(&m, &v)),
-                    None => KeyBound::Exclusive(v),
-                }
-            }
-            (_, KeyBound::Unbounded) => KeyBound::Unbounded,
+        let coerce = |v: Value| match index {
+            None => ds.coerce_pk(&[v]).pop().unwrap(),
+            Some(meta) => ds.coerce_secondary_key(meta, &v),
+        };
+        match b {
+            KeyBound::Unbounded => KeyBound::Unbounded,
+            KeyBound::Inclusive(v) => KeyBound::Inclusive(coerce(v)),
+            KeyBound::Exclusive(v) => KeyBound::Exclusive(coerce(v)),
         }
     }
 }
@@ -351,7 +328,7 @@ impl MetadataProvider for InstanceProvider {
                 Ok(())
             }));
         };
-        let (lo, hi) = (self.coerce_bounds(&ds, None, lo), self.coerce_bounds(&ds, None, hi));
+        let (lo, hi) = (Self::coerce_bound(&ds, None, lo), Self::coerce_bound(&ds, None, hi));
         let keys = PkRange::of(&ds, lo, hi).map_err(op_err)?;
         Ok(Arc::new(move |partition, _nparts, consult, emit| {
             let partner = consult.map(|c| ScanPartner(std::cell::RefCell::new(c)));
@@ -373,76 +350,32 @@ impl MetadataProvider for InstanceProvider {
         }))
     }
 
-    fn btree_search_source(
+    fn secondary_search(
         &self,
         dataset: &str,
         index: &str,
-        lo: KeyBound,
-        hi: KeyBound,
+        probe: IndexProbe,
     ) -> asterix_hyracks::Result<SourceFn> {
         let ds = self.runtime(dataset)?;
         let ix = ds.secondary(index).ok_or_else(|| op_err(format!("unknown index {index}")))?;
-        let lo = to_value_bound(self.coerce_bounds(&ds, Some(index), lo));
-        let hi = to_value_bound(self.coerce_bounds(&ds, Some(index), hi));
+        let probe = match probe {
+            IndexProbe::Range { lo, hi } => IndexProbe::Range {
+                lo: Self::coerce_bound(&ds, Some(&ix.meta), lo),
+                hi: Self::coerce_bound(&ds, Some(&ix.meta), hi),
+            },
+            other => other,
+        };
         Ok(Arc::new(move |partition, _nparts, emit| {
-            let SecondaryPartition::BTree(t) = &ix.partitions[partition] else {
-                return Err(op_err(format!("{} is not a btree index", ix.meta.name)));
-            };
             let mut err = None;
-            t.range_with(&lo, &hi, |full_key, _| {
-                let (_, pk) = t.split_key(full_key);
-                match emit(pk.to_vec()) {
-                    Ok(()) => true,
-                    Err(e) => {
-                        err = Some(e);
-                        false
-                    }
+            let mut visit = |pk| match emit(pk) {
+                Ok(()) => true,
+                Err(e) => {
+                    err = Some(e);
+                    false
                 }
-            })
-            .map_err(op_err)?;
-            match err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        }))
-    }
-
-    fn rtree_search_source(
-        &self,
-        dataset: &str,
-        index: &str,
-        query: Rectangle,
-    ) -> asterix_hyracks::Result<SourceFn> {
-        let ds = self.runtime(dataset)?;
-        let ix = ds.secondary(index).ok_or_else(|| op_err(format!("unknown index {index}")))?;
-        Ok(Arc::new(move |partition, _nparts, emit| {
-            let SecondaryPartition::Spatial(t) = &ix.partitions[partition] else {
-                return Err(op_err(format!("{} is not an rtree index", ix.meta.name)));
             };
-            for pk in t.search(&query).map_err(op_err)? {
-                emit(pk)?;
-            }
-            Ok(())
-        }))
-    }
-
-    fn inverted_search_source(
-        &self,
-        dataset: &str,
-        index: &str,
-        tokens: Vec<String>,
-        threshold: usize,
-    ) -> asterix_hyracks::Result<SourceFn> {
-        let ds = self.runtime(dataset)?;
-        let ix = ds.secondary(index).ok_or_else(|| op_err(format!("unknown index {index}")))?;
-        Ok(Arc::new(move |partition, _nparts, emit| {
-            let SecondaryPartition::Inverted(t) = &ix.partitions[partition] else {
-                return Err(op_err(format!("{} is not an inverted index", ix.meta.name)));
-            };
-            for pk in t.t_occurrence(&tokens, threshold).map_err(op_err)? {
-                emit(pk)?;
-            }
-            Ok(())
+            ix.partitions[partition].search(&probe, &mut visit).map_err(op_err)?;
+            err.map_or(Ok(()), Err)
         }))
     }
 
@@ -495,8 +428,8 @@ impl MetadataProvider for InstanceProvider {
         hi: KeyBound,
     ) -> asterix_hyracks::Result<Vec<Value>> {
         let ds = self.runtime(dataset)?;
-        let lo = to_value_bound(self.coerce_bounds(&ds, None, lo));
-        let hi = to_value_bound(self.coerce_bounds(&ds, None, hi));
+        let lo = to_value_bound(Self::coerce_bound(&ds, None, lo));
+        let hi = to_value_bound(Self::coerce_bound(&ds, None, hi));
         let mut out = Vec::new();
         let mut err = None;
         for tree in &ds.primary {
@@ -511,62 +444,6 @@ impl MetadataProvider for InstanceProvider {
             if let Some(e) = err {
                 return Err(op_err(e));
             }
-        }
-        Ok(out)
-    }
-
-    fn btree_search_all(
-        &self,
-        dataset: &str,
-        index: &str,
-        lo: KeyBound,
-        hi: KeyBound,
-    ) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
-        let src = self.btree_search_source(dataset, index, lo, hi)?;
-        let nparts = self.partitions();
-        let mut out = Vec::new();
-        for p in 0..nparts {
-            src(p, nparts, &mut |pk| {
-                out.push(pk);
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    }
-
-    fn rtree_search_all(
-        &self,
-        dataset: &str,
-        index: &str,
-        query: &Rectangle,
-    ) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
-        let src = self.rtree_search_source(dataset, index, *query)?;
-        let nparts = self.partitions();
-        let mut out = Vec::new();
-        for p in 0..nparts {
-            src(p, nparts, &mut |pk| {
-                out.push(pk);
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    }
-
-    fn inverted_search_all(
-        &self,
-        dataset: &str,
-        index: &str,
-        tokens: &[String],
-        threshold: usize,
-    ) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
-        let src = self.inverted_search_source(dataset, index, tokens.to_vec(), threshold)?;
-        let nparts = self.partitions();
-        let mut out = Vec::new();
-        for p in 0..nparts {
-            src(p, nparts, &mut |pk| {
-                out.push(pk);
-                Ok(())
-            })?;
         }
         Ok(out)
     }
@@ -614,13 +491,4 @@ impl AqlCatalog for SessionCatalog {
             _ => None,
         }
     }
-}
-
-/// Find the tokenizer of an inverted index (used by fuzzy-search helpers).
-pub fn tokenizer_of(ds: &DatasetRuntime, index: &str) -> Option<Tokenizer> {
-    ds.secondary(index).map(|s| match &s.meta.kind {
-        IndexKindMeta::Keyword => Tokenizer::Keyword,
-        IndexKindMeta::NGram(k) => Tokenizer::NGram(*k),
-        _ => Tokenizer::Keyword,
-    })
 }

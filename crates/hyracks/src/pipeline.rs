@@ -11,7 +11,7 @@
 //! the stack of the other members' stages instead of a channel, so every
 //! encoded tuple is handed *synchronously* to the next stage — no frame
 //! copy, no channel, no thread hand-off. The stack bottoms out in a
-//! [`PortSink`] wrapping the tail operator's real output port, so channels
+//! `PortSink` wrapping the tail operator's real output port, so channels
 //! and backpressure are untouched at every surviving (repartition,
 //! broadcast, merge, fan-in) edge.
 //!

@@ -111,9 +111,6 @@ impl LsmBTree {
     ) -> Result<()> {
         let lo_b = lo.encode_lo()?;
         let hi_b = hi.encode_hi()?;
-        // An unrepresentable upper bound (all-0xFF prefix) falls back to an
-        // unbounded scan with a decoded-value check; in practice encoded
-        // keys never begin with runs of 0xFF, so this path is theoretical.
         let mut err = None;
         self.tree.scan_with(lo_b.as_deref(), hi_b.as_deref(), |k, v| match decode_key(k) {
             Ok(vals) => f(&vals, v),

@@ -102,7 +102,7 @@ impl BufferCache {
     }
 
     /// Create a cache with an explicit shard count. The shard count is
-    /// clamped so each shard keeps at least [`MIN_SLOTS_PER_SHARD`] slots:
+    /// clamped so each shard keeps at least `MIN_SLOTS_PER_SHARD` slots:
     /// a capacity-8 cache is one shard regardless of the request, so small
     /// configurations keep the exact eviction behaviour of a single CLOCK.
     pub fn with_shards(capacity: usize, shards: usize) -> Arc<Self> {

@@ -3,70 +3,22 @@
 //! Both are layered on the LSM B+-tree framework with composite keys
 //! `(token, primary-key)`, exactly how AsterixDB LSM-ifies its inverted
 //! index. A keyword index tokenizes string fields into words (or bag
-//! elements into tokens); an n-gram index tokenizes into k-grams and
-//! supports fuzzy (edit-distance) string search via T-occurrence candidate
-//! generation followed by verification.
+//! elements into tokens); an n-gram index tokenizes into k-grams. Both
+//! answer one search, T-occurrence: the compiler picks the tokens and the
+//! threshold (for a fuzzy search, the gram-count bound), and the plan's
+//! post-validation verifies the candidates.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use asterix_adm::strings::{edit_distance_check, gram_tokens, word_tokens};
-use asterix_adm::{AdmError, Value};
+use asterix_adm::strings::Tokenizer;
+use asterix_adm::Value;
 
 use crate::cache::BufferCache;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use crate::keycodec::encode_key;
 use crate::lsm::{LsmConfig, LsmObserver, LsmTree};
-
-/// How field values are split into tokens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tokenizer {
-    /// Word tokens of a string, or the string elements of a list/bag —
-    /// the `keyword` index type.
-    Keyword,
-    /// Lowercased k-grams with `#` padding — the `ngram(k)` index type.
-    NGram(usize),
-}
-
-impl Tokenizer {
-    /// Tokenize an ADM value. Strings tokenize directly; lists/bags
-    /// tokenize element-wise (for keyword indexes on tag bags, Query 13).
-    pub fn tokens(&self, v: &Value) -> Result<Vec<String>> {
-        match v {
-            Value::String(s) => Ok(match self {
-                Tokenizer::Keyword => word_tokens(s),
-                Tokenizer::NGram(k) => gram_tokens(s, *k),
-            }),
-            Value::OrderedList(items) | Value::UnorderedList(items) => {
-                let mut out = Vec::new();
-                for item in items.iter() {
-                    match item {
-                        Value::String(s) => match self {
-                            // Bag elements are whole tokens for keyword
-                            // indexes (tags are matched as units).
-                            Tokenizer::Keyword => out.push(s.to_lowercase()),
-                            Tokenizer::NGram(k) => out.extend(gram_tokens(s, *k)),
-                        },
-                        other if other.is_unknown() => {}
-                        other => {
-                            return Err(StorageError::Adm(AdmError::InvalidArgument(format!(
-                                "cannot tokenize {} element",
-                                other.type_name()
-                            ))))
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            v if v.is_unknown() => Ok(Vec::new()),
-            other => Err(StorageError::Adm(AdmError::InvalidArgument(format!(
-                "cannot tokenize {}",
-                other.type_name()
-            )))),
-        }
-    }
-}
 
 /// An LSM inverted index mapping tokens to primary keys.
 pub struct InvertedIndex {
@@ -89,11 +41,6 @@ impl InvertedIndex {
     /// The underlying LSM tree.
     pub fn lsm(&self) -> &LsmTree {
         &self.tree
-    }
-
-    /// The tokenizer in force.
-    pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
     }
 
     fn entry_key(token: &str, pk: &[Value]) -> Result<Vec<u8>> {
@@ -160,60 +107,6 @@ impl InvertedIndex {
         }
         Ok(counts.into_values().filter_map(|(n, pk)| (n >= t).then_some(pk)).collect())
     }
-
-    /// Primary keys containing *all* tokens (conjunctive keyword search).
-    pub fn conjunctive(&self, tokens: &[String]) -> Result<Vec<Vec<Value>>> {
-        let mut uniq: Vec<&String> = tokens.iter().collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        self.t_occurrence(&uniq.iter().map(|s| s.to_string()).collect::<Vec<_>>(), uniq.len())
-    }
-
-    /// Fuzzy string search on an `ngram(k)` index: candidate primary keys
-    /// for strings within edit distance `ed` of `query`, generated with the
-    /// standard gram-count lower bound `|G(q)| - k·ed`, then to be verified
-    /// against the primary records by the caller (the post-verification
-    /// `select` of Figure 6 / §4.4 covers consistency; edit-distance
-    /// verification covers filter exactness).
-    pub fn fuzzy_candidates(&self, query: &str, ed: usize) -> Result<Vec<Vec<Value>>> {
-        let k = match self.tokenizer {
-            Tokenizer::NGram(k) => k,
-            Tokenizer::Keyword => {
-                return Err(StorageError::Adm(AdmError::InvalidArgument(
-                    "fuzzy string search requires an ngram index".into(),
-                )))
-            }
-        };
-        let grams = gram_tokens(query, k);
-        let lower = grams.len().saturating_sub(k * ed);
-        if lower == 0 {
-            // Threshold degenerates: every record is a candidate; signal the
-            // caller to fall back to a scan rather than enumerate the index.
-            return Err(StorageError::InvalidState(
-                "t-occurrence lower bound is 0; fall back to scan".into(),
-            ));
-        }
-        self.t_occurrence(&grams, lower)
-    }
-
-    /// Convenience: verified fuzzy match — candidate pks whose stored
-    /// string (fetched by `fetch`) is within `ed` of `query`.
-    pub fn fuzzy_search(
-        &self,
-        query: &str,
-        ed: usize,
-        mut fetch: impl FnMut(&[Value]) -> Result<Option<String>>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let mut out = Vec::new();
-        for pk in self.fuzzy_candidates(query, ed)? {
-            if let Some(s) = fetch(&pk)? {
-                if edit_distance_check(query, &s, ed).is_some() {
-                    out.push(pk);
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -271,7 +164,7 @@ mod tests {
         ix.insert(&bag(&["music", "food"]), &[Value::Int64(2)]).unwrap();
         ix.insert(&bag(&["sports"]), &[Value::Int64(3)]).unwrap();
         assert_eq!(ix.lookup_token("music").unwrap().len(), 2);
-        let both = ix.conjunctive(&["music".into(), "live".into()]).unwrap();
+        let both = ix.t_occurrence(&["music".into(), "live".into()], 2).unwrap();
         assert_eq!(both.len(), 1);
         assert_eq!(both[0][0], Value::Int64(1));
         // T-occurrence with t=1 is a disjunction.
@@ -294,50 +187,29 @@ mod tests {
     fn ngram_fuzzy_search() {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), Tokenizer::NGram(2));
-        let store: Vec<(i64, &str)> =
-            vec![(1, "tonight"), (2, "tonite"), (3, "tomorrow"), (4, "tonsil"), (5, "night")];
-        for (id, s) in &store {
-            ix.insert(&Value::string(s), &[Value::Int64(*id)]).unwrap();
+        let store =
+            [(1i64, "tonight"), (2, "tonite"), (3, "tomorrow"), (4, "tonsil"), (5, "night")];
+        for (id, s) in store {
+            ix.insert(&Value::string(s), &[Value::Int64(id)]).unwrap();
         }
         ix.lsm().flush().unwrap();
-        let fetch = |pk: &[Value]| -> Result<Option<String>> {
-            let id = pk[0].as_i64().unwrap();
-            Ok(store.iter().find(|(i, _)| *i == id).map(|(_, s)| s.to_string()))
+        let grams = Tokenizer::NGram(2).tokens(&Value::string("Tonight")).unwrap();
+        let hits = |t: usize| {
+            let mut ids: Vec<i64> = ix
+                .t_occurrence(&grams, t)
+                .unwrap()
+                .iter()
+                .map(|pk| pk[0].as_i64().unwrap())
+                .collect();
+            ids.sort_unstable();
+            ids
         };
-        let mut hits: Vec<i64> = ix
-            .fuzzy_search("tonight", 2, fetch)
-            .unwrap()
-            .iter()
-            .map(|pk| pk[0].as_i64().unwrap())
-            .collect();
-        hits.sort_unstable();
-        // edit distances: tonight=0, tonite=3, tomorrow=5, tonsil=4, night=2.
-        assert_eq!(hits, vec![1, 5]);
-        // With ed=3 the candidate bound loosens and "tonite" verifies too.
-        let mut hits3: Vec<i64> = ix
-            .fuzzy_search("tonight", 3, fetch)
-            .unwrap()
-            .iter()
-            .map(|pk| pk[0].as_i64().unwrap())
-            .collect();
-        hits3.sort_unstable();
-        assert_eq!(hits3, vec![1, 2, 5]);
-    }
-
-    #[test]
-    fn fuzzy_on_keyword_index_is_rejected() {
-        let dir = TempDir::new().unwrap();
-        let ix = open(dir.path(), Tokenizer::Keyword);
-        assert!(ix.fuzzy_candidates("abc", 1).is_err());
-    }
-
-    #[test]
-    fn degenerate_threshold_falls_back() {
-        let dir = TempDir::new().unwrap();
-        let ix = open(dir.path(), Tokenizer::NGram(3));
-        ix.insert(&Value::string("ab"), &[Value::Int64(1)]).unwrap();
-        // |G("ab")| = 4 with k=3; ed=2 → lower bound 4 - 6 ≤ 0 → fallback.
-        assert!(ix.fuzzy_candidates("ab", 2).is_err());
+        // 8 grams; within edit distance 2 at least 8 - 2·2 = 4 survive:
+        // "tonite" shares #t, to, on, ni and is a candidate the post-
+        // validation drops (distance 3); "tonsil" shares only three.
+        assert_eq!(hits(4), vec![1, 2, 5]);
+        assert_eq!(hits(8), vec![1]);
+        assert!(hits(0).is_empty() && ix.t_occurrence(&[], 1).unwrap().is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   and `prop_assert*!`. Cases are drawn from a seed derived from the
 //!   test's name, so a run repeats; a failure reports the case number.
 //!   There is no shrinking yet;
-//! - [`bench`]: `criterion_group!`/`criterion_main!` bench targets that
+//! - [`bench`](mod@bench): `criterion_group!`/`criterion_main!` bench targets that
 //!   run each body twice and print the faster wall time.
 
 pub mod bench;

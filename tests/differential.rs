@@ -548,13 +548,26 @@ fn sel2join_text(a: &[String; 4], indexnl: bool) -> String {
 /// provider and translator built the way the instance builds them, so the
 /// interpreter runs against the same storage.
 fn interpreted(instance: &Instance, dataverse: &str, q: &str) -> Vec<Value> {
+    interpreted_with(instance, dataverse, q, |_| {})
+}
+
+/// [`interpreted`] under the session settings `session` gives the
+/// translator (`set simfunction`, `set simthreshold`).
+fn interpreted_with(
+    instance: &Instance,
+    dataverse: &str,
+    q: &str,
+    session: impl FnOnce(&mut Translator),
+) -> Vec<Value> {
     let provider: Arc<dyn MetadataProvider> =
         Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(instance) });
     let catalog = asterixdb::provider::SessionCatalog {
         shared: instance_shared(instance),
         current_dataverse: dataverse.to_string(),
     };
-    let plan = Translator::new(&catalog).translate_query(&parse_expression(q).unwrap()).unwrap();
+    let mut translator = Translator::new(&catalog);
+    session(&mut translator);
+    let plan = translator.translate_query(&parse_expression(q).unwrap()).unwrap();
     let fctx = FunctionContext::default();
     let optimized = optimize(plan, &provider, &fctx, &OptimizerOptions::default());
     let ctx = EvalCtx::new(provider, fctx);
@@ -1172,8 +1185,9 @@ fn spatial_answers(
     queries
         .iter()
         .map(|q| {
-            let (plan, _) = instance.explain(q).unwrap();
+            let (plan, job) = instance.explain(q).unwrap();
             assert!(plan.contains("rtree-search"), "{setup:?} {step}: {plan}");
+            assert!(job.contains("rtree-search Geo.G."), "{setup:?} {step}: {job}");
             let got = canonical(instance.query(q).unwrap());
             instance.optimizer_options.write().enable_index_access = false;
             let (plan, _) = instance.explain(q).unwrap();
@@ -1235,6 +1249,196 @@ fn spatial_searches_answer_identically_on_every_layout_and_topology() {
         let reopened = Instance::open(cfg).unwrap();
         reopened.execute("use dataverse Geo;").unwrap();
         assert_eq!(&spatial_answers(setup, "reopened", &reopened, &queries), want, "{setup:?}");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Text searches: the keyword and n-gram indexes
+// ---------------------------------------------------------------------------
+
+const TEXT_WORDS: [&str; 12] = [
+    "tonight", "Tonight!", "TONIGHT", "ship", "the", "release", "c++", "Naïve", "concert", "great",
+    "we", "rare",
+];
+
+const TEXT_NAMES: [&str; 14] = [
+    "tonight",
+    "Tonight",
+    "tonite",
+    "tonigth",
+    "knight",
+    "aaaaaaa",
+    "aaaaaa",
+    "aaaaaaaa",
+    "ab",
+    "abc",
+    "b",
+    "jonathan",
+    "Jonathon",
+    "johnathan",
+];
+
+/// Record `id` of `T`: a `msg` of up to five words (none every seventh
+/// record) and a `name` (none every fifth).
+fn text_record(id: i64, rng: &mut StdRng) -> Value {
+    let mut fields = vec![("id", Value::Int64(id))];
+    if id % 7 != 3 {
+        let words: Vec<&str> =
+            (0..rng.gen_range(0..6)).map(|_| TEXT_WORDS[rng.gen_range(0..12)]).collect();
+        fields.push(("msg", Value::string(words.join(" "))));
+    }
+    if id % 5 != 4 {
+        fields.push(("name", Value::string(TEXT_NAMES[rng.gen_range(0..14)])));
+    }
+    Value::record(asterix_adm::Record::from_fields(fields))
+}
+
+/// `T` loaded in three stages of 100 records; each later stage deletes
+/// records of the stage before it and re-inserts one deleted key with new
+/// text.
+fn text_corpus() -> Corpus {
+    Corpus {
+        dataverse: "Txt",
+        ddl: "create type TT as open { id: int64, msg: string?, name: string? };
+              create dataset T(TT) primary key id;
+              create index msgKw on T(msg) type keyword;
+              create index nameGram on T(name) type ngram(3);"
+            .into(),
+        flushed: vec!["T"],
+        load: Box::new(|instance, stage| {
+            let t = instance.dataset("T").unwrap();
+            let mut rng = StdRng::seed_from_u64(0x7E47 + stage as u64);
+            let base = stage as i64 * 1000;
+            for id in base..base + 100 {
+                t.insert(&text_record(id, &mut rng)).unwrap();
+            }
+            if stage > 0 {
+                let prev = base - 1000;
+                for id in [prev + 2, prev + 5, prev + 11, prev + 40] {
+                    assert!(t.delete_by_pk(&[Value::Int64(id)]).unwrap());
+                }
+                t.insert(&text_record(prev + 5, &mut rng)).unwrap();
+            }
+        }),
+    }
+}
+
+/// A text query: its AQL, the edit distance `~=` stands for (`None`: a
+/// keyword search), and whether its job searches the index — `false` where
+/// the index cannot narrow the search and the job scans.
+type TextQuery = (String, Option<usize>, bool);
+
+fn text_queries() -> Vec<TextQuery> {
+    let ret = "return $t.id";
+    let keyword = |needle: &str, searches| {
+        let q = format!(
+            "for $t in dataset T where some $w in word-tokens($t.msg) satisfies $w = {needle} {ret}"
+        );
+        (q, None, searches)
+    };
+    let fuzzy = |needle: &str, k, searches| {
+        (format!("for $t in dataset T where $t.name ~= {needle} {ret}"), Some(k), searches)
+    };
+    vec![
+        keyword(r#""tonight""#, true),
+        keyword(r#""naïve""#, true),
+        // Candidates the post-validation rejects: tokens are lowercase
+        // words, so neither needle is one.
+        keyword(r#""Tonight""#, true),
+        keyword(r#""c++""#, true),
+        // A word never equals a bag: the answer is empty, index or not.
+        keyword(r#"{{"tonight", "Ship"}}"#, true),
+        // Needles that name no token or that no keyword index stores.
+        keyword(r#"{{"tonight", 3}}"#, false),
+        keyword("null", false),
+        keyword(r#""!?""#, false),
+        fuzzy(r#""tonight""#, 1, true),
+        fuzzy(r#""tonight""#, 2, true),
+        fuzzy(r#""Jonathan""#, 2, true),
+        // 9 trigrams but 5 distinct ones: the bound counts distinct grams.
+        fuzzy(r#""aaaaaaa""#, 1, true),
+        fuzzy(r#""ab""#, 1, true),
+        // |G| − k·ed ≤ 0, and an unknown needle: the job scans.
+        fuzzy(r#""ab""#, 2, false),
+        fuzzy("null", 1, false),
+    ]
+}
+
+/// Each query's answer through the text indexes, checked against the same
+/// query with index access off and against the interpreter, with the job
+/// naming its search as the plan does.
+fn text_answers(
+    setup: Setup,
+    step: &str,
+    instance: &Instance,
+    queries: &[TextQuery],
+) -> Vec<Vec<String>> {
+    queries
+        .iter()
+        .map(|(q, edit_distance, searches)| {
+            let k = edit_distance.unwrap_or(0).to_string();
+            let set = format!(r#"set simfunction "edit-distance"; set simthreshold "{k}";"#);
+            instance.execute(&set).unwrap();
+            let label = match edit_distance {
+                Some(_) => "ngram-fuzzy-search Txt.T.nameGram",
+                None => "keyword-search Txt.T.msgKw",
+            };
+            let (plan, job) = instance.explain(q).unwrap();
+            assert!(plan.contains(label), "{setup:?} {step}: {plan}");
+            assert_eq!(job.contains(label), *searches, "{setup:?} {step}: {q}\n{job}");
+            assert!(!job.contains("btree-search Txt.T."), "{setup:?} {step}: {job}");
+            let got = canonical(instance.query(q).unwrap());
+            instance.optimizer_options.write().enable_index_access = false;
+            let (plan, _) = instance.explain(q).unwrap();
+            assert!(!plan.contains(label), "{setup:?} {step}: {plan}");
+            let want = canonical(instance.query(q).unwrap());
+            instance.optimizer_options.write().enable_index_access = true;
+            assert_eq!(got, want, "{setup:?} {step}: {q}");
+            let interp = interpreted_with(instance, "Txt", q, |tr| {
+                tr.simfunction = "edit-distance".into();
+                tr.simthreshold = k.clone();
+            });
+            assert_eq!(canonical(interp), want, "{setup:?} {step}: interpreted {q}");
+            got
+        })
+        .collect()
+}
+
+/// Keyword and n-gram searches answer as a scan and the interpreter do —
+/// string and bag needles, needles that are no indexed token, fuzzy
+/// needles with repeated grams and with a bound of 0, unknown needles,
+/// deleted and re-inserted records — on every layout and topology,
+/// staged, after a flush and a full merge of every index, and after a kill
+/// and reopen.
+#[test]
+fn text_searches_answer_identically_on_every_layout_and_topology() {
+    let queries = text_queries();
+    let mut reference: Option<Vec<Vec<String>>> = None;
+    for_each_setup(&Layout::ALL, &[(1, 1), (2, 2), (4, 3)], &text_corpus(), |setup, instance| {
+        let answers = text_answers(setup, "staged", instance, &queries);
+        let want = reference.get_or_insert_with(|| answers.clone());
+        assert_eq!(&answers, want, "{setup:?}");
+        for q in [0, 1, 8, 9, 10, 11, 12, 13] {
+            assert!(!want[q].is_empty(), "{}: {want:?}", queries[q].0);
+        }
+
+        let t = instance.dataset("T").unwrap();
+        t.flush_all().unwrap();
+        for ix in t.secondaries.read().iter() {
+            for p in &ix.partitions {
+                p.lsm().merge_all().unwrap();
+                assert!(p.lsm().disk_component_count() <= 1, "{setup:?}");
+            }
+        }
+        assert_eq!(&text_answers(setup, "merged", instance, &queries), want, "{setup:?}");
+
+        let copy = asterix_testkit::TempDir::new().unwrap();
+        copy_dir(&instance.config().base_dir, copy.path());
+        let cfg =
+            ClusterConfig { base_dir: copy.path().to_path_buf(), ..instance.config().clone() };
+        let reopened = Instance::open(cfg).unwrap();
+        reopened.execute("use dataverse Txt;").unwrap();
+        assert_eq!(&text_answers(setup, "reopened", &reopened, &queries), want, "{setup:?}");
     });
 }
 

@@ -116,9 +116,14 @@ fn keyword_index_access_path() {
     let q = r#"for $m in dataset Msgs
                where some $w in word-tokens($m.message) satisfies $w = "tonight"
                return $m.id;"#;
-    // The Query 6 pattern routes through the keyword index.
-    let (plan, _) = ins.explain(q).unwrap();
+    // The Query 6 pattern routes through the keyword index, and the job
+    // names its search as the plan does.
+    let (plan, job) = ins.explain(q).unwrap();
     assert!(plan.contains("keyword-search K.Msgs.kwIdx"), "{plan}");
+    assert!(
+        job.contains("keyword-search K.Msgs.kwIdx") && !job.contains("btree-search K.Msgs.kwIdx"),
+        "{job}"
+    );
     let mut ids: Vec<i64> = ins.query(q).unwrap().iter().map(|v| v.as_i64().unwrap()).collect();
     ids.sort_unstable();
     assert_eq!(ids, vec![0, 2]);
