@@ -340,6 +340,14 @@ fn probe_scan_field<'a>(probe: &LogicalOp, keys: &'a [LogicalExpr]) -> Option<&'
     }
 }
 
+/// A condition's conjuncts: those of an `and`, else the condition itself.
+fn conjuncts(condition: &LogicalExpr) -> &[LogicalExpr] {
+    match condition {
+        LogicalExpr::And(cs) => cs,
+        e => std::slice::from_ref(e),
+    }
+}
+
 /// Compile an optimized logical plan into a Hyracks job.
 pub fn compile(
     plan: &LogicalOp,
@@ -467,7 +475,7 @@ impl Gen {
             Some(fields) => SelectOp::with_fields(label, pred, fields),
             None => SelectOp::new(label, pred),
         };
-        if let Some(ord) = self.ordkey_pred(expr, schema) {
+        if let Some(ord) = conjuncts(expr).iter().map(|c| self.ordkey_pred(c, schema)).collect() {
             sel = sel.with_ordkey(ord);
         }
         Ok(sel)
@@ -605,11 +613,7 @@ impl Gen {
     /// definitely rejects is always safe.
     fn scan_filters(&self, condition: &LogicalExpr, var: VarId) -> Vec<ScanFilter> {
         let schema = [var];
-        let conjuncts = match condition {
-            LogicalExpr::And(cs) => cs.as_slice(),
-            e => std::slice::from_ref(e),
-        };
-        conjuncts
+        conjuncts(condition)
             .iter()
             .filter_map(|e| {
                 let p = self.ordkey_pred(e, &schema)?;

@@ -113,9 +113,10 @@ impl IndexSearchSpec {
     /// index cannot narrow the search, so the dataset is scanned and the
     /// post-validation decides. That is so when no token is required (an
     /// n-gram needle of at most `k·ed` distinct grams, a keyword needle of
-    /// none, an unknown needle) and when the needle cannot be an indexed
+    /// none, an unknown needle), when the needle cannot be an indexed
     /// value (an n-gram needle that is not a string, a keyword needle the
-    /// tokenizer rejects).
+    /// tokenizer rejects) and when the window has no bounding rectangle (a
+    /// null, missing or non-spatial window).
     pub fn probe<E: From<AdmError>>(
         &self,
         provider: &dyn MetadataProvider,
@@ -129,8 +130,8 @@ impl IndexSearchSpec {
                 return Ok(Some(IndexProbe::Range { lo, hi }));
             }
             IndexSearchSpec::RTree { query } => {
-                let window = asterix_adm::spatial::mbr(&value(query)?)?;
-                return Ok(Some(IndexProbe::Window(window)));
+                let window = asterix_adm::spatial::mbr(&value(query)?);
+                return Ok(window.ok().map(IndexProbe::Window));
             }
             IndexSearchSpec::InvertedConjunctive { needle } => (needle, None),
             IndexSearchSpec::InvertedFuzzy { needle, edit_distance } => {
@@ -250,9 +251,10 @@ pub enum LogicalOp {
     Aggregate { input: Box<LogicalOp>, aggs: Vec<AggCall> },
     /// Sort.
     Order { input: Box<LogicalOp>, keys: Vec<SortSpec> },
-    /// Limit/offset. `pushed_into_sort` marks the ablation variant where
-    /// the limit is fused into the upstream sort as a top-K (the paper
-    /// notes AsterixDB does *not* do this yet; see EXPERIMENTS.md).
+    /// Limit/offset: skips `offset` rows, then passes at most `count`, on
+    /// one gathered stream. It is never fused into the sort below it as a
+    /// top-K (the paper notes AsterixDB does not do this yet; see
+    /// EXPERIMENTS.md).
     Limit { input: Box<LogicalOp>, count: usize, offset: usize },
     /// Duplicate elimination on the given expressions.
     Distinct { input: Box<LogicalOp>, exprs: Vec<LogicalExpr> },

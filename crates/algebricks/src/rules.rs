@@ -77,10 +77,11 @@ pub fn optimize(
         plan = push_selects_down(plan);
     }
     plan = extract_equijoins(plan, provider);
+    // Merge select cascades so one decision sees every conjunct: both bounds
+    // of a range land in one index search, or, without one, in the scan's
+    // pre-filter.
+    plan = coalesce_selects(plan);
     if options.enable_index_access {
-        // Merge select cascades so a single access-path decision sees every
-        // conjunct (both bounds of a range land in one index search).
-        plan = coalesce_selects(plan);
         plan = introduce_index_access(plan, provider, fn_ctx);
     }
     // Recurse into subplans carried by expressions.
@@ -255,7 +256,8 @@ pub fn split_conjunctions(plan: LogicalOp) -> LogicalOp {
 }
 
 /// `Select(a) over Select(b)` → `Select(a AND b)` (inverse of
-/// [`split_conjunctions`], used right before access-path selection).
+/// [`split_conjunctions`], used once selects are pushed down, before
+/// access-path selection and job generation).
 pub fn coalesce_selects(plan: LogicalOp) -> LogicalOp {
     plan.transform_up(&mut |op| {
         if let LogicalOp::Select { input, condition } = op {

@@ -138,17 +138,17 @@ impl SecondaryPartition {
     }
 
     /// The primary keys of this partition's entries that `probe` matches,
-    /// handed to `emit` until it returns `false` — the one place a probe
-    /// meets an index kind.
+    /// handed to `emit` until it returns `Ok(false)` or an error — the one
+    /// place a probe meets an index kind.
     pub fn search(
         &self,
         probe: &IndexProbe,
-        emit: &mut dyn FnMut(Vec<Value>) -> bool,
+        emit: &mut dyn FnMut(Vec<Value>) -> Result<bool>,
     ) -> Result<()> {
         let pks = match (self, probe) {
             (SecondaryPartition::BTree(t), IndexProbe::Range { lo, hi }) => {
                 let (lo, hi) = (to_value_bound(lo.clone()), to_value_bound(hi.clone()));
-                return Ok(t.range_with(&lo, &hi, |key, _| emit(t.split_key(key).1.to_vec()))?);
+                return t.range_with(&lo, &hi, |key, _| emit(t.split_key(key).1.to_vec()));
             }
             (SecondaryPartition::Spatial(t), IndexProbe::Window(window)) => t.search(window)?,
             (SecondaryPartition::Inverted(t), IndexProbe::Tokens { tokens, min_matches }) => {
@@ -157,7 +157,7 @@ impl SecondaryPartition {
             _ => return Err(AsterixError::Execution(format!("no such search: {probe:?}"))),
         };
         for pk in pks {
-            if !emit(pk) {
+            if !emit(pk)? {
                 break;
             }
         }
@@ -668,25 +668,15 @@ impl DatasetRuntime {
     /// All records of one partition (decoded).
     pub fn scan_partition(&self, partition: usize) -> Result<Vec<Value>> {
         let mut out = Vec::new();
-        let mut err: Option<AsterixError> = None;
         self.primary[partition].range_with(
             &ValueBound::Unbounded,
             &ValueBound::Unbounded,
-            |_, bytes| match adm_serde::decode_typed(&self.registry, bytes, &self.datatype) {
-                Ok(v) => {
-                    out.push(v);
-                    true
-                }
-                Err(e) => {
-                    err = Some(e.into());
-                    false
-                }
+            |_, bytes| -> Result<bool> {
+                out.push(adm_serde::decode_typed(&self.registry, bytes, &self.datatype)?);
+                Ok(true)
             },
         )?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 
     /// Serialized full scan of one partition: every record, whole, as an
@@ -700,12 +690,9 @@ impl DatasetRuntime {
         partition: usize,
         visit: &mut dyn FnMut(&[u8]) -> bool,
     ) -> Result<()> {
-        self.read_partition_projected(
-            partition,
-            ScanBound::ALL,
-            &Projection::all(),
-            &mut |_, row| visit(row),
-        )
+        self.read_partition_projected(partition, ScanBound::ALL, &Projection::all(), |_, row| {
+            Ok(visit(row))
+        })
     }
 
     /// The batched primary fetch — the key-list case of
@@ -716,12 +703,13 @@ impl DatasetRuntime {
     /// visited once. The visitor receives
     /// `(position in pks, tuple)` per key whose record exists and survives
     /// `proj`'s filters, in primary-key order within a partition, and
-    /// returns `false` to stop early.
+    /// returns `Ok(false)` to stop early; its first error stops the fetch
+    /// and is what the call returns.
     pub fn fetch_projected(
         &self,
         pks: &[Vec<Value>],
         proj: &Projection,
-        visit: &mut dyn FnMut(usize, &[u8]) -> bool,
+        visit: &mut dyn FnMut(usize, &[u8]) -> Result<bool>,
     ) -> Result<()> {
         let record_type = self.resolved_record_type();
         let mut wanted: Vec<Vec<(Vec<u8>, usize)>> = vec![Vec::new(); self.partitions()];
@@ -746,21 +734,16 @@ impl DatasetRuntime {
             }
             // Rows come back in key order: hand each to everyone who asked.
             let mut next = 0;
-            self.read_partition_projected(
-                partition,
-                ScanBound::Keys(&keys),
-                proj,
-                &mut |key, row| {
-                    while next < askers.len() && keys[askers[next].0].as_slice() < key {
-                        next += 1;
-                    }
-                    while go && next < askers.len() && keys[askers[next].0] == key {
-                        go = visit(askers[next].1, row);
-                        next += 1;
-                    }
-                    go
-                },
-            )?;
+            self.read_partition_projected(partition, ScanBound::Keys(&keys), proj, |key, row| {
+                while next < askers.len() && keys[askers[next].0].as_slice() < key {
+                    next += 1;
+                }
+                while go && next < askers.len() && keys[askers[next].0] == key {
+                    go = visit(askers[next].1, row)?;
+                    next += 1;
+                }
+                Ok(go)
+            })?;
         }
         Ok(())
     }
@@ -768,14 +751,15 @@ impl DatasetRuntime {
     /// The one read of a partition's primary index — scans, primary-key
     /// searches and fetches alike — over a key range or a sorted key list:
     /// `visit(key, tuple)` per surviving record, in key order, returning
-    /// `false` to stop early. The tuple is an encoded single-column tuple
-    /// holding a self-describing record of the projected fields (every
-    /// field for an all-fields projection). Rows in columnar components
-    /// are filtered on raw column bytes and assembled from just the
-    /// columns needed, with no `Value` in between; rows from row-major
-    /// components, the memory component and spill runs are decoded and cut
-    /// down to the same fields (the operator above applies the filters to
-    /// those). Either way the bytes are identical: column bytes are exact
+    /// `Ok(false)` to stop early; its first error, or the read's, stops the
+    /// read and is what the call returns. The tuple is an encoded
+    /// single-column tuple holding a self-describing record of the
+    /// projected fields (every field for an all-fields projection). Rows in
+    /// columnar components are filtered on raw column bytes and assembled
+    /// from just the columns needed, with no `Value` in between; rows from
+    /// row-major components, the memory component and spill runs are
+    /// decoded and cut down to the same fields (the operator above applies
+    /// the filters to those). Either way the bytes are identical: column bytes are exact
     /// slices of the record's self-describing encoding, and a whole record
     /// spliced from them is put into the field order `decode_typed` yields.
     pub(crate) fn read_partition_projected(
@@ -783,75 +767,52 @@ impl DatasetRuntime {
         partition: usize,
         bound: ScanBound<'_>,
         proj: &Projection,
-        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<bool>,
     ) -> Result<()> {
         let record_type = self.resolved_record_type();
         let mut scratch = Vec::new();
         let mut reordered = Vec::new();
-        let mut err: Option<AsterixError> = None;
         self.primary[partition].lsm().scan_projected(bound, proj, |key, sv| {
             scratch.clear();
-            let encoded = match sv {
+            match sv {
                 ScanValue::Assembled(sd) => {
                     // Named fields come assembled in projection order; a
                     // whole record comes in column order.
                     let rec = match (&proj.fields, &record_type) {
-                        (None, Some(rt)) => colschema::in_typed_order(sd, rt, &mut reordered),
-                        _ => Ok(sd),
+                        (None, Some(rt)) => colschema::in_typed_order(sd, rt, &mut reordered)?,
+                        _ => sd,
                     };
-                    rec.map(|rec| asterix_adm::tuple::encode_tuple_from_encoded(&mut scratch, rec))
+                    asterix_adm::tuple::encode_tuple_from_encoded(&mut scratch, rec);
                 }
                 ScanValue::Row(typed) => {
-                    adm_serde::decode_typed(&self.registry, typed, &self.datatype).map(|v| {
-                        let v = match &proj.fields {
-                            None => v,
-                            Some(fields) => {
-                                let mut rec = asterix_adm::Record::new();
-                                for f in fields {
-                                    let fv = v.field(f);
-                                    // Missing = absent from the record;
-                                    // Null is a present field and must stay
-                                    // (matching what the columnar assembly
-                                    // produces).
-                                    if !matches!(fv, Value::Missing) {
-                                        rec.set(f.clone(), fv);
-                                    }
+                    let v = adm_serde::decode_typed(&self.registry, typed, &self.datatype)?;
+                    let v = match &proj.fields {
+                        None => v,
+                        Some(fields) => {
+                            let mut rec = asterix_adm::Record::new();
+                            for f in fields {
+                                let fv = v.field(f);
+                                // Missing = absent from the record; Null is
+                                // a present field and must stay (matching
+                                // what the columnar assembly produces).
+                                if !matches!(fv, Value::Missing) {
+                                    rec.set(f.clone(), fv);
                                 }
-                                Value::record(rec)
                             }
-                        };
-                        asterix_adm::encode_tuple_into(&mut scratch, std::slice::from_ref(&v));
-                    })
-                }
-            };
-            match encoded {
-                Ok(()) => visit(key, &scratch),
-                Err(e) => {
-                    err = Some(e.into());
-                    false
+                            Value::record(rec)
+                        }
+                    };
+                    asterix_adm::encode_tuple_into(&mut scratch, std::slice::from_ref(&v));
                 }
             }
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Point lookup by primary key (partition-local).
-    pub fn get_in_partition(&self, partition: usize, pk: &[Value]) -> Result<Option<Value>> {
-        self.get_coerced(partition, &self.coerce_pk(pk))
+            visit(key, &scratch)
+        })
     }
 
     /// Point lookup routed to the owning partition.
     pub fn get(&self, pk: &[Value]) -> Result<Option<Value>> {
         let pk = self.coerce_pk(pk);
-        self.get_coerced(self.partition_of(&pk), &pk)
-    }
-
-    /// Point lookup of an already coerced key in one partition.
-    fn get_coerced(&self, partition: usize, pk: &[Value]) -> Result<Option<Value>> {
-        match self.primary[partition].get(pk)? {
+        match self.primary[self.partition_of(&pk)].get(&pk)? {
             Some(bytes) => {
                 Ok(Some(adm_serde::decode_typed(&self.registry, &bytes, &self.datatype)?))
             }

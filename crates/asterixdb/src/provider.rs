@@ -24,6 +24,19 @@ fn op_err(e: impl std::fmt::Display) -> HyracksError {
     HyracksError::Operator(e.to_string())
 }
 
+/// A dataset read's error, handed back to the executor: an executor error
+/// that crossed the read — a consumer's emit failing, a cancellation —
+/// comes back as it was, anything else as `op_err` makes it.
+impl From<AsterixError> for HyracksError {
+    fn from(e: AsterixError) -> Self {
+        match e {
+            AsterixError::Hyracks(e) => e,
+            AsterixError::Cancelled => HyracksError::Cancelled,
+            e => op_err(e),
+        }
+    }
+}
+
 /// The executor's comparison kinds map one-to-one onto storage's.
 fn cmp_kind_to_op(k: asterix_hyracks::ops::CmpKind) -> asterix_storage::CmpOp {
     use asterix_hyracks::ops::CmpKind as K;
@@ -333,20 +346,11 @@ impl MetadataProvider for InstanceProvider {
         Ok(Arc::new(move |partition, _nparts, consult, emit| {
             let partner = consult.map(|c| ScanPartner(std::cell::RefCell::new(c)));
             let proj = storage_projection(&projection, partner.as_ref());
-            let mut emit_err: Option<HyracksError> = None;
-            let mut visit = |_: &[u8], bytes: &[u8]| match emit(bytes) {
-                Ok(()) => true,
-                Err(e) => {
-                    emit_err = Some(e);
-                    false
-                }
+            let visit = |_: &[u8], bytes: &[u8]| {
+                emit(bytes)?;
+                Ok(true)
             };
-            ds.read_partition_projected(partition, keys.bound(), &proj, &mut visit)
-                .map_err(op_err)?;
-            match emit_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            Ok(ds.read_partition_projected(partition, keys.bound(), &proj, visit)?)
         }))
     }
 
@@ -366,16 +370,11 @@ impl MetadataProvider for InstanceProvider {
             other => other,
         };
         Ok(Arc::new(move |partition, _nparts, emit| {
-            let mut err = None;
-            let mut visit = |pk| match emit(pk) {
-                Ok(()) => true,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
+            let mut visit = |pk| {
+                emit(pk)?;
+                Ok(true)
             };
-            ix.partitions[partition].search(&probe, &mut visit).map_err(op_err)?;
-            err.map_or(Ok(()), Err)
+            Ok(ix.partitions[partition].search(&probe, &mut visit)?)
         }))
     }
 
@@ -388,19 +387,10 @@ impl MetadataProvider for InstanceProvider {
         let projection = projection.clone();
         Ok(Arc::new(move |pks, emit| {
             let proj = storage_projection(&projection, None);
-            let mut emit_err: Option<HyracksError> = None;
-            ds.fetch_projected(pks, &proj, &mut |i, row| match emit(i, row) {
-                Ok(()) => true,
-                Err(e) => {
-                    emit_err = Some(e);
-                    false
-                }
-            })
-            .map_err(op_err)?;
-            match emit_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            Ok(ds.fetch_projected(pks, &proj, &mut |i, row| {
+                emit(i, row)?;
+                Ok(true)
+            })?)
         }))
     }
 
@@ -431,19 +421,11 @@ impl MetadataProvider for InstanceProvider {
         let lo = to_value_bound(Self::coerce_bound(&ds, None, lo));
         let hi = to_value_bound(Self::coerce_bound(&ds, None, hi));
         let mut out = Vec::new();
-        let mut err = None;
         for tree in &ds.primary {
-            tree.range_with(&lo, &hi, |_, bytes| {
-                match asterix_adm::serde::decode_typed(&ds.registry, bytes, &ds.datatype) {
-                    Ok(v) => out.push(v),
-                    Err(e) => err = Some(e),
-                }
-                err.is_none()
-            })
-            .map_err(op_err)?;
-            if let Some(e) = err {
-                return Err(op_err(e));
-            }
+            tree.range_with(&lo, &hi, |_, bytes| -> crate::Result<bool> {
+                out.push(asterix_adm::serde::decode_typed(&ds.registry, bytes, &ds.datatype)?);
+                Ok(true)
+            })?;
         }
         Ok(out)
     }

@@ -50,14 +50,12 @@ fn hash_partitioning_spreads_and_routes_records() {
     assert_eq!(total, 200);
     assert_eq!(nonempty, ds.partitions(), "every partition owns a share");
     for i in [0i64, 13, 77, 199] {
-        let pk = vec![Value::Int64(i)];
-        let p = ds.partition_of(&ds.coerce_pk(&pk));
-        assert!(ds.get_in_partition(p, &pk).unwrap().is_some());
-        // The same key is absent from every other partition.
+        let pk = ds.coerce_pk(&[Value::Int64(i)]);
+        let p = ds.partition_of(&pk);
+        // The owning partition holds the key, and no other does.
         for q in 0..ds.partitions() {
-            if q != p {
-                assert!(ds.get_in_partition(q, &pk).unwrap().is_none());
-            }
+            let holds = ds.scan_partition(q).unwrap().iter().any(|r| r.field("id") == pk[0]);
+            assert_eq!(holds, q == p, "key {i} in partition {q}");
         }
     }
 }
@@ -191,7 +189,7 @@ fn batched_fetch_routes_dedups_and_reports_positions() {
     let mut got: Vec<(usize, Value)> = Vec::new();
     ds.fetch_projected(&pks, &proj, &mut |i, row| {
         got.push((i, asterix_adm::decode_tuple(row).unwrap().pop().unwrap()));
-        true
+        Ok(true)
     })
     .unwrap();
     // Per partition the rows arrive in key order.
@@ -211,7 +209,7 @@ fn batched_fetch_routes_dedups_and_reports_positions() {
     let mut whole = Vec::new();
     ds.fetch_projected(&pks, &Projection::all(), &mut |i, row| {
         whole.push((i, asterix_adm::decode_tuple(row).unwrap().pop().unwrap()));
-        true
+        Ok(true)
     })
     .unwrap();
     assert_eq!(whole.len(), 6);
@@ -219,11 +217,11 @@ fn batched_fetch_routes_dedups_and_reports_positions() {
         assert_eq!(Some(row), ds.get(&pks[i]).unwrap());
     }
 
-    // `false` from the visitor ends the fetch, across partitions too.
+    // `Ok(false)` from the visitor ends the fetch, across partitions too.
     let mut seen = 0;
     ds.fetch_projected(&pks, &proj, &mut |_, _| {
         seen += 1;
-        false
+        Ok(false)
     })
     .unwrap();
     assert_eq!(seen, 1);

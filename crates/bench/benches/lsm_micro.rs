@@ -96,7 +96,7 @@ fn bench_lsm(c: &mut Criterion) {
                 &ValueBound::excluded(Value::Int64(6000)),
                 |_, _| {
                     rows += 1;
-                    true
+                    Ok::<_, asterix_storage::StorageError>(true)
                 },
             )
             .unwrap();

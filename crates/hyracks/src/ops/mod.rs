@@ -476,27 +476,30 @@ pub struct SelectOp {
     /// Columns the predicate reads, when the compiler knows them: only
     /// these are decoded per tuple (`None` = full decode).
     fields: Option<Vec<usize>>,
-    /// Ordkey fast path for constant comparisons, taken on whole frames.
-    ord: Option<OrdPred>,
+    /// Ordkey fast path: the predicate's conjuncts, when every one is a
+    /// constant comparison (empty otherwise), taken on whole frames.
+    ord: Vec<OrdPred>,
 }
 
 impl SelectOp {
     pub fn new(label: impl Into<String>, pred: PredFn) -> SelectOp {
-        SelectOp { label: label.into(), pred, fields: None, ord: None }
+        SelectOp { label: label.into(), pred, fields: None, ord: Vec::new() }
     }
 
     /// A select whose predicate reads only the given columns: evaluation
     /// decodes just those positions through `TupleRef::field_value` and the
     /// predicate sees `Missing` everywhere else.
     pub fn with_fields(label: impl Into<String>, pred: PredFn, fields: Vec<usize>) -> SelectOp {
-        SelectOp { label: label.into(), pred, fields: Some(fields), ord: None }
+        SelectOp { label: label.into(), pred, fields: Some(fields), ord: Vec::new() }
     }
 
-    /// Attach an ordkey-classified constant comparison equivalent to the
-    /// predicate: batch evaluation memcmps comparison-key bytes and only
-    /// decodes tuples the transcoder refuses.
-    pub fn with_ordkey(mut self, ord: OrdPred) -> SelectOp {
-        self.ord = Some(ord);
+    /// Attach ordkey-classified constant comparisons whose conjunction is
+    /// the predicate: batch evaluation memcmps comparison-key bytes, drops
+    /// a tuple one of them rejects, and only decodes tuples the transcoder
+    /// refuses and none rejects. A comparison never fails to evaluate, so
+    /// which conjunct rejects does not matter.
+    pub fn with_ordkey(mut self, conjuncts: Vec<OrdPred>) -> SelectOp {
+        self.ord = conjuncts;
         self
     }
 }
@@ -527,7 +530,7 @@ struct SelectStage {
     pred: PredFn,
     fields: Option<Vec<usize>>,
     /// Ordkey fast path, consulted per frame (`push_frame`).
-    ord: Option<OrdPred>,
+    ord: Vec<OrdPred>,
     keep: SelBitmap,
     key_scratch: Vec<u8>,
     compacted: FrameBuf,
@@ -536,10 +539,16 @@ struct SelectStage {
 
 impl SelectStage {
     fn verdict(&mut self, bytes: &[u8]) -> Result<bool> {
-        if let Some(v) =
-            self.ord.as_ref().and_then(|o| o.eval_encoded(bytes, &mut self.key_scratch))
-        {
-            return Ok(v);
+        let mut decided = !self.ord.is_empty();
+        for o in &self.ord {
+            match o.eval_encoded(bytes, &mut self.key_scratch) {
+                Some(false) => return Ok(false),
+                Some(true) => {}
+                None => decided = false,
+            }
+        }
+        if decided {
+            return Ok(true);
         }
         let t = decode_for_eval(bytes, self.fields.as_deref())?;
         (self.pred)(&t)
@@ -1260,6 +1269,59 @@ mod tests {
         assert!(rec.finished);
         assert_eq!(rec.rows.len(), 5 + FETCH_BATCH / 2 + 3);
         assert_eq!(rec.rows[1], asterix_adm::encode_tuple(&[Value::string("rec-2")]));
+    }
+
+    /// A select over `n >= 5 and n < 12` whose conjuncts both take the
+    /// ordkey path keeps exactly what the decoding predicate keeps, and
+    /// decodes only the tuples the transcoder refuses and no conjunct
+    /// rejects.
+    #[test]
+    fn conjunct_ordkey_select_matches_the_decoding_predicate() {
+        let n = |v: Value| {
+            let mut r = asterix_adm::Record::new();
+            r.set("n", v);
+            vec![Value::record(r)]
+        };
+        let mut frame = FrameBuf::new();
+        let mut tuples: Vec<Tuple> = (0..20).map(|i| n(Value::Int64(i))).collect();
+        tuples.push(n(Value::Null));
+        tuples.push(vec![Value::record(asterix_adm::Record::new())]);
+        tuples.push(n(Value::string("7")));
+        tuples.push(n(Value::Double(7.5)));
+        tuples.push(n(Value::ordered_list(vec![Value::Int64(7)])));
+        for t in &tuples {
+            frame.push_tuple(t);
+        }
+        let decoded = Arc::new(AtomicU64::new(0));
+        let calls = Arc::clone(&decoded);
+        let (lo, hi) = (Value::Int64(5), Value::Int64(12));
+        let pred: PredFn = Arc::new(move |t: &Tuple| {
+            calls.fetch_add(1, AtomicOrdering::Relaxed);
+            let v = t[0].field("n");
+            Ok(!v.is_unknown() && v.total_cmp(&lo).is_ge() && v.total_cmp(&hi).is_lt())
+        });
+        let run = |sel: SelectOp| {
+            let rec = Arc::new(Mutex::new(Recorder::default()));
+            let ctx = PipelineCtx { partition: 0, nparts: 1, env: Default::default() };
+            let mut stage = sel.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
+            stage.push_frame(&frame).unwrap();
+            let rows = rec.lock().rows.clone();
+            rows
+        };
+        let want = run(SelectOp::new("decoding", Arc::clone(&pred)));
+        assert_eq!(decoded.swap(0, AtomicOrdering::Relaxed), tuples.len() as u64);
+        let cmp = |op, v: &Value| OrdPred {
+            col: 0,
+            path: Some("n".into()),
+            op,
+            key: asterix_adm::ordkey::encode_value(v),
+        };
+        let ord = vec![cmp(CmpKind::Ge, &Value::Int64(5)), cmp(CmpKind::Lt, &Value::Int64(12))];
+        let got = run(SelectOp::new("ordkey", pred).with_ordkey(ord));
+        assert_eq!(got, want);
+        assert_eq!(want.len(), 8, "5..12 and 7.5");
+        let refused = decoded.load(AtomicOrdering::Relaxed);
+        assert_eq!(refused, 2, "only the record without `n` and the list are decoded");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use asterix_adm::Value;
 
 use crate::cache::BufferCache;
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::keycodec::{decode_key, encode_key, prefix_successor};
 use crate::lsm::{LsmConfig, LsmObserver, LsmTree};
 
@@ -102,27 +102,17 @@ impl LsmBTree {
         self.tree.get(&encode_key(key)?)
     }
 
-    /// Streaming range scan; callback returns `false` to stop early.
-    pub fn range_with(
+    /// Streaming range scan: `f` returns `Ok(false)` to stop early, and
+    /// its first error stops the scan and is what the call returns.
+    pub fn range_with<E: From<StorageError>>(
         &self,
         lo: &ValueBound,
         hi: &ValueBound,
-        mut f: impl FnMut(&[Value], &[u8]) -> bool,
-    ) -> Result<()> {
+        mut f: impl FnMut(&[Value], &[u8]) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
         let lo_b = lo.encode_lo()?;
         let hi_b = hi.encode_hi()?;
-        let mut err = None;
-        self.tree.scan_with(lo_b.as_deref(), hi_b.as_deref(), |k, v| match decode_key(k) {
-            Ok(vals) => f(&vals, v),
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.tree.scan_with(lo_b.as_deref(), hi_b.as_deref(), |k, v| f(&decode_key(k)?, v))
     }
 
     /// For a secondary-index entry key, split into (secondary part, primary
@@ -160,9 +150,9 @@ mod tests {
     /// Every `(key, payload)` of `t` between `lo` and `hi`, in key order.
     fn range(t: &LsmBTree, lo: &ValueBound, hi: &ValueBound) -> Vec<(Vec<Value>, Vec<u8>)> {
         let mut out = Vec::new();
-        t.range_with(lo, hi, |k, v| {
+        t.range_with(lo, hi, |k, v| -> Result<bool> {
             out.push((k.to_vec(), v.to_vec()));
-            true
+            Ok(true)
         })
         .unwrap();
         out

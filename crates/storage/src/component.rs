@@ -38,6 +38,7 @@ use crate::columnar::{
     MIN_PRESENCE, MIN_SHRED_FRACTION,
 };
 use crate::error::{Result, StorageError};
+use crate::merge::{merge_newest, MergeSource};
 
 const MAGIC: u64 = 0x4153_5458_4c53_4d31; // "ASTXLSM1"
 const MAGIC_COLUMNAR: u64 = 0x4153_5458_4c53_4d32; // "ASTXLSM2"
@@ -465,24 +466,12 @@ impl DiskComponent {
         let mut w = GroupWriter::create(path, cfg, ncols, expected as usize)?;
         let mut cursors =
             metas.iter().map(|&(c, m)| GroupCursor::new(c, m)).collect::<Result<Vec<_>>>()?;
-        loop {
-            let mut winner: Option<usize> = None;
-            for (i, c) in cursors.iter().enumerate() {
-                let Some(key) = c.key() else { continue };
-                if winner.and_then(|w| cursors[w].key()).is_none_or(|best| key < best) {
-                    winner = Some(i);
-                }
-            }
-            let Some(win) = winner else { break };
-            // Older versions of the winner's key are passed over unwritten.
-            for i in win + 1..cursors.len() {
-                if cursors[i].key() == cursors[win].key() {
-                    cursors[i].step(None)?;
-                }
-            }
-            let keep = !(drop_antimatter && cursors[win].is_antimatter());
-            cursors[win].step(keep.then_some(&mut w))?;
-        }
+        // Older versions of a key are passed over unwritten.
+        merge_newest(&mut cursors, |c| -> Result<bool> {
+            let keep = !(drop_antimatter && c.is_antimatter());
+            c.step(keep.then_some(&mut w))?;
+            Ok(true)
+        })?;
         let schema = InferredSchema {
             columns: first
                 .schema
@@ -1374,11 +1363,6 @@ impl<'a> GroupCursor<'a> {
         Ok(())
     }
 
-    /// The current row's key; `None` once the input is exhausted.
-    fn key(&self) -> Option<&[u8]> {
-        self.rows.get(self.row).map(|&((a, b), _)| &self.buf[a..b])
-    }
-
     fn is_antimatter(&self) -> bool {
         self.rows.get(self.row).is_some_and(|(_, kind)| *kind == KIND_ANTIMATTER)
     }
@@ -1418,6 +1402,16 @@ impl<'a> GroupCursor<'a> {
             self.load()?;
         }
         Ok(())
+    }
+}
+
+impl MergeSource for GroupCursor<'_> {
+    fn key(&self) -> Option<&[u8]> {
+        self.rows.get(self.row).map(|&((a, b), _)| &self.buf[a..b])
+    }
+
+    fn skip(&mut self) -> Result<()> {
+        self.step(None)
     }
 }
 

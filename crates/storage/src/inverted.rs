@@ -77,12 +77,12 @@ impl InvertedIndex {
         let prefix = encode_key(&[Value::string(token)])?;
         let hi = crate::keycodec::prefix_successor(&prefix);
         let mut out = Vec::new();
-        self.tree.try_scan_with(Some(&prefix), hi.as_deref(), |k, _| {
+        self.tree.scan_with(Some(&prefix), hi.as_deref(), |k, _| -> Result<bool> {
             let mut vals = crate::keycodec::decode_key(k)?;
             // Strip the token, keep the pk suffix.
             vals.remove(0);
             out.push(vals);
-            Ok(())
+            Ok(true)
         })?;
         Ok(out)
     }

@@ -17,6 +17,7 @@ pub mod error;
 pub mod inverted;
 pub mod keycodec;
 pub mod lsm;
+mod merge;
 pub mod spatial;
 
 pub use cache::BufferCache;

@@ -29,8 +29,11 @@ use asterix_sync::{Condvar, Mutex, RwLock};
 
 use crate::cache::BufferCache;
 use crate::columnar::{ColumnarOptions, Projection, ScanBound};
-use crate::component::{ComponentConfig, DiskComponent, Entry, ProjEntry, ProjKind};
+use crate::component::{
+    ComponentConfig, ComponentIter, DiskComponent, Entry, ProjEntry, ProjKind, ProjectedIter,
+};
 use crate::error::{Result, StorageError};
+use crate::merge::{merge_newest, MergeSource};
 
 /// When and what to merge (§4.3 "subject to some merge policy").
 #[derive(Debug, Clone)]
@@ -470,54 +473,29 @@ impl LsmInner {
     }
 }
 
-/// The rebuilding merge's input: every input's stored rows, k-way merged
-/// newest-wins — among equal keys the input with the highest `max_seq` —
-/// with antimatter dropped when `drop_antimatter`.
+/// The rebuilding merge's input: every input's stored rows, merged
+/// newest-wins — the inputs ordered by `max_seq`, newest first — with
+/// antimatter dropped when `drop_antimatter`.
 fn merge_entries(inputs: &[Arc<DiskComponent>], drop_antimatter: bool) -> Result<Vec<Entry>> {
-    let mut iters: Vec<_> = inputs.iter().map(|c| c.range(None, None)).collect();
-    let mut heads: Vec<Option<Entry>> = iters.iter_mut().map(|i| i.next()).collect();
+    let mut inputs: Vec<&Arc<DiskComponent>> = inputs.iter().collect();
+    inputs.sort_by_key(|c| std::cmp::Reverse(c.max_seq));
+    let mut cursors = inputs
+        .into_iter()
+        .map(|c| Cursor::new(Source::Stored(c.range(None, None))))
+        .collect::<Result<Vec<_>>>()?;
     let mut merged: Vec<Entry> = Vec::new();
-    loop {
-        let mut best: Option<(usize, &[u8], u64)> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if let Some(e) = h {
-                let seq = inputs[i].max_seq;
-                match best {
-                    None => best = Some((i, &e.key, seq)),
-                    Some((_, bk, bseq)) => {
-                        if e.key.as_slice() < bk || (e.key.as_slice() == bk && seq > bseq) {
-                            best = Some((i, &e.key, seq));
-                        }
-                    }
-                }
+    merge_newest(&mut cursors, |c| -> Result<bool> {
+        if let Some(Head::Stored(mut entry)) = c.advance()? {
+            if !(entry.antimatter && drop_antimatter) {
+                // A value reconstructed from column runs comes out of the
+                // codec's encoder with spare capacity, and every entry is
+                // held until the merged component is built.
+                entry.value.shrink_to_fit();
+                merged.push(entry);
             }
         }
-        let Some((winner, _, _)) = best else { break };
-        let mut entry = heads[winner].take().unwrap();
-        heads[winner] = iters[winner].next();
-        for i in 0..heads.len() {
-            loop {
-                let same = matches!(&heads[i], Some(e) if e.key == entry.key);
-                if !same {
-                    break;
-                }
-                heads[i] = iters[i].next();
-            }
-        }
-        if entry.antimatter && drop_antimatter {
-            continue; // fully compacted away
-        }
-        // A value reconstructed from column runs comes out of the codec's
-        // encoder with spare capacity, and every entry is held until the
-        // merged component is built.
-        entry.value.shrink_to_fit();
-        merged.push(entry);
-    }
-    for mut it in iters {
-        if let Some(e) = it.take_error() {
-            return Err(e);
-        }
-    }
+        Ok(true)
+    })?;
     Ok(merged)
 }
 
@@ -575,6 +553,133 @@ pub enum ScanValue<'a> {
     /// The projected fields already assembled into a self-describing
     /// record by the columnar read path.
     Assembled(&'a [u8]),
+}
+
+/// The current entry of one source of a merged read. Memory entries stay
+/// borrowed from the tree: the state lock is held for the whole read.
+enum Head<'a> {
+    Mem(&'a [u8], &'a MemEntry),
+    /// A disk component's entry as stored.
+    Stored(Entry),
+    /// A columnar component's row, cut to a projection.
+    Proj(ProjEntry),
+}
+
+impl Head<'_> {
+    fn key(&self) -> &[u8] {
+        match self {
+            Head::Mem(k, _) => k,
+            Head::Stored(e) => &e.key,
+            Head::Proj(e) => &e.key,
+        }
+    }
+
+    /// The key and what a reader sees of it; `None` for antimatter and for
+    /// a row a pushed filter rejected.
+    fn live(&self) -> Option<(&[u8], ScanValue<'_>)> {
+        let value = match self {
+            Head::Mem(_, v) => (!v.antimatter).then_some(ScanValue::Row(&v.value)),
+            Head::Stored(e) => (!e.antimatter).then_some(ScanValue::Row(&e.value)),
+            Head::Proj(e) => match &e.kind {
+                ProjKind::Row(v) => Some(ScanValue::Row(v)),
+                ProjKind::Assembled(v) => Some(ScanValue::Assembled(v)),
+                ProjKind::Anti | ProjKind::Filtered => None,
+            },
+        };
+        value.map(|v| (self.key(), v))
+    }
+}
+
+type Keys<'a> = std::slice::Iter<'a, Vec<u8>>;
+
+/// One component as a source of a merged read: ranged over, or asked for
+/// each key of a sorted list.
+enum Source<'a> {
+    Mem(std::collections::btree_map::Range<'a, Vec<u8>, MemEntry>),
+    MemKeys(&'a BTreeMap<Vec<u8>, MemEntry>, Keys<'a>),
+    Stored(ComponentIter),
+    StoredKeys(&'a DiskComponent, Keys<'a>),
+    Proj(ProjectedIter<'a>),
+}
+
+impl<'a> Source<'a> {
+    /// A memory or sealed component.
+    fn mem(map: &'a BTreeMap<Vec<u8>, MemEntry>, bound: ScanBound<'a>) -> Source<'a> {
+        match bound {
+            ScanBound::Range { lo, hi } => Source::Mem(map.range::<[u8], _>((
+                lo.map_or(Bound::Unbounded, Bound::Included),
+                hi.map_or(Bound::Unbounded, Bound::Excluded),
+            ))),
+            ScanBound::Keys(keys) => Source::MemKeys(map, keys.iter()),
+        }
+    }
+
+    /// A disk component: a columnar one through `proj` when there is one,
+    /// anything else as stored rows.
+    fn disk(
+        comp: &'a Arc<DiskComponent>,
+        bound: ScanBound<'a>,
+        proj: Option<&Projection<'a>>,
+    ) -> Source<'a> {
+        match (bound, proj) {
+            (_, Some(proj)) if comp.is_columnar() => Source::Proj(comp.project_range(bound, proj)),
+            (ScanBound::Range { lo, hi }, _) => Source::Stored(comp.range(lo, hi)),
+            (ScanBound::Keys(keys), _) => Source::StoredKeys(comp, keys.iter()),
+        }
+    }
+
+    fn next(&mut self) -> Result<Option<Head<'a>>> {
+        Ok(match self {
+            Source::Mem(it) => it.next().map(|(k, v)| Head::Mem(k, v)),
+            Source::MemKeys(map, keys) => {
+                keys.find_map(|k| map.get_key_value(k)).map(|(k, v)| Head::Mem(k, v))
+            }
+            Source::Stored(it) => match it.next() {
+                Some(e) => Some(Head::Stored(e)),
+                None => it.take_error().map_or(Ok(None), Err)?,
+            },
+            Source::StoredKeys(comp, keys) => loop {
+                let Some(key) = keys.next() else { break None };
+                if let Some(e) = comp.get(key)? {
+                    break Some(Head::Stored(e));
+                }
+            },
+            Source::Proj(it) => match it.next() {
+                Some(e) => Some(Head::Proj(e)),
+                None => it.take_error().map_or(Ok(None), Err)?,
+            },
+        })
+    }
+}
+
+/// A source and its current entry: what a merged read hands
+/// [`merge_newest`].
+struct Cursor<'a> {
+    source: Source<'a>,
+    head: Option<Head<'a>>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(mut source: Source<'a>) -> Result<Self> {
+        let head = source.next()?;
+        Ok(Cursor { source, head })
+    }
+
+    /// The current entry, moving past it.
+    fn advance(&mut self) -> Result<Option<Head<'a>>> {
+        let next = self.source.next()?;
+        Ok(std::mem::replace(&mut self.head, next))
+    }
+}
+
+impl MergeSource for Cursor<'_> {
+    fn key(&self) -> Option<&[u8]> {
+        self.head.as_ref().map(Head::key)
+    }
+
+    fn skip(&mut self) -> Result<()> {
+        self.advance().map(drop)
+    }
 }
 
 /// An LSM index over byte-string keys.
@@ -733,136 +838,31 @@ impl LsmTree {
         Ok(None)
     }
 
-    /// Does the key exist (non-antimatter)?
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        Ok(self.get(key)?.is_some())
-    }
-
     /// Merged range scan over `[lo, hi)`; resolves antimatter so only live
     /// entries are yielded, in ascending key order.
     pub fn scan(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
-        self.scan_with(lo, hi, |k, v| {
+        self.scan_with(lo, hi, |k, v| -> Result<bool> {
             out.push((k.to_vec(), v.to_vec()));
-            true
+            Ok(true)
         })?;
         Ok(out)
     }
 
-    /// Streaming variant of [`LsmTree::scan`]: the callback returns `false` to stop
-    /// early (used by LIMIT evaluation).
-    pub fn scan_with(
-        &self,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
-    ) -> Result<()> {
-        let st = self.inner.state.read();
-        let bounds = (
-            lo.map_or(Bound::Unbounded, Bound::Included),
-            hi.map_or(Bound::Unbounded, Bound::Excluded),
-        );
-        // Source 0 is the mutable memory component (highest priority), then
-        // sealed components newest → oldest, then disk newest → oldest.
-        let mem_range = st.mem.range::<[u8], _>(bounds);
-        let mut mem_iter = mem_range.map(|(k, v)| Entry {
-            key: k.clone(),
-            antimatter: v.antimatter,
-            value: v.value.clone(),
-        });
-        // Sealed components' relevant ranges are materialized (bounded by
-        // max_frozen × mem_budget).
-        let mut frozen_iters: Vec<std::vec::IntoIter<Entry>> = st
-            .frozen
-            .iter()
-            .rev()
-            .map(|fr| {
-                fr.entries
-                    .range::<[u8], _>(bounds)
-                    .map(|(k, v)| Entry {
-                        key: k.clone(),
-                        antimatter: v.antimatter,
-                        value: v.value.clone(),
-                    })
-                    .collect::<Vec<Entry>>()
-                    .into_iter()
-            })
-            .collect();
-        let nf = frozen_iters.len();
-        let mut disk_iters: Vec<crate::component::ComponentIter> =
-            st.disk.iter().map(|c| c.range(lo, hi)).collect();
-        // A heads array implementing a k-way merge by (key, priority):
-        // lower source index = newer data.
-        let mut heads: Vec<Option<Entry>> = Vec::with_capacity(1 + nf + disk_iters.len());
-        heads.push(mem_iter.next());
-        for it in &mut frozen_iters {
-            heads.push(it.next());
-        }
-        for it in &mut disk_iters {
-            heads.push(it.next());
-        }
-        loop {
-            // Find the smallest key; among equals the lowest source index
-            // (newest data) wins.
-            let mut best: Option<(usize, &[u8])> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if let Some(e) = h {
-                    match best {
-                        None => best = Some((i, &e.key)),
-                        Some((_, bk)) if e.key.as_slice() < bk => best = Some((i, &e.key)),
-                        _ => {}
-                    }
-                }
-            }
-            let Some((winner, _)) = best else { break };
-            let entry = heads[winner].take().unwrap();
-            // Advance the winner and every source holding the same key
-            // (older duplicates are shadowed and must be skipped).
-            let mut advance = |i: usize, heads: &mut Vec<Option<Entry>>| {
-                heads[i] = if i == 0 {
-                    mem_iter.next()
-                } else if i <= nf {
-                    frozen_iters[i - 1].next()
-                } else {
-                    disk_iters[i - 1 - nf].next()
-                };
-            };
-            advance(winner, &mut heads);
-            for i in 0..heads.len() {
-                loop {
-                    let same = matches!(&heads[i], Some(e) if e.key == entry.key);
-                    if !same {
-                        break;
-                    }
-                    advance(i, &mut heads);
-                }
-            }
-            if !entry.antimatter && !f(&entry.key, &entry.value) {
-                break;
-            }
-        }
-        for mut it in disk_iters {
-            if let Some(e) = it.take_error() {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`LsmTree::scan_with`] with a visitor that can fail: its first error
+    /// Streaming [`LsmTree::scan`] of the stored rows: `f` returns
+    /// `Ok(false)` to stop early (LIMIT evaluation), and its first error
     /// stops the scan and is what the call returns.
-    pub fn try_scan_with(
+    pub fn scan_with<E: From<StorageError>>(
         &self,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]) -> Result<()>,
-    ) -> Result<()> {
-        let mut err = None;
-        self.scan_with(lo, hi, |k, v| {
-            err = f(k, v).err();
-            err.is_none()
-        })?;
-        err.map_or(Ok(()), Err)
+        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
+        self.read(ScanBound::Range { lo, hi }, None, |key, value| {
+            // Without a projection every source yields stored rows.
+            let (ScanValue::Row(row) | ScanValue::Assembled(row)) = value;
+            f(key, row)
+        })
     }
 
     /// Filter-first merged scan over `bound` — a key range, or the sorted
@@ -878,139 +878,41 @@ impl LsmTree {
     /// still shadows older versions of its key. The filters only ever drop
     /// rows that are *definitely* rejected by the predicate they were
     /// derived from; the caller must still apply the full predicate to
-    /// what comes through.
-    pub fn scan_projected(
+    /// what comes through. `f` stops the scan as [`LsmTree::scan_with`]'s
+    /// visitor does.
+    pub fn scan_projected<E: From<StorageError>>(
         &self,
         bound: ScanBound<'_>,
         proj: &Projection,
-        mut f: impl FnMut(&[u8], ScanValue<'_>) -> bool,
-    ) -> Result<()> {
-        /// The next entry of one source. Memory entries stay borrowed from
-        /// the tree (the state lock is held for the whole scan).
-        enum Head<'a> {
-            Mem(&'a [u8], &'a MemEntry),
-            Disk(ProjEntry),
-        }
-        impl Head<'_> {
-            fn key(&self) -> &[u8] {
-                match self {
-                    Head::Mem(k, _) => k,
-                    Head::Disk(e) => &e.key,
-                }
-            }
-        }
-        fn whole(e: Entry) -> ProjEntry {
-            let kind = if e.antimatter { ProjKind::Anti } else { ProjKind::Row(e.value) };
-            ProjEntry { key: e.key, kind }
-        }
-        type Keys<'a> = std::slice::Iter<'a, Vec<u8>>;
-        enum Source<'a> {
-            Mem(std::collections::btree_map::Range<'a, Vec<u8>, MemEntry>),
-            MemKeys(&'a BTreeMap<Vec<u8>, MemEntry>, Keys<'a>),
-            Plain(crate::component::ComponentIter),
-            PlainKeys(&'a DiskComponent, Keys<'a>, Option<StorageError>),
-            Proj(crate::component::ProjectedIter<'a>),
-        }
-        impl<'a> Source<'a> {
-            /// A memory or sealed component: ranged over, or asked for
-            /// each key of the list.
-            fn mem(map: &'a BTreeMap<Vec<u8>, MemEntry>, bound: ScanBound<'a>) -> Source<'a> {
-                match bound {
-                    ScanBound::Range { lo, hi } => Source::Mem(map.range::<[u8], _>((
-                        lo.map_or(Bound::Unbounded, Bound::Included),
-                        hi.map_or(Bound::Unbounded, Bound::Excluded),
-                    ))),
-                    ScanBound::Keys(keys) => Source::MemKeys(map, keys.iter()),
-                }
-            }
-            fn next(&mut self) -> Option<Head<'a>> {
-                match self {
-                    Source::Mem(it) => it.next().map(|(k, v)| Head::Mem(k, v)),
-                    Source::MemKeys(map, keys) => keys
-                        .find_map(|k| map.get_key_value(k))
-                        .map(|(k, v)| Head::Mem(k.as_slice(), v)),
-                    Source::Plain(it) => it.next().map(|e| Head::Disk(whole(e))),
-                    Source::PlainKeys(comp, keys, error) => loop {
-                        match comp.get(keys.next()?) {
-                            Ok(None) => {}
-                            Ok(Some(e)) => break Some(Head::Disk(whole(e))),
-                            // The first error ends the source, as it ends
-                            // a ranged one.
-                            Err(e) => {
-                                *error = Some(e);
-                                *keys = [].iter();
-                                break None;
-                            }
-                        }
-                    },
-                    Source::Proj(it) => it.next().map(Head::Disk),
-                }
-            }
-            fn take_error(&mut self) -> Option<StorageError> {
-                match self {
-                    Source::Mem(_) | Source::MemKeys(..) => None,
-                    Source::Plain(it) => it.take_error(),
-                    Source::PlainKeys(_, _, error) => error.take(),
-                    Source::Proj(it) => it.take_error(),
-                }
-            }
-        }
+        f: impl FnMut(&[u8], ScanValue<'_>) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
+        self.read(bound, Some(proj), f)
+    }
+
+    /// The one merged read of the tree: the mutable memory component,
+    /// sealed components newest → oldest, then disk components newest →
+    /// oldest, all borrowed under the held state lock and merged by
+    /// [`merge_newest`]. Columnar disk components are read through `proj`
+    /// when there is one; every other source yields stored rows.
+    fn read<E: From<StorageError>>(
+        &self,
+        bound: ScanBound<'_>,
+        proj: Option<&Projection>,
+        mut f: impl FnMut(&[u8], ScanValue<'_>) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
         let st = self.inner.state.read();
-        // Newest first: the mutable memory component, sealed components
-        // newest → oldest, then disk newest → oldest. Among equal keys the
-        // lowest source index wins.
-        let mut sources: Vec<Source<'_>> = Vec::with_capacity(1 + st.frozen.len() + st.disk.len());
-        sources.push(Source::mem(&st.mem, bound));
+        let mut cursors = Vec::with_capacity(1 + st.frozen.len() + st.disk.len());
+        cursors.push(Cursor::new(Source::mem(&st.mem, bound))?);
         for fr in st.frozen.iter().rev() {
-            sources.push(Source::mem(&fr.entries, bound));
+            cursors.push(Cursor::new(Source::mem(&fr.entries, bound))?);
         }
         for c in &st.disk {
-            sources.push(match bound {
-                _ if c.is_columnar() => Source::Proj(c.project_range(bound, proj)),
-                ScanBound::Range { lo, hi } => Source::Plain(c.range(lo, hi)),
-                ScanBound::Keys(keys) => Source::PlainKeys(c, keys.iter(), None),
-            });
+            cursors.push(Cursor::new(Source::disk(c, bound, proj))?);
         }
-        let mut heads: Vec<Option<Head<'_>>> = sources.iter_mut().map(|s| s.next()).collect();
-        loop {
-            let mut best: Option<(usize, &[u8])> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if let Some(h) = h {
-                    match best {
-                        Some((_, bk)) if h.key() >= bk => {}
-                        _ => best = Some((i, h.key())),
-                    }
-                }
-            }
-            let Some((winner, _)) = best else { break };
-            let entry = heads[winner].take().unwrap();
-            heads[winner] = sources[winner].next();
-            // Older versions of the winner's key are shadowed — also when
-            // the winner is filtered or antimatter.
-            for i in winner + 1..heads.len() {
-                while matches!(&heads[i], Some(h) if h.key() == entry.key()) {
-                    heads[i] = sources[i].next();
-                }
-            }
-            let keep_going = match &entry {
-                Head::Mem(_, v) if v.antimatter => true,
-                Head::Mem(k, v) => f(k, ScanValue::Row(&v.value)),
-                Head::Disk(e) => match &e.kind {
-                    ProjKind::Anti | ProjKind::Filtered => true,
-                    ProjKind::Row(v) => f(&e.key, ScanValue::Row(v)),
-                    ProjKind::Assembled(v) => f(&e.key, ScanValue::Assembled(v)),
-                },
-            };
-            if !keep_going {
-                break;
-            }
-        }
-        for it in &mut sources {
-            if let Some(e) = it.take_error() {
-                return Err(e);
-            }
-        }
-        Ok(())
+        merge_newest(&mut cursors, |c| match c.advance()?.as_ref().and_then(Head::live) {
+            Some((key, value)) => f(key, value),
+            None => Ok(true),
+        })
     }
 
     /// How many of the tree's disk components are columnar (tests and
@@ -1032,9 +934,9 @@ impl LsmTree {
     /// Count of live entries (scan-based; used by tests and stats).
     pub fn live_count(&self) -> Result<usize> {
         let mut n = 0;
-        self.scan_with(None, None, |_, _| {
+        self.scan_with(None, None, |_, _| -> Result<bool> {
             n += 1;
-            true
+            Ok(true)
         })?;
         Ok(n)
     }
@@ -1418,9 +1320,9 @@ mod tests {
             t.insert(k(i), vec![0]).unwrap();
         }
         let mut seen = 0;
-        t.scan_with(None, None, |_, _| {
+        t.scan_with(None, None, |_, _| -> Result<bool> {
             seen += 1;
-            seen < 10
+            Ok(seen < 10)
         })
         .unwrap();
         assert_eq!(seen, 10);
@@ -1491,6 +1393,119 @@ mod tests {
             assert_eq!(t.get(&k(i)).unwrap(), Some(vec![0u8; 32]));
         }
         t.close().unwrap();
+    }
+
+    /// Key `i`'s record as written in `plane`.
+    fn version(i: u32, plane: u32) -> Vec<u8> {
+        let mut r = Record::new();
+        r.set("id", Value::Int64(i as i64));
+        r.set("plane", Value::Int64(plane as i64));
+        encode(&Value::record(r))
+    }
+
+    /// `get`, `scan` and `scan_projected` over ranges and key lists all
+    /// answer what `model` holds.
+    fn assert_reads_match(t: &LsmTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, when: &str) {
+        for i in 0..84 {
+            assert_eq!(t.get(&k(i)).unwrap().as_ref(), model.get(&k(i)), "{when}: get {i}");
+        }
+        let (lo, hi) = (k(10), k(50));
+        let of = |want: &dyn Fn(&[u8]) -> bool| -> Vec<(Vec<u8>, Vec<u8>)> {
+            model.iter().filter(|(key, _)| want(key)).map(|(k, v)| (k.clone(), v.clone())).collect()
+        };
+        let all = of(&|_| true);
+        let ranged = of(&|key| lo.as_slice() <= key && key < hi.as_slice());
+        let even = of(&|key| key[3] % 2 == 0);
+        assert_eq!(t.scan(None, None).unwrap(), all, "{when}: scan");
+        assert_eq!(t.scan(Some(&lo), Some(&hi)).unwrap(), ranged, "{when}: ranged scan");
+        // Every key and a few absent ones past them; every other key.
+        let every: Vec<Vec<u8>> = (0..84).map(k).collect();
+        let evens: Vec<Vec<u8>> = (0..84).step_by(2).map(k).collect();
+        for (bound, want) in [
+            (ScanBound::ALL, &all),
+            (ScanBound::Range { lo: Some(&lo), hi: Some(&hi) }, &ranged),
+            (ScanBound::Keys(&every), &all),
+            (ScanBound::Keys(&evens), &even),
+        ] {
+            let mut got = Vec::new();
+            t.scan_projected(bound, &Projection::all(), |key, v| -> Result<bool> {
+                let (ScanValue::Row(b) | ScanValue::Assembled(b)) = v;
+                got.push((key.to_vec(), b.to_vec()));
+                Ok(true)
+            })
+            .unwrap();
+            assert_eq!(&got, want, "{when}: scan_projected over {bound:?}");
+        }
+    }
+
+    /// Versions and tombstones of one key spread over two disk components,
+    /// a sealed component whose flush is held, and memory: every read
+    /// answers as a model that applies them oldest first.
+    #[test]
+    fn reads_across_a_sealed_unflushed_component_match_a_model() {
+        let dir = TempDir::new().unwrap();
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let t = LsmTree::open(
+            dir.path(),
+            columnar_cfg(),
+            BufferCache::new(256),
+            Arc::new(GateObserver { entered: entered_tx, release: Mutex::new(release_rx) }),
+        )
+        .unwrap();
+        let entered = || entered_rx.recv_timeout(Duration::from_secs(10)).expect("flush stalled");
+        // What key `i` gets in plane `p` — 0 the older disk component, 1 the
+        // newer, 2 the sealed one, 3 memory — is base-3 digit `p` of `i`:
+        // nothing, a new version or a tombstone. The 81 keys cover every
+        // sequence of the three.
+        let mut model = BTreeMap::new();
+        let write = |plane: u32, model: &mut BTreeMap<Vec<u8>, Vec<u8>>| {
+            for i in 0..81u32 {
+                match i / 3u32.pow(plane) % 3 {
+                    1 => {
+                        t.insert(k(i), version(i, plane)).unwrap();
+                        model.insert(k(i), version(i, plane));
+                    }
+                    2 => {
+                        t.delete(k(i)).unwrap();
+                        model.remove(&k(i));
+                    }
+                    _ => {}
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            write(0, &mut model);
+            release_tx.send(()).unwrap();
+            t.flush().unwrap();
+            entered();
+            // This flush installs its component, then is held in `on_flush`,
+            write(1, &mut model);
+            scope.spawn(|| t.flush().unwrap());
+            entered();
+            // so the next seal stays sealed.
+            write(2, &mut model);
+            scope.spawn(|| t.flush().unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while t.inner.state.read().frozen.is_empty() {
+                assert!(Instant::now() < deadline, "seal never happened");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            write(3, &mut model);
+            let planes = {
+                let st = t.inner.state.read();
+                (st.disk.len(), st.frozen.len(), st.mem.len())
+            };
+            assert_eq!(planes, (2, 1, 54), "two disk components, one sealed, memory");
+            assert_reads_match(&t, &model, "sealed");
+            release_tx.send(()).unwrap();
+            release_tx.send(()).unwrap();
+        });
+        assert_reads_match(&t, &model, "flushed");
+        drop(release_tx);
+        t.flush().unwrap();
+        assert_eq!((t.disk_component_count(), t.columnar_component_count()), (4, 4));
+        assert_reads_match(&t, &model, "all on disk");
     }
 
     #[test]
@@ -1671,7 +1686,8 @@ mod tests {
         assert_eq!(t.live_count().unwrap(), 300);
         assert_eq!(counters(), before);
         // A query's read of the same tree counts.
-        t.scan_projected(ScanBound::ALL, &Projection::all(), |_, _| true).unwrap();
+        t.scan_projected(ScanBound::ALL, &Projection::all(), |_, _| Ok::<_, StorageError>(true))
+            .unwrap();
         assert_eq!(stats.rows_assembled.get(), before[0] + 300);
     }
 
@@ -1712,13 +1728,13 @@ mod tests {
             Assembled(Vec<u8>),
         }
         let mut projected: Vec<(Vec<u8>, ScanValue2)> = Vec::new();
-        t.scan_projected(ScanBound::ALL, &proj, |key, v| {
+        t.scan_projected(ScanBound::ALL, &proj, |key, v| -> Result<bool> {
             let owned = match v {
                 ScanValue::Row(b) => ScanValue2::Row(b.to_vec()),
                 ScanValue::Assembled(b) => ScanValue2::Assembled(b.to_vec()),
             };
             projected.push((key.to_vec(), owned));
-            true
+            Ok(true)
         })
         .unwrap();
         assert_eq!(
@@ -1836,7 +1852,7 @@ mod tests {
             let every_key: Vec<Vec<u8>> = (0..120u32).map(k).collect();
             for bound in [ScanBound::ALL, ScanBound::Keys(&every_key)] {
                 let mut seen: Vec<u32> = Vec::new();
-                t.scan_projected(bound, &proj, |key, v| {
+                t.scan_projected(bound, &proj, |key, v| -> Result<bool> {
                     let i = u32::from_be_bytes(key[..4].try_into().unwrap());
                     // Memory, sealed and row-component rows come through
                     // unfiltered (the select above the scan judges them);
@@ -1850,7 +1866,7 @@ mod tests {
                         _ => assert_eq!(bytes, row(i), "key {i}"),
                     }
                     seen.push(i);
-                    true
+                    Ok(true)
                 })
                 .unwrap();
                 // 1 and 41 were rewritten in a columnar component to fail
@@ -1863,9 +1879,9 @@ mod tests {
             // A key list yields its keys alone.
             let some: Vec<Vec<u8>> = [0u32, 1, 2, 39, 41, 43, 44, 45, 46, 79, 300].map(k).to_vec();
             let mut seen: Vec<u32> = Vec::new();
-            t.scan_projected(ScanBound::Keys(&some), &proj, |key, _| {
+            t.scan_projected(ScanBound::Keys(&some), &proj, |key, _| -> Result<bool> {
                 seen.push(u32::from_be_bytes(key[..4].try_into().unwrap()));
-                true
+                Ok(true)
             })
             .unwrap();
             assert_eq!(seen, [0, 39, 43, 45, 79]);
@@ -1975,14 +1991,14 @@ mod tests {
         };
         let projected = |proj: &Projection, named: bool| {
             let mut out = Vec::new();
-            t.scan_projected(ScanBound::ALL, proj, |key, v| {
+            t.scan_projected(ScanBound::ALL, proj, |key, v| -> Result<bool> {
                 let (ScanValue::Row(rec) | ScanValue::Assembled(rec)) = v;
                 if !named {
                     out.push((key.to_vec(), rec.to_vec()));
                 } else if passes(rec) {
                     out.push((key.to_vec(), cut(rec)));
                 }
-                true
+                Ok(true)
             })
             .unwrap();
             out

@@ -206,22 +206,22 @@ impl SpatialIndex {
             for part in window.split_into(RANGES) {
                 let (zlo, zhi) = part.z_range();
                 let end = zhi.checked_add(1).map_or_else(|| vec![OTHER], point_key);
-                self.tree.try_scan_with(Some(&point_key(zlo)), Some(&end), |k, _| {
+                self.tree.scan_with(Some(&point_key(zlo)), Some(&end), |k, _| -> Result<bool> {
                     let z = (u128::from(read_u64(k, 1)?) << 64) | u128::from(read_u64(k, 9)?);
                     if part.contains(gather(z >> 1), gather(z)) {
                         out.push(decode_key(&k[17..])?);
                     }
-                    Ok(())
+                    Ok(true)
                 })?;
             }
         }
-        self.tree.try_scan_with(Some(&[OTHER]), Some(&[OTHER + 1]), |k, _| {
+        self.tree.scan_with(Some(&[OTHER]), Some(&[OTHER + 1]), |k, _| -> Result<bool> {
             let c = |i: usize| read_u64(k, 1 + 8 * i).map(unordered);
             let mbr = Rectangle::new(Point::new(c(0)?, c(1)?), Point::new(c(2)?, c(3)?));
             if mbr.intersects(query) {
                 out.push(decode_key(&k[33..])?);
             }
-            Ok(())
+            Ok(true)
         })?;
         Ok(out)
     }

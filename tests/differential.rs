@@ -1147,7 +1147,8 @@ fn geo_corpus() -> Corpus {
 }
 
 /// Windows over `pt` and `shape`, and distances from a point.
-fn geo_queries() -> Vec<String> {
+/// Each query, and whether its job probes the index.
+fn geo_queries() -> Vec<(String, bool)> {
     let windows = [
         "0,0 10,10",
         "-20,-7.5 -5,7.5",
@@ -1158,6 +1159,7 @@ fn geo_queries() -> Vec<String> {
     ];
     let ret = "return $g.id";
     let mut queries: Vec<String> = Vec::new();
+    let mut probed = Vec::new();
     for field in ["pt", "shape"] {
         for w in windows {
             queries.push(format!(
@@ -1171,28 +1173,43 @@ fn geo_queries() -> Vec<String> {
             "for $g in dataset G where spatial-distance($g.pt, point(\"{center}\")) <= {d} {ret}"
         ));
     }
-    queries
+    probed.extend(queries.drain(..).map(|q| (q, true)));
+    // Windows with no bounding rectangle make no probe: the data is
+    // scanned, and the post-validation decides as it does without the index.
+    for w in ["null", "missing", "\"abc\""] {
+        let q = format!("for $g in dataset G where spatial-intersect($g.pt, {w}) {ret}");
+        probed.push((q, false));
+    }
+    probed
 }
 
-/// Each query's answer through the spatial index, checked against the
-/// same query with index access off.
+/// Each query's answer — or error — through the spatial index, checked
+/// against the same query with index access off.
 fn spatial_answers(
     setup: Setup,
     step: &str,
     instance: &Instance,
-    queries: &[String],
+    queries: &[(String, bool)],
 ) -> Vec<Vec<String>> {
     queries
         .iter()
-        .map(|q| {
+        .map(|(q, probed)| {
             let (plan, job) = instance.explain(q).unwrap();
             assert!(plan.contains("rtree-search"), "{setup:?} {step}: {plan}");
-            assert!(job.contains("rtree-search Geo.G."), "{setup:?} {step}: {job}");
-            let got = canonical(instance.query(q).unwrap());
+            let probes = job.contains("rtree-search Geo.G.");
+            assert_eq!(probes, *probed, "{setup:?} {step}: {job}");
+            // Only a window with no probe may error: the post-validation
+            // then decides on both paths.
+            let answer = |q: &str| match instance.query(q) {
+                Ok(rows) => canonical(rows),
+                Err(e) if !probed => vec![format!("error: {e}")],
+                Err(e) => panic!("{setup:?} {step}: {q}: {e}"),
+            };
+            let got = answer(q);
             instance.optimizer_options.write().enable_index_access = false;
             let (plan, _) = instance.explain(q).unwrap();
             assert!(!plan.contains("rtree-search"), "{setup:?} {step}: {plan}");
-            let want = canonical(instance.query(q).unwrap());
+            let want = answer(q);
             instance.optimizer_options.write().enable_index_access = true;
             assert_eq!(got, want, "{setup:?} {step}: {q}");
             got
@@ -1230,6 +1247,12 @@ fn spatial_searches_answer_identically_on_every_layout_and_topology() {
         assert!(has(0, 900) && has(6, 900) && has(13, 900), "the point at x = -0.0");
         assert!(has(4, 901) && has(5, 902) && has(15, 903), "the points near 1e300");
         assert!(want.iter().map(Vec::len).sum::<usize>() > 300, "{want:?}");
+        let no_window = &want[16..];
+        assert!(no_window[0].is_empty() && no_window[1].is_empty(), "{no_window:?}");
+        assert_eq!(
+            no_window[2],
+            ["error: invalid argument: spatial-intersect over point and string"]
+        );
 
         let g = instance.dataset("G").unwrap();
         g.flush_all().unwrap();

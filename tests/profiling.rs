@@ -1131,7 +1131,7 @@ fn merge_of_one_column_list_copies_runs_outside_the_buffer_cache() {
         let ordered = colschema::in_typed_order(sd, &rt, &mut buf).unwrap();
         assert!(std::ptr::eq(ordered, sd), "re-ordered a spliced record");
         spliced += 1;
-        true
+        Ok::<_, asterix_storage::StorageError>(true)
     })
     .unwrap();
     assert_eq!(spliced, 80);

@@ -657,7 +657,7 @@ proptest! {
                     ScanValue::Row(b) => (key.to_vec(), false, b.to_vec()),
                     ScanValue::Assembled(b) => (key.to_vec(), true, b.to_vec()),
                 });
-                true
+                Ok::<_, asterix_storage::StorageError>(true)
             })
             .unwrap();
             out
