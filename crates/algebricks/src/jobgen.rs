@@ -19,8 +19,8 @@ use asterix_hyracks::connector::ConnectorKind;
 use asterix_hyracks::frame::Tuple;
 use asterix_hyracks::job::{JobSpec, OperatorId};
 use asterix_hyracks::ops::{
-    sort_comparator, AggKind, AggSpec, AssignOp, CmpKind, DistinctOp, FetchFn, GroupMode,
-    HashGroupOp, HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, LimitOp, MapOp,
+    sort_comparator, AggKind, AggSpec, AssignOp, CmpKind, DistinctOp, FetchFn, ForwardOp,
+    GroupMode, HashGroupOp, HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, LimitOp,
     NestedLoopJoinOp, OrdPred, PrimaryFetchOp, ProjectOp, RawSourceFn, RuntimeFilterProbeOp,
     ScalarAggOp, SelectOp, SinkOp, SortKey, SortOp, SourceOp,
 };
@@ -1072,7 +1072,7 @@ impl Gen {
         if self.parts(part) == 1 {
             return Ok((sort, keyed_schema, Part::Single));
         }
-        let merge = self.job.add(1, Arc::new(MapOp::new("merge", |t| Ok(vec![t.clone()]))));
+        let merge = self.job.add(1, Arc::new(ForwardOp::new("merge")));
         self.job.connect(
             ConnectorKind::MToNPartitioningMerging {
                 fields: vec![],
@@ -1089,7 +1089,7 @@ impl Gen {
         match part {
             Part::Single => (op, Part::Single),
             Part::Distributed => {
-                let pass = self.job.add(1, Arc::new(MapOp::new("gather", |t| Ok(vec![t.clone()]))));
+                let pass = self.job.add(1, Arc::new(ForwardOp::new("gather")));
                 self.job.connect(ConnectorKind::MToNReplicating, op, pass);
                 (pass, Part::Single)
             }
@@ -1168,7 +1168,7 @@ impl Gen {
                     let label = format!("{}-search {dataset}.{index}", spec.kind_word());
                     let search = provider.secondary_search(dataset, index, probe)?;
                     let search =
-                        self.job.add(self.nparts, Arc::new(SourceOp::from_fn(label, search)));
+                        self.job.add(self.nparts, Arc::new(SourceOp::from_raw_fn(label, search)));
                     // Sort primary keys "to improve the access pattern on the
                     // primary index" (Figure 6 discussion): sorted keys reach
                     // the fetch in batches that each cover one stretch of it.

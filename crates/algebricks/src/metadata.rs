@@ -8,7 +8,7 @@ use asterix_adm::strings::Tokenizer;
 use asterix_adm::value::Rectangle;
 use asterix_adm::Value;
 
-use asterix_hyracks::ops::{CmpKind, FetchFn, RawSourceFn, SourceFn};
+use asterix_hyracks::ops::{CmpKind, FetchFn, RawSourceFn};
 use asterix_hyracks::Result;
 
 /// Secondary index kinds (§2.2: btree is the default; rtree, keyword and
@@ -224,10 +224,18 @@ pub trait MetadataProvider: Send + Sync {
         hi: KeyBound,
     ) -> Result<RawSourceFn>;
 
-    /// Search of a secondary index: emits one tuple per matching entry of
-    /// the caller's partition, columns = primary-key fields (§2.2: "The
-    /// result of a secondary key lookup is a set of primary keys").
-    fn secondary_search(&self, dataset: &str, index: &str, probe: IndexProbe) -> Result<SourceFn>;
+    /// Search of a secondary index: emits the encoded tuple of one matching
+    /// entry's primary key at a time — its columns the primary-key fields —
+    /// for the caller's partition (§2.2: "The result of a secondary key
+    /// lookup is a set of primary keys"). Like every Hyracks source it
+    /// hands over bytes, never values; the search ignores the runtime
+    /// filter consult a [`RawSourceFn`] is offered.
+    fn secondary_search(
+        &self,
+        dataset: &str,
+        index: &str,
+        probe: IndexProbe,
+    ) -> Result<RawSourceFn>;
 
     /// Batched primary-index fetch — the key-list twin of
     /// [`Self::raw_scan_source`], taking the same `projection` and emitting
@@ -248,8 +256,9 @@ pub trait MetadataProvider: Send + Sync {
     /// Cross-partition primary-index range scan returning records.
     fn primary_range_all(&self, dataset: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>>;
 
-    /// [`Self::secondary_search`] over every partition, collected: the
-    /// probe of an index nested-loop join and the interpreter's searches.
+    /// [`Self::secondary_search`] over every partition, its keys decoded
+    /// and collected: the probe of an index nested-loop join and the
+    /// interpreter's searches.
     fn secondary_search_all(
         &self,
         dataset: &str,
@@ -260,8 +269,8 @@ pub trait MetadataProvider: Send + Sync {
         let nparts = self.partitions();
         let mut out = Vec::new();
         for p in 0..nparts {
-            search(p, nparts, &mut |pk| {
-                out.push(pk);
+            search(p, nparts, None, &mut |pk| {
+                out.push(asterix_adm::decode_tuple(pk)?);
                 Ok(())
             })?;
         }
@@ -317,7 +326,7 @@ pub mod tests_support {
             dataset: &str,
             _index: &str,
             _probe: IndexProbe,
-        ) -> Result<SourceFn> {
+        ) -> Result<RawSourceFn> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
@@ -473,19 +482,20 @@ pub mod tests_support {
             dataset: &str,
             index: &str,
             probe: IndexProbe,
-        ) -> Result<SourceFn> {
+        ) -> Result<RawSourceFn> {
             let IndexProbe::Range { lo, hi } = probe else {
                 return Err(asterix_hyracks::HyracksError::Operator("no indexes".into()));
             };
             let records = self.scan_all(dataset)?;
             let pk_fields = self.primary_key_fields(dataset);
             let field = index.to_string();
-            Ok(Arc::new(move |partition, nparts, emit| {
+            Ok(Arc::new(move |partition, nparts, _consult, emit| {
                 for r in &records {
                     if partition_of(r, &pk_fields, nparts) == partition
                         && within(&r.field(&field), &lo, &hi)
                     {
-                        emit(pk_fields.iter().map(|f| r.field(f)).collect())?;
+                        let pk: Vec<Value> = pk_fields.iter().map(|f| r.field(f)).collect();
+                        emit(&asterix_adm::encode_tuple(&pk))?;
                     }
                 }
                 Ok(())

@@ -1035,7 +1035,7 @@ mod tests {
             d: &str,
             i: &str,
             probe: crate::metadata::IndexProbe,
-        ) -> asterix_hyracks::Result<asterix_hyracks::ops::SourceFn> {
+        ) -> asterix_hyracks::Result<asterix_hyracks::ops::RawSourceFn> {
             self.inner.secondary_search(d, i, probe)
         }
         fn primary_fetch(

@@ -138,17 +138,24 @@ impl SecondaryPartition {
     }
 
     /// The primary keys of this partition's entries that `probe` matches,
-    /// handed to `emit` until it returns `Ok(false)` or an error — the one
-    /// place a probe meets an index kind.
+    /// each an encoded tuple of the key fields, handed to `emit` until it
+    /// returns `Ok(false)` or an error — the one place a probe meets an
+    /// index kind.
     pub fn search(
         &self,
         probe: &IndexProbe,
-        emit: &mut dyn FnMut(Vec<Value>) -> Result<bool>,
+        emit: &mut dyn FnMut(&[u8]) -> Result<bool>,
     ) -> Result<()> {
+        let mut enc = Vec::new();
+        let mut emit = |pk: &[Value]| {
+            enc.clear();
+            asterix_adm::encode_tuple_into(&mut enc, pk);
+            emit(&enc)
+        };
         let pks = match (self, probe) {
             (SecondaryPartition::BTree(t), IndexProbe::Range { lo, hi }) => {
                 let (lo, hi) = (to_value_bound(lo.clone()), to_value_bound(hi.clone()));
-                return t.range_with(&lo, &hi, |key, _| emit(t.split_key(key).1.to_vec()));
+                return t.range_with(&lo, &hi, |key, _| emit(t.split_key(key).1));
             }
             (SecondaryPartition::Spatial(t), IndexProbe::Window(window)) => t.search(window)?,
             (SecondaryPartition::Inverted(t), IndexProbe::Tokens { tokens, min_matches }) => {
@@ -157,7 +164,7 @@ impl SecondaryPartition {
             _ => return Err(AsterixError::Execution(format!("no such search: {probe:?}"))),
         };
         for pk in pks {
-            if !emit(pk)? {
+            if !emit(&pk)? {
                 break;
             }
         }

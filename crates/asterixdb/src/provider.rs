@@ -10,7 +10,7 @@ use asterix_algebricks::metadata::{
     IndexInfo, IndexKind, IndexProbe, KeyBound, MetadataProvider, ScanFilter, ScanProjection,
 };
 use asterix_aql::translate::{AqlCatalog, FunctionDef};
-use asterix_hyracks::ops::{FetchFn, RawSourceFn, SourceFn};
+use asterix_hyracks::ops::{FetchFn, RawSourceFn};
 use asterix_hyracks::{FilterConsult, HyracksError};
 use asterix_metadata::{Catalog, DatasetKind, IndexKindMeta, METADATA_DATAVERSE};
 use asterix_storage::btree::ValueBound;
@@ -359,7 +359,7 @@ impl MetadataProvider for InstanceProvider {
         dataset: &str,
         index: &str,
         probe: IndexProbe,
-    ) -> asterix_hyracks::Result<SourceFn> {
+    ) -> asterix_hyracks::Result<RawSourceFn> {
         let ds = self.runtime(dataset)?;
         let ix = ds.secondary(index).ok_or_else(|| op_err(format!("unknown index {index}")))?;
         let probe = match probe {
@@ -369,8 +369,8 @@ impl MetadataProvider for InstanceProvider {
             },
             other => other,
         };
-        Ok(Arc::new(move |partition, _nparts, emit| {
-            let mut visit = |pk| {
+        Ok(Arc::new(move |partition, _nparts, _consult, emit| {
+            let mut visit = |pk: &[u8]| {
                 emit(pk)?;
                 Ok(true)
             };

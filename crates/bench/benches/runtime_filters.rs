@@ -67,7 +67,7 @@ fn join_job(parts: usize) -> (JobSpec, Arc<Mutex<Vec<Vec<Value>>>>) {
 
 fn bench_join_probe(c: &mut Criterion) {
     for parts in [4usize, 8] {
-        let mut g = c.benchmark_group(format!("vectorized/join_probe_p{parts}"));
+        let mut g = c.benchmark_group(format!("runtime_filters/join_probe_p{parts}"));
         g.sample_size(10);
         for (label, filtered) in [("runtime_filter", true), ("no_filter_factory", false)] {
             g.bench_function(label, |b| {

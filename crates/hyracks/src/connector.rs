@@ -10,14 +10,13 @@
 //! merging connector. A fast producer blocks once the frame budget is
 //! reached and backpressure propagates upstream — peak exchange memory is
 //! `O(channels × frames_in_flight × frame_bytes)` rather than
-//! `O(dataset)`. No `Vec<Value>`-typed frame ever crosses a
-//! channel: producers serialize on [`OutputPort::push`] (or forward
-//! already-encoded tuples via [`OutputPort::push_encoded`] without
-//! re-encoding), receivers decode lazily at the operator boundary. Hash
-//! routing of encoded tuples uses `hash_encoded_fields`, bit-identical to
-//! the decoded `hash_fields`, so both push paths route alike. A merging
-//! connector's receive side performs a streaming k-way merge over the
-//! per-sender channels, comparing *encoded* tuples. Drained frames are
+//! `O(dataset)`. A port takes encoded tuples only — one at a time
+//! ([`OutputPort::push_encoded`]) or a frame at a time
+//! ([`OutputPort::push_frame`]) — and receivers decode lazily at the
+//! operator boundary. Hash routing reads the encoded key fields
+//! (`hash_encoded_fields`, bit-identical to the decoded `hash_fields`). A
+//! merging connector's receive side performs a streaming k-way merge over
+//! the per-sender channels, comparing *encoded* tuples. Drained frames are
 //! returned to a shared [`FramePool`] and reused by senders, so
 //! steady-state exchange does no per-frame allocation.
 
@@ -25,13 +24,11 @@ use std::cmp::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, OnceLock};
 
-use asterix_adm::{encode_tuple_into, TupleRef};
+use asterix_adm::TupleRef;
 use asterix_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceContext};
 use asterix_rm::CancellationToken;
 
-use crate::frame::{
-    hash_encoded_fields, hash_fields, Frame, FramePool, Tuple, DEFAULT_FRAME_BYTES, FRAME_CAPACITY,
-};
+use crate::frame::{hash_encoded_fields, Frame, FramePool, DEFAULT_FRAME_BYTES, FRAME_CAPACITY};
 use crate::pipeline::PipelineOp;
 use crate::profile::PortMeter;
 use crate::{HyracksError, Result};
@@ -329,8 +326,6 @@ pub struct OutputPort {
     pool: Arc<FramePool>,
     tuples_per_frame: usize,
     frame_bytes: usize,
-    /// Reused scratch buffer for serializing pushed tuples.
-    enc: Vec<u8>,
     /// Per-operator profiling meter (attached only on profiled runs).
     meter: Option<Arc<PortMeter>>,
     /// When set, this port bypasses the exchange entirely: every tuple is
@@ -364,7 +359,6 @@ impl OutputPort {
             pool: Arc::clone(&xcfg.pool),
             tuples_per_frame: xcfg.tuples_per_frame.max(1),
             frame_bytes: xcfg.frame_bytes.max(1),
-            enc: Vec::new(),
             meter: None,
             fused: None,
             fused_done: false,
@@ -386,7 +380,6 @@ impl OutputPort {
             pool,
             tuples_per_frame: FRAME_CAPACITY,
             frame_bytes: DEFAULT_FRAME_BYTES,
-            enc: Vec::new(),
             meter: None,
             fused: None,
             fused_done: false,
@@ -479,28 +472,10 @@ impl OutputPort {
         }
     }
 
-    /// Emit one tuple, serializing it into the destination frame. Returns
+    /// Emit one encoded tuple into its destination's frame. Returns
     /// [`HyracksError::DownstreamClosed`] once every destination's receiver
     /// has hung up (e.g. a downstream LIMIT finished), so the producer can
     /// stop instead of computing data nobody will read.
-    pub fn push(&mut self, tuple: Tuple) -> Result<()> {
-        if self.is_cancelled() {
-            return Err(HyracksError::Cancelled);
-        }
-        let mut enc = std::mem::take(&mut self.enc);
-        enc.clear();
-        encode_tuple_into(&mut enc, &tuple);
-        let res = match &mut self.fused {
-            Some(chain) => chain.push(&enc),
-            None => self.route(&enc, Some(&tuple)),
-        };
-        self.enc = enc;
-        res
-    }
-
-    /// Forward an already-encoded tuple verbatim — the zero-copy re-slice
-    /// path. Routes identically to [`OutputPort::push`] because the
-    /// byte-level hasher is bit-identical to the decoded one.
     pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<()> {
         if self.is_cancelled() {
             return Err(HyracksError::Cancelled);
@@ -508,7 +483,7 @@ impl OutputPort {
         if let Some(chain) = &mut self.fused {
             return chain.push(bytes);
         }
-        self.route(bytes, None)
+        self.route(bytes)
     }
 
     /// Emit a whole frame of encoded tuples — the vectorized producer path.
@@ -545,7 +520,7 @@ impl OutputPort {
             }
             RouteStrategy::Hash(_) | RouteStrategy::LocalityAware { .. } => {
                 for bytes in frame.iter() {
-                    self.route(bytes, None)?;
+                    self.route(bytes)?;
                 }
                 Ok(())
             }
@@ -574,7 +549,7 @@ impl OutputPort {
         Ok(())
     }
 
-    fn route(&mut self, bytes: &[u8], decoded: Option<&Tuple>) -> Result<()> {
+    fn route(&mut self, bytes: &[u8]) -> Result<()> {
         if let Some(m) = &self.meter {
             m.tuples.inc();
         }
@@ -589,9 +564,11 @@ impl OutputPort {
         let n = self.senders.len().max(1) as u64;
         let j = match &self.strategy {
             RouteStrategy::Fixed(j) => *j,
-            RouteStrategy::Hash(fields) => (route_hash(bytes, decoded, fields)? % n) as usize,
+            RouteStrategy::Hash(fields) => {
+                (hash_encoded_fields(&TupleRef::new(bytes)?, fields) % n) as usize
+            }
             RouteStrategy::LocalityAware { fields, group } => {
-                let h = route_hash(bytes, decoded, fields)?;
+                let h = hash_encoded_fields(&TupleRef::new(bytes)?, fields);
                 group[(h % group.len() as u64) as usize]
             }
             RouteStrategy::Replicate => unreachable!(),
@@ -656,15 +633,6 @@ impl OutputPort {
             }
             None => self.flush(),
         }
-    }
-}
-
-/// Routing hash of one tuple: the decoded value-level hash when the caller
-/// has the tuple in hand, otherwise the bit-identical byte-level hash.
-fn route_hash(bytes: &[u8], decoded: Option<&Tuple>, fields: &[usize]) -> Result<u64> {
-    match decoded {
-        Some(t) => Ok(hash_fields(t, fields)),
-        None => Ok(hash_encoded_fields(&TupleRef::new(bytes)?, fields)),
     }
 }
 
@@ -997,6 +965,7 @@ pub fn wire(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{hash_fields, Tuple};
     use crate::ops::{sort_comparator, SortKey};
     use crate::pipeline::testing::read_all;
     use asterix_adm::{encode_tuple, Value};
@@ -1012,8 +981,8 @@ mod tests {
     #[test]
     fn one_to_one_preserves_partition() {
         let (mut outs, ins) = wire(&ConnectorKind::OneToOne, 2, 2, &|_| 0, &xcfg()).unwrap();
-        outs[0].push(t(0)).unwrap();
-        outs[1].push(t(1)).unwrap();
+        outs[0].push_encoded(&encode_tuple(&t(0))).unwrap();
+        outs[1].push_encoded(&encode_tuple(&t(1))).unwrap();
         drop(outs);
         for (i, mut port) in ins.into_iter().enumerate() {
             let got = read_all(&mut port).unwrap();
@@ -1031,7 +1000,7 @@ mod tests {
         let kind = ConnectorKind::MToNPartitioning { fields: vec![0] };
         let (mut outs, ins) = wire(&kind, 2, 4, &|_| 0, &xcfg()).unwrap();
         for i in 0..100 {
-            outs[(i % 2) as usize].push(t(i)).unwrap();
+            outs[(i % 2) as usize].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
         drop(outs);
         let mut total = 0;
@@ -1044,7 +1013,7 @@ mod tests {
         assert_eq!(total, 100);
         // Same key always lands in the same partition: re-send key 7.
         let (mut outs2, ins2) = wire(&kind, 1, 4, &|_| 0, &xcfg()).unwrap();
-        outs2[0].push(t(7)).unwrap();
+        outs2[0].push_encoded(&encode_tuple(&t(7))).unwrap();
         drop(outs2);
         let landed: Vec<usize> = ins2
             .into_iter()
@@ -1057,32 +1026,32 @@ mod tests {
 
     #[test]
     fn encoded_and_decoded_pushes_route_identically() {
-        // push() and push_encoded() must agree on the destination: the
-        // byte-level hash is bit-identical to the decoded one.
+        // The port routes by the byte-level hash, which is bit-identical to
+        // the decoded one: every tuple lands where the decoded `hash_fields`
+        // sends it, whatever the width of its number.
         let kind = ConnectorKind::MToNPartitioning { fields: vec![0] };
         let (mut outs, ins) = wire(&kind, 1, 4, &|_| 0, &xcfg()).unwrap();
         for i in 0..50 {
-            outs[0].push(t(i)).unwrap();
             outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
+            outs[0].push_encoded(&encode_tuple(&[Value::Int32(i as i32)])).unwrap();
         }
         drop(outs);
-        for mut port in ins {
+        let mut total = 0;
+        for (j, mut port) in ins.into_iter().enumerate() {
             let got = read_all(&mut port).unwrap();
-            // Every value arrived an even number of times (both copies
-            // routed to the same destination).
-            let mut counts = std::collections::HashMap::new();
+            total += got.len();
             for row in &got {
-                *counts.entry(row[0].as_i64().unwrap()).or_insert(0usize) += 1;
+                assert_eq!(hash_fields(row, &[0]) % 4, j as u64, "{row:?} misrouted");
             }
-            assert!(counts.values().all(|&c| c == 2), "copies split across partitions");
         }
+        assert_eq!(total, 100);
     }
 
     #[test]
     fn replicating_duplicates() {
         let (mut outs, ins) = wire(&ConnectorKind::MToNReplicating, 2, 3, &|_| 0, &xcfg()).unwrap();
-        outs[0].push(t(1)).unwrap();
-        outs[1].push(t(2)).unwrap();
+        outs[0].push_encoded(&encode_tuple(&t(1))).unwrap();
+        outs[1].push_encoded(&encode_tuple(&t(2))).unwrap();
         drop(outs);
         for mut port in ins {
             let mut got: Vec<i64> =
@@ -1102,7 +1071,7 @@ mod tests {
         // Each source emits a sorted run.
         for (s, base) in [(0usize, 0i64), (1, 1), (2, 2)] {
             for i in 0..10 {
-                outs[s].push(t(base + i * 3)).unwrap();
+                outs[s].push_encoded(&encode_tuple(&t(base + i * 3))).unwrap();
             }
         }
         drop(outs);
@@ -1119,7 +1088,7 @@ mod tests {
         let kind = ConnectorKind::LocalityAwareMToNPartitioning { fields: vec![0] };
         let (mut outs, ins) = wire(&kind, 4, 4, &node_of, &xcfg()).unwrap();
         for i in 0..100 {
-            outs[0].push(t(i)).unwrap(); // src partition 0, node 0
+            outs[0].push_encoded(&encode_tuple(&t(i))).unwrap(); // src partition 0, node 0
         }
         drop(outs);
         let counts: Vec<usize> =
@@ -1133,7 +1102,7 @@ mod tests {
     fn early_exit_drains() {
         let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &xcfg()).unwrap();
         for i in 0..5000 {
-            outs[0].push(t(i)).unwrap();
+            outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
         drop(outs);
         let mut frames = 0;
@@ -1157,7 +1126,7 @@ mod tests {
         drop(ins);
         let mut stopped_at = None;
         for i in 0..100_000 {
-            if outs[0].push(t(i)).is_err() {
+            if outs[0].push_encoded(&encode_tuple(&t(i))).is_err() {
                 stopped_at = Some(i);
                 break;
             }
@@ -1179,7 +1148,7 @@ mod tests {
         drop(dead);
         let mut pushed = 0u64;
         for i in 0..(FRAME_CAPACITY as i64 * 4) {
-            if outs[0].push(t(i)).is_err() {
+            if outs[0].push_encoded(&encode_tuple(&t(i))).is_err() {
                 break;
             }
             pushed += 1;
@@ -1196,7 +1165,7 @@ mod tests {
         let cfg = xcfg();
         let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
         for i in 0..(FRAME_CAPACITY as i64 * 2) {
-            outs[0].push(t(i)).unwrap();
+            outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
         drop(outs);
         assert_eq!(read_all(&mut ins[0]).unwrap().len(), FRAME_CAPACITY * 2);
@@ -1217,7 +1186,7 @@ mod tests {
             (0..10).map(|i| vec![Value::Int64(i), Value::string("pad")]).collect();
         let expected: u64 = rows.iter().map(|r| encode_tuple(r).len() as u64 + 4).sum();
         for r in &rows {
-            outs[0].push(r.clone()).unwrap();
+            outs[0].push_encoded(&encode_tuple(r)).unwrap();
         }
         outs[0].flush().unwrap();
         drop(outs);
@@ -1233,7 +1202,7 @@ mod tests {
         let rec = Arc::new(Mutex::new(Recorder::default()));
         let mut port = OutputPort::fused(Box::new(RecorderStage(Arc::clone(&rec))), None);
         // Both push paths reach the chain with identical encodings.
-        port.push(t(1)).unwrap();
+        port.push_encoded(&encode_tuple(&t(1))).unwrap();
         port.push_encoded(&encode_tuple(&t(2))).unwrap();
         port.finish().unwrap();
         port.finish().unwrap(); // idempotent
@@ -1283,7 +1252,7 @@ mod tests {
         let cfg = ExchangeConfig { frames_in_flight: 64, ..Default::default() };
         let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
         for i in 0..(FRAME_CAPACITY as i64 + 10) {
-            outs[0].push(t(i)).unwrap();
+            outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
         drop(outs);
         let mut sizes = Vec::new();
@@ -1292,7 +1261,9 @@ mod tests {
             .for_each_frame(|frame| {
                 sizes.push(frame.tuple_count());
                 for i in 0..frame.tuple_count() {
-                    rows.push(frame.decode_tuple(i).unwrap()[0].as_i64().unwrap());
+                    rows.push(
+                        frame.tuple_ref(i).unwrap().field_value(0).unwrap().as_i64().unwrap(),
+                    );
                 }
                 Ok(true)
             })
@@ -1307,7 +1278,7 @@ mod tests {
         let (mut outs, mut ins) = wire(&kind, 3, 1, &|_| 0, &cfg).unwrap();
         for (s, base) in [(0usize, 0i64), (1, 1), (2, 2)] {
             for i in 0..10 {
-                outs[s].push(t(base + i * 3)).unwrap();
+                outs[s].push_encoded(&encode_tuple(&t(base + i * 3))).unwrap();
             }
         }
         drop(outs);
@@ -1315,7 +1286,9 @@ mod tests {
         ins[0]
             .for_each_frame(|frame| {
                 for i in 0..frame.tuple_count() {
-                    merged.push(frame.decode_tuple(i).unwrap()[0].as_i64().unwrap());
+                    merged.push(
+                        frame.tuple_ref(i).unwrap().field_value(0).unwrap().as_i64().unwrap(),
+                    );
                 }
                 Ok(true)
             })
@@ -1332,7 +1305,7 @@ mod tests {
         let cfg = ExchangeConfig { frame_bytes: 64, frames_in_flight: 64, ..Default::default() };
         let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
         for i in 0..100 {
-            outs[0].push(t(i)).unwrap();
+            outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
         drop(outs);
         assert_eq!(read_all(&mut ins[0]).unwrap().len(), 100);

@@ -1072,7 +1072,10 @@ mod tests {
         let plan = job.fusion_plan().unwrap();
         assert_eq!(plan.total_threads(), 1, "scan→limit→sink fuses to a single thread");
         let stats = Arc::new(ExchangeStats::new());
-        run_job_with_stats(&job, &ExecutorConfig::default(), &stats).unwrap();
+        // A source pushes whole frames: at one tuple a frame, every emit
+        // is a push.
+        let cfg = ExecutorConfig { tuples_per_frame: 1, ..Default::default() };
+        run_job_with_stats(&job, &cfg, &stats).unwrap();
         let got: Vec<i64> = collector.lock().iter().map(|t| t[0].as_i64().unwrap()).collect();
         assert_eq!(got, vec![1, 2, 3]);
         let n = emitted.load(Ordering::Relaxed);
@@ -1437,8 +1440,7 @@ mod tests {
                 Err(HyracksError::Operator("intentional".into()))
             })),
         );
-        let gather =
-            job.add(1, Arc::new(crate::ops::MapOp::new("gather", |t| Ok(vec![t.clone()]))));
+        let gather = job.add(1, Arc::new(crate::ops::ForwardOp::new("gather")));
         let limit = job.add(1, Arc::new(LimitOp { limit: 3, offset: 0 }));
         let (sink, collector) = collect_sink(&mut job);
         job.connect(ConnectorKind::MToNReplicating, src, gather);
@@ -1462,7 +1464,10 @@ mod tests {
 
         fn run(&self, ctx: &mut OpCtx, _inputs: &mut [InputPort]) -> Result<()> {
             for i in 0..self.0 {
-                ctx.output.push(vec![Value::Int64(i), Value::Int64(i % 10)])?;
+                ctx.output.push_encoded(&asterix_adm::encode_tuple(&[
+                    Value::Int64(i),
+                    Value::Int64(i % 10),
+                ]))?;
                 if i % 1000 == 999 {
                     ctx.output.flush()?;
                 }
@@ -1481,8 +1486,8 @@ mod tests {
     #[test]
     fn every_streaming_operator_answers_alike_fused_and_at_the_head() {
         use crate::ops::{
-            ApplyOp, DistinctOp, FetchFn, IndexNestedLoopJoinOp, MapOp, PrimaryFetchOp, ProjectOp,
-            RuntimeFilterProbeOp, UnnestOp, FETCH_BATCH,
+            ApplyOp, DistinctOp, FetchFn, ForwardOp, IndexNestedLoopJoinOp, PrimaryFetchOp,
+            ProjectOp, RuntimeFilterProbeOp, UnnestOp, FETCH_BATCH,
         };
         use crate::Tuple;
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -1534,9 +1539,7 @@ mod tests {
                 }
                 "fetch" => Arc::new(PrimaryFetchOp::new("fetch", Arc::clone(&fetch))),
                 "distinct" => Arc::new(DistinctOp { keys: vec![1] }),
-                "map" => Arc::new(MapOp::new("twice-even", move |t| {
-                    Ok(if key(t) % 2 == 0 { vec![t.clone(), t.clone()] } else { vec![] })
-                })),
+                "forward" => Arc::new(ForwardOp::new("merge")),
                 "index-nl" => Arc::new(IndexNestedLoopJoinOp::new(
                     "ix",
                     move |t| Ok(vec![vec![Value::Int64(key(t))], vec![Value::Int64(key(t) + 1)]]),
@@ -1615,7 +1618,7 @@ mod tests {
             "unnest",
             "fetch",
             "distinct",
-            "map",
+            "forward",
             "index-nl",
             "sort",
             "sort-spilling",

@@ -17,8 +17,9 @@ use asterix_sync::Mutex;
 
 /// A decoded runtime tuple: positional ADM values. Field-name → position
 /// mapping is a compile-time (Algebricks) concern; the runtime is purely
-/// positional. This remains the operator-boundary type for staged
-/// migration; the *channel* type between operators is [`FrameBuf`].
+/// positional. Tuples are decoded only where an injected closure needs
+/// values (expressions, side effects, fetch keys, the result sink);
+/// sources and connectors move encoded ones, in [`FrameBuf`]s.
 pub type Tuple = Vec<Value>;
 
 /// Default tuples per frame (the flush threshold on tuple count).
@@ -88,11 +89,6 @@ impl FrameBuf {
     /// Iterate the encoded tuples.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
         (0..self.tuple_count()).map(move |i| self.tuple_bytes(i))
-    }
-
-    /// Decode tuple `i` into owned values (the staged-migration boundary).
-    pub fn decode_tuple(&self, i: usize) -> Result<Tuple, AdmError> {
-        self.tuple_ref(i)?.decode()
     }
 
     /// Drop all tuples, keeping both backing allocations.
@@ -365,7 +361,7 @@ mod tests {
         assert_eq!(f.occupancy(), t1.len() + t2.len() + 2 * 4);
         assert_eq!(f.tuple_bytes(0), &t1[..]);
         assert_eq!(f.tuple_bytes(1), &t2[..]);
-        assert_eq!(f.decode_tuple(1).unwrap(), vec![Value::Null]);
+        assert_eq!(f.tuple_ref(1).unwrap().decode().unwrap(), vec![Value::Null]);
         f.clear();
         assert!(f.is_empty());
         assert_eq!(f.occupancy(), 0);

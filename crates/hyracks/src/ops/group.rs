@@ -517,7 +517,7 @@ mod tests {
         let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in input {
-            in_outs[0].push(t).unwrap();
+            in_outs[0].push_encoded(&asterix_adm::encode_tuple(&t)).unwrap();
         }
         drop(in_outs);
         run_partition(op, ins, outs.remove(0)).unwrap();

@@ -672,10 +672,10 @@ mod tests {
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in build {
-            b_out[0].push(t).unwrap();
+            b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
         for t in probe {
-            p_out[0].push(t).unwrap();
+            p_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
         drop(b_out);
         drop(p_out);
@@ -831,10 +831,10 @@ mod tests {
         let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for t in build {
-            b_out[0].push(t).unwrap();
+            b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
         for t in probe {
-            p_out[0].push(t).unwrap();
+            p_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
         drop(b_out);
         drop(p_out);
@@ -873,10 +873,10 @@ mod tests {
         let out_cfg = ExchangeConfig { cancel: Some(token.clone()), ..Default::default() };
         let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
         for t in build {
-            b_out[0].push(t).unwrap();
+            b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
         for t in probe {
-            p_out[0].push(t).unwrap();
+            p_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
         drop(b_out);
         drop(p_out);
@@ -973,7 +973,7 @@ mod tests {
             let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
             let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
             for t in outers {
-                b_out[0].push(t).unwrap();
+                b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
             }
             drop(b_out);
             run_partition(&op, b_in, r_out.remove(0)).unwrap();

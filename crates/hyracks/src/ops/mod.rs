@@ -39,16 +39,13 @@ pub type EvalFn = Arc<dyn Fn(&Tuple) -> Result<Value> + Send + Sync>;
 /// 2.5-valued logic collapses to false at the select boundary).
 pub type PredFn = Arc<dyn Fn(&Tuple) -> Result<bool> + Send + Sync>;
 
-/// Produce source tuples for one partition: `(partition, nparts, emit)`.
-pub type SourceFn =
-    Arc<dyn Fn(usize, usize, &mut dyn FnMut(Tuple) -> Result<()>) -> Result<()> + Send + Sync>;
-
-/// Produce *encoded* source tuples for one partition — the zero-copy scan
-/// path: storage hands the offset-prefixed tuple encoding straight to the
-/// exchange without materializing `Value`s. `(partition, nparts, partner,
-/// emit)`: `partner` is this run's consult of the join filter the source
-/// was asked to apply ([`SourceOp::with_join_filter`]), for the source to
-/// drop rows whose join key has no build partner before it assembles them.
+/// Produce the *encoded* tuples of one partition — the one source
+/// contract: a scan or an index search hands the offset-prefixed tuple
+/// encoding straight to the exchange without materializing `Value`s.
+/// `(partition, nparts, partner, emit)`: `partner` is this run's consult
+/// of the join filter the source was asked to apply
+/// ([`SourceOp::with_join_filter`]), for the source to drop rows whose
+/// join key has no build partner before it assembles them.
 pub type RawSourceFn = Arc<
     dyn Fn(
             usize,
@@ -199,23 +196,25 @@ fn decode_for_eval(bytes: &[u8], fields: Option<&[usize]>) -> Result<Tuple> {
 // ---------------------------------------------------------------------------
 
 /// A data source driven by a closure (dataset scans, index searches, value
-/// literals — the storage layer binds these). Sources either emit decoded
-/// tuples ([`SourceFn`]) or already-encoded tuple bytes ([`RawSourceFn`]);
-/// the raw form feeds the exchange without a decode/re-encode round trip.
+/// literals — the storage layer binds these). Every source emits encoded
+/// tuple bytes ([`RawSourceFn`]) straight into frames: the runtime moves
+/// bytes only, and values belong to the language layer above it.
 pub struct SourceOp {
     label: String,
-    source: SourceBody,
-    /// `(filter id, join partitions)` of the runtime join filter a raw
+    source: RawSourceFn,
+    /// `(filter id, join partitions)` of the runtime join filter the
     /// source applies to its rows.
     join_filter: Option<(usize, usize)>,
 }
 
-enum SourceBody {
-    Decoded(SourceFn),
-    Raw(RawSourceFn),
-}
-
 impl SourceOp {
+    /// A source that emits encoded tuples (the serialized scan path).
+    pub fn from_raw_fn(label: impl Into<String>, f: RawSourceFn) -> SourceOp {
+        SourceOp { label: label.into(), source: f, join_filter: None }
+    }
+
+    /// A convenience for literal sources (tests, benches, the empty-tuple
+    /// source): `f` emits tuples of values, each encoded on the way out.
     pub fn new(
         label: impl Into<String>,
         f: impl Fn(usize, usize, &mut dyn FnMut(Tuple) -> Result<()>) -> Result<()>
@@ -223,19 +222,18 @@ impl SourceOp {
             + Sync
             + 'static,
     ) -> SourceOp {
-        SourceOp::from_fn(label, Arc::new(f))
+        let raw: RawSourceFn = Arc::new(move |partition, nparts, _partner, emit| {
+            let mut enc = Vec::new();
+            f(partition, nparts, &mut |t| {
+                enc.clear();
+                asterix_adm::encode_tuple_into(&mut enc, &t);
+                emit(&enc)
+            })
+        });
+        SourceOp::from_raw_fn(label, raw)
     }
 
-    pub fn from_fn(label: impl Into<String>, f: SourceFn) -> SourceOp {
-        SourceOp { label: label.into(), source: SourceBody::Decoded(f), join_filter: None }
-    }
-
-    /// A source that emits encoded tuples (the serialized scan path).
-    pub fn from_raw_fn(label: impl Into<String>, f: RawSourceFn) -> SourceOp {
-        SourceOp { label: label.into(), source: SourceBody::Raw(f), join_filter: None }
-    }
-
-    /// Hand the raw source a consult of runtime filter `filter_id` (of a
+    /// Hand the source a consult of runtime filter `filter_id` (of a
     /// join of `join_nparts` partitions). The consult is made per run, from
     /// the run's own hub: a job can run again, and what one run's build
     /// side published says nothing about the next run's.
@@ -252,10 +250,6 @@ impl OperatorDescriptor for SourceOp {
 
     fn run(&self, ctx: &mut OpCtx, _inputs: &mut [InputPort]) -> Result<()> {
         let OpCtx { partition, nparts, output: out, env } = ctx;
-        let f = match &self.source {
-            SourceBody::Decoded(f) => return f(*partition, *nparts, &mut |t| out.push(t)),
-            SourceBody::Raw(f) => f,
-        };
         let mut partner = self
             .join_filter
             .map(|(id, join_nparts)| FilterConsult::new(&env.filters, id, join_nparts));
@@ -264,7 +258,7 @@ impl OperatorDescriptor for SourceOp {
         // granularity.
         let tpf = env.tuples_per_frame.max(1);
         let mut batch = FrameBuf::new();
-        let res = f(*partition, *nparts, partner.as_mut(), &mut |bytes| {
+        let res = (self.source)(*partition, *nparts, partner.as_mut(), &mut |bytes| {
             batch.push_encoded(bytes);
             if batch.tuple_count() >= tpf {
                 let res = out.push_frame(&batch);
@@ -272,12 +266,14 @@ impl OperatorDescriptor for SourceOp {
                 return res;
             }
             Ok(())
-        })
-        .and_then(|()| if batch.is_empty() { Ok(()) } else { out.push_frame(&batch) });
+        });
+        // What the source emitted before an error still goes out, as a
+        // port flushes its frames on every exit; the source's error wins.
+        let tail = if batch.is_empty() { Ok(()) } else { out.push_frame(&batch) };
         if let Some(partner) = &mut partner {
             partner.flush_stats();
         }
-        res
+        res.and(tail)
     }
 }
 
@@ -599,12 +595,12 @@ impl PipelineOp for SelectStage {
 pub struct AssignOp {
     label: String,
     exprs: Vec<EvalFn>,
-    /// Columns the expressions read, when the compiler knows them. With a
-    /// field set, evaluation decodes only those positions and the appended
-    /// values are spliced on at the byte level (`append_values_into`) — the
-    /// input tuple is never fully decoded or re-encoded. Callers guarantee
-    /// the expressions read input columns only (no expression sees the
-    /// values appended before it, unlike the full-decode path).
+    /// Columns the expressions read, when the compiler knows them: only
+    /// those positions are decoded, and callers guarantee the expressions
+    /// read input columns only. Without a field set the whole tuple is
+    /// decoded and each expression also sees the values appended before
+    /// it. Either way the appended values are spliced on at the byte level
+    /// (`append_values_into`): input fields are never re-encoded.
     fields: Option<Vec<usize>>,
 }
 
@@ -637,7 +633,6 @@ impl OperatorDescriptor for AssignOp {
             exprs: self.exprs.clone(),
             fields: self.fields.clone(),
             scratch: Vec::new(),
-            vals: Vec::new(),
             next,
         }))
     }
@@ -647,35 +642,20 @@ struct AssignStage {
     exprs: Vec<EvalFn>,
     fields: Option<Vec<usize>>,
     scratch: Vec<u8>,
-    vals: Vec<Value>,
     next: Box<dyn PipelineOp>,
 }
 
 impl PipelineOp for AssignStage {
     fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        self.scratch.clear();
-        match self.fields.as_deref() {
-            None => {
-                let mut t = asterix_adm::decode_tuple(bytes)?;
-                for e in &self.exprs {
-                    let v = e(&t)?;
-                    t.push(v);
-                }
-                asterix_adm::encode_tuple_into(&mut self.scratch, &t);
-            }
-            Some(fs) => {
-                let t = decode_for_eval(bytes, Some(fs))?;
-                self.vals.clear();
-                for e in &self.exprs {
-                    self.vals.push(e(&t)?);
-                }
-                asterix_adm::tuple::append_values_into(
-                    &mut self.scratch,
-                    &asterix_adm::TupleRef::new(bytes)?,
-                    &self.vals,
-                );
-            }
+        let mut t = decode_for_eval(bytes, self.fields.as_deref())?;
+        let width = t.len();
+        for e in &self.exprs {
+            let v = e(&t)?;
+            t.push(v);
         }
+        self.scratch.clear();
+        let base = asterix_adm::TupleRef::new(bytes)?;
+        asterix_adm::tuple::append_values_into(&mut self.scratch, &base, &t[width..]);
         self.next.push(&self.scratch)
     }
 
@@ -1163,26 +1143,21 @@ impl PipelineOp for DistinctStage {
     }
 }
 
-/// General flat-map (used for compiled subplans that need bespoke tuple
-/// shapes).
-pub struct MapOp {
+/// Forwards its input unchanged, under a label: the one instance a
+/// multi-partition ORDER BY merges into ("merge") and a global operator
+/// gathers into ("gather"). It has no stage of its own — its stage is the
+/// next one — so frames pass whole, never decoded or re-encoded.
+pub struct ForwardOp {
     label: String,
-    f: FlatMapFn,
 }
 
-/// The tuples one input tuple becomes.
-type FlatMapFn = Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>;
-
-impl MapOp {
-    pub fn new(
-        label: impl Into<String>,
-        f: impl Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync + 'static,
-    ) -> MapOp {
-        MapOp { label: label.into(), f: Arc::new(f) }
+impl ForwardOp {
+    pub fn new(label: impl Into<String>) -> ForwardOp {
+        ForwardOp { label: label.into() }
     }
 }
 
-impl OperatorDescriptor for MapOp {
+impl OperatorDescriptor for ForwardOp {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -1192,33 +1167,7 @@ impl OperatorDescriptor for MapOp {
         _ctx: PipelineCtx,
         next: Box<dyn PipelineOp>,
     ) -> Result<Box<dyn PipelineOp>> {
-        Ok(Box::new(MapStage { f: Arc::clone(&self.f), scratch: Vec::new(), next }))
-    }
-}
-
-struct MapStage {
-    f: FlatMapFn,
-    scratch: Vec<u8>,
-    next: Box<dyn PipelineOp>,
-}
-
-impl PipelineOp for MapStage {
-    fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        let t = asterix_adm::decode_tuple(bytes)?;
-        for row in (self.f)(&t)? {
-            self.scratch.clear();
-            asterix_adm::encode_tuple_into(&mut self.scratch, &row);
-            self.next.push(&self.scratch)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.next.flush()
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.next.finish()
+        Ok(next)
     }
 }
 
@@ -1324,6 +1273,26 @@ mod tests {
         assert_eq!(refused, 2, "only the record without `n` and the list are decoded");
     }
 
+    /// Without a field set, each expression of an assign sees the values
+    /// appended before it, and the input fields reach the output as they
+    /// came.
+    #[test]
+    fn assign_expressions_see_the_values_appended_before_them() {
+        let int = |t: &Tuple, i: usize| t.get(i).and_then(Value::as_i64).unwrap_or(-1);
+        let exprs: Vec<EvalFn> = vec![
+            Arc::new(move |t: &Tuple| Ok(Value::Int64(int(t, 0) * 2))),
+            Arc::new(move |t: &Tuple| Ok(Value::Int64(int(t, 2) + 1))),
+        ];
+        let rec = Arc::new(Mutex::new(Recorder::default()));
+        let ctx = PipelineCtx { partition: 0, nparts: 1, env: Default::default() };
+        let assign = AssignOp::new("chained", exprs);
+        let mut stage = assign.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
+        let input = [Value::Int64(3), Value::string("x")];
+        stage.push(&asterix_adm::encode_tuple(&input)).unwrap();
+        let want = [Value::Int64(3), Value::string("x"), Value::Int64(6), Value::Int64(7)];
+        assert_eq!(rec.lock().rows, vec![asterix_adm::encode_tuple(&want)]);
+    }
+
     #[test]
     fn primary_fetch_run_matches_the_stage() {
         let batches = Arc::new(Mutex::new(Vec::new()));
@@ -1332,7 +1301,7 @@ mod tests {
         let (mut k_out, k_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
         for k in 0..9i64 {
-            k_out[0].push(vec![Value::Int64(k)]).unwrap();
+            k_out[0].push_encoded(&asterix_adm::encode_tuple(&[Value::Int64(k)])).unwrap();
         }
         drop(k_out);
         run_partition(&op, k_in, r_out.remove(0)).unwrap();

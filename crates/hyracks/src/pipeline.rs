@@ -307,7 +307,7 @@ pub(crate) mod testing {
         let mut out = Vec::new();
         port.for_each_frame(|frame| {
             for i in 0..frame.tuple_count() {
-                out.push(frame.decode_tuple(i)?);
+                out.push(frame.tuple_ref(i)?.decode()?);
             }
             Ok(true)
         })?;

@@ -1470,3 +1470,136 @@ fn text_searches_answer_identically_on_every_layout_and_topology() {
 fn instance_shared(instance: &Instance) -> Arc<asterixdb::provider::Shared> {
     instance.shared_state()
 }
+
+// ---------------------------------------------------------------------------
+// Secondary indexes over a composite primary key
+// ---------------------------------------------------------------------------
+
+const CK_WORDS: [&str; 5] = ["tonight", "ship", "release", "great", "rare"];
+
+/// Record `i` of `P`, keyed on (`a` = `i / 3`, `b` = `k{i % 3}`), in its
+/// `generation`-th version: every version moves `v` and rewrites `msg` (none
+/// every seventh record).
+fn ck_record(i: i64, generation: i64) -> Value {
+    let v = (i * 37 + generation * 50) % 200;
+    let mut fields = vec![
+        ("a", Value::Int32((i / 3) as i32)),
+        ("b", Value::string(format!("k{}", i % 3))),
+        ("v", Value::Int64(v)),
+    ];
+    if i % 7 != 3 {
+        let words: Vec<&str> =
+            (0..3).map(|w| CK_WORDS[((i + generation + w * w) % 5) as usize]).collect();
+        fields.push(("msg", Value::string(words.join(" "))));
+    }
+    Value::record(asterix_adm::Record::from_fields(fields))
+}
+
+/// The primary key of [`ck_record`]`(i, _)`.
+fn ck_key(i: i64) -> Vec<Value> {
+    vec![Value::Int32((i / 3) as i32), Value::string(format!("k{}", i % 3))]
+}
+
+/// `P` (composite key, a B-tree index on `v` and a keyword index on `msg`)
+/// and `Q` (the outer side of an index-NL join onto `P.v`), loaded in
+/// three stages: each later stage rewrites records of the ones before it
+/// and deletes some.
+fn ck_corpus() -> Corpus {
+    Corpus {
+        dataverse: "Ck",
+        ddl: "create type PT as open { a: int32, b: string, v: int64, msg: string? };
+              create type QT as open { id: int64, w: int64 };
+              create dataset P(PT) primary key a, b;
+              create dataset Q(QT) primary key id;
+              create index pV on P(v);
+              create index pMsg on P(msg) type keyword;"
+            .into(),
+        flushed: vec!["P", "Q"],
+        load: Box::new(|instance, stage| {
+            let p = instance.dataset("P").unwrap();
+            let base = stage as i64 * 60;
+            for i in base..base + 60 {
+                p.insert(&ck_record(i, 0)).unwrap();
+            }
+            if stage > 0 {
+                for i in [base - 59, base - 40, base - 13, base - 2] {
+                    assert!(p.delete_by_pk(&ck_key(i)).unwrap());
+                    p.insert(&ck_record(i, stage as i64)).unwrap();
+                }
+                for i in [base - 57, base - 30, base - 1] {
+                    assert!(p.delete_by_pk(&ck_key(i)).unwrap());
+                }
+            }
+            let q = instance.dataset("Q").unwrap();
+            for id in stage as i64 * 10..stage as i64 * 10 + 10 {
+                let record = format!("{{ \"id\": {id}, \"w\": {} }}", id * 13 % 200);
+                q.insert(&asterix_adm::parse::parse_value(&record).unwrap()).unwrap();
+            }
+        }),
+    }
+}
+
+/// Each query, the label its plan names the search by, and the label its
+/// job does.
+fn ck_queries() -> Vec<(String, &'static str, &'static str)> {
+    let row = "{ \"a\": $p.a, \"b\": $p.b, \"v\": $p.v }";
+    let range = format!("for $p in dataset P where $p.v >= 40 and $p.v < 90 return {row}");
+    let btree = "btree-search Ck.P.pV";
+    vec![
+        (range.clone(), btree, btree),
+        (
+            format!(
+                "for $p in dataset P \
+                 where some $w in word-tokens($p.msg) satisfies $w = \"tonight\" return {row}"
+            ),
+            "keyword-search Ck.P.pMsg",
+            "keyword-search Ck.P.pMsg",
+        ),
+        (
+            "for $q in dataset Q for $p in dataset P where $p.v /*+ indexnl */ = $q.w \
+             return { \"q\": $q.id, \"a\": $p.a, \"b\": $p.b }"
+                .into(),
+            "index-nl-join Ck.P.pV",
+            "index-nested-loop-join Ck.P.pV",
+        ),
+        (format!("count({range})"), btree, btree),
+    ]
+}
+
+/// B-tree and keyword searches of a dataset keyed on (int32, string), an
+/// index-NL join onto it and a count through its index hand the whole
+/// composite key on: they answer as the same queries do without index
+/// access (the join without its hint) and as the interpreter does, on
+/// every layout and topology, after rewrites and deletes.
+#[test]
+fn composite_key_index_searches_answer_identically_on_every_layout_and_topology() {
+    let queries = ck_queries();
+    let mut reference: Option<Vec<Vec<String>>> = None;
+    for_each_setup(&Layout::ALL, &[(1, 1), (2, 2), (4, 3)], &ck_corpus(), |setup, instance| {
+        let answers: Vec<Vec<String>> = queries
+            .iter()
+            .map(|(q, plan_label, job_label)| {
+                let (plan, job) = instance.explain(q).unwrap();
+                assert!(plan.contains(plan_label), "{setup:?}: {plan}");
+                assert!(job.contains(job_label), "{setup:?}: {job}");
+                let got = canonical(instance.query(q).unwrap());
+                let unhinted = q.replace("/*+ indexnl */ ", "");
+                instance.optimizer_options.write().enable_index_access = false;
+                let (plan, _) = instance.explain(&unhinted).unwrap();
+                let want = canonical(instance.query(&unhinted).unwrap());
+                instance.optimizer_options.write().enable_index_access = true;
+                assert!(!plan.contains("Ck.P.p"), "{setup:?}: {plan}");
+                assert_eq!(got, want, "{setup:?}: {q}");
+                assert_eq!(canonical(interpreted(instance, "Ck", q)), want, "{setup:?}: {q}");
+                got
+            })
+            .collect();
+        let want = reference.get_or_insert_with(|| answers.clone());
+        assert_eq!(&answers, want, "{setup:?}");
+        // 180 records, 9 deleted; every query selects some, on both key
+        // fields.
+        assert!(want[..3].iter().all(|rows| rows.len() > 10), "{want:?}");
+        assert!(want[0].iter().any(|r| r.contains("\"k2\"")), "{want:?}");
+        assert_eq!(want[3], [want[0].len().to_string()], "the count counts the range");
+    });
+}
