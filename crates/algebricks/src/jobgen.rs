@@ -52,48 +52,37 @@ pub struct CompiledQuery {
 impl CompiledQuery {
     /// Execute and return the emitted values in arrival order.
     pub fn run(self) -> Result<Vec<Value>> {
-        let cfg = asterix_hyracks::executor::ExecutorConfig {
-            partitions_per_node: self.partitions_per_node,
-            ..Default::default()
-        };
+        let cfg = asterix_hyracks::executor::ExecutorConfig::default();
         let stats = Arc::new(asterix_hyracks::ExchangeStats::new());
-        self.run_with(&cfg, &stats)
+        Ok(self.run_with(&cfg, &stats, false)?.0)
     }
 
     /// Execute with explicit executor settings, accumulating exchange
     /// counters into `stats` (the instance keeps one handle across queries
     /// so the bench harness can report frames/tuples/stall totals).
+    /// `profiled` meters every operator port and times every partition,
+    /// returning the per-operator
+    /// [`JobProfile`](asterix_hyracks::JobProfile) beside the results;
+    /// its operator ids are the ids this compilation assigned, so rows map
+    /// back to plan nodes.
     pub fn run_with(
-        self,
-        cfg: &asterix_hyracks::executor::ExecutorConfig,
-        stats: &Arc<asterix_hyracks::ExchangeStats>,
-    ) -> Result<Vec<Value>> {
-        let cfg = asterix_hyracks::executor::ExecutorConfig {
-            partitions_per_node: self.partitions_per_node,
-            ..cfg.clone()
-        };
-        asterix_hyracks::executor::run_job_with_stats(&self.job, &cfg, stats)?;
-        // The job spec's sink operator also holds the collector Arc, so
-        // take the rows out under the lock.
-        let rows = std::mem::take(&mut *self.collector.lock());
-        Ok(rows.into_iter().map(|mut t| t.pop().unwrap_or(Value::Missing)).collect())
-    }
-
-    /// Like [`CompiledQuery::run_with`], but meters every operator port and
-    /// times every partition, returning the per-operator
-    /// [`JobProfile`](asterix_hyracks::JobProfile) alongside the results.
-    /// Operator ids in the profile are the ids this compilation assigned,
-    /// so rows map back to plan nodes.
-    pub fn run_profiled_with(
         &self,
         cfg: &asterix_hyracks::executor::ExecutorConfig,
         stats: &Arc<asterix_hyracks::ExchangeStats>,
-    ) -> Result<(Vec<Value>, asterix_hyracks::JobProfile)> {
+        profiled: bool,
+    ) -> Result<(Vec<Value>, Option<asterix_hyracks::JobProfile>)> {
         let cfg = asterix_hyracks::executor::ExecutorConfig {
             partitions_per_node: self.partitions_per_node,
             ..cfg.clone()
         };
-        let profile = asterix_hyracks::executor::run_job_profiled(&self.job, &cfg, stats)?;
+        let profile = if profiled {
+            Some(asterix_hyracks::executor::run_job_profiled(&self.job, &cfg, stats)?)
+        } else {
+            asterix_hyracks::executor::run_job_with_stats(&self.job, &cfg, stats)?;
+            None
+        };
+        // The job spec's sink operator also holds the collector Arc, so
+        // take the rows out under the lock.
         let rows = std::mem::take(&mut *self.collector.lock());
         let values = rows.into_iter().map(|mut t| t.pop().unwrap_or(Value::Missing)).collect();
         Ok((values, profile))

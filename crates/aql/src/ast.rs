@@ -224,7 +224,8 @@ pub enum Statement {
         dataset: String,
         expr: Expr,
     },
-    /// `delete $v from dataset DS where cond;`.
+    /// `delete $v from dataset DS where cond;` (its victims are found by
+    /// [`delete_query`]).
     Delete {
         var: String,
         dataset: String,
@@ -238,4 +239,28 @@ pub enum Statement {
     },
     /// A standalone query expression.
     Query(Expr),
+}
+
+/// The query a `delete $var from dataset DS [where cond]` runs to find its
+/// victims: `for $var in dataset DS [where cond] return [$var.pk₁, …]`,
+/// one list of primary-key values per matching record. A delete is thus
+/// normalized, cached and run like any other query.
+pub fn delete_query(
+    var: &str,
+    dataverse: &str,
+    dataset: &str,
+    primary_key: &[String],
+    condition: Option<Expr>,
+) -> Expr {
+    let source =
+        Expr::DatasetAccess { dataverse: Some(dataverse.to_string()), name: dataset.to_string() };
+    let mut clauses = vec![Clause::For { var: var.to_string(), positional: None, source }];
+    clauses.extend(condition.map(Clause::Where));
+    let key = |field: &String| {
+        field.split('.').fold(Expr::Variable(var.to_string()), |e, part| {
+            Expr::FieldAccess(Box::new(e), part.to_string())
+        })
+    };
+    let ret = Expr::ListCtor { ordered: true, items: primary_key.iter().map(key).collect() };
+    Expr::Flwor(Box::new(Flwor { clauses, ret }))
 }

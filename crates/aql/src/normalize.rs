@@ -182,6 +182,20 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_is_a_query_whose_condition_literals_lift() {
+        let pk = ["id".to_string(), "at.day".to_string()];
+        let delete = |src: &str| {
+            let cond = parse_expression(src).unwrap();
+            normalize_query(&crate::ast::delete_query("d", "Dv", "DS", &pk, Some(cond)))
+        };
+        let (a, b) = (delete("$d.id = 2"), delete("$d.id = 3"));
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!((a.params, b.params), (vec![Value::Int64(2)], vec![Value::Int64(3)]));
+        let written = norm("for $d in dataset Dv.DS where $d.id = 2 return [$d.id, $d.at.day]");
+        assert_eq!(a.fingerprint, written.fingerprint, "the same AST as the query text");
+    }
+
+    #[test]
     fn normalization_is_idempotent_on_shape() {
         let once = norm("for $x in dataset Metadata.Dataverse where $x.f = \"a\" return $x");
         let mut again_params = Vec::new();

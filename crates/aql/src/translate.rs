@@ -84,42 +84,9 @@ impl<'a> Translator<'a> {
     }
 
     /// Allocate a fresh variable id (for callers seeding scopes manually,
-    /// e.g. the delete path and feed compute functions).
+    /// e.g. feed compute functions).
     pub fn fresh_var(&mut self) -> VarId {
         self.fresh()
-    }
-
-    /// Build the plan for `delete $var from dataset DS where cond`: scan,
-    /// filter, and emit the primary key values of matching records.
-    pub fn translate_delete(
-        &mut self,
-        var_name: &str,
-        dataset_qualified: &str,
-        pk_fields: &[String],
-        condition: Option<&Expr>,
-    ) -> TResult<LogicalOp> {
-        let v = self.fresh();
-        let mut scope = Scope::new();
-        scope.insert(var_name.to_string(), v);
-        let mut plan = LogicalOp::DataSourceScan { dataset: dataset_qualified.to_string(), var: v };
-        if let Some(cond) = condition {
-            let c = self.translate_expr(cond, &scope)?;
-            plan = LogicalOp::Select { input: Box::new(plan), condition: c };
-        }
-        let pk_items: Vec<LogicalExpr> = pk_fields
-            .iter()
-            .map(|f| {
-                let mut e = LogicalExpr::Var(v);
-                for part in f.split('.') {
-                    e = LogicalExpr::field(e, part);
-                }
-                e
-            })
-            .collect();
-        Ok(LogicalOp::Emit {
-            input: Box::new(plan),
-            expr: LogicalExpr::ListCtor { ordered: true, items: pk_items },
-        })
     }
 
     /// Translate a top-level query expression into an `Emit`-rooted plan.

@@ -15,7 +15,7 @@ use asterix_algebricks::jobgen;
 use asterix_algebricks::metadata::MetadataProvider;
 use asterix_algebricks::plan::LogicalOp;
 use asterix_algebricks::rules::{optimize, OptimizerOptions};
-use asterix_aql::ast::{Expr, IndexTypeAst, Statement, TypeExpr};
+use asterix_aql::ast::{delete_query, Expr, IndexTypeAst, Statement, TypeExpr};
 use asterix_aql::normalize::normalize_query;
 use asterix_aql::parser::parse_statements_spanned;
 use asterix_aql::translate::Translator;
@@ -24,7 +24,9 @@ use asterix_metadata::{
     Catalog, DatasetKind, DatasetMeta, FeedMeta, FunctionMeta, IndexKindMeta, IndexMeta,
     ACTIVE_JOBS_DATASET, METRICS_DATASET,
 };
-use asterix_obs::{log_event, now_us, Gauge, MetricsRegistry, Sampler, Span, TraceContext};
+use asterix_obs::{
+    log_event, now_us, Gauge, MetricsRegistry, Sampler, Span, SpanRecord, TraceContext,
+};
 use asterix_storage::BufferCache;
 use asterix_sync::{Mutex, RwLock};
 use asterix_txn::wal::{Durability, LogManager};
@@ -146,6 +148,15 @@ struct CompiledStatement {
     phases: Vec<asterix_obs::SpanRecord>,
     /// The plan was bound from the cache rather than compiled.
     cache_hit: bool,
+}
+
+/// What [`Instance::run_admitted_query`] produced: the rows and the
+/// statement that produced them; a traced run adds its `execute` phase to
+/// the statement's phases and returns the per-operator profile.
+struct AdmittedRun {
+    rows: Vec<Value>,
+    compiled: CompiledStatement,
+    operators: Option<asterix_hyracks::JobProfile>,
 }
 
 /// Build-side runtime-filter factory: a Bloom filter over the join-key
@@ -521,34 +532,29 @@ impl Instance {
     }
 
     /// Compile a query and return (optimized logical plan, Hyracks job
-    /// description) — the EXPLAIN path used to reproduce Figure 6.
+    /// description) — the EXPLAIN path used to reproduce Figure 6. The
+    /// statements before the first query run first, as
+    /// [`Instance::execute`] runs them, so a leading `use dataverse`
+    /// applies to the query.
     pub fn explain(&self, aql: &str) -> Result<(String, String)> {
-        let statements = parse_statements_spanned(aql)?;
-        for (stmt, _) in statements {
-            if let Statement::Query(e) = stmt {
-                let options = self.optimizer_options.read().clone();
-                let compiled =
-                    self.compile_query(&self.default_session, &e, None, &options, None)?;
-                return Ok((compiled.plan.pretty(), compiled.job.describe()));
-            }
-        }
-        Err(AsterixError::Execution("no query statement to explain".into()))
+        let sess = &self.default_session;
+        let e = self.run_to_query(sess, parse_statements_spanned(aql)?, "explain")?;
+        let options = self.optimizer_options.read().clone();
+        let compiled = self.compile_query(sess, &e, None, &options, None)?;
+        Ok((compiled.plan.pretty(), compiled.job.describe()))
     }
 
-    /// Execute the (single) query in `aql` with full profiling: lifecycle
+    /// Execute the first query in `aql` with full profiling: lifecycle
     /// spans for parse → translate → optimize → jobgen → execute, plus a
     /// per-operator runtime profile of the Hyracks job whose operator ids
-    /// map back to the plan nodes the compiler emitted.
+    /// map back to the plan nodes the compiler emitted. The statements
+    /// before the query run first, as [`Instance::execute`] runs them.
     pub fn profile(&self, aql: &str) -> Result<QueryProfile> {
         let parse_span = Span::start("parse");
         let statements = parse_statements_spanned(aql)?;
         let parse = parse_span.finish();
-        for (stmt, _) in statements {
-            if let Statement::Query(e) = stmt {
-                return self.profile_query(&self.default_session, &e, parse);
-            }
-        }
-        Err(AsterixError::Execution("no query statement to profile".into()))
+        let e = self.run_to_query(&self.default_session, statements, "profile")?;
+        self.profile_in(&self.default_session, &e, None, Some(parse))
     }
 
     /// The EXPLAIN pair of [`Instance::explain`], but produced from a real
@@ -559,71 +565,55 @@ impl Instance {
         Ok((p.plan, p.job))
     }
 
-    fn profile_query(
+    /// Run `statements` up to the first query as [`Instance::execute_in`]
+    /// runs them, and return that query (`what` names the caller's action
+    /// in the error when there is none).
+    fn run_to_query(
         &self,
         sess: &Session,
-        e: &Expr,
-        parse: asterix_obs::SpanRecord,
-    ) -> Result<QueryProfile> {
-        // Profiled queries run under a fresh trace: a root `query` span
-        // with the queue wait, compile phases, and per-thread execution
-        // spans nested beneath it.
-        let trace = TraceContext::new_trace(self.cfg.trace_capacity);
-        let root = trace.span("query");
-        let root_ctx = root.context();
-        let queue_span = root_ctx.span("rm.queue_wait");
-        let ticket = self.rm.begin("profile", None)?;
-        queue_span.finish();
-        ticket.set_trace_id(trace.trace_id());
-        let res = self.profile_admitted_query(sess, e, None, Some(parse), &ticket, &root_ctx);
-        root.finish();
-        let res = res.map(|mut p| {
-            p.trace_id = trace.trace_id();
-            p.trace = trace.sink().map(|s| s.events()).unwrap_or_default();
-            p
-        });
-        self.note_cancelled(&res);
-        res
+        statements: Vec<(Statement, String)>,
+        what: &str,
+    ) -> Result<Expr> {
+        for (stmt, source) in statements {
+            match stmt {
+                Statement::Query(e) => return Ok(e),
+                stmt => {
+                    self.execute_statement(sess, stmt, &source)?;
+                }
+            }
+        }
+        Err(AsterixError::Execution(format!("no query statement to {what}")))
     }
 
-    fn profile_admitted_query(
+    /// Profile one query under a fresh trace: a root `query` span with the
+    /// queue wait, the compile phases and the per-thread execution spans
+    /// nested beneath it. `parse` is the query's parse phase, when it was
+    /// parsed for this run.
+    fn profile_in(
         &self,
         sess: &Session,
         e: &Expr,
         prepared: Option<(&str, &[Value])>,
-        parse: Option<asterix_obs::SpanRecord>,
-        ticket: &asterix_rm::QueryTicket,
-        trace: &TraceContext,
+        parse: Option<SpanRecord>,
     ) -> Result<QueryProfile> {
-        let mut phases = Vec::new();
-        if let Some(p) = parse {
-            trace.record_span(&p);
-            phases.push(p);
+        let trace = TraceContext::new_trace(self.cfg.trace_capacity);
+        let root = trace.span("query");
+        let root_ctx = root.context();
+        if let Some(p) = &parse {
+            root_ctx.record_span(p);
         }
-        let mut options = self.optimizer_options.read().clone();
-        options.query_mem_budget = Some(ticket.mem_granted());
-        let compiled = self.compile_query(sess, e, prepared, &options, Some(trace))?;
-        phases.extend(compiled.phases.iter().cloned());
-
-        let mut cfg = self.executor_config();
-        cfg.cancel = Some(ticket.token().clone());
-        cfg.progress = Some(ticket.progress());
-        let execute_span = Span::start("execute");
-        let exec_tspan = trace.span("execute");
-        cfg.trace = exec_tspan.context();
-        let (rows, operators) = compiled.job.run_profiled_with(&cfg, &self.exchange_stats)?;
-        exec_tspan.finish();
-        phases.push(execute_span.finish());
-
+        let run = self.admit_and_run(sess, e, prepared, "profile", None, Some(&root_ctx));
+        root.finish();
+        let AdmittedRun { rows, compiled, operators } = run?;
+        let operators = operators.expect("a traced run is profiled");
         let profile = QueryProfile {
             job: compiled.job.describe_profiled(&operators),
             plan: compiled.plan.pretty(),
-            phases,
+            phases: parse.into_iter().chain(compiled.phases).collect(),
             rows,
             operators,
-            // Filled in by `profile_query` once the root span closes.
-            trace_id: 0,
-            trace: Vec::new(),
+            trace_id: trace.trace_id(),
+            trace: trace.sink().map(|s| s.events()).unwrap_or_default(),
         };
         log_event(
             "asterix.query",
@@ -735,14 +725,8 @@ impl Instance {
         trace: Option<&TraceContext>,
     ) -> Result<CompiledStatement> {
         let catalog = self.session_catalog(sess);
-        let mut tr = Translator::new(&catalog);
-        {
-            let (simfunction, simthreshold) = sess.similarity();
-            tr.simfunction = simfunction;
-            tr.simthreshold = simthreshold;
-        }
         let translate_span = Span::start("translate");
-        let plan = tr.translate_query(e)?;
+        let plan = translator(sess, &catalog).translate_query(e)?;
         let translate = translate_span.finish();
 
         let provider = self.provider();
@@ -813,13 +797,8 @@ impl Instance {
                     // Drop the stored datasets of the dataverse, including
                     // their on-disk storage.
                     let mut datasets = self.shared.datasets.write();
-                    let mut by_id = self.by_id.write();
                     for ds_meta in dv.datasets.values() {
-                        if let Some(rt) = datasets.remove(&ds_meta.qualified()) {
-                            by_id.retain(|_, v| !Arc::ptr_eq(v, &rt));
-                            rt.destroy_storage();
-                        }
-                        self.shared.external_cache.write().remove(&ds_meta.qualified());
+                        self.tear_down_dataset(&mut datasets, &ds_meta.qualified());
                     }
                     self.persist_ddl_absolute(source)?;
                 }
@@ -887,13 +866,8 @@ impl Instance {
                 let (dataverse, ds_name) = split_name(&dv, &name);
                 match self.shared.catalog.write().drop_dataset(&dataverse, &ds_name) {
                     Ok(meta) => {
-                        let qualified = meta.qualified();
                         let mut datasets = self.shared.datasets.write();
-                        if let Some(rt) = datasets.remove(&qualified) {
-                            self.by_id.write().retain(|_, v| !Arc::ptr_eq(v, &rt));
-                            rt.destroy_storage();
-                        }
-                        self.shared.external_cache.write().remove(&qualified);
+                        self.tear_down_dataset(&mut datasets, &meta.qualified());
                         self.persist_ddl(sess, source)?;
                         Ok(StatementResult::Ok)
                     }
@@ -1031,7 +1005,7 @@ impl Instance {
                 Ok(StatementResult::Count(n))
             }
             Statement::Delete { var, dataset, condition } => {
-                let n = self.run_delete(sess, &var, &dataset, condition.as_ref())?;
+                let n = self.run_delete(sess, &var, &dataset, condition)?;
                 Ok(StatementResult::Count(n))
             }
             Statement::Load { dataset, adaptor, properties } => {
@@ -1071,6 +1045,21 @@ impl Instance {
         Ok(())
     }
 
+    /// Unregister a dropped dataset's runtime from `datasets` (whose write
+    /// guard the caller holds) and `by_id`, destroy its on-disk storage,
+    /// and forget any cached external records under its name.
+    fn tear_down_dataset(
+        &self,
+        datasets: &mut HashMap<String, Arc<DatasetRuntime>>,
+        qualified: &str,
+    ) {
+        if let Some(rt) = datasets.remove(qualified) {
+            self.by_id.write().retain(|_, v| !Arc::ptr_eq(v, &rt));
+            rt.destroy_storage();
+        }
+        self.shared.external_cache.write().remove(qualified);
+    }
+
     /// Adopt the dataset's per-partition LSM maintenance metrics (primary
     /// tree plus any LSM-backed secondaries) into the registry under
     /// `lsm.{dataverse}.{dataset}[.{index}].p{partition}.*`.
@@ -1088,14 +1077,7 @@ impl Instance {
     }
 
     fn run_query(&self, sess: &Session, e: &Expr) -> Result<Vec<Value>> {
-        self.run_query_opts(sess, e, &QueryOpts::default())
-    }
-
-    fn run_query_opts(&self, sess: &Session, e: &Expr, opts: &QueryOpts) -> Result<Vec<Value>> {
-        let ticket = self.rm.begin("query", opts.deadline)?;
-        let res = self.run_admitted_query(sess, e, None, &ticket);
-        self.note_cancelled(&res);
-        res
+        Ok(self.admit_and_run(sess, e, None, "query", None, None)?.rows)
     }
 
     /// Parse and normalize the (single) query in `aql` for repeated
@@ -1141,22 +1123,8 @@ impl Instance {
         prepared: &crate::plancache::PreparedQuery,
         params: &[Value],
     ) -> Result<Vec<Value>> {
-        if params.len() != prepared.param_count() {
-            return Err(AsterixError::Execution(format!(
-                "prepared query expects {} parameters, got {}",
-                prepared.param_count(),
-                params.len()
-            )));
-        }
-        let ticket = self.rm.begin("query", None)?;
-        let res = self.run_admitted_query(
-            sess,
-            &prepared.expr,
-            Some((&prepared.fingerprint, params)),
-            &ticket,
-        );
-        self.note_cancelled(&res);
-        res
+        let bound = prepared.bind(params)?;
+        Ok(self.admit_and_run(sess, &prepared.expr, Some(bound), "query", None, None)?.rows)
     }
 
     /// [`Instance::profile`] for a prepared query: the profile has no
@@ -1167,36 +1135,8 @@ impl Instance {
         prepared: &crate::plancache::PreparedQuery,
         params: &[Value],
     ) -> Result<QueryProfile> {
-        if params.len() != prepared.param_count() {
-            return Err(AsterixError::Execution(format!(
-                "prepared query expects {} parameters, got {}",
-                prepared.param_count(),
-                params.len()
-            )));
-        }
-        let trace = TraceContext::new_trace(self.cfg.trace_capacity);
-        let root = trace.span("query");
-        let root_ctx = root.context();
-        let queue_span = root_ctx.span("rm.queue_wait");
-        let ticket = self.rm.begin("profile", None)?;
-        queue_span.finish();
-        ticket.set_trace_id(trace.trace_id());
-        let res = self.profile_admitted_query(
-            &self.default_session,
-            &prepared.expr,
-            Some((&prepared.fingerprint, params)),
-            None,
-            &ticket,
-            &root_ctx,
-        );
-        root.finish();
-        let res = res.map(|mut p| {
-            p.trace_id = trace.trace_id();
-            p.trace = trace.sink().map(|s| s.events()).unwrap_or_default();
-            p
-        });
-        self.note_cancelled(&res);
-        res
+        let bound = prepared.bind(params)?;
+        self.profile_in(&self.default_session, &prepared.expr, Some(bound), None)
     }
 
     /// The compiled-plan cache (counters, length, manual `clear`).
@@ -1204,37 +1144,73 @@ impl Instance {
         &self.plan_cache
     }
 
-    /// Execute a query under an admission ticket: working memory comes from
-    /// the ticket's grant (divided across the plan's sorts/groups/joins)
-    /// and the ticket's token makes every exchange a cancellation point.
+    /// Admit `e` under `label` (cancelled at `deadline`, if any) and run
+    /// it with [`Instance::run_admitted_query`]. Given a `trace`, the queue
+    /// wait is recorded under it and the ticket carries its id.
+    fn admit_and_run(
+        &self,
+        sess: &Session,
+        e: &Expr,
+        prepared: Option<(&str, &[Value])>,
+        label: &str,
+        deadline: Option<Duration>,
+        trace: Option<&TraceContext>,
+    ) -> Result<AdmittedRun> {
+        let queue_span = trace.map(|t| t.span("rm.queue_wait")).unwrap_or_default();
+        let ticket = self.rm.begin(label, deadline)?;
+        queue_span.finish();
+        if let Some(t) = trace {
+            ticket.set_trace_id(t.trace_id());
+        }
+        let res = self.run_admitted_query(sess, e, prepared, &ticket, trace);
+        self.note_cancelled(&res);
+        res
+    }
+
+    /// The one path from statement to job, behind queries, inserts,
+    /// deletes, profiles and prepared executions: compile `e` through the
+    /// plan cache with the ticket's grant as working memory (divided across
+    /// the plan's sorts/groups/joins), then run the job with the ticket's
+    /// token making every exchange a cancellation point. Given a `trace`,
+    /// the compile and execute phases are recorded under it and in
+    /// [`AdmittedRun::compiled`], and the job is profiled.
     fn run_admitted_query(
         &self,
         sess: &Session,
         e: &Expr,
         prepared: Option<(&str, &[Value])>,
         ticket: &asterix_rm::QueryTicket,
-    ) -> Result<Vec<Value>> {
+        trace: Option<&TraceContext>,
+    ) -> Result<AdmittedRun> {
         if ticket.token().is_cancelled() {
             return Err(AsterixError::Cancelled);
         }
         let mut options = self.optimizer_options.read().clone();
         options.query_mem_budget = Some(ticket.mem_granted());
-        let compiled = self.compile_query(sess, e, prepared, &options, None)?;
+        let mut compiled = self.compile_query(sess, e, prepared, &options, trace)?;
         let mut cfg = self.executor_config();
         cfg.cancel = Some(ticket.token().clone());
         // Live tuple progress for `Metadata.ActiveJobs` / `list_jobs`.
         cfg.progress = Some(ticket.progress());
-        let started = std::time::Instant::now();
-        let rows = compiled.job.run_with(&cfg, &self.exchange_stats)?;
+        let execute_span = Span::start("execute");
+        let exec_tspan = trace.map(|t| t.span("execute")).unwrap_or_default();
+        cfg.trace = exec_tspan.context();
+        let (rows, operators) =
+            compiled.job.run_with(&cfg, &self.exchange_stats, trace.is_some())?;
+        exec_tspan.finish();
+        let execute = execute_span.finish();
         log_event(
             "asterix.query",
             "query",
             &[
                 ("rows", rows.len().into()),
-                ("elapsed_us", (started.elapsed().as_micros() as u64).into()),
+                ("elapsed_us", (execute.duration.as_micros() as u64).into()),
             ],
         );
-        Ok(rows)
+        if trace.is_some() {
+            compiled.phases.push(execute);
+        }
+        Ok(AdmittedRun { rows, compiled, operators })
     }
 
     /// Record a cooperative cancellation in the workload manager's stats.
@@ -1267,15 +1243,13 @@ impl Instance {
         &self.rm
     }
 
-    /// Like [`Instance::query`], but with per-query options (deadline).
+    /// Like [`Instance::query`], but with per-query options (deadline) for
+    /// the first query in `aql`; the statements before it run first, as
+    /// [`Instance::execute`] runs them.
     pub fn query_with(&self, aql: &str, opts: &QueryOpts) -> Result<Vec<Value>> {
-        let statements = parse_statements_spanned(aql)?;
-        for (stmt, _) in statements {
-            if let Statement::Query(e) = stmt {
-                return self.run_query_opts(&self.default_session, &e, opts);
-            }
-        }
-        Err(AsterixError::Execution("no query statement to run".into()))
+        let sess = &self.default_session;
+        let e = self.run_to_query(sess, parse_statements_spanned(aql)?, "run")?;
+        Ok(self.admit_and_run(sess, &e, None, "query", opts.deadline, None)?.rows)
     }
 
     /// Look up a stored dataset runtime by session-relative name.
@@ -1322,40 +1296,19 @@ impl Instance {
         Ok(n)
     }
 
+    /// Delete the records [`delete_query`] finds, one `delete_by_pk` per
+    /// returned key list.
     fn run_delete(
         &self,
         sess: &Session,
         var: &str,
         dataset: &str,
-        condition: Option<&Expr>,
+        condition: Option<Expr>,
     ) -> Result<usize> {
         let ds = self.dataset_in(sess, dataset)?;
-        let catalog = self.session_catalog(sess);
-        let mut tr = Translator::new(&catalog);
-        {
-            let (simfunction, simthreshold) = sess.similarity();
-            tr.simfunction = simfunction;
-            tr.simthreshold = simthreshold;
-        }
-        let plan = tr.translate_delete(
-            var,
-            &ds.meta.qualified(),
-            &ds.meta.primary_key.clone(),
-            condition,
-        )?;
-        let ticket = self.rm.begin("delete", None)?;
-        let provider = self.provider();
-        let mut options = self.optimizer_options.read().clone();
-        options.query_mem_budget = Some(ticket.mem_granted());
-        let optimized = optimize(plan, &provider, &self.fn_ctx(sess), &options);
-        let compiled = jobgen::compile(&optimized, provider, self.fn_ctx(sess), &options)?;
-        let mut cfg = self.executor_config();
-        cfg.cancel = Some(ticket.token().clone());
-        let pk_rows = {
-            let res = compiled.run_with(&cfg, &self.exchange_stats).map_err(AsterixError::from);
-            self.note_cancelled(&res);
-            res?
-        };
+        let meta = &ds.meta;
+        let victims = delete_query(var, &meta.dataverse, &meta.name, &meta.primary_key, condition);
+        let pk_rows = self.admit_and_run(sess, &victims, None, "delete", None, None)?.rows;
         let mut n = 0;
         for pk_row in pk_rows {
             let pk = pk_row
@@ -1435,7 +1388,7 @@ impl Instance {
                         "feed apply functions take exactly one parameter".into(),
                     ));
                 }
-                let mut tr = Translator::new(&catalog);
+                let mut tr = translator(sess, &catalog);
                 let v = tr.fresh_var();
                 let mut scope = asterix_aql::translate::Scope::new();
                 scope.insert(params[0].clone(), v);
@@ -1576,6 +1529,14 @@ impl Instance {
             }
         }
     }
+}
+
+/// A translator resolving names through `catalog`, with the session's
+/// `set simfunction` / `set simthreshold` settings.
+fn translator<'a>(sess: &Session, catalog: &'a SessionCatalog) -> Translator<'a> {
+    let mut tr = Translator::new(catalog);
+    (tr.simfunction, tr.simthreshold) = sess.similarity();
+    tr
 }
 
 fn split_name(default_dv: &str, name: &str) -> (String, String) {

@@ -48,9 +48,7 @@ pub struct PlanKey {
 /// memory grant: the grant changes per execution and is applied at job
 /// generation (which a cache hit re-runs anyway), not at plan shaping.
 pub fn options_key(options: &OptimizerOptions) -> String {
-    let mut o = options.clone();
-    o.query_mem_budget = None;
-    format!("{o:?}")
+    format!("{:?}", OptimizerOptions { query_mem_budget: None, ..options.clone() })
 }
 
 /// One cached entry: the optimized parameterized plan and the catalog
@@ -202,6 +200,19 @@ impl PreparedQuery {
     /// The canonical fingerprint of the normalized statement.
     pub fn fingerprint(&self) -> &str {
         &self.fingerprint
+    }
+
+    /// The fingerprint with `params` bound into the slots, once their
+    /// count matches [`PreparedQuery::param_count`].
+    pub(crate) fn bind<'a>(&'a self, params: &'a [Value]) -> crate::Result<(&'a str, &'a [Value])> {
+        if params.len() != self.param_count() {
+            return Err(crate::AsterixError::Execution(format!(
+                "prepared query expects {} parameters, got {}",
+                self.param_count(),
+                params.len()
+            )));
+        }
+        Ok((&self.fingerprint, params))
     }
 }
 

@@ -769,9 +769,7 @@ fn compiled_and_interpreted(
     let compiled =
         asterix_algebricks::jobgen::compile(plan, Arc::clone(&provider), fctx.clone(), &options)
             .unwrap();
-    let cfg = asterix_hyracks::ExecutorConfig::default();
-    let stats = Arc::new(asterix_hyracks::ExchangeStats::new());
-    let got = canonical(compiled.run_with(&cfg, &stats).unwrap());
+    let got = canonical(compiled.run().unwrap());
     let ctx = EvalCtx::new(provider, fctx);
     let interp_rows = interp::eval_subplan(plan, &HashMap::new(), &ctx).unwrap();
     (got, canonical(interp_rows))

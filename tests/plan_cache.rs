@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use asterix_adm::Value;
-use asterixdb::{ClusterConfig, Instance};
+use asterixdb::{ClusterConfig, Instance, StatementResult};
 
 /// A small two-dataset instance in the Table 3 shape: users with a
 /// secondary range index, messages with an author index, 1:1 authorship;
@@ -174,6 +174,46 @@ fn ddl_invalidates_cached_plans() {
         instance.plan_cache().stats.invalidations.get() >= 1,
         "stale entry was invalidated, not served"
     );
+}
+
+/// A delete is the query `for $u in dataset DS where cond return [$u.id]`,
+/// normalized and looked up like any other: deletes differing only in the
+/// key literal share one entry, DDL invalidates it, and every delete
+/// removes exactly what it removes on an instance whose cache holds
+/// nothing.
+#[test]
+fn deletes_ride_the_plan_cache() {
+    let (cached, _dir) = tiny_instance(64);
+    let (uncached, _dir0) = tiny_instance(0);
+    let stats = &cached.plan_cache().stats;
+    let counts = || (stats.hits.get(), stats.misses.get(), stats.invalidations.get());
+    cached.plan_cache().clear();
+    let (h, m, i) = counts();
+    // (statement, records deleted, (hits, misses, invalidations) after it)
+    let steps = [
+        ("delete $u from dataset MugshotUsers where $u.id = 3;", 1, (h, m + 1, i)),
+        ("delete $u from dataset MugshotUsers where $u.id = 4;", 1, (h + 1, m + 1, i)),
+        ("delete $u from dataset MugshotUsers where $u.id = 99;", 0, (h + 2, m + 1, i)),
+        ("create index uNameIdx on MugshotUsers(name) type btree;", 0, (h + 2, m + 1, i)),
+        ("delete $u from dataset MugshotUsers where $u.id = 5;", 1, (h + 2, m + 2, i + 1)),
+        ("delete $u from dataset MugshotUsers where $u.since > 2020;", 10, (h + 2, m + 3, i + 1)),
+    ];
+    for (statement, n, after) in steps {
+        for instance in [&*cached, &*uncached] {
+            let want = if statement.starts_with("delete") {
+                StatementResult::Count(n)
+            } else {
+                StatementResult::Ok
+            };
+            assert_eq!(instance.execute(statement).unwrap(), [want], "{statement}");
+        }
+        assert_eq!(counts(), after, "{statement}");
+    }
+    let survivors = |instance: &Instance| {
+        instance.query("for $u in dataset MugshotUsers order by $u.id return $u").unwrap()
+    };
+    assert_eq!(survivors(&cached).len(), 30 - 3 - 10);
+    assert_eq!(survivors(&cached), survivors(&uncached));
 }
 
 /// Prepared statements: `prepare` lifts the literals, `execute_prepared`

@@ -495,6 +495,28 @@ fn table3_shapes_spawn_one_thread_per_pipeline_but_the_callers() {
     assert_eq!(got, want);
 }
 
+/// `explain`, `profile` and `query_with`, like `query`, run the statements
+/// before their query first: a leading `use dataverse` resolves the
+/// query's dataset from a session that starts in `Metadata`.
+#[test]
+fn explain_and_profile_run_the_statements_before_their_query() {
+    let (instance, _dir) = join_instance(N);
+    let aql = "use dataverse Prof; for $u in dataset MugshotUsers where $u.id < 3 return $u.id;";
+    let from_metadata = || instance.execute("use dataverse Metadata;").unwrap();
+    let want = [asterix_adm::Value::Int64(1), asterix_adm::Value::Int64(2)];
+
+    from_metadata();
+    assert_eq!(sorted_rows(&instance.query(aql).unwrap()), want);
+    from_metadata();
+    let (plan, job) = instance.explain(aql).unwrap();
+    assert!(plan.contains("Prof.MugshotUsers") && job.contains("Prof.MugshotUsers"), "{job}");
+    from_metadata();
+    assert_eq!(sorted_rows(&instance.profile(aql).unwrap().rows), want);
+    from_metadata();
+    let rows = instance.query_with(aql, &asterixdb::QueryOpts::default()).unwrap();
+    assert_eq!(sorted_rows(&rows), want);
+}
+
 /// "Zero threads for a point query" as a count: a primary-key equality is
 /// pruned to the partition that owns the key, so the lookup — like the
 /// constant query of an `insert` and the key search of a `delete` — is one
