@@ -91,48 +91,54 @@ impl LogicalExpr {
         LogicalExpr::FieldAccess(Box::new(base), name.into())
     }
 
+    /// Calls `f` on each direct sub-expression, in order (a subquery's
+    /// plan is not one).
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a LogicalExpr)) {
+        match self {
+            LogicalExpr::Const(_)
+            | LogicalExpr::Var(_)
+            | LogicalExpr::Subquery(_)
+            | LogicalExpr::Param(_) => {}
+            LogicalExpr::FieldAccess(e, _) | LogicalExpr::Neg(e) | LogicalExpr::Not(e) => f(e),
+            LogicalExpr::IndexAccess(a, b)
+            | LogicalExpr::Arith(_, a, b)
+            | LogicalExpr::Compare(_, a, b)
+            | LogicalExpr::Quantified { collection: a, predicate: b, .. } => {
+                f(a);
+                f(b);
+            }
+            LogicalExpr::Call(_, es)
+            | LogicalExpr::And(es)
+            | LogicalExpr::Or(es)
+            | LogicalExpr::ListCtor { items: es, .. } => es.iter().for_each(f),
+            LogicalExpr::RecordCtor(fields) => fields.iter().for_each(|(_, e)| f(e)),
+            LogicalExpr::IfThenElse(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+        }
+    }
+
+    /// The largest variable id the expression names, bound (by a
+    /// quantifier or inside a subquery) or free.
+    pub fn max_var(&self) -> Option<VarId> {
+        let mut max = match self {
+            LogicalExpr::Var(v) | LogicalExpr::Quantified { var: v, .. } => Some(*v),
+            LogicalExpr::Subquery(plan) => plan.max_var(),
+            _ => None,
+        };
+        self.for_each_child(&mut |c| max = max.max(c.max_var()));
+        max
+    }
+
     /// Collect every variable referenced by this expression (free
     /// variables; quantifier/subplan-bound variables are excluded).
     pub fn free_vars(&self, out: &mut Vec<VarId>) {
         match self {
-            // Params bind to per-execution constants, not tuple variables,
-            // so they are variable-free for plan analysis (ordkey
-            // classification, projection inference).
-            LogicalExpr::Const(_) | LogicalExpr::Param(_) => {}
             LogicalExpr::Var(v) => {
                 if !out.contains(v) {
                     out.push(*v);
-                }
-            }
-            LogicalExpr::FieldAccess(e, _) | LogicalExpr::Neg(e) | LogicalExpr::Not(e) => {
-                e.free_vars(out)
-            }
-            LogicalExpr::IndexAccess(a, b) | LogicalExpr::Arith(_, a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            LogicalExpr::Compare(_, a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            LogicalExpr::Call(_, args) => {
-                for a in args {
-                    a.free_vars(out);
-                }
-            }
-            LogicalExpr::And(es) | LogicalExpr::Or(es) => {
-                for e in es {
-                    e.free_vars(out);
-                }
-            }
-            LogicalExpr::RecordCtor(fields) => {
-                for (_, e) in fields {
-                    e.free_vars(out);
-                }
-            }
-            LogicalExpr::ListCtor { items, .. } => {
-                for e in items {
-                    e.free_vars(out);
                 }
             }
             LogicalExpr::Quantified { var, collection, predicate, .. } => {
@@ -145,11 +151,6 @@ impl LogicalExpr {
                     }
                 }
             }
-            LogicalExpr::IfThenElse(c, t, e) => {
-                c.free_vars(out);
-                t.free_vars(out);
-                e.free_vars(out);
-            }
             LogicalExpr::Subquery(plan) => {
                 let mut inner = Vec::new();
                 plan.free_vars(&mut inner);
@@ -160,6 +161,10 @@ impl LogicalExpr {
                     }
                 }
             }
+            // Params bind to per-execution constants, not tuple variables,
+            // so they are variable-free for plan analysis (ordkey
+            // classification, projection inference).
+            e => e.for_each_child(&mut |c| c.free_vars(out)),
         }
     }
 

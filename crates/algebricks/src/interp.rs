@@ -455,10 +455,13 @@ fn eval_agg(
         let res = ChainResolver { env, outer };
         values.push(eval(&agg.input, &res, ctx)?);
     }
-    let list = Value::ordered_list(values);
     if agg.func == AggFunc::Listify {
-        return Ok(list);
+        // A missing member does not exist: the list holds the others, as
+        // the compiled group-by's listify does.
+        values.retain(|v| !v.is_missing());
+        return Ok(Value::ordered_list(values));
     }
+    let list = Value::ordered_list(values);
     let name = match (agg.func, agg.sql) {
         (AggFunc::Count, false) => "count",
         (AggFunc::Sum, false) => "sum",

@@ -28,7 +28,7 @@ use asterix_hyracks::{HyracksError, Result};
 
 use crate::expr::{eval, truthy, CompareOp, EvalCtx, LogicalExpr, TupleResolver, VarId};
 use crate::metadata::{IndexProbe, KeyBound, MetadataProvider, ScanFilter, ScanProjection};
-use crate::plan::{key_bound, AggFunc, IndexSearchSpec, JoinKind, LogicalOp, SortSpec};
+use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp, SortSpec};
 use crate::rules::OptimizerOptions;
 
 /// How an operator's output is spread across partitions.
@@ -133,7 +133,10 @@ enum VarUse {
 /// correlated subplans (whose own scans are interpreted, not compiled —
 /// only *outer* variable references matter there). Conservative by
 /// construction: any use that is not a literal `$v.field` marks the
-/// variable escaped.
+/// variable escaped — except a `count`/`sql-count` aggregate of exactly
+/// `$v`, which needs no field. A projected read yields a record for every
+/// row (`{}` when no field is asked for), and both counts skip only
+/// unknown values, which a read never yields, so they count the same rows.
 fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUse> {
     fn collect_scans(op: &LogicalOp, map: &mut std::collections::HashMap<VarId, VarUse>) {
         if let LogicalOp::DataSourceScan { var, .. }
@@ -148,7 +151,6 @@ fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUs
     }
     fn note_expr(e: &LogicalExpr, map: &mut std::collections::HashMap<VarId, VarUse>) {
         match e {
-            LogicalExpr::Const(_) | LogicalExpr::Param(_) => {}
             LogicalExpr::Var(v) => {
                 if let Some(u) = map.get_mut(v) {
                     *u = VarUse::Escaped;
@@ -163,83 +165,26 @@ fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUs
                     note_expr(base, map);
                 }
             }
-            LogicalExpr::IndexAccess(a, b) | LogicalExpr::Arith(_, a, b) => {
-                note_expr(a, map);
-                note_expr(b, map);
-            }
-            LogicalExpr::Compare(_, a, b) => {
-                note_expr(a, map);
-                note_expr(b, map);
-            }
-            LogicalExpr::Neg(a) | LogicalExpr::Not(a) => note_expr(a, map),
-            LogicalExpr::Call(_, args) => args.iter().for_each(|a| note_expr(a, map)),
-            LogicalExpr::And(es) | LogicalExpr::Or(es) => es.iter().for_each(|a| note_expr(a, map)),
-            LogicalExpr::RecordCtor(fields) => fields.iter().for_each(|(_, a)| note_expr(a, map)),
-            LogicalExpr::ListCtor { items, .. } => items.iter().for_each(|a| note_expr(a, map)),
-            LogicalExpr::Quantified { collection, predicate, .. } => {
-                note_expr(collection, map);
-                note_expr(predicate, map);
-            }
-            LogicalExpr::IfThenElse(c, t, f) => {
-                note_expr(c, map);
-                note_expr(t, map);
-                note_expr(f, map);
-            }
             LogicalExpr::Subquery(plan) => note_op(plan, map),
+            e => e.for_each_child(&mut |c| note_expr(c, map)),
         }
     }
     fn note_op(op: &LogicalOp, map: &mut std::collections::HashMap<VarId, VarUse>) {
         match op {
-            LogicalOp::EmptyTupleSource | LogicalOp::DataSourceScan { .. } => {}
-            LogicalOp::IndexSearch { spec, postcondition, .. } => {
-                note_spec(spec, map);
-                if let Some(p) = postcondition {
-                    note_expr(p, map);
-                }
-            }
-            LogicalOp::Assign { expr, .. } => note_expr(expr, map),
-            LogicalOp::Select { condition, .. } => note_expr(condition, map),
-            LogicalOp::Unnest { expr, .. } => note_expr(expr, map),
-            LogicalOp::Join { condition, .. } => note_expr(condition, map),
-            LogicalOp::HashJoin { left_keys, right_keys, residual, .. } => {
-                left_keys.iter().chain(right_keys).for_each(|e| note_expr(e, map));
-                if let Some(r) = residual {
-                    note_expr(r, map);
-                }
-            }
-            LogicalOp::IndexNlJoin { probe, .. } => note_expr(probe, map),
             LogicalOp::GroupBy { keys, aggs, .. } => {
                 keys.iter().for_each(|(_, e)| note_expr(e, map));
-                aggs.iter().for_each(|a| note_expr(&a.input, map));
+                aggs.iter().for_each(|a| note_agg(a, map));
             }
-            LogicalOp::Aggregate { aggs, .. } => aggs.iter().for_each(|a| note_expr(&a.input, map)),
-            LogicalOp::Order { keys, .. } => keys.iter().for_each(|k| note_expr(&k.expr, map)),
-            LogicalOp::Limit { .. } => {}
-            LogicalOp::Distinct { exprs, .. } => exprs.iter().for_each(|e| note_expr(e, map)),
-            LogicalOp::Emit { expr, .. } => note_expr(expr, map),
+            LogicalOp::Aggregate { aggs, .. } => aggs.iter().for_each(|a| note_agg(a, map)),
+            op => op.for_each_expr(&mut |e| note_expr(e, map)),
         }
         for child in op.inputs() {
             note_op(child, map);
         }
     }
-    fn note_spec(
-        spec: &crate::plan::IndexSearchSpec,
-        map: &mut std::collections::HashMap<VarId, VarUse>,
-    ) {
-        use crate::plan::IndexSearchSpec as S;
-        let mut bound = |b: &Option<(LogicalExpr, bool)>| {
-            if let Some((e, _)) = b {
-                note_expr(e, map);
-            }
-        };
-        match spec {
-            S::PrimaryRange { lo, hi } | S::BTreeRange { lo, hi } => {
-                bound(lo);
-                bound(hi);
-            }
-            S::RTree { query } => note_expr(query, map),
-            S::InvertedConjunctive { needle } => note_expr(needle, map),
-            S::InvertedFuzzy { needle, .. } => note_expr(needle, map),
+    fn note_agg(a: &AggCall, map: &mut std::collections::HashMap<VarId, VarUse>) {
+        if !(a.func == AggFunc::Count && matches!(a.input, LogicalExpr::Var(_))) {
+            note_expr(&a.input, map);
         }
     }
     let mut map = std::collections::HashMap::new();
@@ -1860,5 +1805,74 @@ mod tests {
         assert_eq!(i.len(), 7);
         assert_eq!(c.len(), 7);
         assert_eq!(sort_vals(i), sort_vals(c));
+    }
+
+    /// The fields a read of `$v0` is asked for, `None` when it escapes.
+    fn fields_read(plan: &LogicalOp) -> Option<Vec<String>> {
+        match analyze_scan_uses(plan).remove(&0).unwrap() {
+            VarUse::Fields(fields) => Some(fields.into_iter().collect()),
+            VarUse::Escaped => None,
+        }
+    }
+
+    fn agg(var: VarId, func: AggFunc, sql: bool, input: LogicalExpr) -> AggCall {
+        AggCall { var, func, sql, input }
+    }
+
+    #[test]
+    fn a_counted_record_needs_no_fields() {
+        let counted = |input: LogicalOp, sql: bool| {
+            let aggs = vec![agg(1, AggFunc::Count, sql, var(0))];
+            emit(LogicalOp::Aggregate { input: Box::new(input), aggs }, var(1))
+        };
+        for sql in [false, true] {
+            assert_eq!(fields_read(&counted(scan("U", 0), sql)), Some(vec![]));
+        }
+        let x_is_one = LogicalExpr::Compare(
+            CompareOp::Eq,
+            Box::new(LogicalExpr::field(var(0), "x")),
+            Box::new(lit(Value::Int64(1))),
+        );
+        let filtered = counted(select(scan("U", 0), x_is_one), false);
+        assert_eq!(fields_read(&filtered), Some(vec!["x".to_string()]));
+        // Grouped by the whole record, which the query returns.
+        let returned = emit(
+            LogicalOp::GroupBy {
+                input: Box::new(scan("U", 0)),
+                keys: vec![(1, var(0))],
+                aggs: vec![agg(2, AggFunc::Count, false, var(0))],
+            },
+            LogicalExpr::RecordCtor(vec![("m".into(), var(1)), ("n".into(), var(2))]),
+        );
+        assert_eq!(fields_read(&returned), None);
+        // And the compiled count, which reads `[cols: none]`, counts every row.
+        let prov = provider(30);
+        let fctx = FunctionContext::default();
+        let job = compile(&counted(scan("U", 0), false), prov.clone(), fctx, &Default::default())
+            .unwrap();
+        assert!(job.describe().contains("data-scan U [cols: none]"), "{}", job.describe());
+        let thirty = vec![Value::Int64(30)];
+        assert_eq!(run_both(counted(scan("U", 0), true), prov), (thirty.clone(), thirty));
+    }
+
+    #[test]
+    fn every_other_aggregate_of_a_record_reads_all_of_it() {
+        let summed = emit(
+            LogicalOp::Aggregate {
+                input: Box::new(scan("U", 0)),
+                aggs: vec![agg(1, AggFunc::Sum, false, var(0))],
+            },
+            var(1),
+        );
+        assert_eq!(fields_read(&summed), None);
+        let listified = emit(
+            LogicalOp::GroupBy {
+                input: Box::new(scan("U", 0)),
+                keys: vec![(1, LogicalExpr::field(var(0), "grp"))],
+                aggs: vec![agg(2, AggFunc::Listify, false, var(0))],
+            },
+            var(2),
+        );
+        assert_eq!(fields_read(&listified), None);
     }
 }

@@ -140,9 +140,14 @@ impl ScanProjection {
     }
 
     /// What `explain` appends to every read's operator name: `[cols: a,b]`
-    /// (or `[cols: *]`) and the pushed filters, constants elided.
+    /// (`[cols: *]` for whole records, `[cols: none]` for no field) and
+    /// the pushed filters, constants elided.
     pub fn label(&self) -> String {
-        let cols = self.fields.as_ref().map_or("*".into(), |f| f.join(","));
+        let cols = match &self.fields {
+            None => "*".into(),
+            Some(f) if f.is_empty() => "none".into(),
+            Some(f) => f.join(","),
+        };
         let mut label = format!(" [cols: {cols}]");
         if !self.filters.is_empty() {
             let fs: Vec<String> = self.filters.iter().map(ScanFilter::label).collect();

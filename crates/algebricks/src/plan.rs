@@ -61,6 +61,32 @@ pub struct AggCall {
     pub input: LogicalExpr,
 }
 
+impl AggCall {
+    /// The function's AQL name, as `explain` prints it: `count`,
+    /// `sql-avg`, `listify`…
+    pub fn name(&self) -> String {
+        let func = match self.func {
+            AggFunc::Count => "count",
+            AggFunc::Sum => "sum",
+            AggFunc::Min => "min",
+            AggFunc::Max => "max",
+            AggFunc::Avg => "avg",
+            AggFunc::Listify => "listify",
+        };
+        if self.sql {
+            format!("sql-{func}")
+        } else {
+            func.into()
+        }
+    }
+}
+
+/// What `explain` appends to a group-by or aggregate: ` [aggs: count,listify]`.
+fn aggs_label(aggs: &[AggCall]) -> String {
+    let names: Vec<String> = aggs.iter().map(AggCall::name).collect();
+    format!(" [aggs: {}]", if names.is_empty() { "none".into() } else { names.join(",") })
+}
+
 /// One sort key.
 #[derive(Debug, Clone)]
 pub struct SortSpec {
@@ -332,50 +358,58 @@ impl LogicalOp {
     }
 
     fn collect_expr_vars(&self, out: &mut Vec<VarId>) {
-        match self {
-            LogicalOp::Assign { expr, .. }
-            | LogicalOp::Unnest { expr, .. }
-            | LogicalOp::Emit { expr, .. } => expr.free_vars(out),
-            LogicalOp::Select { condition, .. } => condition.free_vars(out),
-            LogicalOp::Join { condition, .. } => condition.free_vars(out),
-            LogicalOp::HashJoin { left_keys, right_keys, residual, .. } => {
-                for e in left_keys.iter().chain(right_keys) {
-                    e.free_vars(out);
-                }
-                if let Some(r) = residual {
-                    r.free_vars(out);
-                }
-            }
-            LogicalOp::IndexNlJoin { probe, .. } => probe.free_vars(out),
-            LogicalOp::GroupBy { keys, aggs, .. } => {
-                for (_, e) in keys {
-                    e.free_vars(out);
-                }
-                for a in aggs {
-                    a.input.free_vars(out);
-                }
-            }
-            LogicalOp::Aggregate { aggs, .. } => {
-                for a in aggs {
-                    a.input.free_vars(out);
-                }
-            }
-            LogicalOp::Order { keys, .. } => {
-                for k in keys {
-                    k.expr.free_vars(out);
-                }
-            }
-            LogicalOp::Distinct { exprs, .. } => {
-                for e in exprs {
-                    e.free_vars(out);
-                }
-            }
-            LogicalOp::IndexSearch { postcondition: Some(p), .. } => p.free_vars(out),
-            _ => {}
-        }
+        self.for_each_expr(&mut |e| e.free_vars(out));
         for i in self.inputs() {
             i.collect_expr_vars(out);
         }
+    }
+
+    /// Calls `f` on each expression this operator evaluates itself, its
+    /// inputs' not included: an index search's bounds, window or needle
+    /// among them.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a LogicalExpr)) {
+        match self {
+            LogicalOp::EmptyTupleSource
+            | LogicalOp::DataSourceScan { .. }
+            | LogicalOp::Limit { .. } => {}
+            LogicalOp::IndexSearch { spec, postcondition, .. } => {
+                match spec {
+                    IndexSearchSpec::PrimaryRange { lo, hi }
+                    | IndexSearchSpec::BTreeRange { lo, hi } => {
+                        lo.iter().chain(hi).for_each(|(e, _)| f(e))
+                    }
+                    IndexSearchSpec::RTree { query: e }
+                    | IndexSearchSpec::InvertedConjunctive { needle: e }
+                    | IndexSearchSpec::InvertedFuzzy { needle: e, .. } => f(e),
+                }
+                postcondition.iter().for_each(f);
+            }
+            LogicalOp::Assign { expr, .. }
+            | LogicalOp::Unnest { expr, .. }
+            | LogicalOp::Emit { expr, .. }
+            | LogicalOp::Select { condition: expr, .. }
+            | LogicalOp::Join { condition: expr, .. }
+            | LogicalOp::IndexNlJoin { probe: expr, .. } => f(expr),
+            LogicalOp::HashJoin { left_keys, right_keys, residual, .. } => {
+                left_keys.iter().chain(right_keys).chain(residual).for_each(f)
+            }
+            LogicalOp::GroupBy { keys, aggs, .. } => {
+                keys.iter().for_each(|(_, e)| f(e));
+                aggs.iter().for_each(|a| f(&a.input));
+            }
+            LogicalOp::Aggregate { aggs, .. } => aggs.iter().for_each(|a| f(&a.input)),
+            LogicalOp::Order { keys, .. } => keys.iter().for_each(|k| f(&k.expr)),
+            LogicalOp::Distinct { exprs, .. } => exprs.iter().for_each(f),
+        }
+    }
+
+    /// The largest variable id the plan names anywhere — bound, referenced,
+    /// or inside its subqueries and quantifiers. A rewrite that introduces
+    /// variables numbers them above it.
+    pub fn max_var(&self) -> Option<VarId> {
+        let mut max = self.introduced_vars().into_iter().max();
+        self.for_each_expr(&mut |e| max = max.max(e.max_var()));
+        self.inputs().into_iter().map(LogicalOp::max_var).fold(max, Ord::max)
     }
 
     /// Operator name for plan printing.
@@ -403,8 +437,10 @@ impl LogicalOp {
             LogicalOp::IndexNlJoin { dataset, index, .. } => {
                 format!("index-nl-join {dataset}.{index}")
             }
-            LogicalOp::GroupBy { keys, .. } => format!("group-by ({} keys)", keys.len()),
-            LogicalOp::Aggregate { .. } => "aggregate".into(),
+            LogicalOp::GroupBy { keys, aggs, .. } => {
+                format!("group-by ({} keys){}", keys.len(), aggs_label(aggs))
+            }
+            LogicalOp::Aggregate { aggs, .. } => format!("aggregate{}", aggs_label(aggs)),
             LogicalOp::Order { .. } => "order".into(),
             LogicalOp::Limit { count, offset, .. } => format!("limit {count} offset {offset}"),
             LogicalOp::Distinct { .. } => "distinct".into(),

@@ -22,7 +22,7 @@ use asterix_adm::Value;
 
 use crate::expr::{eval, CompareOp, EvalCtx, LogicalExpr, QuantKind, VarId};
 use crate::metadata::{IndexKind, MetadataProvider};
-use crate::plan::{IndexSearchSpec, JoinKind, LogicalOp};
+use crate::plan::{AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp};
 
 /// Optimizer switches. Defaults match the paper's behavior; the non-default
 /// settings exist for the "without index" runs of Table 3 and the
@@ -821,16 +821,19 @@ fn keyword_pred_of(c: &LogicalExpr, var: VarId, field: &str) -> Option<LogicalEx
 // Group-materialization avoidance (§5.2 lesson)
 // ---------------------------------------------------------------------------
 
-/// Rewrite `Assign(v, agg(Var(g)))` over `GroupBy{.., Listify g := e}` into
-/// a direct aggregate in the GroupBy, dropping the Listify when it has no
-/// other uses. This avoids materializing group member lists that exist
-/// only to be counted/summed — the §5.2 materialization lesson.
+/// Fuse every aggregate over a group variable into the `GroupBy` that
+/// binds it: `agg(for $x in $g return e)` whose subquery only unnests
+/// `$g`, and `count($g)` or an `sql-` aggregate of `$g`, become aggregate
+/// variables of the `GroupBy` — wherever they sit above it: a `let`, the
+/// `return`, an `order by` key, a `where` after the group. The listify is
+/// dropped, so no group member list is materialized only to be counted or
+/// summed — the §5.2 materialization lesson. A group variable with any
+/// other use keeps its listify beside the fused aggregates.
 pub fn fuse_group_aggregates(plan: LogicalOp) -> LogicalOp {
-    use crate::plan::{AggCall, AggFunc};
     use std::collections::HashMap;
 
-    // Pass 1: listify vars and their member-input expressions.
-    let mut listify: HashMap<VarId, LogicalExpr> = HashMap::new();
+    // Pass 1: listify vars and their members.
+    let mut members: HashMap<VarId, GroupMember> = HashMap::new();
     fn walk(op: &LogicalOp, f: &mut impl FnMut(&LogicalOp)) {
         f(op);
         for i in op.inputs() {
@@ -838,131 +841,176 @@ pub fn fuse_group_aggregates(plan: LogicalOp) -> LogicalOp {
         }
     }
     walk(&plan, &mut |op| {
-        if let LogicalOp::GroupBy { aggs, .. } = op {
-            for a in aggs {
-                if a.func == AggFunc::Listify {
-                    listify.insert(a.var, a.input.clone());
-                }
+        if let LogicalOp::GroupBy { input, aggs, .. } = op {
+            for a in aggs.iter().filter(|a| a.func == AggFunc::Listify) {
+                let record = matches!(a.input, LogicalExpr::Var(v) if binds_record(input, v));
+                members.insert(a.var, GroupMember { expr: a.input.clone(), record });
             }
         }
     });
-    if listify.is_empty() {
+    if members.is_empty() {
         return plan;
     }
 
-    // Pass 2: classify every use of each listify var. A use is *fusable*
-    // when it is exactly `Assign(v, <agg>(Var(g)))`; anything else blocks
-    // fusion for that var.
-    let mut blocked: std::collections::HashSet<VarId> = Default::default();
-    // (assign var, agg func, sql, listify var)
-    let mut fusable: Vec<(VarId, AggFunc, bool, VarId)> = Vec::new();
-    walk(&plan, &mut |op| {
-        let note_expr = |e: &LogicalExpr, blocked: &mut std::collections::HashSet<VarId>| {
-            let mut vars = Vec::new();
-            e.free_vars(&mut vars);
-            for v in vars {
-                if listify.contains_key(&v) {
-                    blocked.insert(v);
-                }
-            }
-        };
-        match op {
-            LogicalOp::Assign { var, expr, .. } => {
-                if let LogicalExpr::Call(name, args) = expr {
-                    if args.len() == 1 {
-                        if let (Some((func, sql)), LogicalExpr::Var(g)) =
-                            (AggFunc::from_name(name), &args[0])
-                        {
-                            if listify.contains_key(g) {
-                                fusable.push((*var, func, sql, *g));
-                                return;
-                            }
-                        }
-                    }
-                }
-                note_expr(expr, &mut blocked);
-            }
-            LogicalOp::GroupBy { keys, aggs, .. } => {
-                // The defining GroupBy's own Listify inputs don't count as
-                // uses; key exprs and other agg inputs do.
-                for (_, e) in keys {
-                    note_expr(e, &mut blocked);
-                }
-                for a in aggs {
-                    if a.func != AggFunc::Listify {
-                        note_expr(&a.input, &mut blocked);
-                    }
-                }
-            }
-            other => {
-                // Every expression of every other operator is a general use.
-                let mut vars = Vec::new();
-                other.free_vars(&mut vars);
-                // free_vars excludes vars bound in the subtree; listify vars
-                // are bound below, so inspect expressions directly instead.
-                let mut exprs: Vec<&LogicalExpr> = Vec::new();
-                match other {
-                    LogicalOp::Select { condition, .. } => exprs.push(condition),
-                    LogicalOp::Unnest { expr, .. } | LogicalOp::Emit { expr, .. } => {
-                        exprs.push(expr)
-                    }
-                    LogicalOp::Join { condition, .. } => exprs.push(condition),
-                    LogicalOp::HashJoin { left_keys, right_keys, residual, .. } => {
-                        exprs.extend(left_keys.iter());
-                        exprs.extend(right_keys.iter());
-                        if let Some(r) = residual {
-                            exprs.push(r);
-                        }
-                    }
-                    LogicalOp::IndexNlJoin { probe, .. } => exprs.push(probe),
-                    LogicalOp::Aggregate { aggs, .. } => {
-                        exprs.extend(aggs.iter().map(|a| &a.input))
-                    }
-                    LogicalOp::Order { keys, .. } => exprs.extend(keys.iter().map(|k| &k.expr)),
-                    LogicalOp::Distinct { exprs: es, .. } => exprs.extend(es.iter()),
-                    LogicalOp::IndexSearch { postcondition: Some(p), .. } => exprs.push(p),
-                    _ => {}
-                }
-                for e in exprs {
-                    note_expr(e, &mut blocked);
-                }
-            }
-        }
-    });
-
-    let fusable: Vec<_> = fusable.into_iter().filter(|(_, _, _, g)| !blocked.contains(g)).collect();
-    if fusable.is_empty() {
-        return plan;
-    }
-    let fused_assigns: std::collections::HashSet<VarId> =
-        fusable.iter().map(|(v, _, _, _)| *v).collect();
-    let dead_listifies: std::collections::HashSet<VarId> =
-        fusable.iter().map(|(_, _, _, g)| *g).collect();
-
-    // Pass 3: rebuild — drop the fused Assigns, extend GroupBys, remove
-    // dead Listify aggregates.
-    plan.transform_up(&mut |op| match op {
-        LogicalOp::Assign { input, var, expr } => {
-            if fused_assigns.contains(&var) {
+    // Pass 2: replace each fused call by a fresh variable — a `let` of
+    // exactly one keeps its own — collecting the aggregates it stands for.
+    let mut next_var = plan.max_var().map_or(0, |v| v + 1);
+    let mut fused: Vec<(VarId, AggCall)> = Vec::new();
+    let plan = plan.transform_up(&mut |op| match op {
+        LogicalOp::Assign { input, var, expr } => match group_aggregate(&expr, &members, var) {
+            Some(agg) => {
+                fused.push(agg);
                 *input // the aggregate is now computed by the GroupBy
-            } else {
-                LogicalOp::Assign { input, var, expr }
             }
-        }
-        LogicalOp::GroupBy { input, keys, mut aggs } => {
-            let my_listifies: Vec<VarId> =
-                aggs.iter().filter(|a| a.func == AggFunc::Listify).map(|a| a.var).collect();
-            for (v, func, sql, g) in &fusable {
-                if my_listifies.contains(g) {
-                    let member = listify.get(g).cloned().unwrap();
-                    aggs.push(AggCall { var: *v, func: *func, sql: *sql, input: member });
-                }
-            }
-            aggs.retain(|a| !(a.func == AggFunc::Listify && dead_listifies.contains(&a.var)));
+            None => LogicalOp::Assign {
+                input,
+                var,
+                expr: fuse_calls(expr, &members, &mut next_var, &mut fused),
+            },
+        },
+        op => map_op_exprs(op, &mut |e| fuse_calls(e, &members, &mut next_var, &mut fused)),
+    });
+
+    // Pass 3: a listify var the rewritten plan still names has another use.
+    let mut named: Vec<VarId> = Vec::new();
+    walk(&plan, &mut |op| op.for_each_expr(&mut |e| e.free_vars(&mut named)));
+
+    // Pass 4: each listify gains the aggregates fused over it, and goes
+    // when nothing else names it.
+    plan.transform_up(&mut |op| match op {
+        LogicalOp::GroupBy { input, keys, aggs } => {
+            let aggs = aggs
+                .into_iter()
+                .flat_map(|a| {
+                    let g = a.var;
+                    let over_a = fused.iter().filter(move |f| f.0 == g).map(|(_, f)| f.clone());
+                    let keep = !members.contains_key(&g) || named.contains(&g);
+                    keep.then_some(a).into_iter().chain(over_a).collect::<Vec<_>>()
+                })
+                .collect();
             LogicalOp::GroupBy { input, keys, aggs }
         }
         other => other,
     })
+}
+
+/// What a listify collects: `expr` for each group row, leaving out the
+/// missing ones; `record` when `expr` is a variable a dataset read binds,
+/// which is never missing.
+struct GroupMember {
+    expr: LogicalExpr,
+    record: bool,
+}
+
+/// Whether a scan, index search or index join under `op` binds `v` to the
+/// records it reads.
+fn binds_record(op: &LogicalOp, v: VarId) -> bool {
+    let binds = match op {
+        LogicalOp::DataSourceScan { var, .. }
+        | LogicalOp::IndexSearch { var, .. }
+        | LogicalOp::IndexNlJoin { var, .. } => *var == v,
+        _ => false,
+    };
+    binds || op.inputs().into_iter().any(|i| binds_record(i, v))
+}
+
+/// `e` with every fusable aggregate over a listify var of `members`
+/// replaced by a fresh variable from `next_var`; `fused` gets each
+/// replaced call as (listify var, aggregate).
+fn fuse_calls(
+    e: LogicalExpr,
+    members: &std::collections::HashMap<VarId, GroupMember>,
+    next_var: &mut VarId,
+    fused: &mut Vec<(VarId, AggCall)>,
+) -> LogicalExpr {
+    if let Some(agg) = group_aggregate(&e, members, *next_var) {
+        fused.push(agg);
+        *next_var += 1;
+        return LogicalExpr::Var(*next_var - 1);
+    }
+    map_expr_children(e, &mut |c| fuse_calls(c, members, next_var, fused))
+}
+
+/// The aggregate, bound to `var`, that the `GroupBy` binding listify var
+/// `g` can compute in place of the call `e`, with `g`. `count($g)` or an
+/// `sql-` aggregate of `$g` aggregates the listify's member expression;
+/// `agg(for $x in $g return e)` — no `where`, `order`, positional variable
+/// or outer unnest, and `e` naming no variable but `$x`, nor `$x` inside a
+/// subquery — aggregates `e` with the member in place of `$x`.
+///
+/// The list leaves out missing members. Fused, a missing member gives a
+/// missing input instead, which `count` and the `sql-` aggregates skip but
+/// an AQL `sum`, `min`, `max` or `avg` is poisoned by; so those fuse only
+/// over records, which are never missing.
+fn group_aggregate(
+    e: &LogicalExpr,
+    members: &std::collections::HashMap<VarId, GroupMember>,
+    var: VarId,
+) -> Option<(VarId, AggCall)> {
+    let LogicalExpr::Call(name, args) = e else { return None };
+    let (func, sql) = AggFunc::from_name(name)?;
+    let skips_missing = func == AggFunc::Count || sql;
+    let (g, input) = match args.as_slice() {
+        [LogicalExpr::Var(g)] if skips_missing => (*g, members.get(g)?.expr.clone()),
+        [LogicalExpr::Subquery(sub)] => {
+            let LogicalOp::Emit { input, expr } = sub.as_ref() else { return None };
+            let LogicalOp::Unnest {
+                input,
+                var: x,
+                expr: LogicalExpr::Var(g),
+                positional: None,
+                outer: false,
+            } = input.as_ref()
+            else {
+                return None;
+            };
+            if !matches!(input.as_ref(), LogicalOp::EmptyTupleSource) {
+                return None;
+            }
+            let member = members.get(g)?;
+            let each = substitute(expr.clone(), *x, &member.expr)?;
+            let input = if member.record {
+                each
+            } else if skips_missing {
+                // if is-missing(member) then missing else each
+                LogicalExpr::IfThenElse(
+                    Box::new(LogicalExpr::call("is-missing", vec![member.expr.clone()])),
+                    Box::new(LogicalExpr::Const(Value::Missing)),
+                    Box::new(each),
+                )
+            } else {
+                return None;
+            };
+            (*g, input)
+        }
+        _ => return None,
+    };
+    Some((g, AggCall { var, func, sql, input }))
+}
+
+/// `e` with variable `x` replaced by `by`; `None` when `e` names another
+/// variable, or names `x` inside a subquery.
+fn substitute(e: LogicalExpr, x: VarId, by: &LogicalExpr) -> Option<LogicalExpr> {
+    let mut vars = Vec::new();
+    e.free_vars(&mut vars);
+    if vars.iter().any(|v| *v != x) {
+        return None;
+    }
+    let mut in_subquery = false;
+    fn go(e: LogicalExpr, x: VarId, by: &LogicalExpr, in_subquery: &mut bool) -> LogicalExpr {
+        match e {
+            LogicalExpr::Var(v) if v == x => by.clone(),
+            LogicalExpr::Subquery(_) => {
+                let mut vars = Vec::new();
+                e.free_vars(&mut vars);
+                *in_subquery |= vars.contains(&x);
+                e
+            }
+            e => map_expr_children(e, &mut |c| go(c, x, by, in_subquery)),
+        }
+    }
+    let out = go(e, x, by, &mut in_subquery);
+    (!in_subquery).then_some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1194,6 +1242,94 @@ mod tests {
             aggs.iter().any(|a| a.func == AggFunc::Listify),
             "listify with other uses must survive"
         );
+    }
+
+    #[test]
+    fn aggregates_over_a_group_fuse_wherever_they_sit_above_it() {
+        let gt = |a, b| LogicalExpr::Compare(CompareOp::Gt, Box::new(a), Box::new(b));
+        let len_of = |x| LogicalExpr::call("string-length", vec![LogicalExpr::field(var(x), "s")]);
+        // `for $x in $g return <ret>` over group var 2, `$x` = var 9.
+        let over_members = |ret: LogicalExpr, where_: Option<LogicalExpr>| {
+            let mut members = LogicalOp::Unnest {
+                input: Box::new(LogicalOp::EmptyTupleSource),
+                var: 9,
+                expr: var(2),
+                positional: None,
+                outer: false,
+            };
+            if let Some(c) = where_ {
+                members = select(members, c);
+            }
+            LogicalExpr::Subquery(Arc::new(emit(members, ret)))
+        };
+        // group by $k := $m.author with $m (var 2)
+        // where count($m) > 1
+        // order by sum(for $x in $m return string-length($x.s)) desc
+        // return { "k": $k, "n": sql-count($m), "long": max(...) }
+        let plan = |long: LogicalExpr| {
+            let group = LogicalOp::GroupBy {
+                input: Box::new(scan("DS", 0)),
+                keys: vec![(1, LogicalExpr::field(var(0), "author"))],
+                aggs: vec![AggCall { var: 2, func: AggFunc::Listify, sql: false, input: var(0) }],
+            };
+            let filtered =
+                select(group, gt(LogicalExpr::call("count", vec![var(2)]), lit(Value::Int64(1))));
+            let ordered = LogicalOp::Order {
+                input: Box::new(filtered),
+                keys: vec![crate::plan::SortSpec {
+                    expr: LogicalExpr::call("sum", vec![over_members(len_of(9), None)]),
+                    descending: true,
+                }],
+            };
+            emit(
+                ordered,
+                LogicalExpr::RecordCtor(vec![
+                    ("k".into(), var(1)),
+                    ("n".into(), LogicalExpr::call("sql-count", vec![var(2)])),
+                    ("long".into(), LogicalExpr::call("max", vec![long])),
+                ]),
+            )
+        };
+        let rows: Vec<Value> = (0..40)
+            .map(|i| {
+                asterix_adm::parse::parse_value(&format!(
+                    r#"{{ "id": {i}, "author": {}, "s": "{}" }}"#,
+                    i % 6,
+                    "x".repeat((i % 5) as usize)
+                ))
+                .unwrap()
+            })
+            .collect();
+        let mut provider = VecProvider::new(2);
+        provider.add("DS", "id", rows);
+        let ctx = EvalCtx::new(Arc::new(provider), fctx());
+        let run = |p: &LogicalOp| {
+            let mut out =
+                crate::interp::eval_subplan(p, &std::collections::HashMap::new(), &ctx).unwrap();
+            out.sort_by(|a, b| a.total_cmp(b));
+            out
+        };
+
+        let fusable = plan(over_members(len_of(9), None));
+        let fused = fuse_group_aggregates(fusable.clone());
+        let shown = fused.pretty();
+        assert!(shown.contains("group-by (1 keys) [aggs: count,sum,sql-count,max]"), "{shown}");
+        // The fresh variables number above every variable the plan names.
+        let LogicalOp::Emit { expr: LogicalExpr::RecordCtor(fields), .. } = &fused else {
+            panic!("{shown}")
+        };
+        assert!(matches!(fields[1].1, LogicalExpr::Var(v) if v > 9), "{fields:?}");
+        assert_eq!(run(&fused), run(&fusable));
+        assert_eq!(run(&fused).len(), 6);
+
+        // A subquery that filters the members is another use of the group
+        // variable: the list is materialized beside the fused aggregates.
+        let filtered_members = over_members(len_of(9), Some(gt(len_of(9), lit(Value::Int64(2)))));
+        let kept = plan(filtered_members);
+        let partly_fused = fuse_group_aggregates(kept.clone());
+        let shown = partly_fused.pretty();
+        assert!(shown.contains("[aggs: listify,count,sum,sql-count]"), "{shown}");
+        assert_eq!(run(&partly_fused), run(&kept));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example tiny_social`
 
+use asterix_adm::Value;
 use asterixdb::{ClusterConfig, Instance};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -197,18 +198,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("Query 9 (UDF): {} unemployed in 95014", q9.len());
 
-    // Query 11: grouped aggregation with sorting and limit.
-    let q11 = instance.query(
-        r#"for $msg in dataset MugshotMessages
+    // Query 11: grouped aggregation with sorting and limit. The count runs
+    // inside the group-by, so the messages are read for two columns only.
+    let query_11 = r#"for $msg in dataset MugshotMessages
            where $msg.timestamp >= datetime("2014-02-20T00:00:00")
              and $msg.timestamp < datetime("2014-02-21T00:00:00")
            group by $aid := $msg.author-id with $msg
            let $cnt := count($msg)
            order by $cnt desc
            limit 3
-           return { "author": $aid, "no messages": $cnt };"#,
-    )?;
+           return { "author": $aid, "no messages": $cnt };"#;
+    let q11 = instance.query(query_11)?;
     println!("Query 11 (top chatty users): {q11:?}");
+    // On 2014-02-20: author 1 (message 2) and author 2 (message 3).
+    let mut authors: Vec<Value> = q11.iter().map(|r| r.field("author")).collect();
+    authors.sort_by(|a, b| a.total_cmp(b));
+    assert_eq!(authors, [Value::Int32(1), Value::Int32(2)], "{q11:?}");
+    assert!(q11.iter().all(|r| r.field("no messages") == Value::Int64(1)), "{q11:?}");
+    let (plan, job) = instance.explain(query_11)?;
+    assert!(!plan.contains("listify"), "{plan}");
+    assert!(job.contains("[cols: author-id,timestamp]"), "{job}");
 
     // Update 2: delete.
     let del = instance.execute("delete $user from dataset MugshotUsers where $user.id = 11;")?;

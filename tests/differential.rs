@@ -1601,3 +1601,285 @@ fn composite_key_index_searches_answer_identically_on_every_layout_and_topology(
         assert_eq!(want[3], [want[0].len().to_string()], "the count counts the range");
     });
 }
+
+// ---------------------------------------------------------------------------
+// Grouped aggregates: fused into the group-by, or over the materialized list
+// ---------------------------------------------------------------------------
+
+/// Record `i` of `G` in its `generation`-th version: group `k` = `i % 7`,
+/// and `v` null (in group 0 only), missing (in groups 1 and 2 only), an int
+/// or a double by turns.
+fn grp_record(i: i64, generation: i64) -> Value {
+    let (k, turn) = (i % 7, i + generation);
+    let mut fields = vec![("id", Value::Int64(i)), ("k", Value::Int64(k))];
+    if k == 0 && turn % 3 == 0 {
+        fields.push(("v", Value::Null));
+    } else if (k == 1 || k == 2) && turn % 5 == 0 {
+    } else if turn % 2 == 0 {
+        fields.push(("v", Value::Int64(turn * 7 % 41 - 20)));
+    } else {
+        fields.push(("v", Value::Double((turn % 23) as f64 + 0.5)));
+    }
+    Value::record(asterix_adm::Record::from_fields(fields))
+}
+
+/// `G`, loaded in three stages; each later stage rewrites records of the
+/// ones before it (moving their `v` to another kind) and deletes some.
+fn grp_corpus() -> Corpus {
+    Corpus {
+        dataverse: "Grp",
+        ddl: "create type GT as open { id: int64, k: int64 };
+              create dataset G(GT) primary key id;"
+            .into(),
+        flushed: vec!["G"],
+        load: Box::new(|instance, stage| {
+            let g = instance.dataset("G").unwrap();
+            let (fresh, rewritten, deleted): (_, &[i64], &[i64]) = match stage {
+                0 => (0..120, &[], &[]),
+                1 => (120..240, &[3, 50, 77], &[10, 60]),
+                _ => (240..300, &[130, 5, 51], &[200, 11]),
+            };
+            for i in fresh {
+                g.insert(&grp_record(i, 0)).unwrap();
+            }
+            for &i in rewritten {
+                assert!(g.delete_by_pk(&[Value::Int64(i)]).unwrap());
+                g.insert(&grp_record(i, stage as i64)).unwrap();
+            }
+            for &i in deleted {
+                assert!(g.delete_by_pk(&[Value::Int64(i)]).unwrap());
+            }
+        }),
+    }
+}
+
+/// One grouped query: its text, the same text with the group list also
+/// returned as `"l"`, and whether its aggregate fuses into the group-by.
+struct GrpQuery {
+    text: String,
+    with_list: String,
+    fuses: bool,
+}
+
+/// Each aggregate over each group variable, of the variable or of a
+/// subquery over it, in each place above the group: a `let`, the `return`,
+/// an `order by` key and a `where`. Every query ends ordered on a total
+/// key, so its rows compare in order.
+fn grp_queries() -> Vec<GrpQuery> {
+    let mut out = Vec::new();
+    let functions = ["count", "sql-count", "sum", "avg", "min", "max", "sql-avg"];
+    let by_k = "for $r in dataset G";
+    for f in functions {
+        // (head, aggregate, group variable, fuses)
+        let by_v = format!("{by_k} let $v := $r.v group by $k := $r.k with $v");
+        // A member of `$v` can be missing, which the list leaves out.
+        let skips_missing = f.starts_with("sql-") || f == "count";
+        let mut sources = vec![
+            (by_v.clone(), format!("{f}($v)"), "$v", skips_missing),
+            (by_v.clone(), format!("{f}(for $x in $v return $x)"), "$v", skips_missing),
+            (
+                format!("{by_k} group by $k := $r.k with $r"),
+                format!("{f}(for $x in $r return $x.v)"),
+                "$r",
+                true,
+            ),
+        ];
+        if f.ends_with("count") {
+            let head = format!("{by_k} group by $k := $r.k with $r");
+            sources.push((head, format!("{f}($r)"), "$r", true));
+            sources.push((by_v.clone(), format!("{f}(for $x in $v return 1)"), "$v", true));
+        }
+        for (head, agg, g, fuses) in sources {
+            let forms = [
+                format!("{head} let $a := {agg} order by $k return {{ \"k\": $k, \"a\": $a L }}"),
+                format!("{head} order by $k return {{ \"k\": $k, \"a\": {agg} L }}"),
+                format!("{head} order by {agg} desc, $k return {{ \"k\": $k L }}"),
+                format!("{head} where {agg} > 3 order by $k return {{ \"k\": $k L }}"),
+            ];
+            for form in forms {
+                out.push(GrpQuery {
+                    text: form.replace(" L }", " }"),
+                    with_list: form.replace(" L }", &format!(", \"l\": {g} }}")),
+                    fuses,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Each query's rows, in order, checked against its oracle — the query
+/// compiled with its aggregates left unfused, so that they run over the
+/// materialized list — against the query that also returns the list (the
+/// list cut off), and against the interpreter, with the plan holding a
+/// listify exactly when the aggregate does not fuse and no job reading
+/// whole records.
+fn grp_answers(setup: Setup, step: &str, instance: &Instance) -> Vec<Vec<String>> {
+    let rows = |values: Vec<Value>| -> Vec<String> {
+        values
+            .into_iter()
+            .map(|v| {
+                let mut rec = v.as_record().unwrap().clone();
+                rec.remove("l");
+                asterix_adm::print::to_adm_string(&Value::record(rec))
+            })
+            .collect()
+    };
+    grp_queries()
+        .iter()
+        .map(|q| {
+            let text = &q.text;
+            let (plan, job) = instance.explain(text).unwrap();
+            assert_eq!(plan.contains("listify"), !q.fuses, "{setup:?} {step}: {text}\n{plan}");
+            assert!(!job.contains("[cols: *]"), "{setup:?} {step}: {text}\n{job}");
+            let (list_plan, _) = instance.explain(&q.with_list).unwrap();
+            assert!(list_plan.contains("listify"), "{setup:?} {step}: {list_plan}");
+            let got = rows(instance.query(&q.text).unwrap());
+            let want = rows(compiled_unfused(instance, "Grp", &q.text));
+            assert_eq!(got, want, "{setup:?} {step}: {}", q.text);
+            let with_list = rows(instance.query(&q.with_list).unwrap());
+            assert_eq!(with_list, want, "{setup:?} {step}: {}", q.with_list);
+            let interp = rows(interpreted(instance, "Grp", &q.text));
+            assert_eq!(interp, want, "{setup:?} {step}: interpreted {}", q.text);
+            got
+        })
+        .collect()
+}
+
+/// `q` compiled with its group aggregates left unfused, so that each runs
+/// over the materialized member list, and run.
+fn compiled_unfused(instance: &Instance, dataverse: &str, q: &str) -> Vec<Value> {
+    let provider: Arc<dyn MetadataProvider> =
+        Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(instance) });
+    let catalog = asterixdb::provider::SessionCatalog {
+        shared: instance_shared(instance),
+        current_dataverse: dataverse.to_string(),
+    };
+    let plan = Translator::new(&catalog).translate_query(&parse_expression(q).unwrap()).unwrap();
+    let fctx = FunctionContext::default();
+    let options = OptimizerOptions { fuse_group_aggregates: false, ..Default::default() };
+    let optimized = optimize(plan, &provider, &fctx, &options);
+    asterix_algebricks::jobgen::compile(&optimized, provider, fctx, &options)
+        .unwrap()
+        .run()
+        .unwrap()
+}
+
+/// Every user-side `G` record with id below 14 beside the records of the
+/// third stage in its group `k`, as a left-outer hash join (no AQL
+/// construct compiles to one), grouped by the id and counted both ways:
+/// `count` counts the null an unmatched row carries, `sql-count` does not.
+fn left_outer_group_count_plan() -> asterix_algebricks::plan::LogicalOp {
+    use asterix_algebricks::expr::{CompareOp, LogicalExpr};
+    use asterix_algebricks::plan::{AggCall, AggFunc, JoinKind, LogicalOp};
+    let field = |v, name: &str| LogicalExpr::field(LogicalExpr::Var(v), name);
+    let cmp = |op, v, bound| {
+        LogicalExpr::Compare(op, Box::new(field(v, "id")), Box::new(LogicalExpr::Const(bound)))
+    };
+    let count = |var, sql| AggCall { var, func: AggFunc::Count, sql, input: LogicalExpr::Var(1) };
+    LogicalOp::Emit {
+        input: Box::new(LogicalOp::GroupBy {
+            input: Box::new(LogicalOp::HashJoin {
+                left: Box::new(LogicalOp::Select {
+                    input: Box::new(LogicalOp::DataSourceScan { dataset: "Grp.G".into(), var: 0 }),
+                    condition: cmp(CompareOp::Lt, 0, Value::Int64(14)),
+                }),
+                right: Box::new(LogicalOp::Select {
+                    input: Box::new(LogicalOp::DataSourceScan { dataset: "Grp.G".into(), var: 1 }),
+                    condition: cmp(CompareOp::Ge, 1, Value::Int64(240)),
+                }),
+                left_keys: vec![field(0, "id")],
+                right_keys: vec![field(1, "k")],
+                residual: None,
+                kind: JoinKind::LeftOuter,
+            }),
+            keys: vec![(2, field(0, "id"))],
+            aggs: vec![count(3, false), count(4, true)],
+        }),
+        expr: LogicalExpr::RecordCtor(vec![
+            ("id".into(), LogicalExpr::Var(2)),
+            ("n".into(), LogicalExpr::Var(3)),
+            ("sql".into(), LogicalExpr::Var(4)),
+        ]),
+    }
+}
+
+/// Every grouped aggregate — `count`, `sql-count`, `sum`, `avg`, `min`,
+/// `max` and `sql-avg`, of the group variable or of a subquery over it, in
+/// a `let`, the `return`, an `order by` key or a `where` — answers as the
+/// same query with its aggregates unfused does (so that they run over the
+/// materialized list) and as the interpreter does, over members
+/// whose field is null, missing, an int or a double, on every layout and
+/// topology, staged and after a flush and a full merge. A counted record
+/// is read with no field, also on the right of a left-outer join.
+#[test]
+fn grouped_aggregates_answer_identically_on_every_layout_and_topology() {
+    let mut reference: Option<Vec<Vec<String>>> = None;
+    let outer_plan = left_outer_group_count_plan();
+    for_each_setup(&Layout::ALL, &[(1, 1), (2, 2), (4, 3)], &grp_corpus(), |setup, instance| {
+        let answers = grp_answers(setup, "staged", instance);
+        let want = reference.get_or_insert_with(|| answers.clone());
+        assert_eq!(&answers, want, "{setup:?}");
+        // Groups 0–2 hold unknown members, groups 3–6 none: a sum over the
+        // records' fields is null in those three; a sum over the `$v` list,
+        // which leaves the missing members out, only in group 0's.
+        let sums =
+            |agg: &str| &want[grp_queries().iter().position(|q| q.text.contains(agg)).unwrap()];
+        for (agg, nulls) in [("sum(for $x in $r", 3), ("sum(for $x in $v", 1), ("sum($v)", 1)] {
+            let sums = sums(agg);
+            assert_eq!(sums.len(), 7, "{agg}: {sums:?}");
+            assert_eq!(
+                sums.iter().filter(|r| r.contains("null")).count(),
+                nulls,
+                "{agg}: {sums:?}"
+            );
+        }
+
+        let g = instance.dataset("G").unwrap();
+        g.flush_all().unwrap();
+        for p in &g.primary {
+            p.lsm().merge_all().unwrap();
+            assert!(p.lsm().disk_component_count() <= 1, "{setup:?}");
+        }
+        assert_eq!(&grp_answers(setup, "merged", instance), want, "{setup:?}");
+
+        let (got, interp_rows) = compiled_and_interpreted(instance, &outer_plan);
+        assert_eq!(got, interp_rows, "{setup:?}: left-outer group count");
+        let unmatched: Vec<&String> = got.iter().filter(|r| r.contains("\"sql\": 0")).collect();
+        // Ids 7–13 have no partner; 10 and 11 are deleted.
+        assert_eq!(unmatched.len(), 5, "{setup:?}: {got:?}");
+        assert!(unmatched.iter().all(|r| r.contains("\"n\": 1")), "{setup:?}: {got:?}");
+        let provider: Arc<dyn MetadataProvider> =
+            Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(instance) });
+        let job = asterix_algebricks::jobgen::compile(
+            &outer_plan,
+            provider,
+            FunctionContext::default(),
+            &OptimizerOptions::default(),
+        )
+        .unwrap()
+        .describe();
+        assert!(job.contains("data-scan Grp.G [cols: id,k]"), "{job}");
+        assert!(!job.contains("[cols: *]"), "{job}");
+    });
+}
+
+/// The benchmark's `GrpAgg` shapes read two columns of the messages — the
+/// group key and the filtered timestamp — through the index and through a
+/// scan alike, and build no member list.
+#[test]
+fn grouped_counts_read_the_group_key_and_the_filter_only() {
+    for indexed in [true, false] {
+        let setup = Setup { layout: Layout::Memory, topology: (1, 1) };
+        let (instance, _d) = staged_instance(setup, &perf_corpus(indexed));
+        let grouped: Vec<String> =
+            ix_queries().into_iter().filter(|q| q.contains("group by")).collect();
+        assert_eq!(grouped.len(), 2);
+        for q in grouped {
+            let (plan, job) = instance.explain(&q).unwrap();
+            assert!(plan.contains("group-by (1 keys) [aggs: count]"), "{plan}");
+            assert!(job.contains("[cols: author-id,timestamp]"), "{job}");
+            assert!(!job.contains("[cols: *]"), "{job}");
+        }
+    }
+}

@@ -374,6 +374,58 @@ fn query_11_group_order_limit() {
     assert_eq!(rows[0].field("author"), Value::Int32(2));
 }
 
+/// Query 11 counts its groups inside the group-by and reads two columns,
+/// whether the count is a `let`, in the `order by` or in the `return`; a
+/// counted record needs no field at all.
+#[test]
+fn query_11_counts_in_the_group_by_and_reads_two_columns() {
+    let (instance, _d) = tiny_social();
+    let head = r#"for $msg in dataset MugshotMessages
+               where $msg.timestamp >= datetime("2014-02-20T00:00:00")
+                 and $msg.timestamp < datetime("2014-02-21T00:00:00")
+               group by $aid := $msg.author-id with $msg"#;
+    let forms = [
+        format!(
+            r#"{head} let $cnt := count($msg) order by $cnt desc, $aid limit 3
+               return {{ "author": $aid, "no messages": $cnt }};"#
+        ),
+        format!(
+            r#"{head} order by count($msg) desc, $aid limit 3
+               return {{ "author": $aid, "no messages": count($msg) }};"#
+        ),
+    ];
+    let mut answers = Vec::new();
+    for q in &forms {
+        let (plan, job) = instance.explain(q).unwrap();
+        assert!(plan.contains("group-by (1 keys) [aggs: count"), "{plan}");
+        assert!(!plan.contains("listify"), "{plan}");
+        assert!(job.contains("[cols: author-id,timestamp]"), "{job}");
+        assert!(!job.contains("[cols: *]"), "{job}");
+        answers.push(instance.query(q).unwrap());
+    }
+    assert_eq!(answers[0], answers[1]);
+    assert_eq!(answers[0][0].field("no messages"), Value::Int64(2));
+    assert_eq!(answers[0][0].field("author"), Value::Int32(2));
+
+    let all = "count(for $m in dataset MugshotMessages return $m)";
+    let (plan, job) = instance.explain(all).unwrap();
+    assert!(plan.contains("aggregate [aggs: count]"), "{plan}");
+    assert!(job.contains("data-scan TinySocial.MugshotMessages [cols: none]"), "{job}");
+    let everything = instance.query("for $m in dataset MugshotMessages return $m").unwrap();
+    assert_eq!(instance.query(all).unwrap(), [Value::Int64(everything.len() as i64)]);
+    // Through the index, the fetch reads the post-validated field alone.
+    let (_, job) = instance
+        .explain(
+            r#"count(for $m in dataset MugshotMessages
+                     where $m.timestamp >= datetime("2014-02-20T00:00:00")
+                       and $m.timestamp < datetime("2014-02-21T00:00:00")
+                     return $m)"#,
+        )
+        .unwrap();
+    assert!(job.contains("msTimestampIdx"), "{job}");
+    assert!(job.contains("(primary) [cols: timestamp]"), "{job}");
+}
+
 #[test]
 fn query_12_active_users_external_join() {
     let (instance, dir) = tiny_social();
@@ -402,9 +454,7 @@ fn query_12_active_users_external_join() {
         .unwrap();
     // Query 12, with a fixed window instead of current-datetime so the test
     // is deterministic.
-    let rows = instance
-        .query(
-            r#"let $start := datetime("2013-12-01T00:00:00")
+    let query_12 = r#"let $start := datetime("2013-12-01T00:00:00")
                let $end := datetime("2013-12-31T00:00:00")
                for $user in dataset MugshotUsers
                where some $logrecord in dataset AccessLog
@@ -412,11 +462,15 @@ fn query_12_active_users_external_join() {
                        and datetime($logrecord.time) >= $start
                        and datetime($logrecord.time) <= $end
                group by $country := $user.address.country with $user
-               return { "country": $country, "active users": count($user) };"#,
-        )
-        .unwrap();
+               return { "country": $country, "active users": count($user) };"#;
+    let rows = instance.query(query_12).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].field("active users"), Value::Int64(2));
+    // The count of the group fuses into the group-by: no member list is
+    // built, and the users are read for the two fields the query names.
+    let (plan, job) = instance.explain(query_12).unwrap();
+    assert!(!plan.contains("listify"), "{plan}");
+    assert!(job.contains("data-scan TinySocial.MugshotUsers [cols: address,alias]"), "{job}");
 }
 
 #[test]
