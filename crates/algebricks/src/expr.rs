@@ -4,7 +4,7 @@
 //! wraps them in closures over runtime tuples). Evaluation needs a
 //! [`VarResolver`] for variable bindings and an [`EvalCtx`] carrying the
 //! statement clock, fuzzy-match session settings, and the metadata provider
-//! (for correlated subqueries).
+//! (for the subplans the interpreter evaluates).
 
 use std::sync::Arc;
 
@@ -120,6 +120,22 @@ impl LogicalExpr {
         }
     }
 
+    /// Calls `f` on the plan of each subquery the expression holds, outside
+    /// the plans of other subqueries.
+    pub fn for_each_subquery<'a>(&'a self, f: &mut impl FnMut(&'a LogicalOp)) {
+        match self {
+            LogicalExpr::Subquery(plan) => f(plan),
+            e => e.for_each_child(&mut |c| c.for_each_subquery(f)),
+        }
+    }
+
+    /// Whether the expression holds a subquery that reads a dataset.
+    pub fn reads_dataset(&self) -> bool {
+        let mut reads = false;
+        self.for_each_subquery(&mut |plan| reads |= plan.reads_dataset());
+        reads
+    }
+
     /// The largest variable id the expression names, bound (by a
     /// quantifier or inside a subquery) or free.
     pub fn max_var(&self) -> Option<VarId> {
@@ -195,6 +211,70 @@ impl LogicalExpr {
             LogicalExpr::IfThenElse(c, t, e) => {
                 c.is_foldable_const() && t.is_foldable_const() && e.is_foldable_const()
             }
+        }
+    }
+}
+
+/// The expression as `explain` prints it: variables as `$vN`, a subquery
+/// as `(subplan)`, whose plan the operator's `subplan` block shows.
+impl std::fmt::Display for LogicalExpr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let list = |f: &mut std::fmt::Formatter<'_>, es: &[LogicalExpr], sep: &str| {
+            es.iter()
+                .enumerate()
+                .try_for_each(|(i, e)| write!(f, "{}{e}", if i == 0 { "" } else { sep }))
+        };
+        match self {
+            LogicalExpr::Const(v) => write!(f, "{}", asterix_adm::print::to_adm_string(v)),
+            LogicalExpr::Var(v) => write!(f, "$v{v}"),
+            LogicalExpr::Param(i) => write!(f, "?{i}"),
+            LogicalExpr::FieldAccess(base, name) => write!(f, "{base}.{name}"),
+            LogicalExpr::IndexAccess(base, i) => write!(f, "{base}[{i}]"),
+            LogicalExpr::Call(name, args) => {
+                write!(f, "{name}(")?;
+                list(f, args, ", ")?;
+                write!(f, ")")
+            }
+            LogicalExpr::Arith(op, a, b) => write!(f, "({a} {op} {b})"),
+            LogicalExpr::Neg(e) => write!(f, "-{e}"),
+            LogicalExpr::Compare(op, a, b) => {
+                let op = match op {
+                    CompareOp::Eq => "=",
+                    CompareOp::Neq => "!=",
+                    CompareOp::Lt => "<",
+                    CompareOp::Le => "<=",
+                    CompareOp::Gt => ">",
+                    CompareOp::Ge => ">=",
+                    CompareOp::FuzzyEq => "~=",
+                };
+                write!(f, "({a} {op} {b})")
+            }
+            LogicalExpr::And(es) | LogicalExpr::Or(es) => {
+                let sep = if matches!(self, LogicalExpr::And(_)) { " and " } else { " or " };
+                write!(f, "(")?;
+                list(f, es, sep)?;
+                write!(f, ")")
+            }
+            LogicalExpr::Not(e) => write!(f, "not({e})"),
+            LogicalExpr::RecordCtor(fields) => {
+                write!(f, "{{")?;
+                for (i, (name, e)) in fields.iter().enumerate() {
+                    write!(f, "{}\"{name}\": {e}", if i == 0 { " " } else { ", " })?;
+                }
+                write!(f, " }}")
+            }
+            LogicalExpr::ListCtor { ordered, items } => {
+                let (open, close) = if *ordered { ("[", "]") } else { ("{{", "}}") };
+                write!(f, "{open}")?;
+                list(f, items, ", ")?;
+                write!(f, "{close}")
+            }
+            LogicalExpr::Quantified { kind, var, collection, predicate } => {
+                let kind = if *kind == QuantKind::Some { "some" } else { "every" };
+                write!(f, "({kind} $v{var} in {collection} satisfies {predicate})")
+            }
+            LogicalExpr::IfThenElse(c, t, e) => write!(f, "(if {c} then {t} else {e})"),
+            LogicalExpr::Subquery(_) => write!(f, "(subplan)"),
         }
     }
 }

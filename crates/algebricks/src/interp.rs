@@ -1,18 +1,22 @@
 //! Tuple-at-a-time interpreter for logical plans.
 //!
-//! Two roles:
-//! 1. Evaluate **correlated subplans** (nested FLWORs) inside expressions —
-//!    each evaluation sees the outer tuple's bindings, and index access
-//!    paths introduced by the optimizer work with outer-variable bounds.
-//! 2. Serve as a **differential-testing oracle** for the compiled
-//!    (Hyracks) path: integration tests run both and compare.
+//! It is the **differential-testing oracle** for the compiled (Hyracks)
+//! path: integration tests run both over the same data and compare, and
+//! over a plan before `optimize` it answers with the per-outer-row
+//! semantics of nested queries that the decorrelation rule must keep.
+//!
+//! It also evaluates the **dataset-free subplans** that stay inside
+//! expressions — `for $f in $u.friend-ids …`, an expression-bodied UDF,
+//! the part of a decorrelated subquery that runs over the group's list.
+//! Each evaluation sees the outer tuple's bindings. A subquery that reads
+//! a dataset never gets here from a compiled job: the rule moves it into
+//! the job, and job generation refuses one that is left.
 
 use std::collections::HashMap;
 
 use asterix_adm::{AdmError, Value};
 
 use crate::expr::{eval, truthy, EvalCtx, VarId, VarResolver};
-use crate::metadata::{IndexProbe, KeyBound};
 use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp};
 
 /// A row of variable bindings.
@@ -162,6 +166,10 @@ pub fn eval_rows(
                         let res = ChainResolver { env: &env, outer };
                         truthy(&eval(condition, &res, ctx)?)
                     };
+                    if keep && *kind == JoinKind::Semi {
+                        out.push(l.clone());
+                        break;
+                    }
                     if keep {
                         matched = true;
                         out.push(env);
@@ -248,43 +256,28 @@ pub fn eval_rows(
             }
             Ok(out)
         }
-        LogicalOp::IndexNlJoin { left, dataset, index, probe, var, kind } => {
+        LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
             let lrows = eval_rows(left, outer, ctx)?;
             let mut out = Vec::new();
             for l in lrows {
-                let key = {
-                    let res = ChainResolver { env: &l, outer };
-                    eval(probe, &res, ctx)?
-                };
-                let matches: Vec<Value> = if key.is_unknown() {
-                    Vec::new()
-                } else {
-                    let probe = IndexProbe::Range {
-                        lo: KeyBound::Inclusive(key.clone()),
-                        hi: KeyBound::Inclusive(key),
-                    };
-                    let pks = ctx
-                        .provider
-                        .secondary_search_all(dataset, index, probe)
-                        .map_err(adm_err)?;
-                    let mut recs = Vec::with_capacity(pks.len());
-                    for pk in pks {
-                        if let Some(r) = ctx.provider.lookup_pk(dataset, &pk).map_err(adm_err)? {
-                            recs.push(r);
+                let res = ChainResolver { env: &l, outer };
+                let records = index_search_records(dataset, index, spec, &res, ctx)?;
+                let mut matched = false;
+                for r in records {
+                    let mut env = l.clone();
+                    env.insert(*var, r);
+                    if let Some(post) = postcondition {
+                        if !truthy(&eval(post, &ChainResolver { env: &env, outer }, ctx)?) {
+                            continue;
                         }
                     }
-                    recs
-                };
-                if matches.is_empty() && *kind == JoinKind::LeftOuter {
-                    let mut env = l.clone();
+                    matched = true;
+                    out.push(env);
+                }
+                if !matched && *kind == JoinKind::LeftOuter {
+                    let mut env = l;
                     env.insert(*var, Value::Null);
                     out.push(env);
-                } else {
-                    for m in matches {
-                        let mut env = l.clone();
-                        env.insert(*var, m);
-                        out.push(env);
-                    }
                 }
             }
             Ok(out)
@@ -406,14 +399,9 @@ pub fn index_search_records(
         let (lo, hi) = (key_bound(lo, value)?, key_bound(hi, value)?);
         return ctx.provider.primary_range_all(dataset, lo, hi).map_err(adm_err);
     }
-    match spec.probe(&*ctx.provider, dataset, index, value)? {
-        Some(probe) => {
-            let pks = ctx.provider.secondary_search_all(dataset, index, probe).map_err(adm_err)?;
-            fetch_records(dataset, pks, ctx)
-        }
-        // The index cannot narrow the search: the postcondition decides.
-        None => ctx.provider.scan_all(dataset).map_err(adm_err),
-    }
+    let probe = spec.probe(&*ctx.provider, dataset, index, value)?;
+    let pks = ctx.provider.secondary_search_all(dataset, index, probe).map_err(adm_err)?;
+    fetch_records(dataset, pks, ctx)
 }
 
 fn fetch_records(

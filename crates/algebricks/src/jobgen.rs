@@ -27,7 +27,7 @@ use asterix_hyracks::ops::{
 use asterix_hyracks::{HyracksError, Result};
 
 use crate::expr::{eval, truthy, CompareOp, EvalCtx, LogicalExpr, TupleResolver, VarId};
-use crate::metadata::{IndexProbe, KeyBound, MetadataProvider, ScanFilter, ScanProjection};
+use crate::metadata::{KeyBound, MetadataProvider, ScanFilter, ScanProjection};
 use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp, SortSpec};
 use crate::rules::OptimizerOptions;
 
@@ -130,23 +130,34 @@ enum VarUse {
 /// `DataSourceScan`, an `IndexSearch` or the inner side of an
 /// `IndexNlJoin` — whether the query only ever touches specific top-level
 /// fields of it. Walks every expression of every operator, recursing into
-/// correlated subplans (whose own scans are interpreted, not compiled —
-/// only *outer* variable references matter there). Conservative by
-/// construction: any use that is not a literal `$v.field` marks the
-/// variable escaped — except a `count`/`sql-count` aggregate of exactly
-/// `$v`, which needs no field. A projected read yields a record for every
-/// row (`{}` when no field is asked for), and both counts skip only
-/// unknown values, which a read never yields, so they count the same rows.
+/// the dataset-free subplans expressions still evaluate, whose references
+/// to outer variables are uses. Conservative by construction: any use that
+/// is not a literal `$v.field` marks the variable escaped — except a
+/// `count`/`sql-count` aggregate of exactly `$v` and an `is-null`,
+/// `is-missing` or `is-unknown` test of it, which need no field, and a
+/// group key that rebinds `$v` to itself, which carries the variable
+/// through the group-by to its uses above, and an assign of `$v` to
+/// another variable, whose uses are `$v`'s. A projected read yields a
+/// record for every row (`{}` when no field is asked for), and both counts
+/// skip only unknown values, which a read never yields, so they count the
+/// same rows.
 fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUse> {
-    fn collect_scans(op: &LogicalOp, map: &mut std::collections::HashMap<VarId, VarUse>) {
-        if let LogicalOp::DataSourceScan { var, .. }
-        | LogicalOp::IndexSearch { var, .. }
-        | LogicalOp::IndexNlJoin { var, .. } = op
-        {
-            map.insert(*var, VarUse::Fields(Default::default()));
+    fn collect_scans(
+        op: &LogicalOp,
+        map: &mut std::collections::HashMap<VarId, VarUse>,
+        aliases: &mut Vec<(VarId, VarId)>,
+    ) {
+        match op {
+            LogicalOp::DataSourceScan { var, .. }
+            | LogicalOp::IndexSearch { var, .. }
+            | LogicalOp::IndexNlJoin { var, .. } => {
+                map.insert(*var, VarUse::Fields(Default::default()));
+            }
+            LogicalOp::Assign { var, expr: LogicalExpr::Var(v), .. } => aliases.push((*var, *v)),
+            _ => {}
         }
         for child in op.inputs() {
-            collect_scans(child, map);
+            collect_scans(child, map, aliases);
         }
     }
     fn note_expr(e: &LogicalExpr, map: &mut std::collections::HashMap<VarId, VarUse>) {
@@ -166,16 +177,26 @@ fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUs
                 }
             }
             LogicalExpr::Subquery(plan) => note_op(plan, map),
+            // Whether a read bound the record — the padding test of a
+            // decorrelated subquery — needs none of its fields.
+            LogicalExpr::Call(name, args)
+                if matches!(name.as_str(), "is-null" | "is-missing" | "is-unknown")
+                    && matches!(args.as_slice(), [LogicalExpr::Var(_)]) => {}
             e => e.for_each_child(&mut |c| note_expr(c, map)),
         }
     }
     fn note_op(op: &LogicalOp, map: &mut std::collections::HashMap<VarId, VarUse>) {
         match op {
             LogicalOp::GroupBy { keys, aggs, .. } => {
-                keys.iter().for_each(|(_, e)| note_expr(e, map));
+                for (k, e) in keys {
+                    if !matches!(e, LogicalExpr::Var(v) if v == k) {
+                        note_expr(e, map);
+                    }
+                }
                 aggs.iter().for_each(|a| note_agg(a, map));
             }
             LogicalOp::Aggregate { aggs, .. } => aggs.iter().for_each(|a| note_agg(a, map)),
+            LogicalOp::Assign { var, expr: LogicalExpr::Var(_), .. } if map.contains_key(var) => {}
             op => op.for_each_expr(&mut |e| note_expr(e, map)),
         }
         for child in op.inputs() {
@@ -187,9 +208,26 @@ fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUs
             note_expr(&a.input, map);
         }
     }
-    let mut map = std::collections::HashMap::new();
-    collect_scans(plan, &mut map);
+    let (mut map, mut aliases) = (std::collections::HashMap::new(), Vec::new());
+    collect_scans(plan, &mut map, &mut aliases);
+    // Bottom-up, so that an alias of an alias is one too.
+    let mut kept = Vec::new();
+    for (alias, v) in aliases.into_iter().rev() {
+        if map.contains_key(&v) {
+            map.insert(alias, VarUse::Fields(Default::default()));
+            kept.push((alias, v));
+        }
+    }
     note_op(plan, &mut map);
+    // Top-down, so that an alias's uses reach the read through the chain.
+    for (alias, v) in kept.iter().rev() {
+        let used = map.remove(alias);
+        match (map.get_mut(v), used) {
+            (Some(VarUse::Fields(fields)), Some(VarUse::Fields(more))) => fields.extend(more),
+            (Some(u), Some(VarUse::Escaped)) => *u = VarUse::Escaped,
+            _ => {}
+        }
+    }
     map
 }
 
@@ -235,7 +273,7 @@ const ASSUMED_SELECTIVITY: u64 = 10;
 /// says its datasets hold; `None` when some input cannot be sized (an
 /// unnest, a join, a dataset the provider does not count). Only its order
 /// between the two inputs of a hash join matters: the smaller one builds.
-fn estimated_rows(op: &LogicalOp, provider: &dyn MetadataProvider) -> Option<u64> {
+pub(crate) fn estimated_rows(op: &LogicalOp, provider: &dyn MetadataProvider) -> Option<u64> {
     let input_rows = |input: &LogicalOp| estimated_rows(input, provider);
     Some(match op {
         LogicalOp::DataSourceScan { dataset, .. } => provider.dataset_rows(dataset)?,
@@ -319,6 +357,12 @@ pub fn compile_with_params(
     let LogicalOp::Emit { input, expr } = plan else {
         return Err(HyracksError::InvalidJob("top-level plan must end in emit".into()));
     };
+    if plan.has_dataset_subquery() {
+        return Err(HyracksError::InvalidJob(
+            "internal error: an expression subquery that reads a dataset reached job generation"
+                .into(),
+        ));
+    }
     let (op, schema, part) = gen.build(input)?;
     // Final emit: compute the output value, project it, sink at 1 partition.
     let emit_eval = gen.make_eval(expr, &schema)?;
@@ -510,9 +554,9 @@ impl Gen {
         }))
     }
 
-    /// Evaluate a compile-time constant expression (index bounds at the top
-    /// level must fold to constants; correlated bounds only occur in
-    /// subplans, which the interpreter handles).
+    /// Evaluate a compile-time constant expression (an index search's
+    /// bounds must fold to constants; correlated bounds only occur in an
+    /// index-NL join, which evaluates them per outer tuple).
     fn const_value(&self, expr: &LogicalExpr) -> Result<Value> {
         let empty: std::collections::HashMap<VarId, Value> = Default::default();
         eval(expr, &empty, &self.ctx).map_err(HyracksError::from)
@@ -917,10 +961,7 @@ impl Gen {
         } else {
             (left, left_keys, l_rows, r_rows)
         };
-        let jt = match kind {
-            JoinKind::Inner => JoinType::Inner,
-            JoinKind::LeftOuter => JoinType::ProbeOuter,
-        };
+        let jt = join_type(kind);
         let filter = (self.options.enable_runtime_filters && jt == JoinType::Inner)
             .then(|| self.job.alloc_runtime_filter());
         let partner = filter.zip(probe_scan_field(probe, probe_keys)).map(|(filter_id, field)| {
@@ -1048,10 +1089,7 @@ impl Gen {
         let cond = condition.clone();
         let ctx = Arc::clone(&self.ctx);
         let r_width = r_schema.len();
-        let jt = match kind {
-            JoinKind::Inner => JoinType::Inner,
-            JoinKind::LeftOuter => JoinType::ProbeOuter,
-        };
+        let jt = join_type(kind);
         let join = self.job.add(
             self.parts(l_part),
             Arc::new(NestedLoopJoinOp::new(
@@ -1069,7 +1107,8 @@ impl Gen {
         );
         self.job.connect(ConnectorKind::MToNReplicating, r_op, join);
         self.job.connect(ConnectorKind::OneToOne, l_op, join);
-        Ok((join, combined, l_part))
+        let schema = if jt == JoinType::ProbeSemi { l_schema } else { combined };
+        Ok((join, schema, l_part))
     }
 
     /// The Figure 6 access-path shape: secondary search (pk tuples) →
@@ -1132,55 +1171,54 @@ impl Gen {
         Ok((out, schema, part))
     }
 
-    /// Index nested-loop join: the outer side probes the secondary index
-    /// per tuple, and the matching records are fetched per batch of probes
-    /// with the projection a scan of the inner variable would get, under
-    /// `filters`.
+    /// Index nested-loop join: each outer tuple resolves the join's search
+    /// spec to a probe of the index — `IndexSearchSpec::probe`, as a
+    /// selection does — and the matching records are fetched per batch of
+    /// probes with the projection a scan of the inner variable would get,
+    /// under `filters`. A spec the index cannot narrow probes every key,
+    /// and the postcondition, applied to each match inside the join,
+    /// decides.
     fn build_index_nl_join(
         &mut self,
         join: &LogicalOp,
         filters: Vec<ScanFilter>,
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
-        let LogicalOp::IndexNlJoin { left, dataset, index, probe, var, kind } = join else {
+        let LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } = join
+        else {
             unreachable!("build_index_nl_join takes an IndexNlJoin")
         };
         let (l_op, l_schema, part) = self.build(left)?;
-        let probe_eval = self.make_eval(probe, &l_schema)?;
-        let provider = Arc::clone(&self.ctx.provider);
-        let (dataset_c, index_c) = (dataset.clone(), index.clone());
-        let jt = match kind {
-            JoinKind::Inner => JoinType::Inner,
-            JoinKind::LeftOuter => JoinType::ProbeOuter,
-        };
+        let cols = Self::columns_of(&l_schema);
+        let ctx = Arc::clone(&self.ctx);
+        let (dataset_c, index_c, spec_c) = (dataset.clone(), index.clone(), spec.clone());
+        let jt = join_type(*kind);
         let (fetch, projection) = self.primary_fetch(dataset, *var, filters)?;
-        let join = self.job.add(
-            self.parts(part),
-            Arc::new(IndexNestedLoopJoinOp::new(
-                format!("{dataset}.{index}{projection}"),
-                move |t: &Tuple| {
-                    let key = probe_eval(t)?;
-                    if key.is_unknown() {
-                        return Ok(vec![]);
-                    }
-                    let probe = IndexProbe::Range {
-                        lo: KeyBound::Inclusive(key.clone()),
-                        hi: KeyBound::Inclusive(key),
-                    };
-                    provider.secondary_search_all(&dataset_c, &index_c, probe)
-                },
-                fetch,
-                jt,
-                1,
-            )),
-        );
-        self.job.connect(ConnectorKind::OneToOne, l_op, join);
         let mut schema = l_schema;
         schema.push(*var);
+        let mut op = IndexNestedLoopJoinOp::new(
+            format!("{dataset}.{index}{projection}"),
+            move |t: &Tuple| {
+                let vars = TupleResolver { columns: &cols, tuple: t };
+                let value = |e: &LogicalExpr| eval(e, &vars, &ctx).map_err(HyracksError::from);
+                let provider = &*ctx.provider;
+                let probe = spec_c.probe(provider, &dataset_c, &index_c, value)?;
+                provider.secondary_search_all(&dataset_c, &index_c, probe)
+            },
+            fetch,
+            jt,
+            1,
+        );
+        if let Some(post) = postcondition {
+            op = op.with_filter(self.make_pred(post, &schema)?);
+        }
+        let join = self.job.add(self.parts(part), Arc::new(op));
+        self.job.connect(ConnectorKind::OneToOne, l_op, join);
         Ok((join, schema, part))
     }
 }
 
-fn rebuild_condition(
+/// `left_keys[i] = right_keys[i]` for each `i`, and the residual.
+pub(crate) fn rebuild_condition(
     left_keys: &[LogicalExpr],
     right_keys: &[LogicalExpr],
     residual: &Option<LogicalExpr>,
@@ -1203,6 +1241,14 @@ fn rebuild_condition(
         conjuncts.pop().unwrap()
     } else {
         LogicalExpr::And(conjuncts)
+    }
+}
+
+fn join_type(kind: JoinKind) -> JoinType {
+    match kind {
+        JoinKind::Inner => JoinType::Inner,
+        JoinKind::LeftOuter => JoinType::ProbeOuter,
+        JoinKind::Semi => JoinType::ProbeSemi,
     }
 }
 
@@ -1519,11 +1565,26 @@ mod tests {
             left: Box::new(user()),
             dataset: "M".into(),
             index: "author".into(),
-            probe: id.clone(),
+            spec: IndexSearchSpec::BTreeRange {
+                lo: Some((id.clone(), true)),
+                hi: Some((id.clone(), true)),
+            },
+            postcondition: None,
             var: 1,
             kind: JoinKind::Inner,
         };
-        for join in [hash_join(true), hash_join(false), index_nl] {
+        // A spec the index cannot narrow — a window of no shape — probes
+        // every key, and the postcondition decides.
+        let unnarrowed = LogicalOp::IndexNlJoin {
+            left: Box::new(user()),
+            dataset: "M".into(),
+            index: "author".into(),
+            spec: IndexSearchSpec::RTree { query: lit(Value::Int64(0)) },
+            postcondition: Some(cmp(CompareOp::Eq, author.clone(), id.clone())),
+            var: 1,
+            kind: JoinKind::Inner,
+        };
+        for join in [hash_join(true), hash_join(false), index_nl, unnarrowed] {
             let plan = emit(join, LogicalExpr::field(var(1), "mid"));
             let pruned = compile_on(&plan, true);
             let d = pruned.describe();

@@ -263,16 +263,40 @@ pub trait MetadataProvider: Send + Sync {
 
     /// [`Self::secondary_search`] over every partition, its keys decoded
     /// and collected: the probe of an index nested-loop join and the
-    /// interpreter's searches.
+    /// interpreter's searches. With no probe — the index cannot narrow the
+    /// search, and the caller's postcondition decides — the key of every
+    /// record, from a read of the key fields alone.
     fn secondary_search_all(
         &self,
         dataset: &str,
         index: &str,
-        probe: IndexProbe,
+        probe: Option<IndexProbe>,
     ) -> Result<Vec<Vec<Value>>> {
-        let search = self.secondary_search(dataset, index, probe)?;
         let nparts = self.partitions();
         let mut out = Vec::new();
+        let Some(probe) = probe else {
+            let pk = self.primary_key_fields(dataset);
+            let mut fields: Vec<String> =
+                pk.iter().map(|f| f.split('.').next().unwrap_or(f).to_string()).collect();
+            fields.sort();
+            fields.dedup();
+            let keys = ScanProjection { fields: Some(fields), filters: Vec::new() };
+            let read =
+                self.raw_scan_source(dataset, &keys, KeyBound::Unbounded, KeyBound::Unbounded)?;
+            for p in 0..nparts {
+                read(p, nparts, None, &mut |t| {
+                    let r = asterix_adm::TupleRef::new(t)?.field(0).to_value()?;
+                    out.push(
+                        pk.iter()
+                            .map(|f| f.split('.').fold(r.clone(), |v, s| v.field(s)))
+                            .collect(),
+                    );
+                    Ok(())
+                })?;
+            }
+            return Ok(out);
+        };
+        let search = self.secondary_search(dataset, index, probe)?;
         for p in 0..nparts {
             search(p, nparts, None, &mut |pk| {
                 out.push(asterix_adm::decode_tuple(pk)?);

@@ -11,13 +11,16 @@ use asterix_adm::{AdmError, Value};
 use crate::expr::{LogicalExpr, VarId};
 use crate::metadata::{IndexKind, IndexProbe, KeyBound, MetadataProvider};
 
-/// Join kinds. AQL surfaces inner joins and (through nested plans /
-/// outer-unnest) left-outer semantics.
+/// Join kinds. AQL surfaces inner joins; a nested query decorrelates into
+/// a left-outer join, or a semi-join for a `where some … in <subquery>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     Inner,
     /// Left-outer: unmatched left tuples survive with right vars null.
     LeftOuter,
+    /// Semi: each left tuple with at least one match survives once, and
+    /// the right side's variables are not visible above the join.
+    Semi,
 }
 
 /// Aggregate function in a group-by / scalar aggregate.
@@ -261,12 +264,16 @@ pub enum LogicalOp {
         kind: JoinKind,
     },
     /// Index nested-loop join: for each left tuple, search `dataset` via
-    /// `index` with key `probe` and bind matching records to `var`.
+    /// `index` as `spec` says — its bounds, window or needle evaluated over
+    /// the left tuple — and bind each matching record that passes
+    /// `postcondition` to `var`. The postcondition filters inside the join,
+    /// so a left-outer join pads exactly the left tuples no record passed.
     IndexNlJoin {
         left: Box<LogicalOp>,
         dataset: String,
         index: String,
-        probe: LogicalExpr,
+        spec: IndexSearchSpec,
+        postcondition: Option<LogicalExpr>,
         var: VarId,
         kind: JoinKind,
     },
@@ -357,7 +364,9 @@ impl LogicalOp {
         }
     }
 
-    fn collect_expr_vars(&self, out: &mut Vec<VarId>) {
+    /// Every variable an expression of this subtree names, free in it or
+    /// not.
+    pub(crate) fn collect_expr_vars(&self, out: &mut Vec<VarId>) {
         self.for_each_expr(&mut |e| e.free_vars(out));
         for i in self.inputs() {
             i.collect_expr_vars(out);
@@ -372,7 +381,8 @@ impl LogicalOp {
             LogicalOp::EmptyTupleSource
             | LogicalOp::DataSourceScan { .. }
             | LogicalOp::Limit { .. } => {}
-            LogicalOp::IndexSearch { spec, postcondition, .. } => {
+            LogicalOp::IndexSearch { spec, postcondition, .. }
+            | LogicalOp::IndexNlJoin { spec, postcondition, .. } => {
                 match spec {
                     IndexSearchSpec::PrimaryRange { lo, hi }
                     | IndexSearchSpec::BTreeRange { lo, hi } => {
@@ -388,8 +398,7 @@ impl LogicalOp {
             | LogicalOp::Unnest { expr, .. }
             | LogicalOp::Emit { expr, .. }
             | LogicalOp::Select { condition: expr, .. }
-            | LogicalOp::Join { condition: expr, .. }
-            | LogicalOp::IndexNlJoin { probe: expr, .. } => f(expr),
+            | LogicalOp::Join { condition: expr, .. } => f(expr),
             LogicalOp::HashJoin { left_keys, right_keys, residual, .. } => {
                 left_keys.iter().chain(right_keys).chain(residual).for_each(f)
             }
@@ -412,6 +421,27 @@ impl LogicalOp {
         self.inputs().into_iter().map(LogicalOp::max_var).fold(max, Ord::max)
     }
 
+    /// Whether the subtree reads a dataset: it scans or searches one, or
+    /// one of its expressions holds a subquery that does.
+    pub fn reads_dataset(&self) -> bool {
+        let mut reads = matches!(
+            self,
+            LogicalOp::DataSourceScan { .. }
+                | LogicalOp::IndexSearch { .. }
+                | LogicalOp::IndexNlJoin { .. }
+        );
+        self.for_each_expr(&mut |e| reads |= e.reads_dataset());
+        reads || self.inputs().into_iter().any(LogicalOp::reads_dataset)
+    }
+
+    /// Whether an expression of the subtree holds a subquery that reads a
+    /// dataset: work that decorrelation moves into the plan.
+    pub fn has_dataset_subquery(&self) -> bool {
+        let mut reads = false;
+        self.for_each_expr(&mut |e| reads |= e.reads_dataset());
+        reads || self.inputs().into_iter().any(LogicalOp::has_dataset_subquery)
+    }
+
     /// Operator name for plan printing.
     pub fn op_name(&self) -> String {
         match self {
@@ -425,12 +455,9 @@ impl LogicalOp {
             }
             LogicalOp::Assign { var, .. } => format!("assign $v{var}"),
             LogicalOp::Select { .. } => "select".into(),
-            LogicalOp::Unnest { var, outer, .. } => {
-                if *outer {
-                    format!("outer-unnest $v{var}")
-                } else {
-                    format!("unnest $v{var}")
-                }
+            LogicalOp::Unnest { var, expr, outer, .. } => {
+                let outer = if *outer { "outer-" } else { "" };
+                format!("{outer}unnest $v{var} in {expr}")
             }
             LogicalOp::Join { kind, .. } => format!("join ({kind:?})"),
             LogicalOp::HashJoin { kind, .. } => format!("hash-join ({kind:?})"),
@@ -448,12 +475,21 @@ impl LogicalOp {
         }
     }
 
-    /// Indented plan rendering (EXPLAIN-style).
+    /// Indented plan rendering (EXPLAIN-style). A subplan an operator's
+    /// expressions still evaluate per tuple prints as a `subplan` block
+    /// under the operator's line.
     pub fn pretty(&self) -> String {
         fn walk(op: &LogicalOp, depth: usize, out: &mut String) {
             out.push_str(&"  ".repeat(depth));
             out.push_str(&op.op_name());
             out.push('\n');
+            op.for_each_expr(&mut |e| {
+                e.for_each_subquery(&mut |plan| {
+                    out.push_str(&"  ".repeat(depth + 1));
+                    out.push_str("subplan\n");
+                    walk(plan, depth + 2, out);
+                })
+            });
             for i in op.inputs() {
                 walk(i, depth + 1, out);
             }
@@ -496,12 +532,13 @@ impl LogicalOp {
                     kind,
                 }
             }
-            LogicalOp::IndexNlJoin { left, dataset, index, probe, var, kind } => {
+            LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
                 LogicalOp::IndexNlJoin {
                     left: Box::new(left.transform_up(f)),
                     dataset,
                     index,
-                    probe,
+                    spec,
+                    postcondition,
                     var,
                     kind,
                 }

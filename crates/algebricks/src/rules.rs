@@ -84,8 +84,20 @@ pub fn optimize(
     if options.enable_index_access {
         plan = introduce_index_access(plan, provider, fn_ctx);
     }
-    // Recurse into subplans carried by expressions.
+    // Recurse into subplans carried by expressions, then move each one
+    // that reads a dataset into this plan, and normalize what that built.
     plan = optimize_subplans(plan, provider, fn_ctx, options);
+    let (mut plan, moved) = decorrelate_subqueries(plan, provider);
+    if moved {
+        if options.fuse_group_aggregates {
+            plan = fuse_group_aggregates(plan);
+        }
+        plan = split_conjunctions(plan);
+        for _ in 0..8 {
+            plan = push_selects_down(plan);
+        }
+        plan = coalesce_selects(extract_equijoins(plan, provider));
+    }
     plan
 }
 
@@ -167,8 +179,9 @@ fn map_op_exprs(op: LogicalOp, f: &mut impl FnMut(LogicalExpr) -> LogicalExpr) -
                 kind,
             }
         }
-        LogicalOp::IndexNlJoin { left, dataset, index, probe, var, kind } => {
-            LogicalOp::IndexNlJoin { left, dataset, index, probe: f(probe), var, kind }
+        LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
+            let postcondition = postcondition.map(&mut *f);
+            LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind }
         }
         LogicalOp::GroupBy { input, keys, aggs } => LogicalOp::GroupBy {
             input,
@@ -374,6 +387,10 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
         let LogicalOp::Join { left, right, condition, kind, index_nl_hint } = op else {
             return op;
         };
+        if kind == JoinKind::Semi {
+            // The hash join emits pairs; a semi-join stays nested-loop.
+            return LogicalOp::Join { left, right, condition, kind, index_nl_hint };
+        }
         let mut cs = Vec::new();
         conjuncts_of(condition, &mut cs);
         let lb = left.bound_vars();
@@ -433,11 +450,16 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
             if let LogicalOp::DataSourceScan { dataset, var } = inner {
                 if let Some(field) = field_of(&right_keys[0], *var) {
                     if let Some(ix) = find_btree_index(provider, dataset, &field) {
+                        let key = left_keys.into_iter().next().unwrap();
                         let out = LogicalOp::IndexNlJoin {
                             left,
                             dataset: dataset.clone(),
                             index: ix,
-                            probe: left_keys.into_iter().next().unwrap(),
+                            spec: IndexSearchSpec::BTreeRange {
+                                lo: Some((key.clone(), true)),
+                                hi: Some((key, true)),
+                            },
+                            postcondition: None,
                             var: *var,
                             kind,
                         };
@@ -1011,6 +1033,967 @@ fn substitute(e: LogicalExpr, x: VarId, by: &LogicalExpr) -> Option<LogicalExpr>
     }
     let out = go(e, x, by, &mut in_subquery);
     (!in_subquery).then_some(out)
+}
+
+// ---------------------------------------------------------------------------
+// Decorrelation: a subquery that reads a dataset joins the enclosing plan
+// ---------------------------------------------------------------------------
+
+/// Move every subquery that reads a dataset into the plan around it, so
+/// its reads run in the Hyracks job and not, once per outer tuple, in the
+/// expression evaluator. Subqueries are optimized — and decorrelated —
+/// before this runs, so a correlated select has become an index search
+/// whose spec names outer variables. For the operator whose input `I`
+/// the subquery `Emit(B, e)` sits over:
+///
+/// * `for $x in <subquery>` joins `I` with `B` and assigns `e` to `$x`;
+/// * `where some $x in <subquery> satisfies p`, with `B` a dataset branch
+///   under selects, is a semi-join of `I` with that branch on the selects'
+///   conditions and `p`;
+/// * a subquery that names no variable of `I` is a one-row `Aggregate` of
+///   `B`, joined to `I` unless `I` is the empty tuple source;
+/// * any other is a left-outer join of `I`, keyed by a row key, with `B`,
+///   then a group-by on the row key that carries the variables of `I` and
+///   aggregates `e`: a listify for the list, the aggregate for an
+///   aggregate's argument, a count for a quantifier. Each row the join
+///   only padded has a guard that makes its input missing, so it adds
+///   nothing: `[]`, a count of 0, an aggregate's answer over `[]`. When
+///   `I` is a read estimated smaller than the one `B` joins, the join is
+///   inner, of a copy of `I`, and the groups join `I` after.
+///
+/// The blocking operators of `B` above a correlated one — an inner
+/// `order by`, `limit`, group-by, `distinct`, aggregate — run per outer
+/// row as a dataset-free subplan over the group's list. Returns the plan
+/// and whether it moved any subquery. One it cannot move stays, and job
+/// generation refuses the plan.
+pub fn decorrelate_subqueries(
+    mut plan: LogicalOp,
+    provider: &Arc<dyn MetadataProvider>,
+) -> (LogicalOp, bool) {
+    let mut moved = false;
+    while plan.has_dataset_subquery() {
+        let mut used = Vec::new();
+        plan.collect_expr_vars(&mut used);
+        let mut cx = Decorrelation {
+            provider: provider.as_ref(),
+            next_var: plan.max_var().map_or(0, |v| v + 1),
+            used,
+            outer: Vec::new(),
+            state: None,
+        };
+        plan = plan.transform_up(&mut |op| if cx.state.is_some() { op } else { cx.op(op) });
+        match cx.state {
+            Some(true) => moved = true,
+            _ => break,
+        }
+    }
+    (plan, moved)
+}
+
+/// How the subquery's answer is used where it sits.
+enum SubqueryUse {
+    /// As the list of its emitted values.
+    List,
+    /// As the one argument of an aggregate function.
+    Agg(AggFunc, bool),
+    /// As a quantifier's collection: `kind $var in … satisfies pred`.
+    Quant(QuantKind, VarId, LogicalExpr),
+}
+
+/// One pass: moves the first subquery it can, bottom-up.
+struct Decorrelation<'a> {
+    provider: &'a dyn MetadataProvider,
+    next_var: VarId,
+    /// Every variable an expression of the plan names.
+    used: Vec<VarId>,
+    /// The variables the input of the operator being rewritten binds.
+    outer: Vec<VarId>,
+    /// `Some(true)` once a subquery moved, `Some(false)` when one could not.
+    state: Option<bool>,
+}
+
+/// What [`Decorrelation::apply`] built: the joined operator, the guards
+/// that mark a row no member of the subquery's answer (a padded row, a
+/// row a select above the join rejects), and whether a condition can
+/// still fold into the join it just made.
+struct Applied {
+    op: LogicalOp,
+    guards: Vec<LogicalExpr>,
+    fresh: bool,
+}
+
+impl Decorrelation<'_> {
+    fn fresh(&mut self) -> VarId {
+        self.next_var += 1;
+        self.next_var - 1
+    }
+
+    fn correlated(&self, op: &LogicalOp) -> bool {
+        let mut free = Vec::new();
+        op.free_vars(&mut free);
+        free.iter().any(|v| self.outer.contains(v))
+    }
+
+    fn op(&mut self, op: LogicalOp) -> LogicalOp {
+        // A condition pushed into an inner join applies above it.
+        let mut op = match op {
+            LogicalOp::Join { left, right, condition, kind: JoinKind::Inner, index_nl_hint }
+                if condition.reads_dataset() =>
+            {
+                let cross = LogicalOp::Join {
+                    left,
+                    right,
+                    condition: LogicalExpr::Const(Value::Boolean(true)),
+                    kind: JoinKind::Inner,
+                    index_nl_hint,
+                };
+                LogicalOp::Select { input: Box::new(cross), condition }
+            }
+            op => op,
+        };
+        let Some(input) = unary_input(&mut op) else { return op };
+        self.outer = visible_vars(input);
+        let moved = match &op {
+            LogicalOp::Unnest {
+                input,
+                var,
+                expr: LogicalExpr::Subquery(sub),
+                positional: None,
+                outer: false,
+            } if sub.reads_dataset() => self.unnest_join(input, *var, sub),
+            LogicalOp::Select { input, condition } => self.semi_join(input, condition),
+            _ => None,
+        };
+        if let Some(moved) = moved {
+            self.state = Some(true);
+            return moved;
+        }
+        let r = self.fresh();
+        let mut found = None;
+        let rewritten = map_op_exprs(op.clone(), &mut |e| take_subquery(e, r, &mut found));
+        let Some((usage, sub)) = found else { return op };
+        let mut rewritten = rewritten;
+        let slot = unary_input(&mut rewritten).expect("the same operator");
+        match self.decorrelate(slot, &sub, usage, r) {
+            Some(input) => {
+                *slot = input;
+                self.state = Some(true);
+                rewritten
+            }
+            None => {
+                self.state = Some(false);
+                op
+            }
+        }
+    }
+
+    /// `for $x in Emit(B, e)` over `input`: `input` joined with `B`, and
+    /// `$x := e`. `None` when a blocking operator of `B` needs the list.
+    fn unnest_join(&mut self, input: &LogicalOp, var: VarId, sub: &LogicalOp) -> Option<LogicalOp> {
+        let LogicalOp::Emit { input: body, expr } = sub else { return None };
+        let joined = if !self.correlated(sub) {
+            cross_join(input.clone(), (**body).clone(), JoinKind::Inner)
+        } else if split_blocking(body, &|op| self.correlated(op)).is_some() {
+            return None;
+        } else {
+            self.apply(input.clone(), body, JoinKind::Inner)?.op
+        };
+        Some(LogicalOp::Assign { input: Box::new(joined), var, expr: expr.clone() })
+    }
+
+    /// A `some $x in Emit(B, e) satisfies p` conjunct of a select over
+    /// `input`, `B` a dataset branch under selects that names no variable
+    /// of `input`: a semi-join of `input` with the branch on the selects'
+    /// conditions and `p` of `e`.
+    fn semi_join(&mut self, input: &LogicalOp, condition: &LogicalExpr) -> Option<LogicalOp> {
+        let mut conjuncts = Vec::new();
+        conjuncts_of(condition.clone(), &mut conjuncts);
+        let at = conjuncts.iter().position(|c| {
+            matches!(c, LogicalExpr::Quantified { kind: QuantKind::Some, collection, .. }
+                if matches!(collection.as_ref(), LogicalExpr::Subquery(s) if s.reads_dataset()))
+        })?;
+        let LogicalExpr::Quantified { var, collection, predicate, .. } = &conjuncts[at] else {
+            unreachable!()
+        };
+        let LogicalExpr::Subquery(sub) = collection.as_ref() else { unreachable!() };
+        let LogicalOp::Emit { input: body, expr } = sub.as_ref() else { return None };
+        let mut branch = body.as_ref();
+        let mut on = vec![subst_var(predicate.as_ref().clone(), *var, expr)];
+        while let LogicalOp::Select { input, condition } = branch {
+            on.push(condition.clone());
+            branch = input;
+        }
+        if self.correlated(branch) || !branch.reads_dataset() {
+            return None;
+        }
+        let semi = LogicalOp::Join {
+            left: Box::new(input.clone()),
+            right: Box::new(branch.clone()),
+            condition: on.into_iter().rev().reduce(and2).expect("one condition"),
+            kind: JoinKind::Semi,
+            index_nl_hint: false,
+        };
+        conjuncts.remove(at);
+        Some(match conjuncts.into_iter().reduce(and2) {
+            Some(rest) => LogicalOp::Select { input: Box::new(semi), condition: rest },
+            None => semi,
+        })
+    }
+
+    /// `input` extended with a variable `r` that holds what `usage` makes
+    /// of the subquery `sub`'s answer for each of its rows.
+    fn decorrelate(
+        &mut self,
+        input: &LogicalOp,
+        sub: &LogicalOp,
+        usage: SubqueryUse,
+        r: VarId,
+    ) -> Option<LogicalOp> {
+        let LogicalOp::Emit { input: body, expr } = sub else { return None };
+        let quant_correlated = match &usage {
+            SubqueryUse::Quant(_, _, pred) => {
+                let mut free = Vec::new();
+                pred.free_vars(&mut free);
+                free.iter().any(|v| self.outer.contains(v))
+            }
+            _ => false,
+        };
+        if !self.correlated(sub) && !quant_correlated {
+            // One row for the whole input: the scalar aggregate of Figure 6.
+            let (agg, bind) = self.aggregate(usage, body, expr, None, &[], r);
+            let one = LogicalOp::Aggregate { input: body.clone(), aggs: vec![agg] };
+            let joined = match input {
+                LogicalOp::EmptyTupleSource => one,
+                input => cross_join(input.clone(), one, JoinKind::Inner),
+            };
+            return Some(bind_var(joined, bind));
+        }
+        let (low, high) = match split_blocking(body, &|op| self.correlated(op)) {
+            Some((low, high)) => (low, Some(high)),
+            None => ((**body).clone(), None),
+        };
+        if self.reattaches(input, &low) {
+            return self.reattached(input, &low, usage, expr, high, r);
+        }
+        let mut keyed = input.clone();
+        let row_key = self.row_key(&mut keyed);
+        let carried: Vec<VarId> =
+            visible_vars(&keyed).into_iter().filter(|v| self.used.contains(v)).collect();
+        let mut joined = self.apply(keyed, &low, JoinKind::LeftOuter)?;
+        if let (SubqueryUse::Quant(QuantKind::Some, var, pred), None, true) =
+            (&usage, &high, joined.fresh)
+        {
+            fold(&mut joined.op, subst_var(pred.clone(), *var, expr));
+        }
+        let (agg, bind) = self.aggregate(usage, &low, expr, high, &joined.guards, r);
+        let mut keys: Vec<(VarId, LogicalExpr)> = Vec::new();
+        for k in row_key {
+            if !matches!(k, LogicalExpr::Var(v) if carried.contains(&v)) {
+                keys.push((self.fresh(), k));
+            }
+        }
+        keys.extend(carried.iter().map(|v| (*v, LogicalExpr::Var(*v))));
+        let mut grouped = LogicalOp::GroupBy { input: Box::new(joined.op), keys, aggs: vec![agg] };
+        // The group-by shuffles: an outer `order by` sorts again.
+        if let Some(sort) = outer_order(input) {
+            grouped = LogicalOp::Order { input: Box::new(grouped), keys: sort };
+        }
+        Some(bind_var(grouped, bind))
+    }
+
+    /// Whether to join the subquery with a copy of `input` and attach the
+    /// grouped answers to `input` after: `input` is a read under selects
+    /// and assigns, estimated smaller than the uncorrelated read the
+    /// subquery's correlated selects sit on, and neither names a variable
+    /// from further out, which the copy would carry into a join's inner
+    /// side. The inner join then builds `input` and prunes that read,
+    /// where a left-outer join builds the read whole.
+    fn reattaches(&self, input: &LogicalOp, low: &LogicalOp) -> bool {
+        fn read(op: &LogicalOp) -> bool {
+            match op {
+                LogicalOp::Select { input, .. } | LogicalOp::Assign { input, .. } => read(input),
+                LogicalOp::DataSourceScan { .. } | LogicalOp::IndexSearch { .. } => true,
+                _ => false,
+            }
+        }
+        let mut branch = low;
+        while let LogicalOp::Select { input, .. } = branch {
+            branch = input;
+        }
+        let rows = |op| crate::jobgen::estimated_rows(op, self.provider);
+        let (mut free, mut named) = (Vec::new(), Vec::new());
+        input.free_vars(&mut free);
+        low.free_vars(&mut named);
+        read(input)
+            && free.is_empty()
+            && named.iter().all(|v| self.outer.contains(v))
+            && !self.correlated(branch)
+            && matches!((rows(input), rows(branch)), (Some(i), Some(b)) if i < b)
+    }
+
+    /// [`Self::decorrelate`] by an inner join of a copy of `input` with
+    /// `low`, grouped on `input`'s row key, left-outer-joined to `input`
+    /// on it. A row of `input` no group joined counts 0 and lists `[]`.
+    fn reattached(
+        &mut self,
+        input: &LogicalOp,
+        low: &LogicalOp,
+        usage: SubqueryUse,
+        e: &LogicalExpr,
+        high: Option<LogicalOp>,
+        r: VarId,
+    ) -> Option<LogicalOp> {
+        let row_key = self.row_key(&mut input.clone());
+        let inner = self.apply(input.clone(), low, JoinKind::Inner)?.op;
+        let (mut agg, bind) = self.aggregate(usage, low, e, high, &[], r);
+        let empty = match agg.func {
+            AggFunc::Count => Some(Value::Int64(0)),
+            AggFunc::Listify => Some(Value::ordered_list(Vec::new())),
+            _ => None,
+        };
+        let padded = empty.map(|empty| {
+            let (var, grouped) = (agg.var, self.fresh());
+            agg.var = grouped;
+            let value = LogicalExpr::IfThenElse(
+                Box::new(is_null(grouped)),
+                Box::new(LogicalExpr::Const(empty)),
+                Box::new(LogicalExpr::Var(grouped)),
+            );
+            (var, value)
+        });
+        let keys: Vec<(VarId, LogicalExpr)> =
+            row_key.into_iter().map(|k| (self.fresh(), k)).collect();
+        let on = keys.iter().map(|(v, k)| eq(k.clone(), LogicalExpr::Var(*v))).reduce(and2)?;
+        let grouped = LogicalOp::GroupBy { input: Box::new(inner), keys, aggs: vec![agg] };
+        let mut joined = bind_var(
+            LogicalOp::Join {
+                left: Box::new(input.clone()),
+                right: Box::new(grouped),
+                condition: on,
+                kind: JoinKind::LeftOuter,
+                index_nl_hint: false,
+            },
+            padded,
+        );
+        if let Some(sort) = outer_order(input) {
+            joined = LogicalOp::Order { input: Box::new(joined), keys: sort };
+        }
+        Some(bind_var(joined, bind))
+    }
+
+    /// The aggregate of `e` over the rows of `low` each group collects,
+    /// `guards` marking the rows that are none, and the assign of `r` it
+    /// needs, if any. With a blocking part `high` of the subquery, see
+    /// [`Self::aggregate_above`].
+    fn aggregate(
+        &mut self,
+        usage: SubqueryUse,
+        low: &LogicalOp,
+        e: &LogicalExpr,
+        high: Option<LogicalOp>,
+        guards: &[LogicalExpr],
+        r: VarId,
+    ) -> (AggCall, Option<(VarId, LogicalExpr)>) {
+        if let Some(high) = high {
+            return self.aggregate_above(usage, low, e, high, guards, r);
+        }
+        let listify = |var, input| AggCall { var, func: AggFunc::Listify, sql: false, input };
+        match usage {
+            SubqueryUse::Agg(func, sql) if guards.is_empty() || sql || func == AggFunc::Count => {
+                (AggCall { var: r, func, sql, input: guarded(guards, e.clone()) }, None)
+            }
+            // The missing a guard gives poisons an AQL `sum`, `avg`, `min`
+            // or `max`: it aggregates the group's list instead.
+            SubqueryUse::Agg(func, sql) => {
+                let l = self.fresh();
+                let (agg, list) = self.aggregate(SubqueryUse::List, low, e, None, guards, l);
+                let list = list.map_or(LogicalExpr::Var(l), |(_, list)| list);
+                let name = AggCall { var: r, func, sql, input: missing() }.name();
+                (agg, Some((r, LogicalExpr::call(name, vec![list]))))
+            }
+            SubqueryUse::Quant(kind, var, pred) => {
+                // Count the members that decide the quantifier.
+                let (yes, no) = (LogicalExpr::Const(Value::Boolean(true)), missing());
+                let (counted, test) = match kind {
+                    QuantKind::Some => ((yes, no), CompareOp::Gt),
+                    QuantKind::Every => ((no, yes), CompareOp::Eq),
+                };
+                let counted = LogicalExpr::IfThenElse(
+                    Box::new(subst_var(pred, var, e)),
+                    Box::new(counted.0),
+                    Box::new(counted.1),
+                );
+                let c = self.fresh();
+                let zero = Box::new(LogicalExpr::Const(Value::Int64(0)));
+                let test = LogicalExpr::Compare(test, Box::new(LogicalExpr::Var(c)), zero);
+                let input = guarded(guards, counted);
+                (AggCall { var: c, func: AggFunc::Count, sql: false, input }, Some((r, test)))
+            }
+            SubqueryUse::List if never_missing(e, low) => {
+                (listify(r, guarded(guards, e.clone())), None)
+            }
+            // A listify leaves out missing members, and the list must not:
+            // each member goes in a record, and a subplan takes it out.
+            SubqueryUse::List => {
+                let (l, x) = (self.fresh(), self.fresh());
+                let list =
+                    emit_subquery(unnest_list(l, x), LogicalExpr::field(LogicalExpr::Var(x), "v"));
+                let member = LogicalExpr::RecordCtor(vec![("v".into(), e.clone())]);
+                (listify(l, guarded(guards, member)), Some((r, list)))
+            }
+        }
+    }
+
+    /// The group's rows listified as records of the variables of `low`
+    /// that `high` names, and `r` what `usage` makes of `high` — the
+    /// blocking part of the subquery, above `low` — run over them.
+    fn aggregate_above(
+        &mut self,
+        usage: SubqueryUse,
+        low: &LogicalOp,
+        e: &LogicalExpr,
+        high: LogicalOp,
+        guards: &[LogicalExpr],
+        r: VarId,
+    ) -> (AggCall, Option<(VarId, LogicalExpr)>) {
+        // Every variable `high` names: a group-by that carries a variable
+        // rebinds it, and still needs it from below.
+        let above = LogicalOp::Emit { input: Box::new(high.clone()), expr: e.clone() };
+        let mut named = Vec::new();
+        above.collect_expr_vars(&mut named);
+        let below = visible_vars(low);
+        named.retain(|v| below.contains(v));
+        let (l, x) = (self.fresh(), self.fresh());
+        let rows = unpacked(unnest_list(l, x), x, &named);
+        let answer = emit_subquery(replace_spine_leaf(high, rows), e.clone());
+        let value = match usage {
+            SubqueryUse::List => answer,
+            SubqueryUse::Agg(func, sql) => {
+                let name = AggCall { var: r, func, sql, input: missing() }.name();
+                LogicalExpr::call(name, vec![answer])
+            }
+            SubqueryUse::Quant(kind, var, predicate) => LogicalExpr::Quantified {
+                kind,
+                var,
+                collection: Box::new(answer),
+                predicate: Box::new(predicate),
+            },
+        };
+        let input = guarded(guards, record_of(&named));
+        (AggCall { var: l, func: AggFunc::Listify, sql: false, input }, Some((r, value)))
+    }
+
+    /// `left` joined with `x` — a subquery's operator, whose correlated
+    /// parts name variables of `left` — so that each row of `left` meets
+    /// the rows `x` produces for it; for a left-outer `kind` every row of
+    /// `left` survives, and the guards tell the rows that are no member.
+    /// `None` for a shape it cannot rewrite: a blocking operator that reads
+    /// a dataset, or a correlated right side of a left-outer join.
+    fn apply(&mut self, left: LogicalOp, x: &LogicalOp, kind: JoinKind) -> Option<Applied> {
+        let outer = kind == JoinKind::LeftOuter;
+        let none = |op| Some(Applied { op, guards: Vec::new(), fresh: false });
+        if !self.correlated(x) {
+            if let LogicalOp::EmptyTupleSource = x {
+                return none(left);
+            }
+            let (right, marker) = match marker_var(x) {
+                Some(v) => (x.clone(), v),
+                None => {
+                    let v = self.fresh();
+                    let expr = LogicalExpr::Const(Value::Boolean(true));
+                    (LogicalOp::Assign { input: Box::new(x.clone()), var: v, expr }, v)
+                }
+            };
+            let guards = if outer { vec![is_null(marker)] } else { Vec::new() };
+            return Some(Applied { op: cross_join(left, right, kind), guards, fresh: true });
+        }
+        Some(match x {
+            // A correlated primary-key search is a select of a scan: a join.
+            LogicalOp::IndexSearch {
+                dataset,
+                var,
+                spec: IndexSearchSpec::PrimaryRange { .. },
+                postcondition: Some(post),
+                ..
+            } => {
+                let scan = LogicalOp::DataSourceScan { dataset: dataset.clone(), var: *var };
+                let select = LogicalOp::Select { input: Box::new(scan), condition: post.clone() };
+                return self.apply(left, &select, kind);
+            }
+            LogicalOp::IndexSearch { dataset, index, var, spec, postcondition } => Applied {
+                op: LogicalOp::IndexNlJoin {
+                    left: Box::new(left),
+                    dataset: dataset.clone(),
+                    index: index.clone(),
+                    spec: spec.clone(),
+                    postcondition: postcondition.clone(),
+                    var: *var,
+                    kind,
+                },
+                guards: if outer { vec![is_null(*var)] } else { Vec::new() },
+                fresh: true,
+            },
+            LogicalOp::Select { input, condition } => {
+                let mut a = self.apply(left, input, kind)?;
+                self.restrict(&mut a, condition.clone(), outer);
+                a
+            }
+            LogicalOp::Assign { input, var, expr } => {
+                let a = self.apply(left, input, kind)?;
+                let op = LogicalOp::Assign { input: Box::new(a.op), var: *var, expr: expr.clone() };
+                Applied { op, guards: a.guards, fresh: false }
+            }
+            LogicalOp::Unnest { input, var, expr, positional, outer: keeps } => {
+                let mut a = self.apply(left, input, kind)?;
+                let mut positional = *positional;
+                if outer && !keeps {
+                    let p = positional.unwrap_or_else(|| self.fresh());
+                    a.guards.push(is_missing(p));
+                    positional = Some(p);
+                }
+                let op = LogicalOp::Unnest {
+                    input: Box::new(a.op),
+                    var: *var,
+                    expr: expr.clone(),
+                    positional,
+                    outer: outer || *keeps,
+                };
+                Applied { op, guards: a.guards, fresh: false }
+            }
+            LogicalOp::HashJoin {
+                left: l,
+                right: r,
+                left_keys,
+                right_keys,
+                residual,
+                kind: jk,
+            } => {
+                let join = LogicalOp::Join {
+                    left: l.clone(),
+                    right: r.clone(),
+                    condition: crate::jobgen::rebuild_condition(left_keys, right_keys, residual),
+                    kind: *jk,
+                    index_nl_hint: false,
+                };
+                return self.apply(left, &join, kind);
+            }
+            LogicalOp::Join { left: l, right: r, condition, kind: jk, .. } => {
+                let (l, r) = match jk {
+                    JoinKind::Inner if !self.correlated(l) => (r, l),
+                    _ => (l, r),
+                };
+                let a = self.apply(left, l, kind)?;
+                match jk {
+                    JoinKind::Inner => {
+                        let mut b = self.apply(a.op, r, kind)?;
+                        self.restrict(&mut b, condition.clone(), outer);
+                        b.guards.splice(0..0, a.guards);
+                        b
+                    }
+                    _ if self.correlated(r) => return None,
+                    jk => {
+                        let op = LogicalOp::Join {
+                            left: Box::new(a.op),
+                            right: r.clone(),
+                            condition: condition.clone(),
+                            kind: *jk,
+                            index_nl_hint: false,
+                        };
+                        Applied { op, guards: a.guards, fresh: false }
+                    }
+                }
+            }
+            LogicalOp::IndexNlJoin {
+                left: l,
+                dataset,
+                index,
+                spec,
+                postcondition,
+                var,
+                kind: jk,
+            } => {
+                let mut a = self.apply(left, l, kind)?;
+                let pads = outer && *jk == JoinKind::Inner;
+                if pads {
+                    a.guards.push(is_null(*var));
+                }
+                let op = LogicalOp::IndexNlJoin {
+                    left: Box::new(a.op),
+                    dataset: dataset.clone(),
+                    index: index.clone(),
+                    spec: spec.clone(),
+                    postcondition: postcondition.clone(),
+                    var: *var,
+                    kind: if pads { JoinKind::LeftOuter } else { *jk },
+                };
+                Applied { op, guards: a.guards, fresh: pads }
+            }
+            // A dependent branch that reads no dataset: a subplan per row of
+            // `left`, its rows unnested as records of the branch's variables.
+            branch if !branch.reads_dataset() => {
+                let vars = visible_vars(branch);
+                let (d, p) = (self.fresh(), self.fresh());
+                let rows = LogicalOp::Unnest {
+                    input: Box::new(left),
+                    var: d,
+                    expr: emit_subquery(branch.clone(), record_of(&vars)),
+                    positional: outer.then_some(p),
+                    outer,
+                };
+                let guards = if outer { vec![is_missing(p)] } else { Vec::new() };
+                Applied { op: unpacked(rows, d, &vars), guards, fresh: false }
+            }
+            _ => return None,
+        })
+    }
+
+    /// Apply `condition` to what `apply` built: into the join it just made,
+    /// as a select of an inner join, or as a guard that marks the rows it
+    /// rejects.
+    fn restrict(&mut self, a: &mut Applied, condition: LogicalExpr, outer: bool) {
+        if a.fresh {
+            fold(&mut a.op, condition);
+        } else if !outer {
+            let input = std::mem::replace(&mut a.op, LogicalOp::EmptyTupleSource);
+            a.op = LogicalOp::Select { input: Box::new(input), condition };
+        } else {
+            let no = LogicalExpr::Const(Value::Boolean(false));
+            let yes = LogicalExpr::Const(Value::Boolean(true));
+            let rejects = LogicalExpr::IfThenElse(Box::new(condition), Box::new(no), Box::new(yes));
+            a.guards.push(rejects);
+        }
+    }
+
+    /// The expressions whose values tell the rows of `op` apart: the
+    /// primary keys of its dataset variables, its group keys, an unnest's
+    /// position — added where the unnest has none.
+    fn row_key(&mut self, op: &mut LogicalOp) -> Vec<LogicalExpr> {
+        let pk = |provider: &dyn MetadataProvider, dataset: &str, var: VarId| {
+            let fields = provider.primary_key_fields(dataset);
+            if fields.is_empty() {
+                return vec![LogicalExpr::Var(var)];
+            }
+            let path = |f: &String| f.split('.').fold(LogicalExpr::Var(var), LogicalExpr::field);
+            fields.iter().map(path).collect()
+        };
+        match op {
+            LogicalOp::EmptyTupleSource | LogicalOp::Aggregate { .. } | LogicalOp::Emit { .. } => {
+                Vec::new()
+            }
+            LogicalOp::DataSourceScan { dataset, var }
+            | LogicalOp::IndexSearch { dataset, var, .. } => pk(self.provider, dataset, *var),
+            LogicalOp::GroupBy { keys, .. } => {
+                keys.iter().map(|(k, _)| LogicalExpr::Var(*k)).collect()
+            }
+            LogicalOp::Distinct { exprs, .. } => exprs.clone(),
+            LogicalOp::Unnest { input, positional, .. } => {
+                let mut key = self.row_key(input);
+                let p = match positional {
+                    Some(p) => *p,
+                    None => *positional.insert(self.fresh()),
+                };
+                key.push(LogicalExpr::Var(p));
+                key
+            }
+            LogicalOp::IndexNlJoin { left, dataset, var, .. } => {
+                let mut key = self.row_key(left);
+                key.extend(pk(self.provider, dataset, *var));
+                key
+            }
+            LogicalOp::Join { left, kind: JoinKind::Semi, .. } => self.row_key(left),
+            LogicalOp::Join { left, right, .. } | LogicalOp::HashJoin { left, right, .. } => {
+                let mut key = self.row_key(left);
+                key.extend(self.row_key(right));
+                key
+            }
+            LogicalOp::Assign { input, .. }
+            | LogicalOp::Select { input, .. }
+            | LogicalOp::Order { input, .. }
+            | LogicalOp::Limit { input, .. } => self.row_key(input),
+        }
+    }
+}
+
+/// The input of an operator whose expressions see one input row at a time.
+fn unary_input(op: &mut LogicalOp) -> Option<&mut LogicalOp> {
+    match op {
+        LogicalOp::Assign { input, .. }
+        | LogicalOp::Select { input, .. }
+        | LogicalOp::Unnest { input, .. }
+        | LogicalOp::GroupBy { input, .. }
+        | LogicalOp::Aggregate { input, .. }
+        | LogicalOp::Order { input, .. }
+        | LogicalOp::Distinct { input, .. }
+        | LogicalOp::Emit { input, .. } => Some(input),
+        _ => None,
+    }
+}
+
+/// `e` with its first subquery that reads a dataset — outside a
+/// quantifier's predicate — replaced by variable `r`; `found` gets how the
+/// subquery was used and its plan. An aggregate of the subquery or a
+/// quantifier over it is replaced whole.
+fn take_subquery(
+    e: LogicalExpr,
+    r: VarId,
+    found: &mut Option<(SubqueryUse, Arc<LogicalOp>)>,
+) -> LogicalExpr {
+    fn dataset_subquery(e: &LogicalExpr) -> Option<&Arc<LogicalOp>> {
+        match e {
+            LogicalExpr::Subquery(sub) if sub.reads_dataset() => Some(sub),
+            _ => None,
+        }
+    }
+    if found.is_some() {
+        return e;
+    }
+    let usage = match &e {
+        LogicalExpr::Call(name, args) if args.len() == 1 => AggFunc::from_name(name)
+            .zip(dataset_subquery(&args[0]))
+            .map(|((func, sql), sub)| (SubqueryUse::Agg(func, sql), Arc::clone(sub))),
+        LogicalExpr::Quantified { kind, var, collection, predicate } => {
+            dataset_subquery(collection).map(|sub| {
+                (SubqueryUse::Quant(*kind, *var, (**predicate).clone()), Arc::clone(sub))
+            })
+        }
+        e => dataset_subquery(e).map(|sub| (SubqueryUse::List, Arc::clone(sub))),
+    };
+    if usage.is_some() {
+        *found = usage;
+        return LogicalExpr::Var(r);
+    }
+    match e {
+        LogicalExpr::Quantified { kind, var, collection, predicate } => LogicalExpr::Quantified {
+            kind,
+            var,
+            collection: Box::new(take_subquery(*collection, r, found)),
+            predicate,
+        },
+        e => map_expr_children(e, &mut |c| take_subquery(c, r, found)),
+    }
+}
+
+/// The variables an operator's output rows bind.
+fn visible_vars(op: &LogicalOp) -> Vec<VarId> {
+    let mut vars = match op {
+        LogicalOp::GroupBy { .. } | LogicalOp::Aggregate { .. } => Vec::new(),
+        LogicalOp::Join { left, kind: JoinKind::Semi, .. } => visible_vars(left),
+        op => op.inputs().into_iter().flat_map(visible_vars).collect(),
+    };
+    for v in op.introduced_vars() {
+        if !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    vars
+}
+
+/// A variable each row of `op` binds to a value that is never null: a
+/// record a read binds, on a side of the joins no padding reaches.
+fn marker_var(op: &LogicalOp) -> Option<VarId> {
+    match op {
+        LogicalOp::DataSourceScan { var, .. } | LogicalOp::IndexSearch { var, .. } => Some(*var),
+        LogicalOp::Join { left, right, kind: JoinKind::Inner, .. }
+        | LogicalOp::HashJoin { left, right, kind: JoinKind::Inner, .. } => {
+            marker_var(left).or_else(|| marker_var(right))
+        }
+        LogicalOp::IndexNlJoin { left, var, kind, .. } => {
+            marker_var(left).or((*kind == JoinKind::Inner).then_some(*var))
+        }
+        LogicalOp::Join { left, .. } | LogicalOp::HashJoin { left, .. } => marker_var(left),
+        LogicalOp::Select { input, .. }
+        | LogicalOp::Assign { input, .. }
+        | LogicalOp::Unnest { input, .. }
+        | LogicalOp::Order { input, .. }
+        | LogicalOp::Limit { input, .. }
+        | LogicalOp::Distinct { input, .. } => marker_var(input),
+        _ => None,
+    }
+}
+
+/// The lowest blocking operator on `body`'s spine (inputs and left join
+/// inputs) that is correlated and reads a dataset, split off: `(low, high)`
+/// with `low` its input and `high` the body above, its spine ending in an
+/// empty tuple source where `low` was.
+fn split_blocking(
+    body: &LogicalOp,
+    correlated: &dyn Fn(&LogicalOp) -> bool,
+) -> Option<(LogicalOp, LogicalOp)> {
+    let child = body.inputs().into_iter().next()?;
+    let with_child = |child: LogicalOp| {
+        let mut op = body.clone();
+        *spine_child(&mut op).expect("a spine child") = child;
+        op
+    };
+    if let Some((low, high)) = split_blocking(child, correlated) {
+        return Some((low, with_child(high)));
+    }
+    let blocking = matches!(
+        body,
+        LogicalOp::GroupBy { .. }
+            | LogicalOp::Aggregate { .. }
+            | LogicalOp::Order { .. }
+            | LogicalOp::Limit { .. }
+            | LogicalOp::Distinct { .. }
+    );
+    (blocking && correlated(body) && body.reads_dataset())
+        .then(|| (child.clone(), with_child(LogicalOp::EmptyTupleSource)))
+}
+
+/// The first input of `op`: its input, or its left one.
+fn spine_child(op: &mut LogicalOp) -> Option<&mut LogicalOp> {
+    match op {
+        LogicalOp::Join { left, .. }
+        | LogicalOp::HashJoin { left, .. }
+        | LogicalOp::IndexNlJoin { left, .. } => Some(left),
+        LogicalOp::Limit { input, .. } => Some(input),
+        op => unary_input(op),
+    }
+}
+
+/// `op` with the leaf its spine ends in replaced by `leaf`.
+fn replace_spine_leaf(mut op: LogicalOp, leaf: LogicalOp) -> LogicalOp {
+    match spine_child(&mut op) {
+        Some(child) => {
+            let below = std::mem::replace(child, LogicalOp::EmptyTupleSource);
+            *child = replace_spine_leaf(below, leaf);
+            op
+        }
+        None => leaf,
+    }
+}
+
+/// The sort keys of an `order by` that decides the order of `op`'s rows.
+fn outer_order(op: &LogicalOp) -> Option<Vec<crate::plan::SortSpec>> {
+    match op {
+        LogicalOp::Order { keys, .. } => Some(keys.clone()),
+        LogicalOp::Select { input, .. }
+        | LogicalOp::Assign { input, .. }
+        | LogicalOp::Limit { input, .. } => outer_order(input),
+        _ => None,
+    }
+}
+
+/// Fold `condition` into the join `apply` just made: the conjuncts that
+/// name only its right side's variables filter that side, the others join.
+fn fold(join: &mut LogicalOp, condition: LogicalExpr) {
+    match join {
+        LogicalOp::Join { right, condition: on, .. } => {
+            let bound = right.bound_vars();
+            let mut conjuncts = Vec::new();
+            conjuncts_of(condition, &mut conjuncts);
+            for c in conjuncts {
+                let mut vars = Vec::new();
+                c.free_vars(&mut vars);
+                if !vars.is_empty() && vars_subset(&vars, &bound) {
+                    let input = std::mem::replace(right.as_mut(), LogicalOp::EmptyTupleSource);
+                    **right = LogicalOp::Select { input: Box::new(input), condition: c };
+                } else {
+                    *on = and2(std::mem::replace(on, LogicalExpr::Const(Value::Null)), c);
+                }
+            }
+        }
+        LogicalOp::IndexNlJoin { postcondition, .. } => {
+            *postcondition = Some(match postcondition.take() {
+                Some(post) => and2(post, condition),
+                None => condition,
+            });
+        }
+        _ => unreachable!("only a join just made folds a condition"),
+    }
+}
+
+/// `left` × `right`; `right` itself when `left` is the one empty row.
+fn cross_join(left: LogicalOp, right: LogicalOp, kind: JoinKind) -> LogicalOp {
+    if let (LogicalOp::EmptyTupleSource, JoinKind::Inner) = (&left, kind) {
+        return right;
+    }
+    LogicalOp::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        condition: LogicalExpr::Const(Value::Boolean(true)),
+        kind,
+        index_nl_hint: false,
+    }
+}
+
+fn bind_var(op: LogicalOp, bind: Option<(VarId, LogicalExpr)>) -> LogicalOp {
+    match bind {
+        Some((var, expr)) => LogicalOp::Assign { input: Box::new(op), var, expr },
+        None => op,
+    }
+}
+
+fn emit_subquery(input: LogicalOp, expr: LogicalExpr) -> LogicalExpr {
+    LogicalExpr::Subquery(Arc::new(LogicalOp::Emit { input: Box::new(input), expr }))
+}
+
+fn missing() -> LogicalExpr {
+    LogicalExpr::Const(Value::Missing)
+}
+
+fn is_null(v: VarId) -> LogicalExpr {
+    LogicalExpr::call("is-null", vec![LogicalExpr::Var(v)])
+}
+
+fn is_missing(v: VarId) -> LogicalExpr {
+    LogicalExpr::call("is-missing", vec![LogicalExpr::Var(v)])
+}
+
+fn eq(a: LogicalExpr, b: LogicalExpr) -> LogicalExpr {
+    LogicalExpr::Compare(CompareOp::Eq, Box::new(a), Box::new(b))
+}
+
+/// `{ "v<id>": $v<id>, … }` of `vars`, as [`unpacked`] reads it back.
+fn record_of(vars: &[VarId]) -> LogicalExpr {
+    LogicalExpr::RecordCtor(vars.iter().map(|v| (format!("v{v}"), LogicalExpr::Var(*v))).collect())
+}
+
+/// `op` with each of `vars` assigned from its field of the record `from`.
+fn unpacked(op: LogicalOp, from: VarId, vars: &[VarId]) -> LogicalOp {
+    vars.iter().fold(op, |op, v| {
+        let expr = LogicalExpr::field(LogicalExpr::Var(from), format!("v{v}"));
+        LogicalOp::Assign { input: Box::new(op), var: *v, expr }
+    })
+}
+
+/// `for $x in $l` over the empty tuple source.
+fn unnest_list(l: VarId, x: VarId) -> LogicalOp {
+    LogicalOp::Unnest {
+        input: Box::new(LogicalOp::EmptyTupleSource),
+        var: x,
+        expr: LogicalExpr::Var(l),
+        positional: None,
+        outer: false,
+    }
+}
+
+/// `e`, or missing — which every aggregate skips or answers as over `[]` —
+/// on a row one of `guards` marks.
+fn guarded(guards: &[LogicalExpr], e: LogicalExpr) -> LogicalExpr {
+    match guards.iter().cloned().reduce(|a, b| LogicalExpr::Or(vec![a, b])) {
+        Some(any) => LogicalExpr::IfThenElse(Box::new(any), Box::new(missing()), Box::new(e)),
+        None => e,
+    }
+}
+
+/// Whether `e` is never missing on a row of `low`: a constructor, a
+/// constant that is not missing, a record a read of `low` binds.
+fn never_missing(e: &LogicalExpr, low: &LogicalOp) -> bool {
+    match e {
+        LogicalExpr::RecordCtor(_) | LogicalExpr::ListCtor { .. } => true,
+        LogicalExpr::Const(v) => !v.is_missing(),
+        LogicalExpr::Var(v) => binds_record(low, *v),
+        _ => false,
+    }
+}
+
+/// `e` with variable `x` replaced by `by`.
+fn subst_var(e: LogicalExpr, x: VarId, by: &LogicalExpr) -> LogicalExpr {
+    match e {
+        LogicalExpr::Var(v) if v == x => by.clone(),
+        e => map_expr_children(e, &mut |c| subst_var(c, x, by)),
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -94,31 +94,11 @@ impl<'a> Translator<'a> {
         let scope = Scope::new();
         match e {
             Expr::Flwor(f) => self.translate_flwor(f, &scope),
-            // A top-level aggregate over a FLWOR (Query 10's `avg(for ...
-            // return ...)`) compiles to a distributed scalar Aggregate —
-            // the local/global split of Figure 6 — rather than a
-            // materialize-then-aggregate expression.
-            Expr::Call { name, args }
-                if args.len() == 1
-                    && AggFunc::from_name(name).is_some()
-                    && matches!(&args[0], Expr::Flwor(_)) =>
-            {
-                let Expr::Flwor(f) = &args[0] else { unreachable!() };
-                let (func, sql) = AggFunc::from_name(name).unwrap();
-                let inner = self.translate_flwor(f, &scope)?;
-                let LogicalOp::Emit { input, expr } = inner else {
-                    return terr("flwor did not produce an emit root");
-                };
-                let agg_var = self.fresh();
-                let agg = LogicalOp::Aggregate {
-                    input,
-                    aggs: vec![AggCall { var: agg_var, func, sql, input: expr }],
-                };
-                Ok(LogicalOp::Emit { input: Box::new(agg), expr: LogicalExpr::Var(agg_var) })
-            }
             other => {
                 // Non-FLWOR query (e.g. `1+1`, or a bare function call):
-                // one row from the empty tuple source.
+                // one row from the empty tuple source. An aggregate over a
+                // FLWOR — Query 10's `avg(for … return …)` — is a subquery
+                // here, which the optimizer turns into a scalar aggregate.
                 let expr = self.translate_expr(other, &scope)?;
                 Ok(LogicalOp::Emit { input: Box::new(LogicalOp::EmptyTupleSource), expr })
             }

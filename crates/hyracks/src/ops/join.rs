@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use asterix_adm::{concat_tuples_into, encode_tuple, ordkey, TupleRef, Value};
 
-use super::{Batched, BatchedStage, FetchFn, OperatorDescriptor, SpillGuard, FETCH_BATCH};
+use super::{Batched, BatchedStage, FetchFn, OperatorDescriptor, PredFn, SpillGuard, FETCH_BATCH};
 use crate::filter::RuntimeFilterHub;
 use crate::frame::{hash_encoded_fields, FrameBuf, Tuple};
 use crate::pipeline::{FrameOut, Handoff, PipelineCtx, PipelineOp};
@@ -34,6 +34,9 @@ use asterix_sync::Mutex;
 pub enum JoinType {
     Inner,
     ProbeOuter,
+    /// Each probe tuple with a build match, once and alone (nested-loop
+    /// joins only).
+    ProbeSemi,
 }
 
 /// The hash-table key of one encoded tuple: concatenated canonical
@@ -497,6 +500,14 @@ impl PipelineOp for NlProbe {
         let built = &self.built;
         let build = self.build.get_or_insert_with(|| built.lock().take().unwrap_or_default());
         let p = asterix_adm::decode_tuple(penc)?;
+        if self.join_type == JoinType::ProbeSemi {
+            for (b, _) in build.iter() {
+                if (self.pred)(b, &p)? {
+                    return self.out.push(penc);
+                }
+            }
+            return Ok(());
+        }
         let mut matched = false;
         for (b, benc) in build.iter() {
             if (self.pred)(b, &p)? {
@@ -525,12 +536,15 @@ impl PipelineOp for NlProbe {
 /// probes' keys are gathered [`FETCH_BATCH`] at a time and fetched as one
 /// sorted key list — outer tuples arrive in no useful order, so a fetch
 /// per tuple would visit the primary index at random — and the batch is
-/// emitted in outer order.
+/// emitted in outer order. A `filter` — the search's post-validation —
+/// decides each `outer ++ inner` match inside the join, so an outer tuple
+/// none of whose matches passes is padded like one that found none.
 pub struct IndexNestedLoopJoinOp {
     label: String,
     /// The primary keys one outer tuple joins with.
     probe: ProbeFn,
     fetch: FetchFn,
+    filter: Option<PredFn>,
     pub join_type: JoinType,
     /// Arity of the index-side tuples (for ProbeOuter null padding).
     pub inner_arity: usize,
@@ -550,15 +564,23 @@ impl IndexNestedLoopJoinOp {
             label: label.into(),
             probe: Arc::new(probe),
             fetch,
+            filter: None,
             join_type,
             inner_arity,
         }
+    }
+
+    /// Keep only the matches `filter` accepts, decided on `outer ++ inner`.
+    pub fn with_filter(mut self, filter: PredFn) -> IndexNestedLoopJoinOp {
+        self.filter = Some(filter);
+        self
     }
 
     fn batch(&self) -> IndexNlBatch {
         IndexNlBatch {
             probe: Arc::clone(&self.probe),
             fetch: Arc::clone(&self.fetch),
+            filter: self.filter.clone(),
             join_type: self.join_type,
             pad: null_pad(self.inner_arity),
             outers: FrameBuf::new(),
@@ -590,6 +612,7 @@ impl OperatorDescriptor for IndexNestedLoopJoinOp {
 struct IndexNlBatch {
     probe: ProbeFn,
     fetch: FetchFn,
+    filter: Option<PredFn>,
     join_type: JoinType,
     pad: Vec<u8>,
     outers: FrameBuf,
@@ -644,9 +667,14 @@ impl IndexNlBatch {
             let outer = self.outers.tuple_ref(o)?;
             let mut matched = false;
             for &(a, b) in found[start..end].iter().flatten() {
-                matched = true;
                 self.scratch.clear();
                 concat_tuples_into(&mut self.scratch, &outer, &TupleRef::new(&inner[a..b])?);
+                if let Some(filter) = &self.filter {
+                    if !filter(&asterix_adm::decode_tuple(&self.scratch)?)? {
+                        continue;
+                    }
+                }
+                matched = true;
                 out(&self.scratch)?;
             }
             if !matched && self.join_type == JoinType::ProbeOuter {

@@ -579,13 +579,18 @@ fn interpreted_with(
 /// come out padded.
 fn left_outer_index_nl_plan() -> asterix_algebricks::plan::LogicalOp {
     use asterix_algebricks::expr::LogicalExpr;
-    use asterix_algebricks::plan::{JoinKind, LogicalOp};
+    use asterix_algebricks::plan::{IndexSearchSpec, JoinKind, LogicalOp};
+    let id = LogicalExpr::field(LogicalExpr::Var(0), "id");
     LogicalOp::Emit {
         input: Box::new(LogicalOp::IndexNlJoin {
             left: Box::new(LogicalOp::DataSourceScan { dataset: USERS.into(), var: 0 }),
             dataset: MESSAGES.into(),
             index: "msAuthorIdx".into(),
-            probe: LogicalExpr::field(LogicalExpr::Var(0), "id"),
+            spec: IndexSearchSpec::BTreeRange {
+                lo: Some((id.clone(), true)),
+                hi: Some((id, true)),
+            },
+            postcondition: None,
             var: 1,
             kind: JoinKind::LeftOuter,
         }),
@@ -1882,4 +1887,378 @@ fn grouped_counts_read_the_group_key_and_the_filter_only() {
             assert!(!job.contains("[cols: *]"), "{job}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Nested queries: decorrelated into the job, answered per outer row
+// ---------------------------------------------------------------------------
+
+/// User `i` of `NU`: a group, a list of favourite authors with repeats, a
+/// `boss` that is an author id, null or missing, and a location.
+fn nest_user(i: i64) -> Value {
+    let mut fields = vec![
+        ("id", Value::Int64(i)),
+        ("grp", Value::Int64(i % 3)),
+        (
+            "fav",
+            Value::ordered_list(vec![Value::Int64(i % 5), Value::Int64(i % 5), Value::Int64(7)]),
+        ),
+    ];
+    match i % 4 {
+        0 => fields.push(("boss", Value::Null)),
+        1 => {}
+        _ => fields.push(("boss", Value::Int64(i / 2))),
+    }
+    Value::record(asterix_adm::Record::from_fields(fields))
+}
+
+/// Message `m` of `NM` in its `generation`-th version: authors 0–29 (none
+/// for users 30–39), some null or missing; a length that is sometimes
+/// null; the message it replies to; a point near one of a few centres, or
+/// none; and a bag of tags.
+fn nest_message(m: i64, generation: i64) -> Value {
+    let words = ["music", "phone", "plan", "concert", "tweet"];
+    let mut fields = vec![("mid", Value::Int64(m)), ("reply", Value::Int64(m / 3))];
+    match m % 11 {
+        0 => fields.push(("author", Value::Null)),
+        1 => {}
+        _ => fields.push(("author", Value::Int64((m * 7 + generation) % 30))),
+    }
+    let len = if m % 13 == 0 { Value::Null } else { Value::Int64((m * 37 + generation) % 200) };
+    fields.push(("len", len));
+    if m % 9 != 0 {
+        let (cx, cy) = ((m % 4) as f64 * 10.0, (m % 3) as f64 * 10.0);
+        let p = Point { x: cx + (m % 5) as f64 * 0.3, y: cy + (m % 7) as f64 * 0.2 };
+        fields.push(("loc", Value::Point(p)));
+    }
+    let tags = (0..1 + m % 3).map(|k| Value::string(words[((m + k * 2) % 5) as usize])).collect();
+    fields.push(("tags", Value::unordered_list(tags)));
+    Value::record(asterix_adm::Record::from_fields(fields))
+}
+
+/// `NU` (40 users) and `NM` (260 messages), indexed on the correlation
+/// fields, loaded in three stages; the later ones rewrite and delete
+/// messages of the earlier.
+fn nest_corpus() -> Corpus {
+    Corpus {
+        dataverse: "Nest",
+        ddl: "create type NUT as open { id: int64 };
+              create type NMT as open { mid: int64 };
+              create dataset NU(NUT) primary key id;
+              create dataset NM(NMT) primary key mid;
+              create index nmAuthorIdx on NM(author) type btree;
+              create index nmReplyIdx on NM(reply) type btree;
+              create index nmLocIdx on NM(loc) type rtree;
+              create index nmTagsIdx on NM(tags) type keyword;
+              create function big() {
+                  for $m in dataset NM where $m.len > 120 return $m
+              };
+              create function messages_of($id) {
+                  for $m in dataset NM where $m.author = $id return $m.mid
+              };"
+        .into(),
+        flushed: vec!["NU", "NM"],
+        load: Box::new(|instance, stage| {
+            let (users, messages) =
+                (instance.dataset("NU").unwrap(), instance.dataset("NM").unwrap());
+            let (fresh, rewritten, deleted): (_, &[i64], &[i64]) = match stage {
+                0 => (0..150, &[], &[]),
+                1 => (150..230, &[4, 40, 99], &[12, 77]),
+                _ => (230..260, &[160, 5], &[200, 13]),
+            };
+            if stage == 0 {
+                for i in 0..40 {
+                    users.insert(&nest_user(i)).unwrap();
+                }
+            }
+            for m in fresh {
+                messages.insert(&nest_message(m, 0)).unwrap();
+            }
+            for &m in rewritten {
+                assert!(messages.delete_by_pk(&[Value::Int64(m)]).unwrap());
+                messages.insert(&nest_message(m, stage as i64)).unwrap();
+            }
+            for &m in deleted {
+                assert!(messages.delete_by_pk(&[Value::Int64(m)]).unwrap());
+            }
+        }),
+    }
+}
+
+/// One nested query: the session's `set simfunction/simthreshold` it runs
+/// under, its text, whether its rows and inner lists come in a defined
+/// order, and its flat twin, where it has one.
+struct NestQuery {
+    settings: Option<(&'static str, &'static str)>,
+    text: String,
+    ordered: bool,
+    twin: Option<String>,
+}
+
+fn nest_queries() -> Vec<NestQuery> {
+    let q =
+        |text: &str, ordered| NestQuery { settings: None, text: text.into(), ordered, twin: None };
+    let twin = |text: &str, flat: &str| NestQuery {
+        settings: None,
+        text: text.into(),
+        ordered: false,
+        twin: Some(flat.into()),
+    };
+    let of_u = "for $m in dataset NM where $m.author = $u.id";
+    let aggregates = ["count", "sum", "avg", "min", "max", "sql-count", "sql-sum", "sql-avg"]
+        .iter()
+        .map(|f| format!("\"{f}\": {f}({of_u} return $m.len)"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    // The AQL aggregates over a body some of whose rows in a non-empty
+    // group are no member: a second join's unmatched rows, an unnest of a
+    // list that is sometimes empty, a `where` after a `let`.
+    let poisonable = |body: &str| {
+        let aggs = ["sum", "avg", "min", "max"].map(|f| format!("\"{f}\": {f}({body})"));
+        format!(
+            "for $u in dataset NU order by $u.id return {{ \"u\": $u.id, {} }}",
+            aggs.join(", ")
+        )
+    };
+    let per_member = [
+        format!("{of_u} for $r in dataset NM where $r.reply = $m.mid return $r.mid"),
+        format!(
+            "{of_u} for $t in (for $g in $m.tags where $g = \"music\" return $g) return $m.mid"
+        ),
+        format!("{of_u} let $k := $m.mid % 4 where $k = 1 return $m.mid"),
+    ];
+    let mut queries = vec![
+        // Empty groups under every aggregate (users 30-39 have no message),
+        // and the list itself.
+        q(
+            &format!(
+                "for $u in dataset NU order by $u.id \
+                 return {{ \"u\": $u.id, {aggregates}, \"l\": {of_u} order by $m.mid return $m.mid }}"
+            ),
+            true,
+        ),
+        // Empty groups of the later users, whose answers are grouped apart
+        // and joined back: a count, and a list of records.
+        q(
+            &format!(
+                "for $u in dataset NU where $u.id >= 25 \
+                 return {{ \"u\": $u.id, \"n\": count({of_u} return $m) }}"
+            ),
+            false,
+        ),
+        q(
+            &format!(
+                "for $u in dataset NU where $u.id >= 25 \
+                 return {{ \"u\": $u.id, \"r\": {of_u} return {{ \"m\": $m.mid }} }}"
+            ),
+            false,
+        ),
+        // An inner order by and limit, per outer row.
+        q(
+            &format!(
+                "for $u in dataset NU where $u.id < 20 order by $u.id \
+                 return {{ \"u\": $u.id, \"top\": {of_u} order by $m.len desc, $m.mid limit 2 \
+                 return $m.mid }}"
+            ),
+            true,
+        ),
+        // An inner group-by, then a second `for` over a dataset.
+        q(
+            &format!(
+                "for $u in dataset NU where $u.id < 15 \
+                 return {{ \"u\": $u.id, \"g\": {of_u} group by $k := $m.mid % 3 with $m \
+                 for $v in dataset NU where $v.grp = $k \
+                 return {{ \"k\": $k, \"v\": $v.id, \"n\": count($m) }} }}"
+            ),
+            false,
+        ),
+        // Duplicate outer rows from a list unnest.
+        q(
+            "for $u in dataset NU for $f in $u.fav where $u.id < 10 \
+             return { \"u\": $u.id, \"f\": $f, \
+                      \"n\": count(for $m in dataset NM where $m.author = $f return $m) }",
+            false,
+        ),
+        // Null and missing correlation keys, on both sides.
+        q(
+            "for $u in dataset NU \
+             return { \"u\": $u.id, \"m\": for $m in dataset NM where $m.author = $u.boss \
+                      return $m.mid }",
+            false,
+        ),
+        // A correlated primary-key lookup.
+        q(
+            "for $m in dataset NM where $m.mid < 30 \
+             return { \"m\": $m.mid, \"a\": for $u in dataset NU where $u.id = $m.author \
+                      return $u.grp }",
+            false,
+        ),
+        // Nesting two deep, the innermost naming both outer rows.
+        q(
+            &format!(
+                "for $u in dataset NU where $u.id < 12 \
+                 return {{ \"u\": $u.id, \"m\": {of_u} return {{ \"m\": $m.mid, \
+                 \"r\": for $r in dataset NM where $r.reply = $m.mid and $r.len > $u.id \
+                 return $r.mid }} }}"
+            ),
+            false,
+        ),
+        // `some` and `every` over a subquery: a where and a return.
+        q(
+            "for $u in dataset NU \
+             where some $m in dataset NM satisfies $m.author = $u.id and $m.len > 150 \
+             return $u.id",
+            false,
+        ),
+        q(
+            &format!(
+                "for $u in dataset NU return {{ \"u\": $u.id, \
+                 \"all\": every $m in ({of_u} return $m) satisfies $m.len > 20, \
+                 \"any\": some $m in dataset NM satisfies $m.author = $u.boss }}"
+            ),
+            false,
+        ),
+        // A dataset as a value, bare and in an expression.
+        twin("count(dataset NM)", "count(for $m in dataset NM return $m)"),
+        q("{ \"m\": count(dataset NM) + 0, \"u\": count(dataset NU) }", false),
+        // `for` over a subquery, a UDF over a dataset in `for`, and a UDF
+        // with a parameter as a value.
+        twin(
+            "for $x in (for $m in dataset NM where $m.author < 4 return $m) return $x.mid",
+            "for $m in dataset NM where $m.author < 4 return $m.mid",
+        ),
+        twin(
+            "for $b in big() where $b.author < 9 return $b.mid",
+            "for $m in dataset NM where $m.len > 120 and $m.author < 9 return $m.mid",
+        ),
+        q("for $u in dataset NU where $u.id < 8 return { \"u\": $u.id, \"m\": messages_of($u.id) }", false),
+        // Query 5's spatial shape, some points unknown.
+        q(
+            "for $t in dataset NM where $t.mid < 40 \
+             return { \"m\": $t.mid, \"near\": for $t2 in dataset NM \
+                      where spatial-distance($t.loc, $t2.loc) <= 1.5 return $t2.mid }",
+            false,
+        ),
+        // Query 13's jaccard shape.
+        NestQuery {
+            settings: Some(("jaccard", "0.5")),
+            text: "for $m in dataset NM where $m.mid < 30 \
+                   let $sim := (for $m2 in dataset NM \
+                                where $m2.tags ~= $m.tags and $m2.mid != $m.mid \
+                                return $m2.mid) \
+                   where count($sim) > 0 \
+                   return { \"m\": $m.mid, \"sim\": $sim }"
+                .into(),
+            ordered: false,
+            twin: None,
+        },
+    ];
+    queries.extend(per_member.iter().map(|b| q(&poisonable(b), true)));
+    queries
+}
+
+/// The interpreter's answer over the plan the translator writes — before
+/// `optimize`, so that every nested FLWOR is evaluated once per outer row.
+fn per_outer_row(instance: &Instance, q: &NestQuery) -> Vec<Value> {
+    let provider: Arc<dyn MetadataProvider> =
+        Arc::new(asterixdb::provider::InstanceProvider { shared: instance_shared(instance) });
+    let catalog = asterixdb::provider::SessionCatalog {
+        shared: instance_shared(instance),
+        current_dataverse: "Nest".into(),
+    };
+    let mut translator = Translator::new(&catalog);
+    if let Some((function, threshold)) = q.settings {
+        translator.simfunction = function.into();
+        translator.simthreshold = threshold.into();
+    }
+    let plan = translator.translate_query(&parse_expression(&q.text).unwrap()).unwrap();
+    let mut fctx = FunctionContext::default();
+    if let Some((function, threshold)) = q.settings {
+        fctx.simfunction = function.into();
+        fctx.simthreshold = threshold.into();
+    }
+    let ctx = EvalCtx::new(provider, fctx);
+    interp::eval_subplan(&plan, &HashMap::new(), &ctx).unwrap()
+}
+
+/// A query's rows as the instance answers it, under its settings.
+fn nested_answer(instance: &Instance, q: &NestQuery, text: &str) -> Vec<String> {
+    let text = match q.settings {
+        Some((f, t)) => format!("set simfunction \"{f}\"; set simthreshold \"{t}\"; {text}"),
+        None => text.to_string(),
+    };
+    let rows = instance.query(&text).unwrap();
+    nested_canonical(q, rows)
+}
+
+fn nested_canonical(q: &NestQuery, rows: Vec<Value>) -> Vec<String> {
+    if q.ordered {
+        rows.iter().map(asterix_adm::print::to_adm_string).collect()
+    } else {
+        deep_canonical(rows)
+    }
+}
+
+/// Whether every `subplan` block of an `explain` plan — what expressions
+/// still evaluate per tuple — reads no dataset.
+fn subplans_read_no_dataset(plan: &str) -> bool {
+    let depth = |l: &str| l.len() - l.trim_start().len();
+    let mut block: Option<usize> = None;
+    for line in plan.lines() {
+        match block {
+            Some(d) if depth(line) > d => {
+                if ["data-scan", "-search", "index-nl-join"].iter().any(|r| line.contains(r)) {
+                    return false;
+                }
+            }
+            _ => block = (line.trim() == "subplan").then(|| depth(line)),
+        }
+    }
+    true
+}
+
+/// Every nested query answers as the interpreter does when it evaluates
+/// each nested FLWOR once per outer row — and as its flat twin does — on
+/// every layout and topology, with the indexes on the correlation fields
+/// and without them; and no plan reads a dataset in an expression.
+#[test]
+fn nested_queries_answer_identically_on_every_layout_and_topology() {
+    let queries = nest_queries();
+    let corpus = nest_corpus();
+    let mut expected: Option<Vec<Vec<String>>> = None;
+    for_each_setup(&Layout::ALL, &[(1, 1), (2, 2), (4, 3)], &corpus, |setup, instance| {
+        let want = expected.get_or_insert_with(|| {
+            queries.iter().map(|q| nested_canonical(q, per_outer_row(instance, q))).collect()
+        });
+        for drop_indexes in [false, true] {
+            if drop_indexes {
+                instance
+                    .execute(
+                        "use dataverse Nest; drop index NM.nmAuthorIdx; drop index NM.nmReplyIdx; \
+                         drop index NM.nmLocIdx; drop index NM.nmTagsIdx;",
+                    )
+                    .unwrap();
+            }
+            for (q, want) in queries.iter().zip(want.iter()) {
+                let step = format!("{setup:?} indexes dropped: {drop_indexes}");
+                let (plan, _) = instance.explain(&q.text).unwrap();
+                assert!(subplans_read_no_dataset(&plan), "{step}: {}\n{plan}", q.text);
+                assert_eq!(&nested_answer(instance, q, &q.text), want, "{step}: {}", q.text);
+                if let Some(flat) = &q.twin {
+                    assert_eq!(&nested_answer(instance, q, flat), want, "{step}: twin {flat}");
+                }
+            }
+        }
+        // The empty groups: users 30-39 count 0, and sum, avg, min and max
+        // answer as over `[]`.
+        let rows = instance.query(&queries[0].text).unwrap();
+        for r in &rows[30..] {
+            assert_eq!(r.field("count"), Value::Int64(0), "{r:?}");
+            assert_eq!(r.field("l"), Value::ordered_list(vec![]), "{r:?}");
+            for f in ["sum", "avg", "min", "max", "sql-sum", "sql-avg"] {
+                assert_eq!(r.field(f), Value::Null, "{f}: {r:?}");
+            }
+        }
+        assert!(rows[..30].iter().any(|r| r.field("count").as_i64() > Some(0)));
+    });
 }

@@ -621,3 +621,157 @@ fn one_plus_one_is_a_valid_query() {
     let (instance, _d) = tiny_social();
     assert_eq!(instance.query("1+1;").unwrap(), vec![Value::Int64(2)]);
 }
+
+/// Query 4 as the paper writes it, over `user-since` window `[lo, hi]`.
+fn query_4_text(lo: &str, hi: &str) -> String {
+    format!(
+        r#"for $user in dataset MugshotUsers
+           where $user.user-since >= datetime('{lo}')
+             and $user.user-since <= datetime('{hi}')
+           return {{
+               "uname": $user.name,
+               "messages":
+                   for $message in dataset MugshotMessages
+                   where $message.author-id = $user.id
+                   return $message.message
+           }};"#
+    )
+}
+
+/// The nested Query 4 runs in the job: a left-outer hash join and a
+/// group-by on the user without indexes, an index-NL join through
+/// `msAuthorIdx` with them; users without messages keep an empty list.
+#[test]
+fn query_4_decorrelates_into_a_left_outer_join_and_a_group_by() {
+    let (instance, _d) = tiny_social();
+    let q = query_4_text("2010-07-22T00:00:00", "2012-12-31T23:59:59");
+    // Rows and each user's messages sorted: the nested FLWOR has no
+    // `order by`, so its list comes in no defined order.
+    let answer = |instance: &Instance| {
+        let print = asterix_adm::print::to_adm_string;
+        let mut rows: Vec<String> = (instance.query(&q).unwrap().iter())
+            .map(|r| {
+                let messages = r.field("messages");
+                let mut ms: Vec<String> = messages.as_list().unwrap().iter().map(print).collect();
+                ms.sort();
+                format!("{} {}", print(&r.field("uname")), ms.join(", "))
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+    let (plan, job) = instance.explain(&q).unwrap();
+    assert!(plan.contains("index-nl-join TinySocial.MugshotMessages.msAuthorIdx"), "{plan}");
+    assert!(plan.contains("group-by"), "{plan}");
+    assert!(job.contains("index-nested-loop-join"), "{job}");
+    assert!(!plan.contains("data-scan TinySocial.MugshotMessages"), "{plan}");
+    let indexed = answer(&instance);
+    assert_eq!(indexed.len(), 4);
+    assert!(indexed.iter().any(|r| r.contains("\"Von Person\"")), "{indexed:?}");
+
+    instance
+        .execute(
+            "use dataverse TinySocial; drop index MugshotMessages.msAuthorIdx; \
+             drop index MugshotUsers.msUserSinceIdx;",
+        )
+        .unwrap();
+    let (plan, job) = instance.explain(&q).unwrap();
+    assert!(plan.contains("hash-join (LeftOuter)"), "{plan}");
+    assert!(plan.contains("group-by"), "{plan}");
+    assert!(!plan.contains("index-nl-join"), "{plan}");
+    assert!(job.contains("hybrid-hash-join"), "{job}");
+    assert_eq!(answer(&instance), indexed);
+
+    // A user with no message in the window gets `[]`, not `[null]`.
+    let q = query_4_text("2012-12-01T00:00:00", "2013-01-31T23:59:59");
+    let rows = instance.query(&q).unwrap();
+    let willis = rows.iter().find(|r| r.field("uname").as_str() == Some("Willis Person")).unwrap();
+    assert_eq!(willis.field("messages").as_list().unwrap().len(), 1);
+    instance.execute("use dataverse TinySocial; delete $m from dataset MugshotMessages where $m.author-id = 6;").unwrap();
+    let rows = instance.query(&q).unwrap();
+    let willis = rows.iter().find(|r| r.field("uname").as_str() == Some("Willis Person")).unwrap();
+    assert_eq!(willis.field("messages"), Value::ordered_list(vec![]));
+}
+
+/// Query 5's nested spatial join probes the R-tree once per message.
+#[test]
+fn query_5_decorrelates_into_an_rtree_index_nl_join() {
+    let (instance, _d) = tiny_social();
+    let q = r#"for $t in dataset MugshotMessages
+               return {
+                   "message": $t.message,
+                   "nearby-messages":
+                       for $t2 in dataset MugshotMessages
+                       where spatial-distance($t.sender-location, $t2.sender-location) <= 1
+                       return { "msgtxt": $t2.message }
+               };"#;
+    let (plan, job) = instance.explain(q).unwrap();
+    assert!(plan.contains("index-nl-join TinySocial.MugshotMessages.msSenderLocIndex"), "{plan}");
+    assert!(
+        job.contains("index-nested-loop-join TinySocial.MugshotMessages.msSenderLocIndex"),
+        "{job}"
+    );
+    let rows = instance.query(q).unwrap();
+    assert_eq!(rows.len(), 8);
+    for r in &rows {
+        // Every message is near itself.
+        assert!(!r.field("nearby-messages").as_list().unwrap().is_empty(), "{r:?}");
+    }
+}
+
+/// Query 13's fuzzy join on tags has no index path: a nested-loop join.
+#[test]
+fn query_13_decorrelates_into_a_nested_loop_join() {
+    let (instance, _d) = tiny_social();
+    let q = r#"set simfunction "jaccard";
+               set simthreshold "0.3";
+               for $msg in dataset MugshotMessages
+               let $msgsSimilarTags := (
+                   for $m2 in dataset MugshotMessages
+                   where $m2.tags ~= $msg.tags
+                     and $m2.message-id != $msg.message-id
+                   return $m2.message
+               )
+               where count($msgsSimilarTags) > 0
+               return { "message": $msg.message,
+                        "similarly tagged": $msgsSimilarTags };"#;
+    let (plan, job) = instance.explain(q).unwrap();
+    assert!(plan.contains("join (LeftOuter)"), "{plan}");
+    assert!(job.contains("nested-loop-join"), "{job}");
+    assert!(!plan.contains("subplan\n        emit\n          select"), "{plan}");
+    assert!(instance.query(q).unwrap().len() >= 4);
+}
+
+/// A dataset used as a value is a subquery like any FLWOR: counting it is
+/// the scalar aggregate that counts the FLWOR's rows, reading no column.
+#[test]
+fn count_of_a_dataset_explains_and_answers_like_count_of_its_flwor() {
+    let (instance, _d) = tiny_social();
+    let bare = "count(dataset MugshotMessages)";
+    let flwor = "count(for $m in dataset MugshotMessages return $m)";
+    assert_eq!(instance.explain(bare).unwrap(), instance.explain(flwor).unwrap());
+    let (plan, job) = instance.explain(bare).unwrap();
+    assert!(plan.contains("aggregate [aggs: count]"), "{plan}");
+    assert!(job.contains("data-scan TinySocial.MugshotMessages [cols: none]"), "{job}");
+    assert_eq!(instance.query(bare).unwrap(), [Value::Int64(8)]);
+    assert_eq!(instance.query(&format!("{bare} + 0")).unwrap(), [Value::Int64(8)]);
+}
+
+/// What still runs inside an expression shows in `explain`: a dataset-free
+/// subplan prints as a `subplan` block under the operator that evaluates
+/// it, and an unnest names what it iterates.
+#[test]
+fn explain_shows_the_subplans_expressions_still_evaluate() {
+    let (instance, _d) = tiny_social();
+    let q = r#"for $u in dataset MugshotUsers
+               where $u.id < 3
+               return { "u": $u.id,
+                        "friends": for $f in $u.friend-ids where $f > 1 return $f };"#;
+    let (plan, _) = instance.explain(q).unwrap();
+    assert!(plan.starts_with("emit\n  subplan\n    emit\n      select\n"), "{plan}");
+    assert!(plan.contains("        unnest $v1 in $v0.friend-ids\n"), "{plan}");
+    assert!(plan.contains("          empty-tuple-source\n"), "{plan}");
+    assert!(plan.ends_with("\n  btree-search TinySocial.MugshotUsers (primary)\n"), "{plan}");
+    let rows = instance.query(q).unwrap();
+    assert_eq!(rows.len(), 2);
+}

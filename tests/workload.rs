@@ -175,3 +175,30 @@ fn cancel_and_deadline_unwind_without_leaks() {
         .collect();
     assert!(leaked.is_empty(), "spill files leaked: {leaked:?}");
 }
+
+/// A nested query is one job like any other: its decorrelated join and
+/// group-by unwind on a deadline, and the grant comes back.
+#[test]
+fn a_nested_query_honours_a_deadline() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let ins = instance_with(dir.path(), |_| {});
+    load_big(&ins, 1200);
+    let nested = r#"for $a in dataset Big
+        return { "a": $a.id,
+                 "n": count(for $b in dataset Big
+                            where $b.grp = $a.grp and $b.id != $a.id
+                            return $b) };"#;
+    let res = ins.query_with(nested, &QueryOpts { deadline: Some(Duration::from_millis(50)) });
+    match res {
+        Err(AsterixError::Cancelled) => {}
+        other => panic!("expected Cancelled from deadline, got {:?}", other.map(|r| r.len())),
+    }
+    let stats = ins.resource_manager().stats();
+    assert_eq!(stats.cancelled.get(), 1);
+    assert!(ins.list_jobs().is_empty());
+    assert_eq!(stats.mem_granted_bytes.get(), 0);
+    // Without the deadline it answers: each row counts the rest of its group.
+    let rows = ins.query(nested).unwrap();
+    assert_eq!(rows.len(), 1200);
+    assert!(rows.iter().all(|r| r.field("n") == asterix_adm::Value::Int64(399)));
+}
