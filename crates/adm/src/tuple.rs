@@ -20,6 +20,7 @@ use std::cmp::Ordering;
 
 use crate::error::{AdmError, Result};
 use crate::serde;
+use crate::types::PrimitiveType;
 use crate::value::Value;
 
 /// Size of the per-tuple field-count header.
@@ -193,6 +194,36 @@ impl<'a> ValueRef<'a> {
     /// Null or missing, without decoding.
     pub fn is_unknown(&self) -> bool {
         self.tag() <= serde::T_NULL
+    }
+
+    /// The primitive type of a scalar, read off its tag (`None` for null,
+    /// missing, records and lists).
+    pub fn primitive_type(&self) -> Option<PrimitiveType> {
+        use PrimitiveType as P;
+        Some(match self.tag() {
+            serde::T_FALSE | serde::T_TRUE => P::Boolean,
+            serde::T_INT8 => P::Int8,
+            serde::T_INT16 => P::Int16,
+            serde::T_INT32 => P::Int32,
+            serde::T_INT64 => P::Int64,
+            serde::T_FLOAT => P::Float,
+            serde::T_DOUBLE => P::Double,
+            serde::T_STRING => P::String,
+            serde::T_DATE => P::Date,
+            serde::T_TIME => P::Time,
+            serde::T_DATETIME => P::DateTime,
+            serde::T_DURATION => P::Duration,
+            serde::T_YM_DURATION => P::YearMonthDuration,
+            serde::T_DT_DURATION => P::DayTimeDuration,
+            serde::T_INTERVAL => P::Interval,
+            serde::T_POINT => P::Point,
+            serde::T_LINE => P::Line,
+            serde::T_RECTANGLE => P::Rectangle,
+            serde::T_CIRCLE => P::Circle,
+            serde::T_POLYGON => P::Polygon,
+            serde::T_BINARY => P::Binary,
+            _ => return None,
+        })
     }
 
     /// Integer fast path, mirroring `Value::as_i64`.

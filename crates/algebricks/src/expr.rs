@@ -185,32 +185,29 @@ impl LogicalExpr {
     }
 
     /// True when the expression references no variables and no clock- or
-    /// data-dependent function (safe to constant-fold).
-    pub fn is_foldable_const(&self) -> bool {
+    /// data-dependent function (safe to constant-fold). A param's value is
+    /// unknown until bind time: folding it into the cached plan would
+    /// freeze one execution's constant, so `bound` says whether the
+    /// parameters are bound — a per-execution copy may fold them.
+    pub fn is_foldable(&self, bound: bool) -> bool {
+        let f = |e: &LogicalExpr| e.is_foldable(bound);
         match self {
             LogicalExpr::Const(_) => true,
-            // A param's value is unknown until bind time: folding it into
-            // the cached plan would freeze one execution's constant.
-            LogicalExpr::Var(_) | LogicalExpr::Subquery(_) | LogicalExpr::Param(_) => false,
+            LogicalExpr::Param(_) => bound,
+            LogicalExpr::Var(_) | LogicalExpr::Subquery(_) => false,
             LogicalExpr::Call(name, args) => {
                 !matches!(name.as_str(), "current-datetime" | "current-date" | "current-time")
-                    && args.iter().all(|a| a.is_foldable_const())
+                    && args.iter().all(f)
             }
-            LogicalExpr::FieldAccess(e, _) | LogicalExpr::Neg(e) | LogicalExpr::Not(e) => {
-                e.is_foldable_const()
-            }
+            LogicalExpr::FieldAccess(e, _) | LogicalExpr::Neg(e) | LogicalExpr::Not(e) => f(e),
             LogicalExpr::IndexAccess(a, b)
             | LogicalExpr::Arith(_, a, b)
-            | LogicalExpr::Compare(_, a, b) => a.is_foldable_const() && b.is_foldable_const(),
-            LogicalExpr::And(es) | LogicalExpr::Or(es) => es.iter().all(|e| e.is_foldable_const()),
-            LogicalExpr::RecordCtor(fs) => fs.iter().all(|(_, e)| e.is_foldable_const()),
-            LogicalExpr::ListCtor { items, .. } => items.iter().all(|e| e.is_foldable_const()),
-            LogicalExpr::Quantified { collection, predicate, .. } => {
-                collection.is_foldable_const() && predicate.is_foldable_const()
-            }
-            LogicalExpr::IfThenElse(c, t, e) => {
-                c.is_foldable_const() && t.is_foldable_const() && e.is_foldable_const()
-            }
+            | LogicalExpr::Compare(_, a, b)
+            | LogicalExpr::Quantified { collection: a, predicate: b, .. } => f(a) && f(b),
+            LogicalExpr::And(es) | LogicalExpr::Or(es) => es.iter().all(f),
+            LogicalExpr::RecordCtor(fs) => fs.iter().all(|(_, e)| f(e)),
+            LogicalExpr::ListCtor { items, .. } => items.iter().all(f),
+            LogicalExpr::IfThenElse(c, t, e) => f(c) && f(t) && f(e),
         }
     }
 }
@@ -632,8 +629,12 @@ mod tests {
     #[test]
     fn foldability() {
         assert!(LogicalExpr::call("string-length", vec![LogicalExpr::Const(Value::string("abc"))])
-            .is_foldable_const());
-        assert!(!LogicalExpr::call("current-datetime", vec![]).is_foldable_const());
-        assert!(!LogicalExpr::Var(0).is_foldable_const());
+            .is_foldable(false));
+        assert!(!LogicalExpr::call("current-datetime", vec![]).is_foldable(true));
+        assert!(!LogicalExpr::Var(0).is_foldable(true));
+        // A parameter folds only once it is bound.
+        let at_bind = LogicalExpr::call("datetime", vec![LogicalExpr::Param(0)]);
+        assert!(!at_bind.is_foldable(false));
+        assert!(at_bind.is_foldable(true));
     }
 }

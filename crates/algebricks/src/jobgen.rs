@@ -21,15 +21,15 @@ use asterix_hyracks::job::{JobSpec, OperatorId};
 use asterix_hyracks::ops::{
     sort_comparator, AggKind, AggSpec, AssignOp, CmpKind, DistinctOp, FetchFn, ForwardOp,
     GroupMode, HashGroupOp, HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, LimitOp,
-    NestedLoopJoinOp, OrdPred, PrimaryFetchOp, ProjectOp, RawSourceFn, RuntimeFilterProbeOp,
-    ScalarAggOp, SelectOp, SinkOp, SortKey, SortOp, SourceOp,
+    NestedLoopJoinOp, OrdPred, Predicate, PrimaryFetchOp, ProbeFn, ProjectOp, RawSourceFn,
+    RuntimeFilterProbeOp, ScalarAggOp, SelectOp, SinkOp, SortKey, SortOp, SourceOp,
 };
 use asterix_hyracks::{HyracksError, Result};
 
 use crate::expr::{eval, truthy, CompareOp, EvalCtx, LogicalExpr, TupleResolver, VarId};
-use crate::metadata::{KeyBound, MetadataProvider, ScanFilter, ScanProjection};
+use crate::metadata::{every_key, KeyBound, MetadataProvider, ScanFilter, ScanProjection};
 use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp, SortSpec};
-use crate::rules::OptimizerOptions;
+use crate::rules::{fold_bound, OptimizerOptions};
 
 /// How an operator's output is spread across partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,9 +239,9 @@ const MIN_OP_MEM: usize = 1 << 20;
 /// (sorts, hash-group tables, hybrid hash joins), so a query-wide memory
 /// grant can be divided among them. GroupBy counts twice (local partial +
 /// global final table) and secondary-index searches carry the hidden `$pk`
-/// sort of the Figure 6 access path. The key batches of a primary fetch
-/// and of an index-NL join are bounded by a constant
-/// (`asterix_hyracks::ops::FETCH_BATCH`) and take no share of the grant.
+/// sort of the Figure 6 access path. The fetches of a primary fetch and of
+/// an index-NL join hold at most `asterix_hyracks::ops::FETCH_BATCH` keys,
+/// or one probe's matches, and take no share of the grant.
 fn memory_hungry_ops(op: &LogicalOp) -> usize {
     match op {
         LogicalOp::EmptyTupleSource | LogicalOp::DataSourceScan { .. } => 0,
@@ -448,15 +448,20 @@ impl Gen {
     }
 
     fn select_op(&self, label: &str, expr: &LogicalExpr, schema: &[VarId]) -> Result<SelectOp> {
-        let pred = self.make_pred(expr, schema)?;
-        let mut sel = match Self::referenced_cols(&[expr], schema) {
-            Some(fields) => SelectOp::with_fields(label, pred, fields),
-            None => SelectOp::new(label, pred),
-        };
-        if let Some(ord) = conjuncts(expr).iter().map(|c| self.ordkey_pred(c, schema)).collect() {
-            sel = sel.with_ordkey(ord);
-        }
-        Ok(sel)
+        Ok(SelectOp::with_predicate(label, self.predicate(expr, schema)?))
+    }
+
+    /// `expr` as a predicate over encoded tuples of `schema`: decoding only
+    /// the columns it reads, and decided on the bytes when every conjunct
+    /// is an ordkey-decidable comparison.
+    fn predicate(&self, expr: &LogicalExpr, schema: &[VarId]) -> Result<Predicate> {
+        let ord: Option<Vec<OrdPred>> =
+            conjuncts(expr).iter().map(|c| self.ordkey_pred(c, schema)).collect();
+        Ok(Predicate {
+            pred: self.make_pred(expr, schema)?,
+            fields: Self::referenced_cols(&[expr], schema),
+            ord: ord.unwrap_or_default(),
+        })
     }
 
     /// Classify `expr` as an ordkey-decidable comparison: `$v <op> C` or
@@ -526,13 +531,24 @@ impl Gen {
         Some(OrdPred { col, path, op, key: asterix_adm::ordkey::encode_value(&c) })
     }
 
+    /// A per-execution copy of `expr` with this execution's parameters
+    /// folded in: the closures built from it do not re-evaluate a
+    /// parameter-only subexpression such as `datetime(?1)` per tuple.
+    fn bind(&self, expr: &LogicalExpr) -> LogicalExpr {
+        if self.ctx.params.is_empty() {
+            expr.clone()
+        } else {
+            fold_bound(expr.clone(), &self.ctx)
+        }
+    }
+
     fn make_eval(
         &self,
         expr: &LogicalExpr,
         schema: &[VarId],
     ) -> Result<asterix_hyracks::ops::EvalFn> {
         let cols = Self::columns_of(schema);
-        let expr = expr.clone();
+        let expr = self.bind(expr);
         let ctx = Arc::clone(&self.ctx);
         Ok(Arc::new(move |t: &Tuple| {
             let r = TupleResolver { columns: &cols, tuple: t };
@@ -546,7 +562,7 @@ impl Gen {
         schema: &[VarId],
     ) -> Result<asterix_hyracks::ops::PredFn> {
         let cols = Self::columns_of(schema);
-        let expr = expr.clone();
+        let expr = self.bind(expr);
         let ctx = Arc::clone(&self.ctx);
         Ok(Arc::new(move |t: &Tuple| {
             let r = TupleResolver { columns: &cols, tuple: t };
@@ -1139,9 +1155,13 @@ impl Gen {
             _ => match spec.probe(&*provider, dataset, index, |e| self.const_value(e))? {
                 Some(probe) => {
                     let label = format!("{}-search {dataset}.{index}", spec.kind_word());
-                    let search = provider.secondary_search(dataset, index, probe)?;
+                    let search = provider.secondary_search(dataset, index)?;
+                    let source: RawSourceFn = Arc::new(move |partition, _, _, emit| {
+                        let probe = std::slice::from_ref(&probe);
+                        search(partition..partition + 1, probe, &mut |_, pk| emit(pk))
+                    });
                     let search =
-                        self.job.add(self.nparts, Arc::new(SourceOp::from_raw_fn(label, search)));
+                        self.job.add(self.nparts, Arc::new(SourceOp::from_raw_fn(label, source)));
                     // Sort primary keys "to improve the access pattern on the
                     // primary index" (Figure 6 discussion): sorted keys reach
                     // the fetch in batches that each cover one stretch of it.
@@ -1173,11 +1193,12 @@ impl Gen {
 
     /// Index nested-loop join: each outer tuple resolves the join's search
     /// spec to a probe of the index — `IndexSearchSpec::probe`, as a
-    /// selection does — and the matching records are fetched per batch of
-    /// probes with the projection a scan of the inner variable would get,
-    /// under `filters`. A spec the index cannot narrow probes every key,
-    /// and the postcondition, applied to each match inside the join,
-    /// decides.
+    /// selection does — and per batch of outer tuples each index partition
+    /// is searched once for all their probes; the matching records are
+    /// fetched per batch with the projection a scan of the inner variable
+    /// would get, under `filters`. A spec the index cannot narrow probes
+    /// every key — read once per batch — and the postcondition, applied to
+    /// each match inside the join, decides.
     fn build_index_nl_join(
         &mut self,
         join: &LogicalOp,
@@ -1191,25 +1212,40 @@ impl Gen {
         let cols = Self::columns_of(&l_schema);
         let ctx = Arc::clone(&self.ctx);
         let (dataset_c, index_c, spec_c) = (dataset.clone(), index.clone(), spec.clone());
+        let search = self.ctx.provider.secondary_search(dataset, index)?;
+        let nparts = self.nparts;
+        // Each outer tuple's probe is its own group; every tuple the index
+        // cannot narrow joins through EVERY, which every key matches.
+        const EVERY: usize = usize::MAX;
+        let probe: ProbeFn = Arc::new(move |outers, groups, emit| {
+            let mut probes = Vec::new();
+            for o in 0..outers.tuple_count() {
+                let t = outers.tuple_ref(o)?.decode()?;
+                let vars = TupleResolver { columns: &cols, tuple: &t };
+                let value = |e: &LogicalExpr| eval(e, &vars, &ctx).map_err(HyracksError::from);
+                let probe = spec_c.probe(&*ctx.provider, &dataset_c, &index_c, value)?;
+                groups.push(probe.as_ref().map_or(EVERY, |_| probes.len()));
+                probes.extend(probe);
+            }
+            // Each index partition is searched once for the batch, and the
+            // keys are read once for the tuples that need them all.
+            if !probes.is_empty() {
+                search(0..nparts, &probes, emit)?;
+            }
+            if groups.contains(&EVERY) {
+                let keys = every_key(&*ctx.provider, &dataset_c)?;
+                (0..nparts).try_for_each(|p| keys(p, nparts, None, &mut |pk| emit(EVERY, pk)))?;
+            }
+            Ok(())
+        });
         let jt = join_type(*kind);
         let (fetch, projection) = self.primary_fetch(dataset, *var, filters)?;
         let mut schema = l_schema;
         schema.push(*var);
-        let mut op = IndexNestedLoopJoinOp::new(
-            format!("{dataset}.{index}{projection}"),
-            move |t: &Tuple| {
-                let vars = TupleResolver { columns: &cols, tuple: t };
-                let value = |e: &LogicalExpr| eval(e, &vars, &ctx).map_err(HyracksError::from);
-                let provider = &*ctx.provider;
-                let probe = spec_c.probe(provider, &dataset_c, &index_c, value)?;
-                provider.secondary_search_all(&dataset_c, &index_c, probe)
-            },
-            fetch,
-            jt,
-            1,
-        );
+        let label = format!("{dataset}.{index}{projection}");
+        let mut op = IndexNestedLoopJoinOp::new(label, probe, fetch, jt, 1);
         if let Some(post) = postcondition {
-            op = op.with_filter(self.make_pred(post, &schema)?);
+            op = op.with_filter(self.predicate(post, &schema)?);
         }
         let join = self.job.add(self.parts(part), Arc::new(op));
         self.job.connect(ConnectorKind::OneToOne, l_op, join);
@@ -1276,6 +1312,7 @@ mod tests {
     use crate::plan::build::*;
     use crate::plan::AggCall;
     use crate::rules::optimize;
+    use asterix_hyracks::ops::FETCH_BATCH;
 
     fn users(n: i64) -> Vec<Value> {
         (0..n)
@@ -1595,6 +1632,155 @@ mod tests {
             assert_eq!(rows, vec![Value::Int64(3), Value::Int64(23)], "{d}");
             assert_eq!(rows, sort_vals(all.run().unwrap()), "{d}");
         }
+    }
+
+    // -- index nested-loop joins: what one batch of outer tuples costs ------
+
+    /// A [`VecProvider`] that counts the index partitions its secondary
+    /// searches visit and the partition reads of dataset `M`.
+    struct Counting {
+        inner: VecProvider,
+        searched: Arc<std::sync::atomic::AtomicUsize>,
+        m_reads: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl MetadataProvider for Counting {
+        fn partitions(&self) -> usize {
+            self.inner.partitions()
+        }
+        fn dataset_exists(&self, d: &str) -> bool {
+            self.inner.dataset_exists(d)
+        }
+        fn primary_key_fields(&self, d: &str) -> Vec<String> {
+            self.inner.primary_key_fields(d)
+        }
+        fn indexes(&self, d: &str) -> Vec<crate::metadata::IndexInfo> {
+            self.inner.indexes(d)
+        }
+        fn primary_partition_of(&self, d: &str, key: &Value) -> Option<usize> {
+            self.inner.primary_partition_of(d, key)
+        }
+        fn dataset_rows(&self, d: &str) -> Option<u64> {
+            self.inner.dataset_rows(d)
+        }
+        fn raw_scan_source(
+            &self,
+            d: &str,
+            p: &ScanProjection,
+            lo: KeyBound,
+            hi: KeyBound,
+        ) -> Result<RawSourceFn> {
+            let read = self.inner.raw_scan_source(d, p, lo, hi)?;
+            let (reads, counted) = (Arc::clone(&self.m_reads), d == "M");
+            Ok(Arc::new(move |partition, nparts, consult, emit| {
+                reads.fetch_add(usize::from(counted), std::sync::atomic::Ordering::Relaxed);
+                read(partition, nparts, consult, emit)
+            }))
+        }
+        fn secondary_search(&self, d: &str, i: &str) -> Result<crate::metadata::IndexSearchFn> {
+            let search = self.inner.secondary_search(d, i)?;
+            let searched = Arc::clone(&self.searched);
+            Ok(Arc::new(move |partitions, probes, emit| {
+                searched.fetch_add(partitions.len(), std::sync::atomic::Ordering::Relaxed);
+                search(partitions, probes, emit)
+            }))
+        }
+        fn primary_fetch(&self, d: &str, p: &ScanProjection) -> Result<FetchFn> {
+            self.inner.primary_fetch(d, p)
+        }
+        fn scan_all(&self, d: &str) -> Result<Vec<Value>> {
+            self.inner.scan_all(d)
+        }
+        fn lookup_pk(&self, d: &str, pk: &[Value]) -> Result<Option<Value>> {
+            self.inner.lookup_pk(d, pk)
+        }
+        fn primary_range_all(&self, d: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>> {
+            self.inner.primary_range_all(d, lo, hi)
+        }
+    }
+
+    /// An index-NL join searches each index partition once per batch, not
+    /// once per outer tuple, and a probe the index cannot narrow reads the
+    /// keys of `M` once per batch: over 40 users in four partitions (one
+    /// batch per join partition), and over `2·FETCH_BATCH + 10` users in
+    /// one (three batches). Each answers what the interpreter answers.
+    #[test]
+    fn an_index_nl_join_searches_each_partition_once_per_batch() {
+        let (id, author) = (LogicalExpr::field(var(0), "id"), LogicalExpr::field(var(1), "author"));
+        let join = |spec: IndexSearchSpec, postcondition| LogicalOp::IndexNlJoin {
+            left: Box::new(scan("U", 0)),
+            dataset: "M".into(),
+            index: "author".into(),
+            spec,
+            postcondition,
+            var: 1,
+            kind: JoinKind::LeftOuter,
+        };
+        let narrowed = IndexSearchSpec::BTreeRange {
+            lo: Some((id.clone(), true)),
+            hi: Some((id.clone(), true)),
+        };
+        let unnarrowed = IndexSearchSpec::RTree { query: lit(Value::Int64(0)) };
+        let on_author = Some(cmp(CompareOp::Eq, author.clone(), id.clone()));
+        let big = 2 * FETCH_BATCH as i64 + 10;
+        // (users, messages, partitions, batches per join partition).
+        for (n, msgs, nparts, batches) in [(40, 80, 4, 1), (big, 12, 1, 3)] {
+            // (index partitions searched, partition reads of M's keys).
+            let once = batches * nparts * nparts;
+            let cases = [
+                (narrowed.clone(), None, (once, 0)),
+                (unnarrowed.clone(), on_author.clone(), (0, once)),
+            ];
+            for (spec, post, want) in cases {
+                let plan = emit(join(spec, post), LogicalExpr::field(var(1), "mid"));
+                let mut inner = VecProvider::new(nparts);
+                inner.add("U", "id", users(n));
+                let message = |m: i64| {
+                    let text = format!(r#"{{ "mid": {m}, "author": {} }}"#, m % n);
+                    asterix_adm::parse::parse_value(&text).unwrap()
+                };
+                inner.add("M", "mid", (0..msgs).map(message).collect());
+                let counting =
+                    Counting { inner, searched: Default::default(), m_reads: Default::default() };
+                let (searched, m_reads) =
+                    (Arc::clone(&counting.searched), Arc::clone(&counting.m_reads));
+                let prov: Arc<dyn MetadataProvider> = Arc::new(counting);
+                let fctx = FunctionContext::default();
+                let ictx = EvalCtx::new(Arc::clone(&prov), fctx.clone());
+                let no_vars = std::collections::HashMap::new();
+                let interp = crate::interp::eval_subplan(&plan, &no_vars, &ictx).unwrap();
+                let compiled = compile(&plan, prov, fctx, &OptimizerOptions::default()).unwrap();
+                let ordering = std::sync::atomic::Ordering::Relaxed;
+                let (searched0, reads0) = (searched.load(ordering), m_reads.load(ordering));
+                let rows = sort_vals(compiled.run().unwrap());
+                // Every message once, and a padded row per user without one.
+                assert_eq!(rows.len() as i64, msgs + (n - msgs.min(n)));
+                assert_eq!(rows, sort_vals(interp));
+                let got = (searched.load(ordering) - searched0, m_reads.load(ordering) - reads0);
+                assert_eq!(got, want, "{n} users");
+            }
+        }
+    }
+
+    /// Each execution's closures see its parameters folded: a
+    /// parameter-only subexpression is a constant in the copy they are
+    /// built from, and without parameters the expression stays as written.
+    #[test]
+    fn bound_parameters_fold_into_each_execution_copy() {
+        let gen = |params: Vec<Value>| Gen {
+            job: JobSpec::new(),
+            ctx: Arc::new(EvalCtx::with_params(provider(1), FunctionContext::default(), params)),
+            nparts: 1,
+            options: OptimizerOptions::default(),
+            per_op_mem: None,
+            scan_uses: Default::default(),
+        };
+        let since = LogicalExpr::call("datetime", vec![LogicalExpr::Param(0)]);
+        let e = cmp(CompareOp::Ge, LogicalExpr::field(var(0), "ts"), since);
+        let bound = gen(vec![Value::string("2012-01-01T00:00:00")]).bind(&e);
+        let LogicalExpr::Compare(_, _, rhs) = &bound else { panic!("{bound}") };
+        assert!(matches!(**rhs, LogicalExpr::Const(Value::DateTime(_))), "{bound}");
+        assert_eq!(gen(Vec::new()).bind(&e).to_string(), e.to_string());
     }
 
     // -- hash joins: which input builds, what the probe scan is asked -------

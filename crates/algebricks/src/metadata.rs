@@ -229,18 +229,12 @@ pub trait MetadataProvider: Send + Sync {
         hi: KeyBound,
     ) -> Result<RawSourceFn>;
 
-    /// Search of a secondary index: emits the encoded tuple of one matching
-    /// entry's primary key at a time — its columns the primary-key fields —
-    /// for the caller's partition (§2.2: "The result of a secondary key
-    /// lookup is a set of primary keys"). Like every Hyracks source it
-    /// hands over bytes, never values; the search ignores the runtime
-    /// filter consult a [`RawSourceFn`] is offered.
-    fn secondary_search(
-        &self,
-        dataset: &str,
-        index: &str,
-        probe: IndexProbe,
-    ) -> Result<RawSourceFn>;
+    /// Search of a secondary index (see [`IndexSearchFn`]): per call, a
+    /// batch of probes — the one probe of a selection's search, or the
+    /// probes of a batch of an index nested-loop join's outer tuples —
+    /// over some partitions (§2.2: "The result of a secondary key lookup
+    /// is a set of primary keys").
+    fn secondary_search(&self, dataset: &str, index: &str) -> Result<IndexSearchFn>;
 
     /// Batched primary-index fetch — the key-list twin of
     /// [`Self::raw_scan_source`], taking the same `projection` and emitting
@@ -261,11 +255,10 @@ pub trait MetadataProvider: Send + Sync {
     /// Cross-partition primary-index range scan returning records.
     fn primary_range_all(&self, dataset: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>>;
 
-    /// [`Self::secondary_search`] over every partition, its keys decoded
-    /// and collected: the probe of an index nested-loop join and the
-    /// interpreter's searches. With no probe — the index cannot narrow the
-    /// search, and the caller's postcondition decides — the key of every
-    /// record, from a read of the key fields alone.
+    /// [`Self::secondary_search`] over every partition for one probe, its
+    /// keys decoded and collected: the interpreter's searches. With no
+    /// probe — the index cannot narrow the search, and the caller's
+    /// postcondition decides — the key of every record ([`every_key`]).
     fn secondary_search_all(
         &self,
         dataset: &str,
@@ -274,41 +267,69 @@ pub trait MetadataProvider: Send + Sync {
     ) -> Result<Vec<Vec<Value>>> {
         let nparts = self.partitions();
         let mut out = Vec::new();
-        let Some(probe) = probe else {
-            let pk = self.primary_key_fields(dataset);
-            let mut fields: Vec<String> =
-                pk.iter().map(|f| f.split('.').next().unwrap_or(f).to_string()).collect();
-            fields.sort();
-            fields.dedup();
-            let keys = ScanProjection { fields: Some(fields), filters: Vec::new() };
-            let read =
-                self.raw_scan_source(dataset, &keys, KeyBound::Unbounded, KeyBound::Unbounded)?;
-            for p in 0..nparts {
-                read(p, nparts, None, &mut |t| {
-                    let r = asterix_adm::TupleRef::new(t)?.field(0).to_value()?;
-                    out.push(
-                        pk.iter()
-                            .map(|f| f.split('.').fold(r.clone(), |v, s| v.field(s)))
-                            .collect(),
-                    );
-                    Ok(())
-                })?;
-            }
-            return Ok(out);
+        let mut collect = |pk: &[u8]| {
+            out.push(asterix_adm::decode_tuple(pk)?);
+            Ok(())
         };
-        let search = self.secondary_search(dataset, index, probe)?;
-        for p in 0..nparts {
-            search(p, nparts, None, &mut |pk| {
-                out.push(asterix_adm::decode_tuple(pk)?);
-                Ok(())
-            })?;
+        match probe {
+            None => {
+                let keys = every_key(self, dataset)?;
+                (0..nparts).try_for_each(|p| keys(p, nparts, None, &mut collect))?;
+            }
+            Some(probe) => {
+                let search = self.secondary_search(dataset, index)?;
+                search(0..nparts, std::slice::from_ref(&probe), &mut |_, pk| collect(pk))?;
+            }
         }
         Ok(out)
     }
 }
 
-/// Test support: a provider with no datasets.
-pub mod tests_support {
+/// A search of a secondary index for a batch of probes:
+/// `(partitions, probes, emit)` searches each of the partitions once and
+/// calls `emit(i, pk)` for each primary key `probes[i]` matches there — an
+/// encoded tuple of the primary-key fields, bytes and never values, like
+/// every Hyracks source hands over. A B-tree partition reads the union of
+/// the batch's ranges in one forward pass; other index kinds may search
+/// probe by probe. `emit` runs under the index's read lock.
+pub type IndexSearchFn = Arc<
+    dyn Fn(
+            std::ops::Range<usize>,
+            &[IndexProbe],
+            &mut dyn FnMut(usize, &[u8]) -> Result<()>,
+        ) -> Result<()>
+        + Send
+        + Sync,
+>;
+
+/// The read of every primary key of `dataset` — what a probe the index
+/// cannot narrow matches: per partition, one encoded tuple of the
+/// primary-key fields per record, from a read of those fields alone.
+pub fn every_key<P: MetadataProvider + ?Sized>(provider: &P, dataset: &str) -> Result<RawSourceFn> {
+    let pk = provider.primary_key_fields(dataset);
+    let mut fields: Vec<String> =
+        pk.iter().map(|f| f.split('.').next().unwrap_or(f).to_string()).collect();
+    fields.sort();
+    fields.dedup();
+    let keys = ScanProjection { fields: Some(fields), filters: Vec::new() };
+    let read =
+        provider.raw_scan_source(dataset, &keys, KeyBound::Unbounded, KeyBound::Unbounded)?;
+    Ok(Arc::new(move |partition, nparts, _consult, emit| {
+        let mut enc = Vec::new();
+        read(partition, nparts, None, &mut |t| {
+            let r = asterix_adm::TupleRef::new(t)?.field(0).to_value()?;
+            let key: Vec<Value> =
+                pk.iter().map(|f| f.split('.').fold(r.clone(), |v, s| v.field(s))).collect();
+            enc.clear();
+            asterix_adm::encode_tuple_into(&mut enc, &key);
+            emit(&enc)
+        })
+    }))
+}
+
+/// Test support: a provider with no datasets, and one over vectors.
+#[cfg(test)]
+pub(crate) mod tests_support {
     use super::*;
 
     /// Provider exposing nothing; used by expression-level tests.
@@ -350,12 +371,7 @@ pub mod tests_support {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
-        fn secondary_search(
-            &self,
-            dataset: &str,
-            _index: &str,
-            _probe: IndexProbe,
-        ) -> Result<RawSourceFn> {
+        fn secondary_search(&self, dataset: &str, _index: &str) -> Result<IndexSearchFn> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
@@ -506,25 +522,22 @@ pub mod tests_support {
                 .collect())
         }
 
-        fn secondary_search(
-            &self,
-            dataset: &str,
-            index: &str,
-            probe: IndexProbe,
-        ) -> Result<RawSourceFn> {
-            let IndexProbe::Range { lo, hi } = probe else {
-                return Err(asterix_hyracks::HyracksError::Operator("no indexes".into()));
-            };
+        fn secondary_search(&self, dataset: &str, index: &str) -> Result<IndexSearchFn> {
             let records = self.scan_all(dataset)?;
             let pk_fields = self.primary_key_fields(dataset);
-            let field = index.to_string();
-            Ok(Arc::new(move |partition, nparts, _consult, emit| {
-                for r in &records {
-                    if partition_of(r, &pk_fields, nparts) == partition
-                        && within(&r.field(&field), &lo, &hi)
-                    {
-                        let pk: Vec<Value> = pk_fields.iter().map(|f| r.field(f)).collect();
-                        emit(&asterix_adm::encode_tuple(&pk))?;
+            let (field, nparts) = (index.to_string(), self.nparts);
+            Ok(Arc::new(move |partitions, probes, emit| {
+                for (i, probe) in probes.iter().enumerate() {
+                    let IndexProbe::Range { lo, hi } = probe else {
+                        return Err(asterix_hyracks::HyracksError::Operator("no indexes".into()));
+                    };
+                    for r in &records {
+                        if partitions.contains(&partition_of(r, &pk_fields, nparts))
+                            && within(&r.field(&field), lo, hi)
+                        {
+                            let pk: Vec<Value> = pk_fields.iter().map(|f| r.field(f)).collect();
+                            emit(i, &asterix_adm::encode_tuple(&pk))?;
+                        }
                     }
                 }
                 Ok(())
@@ -536,6 +549,10 @@ pub mod tests_support {
             let pk_fields = self.primary_key_fields(dataset);
             let projection = projection.clone();
             Ok(Arc::new(move |pks, emit| {
+                let pks: Vec<Vec<Value>> = pks
+                    .iter()
+                    .map(asterix_adm::decode_tuple)
+                    .collect::<asterix_adm::Result<_>>()?;
                 let mut order: Vec<usize> = (0..pks.len()).collect();
                 order.sort_by(|a, b| {
                     let by_field = pks[*a].iter().zip(&pks[*b]).map(|(x, y)| x.total_cmp(y));

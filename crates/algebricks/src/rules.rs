@@ -106,9 +106,21 @@ pub fn optimize(
 // ---------------------------------------------------------------------------
 
 fn fold_expr(e: LogicalExpr, ctx: &EvalCtx) -> LogicalExpr {
+    fold_consts(e, ctx, false)
+}
+
+/// Fold a per-execution copy of an expression whose parameters `ctx`
+/// binds: `datetime(?1)` becomes the constant it names for this execution,
+/// and the plan the copy came from is left as it was.
+pub(crate) fn fold_bound(e: LogicalExpr, ctx: &EvalCtx) -> LogicalExpr {
+    fold_consts(e, ctx, true)
+}
+
+/// [`fold_expr`], parameters counted as constants when `bound`.
+fn fold_consts(e: LogicalExpr, ctx: &EvalCtx, bound: bool) -> LogicalExpr {
     // Fold children first.
-    let e = map_expr_children(e, &mut |c| fold_expr(c, ctx));
-    if !matches!(e, LogicalExpr::Const(_)) && e.is_foldable_const() {
+    let e = map_expr_children(e, &mut |c| fold_consts(c, ctx, bound));
+    if !matches!(e, LogicalExpr::Const(_)) && e.is_foldable(bound) {
         if let Ok(v) = eval(&e, &std::collections::HashMap::new(), ctx) {
             return LogicalExpr::Const(v);
         }
@@ -2065,9 +2077,8 @@ mod tests {
             &self,
             d: &str,
             i: &str,
-            probe: crate::metadata::IndexProbe,
-        ) -> asterix_hyracks::Result<asterix_hyracks::ops::RawSourceFn> {
-            self.inner.secondary_search(d, i, probe)
+        ) -> asterix_hyracks::Result<crate::metadata::IndexSearchFn> {
+            self.inner.secondary_search(d, i)
         }
         fn primary_fetch(
             &self,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use asterix_adm::strings::Tokenizer;
 use asterix_adm::value::Rectangle;
-use asterix_adm::{colschema, serde as adm_serde, Datatype, TypeRegistry, Value};
+use asterix_adm::{colschema, serde as adm_serde, Datatype, PrimitiveType, TypeRegistry, Value};
 use asterix_algebricks::metadata::{IndexProbe, KeyBound};
 use asterix_metadata::{DatasetMeta, IndexKindMeta, IndexMeta};
 use asterix_storage::btree::{LsmBTree, ValueBound};
@@ -137,35 +137,49 @@ impl SecondaryPartition {
         }
     }
 
-    /// The primary keys of this partition's entries that `probe` matches,
-    /// each an encoded tuple of the key fields, handed to `emit` until it
-    /// returns `Ok(false)` or an error — the one place a probe meets an
-    /// index kind.
+    /// The primary keys of this partition's entries that each of `probes`
+    /// matches: `emit(i, pk)` with `pk` an encoded tuple of the key fields
+    /// for every match of `probes[i]`, until it returns `Ok(false)` or an
+    /// error — the one place a probe meets an index kind. A B-tree reads
+    /// the union of its probes' ranges in one forward pass; the R-tree and
+    /// the inverted indexes search probe by probe.
     pub fn search(
         &self,
-        probe: &IndexProbe,
-        emit: &mut dyn FnMut(&[u8]) -> Result<bool>,
+        probes: &[IndexProbe],
+        emit: &mut dyn FnMut(usize, &[u8]) -> Result<bool>,
     ) -> Result<()> {
         let mut enc = Vec::new();
-        let mut emit = |pk: &[Value]| {
+        let mut emit = |i: usize, pk: &[Value]| {
             enc.clear();
             asterix_adm::encode_tuple_into(&mut enc, pk);
-            emit(&enc)
+            emit(i, &enc)
         };
-        let pks = match (self, probe) {
-            (SecondaryPartition::BTree(t), IndexProbe::Range { lo, hi }) => {
-                let (lo, hi) = (to_value_bound(lo.clone()), to_value_bound(hi.clone()));
-                return t.range_with(&lo, &hi, |key, _| emit(t.split_key(key).1));
-            }
-            (SecondaryPartition::Spatial(t), IndexProbe::Window(window)) => t.search(window)?,
-            (SecondaryPartition::Inverted(t), IndexProbe::Tokens { tokens, min_matches }) => {
-                t.t_occurrence(tokens, *min_matches)?
-            }
-            _ => return Err(AsterixError::Execution(format!("no such search: {probe:?}"))),
-        };
-        for pk in pks {
-            if !emit(&pk)? {
-                break;
+        let no_such =
+            |probe: &IndexProbe| AsterixError::Execution(format!("no such search: {probe:?}"));
+        if let SecondaryPartition::BTree(t) = self {
+            let ranges = probes
+                .iter()
+                .map(|probe| match probe {
+                    IndexProbe::Range { lo, hi } => {
+                        Ok((to_value_bound(lo.clone()), to_value_bound(hi.clone())))
+                    }
+                    other => Err(no_such(other)),
+                })
+                .collect::<Result<Vec<_>>>()?;
+            return t.ranges_with(&ranges, |i, key, _| emit(i, t.split_key(key).1));
+        }
+        for (i, probe) in probes.iter().enumerate() {
+            let pks = match (self, probe) {
+                (SecondaryPartition::Spatial(t), IndexProbe::Window(window)) => t.search(window)?,
+                (SecondaryPartition::Inverted(t), IndexProbe::Tokens { tokens, min_matches }) => {
+                    t.t_occurrence(tokens, *min_matches)?
+                }
+                _ => return Err(no_such(probe)),
+            };
+            for pk in pks {
+                if !emit(i, &pk)? {
+                    return Ok(());
+                }
             }
         }
         Ok(())
@@ -377,9 +391,14 @@ impl DatasetRuntime {
 
     /// Which partition owns a primary key.
     pub fn partition_of(&self, pk: &[Value]) -> usize {
+        self.partition_of_hashes(pk.iter().map(Value::stable_hash))
+    }
+
+    /// [`Self::partition_of`] of the key whose fields hash to `hashes`.
+    fn partition_of_hashes(&self, hashes: impl Iterator<Item = u64>) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in pk {
-            h ^= v.stable_hash();
+        for fh in hashes {
+            h ^= fh;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         (h % self.partitions() as u64) as usize
@@ -416,12 +435,7 @@ impl DatasetRuntime {
     /// Coerce a probe key to the primary key's declared types (so int64
     /// literals match int32-typed keys).
     pub fn coerce_pk(&self, pk: &[Value]) -> Vec<Value> {
-        self.coerce_pk_as(self.resolved_record_type().as_deref(), pk)
-    }
-
-    /// [`Self::coerce_pk`] against an already resolved record type.
-    fn coerce_pk_as(&self, rt: Option<&asterix_adm::RecordType>, pk: &[Value]) -> Vec<Value> {
-        let Some(rt) = rt else { return pk.to_vec() };
+        let Some(rt) = self.resolved_record_type() else { return pk.to_vec() };
         self.meta
             .primary_key
             .iter()
@@ -431,6 +445,47 @@ impl DatasetRuntime {
                 None => v.clone(),
             })
             .collect()
+    }
+
+    /// The storage key of an encoded primary-key tuple and the partition
+    /// that owns it. Each field is coerced to its declared type in
+    /// `key_types` (one per key field, `None` when undeclared) as
+    /// [`Self::coerce_pk`] coerces a decoded key; a field that already has
+    /// that type — every key a secondary index hands over — is encoded and
+    /// hashed straight from its bytes.
+    fn storage_key(&self, key_types: &[Option<Datatype>], pk: &[u8]) -> Result<(Vec<u8>, usize)> {
+        let t = asterix_adm::TupleRef::new(pk)?;
+        let mut key = Vec::with_capacity(16 * key_types.len());
+        let mut hashes = Vec::with_capacity(key_types.len());
+        for (i, ty) in key_types.iter().enumerate() {
+            let v = t.field(i);
+            let coerce_to = ty.as_ref().filter(|ty| match ty {
+                Datatype::Primitive(p) => v.primitive_type() != Some(*p),
+                _ => true,
+            });
+            match coerce_to {
+                Some(ty) => {
+                    let v = v.to_value()?;
+                    let v = self.registry.coerce(&v, ty).unwrap_or(v);
+                    keycodec::encode_value(&mut key, &v)?;
+                    hashes.push(v.stable_hash());
+                }
+                None => {
+                    keycodec::encode_value_ref(&mut key, v)?;
+                    hashes.push(v.stable_hash());
+                }
+            }
+        }
+        Ok((key, self.partition_of_hashes(hashes.into_iter())))
+    }
+
+    /// The declared type of each primary-key field, for [`Self::storage_key`]
+    /// (`None` for `any`, which every value has).
+    fn key_types(&self) -> Vec<Option<Datatype>> {
+        let rt = self.resolved_record_type();
+        let declared = |f: &String| Some(rt.as_ref()?.field(f)?.ty.clone());
+        let any = |ty: &Datatype| matches!(ty, Datatype::Primitive(PrimitiveType::Any));
+        self.meta.primary_key.iter().map(|f| declared(f).filter(|ty| !any(ty))).collect()
     }
 
     /// The dataset's record type — the `Arc` its [`Datatype::Record`]
@@ -703,26 +758,26 @@ impl DatasetRuntime {
     }
 
     /// The batched primary fetch — the key-list case of
-    /// `read_partition_projected` across partitions. `pks` may come
-    /// in any order and repeat; each is routed to its owning partition,
-    /// and a partition's keys are sorted by their encoding and fetched as
-    /// one list, so every columnar row group holding some of them is
-    /// visited once. The visitor receives
-    /// `(position in pks, tuple)` per key whose record exists and survives
-    /// `proj`'s filters, in primary-key order within a partition, and
-    /// returns `Ok(false)` to stop early; its first error stops the fetch
-    /// and is what the call returns.
-    pub fn fetch_projected(
+    /// `read_partition_projected` across partitions. `pks` are encoded
+    /// tuples of the key fields and may come in any order and repeat; each
+    /// is routed to its owning partition (see `storage_key`), and a
+    /// partition's keys are sorted by their encoding and fetched as one
+    /// list, so every columnar row group holding some of them is visited
+    /// once. The visitor receives `(position in pks, tuple)` per key whose
+    /// record exists and survives `proj`'s filters, in primary-key order
+    /// within a partition, and returns `Ok(false)` to stop early; its first
+    /// error stops the fetch and is what the call returns.
+    pub fn fetch_projected<'k>(
         &self,
-        pks: &[Vec<Value>],
+        pks: impl IntoIterator<Item = &'k [u8]>,
         proj: &Projection,
         visit: &mut dyn FnMut(usize, &[u8]) -> Result<bool>,
     ) -> Result<()> {
-        let record_type = self.resolved_record_type();
+        let key_types = self.key_types();
         let mut wanted: Vec<Vec<(Vec<u8>, usize)>> = vec![Vec::new(); self.partitions()];
-        for (i, pk) in pks.iter().enumerate() {
-            let pk = self.coerce_pk_as(record_type.as_deref(), pk);
-            wanted[self.partition_of(&pk)].push((keycodec::encode_key(&pk)?, i));
+        for (i, pk) in pks.into_iter().enumerate() {
+            let (key, partition) = self.storage_key(&key_types, pk)?;
+            wanted[partition].push((key, i));
         }
         let mut go = true;
         for (partition, mut wanted) in wanted.into_iter().enumerate() {

@@ -383,8 +383,8 @@ impl Instance {
         self.persist_ddl_records(&[&format!("use dataverse {dv}"), source])
     }
 
-    /// Persist a dataverse-independent statement (`create/drop dataverse`,
-    /// `use dataverse`) verbatim.
+    /// Persist a dataverse-independent statement (`create/drop dataverse`)
+    /// verbatim.
     fn persist_ddl_absolute(&self, source: &str) -> Result<()> {
         self.persist_ddl_records(&[source])
     }
@@ -758,9 +758,11 @@ impl Instance {
         stmt: Statement,
         source: &str,
     ) -> Result<StatementResult> {
-        // Any statement that can change the catalog (DDL, feed wiring,
-        // `use dataverse`) bumps the catalog epoch, invalidating every
-        // cached plan. DML and queries leave plans valid; a bump on a
+        // Any statement that can change the catalog (DDL, feed wiring)
+        // bumps the catalog epoch, invalidating every cached plan. DML and
+        // queries leave plans valid, and so do the statements that change
+        // only their own session (`use dataverse`, `set`): the plan key
+        // carries the session's dataverse and settings. A bump on a
         // statement that then fails only costs an extra recompile.
         if !matches!(
             stmt,
@@ -769,6 +771,7 @@ impl Instance {
                 | Statement::Delete { .. }
                 | Statement::Load { .. }
                 | Statement::Set { .. }
+                | Statement::UseDataverse(_)
         ) {
             self.shared.bump_epoch();
         }
@@ -808,8 +811,9 @@ impl Instance {
                 if self.shared.catalog.read().dataverse(&name).is_none() {
                     return Err(AsterixError::Catalog(format!("unknown dataverse {name}")));
                 }
+                // Not logged: every dataverse-relative DDL record carries
+                // its own `use dataverse` (`persist_ddl`).
                 sess.set_dataverse(name);
-                self.persist_ddl_absolute(source)?;
                 Ok(StatementResult::Ok)
             }
             Statement::CreateType { name, ty } => {

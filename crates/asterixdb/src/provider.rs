@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use asterix_adm::Value;
 use asterix_algebricks::metadata::{
-    IndexInfo, IndexKind, IndexProbe, KeyBound, MetadataProvider, ScanFilter, ScanProjection,
+    IndexInfo, IndexKind, IndexProbe, IndexSearchFn, KeyBound, MetadataProvider, ScanFilter,
+    ScanProjection,
 };
 use asterix_aql::translate::{AqlCatalog, FunctionDef};
 use asterix_hyracks::ops::{FetchFn, RawSourceFn};
@@ -358,23 +359,29 @@ impl MetadataProvider for InstanceProvider {
         &self,
         dataset: &str,
         index: &str,
-        probe: IndexProbe,
-    ) -> asterix_hyracks::Result<RawSourceFn> {
+    ) -> asterix_hyracks::Result<IndexSearchFn> {
         let ds = self.runtime(dataset)?;
         let ix = ds.secondary(index).ok_or_else(|| op_err(format!("unknown index {index}")))?;
-        let probe = match probe {
-            IndexProbe::Range { lo, hi } => IndexProbe::Range {
-                lo: Self::coerce_bound(&ds, Some(&ix.meta), lo),
-                hi: Self::coerce_bound(&ds, Some(&ix.meta), hi),
-            },
-            other => other,
-        };
-        Ok(Arc::new(move |partition, _nparts, _consult, emit| {
-            let mut visit = |pk: &[u8]| {
-                emit(pk)?;
+        Ok(Arc::new(move |partitions, probes, emit| {
+            // B-tree bounds are coerced to the indexed field's declared type.
+            let coerced: Vec<IndexProbe> = probes
+                .iter()
+                .map(|probe| match probe {
+                    IndexProbe::Range { lo, hi } => IndexProbe::Range {
+                        lo: Self::coerce_bound(&ds, Some(&ix.meta), lo.clone()),
+                        hi: Self::coerce_bound(&ds, Some(&ix.meta), hi.clone()),
+                    },
+                    other => other.clone(),
+                })
+                .collect();
+            let mut visit = |i: usize, pk: &[u8]| {
+                emit(i, pk)?;
                 Ok(true)
             };
-            Ok(ix.partitions[partition].search(&probe, &mut visit)?)
+            for p in partitions {
+                ix.partitions[p].search(&coerced, &mut visit)?;
+            }
+            Ok(())
         }))
     }
 
@@ -387,7 +394,7 @@ impl MetadataProvider for InstanceProvider {
         let projection = projection.clone();
         Ok(Arc::new(move |pks, emit| {
             let proj = storage_projection(&projection, None);
-            Ok(ds.fetch_projected(pks, &proj, &mut |i, row| {
+            Ok(ds.fetch_projected(pks.iter(), &proj, &mut |i, row| {
                 emit(i, row)?;
                 Ok(true)
             })?)

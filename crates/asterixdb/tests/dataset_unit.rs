@@ -185,9 +185,11 @@ fn batched_fetch_routes_dedups_and_reports_positions() {
     let ids = [77i64, 3, 500, 110, 3, 50, 99, -1, 0];
     let mut pks: Vec<Vec<Value>> = ids.iter().map(|i| vec![Value::Int64(*i)]).collect();
     pks[4] = vec![Value::Int32(3)];
+    let enc: Vec<Vec<u8>> = pks.iter().map(|pk| asterix_adm::encode_tuple(pk)).collect();
+    let keys = || enc.iter().map(Vec::as_slice);
     let proj = Projection { fields: Some(vec!["v".into()]), filters: Vec::new() };
     let mut got: Vec<(usize, Value)> = Vec::new();
-    ds.fetch_projected(&pks, &proj, &mut |i, row| {
+    ds.fetch_projected(keys(), &proj, &mut |i, row| {
         got.push((i, asterix_adm::decode_tuple(row).unwrap().pop().unwrap()));
         Ok(true)
     })
@@ -207,7 +209,7 @@ fn batched_fetch_routes_dedups_and_reports_positions() {
 
     // Whole records equal what a point lookup returns.
     let mut whole = Vec::new();
-    ds.fetch_projected(&pks, &Projection::all(), &mut |i, row| {
+    ds.fetch_projected(keys(), &Projection::all(), &mut |i, row| {
         whole.push((i, asterix_adm::decode_tuple(row).unwrap().pop().unwrap()));
         Ok(true)
     })
@@ -219,7 +221,7 @@ fn batched_fetch_routes_dedups_and_reports_positions() {
 
     // `Ok(false)` from the visitor ends the fetch, across partitions too.
     let mut seen = 0;
-    ds.fetch_projected(&pks, &proj, &mut |_, _| {
+    ds.fetch_projected(keys(), &proj, &mut |_, _| {
         seen += 1;
         Ok(false)
     })

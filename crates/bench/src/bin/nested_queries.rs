@@ -3,14 +3,18 @@
 //! `msAuthorIdx` + `msUserSinceIdx`; each message with its author's name,
 //! whose outer input outnumbers the users it nests; `count(dataset …)`
 //! against `count(for …)`; and `for` over a subquery against its flat
-//! form.
+//! form. With the indexes, also the cost of an index nested-loop join per
+//! outer tuple: Table 3's Sel-Join (Lg) with `/*+ indexnl */`, its `count`,
+//! and a counted range selection on `msAuthorIdx` over about as many
+//! message keys (`index_nl` in the JSON).
 //!
-//! Each pair runs in process through `Instance::query`, after one warm-up,
-//! `ASTERIX_BENCH_RUNS` times (default 5), the two forms taking turns
-//! going first; the binary asserts that both
+//! Each pair (and the trio) runs in process through `Instance::query`,
+//! after one warm-up, `ASTERIX_BENCH_RUNS` times (default 5), the forms
+//! taking turns going first; the binary asserts that the
 //! forms answer alike — Query 4's twin is an inner join, so it is compared
-//! with the nested rows whose list is not empty — and prints medians as
-//! JSON, to `ASTERIX_BENCH_JSON_OUT` when set. `ASTERIX_BENCH_SCALE`
+//! with the nested rows whose list is not empty; the join's `count` is its
+//! row count, and the range's count is the corpus's — and prints medians
+//! as JSON, to `ASTERIX_BENCH_JSON_OUT` when set. `ASTERIX_BENCH_SCALE`
 //! scales the corpus (default 4 000 users, 20 000 messages).
 //!
 //! ```text
@@ -22,7 +26,7 @@ use std::time::Instant;
 use asterix_adm::print::to_adm_string;
 use asterix_adm::temporal::format_datetime;
 use asterix_adm::Value;
-use asterix_bench::datagen::{generate, ts_range_for, Scale};
+use asterix_bench::datagen::{generate, ts_range_for, Corpus, Scale};
 use asterix_bench::harness::{setup_asterix, SchemaMode};
 use asterixdb::Instance;
 
@@ -99,11 +103,16 @@ fn canonical(rows: Vec<Value>, inner_twin: bool) -> Vec<String> {
 /// The medians, in milliseconds, of `runs` timed executions of each of
 /// `queries` after one warm-up — each run times them all, in an order
 /// that turns from run to run — and their rows.
-fn time(instance: &Instance, queries: [&str; 2], runs: usize) -> ([f64; 2], [Vec<Value>; 2]) {
+fn time<const N: usize>(
+    instance: &Instance,
+    queries: [&str; N],
+    runs: usize,
+) -> ([f64; N], [Vec<Value>; N]) {
     let rows = queries.map(|q| instance.query(q).expect("query"));
-    let mut ms = [Vec::new(), Vec::new()];
+    let mut ms = [(); N].map(|_| Vec::new());
     for run in 0..runs {
-        for i in [run % 2, 1 - run % 2] {
+        for k in 0..N {
+            let i = (run + k) % N;
             let start = Instant::now();
             std::hint::black_box(instance.query(queries[i]).expect("query"));
             ms[i].push(start.elapsed().as_secs_f64() * 1000.0);
@@ -116,14 +125,65 @@ fn time(instance: &Instance, queries: [&str; 2], runs: usize) -> ([f64; 2], [Vec
     (ms.map(median), rows)
 }
 
+/// Table 3's Sel-Join (Lg) as an index nested-loop join, its `count`, and
+/// a counted range selection on `msAuthorIdx` over the messages of as many
+/// authors as the join's users: the JSON object that tracks what the join
+/// costs per outer tuple beyond fetching the same number of keys.
+fn index_nl_trio(instance: &Instance, corpus: &Corpus, runs: usize) -> String {
+    let (lo, hi) = ts_range_for(corpus.users.len() / 10, corpus.users.len());
+    let window = format!(
+        "$u.user-since >= datetime(\"{}\") and $u.user-since <= datetime(\"{}\")",
+        format_datetime(lo),
+        format_datetime(hi)
+    );
+    let join = format!(
+        "for $u in dataset MugshotUsers for $m in dataset MugshotMessages \
+         where $m.author-id /*+ indexnl */ = $u.id and {window} \
+         return {{ \"uname\": $u.name, \"message\": $m.message }}"
+    );
+    let count = format!(
+        "count(for $u in dataset MugshotUsers for $m in dataset MugshotMessages \
+         where $m.author-id /*+ indexnl */ = $u.id and {window} return $m)"
+    );
+    let users = instance
+        .query(&format!("count(for $u in dataset MugshotUsers where {window} return $u)"))
+        .expect("query")[0]
+        .as_i64()
+        .expect("a count");
+    let range = format!(
+        "count(for $m in dataset MugshotMessages \
+         where $m.author-id >= 0 and $m.author-id < {users} return $m)"
+    );
+    let ([join_ms, count_ms, range_ms], [join_rows, count_rows, range_rows]) =
+        time(instance, [&join, &count, &range], runs);
+    let counted = |rows: &[Value]| rows[0].as_i64().expect("a count") as usize;
+    assert_eq!(counted(&count_rows), join_rows.len(), "the join's count is its row count");
+    let in_range =
+        |m: &Value| m.field("author-id").as_i64().is_some_and(|a| (0..users).contains(&a));
+    let keys = corpus.messages.iter().filter(|m| in_range(m)).count();
+    assert_eq!(counted(&range_rows), keys, "the range counts the messages it covers");
+    format!(
+        "{{ \"users\": {users}, \"rows\": {}, \"join_ms\": {join_ms:.3}, \
+         \"join_count_ms\": {count_ms:.3}, \"range_keys\": {keys}, \"range_count_ms\": {range_ms:.3}, \
+         \"count_ratio\": {:.3} }}",
+        join_rows.len(),
+        count_ms / range_ms
+    )
+}
+
 fn main() {
     let scale = Scale::from_env();
     let runs: usize =
         std::env::var("ASTERIX_BENCH_RUNS").ok().and_then(|v| v.parse().ok()).unwrap_or(5).max(1);
     let corpus = generate(&scale, 20140702);
     let mut results = Vec::new();
+    let mut index_nl = String::new();
     for indexed in [false, true] {
         let sys = setup_asterix(&corpus, SchemaMode::Schema, indexed);
+        if indexed {
+            eprintln!("running index_nl ...");
+            index_nl = index_nl_trio(&sys.instance, &corpus, runs);
+        }
         let ix = if indexed { "ix" } else { "noix" };
         let mut pairs = Vec::new();
         for (label, percent) in [("1pct", 1), ("10pct", 10)] {
@@ -175,7 +235,7 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"nested_queries\",\n  \"users\": {},\n  \"messages\": {},\n  \
-         \"runs\": {runs},\n  \"shapes\": [\n{}\n  ]\n}}\n",
+         \"runs\": {runs},\n  \"shapes\": [\n{}\n  ],\n  \"index_nl\": {index_nl}\n}}\n",
         scale.users,
         scale.messages,
         results.join(",\n")

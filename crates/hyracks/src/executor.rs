@@ -1495,11 +1495,12 @@ mod tests {
         // More keys than one fetch batch holds, so a tail is left over.
         const N: i64 = FETCH_BATCH as i64 + 904;
         let key = |t: &Tuple| t[0].as_i64().unwrap();
+        let enc_key = |t: &[u8]| asterix_adm::TupleRef::new(t).unwrap().field(0).as_i64().unwrap();
         // A record for every even key.
         let fetch: FetchFn = Arc::new(move |pks, emit| {
             for (i, pk) in pks.iter().enumerate() {
-                if key(pk) % 2 == 0 {
-                    let k = key(pk);
+                let k = enc_key(pk);
+                if k % 2 == 0 {
                     emit(i, &asterix_adm::encode_tuple(&[Value::string(format!("rec-{k}"))]))?;
                 }
             }
@@ -1542,7 +1543,15 @@ mod tests {
                 "forward" => Arc::new(ForwardOp::new("merge")),
                 "index-nl" => Arc::new(IndexNestedLoopJoinOp::new(
                     "ix",
-                    move |t| Ok(vec![vec![Value::Int64(key(t))], vec![Value::Int64(key(t) + 1)]]),
+                    Arc::new(move |outers, groups, emit| {
+                        for (o, t) in outers.iter().enumerate() {
+                            groups.push(o);
+                            let k = enc_key(t);
+                            emit(o, &asterix_adm::encode_tuple(&[Value::Int64(k)]))?;
+                            emit(o, &asterix_adm::encode_tuple(&[Value::Int64(k + 1)]))?;
+                        }
+                        Ok(())
+                    }),
                     Arc::clone(&fetch),
                     JoinType::ProbeOuter,
                     1,

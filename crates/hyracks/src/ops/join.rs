@@ -16,11 +16,14 @@
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 use asterix_adm::{concat_tuples_into, encode_tuple, ordkey, TupleRef, Value};
 
-use super::{Batched, BatchedStage, FetchFn, OperatorDescriptor, PredFn, SpillGuard, FETCH_BATCH};
+use super::{
+    Batched, BatchedStage, FetchFn, OperatorDescriptor, Predicate, ProbeFn, SpillGuard, FETCH_BATCH,
+};
 use crate::filter::RuntimeFilterHub;
 use crate::frame::{hash_encoded_fields, FrameBuf, Tuple};
 use crate::pipeline::{FrameOut, Handoff, PipelineCtx, PipelineOp};
@@ -530,39 +533,44 @@ impl PipelineOp for NlProbe {
     }
 }
 
-/// Index nested-loop join: each outer tuple probes a secondary index for
-/// the primary keys it joins with, and the operator emits `outer ++ inner`
-/// per fetched record. Selected by the `indexnl` hint (Query 14). The
-/// probes' keys are gathered [`FETCH_BATCH`] at a time and fetched as one
-/// sorted key list — outer tuples arrive in no useful order, so a fetch
-/// per tuple would visit the primary index at random — and the batch is
-/// emitted in outer order. A `filter` — the search's post-validation —
-/// decides each `outer ++ inner` match inside the join, so an outer tuple
-/// none of whose matches passes is padded like one that found none.
+/// Index nested-loop join: the outer tuples probe a secondary index for
+/// the primary keys they join with, and the operator emits `outer ++ inner`
+/// per fetched record. Selected by the `indexnl` hint (Query 14). Outer
+/// tuples are buffered [`FETCH_BATCH`] at a time, Figure 6's shape per
+/// batch: one [`ProbeFn`] call resolves every tuple's probe and searches
+/// each index partition once for all of them. The batch is then fetched
+/// and emitted in outer order, a chunk at a time: the tuples' groups' keys
+/// are gathered until the next group would take them past `FETCH_BATCH`,
+/// and one [`FetchFn`] call fetches the chunk as one sorted key list —
+/// outer tuples arrive in no useful order, so a fetch per tuple would visit
+/// the primary index at random. A group's keys are fetched once per chunk,
+/// whatever number of its tuples the chunk holds. So a batch holds its
+/// probes' keys, encoded, and at most `FETCH_BATCH` fetched records, or one
+/// group's when that group alone matches more. A `filter` — the search's
+/// post-validation — decides each `outer ++ inner` match inside the join,
+/// so an outer tuple none of whose matches passes is padded like one that
+/// found none.
 pub struct IndexNestedLoopJoinOp {
     label: String,
-    /// The primary keys one outer tuple joins with.
     probe: ProbeFn,
     fetch: FetchFn,
-    filter: Option<PredFn>,
+    filter: Option<Predicate>,
     pub join_type: JoinType,
     /// Arity of the index-side tuples (for ProbeOuter null padding).
     pub inner_arity: usize,
 }
 
-type ProbeFn = Arc<dyn Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync>;
-
 impl IndexNestedLoopJoinOp {
     pub fn new(
         label: impl Into<String>,
-        probe: impl Fn(&Tuple) -> Result<Vec<Tuple>> + Send + Sync + 'static,
+        probe: ProbeFn,
         fetch: FetchFn,
         join_type: JoinType,
         inner_arity: usize,
     ) -> IndexNestedLoopJoinOp {
         IndexNestedLoopJoinOp {
             label: label.into(),
-            probe: Arc::new(probe),
+            probe,
             fetch,
             filter: None,
             join_type,
@@ -571,7 +579,7 @@ impl IndexNestedLoopJoinOp {
     }
 
     /// Keep only the matches `filter` accepts, decided on `outer ++ inner`.
-    pub fn with_filter(mut self, filter: PredFn) -> IndexNestedLoopJoinOp {
+    pub fn with_filter(mut self, filter: Predicate) -> IndexNestedLoopJoinOp {
         self.filter = Some(filter);
         self
     }
@@ -584,11 +592,17 @@ impl IndexNestedLoopJoinOp {
             join_type: self.join_type,
             pad: null_pad(self.inner_arity),
             outers: FrameBuf::new(),
-            pk_ends: Vec::new(),
-            pks: Vec::new(),
+            groups: Vec::new(),
+            pks: FrameBuf::new(),
+            askers: Vec::new(),
+            by_group: Vec::new(),
+            chunk: FrameBuf::new(),
+            chunk_keys: Vec::new(),
+            fetched_in: Vec::new(),
             inner: Vec::new(),
             found: Vec::new(),
             scratch: Vec::new(),
+            key_scratch: Vec::new(),
         }
     }
 }
@@ -607,70 +621,131 @@ impl OperatorDescriptor for IndexNestedLoopJoinOp {
     }
 }
 
-/// The buffered outer tuples of an [`IndexNestedLoopJoinOp`] instance and
-/// the keys their probes returned.
+/// The buffered outer tuples of an [`IndexNestedLoopJoinOp`] instance, and
+/// what their probes and the fetch found.
 struct IndexNlBatch {
     probe: ProbeFn,
     fetch: FetchFn,
-    filter: Option<PredFn>,
+    filter: Option<Predicate>,
     join_type: JoinType,
     pad: Vec<u8>,
     outers: FrameBuf,
-    /// Per buffered outer tuple, where its keys end in `pks` (they start
-    /// where the previous tuple's end).
-    pk_ends: Vec<usize>,
-    pks: Vec<Tuple>,
-    /// The fetched inner rows back to back, and each key's row in them.
+    /// Per outer tuple, the probe group it joins through.
+    groups: Vec<usize>,
+    /// The keys the batch's probes found, and the group each is for.
+    pks: FrameBuf,
+    askers: Vec<usize>,
+    /// The keys by group, each group's in the order they were found.
+    by_group: Vec<usize>,
+    /// The chunk being gathered: its keys, and each one's place in `pks`.
+    chunk: FrameBuf,
+    chunk_keys: Vec<usize>,
+    /// Per key, the number of the last chunk that gathered it.
+    fetched_in: Vec<usize>,
+    /// The chunk's fetched rows back to back, and each key's row in them.
     inner: Vec<u8>,
     found: Vec<Option<(usize, usize)>>,
     scratch: Vec<u8>,
+    key_scratch: Vec<u8>,
 }
 
 impl Batched for IndexNlBatch {
     fn push(&mut self, enc: &[u8], out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        let outer = asterix_adm::decode_tuple(enc)?;
-        self.pks.extend((self.probe)(&outer)?);
-        self.pk_ends.push(self.pks.len());
         self.outers.push_encoded(enc);
-        if self.pks.len() >= FETCH_BATCH || self.pk_ends.len() >= FETCH_BATCH {
+        if self.outers.tuple_count() >= FETCH_BATCH {
             self.drain(out)?;
         }
         Ok(())
     }
 
     fn drain(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        if self.outers.is_empty() {
+            return Ok(());
+        }
         let res = self.join_batch(out);
         self.outers.clear();
-        self.pk_ends.clear();
+        self.groups.clear();
         self.pks.clear();
+        self.askers.clear();
+        self.chunk_keys.clear();
         res
     }
 }
 
 impl IndexNlBatch {
-    /// Fetch the batch's keys once, then emit in outer order.
+    /// Probe the batch once, then fetch and emit it a chunk at a time.
     fn join_batch(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        let (inner, found) = (&mut self.inner, &mut self.found);
+        let (pks, askers) = (&mut self.pks, &mut self.askers);
+        (self.probe)(&self.outers, &mut self.groups, &mut |g, pk| {
+            pks.push_encoded(pk);
+            askers.push(g);
+            Ok(())
+        })?;
+        let askers = &self.askers;
+        self.by_group.clear();
+        self.by_group.extend(0..askers.len());
+        self.by_group.sort_by_key(|&i| askers[i]);
+        self.found.clear();
+        self.found.resize(askers.len(), None);
+        self.fetched_in.clear();
+        self.fetched_in.resize(askers.len(), 0);
+        let (mut first, mut chunk) = (0, 1);
+        for o in 0..self.groups.len() {
+            let keys = self.keys_of(self.groups[o]);
+            if keys.is_empty() || self.fetched_in[self.by_group[keys.start]] == chunk {
+                continue;
+            }
+            if !self.chunk_keys.is_empty() && self.chunk_keys.len() + keys.len() > FETCH_BATCH {
+                self.join_chunk(first..o, out)?;
+                (first, chunk) = (o, chunk + 1);
+            }
+            for &i in &self.by_group[keys] {
+                self.fetched_in[i] = chunk;
+                self.found[i] = None;
+                self.chunk_keys.push(i);
+            }
+        }
+        self.join_chunk(first..self.groups.len(), out)
+    }
+
+    /// Where group `g`'s keys sit in `by_group`.
+    fn keys_of(&self, g: usize) -> Range<usize> {
+        let askers = &self.askers;
+        let from = self.by_group.partition_point(|&i| askers[i] < g);
+        from..from + self.by_group[from..].partition_point(|&i| askers[i] == g)
+    }
+
+    /// Fetch the gathered keys, then emit the outer tuples `outers`, whose
+    /// groups' keys they are.
+    fn join_chunk(
+        &mut self,
+        outers: Range<usize>,
+        out: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<()> {
+        self.chunk.clear();
+        for &i in &self.chunk_keys {
+            self.chunk.push_encoded(self.pks.tuple_bytes(i));
+        }
+        let (inner, found, keys) = (&mut self.inner, &mut self.found, &self.chunk_keys);
         inner.clear();
-        found.clear();
-        found.resize(self.pks.len(), None);
-        if !self.pks.is_empty() {
-            (self.fetch)(&self.pks, &mut |i, row| {
-                found[i] = Some((inner.len(), inner.len() + row.len()));
+        if !keys.is_empty() {
+            (self.fetch)(&self.chunk, &mut |j, row| {
+                found[keys[j]] = Some((inner.len(), inner.len() + row.len()));
                 inner.extend_from_slice(row);
                 Ok(())
             })?;
         }
+        self.chunk_keys.clear();
         let pad = TupleRef::new(&self.pad)?;
-        let mut start = 0;
-        for (o, &end) in self.pk_ends.iter().enumerate() {
+        for o in outers {
             let outer = self.outers.tuple_ref(o)?;
             let mut matched = false;
-            for &(a, b) in found[start..end].iter().flatten() {
+            for k in self.keys_of(self.groups[o]) {
+                let Some((a, b)) = self.found[self.by_group[k]] else { continue };
                 self.scratch.clear();
-                concat_tuples_into(&mut self.scratch, &outer, &TupleRef::new(&inner[a..b])?);
+                concat_tuples_into(&mut self.scratch, &outer, &TupleRef::new(&self.inner[a..b])?);
                 if let Some(filter) = &self.filter {
-                    if !filter(&asterix_adm::decode_tuple(&self.scratch)?)? {
+                    if !filter.decide(&self.scratch, &mut self.key_scratch)? {
                         continue;
                     }
                 }
@@ -682,7 +757,6 @@ impl IndexNlBatch {
                 concat_tuples_into(&mut self.scratch, &outer, &pad);
                 out(&self.scratch)?;
             }
-            start = end;
         }
         Ok(())
     }
@@ -941,43 +1015,44 @@ mod tests {
     }
 
     /// Runs an index-NL join over `outers`: key `k` probes to the primary
-    /// keys `[k, k + 100]` when even and to nothing when odd; the fetch
-    /// knows records for keys below 100 only, and records the batches it
-    /// was asked for.
+    /// keys `[k, k + 100, k + 200, ..]` (`fanout` of them) when even and to
+    /// nothing when odd; the fetch knows records for keys below 100 only,
+    /// and records the batches it was asked for.
     fn run_index_nl(
         join_type: JoinType,
         outers: Vec<Tuple>,
         fused: bool,
+        fanout: i64,
     ) -> (Vec<Tuple>, Vec<usize>) {
+        let int = |t: &[u8]| TupleRef::new(t).unwrap().field(0).as_i64().unwrap();
         let batches = Arc::new(asterix_sync::Mutex::new(Vec::new()));
         let seen = Arc::clone(&batches);
         let fetch: FetchFn = Arc::new(move |pks, emit| {
-            seen.lock().push(pks.len());
+            seen.lock().push(pks.tuple_count());
             // Key order, as the contract says — not input order.
-            let mut order: Vec<usize> = (0..pks.len()).collect();
-            order.sort_by(|a, b| pks[*a][0].total_cmp(&pks[*b][0]));
+            let mut order: Vec<usize> = (0..pks.tuple_count()).collect();
+            order.sort_by_key(|&i| int(pks.tuple_bytes(i)));
             for i in order {
-                let k = pks[i][0].as_i64().unwrap();
+                let k = int(pks.tuple_bytes(i));
                 if k < 100 {
                     emit(i, &encode_tuple(&[Value::string(format!("rec-{k}"))]))?;
                 }
             }
             Ok(())
         });
-        let op = IndexNestedLoopJoinOp::new(
-            "ix",
-            |t| {
-                let k = t[0].as_i64().unwrap();
-                Ok(if k % 2 == 0 {
-                    vec![vec![Value::Int64(k)], vec![Value::Int64(k + 100)]]
-                } else {
-                    vec![]
-                })
-            },
-            fetch,
-            join_type,
-            1,
-        );
+        let probe: ProbeFn = Arc::new(move |outers, groups, emit| {
+            for (o, t) in outers.iter().enumerate() {
+                groups.push(o);
+                let k = int(t);
+                if k % 2 == 0 {
+                    for j in 0..fanout {
+                        emit(o, &encode_tuple(&[Value::Int64(k + 100 * j)]))?;
+                    }
+                }
+            }
+            Ok(())
+        });
+        let op = IndexNestedLoopJoinOp::new("ix", probe, fetch, join_type, 1);
         let out = if fused {
             use crate::pipeline::testing::{Recorder, RecorderStage};
             let rec = Arc::new(asterix_sync::Mutex::new(Recorder::default()));
@@ -1016,7 +1091,7 @@ mod tests {
         // Outer keys descending, so outer order is the reverse of key order.
         let outers: Vec<Tuple> = (0..6i64).rev().map(|k| vec![Value::Int64(k)]).collect();
         for fused in [false, true] {
-            let (out, batches) = run_index_nl(JoinType::ProbeOuter, outers.clone(), fused);
+            let (out, batches) = run_index_nl(JoinType::ProbeOuter, outers.clone(), fused, 2);
             assert_eq!(batches, vec![6], "three probing outers, two keys each, one fetch");
             let got: Vec<(i64, Value)> =
                 out.iter().map(|r| (r[0].as_i64().unwrap(), r[1].clone())).collect();
@@ -1033,23 +1108,73 @@ mod tests {
                 ],
                 "fused={fused}"
             );
-            let (inner, _) = run_index_nl(JoinType::Inner, outers.clone(), fused);
+            let (inner, _) = run_index_nl(JoinType::Inner, outers.clone(), fused, 2);
             assert_eq!(inner.len(), 3, "fused={fused}");
         }
     }
 
     #[test]
     fn index_nested_loop_batches_are_bounded() {
-        // Every outer probes to two keys: a batch fills after half as many
+        // Every outer probes to two keys: a fetch fills after half as many
         // outers as it holds keys, and the tail goes out on finish.
         let n = FETCH_BATCH as i64 + 10;
         let outers: Vec<Tuple> = (0..n).map(|k| vec![Value::Int64(2 * k)]).collect();
         for fused in [false, true] {
-            let (out, batches) = run_index_nl(JoinType::Inner, outers.clone(), fused);
+            let (out, batches) = run_index_nl(JoinType::Inner, outers.clone(), fused, 2);
             assert_eq!(batches, vec![FETCH_BATCH, FETCH_BATCH, 20], "fused={fused}");
             // Keys below 100 have records: outers 0, 2, .. 98.
             assert_eq!(out.len(), 50, "fused={fused}");
             assert!(out.windows(2).all(|w| w[0][0].total_cmp(&w[1][0]).is_lt()));
         }
+    }
+
+    #[test]
+    fn index_nested_loop_wide_probes_fetch_in_bounded_chunks() {
+        // Each outer probes to 20 keys: no fetch takes more than a fetch
+        // batch of keys, and each key is fetched once.
+        let n = 3 * FETCH_BATCH;
+        let outers: Vec<Tuple> = (0..n as i64).map(|k| vec![Value::Int64(2 * k)]).collect();
+        let (out, batches) = run_index_nl(JoinType::Inner, outers, true, 20);
+        assert!(batches.iter().all(|&b| b <= FETCH_BATCH), "{batches:?}");
+        assert_eq!(batches.iter().sum::<usize>(), 20 * n);
+        assert_eq!(out.len(), 50);
+        // A group wider than a fetch batch is fetched alone, in one piece.
+        let wide = FETCH_BATCH as i64 + 1;
+        let outers: Vec<Tuple> = [0, 1, 2].map(|k| vec![Value::Int64(k)]).into();
+        let (out, batches) = run_index_nl(JoinType::ProbeOuter, outers, true, wide);
+        assert_eq!(batches, [wide as usize, wide as usize]);
+        let ks: Vec<i64> = out.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        assert_eq!(ks, [0, 1, 2]);
+    }
+
+    /// Outer tuples that share a probe group share its keys: each key is
+    /// fetched once and joined with every tuple of the group.
+    #[test]
+    fn index_nested_loop_tuples_of_one_group_share_its_keys() {
+        let fetched = Arc::new(asterix_sync::Mutex::new(0));
+        let seen = Arc::clone(&fetched);
+        let fetch: FetchFn = Arc::new(move |pks, emit| {
+            *seen.lock() += pks.tuple_count();
+            (0..pks.tuple_count()).try_for_each(|i| emit(i, pks.tuple_bytes(i)))
+        });
+        // Every outer in group 0, which matches keys 1 and 2.
+        let probe: ProbeFn = Arc::new(|outers, groups, emit| {
+            groups.resize(outers.tuple_count(), 0);
+            (1..=2i64).try_for_each(|k| emit(0, &encode_tuple(&[Value::Int64(k)])))
+        });
+        let op = IndexNestedLoopJoinOp::new("ix", probe, fetch, JoinType::Inner, 1);
+        let x = ExchangeConfig::default();
+        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        for o in 0..3i64 {
+            b_out[0].push_encoded(&encode_tuple(&[Value::Int64(10 * o)])).unwrap();
+        }
+        drop(b_out);
+        run_partition(&op, b_in, r_out.remove(0)).unwrap();
+        let out = read_all(&mut r_in[0]).unwrap();
+        let pairs: Vec<(i64, i64)> =
+            out.iter().map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap())).collect();
+        assert_eq!(pairs, [(0, 1), (0, 2), (10, 1), (10, 2), (20, 1), (20, 2)]);
+        assert_eq!(*fetched.lock(), 2, "each key fetched once");
     }
 }

@@ -58,15 +58,31 @@ pub type RawSourceFn = Arc<
 >;
 
 /// Resolve a batch of primary keys against the primary index:
-/// `(pks, emit)`. `pks` may come in any order and repeat; the callee sorts
-/// them by encoded key itself and visits storage once per batch. For every
-/// key whose record exists — and survives the filters pushed into the
-/// fetch — it calls `emit(i, row)` with the key's position in `pks` and the
-/// record as an encoded single-column tuple, in primary-key order within
-/// each storage partition. `emit` runs with the index's read lock held:
-/// callers collect the rows and push them downstream after the call.
+/// `(pks, emit)`. `pks` holds the keys as encoded tuples of the key fields,
+/// in any order and with repeats; the callee sorts them by storage key
+/// itself and visits storage once per batch. For every key whose record
+/// exists — and survives the filters pushed into the fetch — it calls
+/// `emit(i, row)` with the key's position in `pks` and the record as an
+/// encoded single-column tuple, in primary-key order within each storage
+/// partition. `emit` runs with the index's read lock held: callers collect
+/// the rows and push them downstream after the call.
 pub type FetchFn =
-    Arc<dyn Fn(&[Tuple], &mut dyn FnMut(usize, &[u8]) -> Result<()>) -> Result<()> + Send + Sync>;
+    Arc<dyn Fn(&FrameBuf, &mut dyn FnMut(usize, &[u8]) -> Result<()>) -> Result<()> + Send + Sync>;
+
+/// Resolve a batch of outer tuples to the primary keys each joins with
+/// (the index side of an [`IndexNestedLoopJoinOp`]): `(outers, groups,
+/// emit)`. The callee pushes onto `groups`, for each tuple of `outers` in
+/// order, the number of the probe group it joins through — tuples whose
+/// probes match the same keys (a probe that matches every key, say) may
+/// share one — and calls `emit(g, pk)` for each primary key,
+/// an encoded tuple of the key fields, that group `g` matches, in any
+/// order. The callee searches each index partition once per call, and
+/// `emit` may run with an index's read lock held: it only buffers.
+pub type ProbeFn = Arc<
+    dyn Fn(&FrameBuf, &mut Vec<usize>, &mut dyn FnMut(usize, &[u8]) -> Result<()>) -> Result<()>
+        + Send
+        + Sync,
+>;
 
 /// Keys a fetching stage buffers before it visits the primary index: enough
 /// that the few thousand keys of a selective index search land several to
@@ -465,38 +481,60 @@ impl OrdPred {
     }
 }
 
+/// A predicate over encoded tuples, decided the cheapest way it can be:
+/// its ordkey conjuncts on the bytes first, then — for a tuple they leave
+/// open — the decoding predicate over the columns it reads. A select and
+/// the index nested-loop join's postcondition decide through it, tuple by
+/// tuple and frame by frame alike, so every path a tuple can take to it
+/// gets the same verdict for the same work.
+#[derive(Clone)]
+pub struct Predicate {
+    pub pred: PredFn,
+    /// Columns the predicate reads, when the compiler knows them: only
+    /// these are decoded per tuple, through `TupleRef::field_value`, and the
+    /// predicate sees `Missing` everywhere else (`None` = full decode).
+    pub fields: Option<Vec<usize>>,
+    /// Ordkey-classified constant comparisons whose conjunction is the
+    /// predicate (empty when some conjunct is not one): a tuple one of them
+    /// rejects is dropped on memcmps of comparison-key bytes, and only
+    /// tuples the transcoder refuses and none rejects are decoded. A
+    /// comparison never fails to evaluate, so which conjunct rejects does
+    /// not matter.
+    pub ord: Vec<OrdPred>,
+}
+
+impl Predicate {
+    /// Does the encoded tuple pass? `scratch` holds comparison keys.
+    pub fn decide(&self, bytes: &[u8], scratch: &mut Vec<u8>) -> Result<bool> {
+        let mut decided = !self.ord.is_empty();
+        for o in &self.ord {
+            match o.eval_encoded(bytes, scratch) {
+                Some(false) => return Ok(false),
+                Some(true) => {}
+                None => decided = false,
+            }
+        }
+        if decided {
+            return Ok(true);
+        }
+        let t = decode_for_eval(bytes, self.fields.as_deref())?;
+        (self.pred)(&t)
+    }
+}
+
 /// Filter by predicate (the `select` operator of Figure 6).
 pub struct SelectOp {
     label: String,
-    pred: PredFn,
-    /// Columns the predicate reads, when the compiler knows them: only
-    /// these are decoded per tuple (`None` = full decode).
-    fields: Option<Vec<usize>>,
-    /// Ordkey fast path: the predicate's conjuncts, when every one is a
-    /// constant comparison (empty otherwise), taken on whole frames.
-    ord: Vec<OrdPred>,
+    pred: Predicate,
 }
 
 impl SelectOp {
     pub fn new(label: impl Into<String>, pred: PredFn) -> SelectOp {
-        SelectOp { label: label.into(), pred, fields: None, ord: Vec::new() }
+        SelectOp::with_predicate(label, Predicate { pred, fields: None, ord: Vec::new() })
     }
 
-    /// A select whose predicate reads only the given columns: evaluation
-    /// decodes just those positions through `TupleRef::field_value` and the
-    /// predicate sees `Missing` everywhere else.
-    pub fn with_fields(label: impl Into<String>, pred: PredFn, fields: Vec<usize>) -> SelectOp {
-        SelectOp { label: label.into(), pred, fields: Some(fields), ord: Vec::new() }
-    }
-
-    /// Attach ordkey-classified constant comparisons whose conjunction is
-    /// the predicate: batch evaluation memcmps comparison-key bytes, drops
-    /// a tuple one of them rejects, and only decodes tuples the transcoder
-    /// refuses and none rejects. A comparison never fails to evaluate, so
-    /// which conjunct rejects does not matter.
-    pub fn with_ordkey(mut self, conjuncts: Vec<OrdPred>) -> SelectOp {
-        self.ord = conjuncts;
-        self
+    pub fn with_predicate(label: impl Into<String>, pred: Predicate) -> SelectOp {
+        SelectOp { label: label.into(), pred }
     }
 }
 
@@ -511,9 +549,7 @@ impl OperatorDescriptor for SelectOp {
         next: Box<dyn PipelineOp>,
     ) -> Result<Box<dyn PipelineOp>> {
         Ok(Box::new(SelectStage {
-            pred: Arc::clone(&self.pred),
-            fields: self.fields.clone(),
-            ord: self.ord.clone(),
+            pred: self.pred.clone(),
             keep: SelBitmap::new(),
             key_scratch: Vec::new(),
             compacted: FrameBuf::new(),
@@ -522,39 +558,21 @@ impl OperatorDescriptor for SelectOp {
     }
 }
 
+/// A select's stage: `push` and `push_frame` decide alike, through
+/// [`Predicate::decide`] — an operator that emits tuple by tuple (the
+/// primary fetch, the index nested-loop join) gets the ordkey fast path
+/// too.
 struct SelectStage {
-    pred: PredFn,
-    fields: Option<Vec<usize>>,
-    /// Ordkey fast path, consulted per frame (`push_frame`).
-    ord: Vec<OrdPred>,
+    pred: Predicate,
     keep: SelBitmap,
     key_scratch: Vec<u8>,
     compacted: FrameBuf,
     next: Box<dyn PipelineOp>,
 }
 
-impl SelectStage {
-    fn verdict(&mut self, bytes: &[u8]) -> Result<bool> {
-        let mut decided = !self.ord.is_empty();
-        for o in &self.ord {
-            match o.eval_encoded(bytes, &mut self.key_scratch) {
-                Some(false) => return Ok(false),
-                Some(true) => {}
-                None => decided = false,
-            }
-        }
-        if decided {
-            return Ok(true);
-        }
-        let t = decode_for_eval(bytes, self.fields.as_deref())?;
-        (self.pred)(&t)
-    }
-}
-
 impl PipelineOp for SelectStage {
     fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        let t = decode_for_eval(bytes, self.fields.as_deref())?;
-        if (self.pred)(&t)? {
+        if self.pred.decide(bytes, &mut self.key_scratch)? {
             self.next.push(bytes)?;
         }
         Ok(())
@@ -564,7 +582,7 @@ impl PipelineOp for SelectStage {
         let n = frame.tuple_count();
         self.keep.reset(n);
         for i in 0..n {
-            if self.verdict(frame.tuple_bytes(i))? {
+            if self.pred.decide(frame.tuple_bytes(i), &mut self.key_scratch)? {
                 self.keep.set(i);
             }
         }
@@ -1050,31 +1068,30 @@ impl<B: Batched> PipelineOp for BatchedStage<B> {
 }
 
 /// The buffered keys of a [`PrimaryFetchOp`] instance, and the rows of the
-/// batch being fetched.
+/// batch being fetched. Keys stay the encoded tuples they arrived as.
 struct FetchBatch {
     fetch: FetchFn,
-    pks: Vec<Tuple>,
+    pks: FrameBuf,
     rows: FrameBuf,
 }
 
 impl FetchBatch {
     fn new(fetch: &FetchFn) -> FetchBatch {
-        FetchBatch { fetch: Arc::clone(fetch), pks: Vec::new(), rows: FrameBuf::new() }
+        FetchBatch { fetch: Arc::clone(fetch), pks: FrameBuf::new(), rows: FrameBuf::new() }
     }
 }
 
 impl Batched for FetchBatch {
     fn push(&mut self, bytes: &[u8], out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        self.pks.push(asterix_adm::decode_tuple(bytes)?);
-        if self.pks.len() >= FETCH_BATCH {
+        self.pks.push_encoded(bytes);
+        if self.pks.tuple_count() >= FETCH_BATCH {
             self.drain(out)?;
         }
         Ok(())
     }
 
     fn drain(&mut self, out: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        let pks = std::mem::take(&mut self.pks);
-        if pks.is_empty() {
+        if self.pks.is_empty() {
             return Ok(());
         }
         // The fetch runs under the primary index's read lock: its rows go
@@ -1082,10 +1099,12 @@ impl Batched for FetchBatch {
         // hold writers up.
         let rows = &mut self.rows;
         rows.clear();
-        (self.fetch)(&pks, &mut |_, row| {
+        let fetched = (self.fetch)(&self.pks, &mut |_, row| {
             rows.push_encoded(row);
             Ok(())
-        })?;
+        });
+        self.pks.clear();
+        fetched?;
         rows.iter().try_for_each(out)
     }
 }
@@ -1181,10 +1200,10 @@ mod tests {
     /// each batch it is handed.
     fn even_keys(batches: &Arc<Mutex<Vec<usize>>>) -> FetchFn {
         let batches = Arc::clone(batches);
-        Arc::new(move |pks, emit| {
-            batches.lock().push(pks.len());
+        Arc::new(move |pks: &FrameBuf, emit| {
+            batches.lock().push(pks.tuple_count());
             for (i, pk) in pks.iter().enumerate() {
-                let k = pk[0].as_i64().unwrap();
+                let k = asterix_adm::TupleRef::new(pk)?.field(0).as_i64().unwrap();
                 if k % 2 == 0 {
                     emit(i, &asterix_adm::encode_tuple(&[Value::string(format!("rec-{k}"))]))?;
                 }
@@ -1249,16 +1268,6 @@ mod tests {
             let v = t[0].field("n");
             Ok(!v.is_unknown() && v.total_cmp(&lo).is_ge() && v.total_cmp(&hi).is_lt())
         });
-        let run = |sel: SelectOp| {
-            let rec = Arc::new(Mutex::new(Recorder::default()));
-            let ctx = PipelineCtx { partition: 0, nparts: 1, env: Default::default() };
-            let mut stage = sel.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
-            stage.push_frame(&frame).unwrap();
-            let rows = rec.lock().rows.clone();
-            rows
-        };
-        let want = run(SelectOp::new("decoding", Arc::clone(&pred)));
-        assert_eq!(decoded.swap(0, AtomicOrdering::Relaxed), tuples.len() as u64);
         let cmp = |op, v: &Value| OrdPred {
             col: 0,
             path: Some("n".into()),
@@ -1266,11 +1275,35 @@ mod tests {
             key: asterix_adm::ordkey::encode_value(v),
         };
         let ord = vec![cmp(CmpKind::Ge, &Value::Int64(5)), cmp(CmpKind::Lt, &Value::Int64(12))];
-        let got = run(SelectOp::new("ordkey", pred).with_ordkey(ord));
-        assert_eq!(got, want);
-        assert_eq!(want.len(), 8, "5..12 and 7.5");
-        let refused = decoded.load(AtomicOrdering::Relaxed);
-        assert_eq!(refused, 2, "only the record without `n` and the list are decoded");
+        let ordkey = Predicate { pred: Arc::clone(&pred), fields: None, ord };
+        for per_tuple in [false, true] {
+            let want = run_select(SelectOp::new("decoding", Arc::clone(&pred)), &frame, per_tuple);
+            assert_eq!(decoded.swap(0, AtomicOrdering::Relaxed), tuples.len() as u64);
+            let got =
+                run_select(SelectOp::with_predicate("ordkey", ordkey.clone()), &frame, per_tuple);
+            assert_eq!(got, want, "per_tuple={per_tuple}");
+            assert_eq!(want.len(), 8, "5..12 and 7.5");
+            let refused = decoded.swap(0, AtomicOrdering::Relaxed);
+            assert_eq!(
+                refused, 2,
+                "per_tuple={per_tuple}: only the record without `n` and the list are decoded"
+            );
+        }
+    }
+
+    /// Runs a select over `frame`, whole or one tuple at a time, and
+    /// returns the tuples it keeps.
+    fn run_select(sel: SelectOp, frame: &FrameBuf, per_tuple: bool) -> Vec<Vec<u8>> {
+        let rec = Arc::new(Mutex::new(Recorder::default()));
+        let ctx = PipelineCtx { partition: 0, nparts: 1, env: Default::default() };
+        let mut stage = sel.pipeline(ctx, Box::new(RecorderStage(Arc::clone(&rec)))).unwrap();
+        if per_tuple {
+            frame.iter().for_each(|t| stage.push(t).unwrap());
+        } else {
+            stage.push_frame(frame).unwrap();
+        }
+        let rows = rec.lock().rows.clone();
+        rows
     }
 
     /// Without a field set, each expression of an assign sees the values

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use asterix_adm::Value;
 
 use crate::cache::BufferCache;
+use crate::columnar::KeyRange;
 use crate::error::{Result, StorageError};
 use crate::keycodec::{decode_key, encode_key, prefix_successor};
 use crate::lsm::{LsmConfig, LsmObserver, LsmTree};
@@ -115,6 +116,61 @@ impl LsmBTree {
         self.tree.scan_with(lo_b.as_deref(), hi_b.as_deref(), |k, v| f(&decode_key(k)?, v))
     }
 
+    /// Streaming scan of a batch of ranges — the B-tree probes of an index
+    /// nested-loop join's outer tuples — as one forward pass over each
+    /// component: the ranges are sorted and their union read once, and `f`
+    /// gets `(i, key, value)` for every entry, once for each range
+    /// `ranges[i]` that holds it, in key order. A range holding nothing
+    /// (`lo` above `hi`) matches nothing. `f` stops the scan as
+    /// [`Self::range_with`]'s visitor does.
+    pub fn ranges_with<E: From<StorageError>>(
+        &self,
+        ranges: &[(ValueBound, ValueBound)],
+        mut f: impl FnMut(usize, &[Value], &[u8]) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
+        let mut probes: Vec<(KeyRange, usize)> = Vec::with_capacity(ranges.len());
+        for (i, (lo, hi)) in ranges.iter().enumerate() {
+            let r = KeyRange { lo: lo.encode_lo()?, hi: hi.encode_hi()? };
+            if !r.is_empty() {
+                probes.push((r, i));
+            }
+        }
+        // An open lower bound (`None`) sorts first.
+        probes.sort_by(|a, b| a.0.lo.cmp(&b.0.lo));
+        // What storage reads: the union of the ranges, ascending and
+        // disjoint (ranges that overlap or touch are one).
+        let mut union: Vec<KeyRange> = Vec::new();
+        for (r, _) in &probes {
+            match union.last_mut() {
+                Some(u)
+                    if u.hi.as_ref().is_none_or(|hi| r.lo.as_ref().is_none_or(|lo| lo <= hi)) =>
+                {
+                    if u.hi.is_some() && r.hi.as_ref().is_none_or(|hi| Some(hi) > u.hi.as_ref()) {
+                        u.hi = r.hi.clone();
+                    }
+                }
+                _ => union.push(r.clone()),
+            }
+        }
+        // Entries come in key order: the ranges holding one are among those
+        // whose lower bound it has reached and whose upper bound it has not.
+        let (mut next, mut open) = (0, Vec::new());
+        self.tree.scan_ranges_with(&union, |k, v| {
+            while probes.get(next).is_some_and(|(r, _)| r.lo.as_deref().is_none_or(|lo| lo <= k)) {
+                open.push(next);
+                next += 1;
+            }
+            open.retain(|&p| probes[p].0.holds(k));
+            let key = decode_key(k)?;
+            for &p in &open {
+                if !f(probes[p].1, &key, v)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        })
+    }
+
     /// For a secondary-index entry key, split into (secondary part, primary
     /// part) per the declared arity.
     pub fn split_key<'a>(&self, full: &'a [Value]) -> (&'a [Value], &'a [Value]) {
@@ -203,6 +259,53 @@ mod tests {
             assert_eq!(pk.len(), 1);
             assert_eq!(pk[0].as_i64().unwrap() % 3, 1);
         }
+    }
+
+    /// A batch of ranges — points, repeats, overlaps, an empty one and open
+    /// ones — over entries in memory, in a flushed component and deleted
+    /// there: each range gets exactly what its own range scan gets.
+    #[test]
+    fn a_batch_of_ranges_matches_a_scan_per_range() {
+        let dir = TempDir::new().unwrap();
+        // Secondary key = (author), full key = (author, message-id).
+        let t = open(dir.path(), 1);
+        for mid in 0..200i64 {
+            t.insert(&[Value::Int64(mid % 20), Value::Int64(mid)], Vec::new()).unwrap();
+            if mid == 120 {
+                t.lsm().flush().unwrap();
+            }
+        }
+        t.delete(&[Value::Int64(7), Value::Int64(27)]).unwrap();
+        let (inc, exc) = (
+            |k: i64| ValueBound::included(Value::Int64(k)),
+            |k: i64| ValueBound::excluded(Value::Int64(k)),
+        );
+        let ranges = vec![
+            (inc(7), inc(7)),
+            (inc(3), inc(3)),
+            (inc(7), inc(7)),
+            (inc(5), exc(9)),
+            (inc(12), inc(4)),
+            (ValueBound::Unbounded, exc(2)),
+            (exc(17), ValueBound::Unbounded),
+            (inc(8), inc(8)),
+        ];
+        let mut got = vec![Vec::new(); ranges.len()];
+        let mut last = None;
+        t.ranges_with(&ranges, |i, k, _| -> Result<bool> {
+            let enc = encode_key(k)?;
+            assert!(last.as_ref().is_none_or(|l| l <= &enc), "key order");
+            last = Some(enc);
+            got[i].push(k.to_vec());
+            Ok(true)
+        })
+        .unwrap();
+        for (i, (lo, hi)) in ranges.iter().enumerate() {
+            let want: Vec<Vec<Value>> = range(&t, lo, hi).into_iter().map(|(k, _)| k).collect();
+            assert_eq!(got[i], want, "range {i}");
+        }
+        assert_eq!(got[0].len(), 9, "author 7 lost one message");
+        assert!(got[4].is_empty());
     }
 
     #[test]

@@ -253,12 +253,37 @@ impl Projection<'static> {
 }
 
 /// Which keys a late-materializing scan covers: the range `[lo, hi)`
-/// (`None` bounds are open), or — the primary fetch behind a secondary
-/// index — a list of keys, sorted ascending and de-duplicated.
+/// (`None` bounds are open); or — the primary fetch behind a secondary
+/// index — a list of keys, sorted ascending and de-duplicated; or — the
+/// B-tree probes of a batch of index nested-loop join tuples — a list of
+/// ranges, sorted ascending and disjoint, read in one forward pass as
+/// stored rows (a columnar component does not project them).
 #[derive(Debug, Clone, Copy)]
 pub enum ScanBound<'a> {
     Range { lo: Option<&'a [u8]>, hi: Option<&'a [u8]> },
     Keys(&'a [Vec<u8>]),
+    Ranges(&'a [KeyRange]),
+}
+
+/// One `[lo, hi)` key range of a [`ScanBound::Ranges`] list (`None` bounds
+/// are open).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyRange {
+    pub lo: Option<Vec<u8>>,
+    pub hi: Option<Vec<u8>>,
+}
+
+impl KeyRange {
+    /// Does the range hold no key at all?
+    pub fn is_empty(&self) -> bool {
+        matches!((&self.lo, &self.hi), (Some(lo), Some(hi)) if lo >= hi)
+    }
+
+    /// Does the range hold `key`?
+    pub fn holds(&self, key: &[u8]) -> bool {
+        self.lo.as_deref().is_none_or(|lo| lo <= key)
+            && self.hi.as_deref().is_none_or(|hi| key < hi)
+    }
 }
 
 impl ScanBound<'_> {

@@ -981,7 +981,8 @@ impl DiskComponent {
     /// the named fields, or the whole record for an all-fields projection.
     /// A key list drops the keys the bloom filter rejects up front, visits
     /// only the groups holding one of the rest, and within a group
-    /// decides, reads and yields for the wanted rows alone. Must only be called when
+    /// decides, reads and yields for the wanted rows alone; a list of
+    /// ranges is read as stored rows, and yields an error here. Must only be called when
     /// [`Self::is_columnar`]; row components are scanned with
     /// [`Self::range`] and probed with [`Self::get`].
     pub fn project_range<'a>(
@@ -1020,7 +1021,11 @@ impl DiskComponent {
                     keys.iter().map(Vec::as_slice).filter(|k| self.bloom.may_contain(k)).collect();
                 (0, wanted)
             }
+            ScanBound::Ranges(_) => (self.nblocks(), Vec::new()),
         };
+        let error = matches!(bound, ScanBound::Ranges(_)).then(|| {
+            StorageError::InvalidState("a projected read takes a key range or keys".into())
+        });
         ProjectedIter {
             comp: self,
             fields,
@@ -1032,7 +1037,7 @@ impl DiskComponent {
             wanted,
             next_wanted: 0,
             rows: Vec::new().into_iter(),
-            error: None,
+            error,
             counted: true,
         }
     }
@@ -1607,6 +1612,7 @@ impl ProjectedIter<'_> {
                     self.group_idx += 1;
                     self.materialize_group(g, Rows::Between(lo, hi))
                 }
+                ScanBound::Ranges(_) => return false,
                 ScanBound::Keys(_) => {
                     let Some(&key) = self.wanted.get(self.next_wanted) else { return false };
                     // Jump to the one group that can hold the next wanted

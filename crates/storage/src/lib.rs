@@ -22,8 +22,8 @@ pub mod spatial;
 
 pub use cache::BufferCache;
 pub use columnar::{
-    CmpOp, ColumnFilter, ColumnarOptions, ColumnarStats, PartnerTest, Projection, RowCodec,
-    ScanBound, SelfDescribingCodec,
+    CmpOp, ColumnFilter, ColumnarOptions, ColumnarStats, KeyRange, PartnerTest, Projection,
+    RowCodec, ScanBound, SelfDescribingCodec,
 };
 pub use component::{DiskComponent, Entry, ProjEntry, ProjKind};
 pub use error::{Result, StorageError};

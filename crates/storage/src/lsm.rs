@@ -28,7 +28,7 @@ use asterix_obs::{log_event, now_us, Counter, Gauge, Histogram, MetricsRegistry,
 use asterix_sync::{Condvar, Mutex, RwLock};
 
 use crate::cache::BufferCache;
-use crate::columnar::{ColumnarOptions, Projection, ScanBound};
+use crate::columnar::{ColumnarOptions, KeyRange, Projection, ScanBound};
 use crate::component::{
     ComponentConfig, ComponentIter, DiskComponent, Entry, ProjEntry, ProjKind, ProjectedIter,
 };
@@ -591,37 +591,59 @@ impl Head<'_> {
 }
 
 type Keys<'a> = std::slice::Iter<'a, Vec<u8>>;
+type Ranges<'a> = std::slice::Iter<'a, KeyRange>;
+type MemRange<'a> = std::collections::btree_map::Range<'a, Vec<u8>, MemEntry>;
 
-/// One component as a source of a merged read: ranged over, or asked for
-/// each key of a sorted list.
+/// One component as a source of a merged read: ranged over, asked for each
+/// key of a sorted list, or ranged over each range of a sorted list in
+/// turn (the range being read, once one is open).
 enum Source<'a> {
-    Mem(std::collections::btree_map::Range<'a, Vec<u8>, MemEntry>),
+    Mem(MemRange<'a>),
     MemKeys(&'a BTreeMap<Vec<u8>, MemEntry>, Keys<'a>),
+    MemRanges(&'a BTreeMap<Vec<u8>, MemEntry>, Ranges<'a>, Option<MemRange<'a>>),
     Stored(ComponentIter),
     StoredKeys(&'a DiskComponent, Keys<'a>),
+    StoredRanges(&'a Arc<DiskComponent>, Ranges<'a>, Option<ComponentIter>),
     Proj(ProjectedIter<'a>),
+}
+
+/// The entries of a memory component in `[lo, hi)` — none when `lo` is
+/// not below `hi` (a range `BTreeMap::range` would panic on).
+fn mem_range<'a>(
+    map: &'a BTreeMap<Vec<u8>, MemEntry>,
+    lo: Option<&[u8]>,
+    hi: Option<&[u8]>,
+) -> MemRange<'a> {
+    match (lo, hi) {
+        (Some(lo), Some(hi)) if lo >= hi => {
+            map.range::<[u8], _>((Bound::Included(hi), Bound::Excluded(hi)))
+        }
+        _ => map.range::<[u8], _>((
+            lo.map_or(Bound::Unbounded, Bound::Included),
+            hi.map_or(Bound::Unbounded, Bound::Excluded),
+        )),
+    }
 }
 
 impl<'a> Source<'a> {
     /// A memory or sealed component.
     fn mem(map: &'a BTreeMap<Vec<u8>, MemEntry>, bound: ScanBound<'a>) -> Source<'a> {
         match bound {
-            ScanBound::Range { lo, hi } => Source::Mem(map.range::<[u8], _>((
-                lo.map_or(Bound::Unbounded, Bound::Included),
-                hi.map_or(Bound::Unbounded, Bound::Excluded),
-            ))),
+            ScanBound::Range { lo, hi } => Source::Mem(mem_range(map, lo, hi)),
             ScanBound::Keys(keys) => Source::MemKeys(map, keys.iter()),
+            ScanBound::Ranges(ranges) => Source::MemRanges(map, ranges.iter(), None),
         }
     }
 
-    /// A disk component: a columnar one through `proj` when there is one,
-    /// anything else as stored rows.
+    /// A disk component: a columnar one through `proj` when there is one
+    /// and the bound is a key range or keys, anything else as stored rows.
     fn disk(
         comp: &'a Arc<DiskComponent>,
         bound: ScanBound<'a>,
         proj: Option<&Projection<'a>>,
     ) -> Source<'a> {
         match (bound, proj) {
+            (ScanBound::Ranges(ranges), _) => Source::StoredRanges(comp, ranges.iter(), None),
             (_, Some(proj)) if comp.is_columnar() => Source::Proj(comp.project_range(bound, proj)),
             (ScanBound::Range { lo, hi }, _) => Source::Stored(comp.range(lo, hi)),
             (ScanBound::Keys(keys), _) => Source::StoredKeys(comp, keys.iter()),
@@ -638,11 +660,28 @@ impl<'a> Source<'a> {
                 Some(e) => Some(Head::Stored(e)),
                 None => it.take_error().map_or(Ok(None), Err)?,
             },
+            Source::MemRanges(map, ranges, open) => loop {
+                if let Some((k, v)) = open.as_mut().and_then(Iterator::next) {
+                    break Some(Head::Mem(k, v));
+                }
+                let Some(r) = ranges.next() else { break None };
+                *open = Some(mem_range(map, r.lo.as_deref(), r.hi.as_deref()));
+            },
             Source::StoredKeys(comp, keys) => loop {
                 let Some(key) = keys.next() else { break None };
                 if let Some(e) = comp.get(key)? {
                     break Some(Head::Stored(e));
                 }
+            },
+            Source::StoredRanges(comp, ranges, open) => loop {
+                if let Some(it) = open {
+                    match it.next() {
+                        Some(e) => break Some(Head::Stored(e)),
+                        None => it.take_error().map_or(Ok(()), Err)?,
+                    }
+                }
+                let Some(r) = ranges.next() else { break None };
+                *open = Some(comp.range(r.lo.as_deref(), r.hi.as_deref()));
             },
             Source::Proj(it) => match it.next() {
                 Some(e) => Some(Head::Proj(e)),
@@ -860,6 +899,20 @@ impl LsmTree {
     ) -> std::result::Result<(), E> {
         self.read(ScanBound::Range { lo, hi }, None, |key, value| {
             // Without a projection every source yields stored rows.
+            let (ScanValue::Row(row) | ScanValue::Assembled(row)) = value;
+            f(key, row)
+        })
+    }
+
+    /// Streaming scan of the stored rows in a list of key ranges, sorted
+    /// ascending and disjoint: one forward pass over each component, in key
+    /// order, `f` stopping it as [`LsmTree::scan_with`]'s visitor does.
+    pub fn scan_ranges_with<E: From<StorageError>>(
+        &self,
+        ranges: &[KeyRange],
+        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
+        self.read(ScanBound::Ranges(ranges), None, |key, value| {
             let (ScanValue::Row(row) | ScanValue::Assembled(row)) = value;
             f(key, row)
         })
@@ -1421,11 +1474,22 @@ mod tests {
         // Every key and a few absent ones past them; every other key.
         let every: Vec<Vec<u8>> = (0..84).map(k).collect();
         let evens: Vec<Vec<u8>> = (0..84).step_by(2).map(k).collect();
+        // Sorted, disjoint ranges: open at either end, two that touch.
+        let range = |lo: Option<u32>, hi: Option<u32>| KeyRange { lo: lo.map(k), hi: hi.map(k) };
+        let ranges = [
+            range(None, Some(3)),
+            range(Some(9), Some(12)),
+            range(Some(12), Some(14)),
+            range(Some(40), Some(45)),
+            range(Some(80), None),
+        ];
+        let in_ranges = of(&|key| ranges.iter().any(|r| r.holds(key)));
         for (bound, want) in [
             (ScanBound::ALL, &all),
             (ScanBound::Range { lo: Some(&lo), hi: Some(&hi) }, &ranged),
             (ScanBound::Keys(&every), &all),
             (ScanBound::Keys(&evens), &even),
+            (ScanBound::Ranges(&ranges), &in_ranges),
         ] {
             let mut got = Vec::new();
             t.scan_projected(bound, &Projection::all(), |key, v| -> Result<bool> {

@@ -31,6 +31,25 @@ fn statement_errors_are_reported_not_panicked() {
     ins.execute("drop function ghost if exists;").unwrap();
 }
 
+/// A range whose lower bound lies above its upper bound selects nothing —
+/// through a secondary index and through the primary index, with the
+/// records still in the memory component.
+#[test]
+fn an_empty_range_answers_nothing() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let ins = instance(dir.path());
+    ins.execute(
+        "create dataverse R; use dataverse R; create type T as open { id: int64 };
+         create dataset D(T) primary key id; create index vIdx on D(v);
+         insert into dataset D ({ \"id\": 1, \"v\": 5 });",
+    )
+    .unwrap();
+    for field in ["v", "id"] {
+        let q = format!("for $d in dataset D where $d.{field} >= 9 and $d.{field} <= 3 return $d;");
+        assert_eq!(ins.query(&q).unwrap(), vec![], "{field}");
+    }
+}
+
 #[test]
 fn feed_rejects_records_that_fail_type_validation() {
     let dir = asterix_testkit::TempDir::new().unwrap();

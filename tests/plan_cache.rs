@@ -176,6 +176,27 @@ fn ddl_invalidates_cached_plans() {
     );
 }
 
+/// `use dataverse` changes only its own session, and the plan key carries
+/// the session's dataverse: one session's `use` leaves every other
+/// session's cached plans valid.
+#[test]
+fn use_dataverse_in_one_session_keeps_the_others_plans() {
+    let (instance, _dir) = tiny_instance(64);
+    let (a, b) = (instance.new_session(), instance.new_session());
+    let q = r#"for $u in dataset MugshotUsers where $u.id = 7 return $u.name"#;
+    instance.execute_in(&a, "use dataverse Cachet;").unwrap();
+    instance.execute_in(&a, q).unwrap();
+    instance.execute_in(&a, q).unwrap();
+    let stats = &instance.plan_cache().stats;
+    let (hits, misses) = (stats.hits.get(), stats.misses.get());
+    assert_eq!(stats.invalidations.get(), 0);
+    instance.execute_in(&b, "use dataverse Cachet;").unwrap();
+    let rows = instance.execute_in(&a, q).unwrap();
+    assert!(matches!(&rows[..], [StatementResult::Rows(r)] if r.len() == 1), "{rows:?}");
+    assert_eq!((stats.hits.get(), stats.misses.get()), (hits + 1, misses), "A's query still hits");
+    assert_eq!(stats.invalidations.get(), 0, "no plan was invalidated");
+}
+
 /// A delete is the query `for $u in dataset DS where cond return [$u.id]`,
 /// normalized and looked up like any other: deletes differing only in the
 /// key literal share one entry, DDL invalidates it, and every delete

@@ -51,6 +51,61 @@ fn recovery_replays_committed_work_including_secondary_indexes() {
     assert!(plan.contains("vIdx"), "{plan}");
 }
 
+/// `use dataverse` is not logged — each dataverse-relative DDL record
+/// carries its own — yet DDL from two sessions in two dataverses, issued
+/// interleaved, replays into the dataverses it was issued in: the catalog
+/// after a reopen is the catalog before it.
+#[test]
+fn ddl_after_use_replays_into_its_dataverse() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let catalog = |instance: &Instance| -> Vec<String> {
+        let mut rows: Vec<String> = ["Dataverse", "Datatype", "Dataset", "Index"]
+            .iter()
+            .flat_map(|v| {
+                instance.query(&format!("for $x in dataset Metadata.{v} return $x;")).unwrap()
+            })
+            .map(|r| asterix_adm::print::to_adm_string(&r))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let log = ClusterConfig::small(dir.path()).ddl_log_path();
+    let before = {
+        let instance = open(dir.path());
+        let (a, b) = (instance.new_session(), instance.new_session());
+        instance
+            .execute_in(&a, "create dataverse P; create dataverse Q; use dataverse P;")
+            .unwrap();
+        let logged = std::fs::read_to_string(&log).unwrap();
+        instance.execute_in(&b, "use dataverse Q;").unwrap();
+        assert_eq!(std::fs::read_to_string(&log).unwrap(), logged, "`use` writes nothing");
+        instance
+            .execute_in(
+                &a,
+                "create type T as open { id: int64 }; create dataset D(T) primary key id;",
+            )
+            .unwrap();
+        instance
+            .execute_in(
+                &b,
+                "create type T as open { id: string }; create dataset D(T) primary key id;",
+            )
+            .unwrap();
+        instance
+            .execute_in(&a, "create index nIdx on D(n); insert into dataset D ({ \"id\": 1 });")
+            .unwrap();
+        instance.execute_in(&b, "insert into dataset D ({ \"id\": \"q\" });").unwrap();
+        catalog(&instance)
+    };
+    let instance = open(dir.path());
+    assert_eq!(catalog(&instance), before);
+    let ids = |dv: &str| {
+        instance.query(&format!("use dataverse {dv}; for $d in dataset D return $d.id;")).unwrap()
+    };
+    assert_eq!(ids("P"), vec![asterix_adm::Value::Int64(1)]);
+    assert_eq!(ids("Q"), vec![asterix_adm::Value::string("q")]);
+}
+
 #[test]
 fn recovery_after_flush_and_more_writes() {
     let dir = asterix_testkit::TempDir::new().unwrap();
