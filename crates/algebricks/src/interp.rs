@@ -185,76 +185,17 @@ pub fn eval_rows(
             }
             Ok(out)
         }
+        // A hash join answers as the join it was extracted from: unknown
+        // keys match nothing under `=`, as they match nothing in its table.
         LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-            let lrows = eval_rows(left, outer, ctx)?;
-            let rrows = eval_rows(right, outer, ctx)?;
-            let right_vars: Vec<VarId> = right.bound_vars();
-            // Hash the right side.
-            let mut table: HashMap<u64, Vec<(Vec<Value>, &Env)>> = HashMap::new();
-            for r in &rrows {
-                let res = ChainResolver { env: r, outer };
-                let mut keys = Vec::with_capacity(right_keys.len());
-                let mut unknown = false;
-                for k in right_keys {
-                    let v = eval(k, &res, ctx)?;
-                    if v.is_unknown() {
-                        unknown = true;
-                        break;
-                    }
-                    keys.push(v);
-                }
-                if unknown {
-                    continue;
-                }
-                let h = combined_hash(&keys);
-                table.entry(h).or_default().push((keys, r));
-            }
-            let mut out = Vec::new();
-            for l in &lrows {
-                let res = ChainResolver { env: l, outer };
-                let mut keys = Vec::with_capacity(left_keys.len());
-                let mut unknown = false;
-                for k in left_keys {
-                    let v = eval(k, &res, ctx)?;
-                    if v.is_unknown() {
-                        unknown = true;
-                        break;
-                    }
-                    keys.push(v);
-                }
-                let mut matched = false;
-                if !unknown {
-                    if let Some(cands) = table.get(&combined_hash(&keys)) {
-                        for (rkeys, r) in cands {
-                            if rkeys.len() == keys.len()
-                                && rkeys.iter().zip(&keys).all(|(a, b)| a.total_cmp(b).is_eq())
-                            {
-                                let mut env = l.clone();
-                                env.extend(r.iter().map(|(k, v)| (*k, v.clone())));
-                                let keep = match residual {
-                                    None => true,
-                                    Some(resid) => {
-                                        let res2 = ChainResolver { env: &env, outer };
-                                        truthy(&eval(resid, &res2, ctx)?)
-                                    }
-                                };
-                                if keep {
-                                    matched = true;
-                                    out.push(env);
-                                }
-                            }
-                        }
-                    }
-                }
-                if !matched && *kind == JoinKind::LeftOuter {
-                    let mut env = l.clone();
-                    for v in &right_vars {
-                        env.insert(*v, Value::Null);
-                    }
-                    out.push(env);
-                }
-            }
-            Ok(out)
+            let join = LogicalOp::Join {
+                left: left.clone(),
+                right: right.clone(),
+                condition: crate::rules::rebuild_condition(left_keys, right_keys, residual),
+                kind: *kind,
+                index_nl_hint: false,
+            };
+            eval_rows(&join, outer, ctx)
         }
         LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
             let lrows = eval_rows(left, outer, ctx)?;
@@ -375,15 +316,6 @@ pub fn eval_rows(
         }
         LogicalOp::Emit { .. } => Err(adm_err("emit cannot be nested below another operator")),
     }
-}
-
-fn combined_hash(keys: &[Value]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for k in keys {
-        h ^= k.stable_hash();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Resolve an index search spec into matching records.

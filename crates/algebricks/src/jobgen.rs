@@ -740,16 +740,6 @@ impl Gen {
                 Ok((id, new_schema, part))
             }
             LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-                if *kind == JoinKind::LeftOuter && residual.is_some() {
-                    // Residual predicates cannot be applied above an outer
-                    // join without corrupting padding; fall back to NL join.
-                    return self.build_nl_join(
-                        left,
-                        right,
-                        &rebuild_condition(left_keys, right_keys, residual),
-                        *kind,
-                    );
-                }
                 self.build_hash_join(left, right, left_keys, right_keys, residual.as_ref(), *kind)
             }
             LogicalOp::Join { left, right, condition, kind, .. } => {
@@ -945,20 +935,23 @@ impl Gen {
         Ok((op, schema, part, key_cols))
     }
 
-    /// Hybrid hash join. The input estimated smaller builds — `left` when
-    /// the join is inner and both inputs can be sized; a tie, an input of
-    /// unknown size or an outer join (whose outer branch must probe) keeps
-    /// the order as written: build = right, probe = left. The estimates
-    /// are taken here, so a cached plan chooses per execution.
+    /// Hybrid hash join, of any kind. The input estimated smaller builds —
+    /// `left` when both inputs can be sized and it is the smaller; a tie or
+    /// an input of unknown size keeps the order as written: build = right,
+    /// probe = left. The left input of an outer or semi join is the
+    /// preserved one, whichever side it takes. The estimates are taken
+    /// here, so a cached plan chooses per execution. The residual is
+    /// decided inside the join, on `build ++ probe`, before a match counts.
     ///
-    /// An inner join also gets a runtime filter: the build side publishes
-    /// its key hashes when the build finishes, and a consult operator on
-    /// the probe branch drops non-matching tuples *before* the probe
-    /// exchange ships them (an outer probe must emit them, so pruning
-    /// would corrupt results). When the probe input is a scan, bare or
-    /// under one select, and the one join key is a field of the scanned
-    /// record, the same test is also pushed into the scan, which then
-    /// reads the other columns of a row only once its key has a partner.
+    /// Unless the probe side is outer, a probe tuple without a build
+    /// partner is dropped, so the join also gets a runtime filter: the
+    /// build side publishes its key hashes when the build finishes, and a
+    /// consult operator on the probe branch drops non-matching tuples
+    /// *before* the probe exchange ships them. When the probe input is a
+    /// scan, bare or under one select, and the one join key is a field of
+    /// the scanned record, the same test is also pushed into the scan,
+    /// which then reads the other columns of a row only once its key has a
+    /// partner.
     fn build_hash_join(
         &mut self,
         left: &LogicalOp,
@@ -970,15 +963,20 @@ impl Gen {
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
         let provider = self.ctx.provider.as_ref();
         let (l_rows, r_rows) = (estimated_rows(left, provider), estimated_rows(right, provider));
-        let build_left =
-            kind == JoinKind::Inner && matches!((l_rows, r_rows), (Some(l), Some(r)) if l < r);
+        let build_left = matches!((l_rows, r_rows), (Some(l), Some(r)) if l < r);
         let (probe, probe_keys, probe_rows, build_rows) = if build_left {
             (right, right_keys, r_rows, l_rows)
         } else {
             (left, left_keys, l_rows, r_rows)
         };
-        let jt = join_type(kind);
-        let filter = (self.options.enable_runtime_filters && jt == JoinType::Inner)
+        let jt = match (kind, build_left) {
+            (JoinKind::Inner, _) => JoinType::Inner,
+            (JoinKind::LeftOuter, false) => JoinType::ProbeOuter,
+            (JoinKind::LeftOuter, true) => JoinType::BuildOuter,
+            (JoinKind::Semi, false) => JoinType::ProbeSemi,
+            (JoinKind::Semi, true) => JoinType::BuildSemi,
+        };
+        let filter = (self.options.enable_runtime_filters && jt != JoinType::ProbeOuter)
             .then(|| self.job.alloc_runtime_filter());
         let partner = filter.zip(probe_scan_field(probe, probe_keys)).map(|(filter_id, field)| {
             ScanFilter::Partner { field: field.into(), filter_id, join_nparts: self.nparts }
@@ -996,22 +994,28 @@ impl Gen {
             if build_left { (l_keyed, r_keyed) } else { (r_keyed, l_keyed) };
 
         let size = |rows: Option<u64>| rows.map_or("?".into(), |n| n.to_string());
-        let mut hh = HybridHashJoinOp::new(
-            "equi",
-            b_key_cols.clone(),
-            p_key_cols.clone(),
-            jt,
-            b_schema.len(),
-        )
-        .with_sides(format!(
-            "[build={} ~{}, probe ~{}]",
-            if build_left { "left" } else { "right" },
-            size(build_rows),
-            size(probe_rows)
-        ));
+        let pad_arity = if jt == JoinType::BuildOuter { p_schema.len() } else { b_schema.len() };
+        let mut hh =
+            HybridHashJoinOp::new("equi", b_key_cols.clone(), p_key_cols.clone(), jt, pad_arity)
+                .with_sides(format!(
+                    "[build={} ~{}, probe ~{}]",
+                    if build_left { "left" } else { "right" },
+                    size(build_rows),
+                    size(probe_rows)
+                ));
         if let Some(b) = self.per_op_mem {
             hh = hh.with_budget(b);
         }
+        // A semi-join emits its left input's tuples, others build ++ probe.
+        let pair: Vec<VarId> = b_schema.iter().chain(&p_schema).copied().collect();
+        if let Some(resid) = residual {
+            hh = hh.with_residual(self.predicate(resid, &pair)?);
+        }
+        let schema = match (kind, build_left) {
+            (JoinKind::Semi, true) => b_schema,
+            (JoinKind::Semi, false) => p_schema,
+            _ => pair,
+        };
         let mut probe_src = p_op;
         if let Some(fid) = filter {
             hh = hh.with_runtime_filter(fid);
@@ -1029,17 +1033,7 @@ impl Gen {
         let join = self.job.add(self.nparts, Arc::new(hh));
         self.job.connect(ConnectorKind::MToNPartitioning { fields: b_key_cols }, b_op, join);
         self.job.connect(ConnectorKind::MToNPartitioning { fields: p_key_cols }, probe_src, join);
-        // Output = build ++ probe, whichever input built.
-        let mut schema = b_schema;
-        schema.extend(p_schema);
-        let mut out = join;
-        if let Some(resid) = residual {
-            let sel_op = self.select_op("residual", resid, &schema)?;
-            let sel = self.job.add(self.nparts, Arc::new(sel_op));
-            self.job.connect(ConnectorKind::OneToOne, join, sel);
-            out = sel;
-        }
-        Ok((out, schema, Part::Distributed))
+        Ok((join, schema, Part::Distributed))
     }
 
     /// Sort: per-partition external sort, then a partitioning-merging
@@ -1253,33 +1247,8 @@ impl Gen {
     }
 }
 
-/// `left_keys[i] = right_keys[i]` for each `i`, and the residual.
-pub(crate) fn rebuild_condition(
-    left_keys: &[LogicalExpr],
-    right_keys: &[LogicalExpr],
-    residual: &Option<LogicalExpr>,
-) -> LogicalExpr {
-    let mut conjuncts: Vec<LogicalExpr> = left_keys
-        .iter()
-        .zip(right_keys)
-        .map(|(l, r)| {
-            LogicalExpr::Compare(
-                crate::expr::CompareOp::Eq,
-                Box::new(l.clone()),
-                Box::new(r.clone()),
-            )
-        })
-        .collect();
-    if let Some(r) = residual {
-        conjuncts.push(r.clone());
-    }
-    if conjuncts.len() == 1 {
-        conjuncts.pop().unwrap()
-    } else {
-        LogicalExpr::And(conjuncts)
-    }
-}
-
+/// The probe-side kind of a nested-loop or index nested-loop join, whose
+/// left input probes.
 fn join_type(kind: JoinKind) -> JoinType {
     match kind {
         JoinKind::Inner => JoinType::Inner,
@@ -1888,8 +1857,9 @@ mod tests {
         assert!(job.contains("hybrid-hash-join equi [build=right ~2, probe ~40]"), "{job}");
         assert_eq!(swapped, rows);
 
-        // Anything but "inner, both sized, left smaller" keeps the order
-        // as written: build = right.
+        // Anything but "both sized, left smaller" keeps the order as
+        // written: build = right. A left-outer join builds its smaller,
+        // preserved left input like an inner one.
         let larger_left =
             join_plan(scan("M", 1), scan("U", 0), vec![(m_author(), u_id())], JoinKind::Inner);
         let unnested = LogicalOp::Unnest {
@@ -1930,7 +1900,7 @@ mod tests {
                     JoinKind::LeftOuter,
                 ),
                 vec_provider(20),
-                "[build=right ~40, probe ~2]",
+                "[build=left ~2, probe ~40]",
             ),
         ] {
             let (job, _) = compile_and_run(&plan, p, &options);

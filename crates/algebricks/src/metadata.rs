@@ -79,7 +79,7 @@ pub enum ScanFilter {
     /// assembling anything.
     Cmp { field: String, op: CmpKind, key: Vec<u8> },
     /// "`field` has a build partner": the read is the probe input of the
-    /// inner hash join that publishes runtime filter `filter_id` — over
+    /// hash join that publishes runtime filter `filter_id` — over
     /// `join_nparts` partitions — and `field` is its one join key. The
     /// source is handed the run's consult of that filter
     /// (`asterix_hyracks::ops::RawSourceFn`), and the consult operator

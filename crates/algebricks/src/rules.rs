@@ -38,9 +38,10 @@ pub struct OptimizerOptions {
     /// first-release behavior (ablation).
     pub fuse_group_aggregates: bool,
     /// Publish a runtime filter from each hash join's build side and prune
-    /// probe tuples against it before the probe exchange (inner joins
-    /// only). Needs a filter factory on the executor to take effect; with
-    /// none injected the probe-side consult passes everything through.
+    /// probe tuples against it before the probe exchange (every join but
+    /// one whose probe side is outer). Needs a filter factory on the
+    /// executor to take effect; with none injected the probe-side consult
+    /// passes everything through.
     pub enable_runtime_filters: bool,
     /// Total working memory granted to this query by the workload manager.
     /// Job generation divides it across the plan's memory-hungry operators
@@ -389,8 +390,9 @@ fn and2(a: LogicalExpr, b: LogicalExpr) -> LogicalExpr {
 // Equijoin extraction ("always hash-join equijoins")
 // ---------------------------------------------------------------------------
 
-/// Find equality conjuncts splitting cleanly across a join and convert the
-/// cartesian `Join` into a `HashJoin`; honors the `indexnl` hint by
+/// Find equality conjuncts splitting cleanly across a join of any kind and
+/// convert the `Join` into a `HashJoin`, the other conjuncts its residual,
+/// which the join decides before a pair matches; honors the `indexnl` hint by
 /// producing an `IndexNlJoin` when the inner side is a scan of a dataset
 /// with a B-tree index on the join field — a bare scan, or (inner joins)
 /// one under pushed-down selects, which then move above the join.
@@ -399,10 +401,6 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
         let LogicalOp::Join { left, right, condition, kind, index_nl_hint } = op else {
             return op;
         };
-        if kind == JoinKind::Semi {
-            // The hash join emits pairs; a semi-join stays nested-loop.
-            return LogicalOp::Join { left, right, condition, kind, index_nl_hint };
-        }
         let mut cs = Vec::new();
         conjuncts_of(condition, &mut cs);
         let lb = left.bound_vars();
@@ -486,6 +484,17 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
         }
         LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind }
     })
+}
+
+/// The condition a hash join was extracted from: `left_keys[i] =
+/// right_keys[i]` for each `i`, and the residual.
+pub(crate) fn rebuild_condition(
+    left_keys: &[LogicalExpr],
+    right_keys: &[LogicalExpr],
+    residual: &Option<LogicalExpr>,
+) -> LogicalExpr {
+    let keys = left_keys.iter().zip(right_keys).map(|(l, r)| eq(l.clone(), r.clone()));
+    keys.chain(residual.clone()).reduce(and2).expect("a hash join has a key")
 }
 
 /// If `e` is `field-access chain over Var(var)`, return the dotted path.
@@ -586,19 +595,30 @@ fn build_access_path(
         }
     }
 
-    // 2. Secondary B-tree ranges.
-    for ix in indexes.iter().filter(|i| i.kind == IndexKind::BTree) {
-        let Some(field) = ix.fields.first() else { continue };
-        if let Some(acc) = collect_range(conditions, var, field) {
-            return Some(finish_search(
-                dataset,
-                &ix.name,
-                var,
-                IndexSearchSpec::BTreeRange { lo: acc.lo, hi: acc.hi },
-                conditions,
-                &acc.used,
-            ));
+    // 2. Secondary B-tree ranges: an equality first, then a two-sided
+    //    range, then a one-sided one; catalog order among equals.
+    let narrowness = |acc: &RangeAcc| {
+        let equality =
+            acc.used.iter().any(|c| matches!(c, LogicalExpr::Compare(CompareOp::Eq, ..)));
+        if equality {
+            0
+        } else {
+            2 - usize::from(acc.lo.is_some() && acc.hi.is_some())
         }
+    };
+    let btree = indexes.iter().filter(|i| i.kind == IndexKind::BTree).filter_map(|ix| {
+        let acc = collect_range(conditions, var, ix.fields.first()?)?;
+        Some((ix, acc))
+    });
+    if let Some((ix, acc)) = btree.min_by_key(|(_, acc)| narrowness(acc)) {
+        return Some(finish_search(
+            dataset,
+            &ix.name,
+            var,
+            IndexSearchSpec::BTreeRange { lo: acc.lo, hi: acc.hi },
+            conditions,
+            &acc.used,
+        ));
     }
 
     // 3. R-tree spatial predicates.
@@ -1069,9 +1089,9 @@ fn substitute(e: LogicalExpr, x: VarId, by: &LogicalExpr) -> Option<LogicalExpr>
 ///   aggregates `e`: a listify for the list, the aggregate for an
 ///   aggregate's argument, a count for a quantifier. Each row the join
 ///   only padded has a guard that makes its input missing, so it adds
-///   nothing: `[]`, a count of 0, an aggregate's answer over `[]`. When
-///   `I` is a read estimated smaller than the one `B` joins, the join is
-///   inner, of a copy of `I`, and the groups join `I` after.
+///   nothing: `[]`, a count of 0, an aggregate's answer over `[]`. The
+///   join reads `I` once, whichever of its inputs is the smaller: the hash
+///   join lets either side of an outer or semi join build.
 ///
 /// The blocking operators of `B` above a correlated one — an inner
 /// `order by`, `limit`, group-by, `distinct`, aggregate — run per outer
@@ -1284,9 +1304,6 @@ impl Decorrelation<'_> {
             Some((low, high)) => (low, Some(high)),
             None => ((**body).clone(), None),
         };
-        if self.reattaches(input, &low) {
-            return self.reattached(input, &low, usage, expr, high, r);
-        }
         let mut keyed = input.clone();
         let row_key = self.row_key(&mut keyed);
         let carried: Vec<VarId> =
@@ -1311,86 +1328,6 @@ impl Decorrelation<'_> {
             grouped = LogicalOp::Order { input: Box::new(grouped), keys: sort };
         }
         Some(bind_var(grouped, bind))
-    }
-
-    /// Whether to join the subquery with a copy of `input` and attach the
-    /// grouped answers to `input` after: `input` is a read under selects
-    /// and assigns, estimated smaller than the uncorrelated read the
-    /// subquery's correlated selects sit on, and neither names a variable
-    /// from further out, which the copy would carry into a join's inner
-    /// side. The inner join then builds `input` and prunes that read,
-    /// where a left-outer join builds the read whole.
-    fn reattaches(&self, input: &LogicalOp, low: &LogicalOp) -> bool {
-        fn read(op: &LogicalOp) -> bool {
-            match op {
-                LogicalOp::Select { input, .. } | LogicalOp::Assign { input, .. } => read(input),
-                LogicalOp::DataSourceScan { .. } | LogicalOp::IndexSearch { .. } => true,
-                _ => false,
-            }
-        }
-        let mut branch = low;
-        while let LogicalOp::Select { input, .. } = branch {
-            branch = input;
-        }
-        let rows = |op| crate::jobgen::estimated_rows(op, self.provider);
-        let (mut free, mut named) = (Vec::new(), Vec::new());
-        input.free_vars(&mut free);
-        low.free_vars(&mut named);
-        read(input)
-            && free.is_empty()
-            && named.iter().all(|v| self.outer.contains(v))
-            && !self.correlated(branch)
-            && matches!((rows(input), rows(branch)), (Some(i), Some(b)) if i < b)
-    }
-
-    /// [`Self::decorrelate`] by an inner join of a copy of `input` with
-    /// `low`, grouped on `input`'s row key, left-outer-joined to `input`
-    /// on it. A row of `input` no group joined counts 0 and lists `[]`.
-    fn reattached(
-        &mut self,
-        input: &LogicalOp,
-        low: &LogicalOp,
-        usage: SubqueryUse,
-        e: &LogicalExpr,
-        high: Option<LogicalOp>,
-        r: VarId,
-    ) -> Option<LogicalOp> {
-        let row_key = self.row_key(&mut input.clone());
-        let inner = self.apply(input.clone(), low, JoinKind::Inner)?.op;
-        let (mut agg, bind) = self.aggregate(usage, low, e, high, &[], r);
-        let empty = match agg.func {
-            AggFunc::Count => Some(Value::Int64(0)),
-            AggFunc::Listify => Some(Value::ordered_list(Vec::new())),
-            _ => None,
-        };
-        let padded = empty.map(|empty| {
-            let (var, grouped) = (agg.var, self.fresh());
-            agg.var = grouped;
-            let value = LogicalExpr::IfThenElse(
-                Box::new(is_null(grouped)),
-                Box::new(LogicalExpr::Const(empty)),
-                Box::new(LogicalExpr::Var(grouped)),
-            );
-            (var, value)
-        });
-        let keys: Vec<(VarId, LogicalExpr)> =
-            row_key.into_iter().map(|k| (self.fresh(), k)).collect();
-        let on = keys.iter().map(|(v, k)| eq(k.clone(), LogicalExpr::Var(*v))).reduce(and2)?;
-        let grouped = LogicalOp::GroupBy { input: Box::new(inner), keys, aggs: vec![agg] };
-        let mut joined = bind_var(
-            LogicalOp::Join {
-                left: Box::new(input.clone()),
-                right: Box::new(grouped),
-                condition: on,
-                kind: JoinKind::LeftOuter,
-                index_nl_hint: false,
-            },
-            padded,
-        );
-        if let Some(sort) = outer_order(input) {
-            joined = LogicalOp::Order { input: Box::new(joined), keys: sort };
-        }
-        Some(bind_var(joined, bind))
     }
 
     /// The aggregate of `e` over the rows of `low` each group collects,
@@ -1583,7 +1520,7 @@ impl Decorrelation<'_> {
                 let join = LogicalOp::Join {
                     left: l.clone(),
                     right: r.clone(),
-                    condition: crate::jobgen::rebuild_condition(left_keys, right_keys, residual),
+                    condition: rebuild_condition(left_keys, right_keys, residual),
                     kind: *jk,
                     index_nl_hint: false,
                 };
@@ -1712,7 +1649,8 @@ impl Decorrelation<'_> {
                 key.extend(pk(self.provider, dataset, *var));
                 key
             }
-            LogicalOp::Join { left, kind: JoinKind::Semi, .. } => self.row_key(left),
+            LogicalOp::Join { left, kind: JoinKind::Semi, .. }
+            | LogicalOp::HashJoin { left, kind: JoinKind::Semi, .. } => self.row_key(left),
             LogicalOp::Join { left, right, .. } | LogicalOp::HashJoin { left, right, .. } => {
                 let mut key = self.row_key(left);
                 key.extend(self.row_key(right));
@@ -1789,7 +1727,8 @@ fn take_subquery(
 fn visible_vars(op: &LogicalOp) -> Vec<VarId> {
     let mut vars = match op {
         LogicalOp::GroupBy { .. } | LogicalOp::Aggregate { .. } => Vec::new(),
-        LogicalOp::Join { left, kind: JoinKind::Semi, .. } => visible_vars(left),
+        LogicalOp::Join { left, kind: JoinKind::Semi, .. }
+        | LogicalOp::HashJoin { left, kind: JoinKind::Semi, .. } => visible_vars(left),
         op => op.inputs().into_iter().flat_map(visible_vars).collect(),
     };
     for v in op.introduced_vars() {
@@ -2401,6 +2340,54 @@ mod tests {
         let p = out.pretty();
         assert!(p.contains("btree-search DS.ix"), "{p}");
         assert!(!p.contains("data-scan"), "{p}");
+    }
+
+    /// Among the B-tree indexes that apply, an equality beats a two-sided
+    /// range, which beats a one-sided one, whatever the catalog order —
+    /// for a selection and for a correlated search alike.
+    #[test]
+    fn the_narrowest_btree_search_wins_over_catalog_order() {
+        let btree = |name: &str, field: &str| IndexInfo {
+            name: name.into(),
+            kind: IndexKind::BTree,
+            fields: vec![field.into()],
+        };
+        let mut inner = VecProvider::new(2);
+        inner.add("DS", "id", vec![]);
+        let ixs = vec![btree("tsIx", "ts"), btree("sinceIx", "since"), btree("authorIx", "author")];
+        let provider: Arc<dyn MetadataProvider> = Arc::new(IndexedProvider { inner, ixs });
+        let field = |f: &str| LogicalExpr::field(var(0), f);
+        let cmp = |op, f: &str, bound: LogicalExpr| {
+            LogicalExpr::Compare(op, Box::new(field(f)), Box::new(bound))
+        };
+        let int = |v: i64| lit(Value::Int64(v));
+        let outer = |f: &str| LogicalExpr::field(var(1), f);
+        for (conditions, chosen) in [
+            (
+                vec![cmp(CompareOp::Gt, "ts", int(5)), cmp(CompareOp::Eq, "author", int(3))],
+                "authorIx",
+            ),
+            (
+                vec![
+                    cmp(CompareOp::Gt, "ts", outer("since")),
+                    cmp(CompareOp::Eq, "author", outer("id")),
+                ],
+                "authorIx",
+            ),
+            (
+                vec![
+                    cmp(CompareOp::Gt, "ts", int(5)),
+                    cmp(CompareOp::Ge, "since", int(1)),
+                    cmp(CompareOp::Le, "since", int(9)),
+                ],
+                "sinceIx",
+            ),
+            (vec![cmp(CompareOp::Gt, "since", int(1)), cmp(CompareOp::Gt, "ts", int(5))], "tsIx"),
+        ] {
+            let plan = emit(conditions.into_iter().fold(scan("DS", 0), select), var(0));
+            let p = optimize(plan, &provider, &fctx(), &OptimizerOptions::default()).pretty();
+            assert!(p.contains(&format!("btree-search DS.{chosen}")), "{p}");
+        }
     }
 
     #[test]

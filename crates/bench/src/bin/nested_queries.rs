@@ -1,9 +1,11 @@
 //! Nested queries against their flat twins: paper Query 4 (a nested
 //! left-outer join) at about 1 % and 10 % of the users, with and without
-//! `msAuthorIdx` + `msUserSinceIdx`; each message with its author's name,
-//! whose outer input outnumbers the users it nests; `count(dataset …)`
-//! against `count(for …)`; and `for` over a subquery against its flat
-//! form. With the indexes, also the cost of an index nested-loop join per
+//! `msAuthorIdx` + `msUserSinceIdx`; at 10 % also with a residual
+//! (`$message.timestamp > $user.user-since`) beside the key, and as a
+//! semi-join (`some $m in … satisfies` the key and a length test); each
+//! message with its author's name, whose outer input outnumbers the users
+//! it nests; `count(dataset …)` against `count(for …)`; and `for` over a
+//! subquery against its flat form. With the indexes, also the cost of an index nested-loop join per
 //! outer tuple: Table 3's Sel-Join (Lg) with `/*+ indexnl */`, its `count`,
 //! and a counted range selection on `msAuthorIdx` over about as many
 //! message keys (`index_nl` in the JSON).
@@ -41,25 +43,50 @@ struct Pair {
     inner_twin: bool,
 }
 
-/// Query 4 over the users whose `user-since` lies in `[lo, hi]`, nested
-/// and as a join grouped by user.
-fn query_4(lo: i64, hi: i64) -> (String, String) {
-    let window = format!(
+/// The condition that `$user.user-since` lies in `[lo, hi]`.
+fn user_window(lo: i64, hi: i64) -> String {
+    format!(
         "$user.user-since >= datetime(\"{}\") and $user.user-since <= datetime(\"{}\")",
         format_datetime(lo),
         format_datetime(hi)
-    );
+    )
+}
+
+/// Query 4 over the users whose `user-since` lies in `[lo, hi]`, its
+/// messages also passing `residual` (empty, or a conjunct to `and` on),
+/// nested and as a join grouped by user.
+fn query_4(lo: i64, hi: i64, residual: &str) -> (String, String) {
+    let window = user_window(lo, hi);
     let nested = format!(
         "for $user in dataset MugshotUsers where {window} \
          return {{ \"uname\": $user.name, \"messages\": \
                    for $message in dataset MugshotMessages \
-                   where $message.author-id = $user.id return $message.message }}"
+                   where $message.author-id = $user.id {residual} return $message.message }}"
     );
     let flat = format!(
         "for $user in dataset MugshotUsers for $message in dataset MugshotMessages \
-         where $message.author-id = $user.id and {window} \
+         where $message.author-id = $user.id {residual} and {window} \
          group by $uid := $user.id, $uname := $user.name with $message \
          return {{ \"uname\": $uname, \"messages\": for $m in $message return $m.message }}"
+    );
+    (nested, flat)
+}
+
+/// The ids of the users whose `user-since` lies in `[lo, hi]` and who
+/// wrote a message longer than 60 characters, as a `some` over a subquery
+/// and as a join grouped by user.
+fn semi_join(lo: i64, hi: i64) -> (String, String) {
+    let window = user_window(lo, hi);
+    let nested = format!(
+        "for $user in dataset MugshotUsers where {window} and \
+         (some $m in dataset MugshotMessages \
+          satisfies $m.author-id = $user.id and string-length($m.message) > 60) \
+         return $user.id"
+    );
+    let flat = format!(
+        "for $user in dataset MugshotUsers for $m in dataset MugshotMessages \
+         where $m.author-id = $user.id and string-length($m.message) > 60 and {window} \
+         group by $uid := $user.id with $m return $uid"
     );
     (nested, flat)
 }
@@ -188,9 +215,14 @@ fn main() {
         let mut pairs = Vec::new();
         for (label, percent) in [("1pct", 1), ("10pct", 10)] {
             let (lo, hi) = ts_range_for(corpus.users.len() * percent / 100, corpus.users.len());
-            let (nested, flat) = query_4(lo, hi);
+            let (nested, flat) = query_4(lo, hi, "");
             pairs.push(Pair { name: format!("q4_{label}_{ix}"), nested, flat, inner_twin: true });
         }
+        let (lo, hi) = ts_range_for(corpus.users.len() / 10, corpus.users.len());
+        let (nested, flat) = query_4(lo, hi, "and $message.timestamp > $user.user-since");
+        pairs.push(Pair { name: format!("lo_residual_{ix}"), nested, flat, inner_twin: true });
+        let (nested, flat) = semi_join(lo, hi);
+        pairs.push(Pair { name: format!("semi_{ix}"), nested, flat, inner_twin: false });
         let (nested, flat) = authors_per_message();
         pairs.push(Pair {
             name: format!("authors_per_message_{ix}"),

@@ -30,16 +30,30 @@ use crate::pipeline::{FrameOut, Handoff, PipelineCtx, PipelineOp};
 use crate::Result;
 use asterix_sync::Mutex;
 
-/// Join type: inner, or outer on the probe input (unmatched probe tuples
-/// are emitted with nulls on the build side; the compiler arranges the
-/// outer branch to be the probe).
+/// Join type. The hash join takes every kind, so either input of an
+/// outer or semi join can build; the nested-loop and index nested-loop
+/// joins take the probe-side kinds, their outer branch being the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
     Inner,
+    /// Outer on the probe input: a probe tuple no match passed is emitted
+    /// with nulls on the build side.
     ProbeOuter,
-    /// Each probe tuple with a build match, once and alone (nested-loop
-    /// joins only).
+    /// Each probe tuple some match passed, once and alone.
     ProbeSemi,
+    /// Outer on the build input: a build tuple no match passed is emitted
+    /// with nulls on the probe side once the probe input has ended.
+    BuildOuter,
+    /// Each build tuple some match passed, once and alone.
+    BuildSemi,
+}
+
+impl JoinType {
+    /// Whether the build input is preserved, so each build tuple carries
+    /// a flag that says whether a match passed.
+    fn flags_build(self) -> bool {
+        matches!(self, JoinType::BuildOuter | JoinType::BuildSemi)
+    }
 }
 
 /// The hash-table key of one encoded tuple: concatenated canonical
@@ -58,7 +72,7 @@ fn join_key(r: &TupleRef<'_>, fields: &[usize]) -> Result<Option<Vec<u8>>> {
     Ok(Some(key))
 }
 
-/// Encoded all-NULL padding row for ProbeOuter output.
+/// Encoded all-NULL padding row for outer-join output.
 fn null_pad(arity: usize) -> Vec<u8> {
     encode_tuple(&vec![Value::Null; arity])
 }
@@ -115,10 +129,19 @@ fn read_spill(spill: &SpillGuard) -> Result<Vec<Vec<u8>>> {
     Ok(out)
 }
 
-/// Hybrid hash join. Input 0 is the Build activity (blocking), input 1 the
-/// Probe activity, mirroring the two-activity expansion described in §4.1.
-/// When the build side exceeds the memory budget, both sides are
-/// Grace-partitioned to disk by join-key hash and joined partition-wise.
+/// Hybrid hash join, for every equi-join kind. Input 0 is the Build
+/// activity (blocking), input 1 the Probe activity, mirroring the
+/// two-activity expansion described in §4.1. When the build side exceeds
+/// the memory budget, both sides are Grace-partitioned to disk by join-key
+/// hash and joined partition-wise.
+///
+/// A match is a build and a probe tuple with equal keys that the
+/// `residual`, decided on `build ++ probe`, passes. Inner and outer joins
+/// emit each match as `build ++ probe`; a semi-join emits each preserved
+/// tuple with a match once, alone. An outer join pads the preserved side's
+/// tuples no match passed: a probe tuple as it is probed, a build tuple —
+/// NULL-keyed ones included — at the end of the probe activity, from the
+/// in-memory table or from each Grace partition in turn.
 pub struct HybridHashJoinOp {
     label: String,
     /// What `explain` appends to the name: which input builds, and the
@@ -127,15 +150,18 @@ pub struct HybridHashJoinOp {
     pub build_keys: Vec<usize>,
     pub probe_keys: Vec<usize>,
     pub join_type: JoinType,
-    /// Arity of the build-side tuples (for ProbeOuter null padding).
-    pub build_arity: usize,
+    /// Arity of the input an outer join pads with nulls: the build side's
+    /// for `ProbeOuter`, the probe side's for `BuildOuter`.
+    pub pad_arity: usize,
+    /// What a pair of equal-keyed tuples must also pass to match.
+    pub residual: Option<Predicate>,
     pub mem_budget: usize,
     /// Grace fan-out when spilling.
     pub fanout: usize,
     /// Runtime-filter hub slot this partition publishes to at end of
-    /// build, when jobgen wired one (inner joins only — an outer probe
-    /// must keep unmatched tuples, so pruning them upstream would be
-    /// wrong).
+    /// build, when jobgen wired one. Pruning probe tuples without a build
+    /// partner upstream is right for every kind but `ProbeOuter`, which
+    /// must emit them.
     pub filter_id: Option<usize>,
 }
 
@@ -145,7 +171,7 @@ impl HybridHashJoinOp {
         build_keys: Vec<usize>,
         probe_keys: Vec<usize>,
         join_type: JoinType,
-        build_arity: usize,
+        pad_arity: usize,
     ) -> HybridHashJoinOp {
         HybridHashJoinOp {
             label: label.into(),
@@ -153,7 +179,8 @@ impl HybridHashJoinOp {
             build_keys,
             probe_keys,
             join_type,
-            build_arity,
+            pad_arity,
+            residual: None,
             mem_budget: 64 << 20,
             fanout: 16,
             filter_id: None,
@@ -169,6 +196,13 @@ impl HybridHashJoinOp {
     /// probe ~100000]`).
     pub fn with_sides(mut self, sides: impl Into<String>) -> Self {
         self.sides = sides.into();
+        self
+    }
+
+    /// Match only the equal-keyed pairs `residual` passes, decided on
+    /// `build ++ probe`.
+    pub fn with_residual(mut self, residual: Predicate) -> Self {
+        self.residual = Some(residual);
         self
     }
 
@@ -202,6 +236,7 @@ impl OperatorDescriptor for HybridHashJoinOp {
         let build = HashBuild {
             label: self.label.clone(),
             keys: self.build_keys.clone(),
+            join_type: self.join_type,
             budget: self.mem_budget,
             fanout: self.fanout.max(2),
             rows: Vec::new(),
@@ -218,8 +253,10 @@ impl OperatorDescriptor for HybridHashJoinOp {
             matches: Matches {
                 keys: self.probe_keys.clone(),
                 join_type: self.join_type,
-                pad: null_pad(self.build_arity),
+                residual: self.residual.clone(),
+                pad: null_pad(self.pad_arity),
                 scratch: Vec::new(),
+                key_scratch: Vec::new(),
                 out: FrameOut::new(&ctx.env, next),
             },
         };
@@ -227,16 +264,29 @@ impl OperatorDescriptor for HybridHashJoinOp {
     }
 }
 
-/// Build-side tuples by join key (unknown keys never join, so they are
-/// left out).
-type JoinTable = HashMap<Vec<u8>, Vec<Vec<u8>>>;
+/// A hash join's build tuples, their places by join key, and — for a
+/// preserved build side — per tuple whether a match passed. A tuple with
+/// an unknown key joins nothing (unknown keys never join): only an outer
+/// build side keeps it, to emit it padded.
+#[derive(Default)]
+struct JoinTable {
+    rows: Vec<Vec<u8>>,
+    by_key: HashMap<Vec<u8>, Vec<usize>>,
+    matched: Vec<bool>,
+}
 
-fn join_table(build: Vec<Vec<u8>>, keys: &[usize]) -> Result<JoinTable> {
-    let mut table = JoinTable::new();
+fn join_table(build: Vec<Vec<u8>>, keys: &[usize], join_type: JoinType) -> Result<JoinTable> {
+    let mut table = JoinTable::default();
     for bytes in build {
-        if let Some(k) = join_key(&TupleRef::new(&bytes)?, keys)? {
-            table.entry(k).or_default().push(bytes);
+        match join_key(&TupleRef::new(&bytes)?, keys)? {
+            Some(k) => table.by_key.entry(k).or_default().push(table.rows.len()),
+            None if join_type == JoinType::BuildOuter => {}
+            None => continue,
         }
+        table.rows.push(bytes);
+    }
+    if join_type.flags_build() {
+        table.matched = vec![false; table.rows.len()];
     }
     Ok(table)
 }
@@ -256,6 +306,7 @@ enum Built {
 struct HashBuild {
     label: String,
     keys: Vec<usize>,
+    join_type: JoinType,
     budget: usize,
     fanout: usize,
     rows: Vec<Vec<u8>>,
@@ -309,13 +360,14 @@ impl PipelineOp for HashBuild {
     /// End of build: publish this partition's filter before the probe input
     /// is touched, so probe-side producers start pruning as early as
     /// possible. An empty build partition publishes too — its filter
-    /// rejects every key, which is exactly right for an inner join.
+    /// rejects every key, which is exactly right when no probe tuple
+    /// without a partner is emitted.
     fn finish(&mut self) -> Result<()> {
         if let Some((id, partition, hub)) = &self.filter {
             hub.publish(*id, *partition, &std::mem::take(&mut self.filter_hashes));
         }
         let built = if self.spill.is_empty() {
-            Built::Memory(join_table(std::mem::take(&mut self.rows), &self.keys)?)
+            Built::Memory(join_table(std::mem::take(&mut self.rows), &self.keys, self.join_type)?)
         } else {
             let build = std::mem::take(&mut self.spill);
             let build = build.into_iter().map(|w| w.finish()).collect::<Result<_>>()?;
@@ -341,46 +393,97 @@ struct HashProbe {
 struct Matches {
     keys: Vec<usize>,
     join_type: JoinType,
-    /// Build-side nulls an unmatched ProbeOuter tuple is padded with.
+    residual: Option<Predicate>,
+    /// The nulls an outer join pads the other side of an unmatched tuple
+    /// with.
     pad: Vec<u8>,
+    /// `build ++ probe` of the pair at hand.
     scratch: Vec<u8>,
+    key_scratch: Vec<u8>,
     out: FrameOut,
 }
 
 impl Matches {
-    fn probe(&mut self, table: &JoinTable, p: &[u8]) -> Result<()> {
-        let out = &mut self.out;
-        match join_key(&TupleRef::new(p)?, &self.keys)?.and_then(|k| table.get(&k)) {
-            Some(ms) => ms.iter().try_for_each(|b| push_concat(out, &mut self.scratch, b, p)),
-            None if self.join_type == JoinType::ProbeOuter => {
-                push_concat(out, &mut self.scratch, &self.pad, p)
+    fn probe(&mut self, table: &mut JoinTable, p: &[u8]) -> Result<()> {
+        let jt = self.join_type;
+        let probe = TupleRef::new(p)?;
+        let hits = join_key(&probe, &self.keys)?.and_then(|k| table.by_key.get(&k));
+        let mut matched = false;
+        for &i in hits.map_or(&[][..], Vec::as_slice) {
+            if jt == JoinType::BuildSemi && table.matched[i] {
+                continue;
             }
-            None => Ok(()),
+            let b = &table.rows[i];
+            self.scratch.clear();
+            concat_tuples_into(&mut self.scratch, &TupleRef::new(b)?, &probe);
+            if let Some(residual) = &self.residual {
+                if !residual.decide(&self.scratch, &mut self.key_scratch)? {
+                    continue;
+                }
+            }
+            matched = true;
+            match jt {
+                JoinType::ProbeSemi => break,
+                JoinType::BuildSemi => self.out.push(b)?,
+                _ => self.out.push(&self.scratch)?,
+            }
+            if jt.flags_build() {
+                table.matched[i] = true;
+            }
         }
+        match jt {
+            JoinType::ProbeSemi if matched => self.out.push(p),
+            JoinType::ProbeOuter if !matched => {
+                push_concat(&mut self.out, &mut self.scratch, &self.pad, p)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The end of a table's probing: an outer build side's tuples no match
+    /// passed, padded.
+    fn unmatched(&mut self, table: &JoinTable) -> Result<()> {
+        if self.join_type != JoinType::BuildOuter {
+            return Ok(());
+        }
+        for (b, _) in table.rows.iter().zip(&table.matched).filter(|(_, matched)| !**matched) {
+            push_concat(&mut self.out, &mut self.scratch, b, &self.pad)?;
+        }
+        Ok(())
     }
 }
 
 /// What the build activity left; a build that failed left nothing, which
 /// joins as an empty build side.
 fn take_built(built: &Handoff<Built>) -> Built {
-    built.lock().take().unwrap_or_else(|| Built::Memory(JoinTable::new()))
+    built.lock().take().unwrap_or_else(|| Built::Memory(JoinTable::default()))
 }
 
 impl HashProbe {
-    /// Join the Grace partitions pairwise.
-    fn join_spilled(&mut self) -> Result<()> {
-        let state = self.state.take().unwrap_or_else(|| take_built(&self.built));
-        let Built::Grace { build, probe } = state else { return Ok(()) };
+    /// End of the probe input: the in-memory table's unmatched build
+    /// tuples, or the Grace partitions joined pairwise, each followed by
+    /// its own.
+    fn join_rest(&mut self) -> Result<()> {
+        let jt = self.matches.join_type;
+        let (build, probe) = match self.state.take().unwrap_or_else(|| take_built(&self.built)) {
+            Built::Memory(table) => return self.matches.unmatched(&table),
+            Built::Grace { build, probe } => (build, probe),
+        };
         let probe: Vec<(SpillGuard, usize)> =
             probe.into_iter().map(|w| w.finish()).collect::<Result<_>>()?;
         for ((bspill, bcount), (pspill, pcount)) in build.into_iter().zip(probe) {
-            if pcount == 0 && (bcount == 0 || self.matches.join_type == JoinType::Inner) {
+            // A side with no tuples leaves nothing to emit unless the other
+            // is padded.
+            if (bcount == 0 && jt != JoinType::ProbeOuter)
+                || (pcount == 0 && jt != JoinType::BuildOuter)
+            {
                 continue;
             }
-            let table = join_table(read_spill(&bspill)?, &self.build_keys)?;
+            let mut table = join_table(read_spill(&bspill)?, &self.build_keys, jt)?;
             for p in read_spill(&pspill)? {
-                self.matches.probe(&table, &p)?;
+                self.matches.probe(&mut table, &p)?;
             }
+            self.matches.unmatched(&table)?;
         }
         Ok(())
     }
@@ -404,7 +507,7 @@ impl PipelineOp for HashProbe {
     }
 
     fn finish(&mut self) -> Result<()> {
-        let emitted = self.join_spilled();
+        let emitted = self.join_rest();
         self.matches.out.finish(emitted)
     }
 }
@@ -865,6 +968,107 @@ mod tests {
                 assert_eq!(row[..2] == padded, k != 7, "budget {budget:?}: {row:?}");
             }
         }
+    }
+
+    /// What a join of `jt` answers, worked out pair by pair: each (build,
+    /// probe) pair that `passes`, as `build ++ probe`; a preserved tuple
+    /// without one padded, or for a semi-join each with one, alone.
+    fn naive_join(
+        jt: JoinType,
+        build: &[Tuple],
+        probe: &[Tuple],
+        passes: impl Fn(&Tuple, &Tuple) -> bool,
+    ) -> Vec<Tuple> {
+        let pair = |b: &Tuple, p: &Tuple| [b.as_slice(), p.as_slice()].concat();
+        let nulls = vec![Value::Null; 2];
+        let mut out = Vec::new();
+        if jt.flags_build() {
+            for b in build {
+                let ms: Vec<Tuple> =
+                    probe.iter().filter(|p| passes(b, p)).map(|p| pair(b, p)).collect();
+                match jt {
+                    JoinType::BuildSemi if !ms.is_empty() => out.push(b.clone()),
+                    JoinType::BuildOuter if ms.is_empty() => out.push(pair(b, &nulls)),
+                    JoinType::BuildOuter => out.extend(ms),
+                    _ => {}
+                }
+            }
+        } else {
+            for p in probe {
+                let ms: Vec<Tuple> =
+                    build.iter().filter(|b| passes(b, p)).map(|b| pair(b, p)).collect();
+                match jt {
+                    JoinType::ProbeSemi if !ms.is_empty() => out.push(p.clone()),
+                    JoinType::ProbeOuter if ms.is_empty() => out.push(pair(&nulls, p)),
+                    JoinType::ProbeSemi => {}
+                    _ => out.extend(ms),
+                }
+            }
+        }
+        out
+    }
+
+    fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+        let cmp = |a: &Tuple, b: &Tuple| {
+            let by_field = a.iter().zip(b).map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne());
+            by_field.unwrap_or(a.len().cmp(&b.len()))
+        };
+        rows.sort_by(cmp);
+        rows
+    }
+
+    /// Every kind on either build side, with a residual decided inside
+    /// the join, in memory and Grace-partitioned under a 1 KiB budget:
+    /// some build keys are NULL, and most build keys have no probe
+    /// partner, so most Grace partitions hold build tuples alone.
+    #[test]
+    fn every_kind_decides_its_residual_inside_the_join_on_either_build_side() {
+        let build: Vec<Tuple> = (0..300i64)
+            .map(|i| {
+                let k = if i % 7 == 0 { Value::Null } else { Value::Int64(i % 60) };
+                vec![k, Value::Int64(i)]
+            })
+            .collect();
+        let probe: Vec<Tuple> = (0..120i64)
+            .map(|i| {
+                let k = if i % 11 == 0 { Value::Null } else { Value::Int64(i % 4) };
+                vec![k, Value::Int64(3 * i)]
+            })
+            .collect();
+        // Over `build ++ probe`: the build value is below the probe value.
+        let residual = Predicate {
+            pred: Arc::new(|t: &Tuple| Ok(t[1].total_cmp(&t[3]).is_lt())),
+            fields: None,
+            ord: Vec::new(),
+        };
+        let passes = |b: &Tuple, p: &Tuple| {
+            !b[0].is_unknown() && b[0] == p[0] && b[1].total_cmp(&p[1]).is_lt()
+        };
+        for jt in [
+            JoinType::Inner,
+            JoinType::ProbeOuter,
+            JoinType::ProbeSemi,
+            JoinType::BuildOuter,
+            JoinType::BuildSemi,
+        ] {
+            let want = sorted(naive_join(jt, &build, &probe, passes));
+            for budget in [None, Some(1024)] {
+                let mut op = HybridHashJoinOp::new("kinds", vec![0], vec![0], jt, 2)
+                    .with_residual(residual.clone());
+                if let Some(bytes) = budget {
+                    op = op.with_budget(bytes);
+                }
+                let got = sorted(run_join(&op, build.clone(), probe.clone()));
+                assert_eq!(got.len(), want.len(), "{jt:?}, budget {budget:?}");
+                assert_eq!(got, want, "{jt:?}, budget {budget:?}");
+            }
+        }
+        // The data leaves every kind something to pad and to drop.
+        let outer = naive_join(JoinType::BuildOuter, &build, &probe, passes);
+        assert!(outer.iter().any(|r| r[0].is_unknown() && r[2].is_unknown()));
+        assert!(outer.iter().any(|r| !r[0].is_unknown() && r[2].is_unknown()));
+        let semi = naive_join(JoinType::BuildSemi, &build, &probe, passes);
+        assert!(semi.len() > 10 && semi.len() < build.len(), "{}", semi.len());
     }
 
     #[test]

@@ -2118,6 +2118,36 @@ fn nest_queries() -> Vec<NestQuery> {
             ),
             false,
         ),
+        // Hash semi-joins with a residual: the smaller users build, then
+        // the messages do.
+        twin(
+            "for $u in dataset NU where $u.id >= 5 and \
+             (some $m in dataset NM satisfies $m.author = $u.id and $m.len > 60) return $u.id",
+            "for $u in dataset NU for $m in dataset NM \
+             where $m.author = $u.id and $m.len > 60 and $u.id >= 5 \
+             group by $uid := $u.id with $m return $uid",
+        ),
+        twin(
+            "for $m in dataset NM \
+             where some $u in dataset NU satisfies $u.id = $m.author and $u.grp = 1 \
+             return $m.mid",
+            "for $m in dataset NM for $u in dataset NU where $u.id = $m.author and $u.grp = 1 \
+             group by $mid := $m.mid with $u return $mid",
+        ),
+        // Left-outer hash joins with a residual that names both sides:
+        // the preserved users build, then the preserved messages probe.
+        q(
+            "for $u in dataset NU where $u.id < 35 \
+             return { \"u\": $u.id, \"m\": for $m in dataset NM \
+                      where $m.author = $u.id and $m.len > $u.id * 4 return $m.mid }",
+            false,
+        ),
+        q(
+            "for $m in dataset NM \
+             return { \"m\": $m.mid, \"a\": for $u in dataset NU \
+                      where $u.id = $m.author and $u.grp != $m.mid % 3 return $u.id }",
+            false,
+        ),
         // A dataset as a value, bare and in an expression.
         twin("count(dataset NM)", "count(for $m in dataset NM return $m)"),
         q("{ \"m\": count(dataset NM) + 0, \"u\": count(dataset NU) }", false),

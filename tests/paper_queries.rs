@@ -679,8 +679,33 @@ fn query_4_decorrelates_into_a_left_outer_join_and_a_group_by() {
     assert!(plan.contains("hash-join (LeftOuter)"), "{plan}");
     assert!(plan.contains("group-by"), "{plan}");
     assert!(!plan.contains("index-nl-join"), "{plan}");
-    assert!(job.contains("hybrid-hash-join"), "{job}");
+    // One shape: the users are read once, and the smaller, preserved side
+    // builds.
+    assert_eq!(job.matches("data-scan TinySocial.MugshotUsers").count(), 1, "{job}");
+    assert_eq!(job.matches("hybrid-hash-join").count(), 1, "{job}");
+    assert!(job.contains("hybrid-hash-join equi [build=left"), "{job}");
     assert_eq!(answer(&instance), indexed);
+    // A `some` over the messages is a hash semi-join, its residual decided
+    // inside the join.
+    let semi = "for $user in dataset MugshotUsers \
+                where some $m in dataset MugshotMessages \
+                satisfies $m.author-id = $user.id and string-length($m.message) > 30 \
+                return $user.id";
+    let (plan, job) = instance.explain(semi).unwrap();
+    assert!(plan.contains("hash-join (Semi)"), "{plan}");
+    assert!(job.contains("hybrid-hash-join"), "{job}");
+    assert!(!job.contains("nested-loop-join") && !job.contains("select residual"), "{job}");
+    let flat = "for $user in dataset MugshotUsers for $m in dataset MugshotMessages \
+                where $m.author-id = $user.id and string-length($m.message) > 30 \
+                group by $uid := $user.id with $m return $uid";
+    let sorted = |q: &str| {
+        let mut ids: Vec<i64> =
+            instance.query(q).unwrap().iter().filter_map(Value::as_i64).collect();
+        ids.sort();
+        ids
+    };
+    assert_eq!(sorted(semi), sorted(flat));
+    assert!(!sorted(semi).is_empty());
 
     // A user with no message in the window gets `[]`, not `[null]`.
     let q = query_4_text("2012-12-01T00:00:00", "2013-01-31T23:59:59");

@@ -14,7 +14,11 @@
 # directory, all under `$CARGO_TARGET_DIR/perf-pairs` (else
 # `/root/scratch/perf-pairs`, else `target/perf-pairs`). The two
 # `asterix-perf` executables are copied apart before anything runs, because
-# a run keeps its instance data beside its executable. Runs are strictly
+# a run keeps its instance data beside its executable; the parent's stay
+# under `bin/parent-<sha>`, and a later campaign against the same revision
+# runs them without cloning or building it again. A campaign holds a lock
+# on `lock` there from start to end: a second one waits for it instead of
+# deleting the binaries and runs of the first. Runs are strictly
 # one after another (the benchmark pins itself to one CPU), odd pairs run
 # the parent first and even pairs the change, and a run that fails stops
 # the campaign. Nothing here needs a terminal: start a long campaign with
@@ -59,8 +63,20 @@ else
     base="$root/target/perf-pairs"
 fi
 runs="$base/runs/$workload"
-rm -rf "$runs" "$base/bin"
-mkdir -p "$runs/parent" "$runs/change" "$base/bin/parent" "$base/bin/change"
+mkdir -p "$base"
+exec 9> "$base/lock"
+if ! flock -n 9; then
+    echo "perf-pairs: waiting for the campaign that holds $base/lock" >&2
+    flock 9
+fi
+if [ "$smoke" -eq 1 ]; then
+    parent_bin="$base/bin/parent"
+else
+    rev="$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")"
+    parent_bin="$base/bin/parent-$rev"
+fi
+rm -rf "$runs" "$base/bin/change" "$base/bin/parent"
+mkdir -p "$runs/parent" "$runs/change" "$base/bin/change"
 
 # build <checkout> <target dir>: that checkout's benchmark, as the
 # benchmark command of BENCHMARK.json builds it.
@@ -74,15 +90,19 @@ build "$root" "$base/target-change"
 cp "$base/target-change/release/asterix-perf" "$base/bin/change/"
 cp "$base/target-change/release/perf-agree" "$base/bin/"
 if [ "$smoke" -eq 1 ]; then
-    cp "$base/bin/change/asterix-perf" "$base/bin/parent/"
+    mkdir -p "$parent_bin"
+    cp "$base/bin/change/asterix-perf" "$parent_bin/"
+elif [ -x "$parent_bin/asterix-perf" ]; then
+    echo "perf-pairs: the parent, $rev, is built already" >&2
 else
-    rev="$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")"
     echo "perf-pairs: building the parent, $rev" >&2
     rm -rf "$base/src-parent"
     git clone --quiet --no-checkout "$root" "$base/src-parent"
     git -C "$base/src-parent" checkout --quiet --detach "$rev"
     build "$base/src-parent" "$base/target-parent"
-    cp "$base/target-parent/release/asterix-perf" "$base/bin/parent/"
+    mkdir -p "$parent_bin.tmp"
+    cp "$base/target-parent/release/asterix-perf" "$parent_bin.tmp/"
+    mv "$parent_bin.tmp" "$parent_bin"
 fi
 
 args=(--workload "$workload" --trace "$trace")
@@ -95,7 +115,11 @@ fi
 # run_one <side> <seed>: one captured output per run, as perf-agree reads them.
 run_one() {
     echo "perf-pairs: $workload seed $2, $1" >&2
-    "$base/bin/$1/asterix-perf" "${args[@]}" --seed "$2" > "$runs/$1/seed-$2.txt"
+    local bin="$base/bin/change"
+    if [ "$1" = parent ]; then
+        bin="$parent_bin"
+    fi
+    "$bin/asterix-perf" "${args[@]}" --seed "$2" > "$runs/$1/seed-$2.txt"
 }
 
 ops_of() {
