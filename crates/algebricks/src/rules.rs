@@ -1236,7 +1236,8 @@ impl Decorrelation<'_> {
     /// A `some $x in Emit(B, e) satisfies p` conjunct of a select over
     /// `input`, `B` a dataset branch under selects that names no variable
     /// of `input`: a semi-join of `input` with the branch on the selects'
-    /// conditions and `p` of `e`.
+    /// conditions and `p` of `e`, those that name only the branch's
+    /// variables filtering the branch below the join (`fold`).
     fn semi_join(&mut self, input: &LogicalOp, condition: &LogicalExpr) -> Option<LogicalOp> {
         let mut conjuncts = Vec::new();
         conjuncts_of(condition.clone(), &mut conjuncts);
@@ -1258,13 +1259,14 @@ impl Decorrelation<'_> {
         if self.correlated(branch) || !branch.reads_dataset() {
             return None;
         }
-        let semi = LogicalOp::Join {
+        let mut semi = LogicalOp::Join {
             left: Box::new(input.clone()),
             right: Box::new(branch.clone()),
-            condition: on.into_iter().rev().reduce(and2).expect("one condition"),
+            condition: LogicalExpr::Const(Value::Boolean(true)),
             kind: JoinKind::Semi,
             index_nl_hint: false,
         };
+        fold(&mut semi, on.into_iter().rev().reduce(and2).expect("one condition"));
         conjuncts.remove(at);
         Some(match conjuncts.into_iter().reduce(and2) {
             Some(rest) => LogicalOp::Select { input: Box::new(semi), condition: rest },

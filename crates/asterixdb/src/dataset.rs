@@ -9,7 +9,7 @@
 //! transactions: an X lock on (dataset, primary key), one WAL record per
 //! LSM-index update, no-steal/no-force commit.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use asterix_adm::strings::Tokenizer;
@@ -20,18 +20,19 @@ use asterix_metadata::{DatasetMeta, IndexKindMeta, IndexMeta};
 use asterix_storage::btree::{LsmBTree, ValueBound};
 use asterix_storage::inverted::InvertedIndex;
 use asterix_storage::keycodec;
-use asterix_storage::lsm::{LsmConfig, LsmObserver, LsmTree, ScanValue};
+use asterix_storage::lsm::{LsmConfig, LsmTree, Lsn, ScanValue};
 use asterix_storage::spatial::SpatialIndex;
 use asterix_storage::{
     BufferCache, ColumnarOptions, ColumnarStats, Projection, RowCodec, ScanBound,
 };
 use asterix_sync::RwLock;
 use asterix_txn::locks::LockMode;
-use asterix_txn::wal::{LogManager, LogRecord};
+use asterix_txn::wal::LogRecord;
 use asterix_txn::LockManager;
 
 use crate::cluster::ClusterConfig;
 use crate::error::{AsterixError, Result};
+use crate::nodelog::{FlushLogger, NodeLog};
 
 /// Encode (index id, partition) into the WAL's 32-bit index field so flush
 /// watermarks are tracked per index *partition*.
@@ -89,34 +90,6 @@ impl RowCodec for TypedRowCodec {
 
     fn declared_fields(&self) -> &[String] {
         &self.declared
-    }
-}
-
-/// Observer that writes LSM flush watermarks into the WAL (§4.4: recovery
-/// replays only operations newer than the last flushed component).
-struct FlushLogger {
-    wal: Arc<LogManager>,
-    dataset: u32,
-    index_code: u32,
-    last_lsn: Arc<AtomicU64>,
-}
-
-impl LsmObserver for FlushLogger {
-    fn on_seal(&self) -> u64 {
-        // Captured synchronously when the memory component is sealed, so the
-        // watermark covers exactly the operations in the sealed component —
-        // writes racing with the (now background) flush are not claimed
-        // durable before their component reaches disk.
-        self.last_lsn.load(Ordering::SeqCst)
-    }
-
-    fn on_flush(&self, _path: &std::path::Path, _max_seq: u64, watermark: u64) {
-        let _ = self.wal.append(&LogRecord::Flush {
-            dataset: self.dataset,
-            index: self.index_code,
-            durable_lsn: watermark,
-        });
-        let _ = self.wal.force();
     }
 }
 
@@ -186,6 +159,14 @@ impl SecondaryPartition {
     }
 }
 
+/// Remove a directory and everything in it, if it is there.
+fn remove_dir(dir: &std::path::Path) -> Result<()> {
+    match std::fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
+
 /// A compiler bound as a storage bound.
 pub(crate) fn to_value_bound(b: KeyBound) -> ValueBound {
     match b {
@@ -201,7 +182,6 @@ pub struct SecondaryIndexRuntime {
     /// Index id within the dataset (primary = 0, secondaries from 1).
     pub id: u32,
     pub partitions: Vec<SecondaryPartition>,
-    last_lsns: Vec<Arc<AtomicU64>>,
 }
 
 /// A fully materialized stored dataset.
@@ -214,10 +194,13 @@ pub struct DatasetRuntime {
     cfg: ClusterConfig,
     cache: Arc<BufferCache>,
     pub primary: Vec<LsmBTree>,
-    primary_last_lsns: Vec<Arc<AtomicU64>>,
     pub secondaries: RwLock<Vec<Arc<SecondaryIndexRuntime>>>,
+    /// The id the next secondary index gets: ids are never reused, so a
+    /// log record of a dropped index never lands in a newer one.
+    next_index_id: AtomicU32,
     locks: Arc<LockManager>,
-    wals: Vec<Arc<LogManager>>,
+    /// Each node's log, by node.
+    logs: Vec<Arc<NodeLog>>,
     /// Next auto-generated key (datasets declared `autogenerated`).
     next_auto_key: AtomicI64,
     /// On-disk directory name: `{name}#{id}`, so a drop + re-create under
@@ -237,13 +220,12 @@ impl DatasetRuntime {
         cfg: &ClusterConfig,
         cache: Arc<BufferCache>,
         locks: Arc<LockManager>,
-        wals: Vec<Arc<LogManager>>,
+        logs: Vec<Arc<NodeLog>>,
         columnar_stats: Arc<ColumnarStats>,
     ) -> Result<Arc<DatasetRuntime>> {
         let nparts = cfg.partitions();
         let dir_name = format!("{}#{id}", meta.name);
         let mut primary = Vec::with_capacity(nparts);
-        let mut primary_last_lsns = Vec::with_capacity(nparts);
         // Primary indexes store whole records and flush them column-major
         // when the data's schema is stable.
         let codec: Arc<dyn RowCodec> =
@@ -251,43 +233,33 @@ impl DatasetRuntime {
         let columnar = ColumnarOptions { codec, stats: columnar_stats };
         for p in 0..nparts {
             let dir = cfg.index_dir(p, &meta.dataverse, &dir_name, "primary");
-            let last = Arc::new(AtomicU64::new(0));
+            let node = &logs[cfg.node_of(p)];
             let observer = Arc::new(FlushLogger {
-                wal: Arc::clone(&wals[cfg.node_of(p)]),
+                node: Arc::clone(node),
                 dataset: id,
                 index_code: wal_index_code(0, p),
-                last_lsn: Arc::clone(&last),
             });
             let config = LsmConfig { columnar: Some(columnar.clone()), ..Self::lsm_config(cfg) };
-            primary.push(LsmBTree::open(
-                &dir,
-                meta.primary_key.len(),
-                config,
-                Arc::clone(&cache),
-                observer,
-            )?);
-            primary_last_lsns.push(last);
+            let tree =
+                LsmBTree::open(&dir, meta.primary_key.len(), config, Arc::clone(&cache), observer)?;
+            node.register(tree.lsm().lsn_pin());
+            primary.push(tree);
         }
-        let ds = Arc::new(DatasetRuntime {
+        Ok(Arc::new(DatasetRuntime {
             id,
-            meta: meta.clone(),
+            meta,
             datatype,
             registry,
             cfg: cfg.clone(),
             cache,
             primary,
-            primary_last_lsns,
             secondaries: RwLock::new(Vec::new()),
+            next_index_id: AtomicU32::new(1),
             locks,
-            wals,
+            logs,
             next_auto_key: AtomicI64::new(1),
             dir_name,
-        });
-        // Materialize declared secondary indexes.
-        for (i, ix) in meta.indexes.iter().enumerate() {
-            ds.open_secondary(i as u32 + 1, ix.clone())?;
-        }
-        Ok(ds)
+        }))
     }
 
     /// Base LSM configuration — row-major (secondary indexes store keys
@@ -303,18 +275,23 @@ impl DatasetRuntime {
         }
     }
 
-    fn open_secondary(&self, id: u32, meta: IndexMeta) -> Result<()> {
+    /// Open the index partitions of `meta` under the next index id, in
+    /// directories emptied first when `fresh`, and publish the index to
+    /// writers.
+    fn open_secondary(&self, meta: IndexMeta, fresh: bool) -> Result<Arc<SecondaryIndexRuntime>> {
+        let id = self.next_index_id.fetch_add(1, Ordering::SeqCst);
         let nparts = self.cfg.partitions();
         let mut partitions = Vec::with_capacity(nparts);
-        let mut last_lsns = Vec::with_capacity(nparts);
         for p in 0..nparts {
-            let dir = self.cfg.index_dir(p, &self.meta.dataverse, &self.dir_name, &meta.name);
-            let last = Arc::new(AtomicU64::new(0));
+            let dir = self.index_dir(p, &meta.name, id);
+            if fresh {
+                remove_dir(&dir)?;
+            }
+            let node = &self.logs[self.cfg.node_of(p)];
             let observer = Arc::new(FlushLogger {
-                wal: Arc::clone(&self.wals[self.cfg.node_of(p)]),
+                node: Arc::clone(node),
                 dataset: self.id,
                 index_code: wal_index_code(id, p),
-                last_lsn: Arc::clone(&last),
             });
             let part = match &meta.kind {
                 IndexKindMeta::BTree => SecondaryPartition::BTree(LsmBTree::open(
@@ -345,41 +322,74 @@ impl DatasetRuntime {
                     observer,
                 )?),
             };
+            node.register(part.lsm().lsn_pin());
             partitions.push(part);
-            last_lsns.push(last);
         }
-        self.secondaries.write().push(Arc::new(SecondaryIndexRuntime {
-            meta,
-            id,
-            partitions,
-            last_lsns,
-        }));
+        let ix = Arc::new(SecondaryIndexRuntime { meta, id, partitions });
+        self.secondaries.write().push(Arc::clone(&ix));
+        Ok(ix)
+    }
+
+    /// On-disk directory of one partition of index `name`: `{name}#{id}`,
+    /// so every incarnation of a name has storage of its own, as datasets
+    /// do.
+    fn index_dir(&self, partition: usize, name: &str, id: u32) -> std::path::PathBuf {
+        let index = format!("{name}#{id}");
+        self.cfg.index_dir(partition, &self.meta.dataverse, &self.dir_name, &index)
+    }
+
+    /// Create a new secondary index, durable before it returns: it starts
+    /// from empty directories (an earlier run may have left some under its
+    /// id before its DDL was persisted), is backfilled from the existing
+    /// records, and every backfilled partition is flushed.
+    pub fn create_index(&self, meta: IndexMeta) -> Result<()> {
+        let ix = self.open_secondary(meta, true)?;
+        for p in 0..self.cfg.partitions() {
+            self.backfill(&ix, p)?;
+        }
         Ok(())
     }
 
-    /// Create a new secondary index and backfill it from existing records.
-    pub fn create_index(&self, meta: IndexMeta) -> Result<()> {
-        let id = self.secondaries.read().len() as u32 + 1;
-        self.open_secondary(id, meta.clone())?;
-        // Backfill (bulk, outside record transactions — index build).
-        let ix = Arc::clone(self.secondaries.read().last().unwrap());
-        for p in 0..self.cfg.partitions() {
-            let records = self.scan_partition(p)?;
-            for r in records {
-                let pk = self.pk_of(&r)?;
-                self.apply_secondary(&ix, p, &r, &pk, false)?;
+    /// Reopen a secondary index that [`Self::create_index`] made durable.
+    /// A partition is rebuilt only when it has no valid component while
+    /// its primary partition holds records (a directory emptied by hand,
+    /// or scavenged: DESIGN.md "The spatial index").
+    pub fn reopen_index(&self, meta: IndexMeta) -> Result<()> {
+        let ix = self.open_secondary(meta, false)?;
+        for (p, part) in ix.partitions.iter().enumerate() {
+            if part.lsm().disk_component_count() == 0 && self.primary[p].lsm().stored_entries() > 0
+            {
+                self.backfill(&ix, p)?;
             }
         }
         Ok(())
     }
 
-    /// Drop a secondary index.
+    /// Index every record of one primary partition (bulk, outside record
+    /// transactions: nothing is logged) and flush the index partition.
+    fn backfill(&self, ix: &SecondaryIndexRuntime, partition: usize) -> Result<()> {
+        for r in self.scan_partition(partition)? {
+            let pk = self.pk_of(&r)?;
+            if let Some(fv) = Self::indexed_value(ix, &r) {
+                self.apply_secondary_value(ix, partition, &fv, &pk, false, 0)?;
+            }
+        }
+        ix.partitions[partition].lsm().flush()?;
+        Ok(())
+    }
+
+    /// Drop a secondary index and its storage. What its memory components
+    /// hold is discarded, so it pins no log record.
     pub fn drop_index(&self, name: &str) -> Result<()> {
         let mut secs = self.secondaries.write();
-        let before = secs.len();
-        secs.retain(|s| s.meta.name != name);
-        if secs.len() == before {
-            return Err(AsterixError::Catalog(format!("unknown index {name}")));
+        let at = secs
+            .iter()
+            .position(|s| s.meta.name == name)
+            .ok_or_else(|| AsterixError::Catalog(format!("unknown index {name}")))?;
+        let ix = secs.remove(at);
+        for (p, part) in ix.partitions.iter().enumerate() {
+            part.lsm().discard_memory();
+            remove_dir(&self.index_dir(p, name, ix.id))?;
         }
         Ok(())
     }
@@ -536,8 +546,7 @@ impl DatasetRuntime {
         let pk = self.pk_of(&record)?;
         let pk_bytes = keycodec::encode_key(&pk)?;
         let partition = self.partition_of(&pk);
-        let node = self.cfg.node_of(partition);
-        let wal = &self.wals[node];
+        let wal = self.logs[self.cfg.node_of(partition)].wal();
         let txn = wal.begin();
         self.locks.lock(txn, &(self.id, pk_bytes.clone()), LockMode::Exclusive)?;
         let result = (|| -> Result<()> {
@@ -561,8 +570,7 @@ impl DatasetRuntime {
                 key: pk_bytes.clone(),
                 value: value_bytes.clone(),
             })?;
-            self.primary_last_lsns[partition].store(lsn, Ordering::SeqCst);
-            self.primary[partition].insert(&pk, value_bytes)?;
+            self.primary[partition].insert(&pk, value_bytes, lsn)?;
             // Secondary indexes.
             let secs = self.secondaries.read().clone();
             for ix in &secs {
@@ -571,8 +579,17 @@ impl DatasetRuntime {
             wal.commit(txn)?;
             Ok(())
         })();
-        self.locks.release_all(txn);
+        self.finish_txn(txn, &result, partition);
         result
+    }
+
+    /// End a record-level transaction: log the abort of one that failed
+    /// (when it logged an update), and release its locks.
+    fn finish_txn<T>(&self, txn: asterix_txn::TxnId, result: &Result<T>, partition: usize) {
+        if result.is_err() {
+            let _ = self.logs[self.cfg.node_of(partition)].wal().abort(txn);
+        }
+        self.locks.release_all(txn);
     }
 
     /// Delete by primary key; returns whether a record was removed.
@@ -580,8 +597,7 @@ impl DatasetRuntime {
         let pk = self.coerce_pk(pk);
         let pk_bytes = keycodec::encode_key(&pk)?;
         let partition = self.partition_of(&pk);
-        let node = self.cfg.node_of(partition);
-        let wal = &self.wals[node];
+        let wal = self.logs[self.cfg.node_of(partition)].wal();
         let txn = wal.begin();
         self.locks.lock(txn, &(self.id, pk_bytes.clone()), LockMode::Exclusive)?;
         let result = (|| -> Result<bool> {
@@ -598,8 +614,7 @@ impl DatasetRuntime {
                 key: pk_bytes.clone(),
                 value: Vec::new(),
             })?;
-            self.primary_last_lsns[partition].store(lsn, Ordering::SeqCst);
-            self.primary[partition].delete(&pk)?;
+            self.primary[partition].delete(&pk, lsn)?;
             let secs = self.secondaries.read().clone();
             for ix in &secs {
                 self.log_and_apply_secondary(txn, ix, partition, &old, &pk, true)?;
@@ -607,7 +622,7 @@ impl DatasetRuntime {
             wal.commit(txn)?;
             Ok(true)
         })();
-        self.locks.release_all(txn);
+        self.finish_txn(txn, &result, partition);
         result
     }
 
@@ -622,16 +637,12 @@ impl DatasetRuntime {
         pk: &[Value],
         is_delete: bool,
     ) -> Result<()> {
-        let wal = &self.wals[self.cfg.node_of(partition)];
-        let Some(field) = ix.meta.fields.first() else { return Ok(()) };
-        let fv = extract_path(record, field);
-        if fv.is_unknown() {
-            return Ok(()); // unknown keys are not indexed
-        }
+        let Some(fv) = Self::indexed_value(ix, record) else { return Ok(()) };
         // Logical log payload: [field value, pk...] (self-describing).
         let mut payload_items = vec![fv.clone()];
         payload_items.extend(pk.iter().cloned());
         let payload = adm_serde::encode(&Value::ordered_list(payload_items));
+        let wal = self.logs[self.cfg.node_of(partition)].wal();
         let lsn = wal.append(&LogRecord::Update {
             txn,
             dataset: self.id,
@@ -640,57 +651,50 @@ impl DatasetRuntime {
             key: Vec::new(),
             value: payload,
         })?;
-        ix.last_lsns[partition].store(lsn, Ordering::SeqCst);
-        self.apply_secondary_value(ix, partition, &fv, pk, is_delete)
+        self.apply_secondary_value(ix, partition, &fv, pk, is_delete, lsn)
     }
 
-    fn apply_secondary(
-        &self,
-        ix: &Arc<SecondaryIndexRuntime>,
-        partition: usize,
-        record: &Value,
-        pk: &[Value],
-        is_delete: bool,
-    ) -> Result<()> {
-        let Some(field) = ix.meta.fields.first() else { return Ok(()) };
-        let fv = extract_path(record, field);
-        if fv.is_unknown() {
-            return Ok(());
-        }
-        self.apply_secondary_value(ix, partition, &fv, pk, is_delete)
+    /// The value `record` files under in `ix`; unknown values are not
+    /// indexed.
+    fn indexed_value(ix: &SecondaryIndexRuntime, record: &Value) -> Option<Value> {
+        let fv = extract_path(record, ix.meta.fields.first()?);
+        (!fv.is_unknown()).then_some(fv)
     }
 
+    /// Apply one secondary-index update, the write of log record `lsn`
+    /// (`0`: none).
     fn apply_secondary_value(
         &self,
-        ix: &Arc<SecondaryIndexRuntime>,
+        ix: &SecondaryIndexRuntime,
         partition: usize,
         field_value: &Value,
         pk: &[Value],
         is_delete: bool,
+        lsn: Lsn,
     ) -> Result<()> {
         match &ix.partitions[partition] {
             SecondaryPartition::BTree(t) => {
                 let mut composite = vec![field_value.clone()];
                 composite.extend(pk.iter().cloned());
                 if is_delete {
-                    t.delete(&composite)?;
+                    t.delete(&composite, lsn)?;
                 } else {
-                    t.insert(&composite, Vec::new())?;
+                    t.insert(&composite, Vec::new(), lsn)?;
                 }
             }
             SecondaryPartition::Spatial(t) => {
                 let mbr: Rectangle = asterix_adm::spatial::mbr(field_value)?;
                 if is_delete {
-                    t.delete(mbr, pk)?;
+                    t.delete(mbr, pk, lsn)?;
                 } else {
-                    t.insert(mbr, pk)?;
+                    t.insert(mbr, pk, lsn)?;
                 }
             }
             SecondaryPartition::Inverted(t) => {
                 if is_delete {
-                    t.delete(field_value, pk)?;
+                    t.delete(field_value, pk, lsn)?;
                 } else {
-                    t.insert(field_value, pk)?;
+                    t.insert(field_value, pk, lsn)?;
                 }
             }
         }
@@ -699,15 +703,22 @@ impl DatasetRuntime {
 
     // -- recovery redo (no locks/WAL: applied from the log) -------------------
 
-    /// Redo one logical update from the WAL.
-    pub fn replay(&self, index_code: u32, key: &[u8], value: &[u8], is_delete: bool) -> Result<()> {
+    /// Redo one logical update from the WAL, under its original LSN.
+    pub fn replay(
+        &self,
+        index_code: u32,
+        lsn: Lsn,
+        key: &[u8],
+        value: &[u8],
+        is_delete: bool,
+    ) -> Result<()> {
         let (index_id, partition) = wal_index_decode(index_code);
         if index_id == 0 {
             let pk = keycodec::decode_key(key)?;
             if is_delete {
-                self.primary[partition].delete(&pk)?;
+                self.primary[partition].delete(&pk, lsn)?;
             } else {
-                self.primary[partition].insert(&pk, value.to_vec())?;
+                self.primary[partition].insert(&pk, value.to_vec(), lsn)?;
             }
             return Ok(());
         }
@@ -722,7 +733,7 @@ impl DatasetRuntime {
         let (fv, pk) = items
             .split_first()
             .ok_or_else(|| AsterixError::Execution("empty secondary WAL payload".into()))?;
-        self.apply_secondary_value(ix, partition, fv, pk, is_delete)
+        self.apply_secondary_value(ix, partition, fv, pk, is_delete, lsn)
     }
 
     // -- reads -----------------------------------------------------------------
@@ -924,8 +935,17 @@ impl DatasetRuntime {
     }
 
     /// Remove this dataset incarnation's storage directories on every
-    /// partition (called on `drop dataset` / `drop dataverse`).
+    /// partition (called on `drop dataset` / `drop dataverse`), and discard
+    /// its memory components so they pin no log record.
     pub fn destroy_storage(&self) {
+        for t in &self.primary {
+            t.lsm().discard_memory();
+        }
+        for ix in self.secondaries.read().iter() {
+            for part in &ix.partitions {
+                part.lsm().discard_memory();
+            }
+        }
         for p in 0..self.cfg.partitions() {
             // index_dir is .../p{p}/{dataverse}/{dir_name}/{index}; remove
             // the dataset level.

@@ -29,12 +29,13 @@ use asterix_obs::{
 };
 use asterix_storage::BufferCache;
 use asterix_sync::{Mutex, RwLock};
-use asterix_txn::wal::{Durability, LogManager};
+use asterix_txn::wal::{Durability, LogManager, Lsn};
 use asterix_txn::{recover, LockManager, RecoveryTarget};
 
 use crate::cluster::ClusterConfig;
 use crate::dataset::DatasetRuntime;
 use crate::error::{AsterixError, Result};
+use crate::nodelog::NodeLog;
 use crate::profile::QueryProfile;
 use crate::provider::{InstanceProvider, SessionCatalog, Shared};
 use crate::session::Session;
@@ -78,7 +79,8 @@ pub struct Instance {
     cfg: ClusterConfig,
     shared: Arc<Shared>,
     locks: Arc<LockManager>,
-    wals: Vec<Arc<LogManager>>,
+    /// Each node's write-ahead log, by node.
+    logs: Vec<Arc<NodeLog>>,
     next_dataset_id: AtomicU32,
     by_id: RwLock<HashMap<u32, Arc<DatasetRuntime>>>,
     cache: Arc<BufferCache>,
@@ -179,11 +181,11 @@ impl Instance {
     /// replaying persisted DDL and running WAL crash recovery.
     pub fn open(cfg: ClusterConfig) -> Result<Arc<Instance>> {
         std::fs::create_dir_all(&cfg.base_dir)?;
-        let mut wals = Vec::with_capacity(cfg.nodes);
+        let mut logs = Vec::with_capacity(cfg.nodes);
         for n in 0..cfg.nodes {
             std::fs::create_dir_all(cfg.node_dir(n))?;
             let durability = if cfg.fsync_commits { Durability::Fsync } else { Durability::Buffer };
-            wals.push(Arc::new(LogManager::open(&cfg.node_log_path(n), durability)?));
+            logs.push(NodeLog::new(LogManager::open(&cfg.node_log_path(n), durability)?));
         }
         let shared = Arc::new(Shared {
             catalog: RwLock::new(Catalog::new()),
@@ -201,7 +203,7 @@ impl Instance {
             columnar_stats: Arc::new(asterix_storage::ColumnarStats::default()),
             metrics: Arc::new(MetricsRegistry::new()),
             locks: LockManager::new(Duration::from_secs(10)),
-            wals,
+            logs,
             next_dataset_id: AtomicU32::new(1),
             by_id: RwLock::new(HashMap::new()),
             shared,
@@ -232,8 +234,8 @@ impl Instance {
         instance.rm.stats().register_into(&instance.metrics, "rm");
         instance.plan_cache.stats.register_into(&instance.metrics);
         instance.metrics.register_gauge("sessions.active", &instance.sessions_active);
-        for (n, wal) in instance.wals.iter().enumerate() {
-            wal.register_into(&instance.metrics, &format!("wal.node{n}"));
+        for (n, log) in instance.logs.iter().enumerate() {
+            log.wal().register_into(&instance.metrics, &format!("wal.node{n}"));
         }
         // Live system views: ordinary AQL over `Metadata.ActiveJobs` /
         // `Metadata.Metrics` observes the instance as of the scan.
@@ -262,6 +264,11 @@ impl Instance {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
+    }
+
+    /// The write-ahead log of node `n`.
+    pub fn node_log(&self, n: usize) -> &NodeLog {
+        &self.logs[n]
     }
 
     /// Executor settings derived from the cluster config (partition count
@@ -417,11 +424,12 @@ impl Instance {
                 &mut self,
                 dataset: u32,
                 index: u32,
+                lsn: Lsn,
                 key: &[u8],
                 value: &[u8],
             ) -> asterix_txn::Result<()> {
                 if let Some(ds) = self.by_id.get(&dataset) {
-                    ds.replay(index, key, value, false).map_err(|e| {
+                    ds.replay(index, lsn, key, value, false).map_err(|e| {
                         asterix_txn::TxnError::Corrupt(format!("replay failed: {e}"))
                     })?;
                 }
@@ -432,11 +440,12 @@ impl Instance {
                 &mut self,
                 dataset: u32,
                 index: u32,
+                lsn: Lsn,
                 key: &[u8],
                 value: &[u8],
             ) -> asterix_txn::Result<()> {
                 if let Some(ds) = self.by_id.get(&dataset) {
-                    ds.replay(index, key, value, true).map_err(|e| {
+                    ds.replay(index, lsn, key, value, true).map_err(|e| {
                         asterix_txn::TxnError::Corrupt(format!("replay failed: {e}"))
                     })?;
                 }
@@ -445,19 +454,19 @@ impl Instance {
         }
         let by_id = self.by_id.read().clone();
         let mut target = Target { by_id: &by_id };
-        for n in 0..self.cfg.nodes {
+        for (n, log) in self.logs.iter().enumerate() {
             recover(&self.cfg.node_log_path(n), &mut target)?;
+            log.mark_replayed();
         }
         Ok(())
     }
 
-    /// Checkpoint: flush every index and truncate the logs.
+    /// Checkpoint: flush every dataset. Each flush cuts its node's log
+    /// below what recovery still needs (DESIGN.md "Log truncation").
     pub fn checkpoint(&self) -> Result<()> {
-        for ds in self.shared.datasets.read().values() {
+        let datasets: Vec<_> = self.shared.datasets.read().values().cloned().collect();
+        for ds in datasets {
             ds.flush_all()?;
-        }
-        for wal in &self.wals {
-            wal.truncate()?;
         }
         Ok(())
     }
@@ -892,7 +901,12 @@ impl Instance {
                 self.shared.catalog.write().add_index(&dataverse, &ds_name, ix.clone())?;
                 let qualified = format!("{dataverse}.{ds_name}");
                 if let Some(rt) = self.shared.dataset(&qualified) {
-                    rt.create_index(ix)?;
+                    // Replay reopens what the original statement made durable.
+                    if self.replaying.load(Ordering::SeqCst) {
+                        rt.reopen_index(ix)?;
+                    } else {
+                        rt.create_index(ix)?;
+                    }
                     self.register_lsm_metrics(&rt);
                 }
                 self.persist_ddl(sess, source)?;
@@ -1040,7 +1054,7 @@ impl Instance {
             &self.cfg,
             Arc::clone(&self.cache),
             Arc::clone(&self.locks),
-            self.wals.clone(),
+            self.logs.clone(),
             Arc::clone(&self.columnar_stats),
         )?;
         self.register_lsm_metrics(&rt);

@@ -13,6 +13,7 @@ pub mod cluster;
 pub mod dataset;
 pub mod error;
 pub mod instance;
+pub mod nodelog;
 pub mod plancache;
 pub mod profile;
 pub mod provider;

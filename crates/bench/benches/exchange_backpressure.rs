@@ -135,7 +135,7 @@ fn bench_nonstall_ingest(c: &mut Criterion) {
             )
             .unwrap();
             for i in 0..20_000i64 {
-                t.insert(i.to_be_bytes().to_vec(), vec![0u8; 64]).unwrap();
+                t.insert(i.to_be_bytes().to_vec(), vec![0u8; 64], 0).unwrap();
             }
             t.flush().unwrap();
         })
@@ -159,7 +159,7 @@ fn bench_nonstall_ingest(c: &mut Criterion) {
             .unwrap();
             // 64 KiB budget / ~120 bytes per entry ≈ one flush per 546.
             for i in 0..20_000i64 {
-                t.insert(i.to_be_bytes().to_vec(), vec![0u8; 64]).unwrap();
+                t.insert(i.to_be_bytes().to_vec(), vec![0u8; 64], 0).unwrap();
                 if i % 546 == 545 {
                     t.flush().unwrap();
                 }

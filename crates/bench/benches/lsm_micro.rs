@@ -46,7 +46,7 @@ fn bench_lsm(c: &mut Criterion) {
                 let dir = asterix_testkit::TempDir::new().unwrap();
                 let t = tree(dir.path(), policy.clone());
                 for i in 0..10_000i64 {
-                    t.insert(&[Value::Int64(i)], vec![0u8; 64]).unwrap();
+                    t.insert(&[Value::Int64(i)], vec![0u8; 64], 0).unwrap();
                 }
             })
         });
@@ -65,6 +65,7 @@ fn bench_lsm(c: &mut Criterion) {
                 .insert(
                     asterix_storage::keycodec::encode_single(&Value::Int64(i)).unwrap(),
                     vec![0u8; 64],
+                    0,
                 )
                 .unwrap();
         }
@@ -85,7 +86,7 @@ fn bench_lsm(c: &mut Criterion) {
     let dir = asterix_testkit::TempDir::new().unwrap();
     let t = tree(dir.path(), MergePolicy::Constant { max: 4 });
     for i in 0..20_000i64 {
-        t.insert(&[Value::Int64(i)], vec![0u8; 64]).unwrap();
+        t.insert(&[Value::Int64(i)], vec![0u8; 64], 0).unwrap();
     }
     t.lsm().flush().unwrap();
     g.bench_function("range", |b| {
@@ -123,7 +124,7 @@ fn bench_spatial(c: &mut Criterion) {
     };
     let load = |ix: &SpatialIndex| {
         for (i, p) in points.iter().enumerate() {
-            ix.insert(Rectangle::new(*p, *p), &[Value::Int64(i as i64)]).unwrap();
+            ix.insert(Rectangle::new(*p, *p), &[Value::Int64(i as i64)], 0).unwrap();
         }
         ix.lsm().flush().unwrap();
     };

@@ -18,7 +18,7 @@ use crate::cache::BufferCache;
 use crate::columnar::KeyRange;
 use crate::error::{Result, StorageError};
 use crate::keycodec::{decode_key, encode_key, prefix_successor};
-use crate::lsm::{LsmConfig, LsmObserver, LsmTree};
+use crate::lsm::{LsmConfig, LsmObserver, LsmTree, Lsn};
 
 /// A bound for a value-typed range scan.
 #[derive(Debug, Clone)]
@@ -88,14 +88,14 @@ impl LsmBTree {
         &self.tree
     }
 
-    /// Insert `key → value`.
-    pub fn insert(&self, key: &[Value], value: Vec<u8>) -> Result<()> {
-        self.tree.insert(encode_key(key)?, value)
+    /// Insert `key → value`, the write of log record `lsn` (`0`: none).
+    pub fn insert(&self, key: &[Value], value: Vec<u8>, lsn: Lsn) -> Result<()> {
+        self.tree.insert(encode_key(key)?, value, lsn)
     }
 
-    /// Delete by exact key.
-    pub fn delete(&self, key: &[Value]) -> Result<()> {
-        self.tree.delete(encode_key(key)?)
+    /// Delete by exact key, the write of log record `lsn` (`0`: none).
+    pub fn delete(&self, key: &[Value], lsn: Lsn) -> Result<()> {
+        self.tree.delete(encode_key(key)?, lsn)
     }
 
     /// Exact-key point lookup.
@@ -219,7 +219,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), 1);
         for i in 0..100i64 {
-            t.insert(&[Value::Int64(i)], format!("rec{i}").into_bytes()).unwrap();
+            t.insert(&[Value::Int64(i)], format!("rec{i}").into_bytes(), 0).unwrap();
         }
         t.lsm().flush().unwrap();
         assert_eq!(t.get(&[Value::Int64(42)]).unwrap(), Some(b"rec42".to_vec()));
@@ -247,7 +247,7 @@ mod tests {
         let t = open(dir.path(), 1);
         for mid in 0..60i64 {
             let author = mid % 3;
-            t.insert(&[Value::Int64(author), Value::Int64(mid)], Vec::new()).unwrap();
+            t.insert(&[Value::Int64(author), Value::Int64(mid)], Vec::new(), 0).unwrap();
         }
         // A bound on the leading field alone is a prefix range.
         let probe = ValueBound::included(Value::Int64(1));
@@ -270,12 +270,12 @@ mod tests {
         // Secondary key = (author), full key = (author, message-id).
         let t = open(dir.path(), 1);
         for mid in 0..200i64 {
-            t.insert(&[Value::Int64(mid % 20), Value::Int64(mid)], Vec::new()).unwrap();
+            t.insert(&[Value::Int64(mid % 20), Value::Int64(mid)], Vec::new(), 0).unwrap();
             if mid == 120 {
                 t.lsm().flush().unwrap();
             }
         }
-        t.delete(&[Value::Int64(7), Value::Int64(27)]).unwrap();
+        t.delete(&[Value::Int64(7), Value::Int64(27)], 0).unwrap();
         let (inc, exc) = (
             |k: i64| ValueBound::included(Value::Int64(k)),
             |k: i64| ValueBound::excluded(Value::Int64(k)),
@@ -314,7 +314,7 @@ mod tests {
         let t = open(dir.path(), 1);
         // Index on user-since datetime; entries (ts, user-id).
         for i in 0..1000i64 {
-            t.insert(&[Value::DateTime(i * 1000), Value::Int64(i)], Vec::new()).unwrap();
+            t.insert(&[Value::DateTime(i * 1000), Value::Int64(i)], Vec::new(), 0).unwrap();
         }
         t.lsm().flush().unwrap();
         let r = range(
@@ -330,9 +330,9 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), 1);
         for i in 0..10i64 {
-            t.insert(&[Value::Int64(i)], vec![1]).unwrap();
+            t.insert(&[Value::Int64(i)], vec![1], 0).unwrap();
         }
-        t.delete(&[Value::Int64(5)]).unwrap();
+        t.delete(&[Value::Int64(5)], 0).unwrap();
         assert_eq!(t.get(&[Value::Int64(5)]).unwrap(), None);
         let r = range(&t, &ValueBound::excluded(Value::Int64(3)), &ValueBound::Unbounded);
         let keys: Vec<i64> = r.iter().map(|(k, _)| k[0].as_i64().unwrap()).collect();
@@ -344,7 +344,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), 1);
         for name in ["alice", "bob", "carol", "dave"] {
-            t.insert(&[Value::string(name)], name.as_bytes().to_vec()).unwrap();
+            t.insert(&[Value::string(name)], name.as_bytes().to_vec(), 0).unwrap();
         }
         let r = range(
             &t,

@@ -18,7 +18,7 @@ use asterix_adm::Value;
 use crate::cache::BufferCache;
 use crate::error::Result;
 use crate::keycodec::encode_key;
-use crate::lsm::{LsmConfig, LsmObserver, LsmTree};
+use crate::lsm::{LsmConfig, LsmObserver, LsmTree, Lsn};
 
 /// An LSM inverted index mapping tokens to primary keys.
 pub struct InvertedIndex {
@@ -50,24 +50,26 @@ impl InvertedIndex {
         encode_key(&composite)
     }
 
-    /// Index `field_value` under primary key `pk`.
-    pub fn insert(&self, field_value: &Value, pk: &[Value]) -> Result<()> {
+    /// Index `field_value` under primary key `pk`, the write of log record
+    /// `lsn` (`0`: none).
+    pub fn insert(&self, field_value: &Value, pk: &[Value], lsn: Lsn) -> Result<()> {
         let mut toks = self.tokenizer.tokens(field_value)?;
         toks.sort_unstable();
         toks.dedup();
         for t in toks {
-            self.tree.insert(Self::entry_key(&t, pk)?, Vec::new())?;
+            self.tree.insert(Self::entry_key(&t, pk)?, Vec::new(), lsn)?;
         }
         Ok(())
     }
 
-    /// Remove the postings of `field_value` for `pk` (antimatter).
-    pub fn delete(&self, field_value: &Value, pk: &[Value]) -> Result<()> {
+    /// Remove the postings of `field_value` for `pk` (antimatter), the
+    /// write of log record `lsn` (`0`: none).
+    pub fn delete(&self, field_value: &Value, pk: &[Value], lsn: Lsn) -> Result<()> {
         let mut toks = self.tokenizer.tokens(field_value)?;
         toks.sort_unstable();
         toks.dedup();
         for t in toks {
-            self.tree.delete(Self::entry_key(&t, pk)?)?;
+            self.tree.delete(Self::entry_key(&t, pk)?, lsn)?;
         }
         Ok(())
     }
@@ -144,14 +146,14 @@ mod tests {
             (4, "nothing here"),
         ];
         for (id, text) in msgs {
-            ix.insert(&Value::string(text), &[Value::Int64(id)]).unwrap();
+            ix.insert(&Value::string(text), &[Value::Int64(id)], 0).unwrap();
         }
         let hits = ix.lookup_token("tonight").unwrap();
         let mut ids: Vec<i64> = hits.iter().map(|pk| pk[0].as_i64().unwrap()).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3]);
         // Case-insensitivity through word tokenization.
-        ix.insert(&Value::string("TONIGHT!"), &[Value::Int64(5)]).unwrap();
+        ix.insert(&Value::string("TONIGHT!"), &[Value::Int64(5)], 0).unwrap();
         assert_eq!(ix.lookup_token("tonight").unwrap().len(), 3);
     }
 
@@ -160,9 +162,9 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), Tokenizer::Keyword);
         let bag = |tags: &[&str]| Value::unordered_list(tags.iter().map(Value::string).collect());
-        ix.insert(&bag(&["music", "live"]), &[Value::Int64(1)]).unwrap();
-        ix.insert(&bag(&["music", "food"]), &[Value::Int64(2)]).unwrap();
-        ix.insert(&bag(&["sports"]), &[Value::Int64(3)]).unwrap();
+        ix.insert(&bag(&["music", "live"]), &[Value::Int64(1)], 0).unwrap();
+        ix.insert(&bag(&["music", "food"]), &[Value::Int64(2)], 0).unwrap();
+        ix.insert(&bag(&["sports"]), &[Value::Int64(3)], 0).unwrap();
         assert_eq!(ix.lookup_token("music").unwrap().len(), 2);
         let both = ix.t_occurrence(&["music".into(), "live".into()], 2).unwrap();
         assert_eq!(both.len(), 1);
@@ -176,9 +178,9 @@ mod tests {
     fn delete_removes_postings() {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), Tokenizer::Keyword);
-        ix.insert(&Value::string("hello world"), &[Value::Int64(1)]).unwrap();
+        ix.insert(&Value::string("hello world"), &[Value::Int64(1)], 0).unwrap();
         ix.lsm().flush().unwrap();
-        ix.delete(&Value::string("hello world"), &[Value::Int64(1)]).unwrap();
+        ix.delete(&Value::string("hello world"), &[Value::Int64(1)], 0).unwrap();
         assert!(ix.lookup_token("hello").unwrap().is_empty());
         assert!(ix.lookup_token("world").unwrap().is_empty());
     }
@@ -190,7 +192,7 @@ mod tests {
         let store =
             [(1i64, "tonight"), (2, "tonite"), (3, "tomorrow"), (4, "tonsil"), (5, "night")];
         for (id, s) in store {
-            ix.insert(&Value::string(s), &[Value::Int64(id)]).unwrap();
+            ix.insert(&Value::string(s), &[Value::Int64(id)], 0).unwrap();
         }
         ix.lsm().flush().unwrap();
         let grams = Tokenizer::NGram(2).tokens(&Value::string("Tonight")).unwrap();
@@ -216,10 +218,10 @@ mod tests {
     fn undecodable_postings_are_errors() {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), Tokenizer::Keyword);
-        ix.insert(&Value::string("hello"), &[Value::Int64(1)]).unwrap();
+        ix.insert(&Value::string("hello"), &[Value::Int64(1)], 0).unwrap();
         let mut key = encode_key(&[Value::string("hello")]).unwrap();
         key.extend_from_slice(&[0xEE, 0xEE]);
-        ix.lsm().insert(key, Vec::new()).unwrap();
+        ix.lsm().insert(key, Vec::new(), 0).unwrap();
         assert!(ix.lookup_token("hello").is_err());
         assert!(ix.lookup_token("other").unwrap().is_empty());
     }
@@ -228,8 +230,8 @@ mod tests {
     fn unknown_values_index_nothing() {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), Tokenizer::Keyword);
-        ix.insert(&Value::Null, &[Value::Int64(1)]).unwrap();
-        ix.insert(&Value::Missing, &[Value::Int64(2)]).unwrap();
+        ix.insert(&Value::Null, &[Value::Int64(1)], 0).unwrap();
+        ix.insert(&Value::Missing, &[Value::Int64(2)], 0).unwrap();
         assert_eq!(ix.lsm().live_count().unwrap(), 0);
     }
 }

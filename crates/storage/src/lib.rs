@@ -27,4 +27,6 @@ pub use columnar::{
 };
 pub use component::{DiskComponent, Entry, ProjEntry, ProjKind};
 pub use error::{Result, StorageError};
-pub use lsm::{LsmConfig, LsmMetrics, LsmObserver, LsmTree, MergePolicy, NullObserver, ScanValue};
+pub use lsm::{
+    LsmConfig, LsmMetrics, LsmObserver, LsmTree, Lsn, LsnPin, MergePolicy, NullObserver, ScanValue,
+};

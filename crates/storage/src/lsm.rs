@@ -12,6 +12,10 @@
 //! LSM B+-tree directly and, through their key layouts, the inverted and
 //! spatial indexes.
 //!
+//! Every write carries the LSN of the log record it applies, and the tree
+//! publishes the lowest LSN its memory components hold as its [`LsnPin`]:
+//! what of the log its unflushed writes still need.
+//!
 //! Background I/O failures are *deferred*: they surface as the error of the
 //! next write, [`LsmTree::flush`], or [`LsmTree::close`] call, mirroring
 //! how a real engine reports asynchronous flush failures.
@@ -19,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -93,6 +98,42 @@ impl Default for LsmConfig {
     }
 }
 
+/// Log sequence number of a write: the write-ahead-log record it applies,
+/// 1-based. `0` marks a write no log record covers (an index build, a
+/// test).
+pub type Lsn = u64;
+
+/// The lowest LSN a tree's memory and sealed components hold — the part of
+/// the log its unflushed writes still need. A cheap shared handle that
+/// outlives its tree: a tree dropped with unflushed writes (a crash) goes
+/// on pinning them; [`LsmTree::discard_memory`] and [`LsmTree::destroy`]
+/// release it.
+#[derive(Clone, Debug)]
+pub struct LsnPin(Arc<AtomicU64>);
+
+impl LsnPin {
+    const NONE: u64 = u64::MAX;
+
+    fn new() -> LsnPin {
+        LsnPin(Arc::new(AtomicU64::new(Self::NONE)))
+    }
+
+    /// The lowest LSN held in memory, `None` when no unflushed write
+    /// carries one.
+    pub fn get(&self) -> Option<Lsn> {
+        Some(self.0.load(Ordering::SeqCst)).filter(|&l| l != Self::NONE)
+    }
+
+    /// Whether this handle is the last one: its tree is gone.
+    pub fn is_orphan(&self) -> bool {
+        Arc::strong_count(&self.0) == 1
+    }
+
+    fn set(&self, lsn: Option<Lsn>) {
+        self.0.store(lsn.unwrap_or(Self::NONE), Ordering::SeqCst);
+    }
+}
+
 #[derive(Debug, Clone)]
 struct MemEntry {
     antimatter: bool,
@@ -104,10 +145,8 @@ struct MemEntry {
 /// in which sealed-but-not-yet-installed data is invisible.
 struct FrozenComponent {
     seq: u64,
-    /// Recovery watermark captured from [`LsmObserver::on_seal`] at seal
-    /// time — it describes exactly the operations contained in `entries`,
-    /// never ones that raced in after the seal.
-    watermark: u64,
+    /// The lowest LSN of the writes in `entries`.
+    lsn: Option<Lsn>,
     bytes: usize,
     entries: Arc<BTreeMap<Vec<u8>, MemEntry>>,
 }
@@ -115,6 +154,8 @@ struct FrozenComponent {
 struct LsmState {
     mem: BTreeMap<Vec<u8>, MemEntry>,
     mem_bytes: usize,
+    /// The lowest LSN of the writes in `mem`.
+    mem_lsn: Option<Lsn>,
     /// Sealed components, oldest first (the maintenance thread flushes from
     /// the front; readers scan from the back).
     frozen: Vec<FrozenComponent>,
@@ -123,22 +164,29 @@ struct LsmState {
     next_seq: u64,
 }
 
+impl LsmState {
+    /// The lowest LSN still held in memory, mutable or sealed.
+    fn unflushed_lsn(&self) -> Option<Lsn> {
+        self.frozen.iter().filter_map(|f| f.lsn).chain(self.mem_lsn).min()
+    }
+
+    /// Seal the mutable component behind the others.
+    fn seal(&mut self) {
+        let entries = Arc::new(std::mem::take(&mut self.mem));
+        let bytes = std::mem::replace(&mut self.mem_bytes, 0);
+        let lsn = self.mem_lsn.take();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.frozen.push(FrozenComponent { seq, lsn, bytes, entries });
+    }
+}
+
 /// Lifecycle events surfaced to the transaction/recovery layer.
 pub trait LsmObserver: Send + Sync {
-    /// Called synchronously on the writer's thread at the moment the
-    /// mutable component is sealed, before any new write lands in the
-    /// fresh component. Returns the recovery watermark (e.g. the last WAL
-    /// LSN applied to this index) to associate with the eventual flush.
-    /// Capturing it here — not when the flush completes — keeps the
-    /// watermark consistent with the sealed contents under background
-    /// flushing.
-    fn on_seal(&self) -> u64 {
-        0
-    }
-    /// A flush produced `component_path` covering flush sequences up to and
-    /// including `max_seq`; `watermark` is the value [`LsmObserver::on_seal`]
-    /// returned when the component was sealed.
-    fn on_flush(&self, _component_path: &Path, _max_seq: u64, _watermark: u64) {}
+    /// A flush installed `component_path`, covering flush sequences up to
+    /// and including `max_seq`; `pin` is the tree's, already past the
+    /// flushed writes.
+    fn on_flush(&self, _component_path: &Path, _max_seq: u64, _pin: &LsnPin) {}
     /// A merge replaced `inputs` with `output`.
     fn on_merge(&self, _inputs: &[PathBuf], _output: &Path) {}
 }
@@ -208,6 +256,8 @@ struct LsmInner {
     frozen_cv: Condvar,
     frozen_lock: Mutex<()>,
     metrics: LsmMetrics,
+    /// The lowest LSN in memory, kept up to date under the state lock.
+    pin: LsnPin,
     /// Default trace for background maintenance spans (installed via
     /// [`LsmTree::set_trace`]; disabled unless an embedder opts in).
     trace: Mutex<TraceContext>,
@@ -301,9 +351,9 @@ impl LsmInner {
         loop {
             let job = {
                 let st = self.state.read();
-                st.frozen.first().map(|f| (f.seq, f.watermark, Arc::clone(&f.entries)))
+                st.frozen.first().map(|f| (f.seq, Arc::clone(&f.entries)))
             };
-            let Some((seq, watermark, entries)) = job else { break };
+            let Some((seq, entries)) = job else { break };
             let flush_started = Instant::now();
             let flush_start_us = now_us();
             let path = self.dir.join(format!("c_{seq:012}_{seq:012}.dat"));
@@ -329,6 +379,7 @@ impl LsmInner {
                     Some(pos) => {
                         st.frozen.remove(pos);
                         st.disk.insert(0, comp);
+                        self.pin.set(st.unflushed_lsn());
                         Some(st.disk.len())
                     }
                     None => None,
@@ -351,7 +402,7 @@ impl LsmInner {
                     ],
                 );
                 trace.record("lsm.flush", flush_start_us, took.as_micros() as u64);
-                self.observer.on_flush(&path, seq, watermark);
+                self.observer.on_flush(&path, seq, &self.pin);
                 self.maybe_merge(&trace)?;
                 last = Some(path);
             } else {
@@ -755,6 +806,7 @@ impl LsmTree {
             state: RwLock::new(LsmState {
                 mem: BTreeMap::new(),
                 mem_bytes: 0,
+                mem_lsn: None,
                 frozen: Vec::new(),
                 disk,
                 next_seq,
@@ -764,6 +816,7 @@ impl LsmTree {
             frozen_cv: Condvar::new(),
             frozen_lock: Mutex::new(()),
             metrics: LsmMetrics::default(),
+            pin: LsnPin::new(),
             trace: Mutex::new(TraceContext::disabled()),
         });
         inner.metrics.components.set(inner.state.read().disk.len() as i64);
@@ -778,6 +831,11 @@ impl LsmTree {
     /// Root directory of this index.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
+    }
+
+    /// The tree's [`LsnPin`]: the lowest LSN its unflushed writes hold.
+    pub fn lsn_pin(&self) -> LsnPin {
+        self.inner.pin.clone()
     }
 
     /// Install a default trace context for *background* maintenance spans
@@ -799,26 +857,32 @@ impl LsmTree {
             .map_err(|_| StorageError::InvalidState("lsm maintenance thread terminated".into()))
     }
 
-    /// Insert or overwrite (upsert) a key. When the memory budget trips,
-    /// the mutable component is sealed and queued for background flushing —
-    /// the call returns without waiting for any I/O (unless `max_frozen`
-    /// seals are already queued, the write-path memory bound).
-    pub fn insert(&self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
-        self.write(key, MemEntry { antimatter: false, value })
+    /// Insert or overwrite (upsert) a key, the write of log record `lsn`
+    /// (`0`: none). When the memory budget trips, the mutable component is
+    /// sealed and queued for background flushing — the call returns
+    /// without waiting for any I/O (unless `max_frozen` seals are already
+    /// queued, the write-path memory bound).
+    pub fn insert(&self, key: Vec<u8>, value: Vec<u8>, lsn: Lsn) -> Result<()> {
+        self.write(key, MemEntry { antimatter: false, value }, lsn)
     }
 
-    /// Delete a key by writing an antimatter entry.
-    pub fn delete(&self, key: Vec<u8>) -> Result<()> {
-        self.write(key, MemEntry { antimatter: true, value: Vec::new() })
+    /// Delete a key by writing an antimatter entry, the write of log
+    /// record `lsn` (`0`: none).
+    pub fn delete(&self, key: Vec<u8>, lsn: Lsn) -> Result<()> {
+        self.write(key, MemEntry { antimatter: true, value: Vec::new() }, lsn)
     }
 
-    fn write(&self, key: Vec<u8>, entry: MemEntry) -> Result<()> {
+    fn write(&self, key: Vec<u8>, entry: MemEntry, lsn: Lsn) -> Result<()> {
         // Background maintenance failures surface on the next write.
         if let Some(e) = self.inner.take_deferred() {
             return Err(e);
         }
         let needs_seal = {
             let mut st = self.inner.state.write();
+            if lsn != 0 {
+                st.mem_lsn = Some(st.mem_lsn.map_or(lsn, |l| l.min(lsn)));
+                self.inner.pin.set(st.unflushed_lsn());
+            }
             st.mem_bytes += Self::entry_overhead(&key, &entry.value);
             if let Some(old) = st.mem.insert(key, entry) {
                 st.mem_bytes = st.mem_bytes.saturating_sub(old.value.len());
@@ -841,12 +905,7 @@ impl LsmTree {
             if st.mem.is_empty() || st.mem_bytes < self.inner.cfg.mem_budget {
                 false
             } else {
-                let watermark = self.inner.observer.on_seal();
-                let mem = std::mem::take(&mut st.mem);
-                let bytes = std::mem::replace(&mut st.mem_bytes, 0);
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.frozen.push(FrozenComponent { seq, watermark, bytes, entries: Arc::new(mem) });
+                st.seal();
                 true
             }
         };
@@ -1012,12 +1071,7 @@ impl LsmTree {
         {
             let mut st = self.inner.state.write();
             if !st.mem.is_empty() {
-                let watermark = self.inner.observer.on_seal();
-                let mem = std::mem::take(&mut st.mem);
-                let bytes = std::mem::replace(&mut st.mem_bytes, 0);
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.frozen.push(FrozenComponent { seq, watermark, bytes, entries: Arc::new(mem) });
+                st.seal();
             }
         }
         let (ack_tx, ack_rx) = sync_channel(1);
@@ -1097,13 +1151,8 @@ impl LsmTree {
 
     /// Drop everything (dataset drop): removes the directory.
     pub fn destroy(self) -> Result<()> {
-        {
-            // Discard pending seals — their data is about to be deleted.
-            let mut st = self.inner.state.write();
-            st.mem.clear();
-            st.mem_bytes = 0;
-            st.frozen.clear();
-        }
+        // Discard pending seals — their data is about to be deleted.
+        self.discard_memory();
         self.shutdown_worker();
         // Destroy components first so their cached pages are invalidated.
         let disk = std::mem::take(&mut self.inner.state.write().disk);
@@ -1114,15 +1163,17 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Discard the in-memory component (crash simulation for recovery
-    /// tests: memory — mutable and sealed-but-unflushed — is lost, disk
-    /// components survive).
-    pub fn simulate_crash_lose_memory(&self) {
+    /// Discard the memory components, mutable and sealed-but-unflushed,
+    /// and release the tree's [`LsnPin`]: what they held is no longer
+    /// wanted (the index is dropped). Disk components stay.
+    pub fn discard_memory(&self) {
         {
             let mut st = self.inner.state.write();
             st.mem.clear();
             st.mem_bytes = 0;
+            st.mem_lsn = None;
             st.frozen.clear();
+            self.inner.pin.set(None);
         }
         self.inner.notify_frozen();
     }
@@ -1166,10 +1217,10 @@ mod tests {
     fn insert_get_delete_in_memory() {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
-        t.insert(k(1), b"a".to_vec()).unwrap();
-        t.insert(k(2), b"b".to_vec()).unwrap();
+        t.insert(k(1), b"a".to_vec(), 0).unwrap();
+        t.insert(k(2), b"b".to_vec(), 0).unwrap();
         assert_eq!(t.get(&k(1)).unwrap(), Some(b"a".to_vec()));
-        t.delete(k(1)).unwrap();
+        t.delete(k(1), 0).unwrap();
         assert_eq!(t.get(&k(1)).unwrap(), None);
         assert_eq!(t.get(&k(2)).unwrap(), Some(b"b".to_vec()));
         assert_eq!(t.live_count().unwrap(), 1);
@@ -1181,11 +1232,11 @@ mod tests {
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         let trace = TraceContext::new_trace(64);
         for i in 0..10 {
-            t.insert(k(i), vec![b'x'; 100]).unwrap();
+            t.insert(k(i), vec![b'x'; 100], 0).unwrap();
         }
         t.flush_traced(&trace).unwrap();
         for i in 10..20 {
-            t.insert(k(i), vec![b'x'; 100]).unwrap();
+            t.insert(k(i), vec![b'x'; 100], 0).unwrap();
         }
         t.flush_traced(&trace).unwrap();
         t.merge_all_traced(&trace).unwrap();
@@ -1196,7 +1247,7 @@ mod tests {
         assert_eq!(merges, 1, "{evs:#?}");
         assert!(evs.iter().all(|e| e.label == "lsm-maint"));
         // Untraced maintenance records nothing new into this trace.
-        t.insert(k(99), b"y".to_vec()).unwrap();
+        t.insert(k(99), b"y".to_vec(), 0).unwrap();
         t.flush().unwrap();
         assert_eq!(trace.sink().unwrap().len(), 3);
     }
@@ -1206,7 +1257,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         for i in 0..100 {
-            t.insert(k(i), vec![i as u8]).unwrap();
+            t.insert(k(i), vec![i as u8], 0).unwrap();
         }
         t.flush().unwrap();
         assert_eq!(t.disk_component_count(), 1);
@@ -1220,13 +1271,13 @@ mod tests {
     fn newest_component_wins() {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
-        t.insert(k(5), b"old".to_vec()).unwrap();
+        t.insert(k(5), b"old".to_vec(), 0).unwrap();
         t.flush().unwrap();
-        t.insert(k(5), b"new".to_vec()).unwrap();
+        t.insert(k(5), b"new".to_vec(), 0).unwrap();
         t.flush().unwrap();
         assert_eq!(t.get(&k(5)).unwrap(), Some(b"new".to_vec()));
         // Delete shadows both.
-        t.delete(k(5)).unwrap();
+        t.delete(k(5), 0).unwrap();
         t.flush().unwrap();
         assert_eq!(t.get(&k(5)).unwrap(), None);
         let all = t.scan(None, None).unwrap();
@@ -1238,11 +1289,11 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         for i in (0..50).step_by(2) {
-            t.insert(k(i), b"even".to_vec()).unwrap();
+            t.insert(k(i), b"even".to_vec(), 0).unwrap();
         }
         t.flush().unwrap();
         for i in (1..50).step_by(2) {
-            t.insert(k(i), b"odd".to_vec()).unwrap();
+            t.insert(k(i), b"odd".to_vec(), 0).unwrap();
         }
         // Half in memory, half on disk.
         let all = t.scan(None, None).unwrap();
@@ -1257,7 +1308,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 2048);
         for i in 0..200 {
-            t.insert(k(i), vec![0u8; 32]).unwrap();
+            t.insert(k(i), vec![0u8; 32], 0).unwrap();
         }
         // Everything stays visible while background flushes are in flight.
         assert_eq!(t.live_count().unwrap(), 200);
@@ -1272,7 +1323,7 @@ mod tests {
         let t = open(dir.path(), MergePolicy::Constant { max: 3 }, 1 << 20);
         for round in 0..8u32 {
             for i in 0..20 {
-                t.insert(k(round * 100 + i), vec![round as u8]).unwrap();
+                t.insert(k(round * 100 + i), vec![round as u8], 0).unwrap();
             }
             t.flush().unwrap();
         }
@@ -1285,11 +1336,11 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         for i in 0..10 {
-            t.insert(k(i), b"v".to_vec()).unwrap();
+            t.insert(k(i), b"v".to_vec(), 0).unwrap();
         }
         t.flush().unwrap();
         for i in 0..5 {
-            t.delete(k(i)).unwrap();
+            t.delete(k(i), 0).unwrap();
         }
         t.flush().unwrap();
         t.merge_all().unwrap();
@@ -1306,16 +1357,16 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         for i in 0..10 {
-            t.insert(k(i), b"v".to_vec()).unwrap();
+            t.insert(k(i), b"v".to_vec(), 0).unwrap();
         }
         assert_eq!(t.stored_entries(), 10);
         t.flush().unwrap();
         // Five new keys, two rewritten, one deleted: eight memory entries
         // beside the ten on disk, for fourteen live records.
         for i in [10, 11, 12, 13, 14, 0, 1] {
-            t.insert(k(i), b"w".to_vec()).unwrap();
+            t.insert(k(i), b"w".to_vec(), 0).unwrap();
         }
-        t.delete(k(2)).unwrap();
+        t.delete(k(2), 0).unwrap();
         let reads = t.inner.cache.stats();
         assert_eq!(t.stored_entries(), 18);
         t.flush().unwrap();
@@ -1332,17 +1383,17 @@ mod tests {
         {
             let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
             for i in 0..30 {
-                t.insert(k(i), vec![1]).unwrap();
+                t.insert(k(i), vec![1], 0).unwrap();
             }
             t.flush().unwrap();
-            t.insert(k(100), vec![2]).unwrap(); // stays in memory, lost
-            t.simulate_crash_lose_memory();
+            t.insert(k(100), vec![2], 0).unwrap(); // stays in memory, lost
+            t.discard_memory();
         }
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         assert_eq!(t.live_count().unwrap(), 30);
         assert_eq!(t.get(&k(100)).unwrap(), None);
         // New writes get fresh sequence numbers beyond recovered ones.
-        t.insert(k(200), vec![3]).unwrap();
+        t.insert(k(200), vec![3], 0).unwrap();
         t.flush().unwrap();
         assert_eq!(t.get(&k(200)).unwrap(), Some(vec![3]));
     }
@@ -1357,7 +1408,7 @@ mod tests {
         );
         for round in 0..5u32 {
             for i in 0..10 {
-                t.insert(k(round * 100 + i), vec![0u8; 16]).unwrap();
+                t.insert(k(round * 100 + i), vec![0u8; 16], 0).unwrap();
             }
             t.flush().unwrap();
         }
@@ -1370,7 +1421,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         for i in 0..100 {
-            t.insert(k(i), vec![0]).unwrap();
+            t.insert(k(i), vec![0], 0).unwrap();
         }
         let mut seen = 0;
         t.scan_with(None, None, |_, _| -> Result<bool> {
@@ -1389,7 +1440,7 @@ mod tests {
     }
 
     impl LsmObserver for GateObserver {
-        fn on_flush(&self, _p: &Path, _s: u64, _w: u64) {
+        fn on_flush(&self, _p: &Path, _s: u64, _pin: &LsnPin) {
             let _ = self.entered.send(());
             // First call blocks until released; once the release sender is
             // dropped, later flushes pass straight through.
@@ -1419,7 +1470,7 @@ mod tests {
 
         // ~84 bytes/entry: 60 inserts trip the 2048-byte budget twice.
         for i in 0..60u32 {
-            t.insert(k(i), vec![0u8; 32]).unwrap();
+            t.insert(k(i), vec![0u8; 32], 0).unwrap();
         }
         // The background flush is now stuck in its (gated) completion path.
         entered_rx.recv_timeout(Duration::from_secs(10)).expect("background flush never started");
@@ -1429,7 +1480,7 @@ mod tests {
         // gated flush (they stay under one budget, so no max_frozen block).
         let before = std::time::Instant::now();
         for i in 1000..1020u32 {
-            t.insert(k(i), vec![0u8; 32]).unwrap();
+            t.insert(k(i), vec![0u8; 32], 0).unwrap();
         }
         assert!(before.elapsed() < Duration::from_secs(5), "inserts stalled behind flush I/O");
 
@@ -1527,11 +1578,11 @@ mod tests {
             for i in 0..81u32 {
                 match i / 3u32.pow(plane) % 3 {
                     1 => {
-                        t.insert(k(i), version(i, plane)).unwrap();
+                        t.insert(k(i), version(i, plane), 0).unwrap();
                         model.insert(k(i), version(i, plane));
                     }
                     2 => {
-                        t.delete(k(i)).unwrap();
+                        t.delete(k(i), 0).unwrap();
                         model.remove(&k(i));
                     }
                     _ => {}
@@ -1578,7 +1629,7 @@ mod tests {
         let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
         for round in 0..3u32 {
             for i in 0..20 {
-                t.insert(k(round * 100 + i), vec![round as u8]).unwrap();
+                t.insert(k(round * 100 + i), vec![round as u8], 0).unwrap();
             }
             t.flush().unwrap();
         }
@@ -1615,7 +1666,7 @@ mod tests {
         {
             let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
             for i in 0..10 {
-                t.insert(k(i), vec![1]).unwrap();
+                t.insert(k(i), vec![1], 0).unwrap();
             }
             t.flush().unwrap();
         }
@@ -1624,28 +1675,33 @@ mod tests {
         assert_eq!(t.metrics().flushes.get(), 0, "counters start fresh on reopen");
     }
 
+    /// Each memory and sealed component knows the lowest LSN of its
+    /// writes: the pin is their minimum, moves past a component only once
+    /// it is installed on disk, ignores writes without an LSN, and outlives
+    /// the tree unless the tree's memory is discarded.
     #[test]
-    fn seal_watermark_captured_at_seal_time() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        // The watermark delivered to on_flush must be the on_seal value of
-        // the sealed component, even when on_seal advances afterwards.
-        struct WatermarkProbe {
-            next: AtomicU64,
-            flushed: Mutex<Vec<u64>>,
+    fn components_carry_the_lsns_they_hold() {
+        struct PinProbe {
+            seen: Mutex<Vec<Option<Lsn>>>,
+            entered: Sender<()>,
+            release: Mutex<Receiver<()>>,
         }
-        impl LsmObserver for WatermarkProbe {
-            fn on_seal(&self) -> u64 {
-                self.next.load(Ordering::SeqCst)
-            }
-            fn on_flush(&self, _p: &Path, _s: u64, watermark: u64) {
-                self.flushed.lock().push(watermark);
+        impl LsmObserver for PinProbe {
+            fn on_flush(&self, _p: &Path, _s: u64, pin: &LsnPin) {
+                self.seen.lock().push(pin.get());
+                let _ = self.entered.send(());
+                let _ = self.release.lock().recv_timeout(Duration::from_secs(10));
             }
         }
 
         let dir = TempDir::new().unwrap();
-        let probe =
-            Arc::new(WatermarkProbe { next: AtomicU64::new(7), flushed: Mutex::new(Vec::new()) });
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let probe = Arc::new(PinProbe {
+            seen: Mutex::new(Vec::new()),
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        });
         let t = LsmTree::open(
             dir.path(),
             LsmConfig { merge_policy: MergePolicy::NoMerge, ..Default::default() },
@@ -1653,12 +1709,44 @@ mod tests {
             Arc::clone(&probe) as Arc<dyn LsmObserver>,
         )
         .unwrap();
-        t.insert(k(1), b"a".to_vec()).unwrap();
-        t.flush().unwrap(); // seals at watermark 7
-        probe.next.store(42, Ordering::SeqCst);
-        t.insert(k(2), b"b".to_vec()).unwrap();
-        t.flush().unwrap(); // seals at watermark 42
-        assert_eq!(*probe.flushed.lock(), vec![7, 42]);
+        let pin = t.lsn_pin();
+        t.insert(k(1), b"a".to_vec(), 0).unwrap();
+        assert_eq!(pin.get(), None, "a write without an LSN pins nothing");
+        t.insert(k(2), b"b".to_vec(), 9).unwrap();
+        t.delete(k(3), 7).unwrap();
+        assert_eq!(pin.get(), Some(7));
+        let wait = || entered_rx.recv_timeout(Duration::from_secs(10)).expect("a flush");
+        std::thread::scope(|scope| {
+            // The first component installs, and its flush is held.
+            scope.spawn(|| t.flush().unwrap());
+            wait();
+            assert_eq!(pin.get(), None);
+            // The second is sealed behind it and keeps pinning its LSN
+            // while a newer write sits in memory.
+            t.insert(k(4), b"c".to_vec(), 12).unwrap();
+            scope.spawn(|| t.flush().unwrap());
+            while t.inner.state.read().frozen.is_empty() {
+                std::thread::yield_now();
+            }
+            t.insert(k(5), b"d".to_vec(), 15).unwrap();
+            t.insert(k(6), b"e".to_vec(), 11).unwrap();
+            assert_eq!(pin.get(), Some(11));
+            release_tx.send(()).unwrap();
+            wait();
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(*probe.seen.lock(), vec![None, Some(11)]);
+        assert_eq!(pin.get(), Some(11));
+        // A tree dropped with unflushed writes goes on pinning them.
+        let (kept, dropped) =
+            (t.lsn_pin(), open(&dir.path().join("other"), MergePolicy::NoMerge, 1 << 20));
+        let orphan = dropped.lsn_pin();
+        dropped.insert(k(1), b"x".to_vec(), 3).unwrap();
+        drop(dropped);
+        assert!(orphan.is_orphan() && !kept.is_orphan());
+        assert_eq!(orphan.get(), Some(3));
+        t.discard_memory();
+        assert_eq!(pin.get(), None);
     }
 
     // ---- columnar components through the LSM lifecycle ----
@@ -1697,14 +1785,14 @@ mod tests {
         )
         .unwrap();
         for i in 0..150u32 {
-            t.insert(k(i), row(i)).unwrap();
+            t.insert(k(i), row(i), 0).unwrap();
         }
         t.flush().unwrap();
         assert_eq!(t.columnar_component_count(), 1);
         for i in 150..300u32 {
-            t.insert(k(i), row(i)).unwrap();
+            t.insert(k(i), row(i), 0).unwrap();
         }
-        t.delete(k(42)).unwrap();
+        t.delete(k(42), 0).unwrap();
         t.flush().unwrap();
         t.merge_all().unwrap();
         // Both flushes inferred one column list: the merge copies their
@@ -1734,7 +1822,7 @@ mod tests {
             LsmTree::open(dir.path(), cfg, BufferCache::new(256), Arc::new(NullObserver)).unwrap();
         for batch in 0..3u32 {
             for i in batch * 100..batch * 100 + 100 {
-                t.insert(k(i), row(i)).unwrap();
+                t.insert(k(i), row(i), 0).unwrap();
             }
             t.flush().unwrap();
         }
@@ -1763,7 +1851,7 @@ mod tests {
         {
             let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
             for i in 0..60u32 {
-                t.insert(k(i), row(i)).unwrap();
+                t.insert(k(i), row(i), 0).unwrap();
             }
             t.flush().unwrap();
         }
@@ -1775,14 +1863,14 @@ mod tests {
         )
         .unwrap();
         for i in 60..120u32 {
-            t.insert(k(i), row(i)).unwrap();
+            t.insert(k(i), row(i), 0).unwrap();
         }
-        t.delete(k(7)).unwrap();
-        t.insert(k(30), row(999)).unwrap(); // newer version shadows row component
+        t.delete(k(7), 0).unwrap();
+        t.insert(k(30), row(999), 0).unwrap(); // newer version shadows row component
         t.flush().unwrap();
         assert_eq!(t.columnar_component_count(), 1);
         for i in 120..140u32 {
-            t.insert(k(i), row(i)).unwrap(); // stays in memory
+            t.insert(k(i), row(i), 0).unwrap(); // stays in memory
         }
 
         let full = t.scan(None, None).unwrap();
@@ -1831,20 +1919,15 @@ mod tests {
     fn filtered_and_deleted_versions_shadow_older_passing_ones() {
         use crate::columnar::{CmpOp, ColumnFilter};
 
-        /// Reports every seal, and holds every flush in `on_flush` (after
-        /// its component is installed) until released — so a later seal
-        /// stays sealed for as long as the test needs it.
-        struct SealProbe {
-            sealed: Sender<()>,
+        /// Holds every flush in `on_flush` (after its component is
+        /// installed) until released — so a later seal stays sealed for as
+        /// long as the test needs it.
+        struct InstallProbe {
             installed: Sender<()>,
             release: Mutex<Receiver<()>>,
         }
-        impl LsmObserver for SealProbe {
-            fn on_seal(&self) -> u64 {
-                let _ = self.sealed.send(());
-                0
-            }
-            fn on_flush(&self, _p: &Path, _s: u64, _w: u64) {
+        impl LsmObserver for InstallProbe {
+            fn on_flush(&self, _p: &Path, _s: u64, _pin: &LsnPin) {
                 let _ = self.installed.send(());
                 let _ = self.release.lock().recv_timeout(Duration::from_secs(10));
             }
@@ -1855,53 +1938,48 @@ mod tests {
         {
             let t = open(dir.path(), MergePolicy::NoMerge, 1 << 20);
             for i in 0..40u32 {
-                t.insert(k(i), row(i)).unwrap();
+                t.insert(k(i), row(i), 0).unwrap();
             }
             t.flush().unwrap();
         }
-        let (sealed_tx, sealed_rx) = channel();
         let (installed_tx, installed_rx) = channel();
         let (release_tx, release_rx) = channel();
         let t = LsmTree::open(
             dir.path(),
             columnar_cfg(),
             BufferCache::new(256),
-            Arc::new(SealProbe {
-                sealed: sealed_tx,
-                installed: installed_tx,
-                release: Mutex::new(release_rx),
-            }),
+            Arc::new(InstallProbe { installed: installed_tx, release: Mutex::new(release_rx) }),
         )
         .unwrap();
         let wait = |rx: &Receiver<()>| rx.recv_timeout(Duration::from_secs(10)).expect("progress");
         std::thread::scope(|scope| {
             // Older columnar component: key 1 now fails the filter, key 2
             // is deleted, keys 40..80 are new.
-            t.insert(k(1), row(500)).unwrap();
-            t.delete(k(2)).unwrap();
+            t.insert(k(1), row(500), 0).unwrap();
+            t.delete(k(2), 0).unwrap();
             for i in 40..80u32 {
-                t.insert(k(i), row(i)).unwrap();
+                t.insert(k(i), row(i), 0).unwrap();
             }
             release_tx.send(()).unwrap();
             t.flush().unwrap();
-            wait(&sealed_rx);
             wait(&installed_rx);
             // Newest columnar component: key 41 fails, key 42 is deleted.
             // Its flush installs it and then waits in `on_flush`.
-            t.insert(k(41), row(501)).unwrap();
-            t.delete(k(42)).unwrap();
+            t.insert(k(41), row(501), 0).unwrap();
+            t.delete(k(42), 0).unwrap();
             scope.spawn(|| t.flush().unwrap());
-            wait(&sealed_rx);
             wait(&installed_rx);
             // Sealed: key 45 fails, key 46 is deleted. The maintenance
             // thread is held, so this seal stays queued.
-            t.insert(k(45), row(503)).unwrap();
-            t.delete(k(46)).unwrap();
+            t.insert(k(45), row(503), 0).unwrap();
+            t.delete(k(46), 0).unwrap();
             scope.spawn(|| t.flush().unwrap());
-            wait(&sealed_rx);
+            while t.inner.state.read().frozen.is_empty() {
+                std::thread::yield_now();
+            }
             // Memory: key 43 fails, key 44 is deleted.
-            t.insert(k(43), row(502)).unwrap();
-            t.delete(k(44)).unwrap();
+            t.insert(k(43), row(502), 0).unwrap();
+            t.delete(k(44), 0).unwrap();
             assert_eq!(t.inner.state.read().frozen.len(), 1, "one sealed component is waiting");
 
             let id_key = |v: i64| asterix_adm::ordkey::encode_value(&Value::Int64(v));
@@ -2112,7 +2190,7 @@ mod tests {
         };
         let first_flush = |t: &LsmTree, rng: &mut StdRng| {
             for i in 0..80u32 {
-                t.insert(k(i), random_record(rng, i, false)).unwrap();
+                t.insert(k(i), random_record(rng, i, false), 0).unwrap();
             }
             t.flush().unwrap();
         };
@@ -2129,9 +2207,9 @@ mod tests {
             for _ in 0..60 {
                 let i = rng.gen_range(0..120usize) as u32;
                 if rng.gen_bool(1.0 / 3.0) {
-                    t.delete(k(i)).unwrap();
+                    t.delete(k(i), 0).unwrap();
                 } else {
-                    t.insert(k(i), random_record(&mut rng, i, extra)).unwrap();
+                    t.insert(k(i), random_record(&mut rng, i, extra), 0).unwrap();
                 }
             }
             t.flush().unwrap();

@@ -25,7 +25,7 @@ use asterix_adm::Value;
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::keycodec::{decode_key, encode_key};
-use crate::lsm::{LsmConfig, LsmObserver, LsmTree};
+use crate::lsm::{LsmConfig, LsmObserver, LsmTree, Lsn};
 
 const POINT: u8 = 0x00;
 const OTHER: u8 = 0x01;
@@ -184,14 +184,16 @@ impl SpatialIndex {
         Ok(key)
     }
 
-    /// Index `mbr` under primary key `pk`.
-    pub fn insert(&self, mbr: Rectangle, pk: &[Value]) -> Result<()> {
-        self.tree.insert(Self::entry_key(&mbr, pk)?, Vec::new())
+    /// Index `mbr` under primary key `pk`, the write of log record `lsn`
+    /// (`0`: none).
+    pub fn insert(&self, mbr: Rectangle, pk: &[Value], lsn: Lsn) -> Result<()> {
+        self.tree.insert(Self::entry_key(&mbr, pk)?, Vec::new(), lsn)
     }
 
-    /// Remove the entry `(mbr, pk)` (antimatter).
-    pub fn delete(&self, mbr: Rectangle, pk: &[Value]) -> Result<()> {
-        self.tree.delete(Self::entry_key(&mbr, pk)?)
+    /// Remove the entry `(mbr, pk)` (antimatter), the write of log record
+    /// `lsn` (`0`: none).
+    pub fn delete(&self, mbr: Rectangle, pk: &[Value], lsn: Lsn) -> Result<()> {
+        self.tree.delete(Self::entry_key(&mbr, pk)?, lsn)
     }
 
     /// All live primary keys whose MBR intersects `query`.
@@ -292,7 +294,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), 1 << 20, MergePolicy::NoMerge);
         for i in 0..100 {
-            ix.insert(pt(i as f64, i as f64), &[Value::Int64(i)]).unwrap();
+            ix.insert(pt(i as f64, i as f64), &[Value::Int64(i)], 0).unwrap();
         }
         assert_eq!(
             ids(ix.search(&rect(10.0, 10.0, 20.0, 20.0)).unwrap()),
@@ -305,7 +307,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), 1 << 20, MergePolicy::NoMerge);
         for i in 0..500 {
-            ix.insert(pt((i % 50) as f64, (i / 50) as f64), &[Value::Int64(i)]).unwrap();
+            ix.insert(pt((i % 50) as f64, (i / 50) as f64), &[Value::Int64(i)], 0).unwrap();
         }
         ix.lsm().flush().unwrap();
         assert_eq!(ix.lsm().disk_component_count(), 1);
@@ -320,11 +322,11 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), 1 << 20, MergePolicy::NoMerge);
         let window = rect(0.0, 0.0, 2.0, 2.0);
-        ix.insert(pt(1.0, 1.0), &[Value::Int64(7)]).unwrap();
-        ix.insert(rect(1.5, 1.5, 3.0, 3.0), &[Value::Int64(8)]).unwrap();
+        ix.insert(pt(1.0, 1.0), &[Value::Int64(7)], 0).unwrap();
+        ix.insert(rect(1.5, 1.5, 3.0, 3.0), &[Value::Int64(8)], 0).unwrap();
         ix.lsm().flush().unwrap();
-        ix.delete(pt(1.0, 1.0), &[Value::Int64(7)]).unwrap();
-        ix.delete(rect(1.5, 1.5, 3.0, 3.0), &[Value::Int64(8)]).unwrap();
+        ix.delete(pt(1.0, 1.0), &[Value::Int64(7)], 0).unwrap();
+        ix.delete(rect(1.5, 1.5, 3.0, 3.0), &[Value::Int64(8)], 0).unwrap();
         assert!(ix.search(&window).unwrap().is_empty());
         ix.lsm().flush().unwrap();
         assert!(ix.search(&window).unwrap().is_empty());
@@ -341,7 +343,7 @@ mod tests {
         let grid = |i: i64| ((i / 100) as f64 - 50.0, (i % 100) as f64 - 50.0);
         for i in 0..10_000 {
             let (x, y) = grid(i);
-            ix.insert(pt(x, y), &[Value::Int64(i)]).unwrap();
+            ix.insert(pt(x, y), &[Value::Int64(i)], 0).unwrap();
         }
         ix.lsm().flush().unwrap();
         for w in [
@@ -367,10 +369,10 @@ mod tests {
     fn mixed_shapes() {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), 1 << 20, MergePolicy::NoMerge);
-        ix.insert(rect(0.0, 0.0, 5.0, 5.0), &[Value::Int64(1)]).unwrap();
-        ix.insert(rect(10.0, 10.0, 15.0, 15.0), &[Value::Int64(2)]).unwrap();
-        ix.insert(pt(-0.0, 7.0), &[Value::Int64(3)]).unwrap();
-        ix.insert(pt(f64::NAN, 7.0), &[Value::Int64(4)]).unwrap();
+        ix.insert(rect(0.0, 0.0, 5.0, 5.0), &[Value::Int64(1)], 0).unwrap();
+        ix.insert(rect(10.0, 10.0, 15.0, 15.0), &[Value::Int64(2)], 0).unwrap();
+        ix.insert(pt(-0.0, 7.0), &[Value::Int64(3)], 0).unwrap();
+        ix.insert(pt(f64::NAN, 7.0), &[Value::Int64(4)], 0).unwrap();
         assert_eq!(ids(ix.search(&rect(4.0, 4.0, 11.0, 11.0)).unwrap()), vec![1, 2]);
         assert!(ix.search(&rect(6.0, 6.0, 9.0, 9.0)).unwrap().is_empty());
         assert_eq!(ids(ix.search(&rect(0.0, 6.0, 1.0, 8.0)).unwrap()), vec![3]);
@@ -384,7 +386,7 @@ mod tests {
         let policy = MergePolicy::Prefix { max_mergable_size: 64 << 20, max_tolerance: 3 };
         let ix = open(dir.path(), 16 << 10, policy);
         for i in 0..4_000 {
-            ix.insert(pt((i % 97) as f64, (i / 97) as f64), &[Value::Int64(i)]).unwrap();
+            ix.insert(pt((i % 97) as f64, (i / 97) as f64), &[Value::Int64(i)], 0).unwrap();
         }
         ix.lsm().flush().unwrap();
         let m = ix.lsm().metrics();
@@ -398,12 +400,12 @@ mod tests {
     fn undecodable_keys_are_errors() {
         let dir = TempDir::new().unwrap();
         let ix = open(dir.path(), 1 << 20, MergePolicy::NoMerge);
-        ix.insert(pt(1.0, 1.0), &[Value::Int64(1)]).unwrap();
+        ix.insert(pt(1.0, 1.0), &[Value::Int64(1)], 0).unwrap();
         let mut key = point_key(interleave(ordered(1.0), ordered(1.0)));
         key.extend_from_slice(&[0xEE, 0xEE]);
-        ix.lsm().insert(key, Vec::new()).unwrap();
+        ix.lsm().insert(key, Vec::new(), 0).unwrap();
         assert!(ix.search(&rect(0.0, 0.0, 2.0, 2.0)).is_err());
-        ix.lsm().insert(vec![OTHER, 1, 2], Vec::new()).unwrap();
+        ix.lsm().insert(vec![OTHER, 1, 2], Vec::new(), 0).unwrap();
         assert!(ix.search(&rect(5.0, 5.0, 6.0, 6.0)).is_err());
     }
 }

@@ -9,7 +9,8 @@
 //!   secondary indexes rely on latching plus post-validation in query plans.
 //! * [`wal`] — logical write-ahead logging with the no-steal/no-force
 //!   policy: one log record per LSM-index update operation, forced at
-//!   commit.
+//!   commit. The log knows each active transaction's first LSN and can be
+//!   cut below any LSN, its LSNs rising across cuts and reopens.
 //! * [`recovery`] — replay of committed log records newer than each index's
 //!   last flushed component, paired with the storage layer's validity-marker
 //!   shadowing (invalid components are garbage-collected by the LSM open

@@ -8,7 +8,9 @@
 //!
 //! Replay is idempotent — inserts are upserts and deletes are antimatter —
 //! so replaying an operation that actually made it into a flushed component
-//! is harmless, which lets the flush watermark be conservative.
+//! is harmless, which lets the flush watermark be conservative. A replayed
+//! update carries its original LSN into its memory component, so the log
+//! is not cut below it until that component is flushed.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -19,12 +21,27 @@ use crate::Result;
 /// Where replayed operations are applied (implemented by the dataset layer,
 /// which routes them into the right LSM index).
 pub trait RecoveryTarget {
-    /// Apply a logical insert to (dataset, index).
-    fn replay_insert(&mut self, dataset: u32, index: u32, key: &[u8], value: &[u8]) -> Result<()>;
-    /// Apply a logical delete to (dataset, index). `value` carries the
-    /// logical payload for indexes whose delete needs it (e.g. secondary
-    /// indexes log `[field value, pk...]` rather than a storage key).
-    fn replay_delete(&mut self, dataset: u32, index: u32, key: &[u8], value: &[u8]) -> Result<()>;
+    /// Apply the logical insert logged at `lsn` to (dataset, index).
+    fn replay_insert(
+        &mut self,
+        dataset: u32,
+        index: u32,
+        lsn: Lsn,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<()>;
+    /// Apply the logical delete logged at `lsn` to (dataset, index).
+    /// `value` carries the logical payload for indexes whose delete needs
+    /// it (e.g. secondary indexes log `[field value, pk...]` rather than a
+    /// storage key).
+    fn replay_delete(
+        &mut self,
+        dataset: u32,
+        index: u32,
+        lsn: Lsn,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<()>;
 }
 
 /// Counters describing what recovery did.
@@ -80,10 +97,10 @@ pub fn recover(path: &Path, target: &mut dyn RecoveryTarget) -> Result<RecoveryS
                 continue;
             }
             if *is_delete {
-                target.replay_delete(*dataset, *index, key, value)?;
+                target.replay_delete(*dataset, *index, *lsn, key, value)?;
                 stats.replayed_deletes += 1;
             } else {
-                target.replay_insert(*dataset, *index, key, value)?;
+                target.replay_insert(*dataset, *index, *lsn, key, value)?;
                 stats.replayed_inserts += 1;
             }
         }
@@ -107,6 +124,7 @@ mod tests {
             &mut self,
             dataset: u32,
             index: u32,
+            _lsn: Lsn,
             key: &[u8],
             value: &[u8],
         ) -> Result<()> {
@@ -118,6 +136,7 @@ mod tests {
             &mut self,
             dataset: u32,
             index: u32,
+            _lsn: Lsn,
             key: &[u8],
             _value: &[u8],
         ) -> Result<()> {

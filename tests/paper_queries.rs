@@ -693,6 +693,14 @@ fn query_4_decorrelates_into_a_left_outer_join_and_a_group_by() {
                 return $user.id";
     let (plan, job) = instance.explain(semi).unwrap();
     assert!(plan.contains("hash-join (Semi)"), "{plan}");
+    // The conjunct that names only the messages filters them below the
+    // join, once each, instead of each matched pair inside it.
+    let lines: Vec<&str> = plan.lines().collect();
+    let at = |op: &str| lines.iter().position(|l| l.trim() == op).expect(op);
+    let (join, scan) = (at("hash-join (Semi)"), at("data-scan TinySocial.MugshotMessages"));
+    let depth = |l: &str| l.len() - l.trim_start().len();
+    assert!(scan > join && lines[scan - 1].trim() == "select", "{plan}");
+    assert!(depth(lines[scan - 1]) > depth(lines[join]), "{plan}");
     assert!(job.contains("hybrid-hash-join"), "{job}");
     assert!(!job.contains("nested-loop-join") && !job.contains("select residual"), "{job}");
     let flat = "for $user in dataset MugshotUsers for $m in dataset MugshotMessages \

@@ -310,12 +310,12 @@ proptest! {
                 LsmOp::Insert(k, v) => {
                     let key = k.to_be_bytes().to_vec();
                     let val = vec![*v];
-                    tree.insert(key.clone(), val.clone()).unwrap();
+                    tree.insert(key.clone(), val.clone(), 0).unwrap();
                     model.insert(key, val);
                 }
                 LsmOp::Delete(k) => {
                     let key = k.to_be_bytes().to_vec();
-                    tree.delete(key.clone()).unwrap();
+                    tree.delete(key.clone(), 0).unwrap();
                     model.remove(&key);
                 }
                 LsmOp::Flush => {
@@ -426,8 +426,8 @@ proptest! {
         let col = mk(d1.path(), Some(ColumnarOptions::new(Arc::new(SelfDescribingCodec))));
         let row = mk(d2.path(), None);
         let put = |k: u16, bytes: Vec<u8>| {
-            col.insert(k.to_be_bytes().to_vec(), bytes.clone()).unwrap();
-            row.insert(k.to_be_bytes().to_vec(), bytes).unwrap();
+            col.insert(k.to_be_bytes().to_vec(), bytes.clone(), 0).unwrap();
+            row.insert(k.to_be_bytes().to_vec(), bytes, 0).unwrap();
         };
         for (k, fields) in &rows {
             let mut r = Record::new();
@@ -617,8 +617,8 @@ proptest! {
             for (k, v) in batch {
                 let key = k.to_be_bytes().to_vec();
                 match v {
-                    Some(v) => tree.insert(key, adm_serde::encode(v)).unwrap(),
-                    None => tree.delete(key).unwrap(),
+                    Some(v) => tree.insert(key, adm_serde::encode(v), 0).unwrap(),
+                    None => tree.delete(key, 0).unwrap(),
                 }
             }
             if b < last {

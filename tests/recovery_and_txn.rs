@@ -4,6 +4,11 @@
 
 use std::sync::Arc;
 
+use asterix_adm::{Record, Value};
+use asterix_storage::keycodec;
+use asterix_txn::wal::{LogManager, LogRecord, Lsn, TxnId};
+use asterix_txn::Result as TxnResult;
+use asterixdb::dataset::{wal_index_code, DatasetRuntime};
 use asterixdb::{ClusterConfig, Instance};
 
 const DDL: &str = r#"
@@ -318,20 +323,21 @@ fn sorted_ids(instance: &Instance, q: &str) -> Vec<i64> {
 struct CountingTarget(std::collections::HashMap<(u32, u32), usize>);
 
 impl asterix_txn::RecoveryTarget for CountingTarget {
-    fn replay_insert(&mut self, ds: u32, ix: u32, _: &[u8], _: &[u8]) -> asterix_txn::Result<()> {
+    fn replay_insert(&mut self, ds: u32, ix: u32, _: Lsn, _: &[u8], _: &[u8]) -> TxnResult<()> {
         *self.0.entry((ds, ix)).or_default() += 1;
         Ok(())
     }
 
-    fn replay_delete(&mut self, ds: u32, ix: u32, _: &[u8], _: &[u8]) -> asterix_txn::Result<()> {
+    fn replay_delete(&mut self, ds: u32, ix: u32, _: Lsn, _: &[u8], _: &[u8]) -> TxnResult<()> {
         *self.0.entry((ds, ix)).or_default() += 1;
         Ok(())
     }
 }
 
-/// The spatial index writes flush watermarks like every LSM index, so
-/// recovery skips its flushed updates; a kill and reopen keeps its answers
-/// and its `lsm.*` metrics.
+/// The spatial index pins and releases the log like every LSM index: a
+/// flush of everything cuts every flushed update out of the log, recovery
+/// replays each update left; a kill and reopen keeps its answers and its
+/// `lsm.*` metrics.
 #[test]
 fn recovery_skips_flushed_spatial_updates_and_keeps_the_answers() {
     use asterix_txn::wal::{LogManager, LogRecord};
@@ -344,7 +350,14 @@ fn recovery_skips_flushed_spatial_updates_and_keeps_the_answers() {
             insert_place(&instance, id);
         }
         let ds = instance.dataset("Places").unwrap();
+        let log = instance.config().node_log_path(instance.config().node_of(0));
+        let updates = || {
+            let records = LogManager::read_all_records(&log).unwrap();
+            records.into_iter().filter(|(_, r)| matches!(r, LogRecord::Update { .. })).count()
+        };
+        assert!(updates() > 0);
         ds.flush_all().unwrap();
+        assert_eq!(updates(), 0, "the flush cut every flushed update");
         // Writes the flush did not cover: a move and new records.
         instance.execute("delete $p from dataset Places where $p.id = 33;").unwrap();
         for id in 100..130 {
@@ -353,7 +366,6 @@ fn recovery_skips_flushed_spatial_updates_and_keeps_the_answers() {
         assert!(instance.metrics_json().contains(flushes), "{}", instance.metrics_json());
 
         let ix = ds.secondary("locIdx").unwrap();
-        let log = instance.config().node_log_path(instance.config().node_of(0));
         let code = asterixdb::dataset::wal_index_code(ix.id, 0);
         let records = LogManager::read_all_records(&log).unwrap();
         let is_ix = |d: &u32, i: &u32| (*d, *i) == (ds.id, code);
@@ -361,14 +373,11 @@ fn recovery_skips_flushed_spatial_updates_and_keeps_the_answers() {
             .iter()
             .filter(|(_, r)| matches!(r, LogRecord::Update { dataset, index, .. } if is_ix(dataset, index)))
             .count();
-        assert!(records.iter().any(
-            |(_, r)| matches!(r, LogRecord::Flush { dataset, index, .. } if is_ix(dataset, index))
-        ));
         let mut target = CountingTarget::default();
         let stats = asterix_txn::recover(&log, &mut target).unwrap();
         let replayed = target.0.get(&(ds.id, code)).copied().unwrap_or(0);
         assert!(
-            stats.skipped_flushed > 0 && replayed < logged,
+            logged > 0 && replayed == logged && stats.skipped_flushed == 0,
             "{replayed} of {logged}: {stats:?}"
         );
         sorted_ids(&instance, GEO_QUERY)
@@ -409,13 +418,13 @@ fn spatial_search_sees_every_point_while_flushes_run() {
     const PRELOADED: usize = 100;
     const TOTAL: usize = 5_000;
     for i in 0..PRELOADED {
-        ix.insert(point(i), &[Value::Int64(i as i64)]).unwrap();
+        ix.insert(point(i), &[Value::Int64(i as i64)], 0).unwrap();
     }
     let inserted = AtomicUsize::new(PRELOADED);
     let searches = std::thread::scope(|s| {
         s.spawn(|| {
             for i in PRELOADED..TOTAL {
-                ix.insert(point(i), &[Value::Int64(i as i64)]).unwrap();
+                ix.insert(point(i), &[Value::Int64(i as i64)], 0).unwrap();
                 inserted.store(i + 1, Ordering::SeqCst);
             }
         });
@@ -438,4 +447,335 @@ fn spatial_search_sees_every_point_while_flushes_run() {
     });
     assert!(ix.lsm().metrics().flushes.get() >= 10, "{}", ix.lsm().metrics().flushes.get());
     assert!(searches > 1);
+}
+
+/// Record `id` of `DDL`'s type as dataset `D` stores it: its storage key
+/// and its value.
+fn stored(ds: &DatasetRuntime, id: i64) -> (Vec<u8>, Vec<u8>) {
+    let rec = Value::record(Record::from_fields(vec![
+        ("id", Value::Int64(id)),
+        ("v", Value::Int64(id)),
+        ("tag", Value::string("t")),
+    ]));
+    let rec = ds.registry.coerce(&rec, &ds.datatype).unwrap();
+    let value = asterix_adm::serde::encode_typed(&ds.registry, &rec, &ds.datatype).unwrap();
+    (keycodec::encode_key(&[Value::Int64(id)]).unwrap(), value)
+}
+
+/// The log record of transaction `txn` inserting record `id` into the
+/// primary partition `p` of `ds`.
+fn primary_insert(ds: &DatasetRuntime, txn: TxnId, p: usize, id: i64) -> LogRecord {
+    let (key, value) = stored(ds, id);
+    LogRecord::Update {
+        txn,
+        dataset: ds.id,
+        index: wal_index_code(0, p),
+        is_delete: false,
+        key,
+        value,
+    }
+}
+
+/// Apply an update logged by [`primary_insert`] under its LSN, as the
+/// insert path does after logging it.
+fn apply(ds: &DatasetRuntime, rec: &LogRecord, lsn: Lsn) {
+    let LogRecord::Update { index, key, value, .. } = rec else { unreachable!() };
+    ds.replay(*index, lsn, key, value, false).unwrap();
+}
+
+fn present(instance: &Instance, id: i64) -> bool {
+    instance.dataset("D").unwrap().get(&[Value::Int64(id)]).unwrap().is_some()
+}
+
+/// An update logged before a seal and applied after it lands in the next
+/// memory component, so the flush of the sealed one must not claim it
+/// durable: L1 appended, L2 appended and applied, seal and flush, L1
+/// applied, both commit, a crash — both writes survive.
+#[test]
+fn an_update_logged_before_a_seal_and_applied_after_it_survives_a_crash() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let b = {
+        let instance = open(dir.path());
+        instance.execute(DDL).unwrap();
+        let ds = instance.dataset("D").unwrap();
+        let p = ds.partition_of(&[Value::Int64(1)]);
+        let b = (2..).find(|&id| ds.partition_of(&[Value::Int64(id)]) == p).unwrap();
+        let wal = instance.node_log(instance.config().node_of(p)).wal();
+        let (t1, t2) = (wal.begin(), wal.begin());
+        let (r1, r2) = (primary_insert(&ds, t1, p, 1), primary_insert(&ds, t2, p, b));
+        let l1 = wal.append(&r1).unwrap();
+        let l2 = wal.append(&r2).unwrap();
+        apply(&ds, &r2, l2);
+        ds.flush_all().unwrap();
+        apply(&ds, &r1, l1);
+        wal.commit(t1).unwrap();
+        wal.commit(t2).unwrap();
+        assert!(present(&instance, 1) && present(&instance, b));
+        b
+        // Killed: dropped without a flush.
+    };
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    assert!(present(&instance, 1), "the write applied after the seal was lost");
+    assert!(present(&instance, b));
+}
+
+/// A flush cuts the log below every active transaction's first record:
+/// one that logged an update and has not applied it keeps its record, and
+/// its commit after the cut survives a crash.
+#[test]
+fn the_cut_never_passes_an_active_transactions_first_record() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    {
+        let instance = open(dir.path());
+        instance.execute(DDL).unwrap();
+        for i in 0..50 {
+            insert(&instance, i, i);
+        }
+        let ds = instance.dataset("D").unwrap();
+        let p = ds.partition_of(&[Value::Int64(1000)]);
+        let node = instance.node_log(instance.config().node_of(p));
+        let t = node.wal().begin();
+        let rec = primary_insert(&ds, t, p, 1000);
+        let lsn = node.wal().append(&rec).unwrap();
+        ds.flush_all().unwrap();
+        node.wal().force().unwrap();
+        assert_eq!(node.cut(), lsn);
+        let path = instance.config().node_log_path(instance.config().node_of(p));
+        let records = LogManager::read_all_records(&path).unwrap();
+        assert_eq!(records.first(), Some(&(lsn, rec.clone())), "the cut dropped what it could");
+        apply(&ds, &rec, lsn);
+        node.wal().commit(t).unwrap();
+    }
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    assert!(present(&instance, 1000));
+    assert_eq!(instance.query("for $d in dataset D return $d;").unwrap().len(), 51);
+}
+
+/// LSNs go on rising across a cut and a reopen: no record logged after
+/// either is mistaken for one a flush already covered.
+#[test]
+fn lsns_rise_across_a_cut_and_a_reopen() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let log = ClusterConfig::small(dir.path()).node_log_path(0);
+    let lsns = || -> Vec<Lsn> {
+        LogManager::read_all_records(&log).unwrap().iter().map(|(l, _)| *l).collect()
+    };
+    let before = {
+        let instance = open(dir.path());
+        instance.execute(DDL).unwrap();
+        for i in 0..40 {
+            insert(&instance, i, i);
+        }
+        let before = *lsns().last().unwrap();
+        instance.checkpoint().unwrap();
+        assert!(lsns().is_empty(), "{:?}", lsns());
+        assert!(instance.node_log(0).wal().floor() > before);
+        before
+    };
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    for i in 40..80 {
+        insert(&instance, i, i);
+    }
+    let after = lsns();
+    assert!(!after.is_empty() && after[0] > before, "{before} then {after:?}");
+    drop(instance);
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    assert_eq!(instance.query("for $d in dataset D return $d;").unwrap().len(), 80);
+}
+
+/// Writers on every partition while a loop flushes everything, then a
+/// crash: every acknowledged write is there after the reopen, and after a
+/// final flush the logs hold no update.
+#[test]
+fn writers_and_a_flush_loop_lose_nothing_across_a_crash() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let cfg = ClusterConfig { mem_component_budget: 32 << 10, ..ClusterConfig::small(dir.path()) };
+    const WRITERS: i64 = 4;
+    const EACH: i64 = 120;
+    {
+        let instance = Instance::open(cfg.clone()).unwrap();
+        instance.execute(DDL).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let instance = &instance;
+                    s.spawn(move || {
+                        for i in 0..EACH {
+                            insert(instance, t * 1000 + i, i);
+                            if i % 10 == 9 {
+                                let id = t * 1000 + i - 5;
+                                instance
+                                    .execute(&format!(
+                                        "use dataverse R; delete $d from dataset D where $d.id = {id};"
+                                    ))
+                                    .unwrap();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    instance.checkpoint().unwrap();
+                }
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        // Killed: dropped without a flush.
+    }
+    let instance = Instance::open(cfg.clone()).unwrap();
+    instance.execute("use dataverse R;").unwrap();
+    let ids = sorted_ids(&instance, "for $d in dataset D return $d.id;");
+    let want: Vec<i64> = (0..WRITERS)
+        .flat_map(|t| (0..EACH).filter(|i| i % 10 != 4).map(move |i| t * 1000 + i))
+        .collect();
+    assert_eq!(ids, want);
+    assert_eq!(sorted_ids(&instance, "for $d in dataset D where $d.v = 3 return $d.id;").len(), 4);
+    instance.checkpoint().unwrap();
+    for n in 0..cfg.nodes {
+        let records = LogManager::read_all_records(&cfg.node_log_path(n)).unwrap();
+        assert!(
+            !records.iter().any(|(_, r)| matches!(r, LogRecord::Update { .. })),
+            "node {n}: {} records",
+            records.len()
+        );
+    }
+}
+
+/// `create index` is durable before it returns, so a reopen opens every
+/// index as it was: a flushed instance replays no secondary insert, and
+/// its indexed answers are the ones it gave before.
+#[test]
+fn reopening_a_flushed_instance_rebuilds_no_index() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let q = "for $d in dataset D where $d.v = 3 return $d.id;";
+    let before = {
+        let instance = open(dir.path());
+        instance.execute(DDL).unwrap();
+        for i in 0..200 {
+            insert(&instance, i, i % 10);
+        }
+        instance.checkpoint().unwrap();
+        sorted_ids(&instance, q)
+    };
+    assert_eq!(before.len(), 20);
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    let ix = instance.dataset("D").unwrap().secondary("vIdx").unwrap();
+    for part in &ix.partitions {
+        let lsm = part.lsm();
+        assert!(lsm.disk_component_count() > 0);
+        assert_eq!((lsm.mem_bytes(), lsm.metrics().flushes.get()), (0, 0), "an index was rebuilt");
+    }
+    let (plan, _) = instance.explain(q).unwrap();
+    assert!(plan.contains("vIdx"), "{plan}");
+    assert_eq!(sorted_ids(&instance, q), before);
+}
+
+/// An index created over records that live only in memory and the log,
+/// then a crash: its backfill was flushed before the statement returned,
+/// so the reopened index answers.
+#[test]
+fn an_index_created_right_before_a_crash_answers_after_reopen() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let q = "for $d in dataset D where $d.v = 3 return $d.id;";
+    {
+        let instance = open(dir.path());
+        instance.execute(DDL).unwrap();
+        instance.execute("use dataverse R; drop index D.vIdx;").unwrap();
+        for i in 0..100 {
+            insert(&instance, i, i % 10);
+        }
+        instance.execute("use dataverse R; create index vIdx on D(v);").unwrap();
+    }
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    let (plan, _) = instance.explain(q).unwrap();
+    assert!(plan.contains("vIdx"), "{plan}");
+    assert_eq!(sorted_ids(&instance, q), (0..10).map(|i| i * 10 + 3).collect::<Vec<_>>());
+}
+
+/// Every directory under `root` whose name starts with `prefix`.
+fn dirs_named(root: &std::path::Path, prefix: &str, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(root).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if path.file_name().unwrap().to_string_lossy().starts_with(prefix) {
+                out.push(path.clone());
+            }
+            dirs_named(&path, prefix, out);
+        }
+    }
+}
+
+/// The one index a reopen rebuilds: a partition with no valid component
+/// while its primary partition holds records.
+#[test]
+fn an_index_directory_emptied_by_hand_is_rebuilt() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let q = "for $d in dataset D where $d.v = 3 return $d.id;";
+    {
+        let instance = open(dir.path());
+        instance.execute(DDL).unwrap();
+        for i in 0..100 {
+            insert(&instance, i, i % 10);
+        }
+        instance.checkpoint().unwrap();
+    }
+    let mut ix_dirs = Vec::new();
+    dirs_named(dir.path(), "vIdx#", &mut ix_dirs);
+    assert_eq!(ix_dirs.len(), 4, "{ix_dirs:?}");
+    for d in &ix_dirs {
+        for f in std::fs::read_dir(d).unwrap() {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+    }
+    let instance = open(dir.path());
+    instance.execute("use dataverse R;").unwrap();
+    let ix = instance.dataset("D").unwrap().secondary("vIdx").unwrap();
+    assert!(ix.partitions.iter().all(|p| p.lsm().disk_component_count() > 0));
+    assert_eq!(sorted_ids(&instance, q), (0..10).map(|i| i * 10 + 3).collect::<Vec<_>>());
+}
+
+/// The log's size and its cuts are metrics like any other: AQL over
+/// `Metadata.Metrics` reads them before and after a flush.
+#[test]
+fn the_logs_size_and_cuts_read_from_metadata_metrics() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let instance = open(dir.path());
+    instance.execute(DDL).unwrap();
+    for i in 0..60 {
+        insert(&instance, i, i);
+    }
+    let metric = |name: &str| -> i64 {
+        let q = format!(
+            "for $m in dataset Metadata.Metrics where $m.Name = \"{name}\" return $m.Value;"
+        );
+        let rows = instance.query(&q).unwrap();
+        assert_eq!(rows.len(), 1, "{name}");
+        rows[0].as_i64().unwrap()
+    };
+    let file =
+        |n: usize| std::fs::metadata(instance.config().node_log_path(n)).unwrap().len() as i64;
+    let before: Vec<i64> = (0..2).map(|n| metric(&format!("wal.node{n}.bytes"))).collect();
+    assert_eq!(before, vec![file(0), file(1)]);
+    assert!(before.iter().all(|b| *b > 1000), "{before:?}");
+    assert_eq!(metric("wal.node0.truncations") + metric("wal.node1.truncations"), 0);
+    instance.dataset("D").unwrap().flush_all().unwrap();
+    for (n, before) in before.iter().enumerate() {
+        let bytes = metric(&format!("wal.node{n}.bytes"));
+        assert_eq!(bytes, file(n));
+        assert!(bytes < 100, "node {n}: {bytes} bytes left");
+        assert!(metric(&format!("wal.node{n}.truncations")) >= 1);
+        assert!(metric(&format!("wal.node{n}.truncated_bytes")) >= before - bytes);
+    }
 }
