@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use asterix_adm::{AdmError, Value};
 
 use crate::expr::{eval, truthy, EvalCtx, VarId, VarResolver};
+use crate::metadata::{every_key, IndexProbe, MetadataProvider};
 use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp};
 
 /// A row of variable bindings.
@@ -76,22 +77,6 @@ pub fn eval_rows(
                     env
                 })
                 .collect())
-        }
-        LogicalOp::IndexSearch { dataset, index, var, spec, postcondition } => {
-            let records = index_search_records(dataset, index, spec, outer, ctx)?;
-            let mut out = Vec::with_capacity(records.len());
-            for r in records {
-                let mut env = Env::new();
-                env.insert(*var, r);
-                if let Some(post) = postcondition {
-                    let resolver = ChainResolver { env: &env, outer };
-                    if !truthy(&eval(post, &resolver, ctx)?) {
-                        continue;
-                    }
-                }
-                out.push(env);
-            }
-            Ok(out)
         }
         LogicalOp::Assign { input, var, expr } => {
             let rows = eval_rows(input, outer, ctx)?;
@@ -332,8 +317,36 @@ pub fn index_search_records(
         return ctx.provider.primary_range_all(dataset, lo, hi).map_err(adm_err);
     }
     let probe = spec.probe(&*ctx.provider, dataset, index, value)?;
-    let pks = ctx.provider.secondary_search_all(dataset, index, probe).map_err(adm_err)?;
+    let pks = search_all(&*ctx.provider, dataset, index, probe).map_err(adm_err)?;
     fetch_records(dataset, pks, ctx)
+}
+
+/// A search of every partition of `index` for `probe`, its keys decoded
+/// and collected. With no probe — the index cannot narrow the search, and
+/// the caller's postcondition decides — the key of every record.
+fn search_all(
+    provider: &dyn MetadataProvider,
+    dataset: &str,
+    index: &str,
+    probe: Option<IndexProbe>,
+) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
+    let nparts = provider.partitions();
+    let mut out = Vec::new();
+    let mut collect = |pk: &[u8]| {
+        out.push(asterix_adm::decode_tuple(pk)?);
+        Ok(())
+    };
+    match probe {
+        None => {
+            let keys = every_key(provider, dataset)?;
+            (0..nparts).try_for_each(|p| keys(p, nparts, None, &mut collect))?;
+        }
+        Some(probe) => {
+            let search = provider.secondary_search(dataset, index)?;
+            search(0..nparts, std::slice::from_ref(&probe), &mut |_, pk| collect(pk))?;
+        }
+    }
+    Ok(out)
 }
 
 fn fetch_records(

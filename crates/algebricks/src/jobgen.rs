@@ -45,8 +45,6 @@ pub struct CompiledQuery {
     pub job: JobSpec,
     /// Result rows: single-column tuples holding the emitted values.
     pub collector: Arc<Mutex<Vec<Tuple>>>,
-    /// Cluster topology for the executor (locality-aware routing).
-    pub partitions_per_node: usize,
 }
 
 impl CompiledQuery {
@@ -71,14 +69,10 @@ impl CompiledQuery {
         stats: &Arc<asterix_hyracks::ExchangeStats>,
         profiled: bool,
     ) -> Result<(Vec<Value>, Option<asterix_hyracks::JobProfile>)> {
-        let cfg = asterix_hyracks::executor::ExecutorConfig {
-            partitions_per_node: self.partitions_per_node,
-            ..cfg.clone()
-        };
         let profile = if profiled {
-            Some(asterix_hyracks::executor::run_job_profiled(&self.job, &cfg, stats)?)
+            Some(asterix_hyracks::executor::run_job_profiled(&self.job, cfg, stats)?)
         } else {
-            asterix_hyracks::executor::run_job_with_stats(&self.job, &cfg, stats)?;
+            asterix_hyracks::executor::run_job_with_stats(&self.job, cfg, stats)?;
             None
         };
         // The job spec's sink operator also holds the collector Arc, so
@@ -127,20 +121,19 @@ enum VarUse {
 }
 
 /// Compute, for every variable the plan binds to stored records — by a
-/// `DataSourceScan`, an `IndexSearch` or the inner side of an
-/// `IndexNlJoin` — whether the query only ever touches specific top-level
-/// fields of it. Walks every expression of every operator, recursing into
-/// the dataset-free subplans expressions still evaluate, whose references
-/// to outer variables are uses. Conservative by construction: any use that
-/// is not a literal `$v.field` marks the variable escaped — except a
-/// `count`/`sql-count` aggregate of exactly `$v` and an `is-null`,
-/// `is-missing` or `is-unknown` test of it, which need no field, and a
-/// group key that rebinds `$v` to itself, which carries the variable
-/// through the group-by to its uses above, and an assign of `$v` to
-/// another variable, whose uses are `$v`'s. A projected read yields a
-/// record for every row (`{}` when no field is asked for), and both counts
-/// skip only unknown values, which a read never yields, so they count the
-/// same rows.
+/// `DataSourceScan` or an index access (`IndexNlJoin`) — whether the query
+/// only ever touches specific top-level fields of it. Walks every
+/// expression of every operator, recursing into the dataset-free subplans
+/// expressions still evaluate, whose references to outer variables are
+/// uses. Conservative by construction: any use that is not a literal
+/// `$v.field` marks the variable escaped — except a `count`/`sql-count`
+/// aggregate of exactly `$v` and an `is-null`, `is-missing` or `is-unknown`
+/// test of it, which need no field, and a group key that rebinds `$v` to
+/// itself, which carries the variable through the group-by to its uses
+/// above, and an assign of `$v` to another variable, whose uses are `$v`'s.
+/// A projected read yields a record for every row (`{}` when no field is
+/// asked for), and both counts skip only unknown values, which a read never
+/// yields, so they count the same rows.
 fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUse> {
     fn collect_scans(
         op: &LogicalOp,
@@ -148,9 +141,7 @@ fn analyze_scan_uses(plan: &LogicalOp) -> std::collections::HashMap<VarId, VarUs
         aliases: &mut Vec<(VarId, VarId)>,
     ) {
         match op {
-            LogicalOp::DataSourceScan { var, .. }
-            | LogicalOp::IndexSearch { var, .. }
-            | LogicalOp::IndexNlJoin { var, .. } => {
+            LogicalOp::DataSourceScan { var, .. } | LogicalOp::IndexNlJoin { var, .. } => {
                 map.insert(*var, VarUse::Fields(Default::default()));
             }
             LogicalOp::Assign { var, expr: LogicalExpr::Var(v), .. } => aliases.push((*var, *v)),
@@ -238,16 +229,14 @@ const MIN_OP_MEM: usize = 1 << 20;
 /// Count the plan nodes that become memory-hungry physical operators
 /// (sorts, hash-group tables, hybrid hash joins), so a query-wide memory
 /// grant can be divided among them. GroupBy counts twice (local partial +
-/// global final table) and secondary-index searches carry the hidden `$pk`
-/// sort of the Figure 6 access path. The fetches of a primary fetch and of
-/// an index-NL join hold at most `asterix_hyracks::ops::FETCH_BATCH` keys,
-/// or one probe's matches, and take no share of the grant.
+/// global final table) and a selection's secondary-index search carries
+/// the hidden `$pk` sort of the Figure 6 access path. The fetches of a
+/// primary fetch and of an index-NL join hold at most
+/// `asterix_hyracks::ops::FETCH_BATCH` keys, or one probe's matches, and
+/// take no share of the grant.
 fn memory_hungry_ops(op: &LogicalOp) -> usize {
     match op {
         LogicalOp::EmptyTupleSource | LogicalOp::DataSourceScan { .. } => 0,
-        LogicalOp::IndexSearch { spec, .. } => {
-            usize::from(!matches!(spec, IndexSearchSpec::PrimaryRange { .. }))
-        }
         LogicalOp::Assign { input, .. }
         | LogicalOp::Select { input, .. }
         | LogicalOp::Unnest { input, .. }
@@ -259,14 +248,18 @@ fn memory_hungry_ops(op: &LogicalOp) -> usize {
         LogicalOp::HashJoin { left, right, .. } => {
             1 + memory_hungry_ops(left) + memory_hungry_ops(right)
         }
-        LogicalOp::IndexNlJoin { left, .. } => memory_hungry_ops(left),
+        LogicalOp::IndexNlJoin { left, spec, .. } => {
+            let sorts =
+                op.is_index_selection() && !matches!(spec, IndexSearchSpec::PrimaryRange { .. });
+            usize::from(sorts) + memory_hungry_ops(left)
+        }
         LogicalOp::GroupBy { input, .. } => 2 + memory_hungry_ops(input),
         LogicalOp::Order { input, .. } => 1 + memory_hungry_ops(input),
     }
 }
 
-/// The share of its input a select — or of its dataset an index search —
-/// is taken to keep: one tenth, whatever the predicate.
+/// The share of its input a select — or of its dataset a selection's index
+/// search — is taken to keep: one tenth, whatever the predicate.
 const ASSUMED_SELECTIVITY: u64 = 10;
 
 /// About how many rows `op` produces, bottom-up from what the provider
@@ -277,7 +270,7 @@ pub(crate) fn estimated_rows(op: &LogicalOp, provider: &dyn MetadataProvider) ->
     let input_rows = |input: &LogicalOp| estimated_rows(input, provider);
     Some(match op {
         LogicalOp::DataSourceScan { dataset, .. } => provider.dataset_rows(dataset)?,
-        LogicalOp::IndexSearch { dataset, .. } => {
+        LogicalOp::IndexNlJoin { dataset, .. } if op.is_index_selection() => {
             (provider.dataset_rows(dataset)? / ASSUMED_SELECTIVITY).max(1)
         }
         LogicalOp::Select { input, .. } => (input_rows(input)? / ASSUMED_SELECTIVITY).max(1),
@@ -381,8 +374,7 @@ pub fn compile_with_params(
         Part::Single => gen.job.connect(ConnectorKind::OneToOne, project, sink),
         Part::Distributed => gen.job.connect(ConnectorKind::MToNReplicating, project, sink),
     }
-    let partitions_per_node = gen.ctx.provider.partitions_per_node();
-    Ok(CompiledQuery { job: gen.job, collector, partitions_per_node })
+    Ok(CompiledQuery { job: gen.job, collector })
 }
 
 impl Gen {
@@ -704,9 +696,6 @@ impl Gen {
             LogicalOp::DataSourceScan { dataset, var } => {
                 self.build_scan(dataset, *var, Vec::new(), None)
             }
-            LogicalOp::IndexSearch { dataset, index, var, spec, postcondition } => {
-                self.build_index_search(dataset, index, *var, spec, postcondition.as_ref())
-            }
             LogicalOp::Assign { input, var, expr } => {
                 let (in_op, schema, part) = self.build(input)?;
                 let (op, schema) = self.append_columns(
@@ -745,7 +734,7 @@ impl Gen {
             LogicalOp::Join { left, right, condition, kind, .. } => {
                 self.build_nl_join(left, right, condition, *kind)
             }
-            LogicalOp::IndexNlJoin { .. } => self.build_index_nl_join(op, Vec::new()),
+            LogicalOp::IndexNlJoin { .. } => self.build_index_access(op, Vec::new()),
             LogicalOp::GroupBy { input, keys, aggs } => {
                 let (in_op, schema, part) = self.build(input)?;
                 // Materialize key and agg-input expressions as columns.
@@ -869,14 +858,14 @@ impl Gen {
         }
     }
 
-    /// A select. Directly over a data scan — or over an inner index-NL
-    /// join, for its conjuncts on the fetched records — it pushes its
-    /// ordkey-decidable conjuncts into the read: a columnar source then
-    /// decides most rows on the filter columns' bytes before assembling
-    /// anything. The select stays in the plan — the pushed filters only
-    /// drop definite rejects. `partner` is the test of the hash join this
-    /// select-over-a-scan is the probe input of; it rides into the scan
-    /// behind the select's own conjuncts.
+    /// A select. Directly over a data scan — or over an inner index-NL join,
+    /// not a selection's search, for its conjuncts on the fetched records — it
+    /// pushes its ordkey-decidable conjuncts into the read: a columnar source
+    /// then decides most rows on the filter columns' bytes before assembling
+    /// anything. The select stays in the plan — the pushed filters only drop
+    /// definite rejects. `partner` is the test of the hash join this
+    /// select-over-a-scan is the probe input of; it rides into the scan behind
+    /// the select's own conjuncts.
     fn build_select(
         &mut self,
         input: &LogicalOp,
@@ -889,9 +878,11 @@ impl Gen {
                 filters.extend(partner);
                 self.build_scan(dataset, *var, filters, None)?
             }
-            LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. } => {
+            LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. }
+                if !input.is_index_selection() =>
+            {
                 let filters = self.scan_filters(condition, *var);
-                self.build_index_nl_join(input, filters)?
+                self.build_index_access(input, filters)?
             }
             _ => self.build(input)?,
         };
@@ -1121,92 +1112,86 @@ impl Gen {
         Ok((join, schema, l_part))
     }
 
-    /// The Figure 6 access-path shape: secondary search (pk tuples) →
-    /// sort(pk) → batched primary-index fetch of `var`'s records →
-    /// post-validation select. A primary-key search is the bounded read of
-    /// the primary index a scan makes, under the same post-validation.
-    /// Every read of the primary index carries the post-validation's
-    /// pushable conjuncts as its filters.
-    fn build_index_search(
+    /// The index access: search `index` of `dataset` as `spec` says, fetch
+    /// each matching record into `var` with the projection a scan of `var`
+    /// would get, under `filters` (the pushable conjuncts of a select above
+    /// an index-NL join), and keep the records that pass the postcondition.
+    /// The operator's input chooses the physical form.
+    ///
+    /// A selection (the empty tuple source, inner) has a constant probe, so
+    /// its job is Figure 6's: each partition searches its own index (pk
+    /// tuples) → sort(pk) → batched primary-index fetch → post-validation
+    /// select. A primary-key search is the bounded read of the primary
+    /// index a scan makes, and a probe the index cannot narrow scans, both
+    /// under the same post-validation. Every read of the primary index
+    /// carries the post-validation's pushable conjuncts as its filters.
+    ///
+    /// An index nested-loop join (any other input) resolves each outer
+    /// tuple's probe, and per batch of outer tuples each index partition is
+    /// searched once for all their probes; the matching records are
+    /// fetched per batch, and the postcondition is applied to each match
+    /// inside the join. A probe the index cannot narrow matches every key,
+    /// read once per batch.
+    fn build_index_access(
         &mut self,
-        dataset: &str,
-        index: &str,
-        var: VarId,
-        spec: &IndexSearchSpec,
-        postcondition: Option<&LogicalExpr>,
+        op: &LogicalOp,
+        mut filters: Vec<ScanFilter>,
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
-        let provider = Arc::clone(&self.ctx.provider);
-        let mut part = Part::Distributed;
-        let filters = postcondition.map_or(Vec::new(), |post| self.scan_filters(post, var));
-        let tail: OperatorId = match spec {
-            IndexSearchSpec::PrimaryRange { lo, hi } => {
-                let value = |e: &LogicalExpr| self.const_value(e);
-                let bounds = (key_bound(lo, value)?, key_bound(hi, value)?);
-                let (op, _, read_part) = self.build_scan(dataset, var, filters, Some(bounds))?;
-                part = read_part;
-                op
-            }
-            _ => match spec.probe(&*provider, dataset, index, |e| self.const_value(e))? {
-                Some(probe) => {
-                    let label = format!("{}-search {dataset}.{index}", spec.kind_word());
-                    let search = provider.secondary_search(dataset, index)?;
-                    let source: RawSourceFn = Arc::new(move |partition, _, _, emit| {
-                        let probe = std::slice::from_ref(&probe);
-                        search(partition..partition + 1, probe, &mut |_, pk| emit(pk))
-                    });
-                    let search =
-                        self.job.add(self.nparts, Arc::new(SourceOp::from_raw_fn(label, source)));
-                    // Sort primary keys "to improve the access pattern on the
-                    // primary index" (Figure 6 discussion): sorted keys reach
-                    // the fetch in batches that each cover one stretch of it.
-                    let sort_op = self.sort_op("$pk", vec![SortKey::field(0, false)]);
-                    let sort = self.job.add(self.nparts, Arc::new(sort_op));
-                    self.job.connect(ConnectorKind::OneToOne, search, sort);
-                    let (fetch, projection) = self.primary_fetch(dataset, var, filters)?;
-                    let label = format!("btree-search {dataset} (primary){projection}");
-                    let lookup =
-                        self.job.add(self.nparts, Arc::new(PrimaryFetchOp::new(label, fetch)));
-                    self.job.connect(ConnectorKind::OneToOne, sort, lookup);
-                    lookup
-                }
-                // The index cannot narrow the search: scan, and let the
-                // post-validation decide.
-                None => self.build_scan(dataset, var, filters, None)?.0,
-            },
-        };
-        let schema = vec![var];
-        let mut out = tail;
-        if let Some(post) = postcondition {
-            let sel_op = self.select_op("post-validate", post, &schema)?;
-            let sel = self.job.add(self.parts(part), Arc::new(sel_op));
-            self.job.connect(ConnectorKind::OneToOne, out, sel);
-            out = sel;
-        }
-        Ok((out, schema, part))
-    }
-
-    /// Index nested-loop join: each outer tuple resolves the join's search
-    /// spec to a probe of the index — `IndexSearchSpec::probe`, as a
-    /// selection does — and per batch of outer tuples each index partition
-    /// is searched once for all their probes; the matching records are
-    /// fetched per batch with the projection a scan of the inner variable
-    /// would get, under `filters`. A spec the index cannot narrow probes
-    /// every key — read once per batch — and the postcondition, applied to
-    /// each match inside the join, decides.
-    fn build_index_nl_join(
-        &mut self,
-        join: &LogicalOp,
-        filters: Vec<ScanFilter>,
-    ) -> Result<(OperatorId, Vec<VarId>, Part)> {
-        let LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } = join
+        let LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } = op
         else {
-            unreachable!("build_index_nl_join takes an IndexNlJoin")
+            unreachable!("build_index_access takes an IndexNlJoin")
         };
+        let (provider, var) = (Arc::clone(&self.ctx.provider), *var);
+        if op.is_index_selection() {
+            filters.extend(postcondition.iter().flat_map(|post| self.scan_filters(post, var)));
+            let (mut out, schema, part) = match spec {
+                IndexSearchSpec::PrimaryRange { lo, hi } => {
+                    let value = |e: &LogicalExpr| self.const_value(e);
+                    let bounds = (key_bound(lo, value)?, key_bound(hi, value)?);
+                    self.build_scan(dataset, var, filters, Some(bounds))?
+                }
+                _ => match spec.probe(&*provider, dataset, index, |e| self.const_value(e))? {
+                    Some(probe) => {
+                        let label = format!("{}-search {dataset}.{index}", spec.kind_word());
+                        let search = provider.secondary_search(dataset, index)?;
+                        let source: RawSourceFn = Arc::new(move |partition, _, _, emit| {
+                            let probe = std::slice::from_ref(&probe);
+                            search(partition..partition + 1, probe, &mut |_, pk| emit(pk))
+                        });
+                        let source = Arc::new(SourceOp::from_raw_fn(label, source));
+                        let search = self.job.add(self.nparts, source);
+                        // Sort primary keys "to improve the access pattern on
+                        // the primary index" (Figure 6 discussion): sorted keys
+                        // reach the fetch in batches that each cover one
+                        // stretch of it.
+                        let sort_op = self.sort_op("$pk", vec![SortKey::field(0, false)]);
+                        let sort = self.job.add(self.nparts, Arc::new(sort_op));
+                        self.job.connect(ConnectorKind::OneToOne, search, sort);
+                        let (fetch, projection) = self.primary_fetch(dataset, var, filters)?;
+                        let label = format!("btree-search {dataset} (primary){projection}");
+                        let fetch = Arc::new(PrimaryFetchOp::new(label, fetch));
+                        let lookup = self.job.add(self.nparts, fetch);
+                        self.job.connect(ConnectorKind::OneToOne, sort, lookup);
+                        (lookup, vec![var], Part::Distributed)
+                    }
+                    // The index cannot narrow the search: scan, and let the
+                    // post-validation decide.
+                    None => self.build_scan(dataset, var, filters, None)?,
+                },
+            };
+            if let Some(post) = postcondition {
+                let sel_op = self.select_op("post-validate", post, &schema)?;
+                let sel = self.job.add(self.parts(part), Arc::new(sel_op));
+                self.job.connect(ConnectorKind::OneToOne, out, sel);
+                out = sel;
+            }
+            return Ok((out, schema, part));
+        }
         let (l_op, l_schema, part) = self.build(left)?;
         let cols = Self::columns_of(&l_schema);
         let ctx = Arc::clone(&self.ctx);
         let (dataset_c, index_c, spec_c) = (dataset.clone(), index.clone(), spec.clone());
-        let search = self.ctx.provider.secondary_search(dataset, index)?;
+        let search = provider.secondary_search(dataset, index)?;
         let nparts = self.nparts;
         // Each outer tuple's probe is its own group; every tuple the index
         // cannot narrow joins through EVERY, which every key matches.
@@ -1232,12 +1217,11 @@ impl Gen {
             }
             Ok(())
         });
-        let jt = join_type(*kind);
-        let (fetch, projection) = self.primary_fetch(dataset, *var, filters)?;
+        let (fetch, projection) = self.primary_fetch(dataset, var, filters)?;
         let mut schema = l_schema;
-        schema.push(*var);
+        schema.push(var);
         let label = format!("{dataset}.{index}{projection}");
-        let mut op = IndexNestedLoopJoinOp::new(label, probe, fetch, jt, 1);
+        let mut op = IndexNestedLoopJoinOp::new(label, probe, fetch, join_type(*kind), 1);
         if let Some(post) = postcondition {
             op = op.with_filter(self.predicate(post, &schema)?);
         }
@@ -1503,13 +1487,8 @@ mod tests {
     /// `(key, inclusive)`.
     fn pk_search(var: VarId, lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> LogicalOp {
         let bound = |b: Option<(i64, bool)>| b.map(|(k, incl)| (lit(Value::Int64(k)), incl));
-        LogicalOp::IndexSearch {
-            dataset: "U".into(),
-            index: String::new(),
-            var,
-            spec: IndexSearchSpec::PrimaryRange { lo: bound(lo), hi: bound(hi) },
-            postcondition: None,
-        }
+        let spec = IndexSearchSpec::PrimaryRange { lo: bound(lo), hi: bound(hi) };
+        index_search("U", "", var, spec, None)
     }
 
     fn compile_on(plan: &LogicalOp, knows_owner: bool) -> CompiledQuery {

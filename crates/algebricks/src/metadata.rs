@@ -165,12 +165,6 @@ pub trait MetadataProvider: Send + Sync {
     /// Dataset", §4.1).
     fn partitions(&self) -> usize;
 
-    /// Partitions hosted per simulated node (locality domains for the
-    /// locality-aware connector). Defaults to one partition per node.
-    fn partitions_per_node(&self) -> usize {
-        1
-    }
-
     /// Monotonic catalog version, bumped by every DDL statement. Cached
     /// compiled plans record the epoch they were built under and are
     /// discarded when it moves (see DESIGN.md "Plan cache & prepared
@@ -254,35 +248,6 @@ pub trait MetadataProvider: Send + Sync {
 
     /// Cross-partition primary-index range scan returning records.
     fn primary_range_all(&self, dataset: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>>;
-
-    /// [`Self::secondary_search`] over every partition for one probe, its
-    /// keys decoded and collected: the interpreter's searches. With no
-    /// probe — the index cannot narrow the search, and the caller's
-    /// postcondition decides — the key of every record ([`every_key`]).
-    fn secondary_search_all(
-        &self,
-        dataset: &str,
-        index: &str,
-        probe: Option<IndexProbe>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let nparts = self.partitions();
-        let mut out = Vec::new();
-        let mut collect = |pk: &[u8]| {
-            out.push(asterix_adm::decode_tuple(pk)?);
-            Ok(())
-        };
-        match probe {
-            None => {
-                let keys = every_key(self, dataset)?;
-                (0..nparts).try_for_each(|p| keys(p, nparts, None, &mut collect))?;
-            }
-            Some(probe) => {
-                let search = self.secondary_search(dataset, index)?;
-                search(0..nparts, std::slice::from_ref(&probe), &mut |_, pk| collect(pk))?;
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// A search of a secondary index for a batch of probes:

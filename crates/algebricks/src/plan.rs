@@ -216,19 +216,6 @@ pub enum LogicalOp {
     EmptyTupleSource,
     /// Full dataset scan binding each record to `var`.
     DataSourceScan { dataset: String, var: VarId },
-    /// Secondary-index search followed by primary lookup, producing the
-    /// record in `var`. Carries Figure 6's full shape: the generated job
-    /// sorts primary keys before the primary-index search, and
-    /// `postcondition` re-checks the predicate on the fetched record (the
-    /// §4.4 consistency validation select).
-    IndexSearch {
-        dataset: String,
-        index: String,
-        var: VarId,
-        spec: IndexSearchSpec,
-        /// Residual predicate re-applied to the record (post-validation).
-        postcondition: Option<LogicalExpr>,
-    },
     /// Bind `var` to `expr` for each input tuple.
     Assign { input: Box<LogicalOp>, var: VarId, expr: LogicalExpr },
     /// Keep tuples where `condition` is true.
@@ -263,11 +250,19 @@ pub enum LogicalOp {
         residual: Option<LogicalExpr>,
         kind: JoinKind,
     },
-    /// Index nested-loop join: for each left tuple, search `dataset` via
-    /// `index` as `spec` says — its bounds, window or needle evaluated over
-    /// the left tuple — and bind each matching record that passes
-    /// `postcondition` to `var`. The postcondition filters inside the join,
-    /// so a left-outer join pads exactly the left tuples no record passed.
+    /// The one index access operator (AsterixDB's unnest-map): for each
+    /// left tuple, search `dataset` via `index` as `spec` says — its
+    /// bounds, window or needle evaluated over the left tuple — and bind
+    /// each matching record that passes `postcondition` to `var`. The
+    /// postcondition filters inside the join, so a left-outer join pads
+    /// exactly the left tuples no record passed.
+    ///
+    /// Over the empty tuple source, inner, it is a selection's access path
+    /// (`LogicalOp::is_index_selection`): Figure 6's secondary search →
+    /// sort `$pk` → primary search, `postcondition` the §4.4 validation
+    /// select re-checking the predicate on each fetched record. Over any
+    /// other input it is an index nested-loop join (Query 14's `indexnl`,
+    /// or a correlated subquery's search decorrelated).
     IndexNlJoin {
         left: Box<LogicalOp>,
         dataset: String,
@@ -299,9 +294,7 @@ impl LogicalOp {
     /// Children accessors for generic traversal.
     pub fn inputs(&self) -> Vec<&LogicalOp> {
         match self {
-            LogicalOp::EmptyTupleSource
-            | LogicalOp::DataSourceScan { .. }
-            | LogicalOp::IndexSearch { .. } => vec![],
+            LogicalOp::EmptyTupleSource | LogicalOp::DataSourceScan { .. } => vec![],
             LogicalOp::Assign { input, .. }
             | LogicalOp::Select { input, .. }
             | LogicalOp::Unnest { input, .. }
@@ -321,10 +314,9 @@ impl LogicalOp {
     /// Variables introduced by this operator alone.
     pub fn introduced_vars(&self) -> Vec<VarId> {
         match self {
-            LogicalOp::DataSourceScan { var, .. } | LogicalOp::IndexSearch { var, .. } => {
-                vec![*var]
-            }
-            LogicalOp::Assign { var, .. } => vec![*var],
+            LogicalOp::DataSourceScan { var, .. }
+            | LogicalOp::IndexNlJoin { var, .. }
+            | LogicalOp::Assign { var, .. } => vec![*var],
             LogicalOp::Unnest { var, positional, .. } => {
                 let mut v = vec![*var];
                 if let Some(p) = positional {
@@ -332,7 +324,6 @@ impl LogicalOp {
                 }
                 v
             }
-            LogicalOp::IndexNlJoin { var, .. } => vec![*var],
             LogicalOp::GroupBy { keys, aggs, .. } => {
                 let mut v: Vec<VarId> = keys.iter().map(|(k, _)| *k).collect();
                 v.extend(aggs.iter().map(|a| a.var));
@@ -381,8 +372,7 @@ impl LogicalOp {
             LogicalOp::EmptyTupleSource
             | LogicalOp::DataSourceScan { .. }
             | LogicalOp::Limit { .. } => {}
-            LogicalOp::IndexSearch { spec, postcondition, .. }
-            | LogicalOp::IndexNlJoin { spec, postcondition, .. } => {
+            LogicalOp::IndexNlJoin { spec, postcondition, .. } => {
                 match spec {
                     IndexSearchSpec::PrimaryRange { lo, hi }
                     | IndexSearchSpec::BTreeRange { lo, hi } => {
@@ -424,12 +414,8 @@ impl LogicalOp {
     /// Whether the subtree reads a dataset: it scans or searches one, or
     /// one of its expressions holds a subquery that does.
     pub fn reads_dataset(&self) -> bool {
-        let mut reads = matches!(
-            self,
-            LogicalOp::DataSourceScan { .. }
-                | LogicalOp::IndexSearch { .. }
-                | LogicalOp::IndexNlJoin { .. }
-        );
+        let mut reads =
+            matches!(self, LogicalOp::DataSourceScan { .. } | LogicalOp::IndexNlJoin { .. });
         self.for_each_expr(&mut |e| reads |= e.reads_dataset());
         reads || self.inputs().into_iter().any(LogicalOp::reads_dataset)
     }
@@ -447,12 +433,6 @@ impl LogicalOp {
         match self {
             LogicalOp::EmptyTupleSource => "empty-tuple-source".into(),
             LogicalOp::DataSourceScan { dataset, .. } => format!("data-scan {dataset}"),
-            LogicalOp::IndexSearch { dataset, index, spec, .. } => {
-                if let IndexSearchSpec::PrimaryRange { .. } = spec {
-                    return format!("btree-search {dataset} (primary)");
-                }
-                format!("{}-search {dataset}.{index}", spec.kind_word())
-            }
             LogicalOp::Assign { var, .. } => format!("assign $v{var}"),
             LogicalOp::Select { .. } => "select".into(),
             LogicalOp::Unnest { var, expr, outer, .. } => {
@@ -461,8 +441,14 @@ impl LogicalOp {
             }
             LogicalOp::Join { kind, .. } => format!("join ({kind:?})"),
             LogicalOp::HashJoin { kind, .. } => format!("hash-join ({kind:?})"),
-            LogicalOp::IndexNlJoin { dataset, index, .. } => {
-                format!("index-nl-join {dataset}.{index}")
+            LogicalOp::IndexNlJoin { dataset, index, spec, .. } => {
+                match (self.is_index_selection(), spec) {
+                    (false, _) => format!("index-nl-join {dataset}.{index}"),
+                    (true, IndexSearchSpec::PrimaryRange { .. }) => {
+                        format!("btree-search {dataset} (primary)")
+                    }
+                    (true, _) => format!("{}-search {dataset}.{index}", spec.kind_word()),
+                }
             }
             LogicalOp::GroupBy { keys, aggs, .. } => {
                 format!("group-by ({} keys){}", keys.len(), aggs_label(aggs))
@@ -475,9 +461,18 @@ impl LogicalOp {
         }
     }
 
+    /// Whether this is an index access over the one empty row, inner: a
+    /// selection's search, whose probe is a constant. Its input is not
+    /// printed, and the job searches each partition for it.
+    pub(crate) fn is_index_selection(&self) -> bool {
+        matches!(self, LogicalOp::IndexNlJoin { left, kind: JoinKind::Inner, .. }
+            if matches!(**left, LogicalOp::EmptyTupleSource))
+    }
+
     /// Indented plan rendering (EXPLAIN-style). A subplan an operator's
     /// expressions still evaluate per tuple prints as a `subplan` block
-    /// under the operator's line.
+    /// under the operator's line, and a selection's index search prints
+    /// as a leaf.
     pub fn pretty(&self) -> String {
         fn walk(op: &LogicalOp, depth: usize, out: &mut String) {
             out.push_str(&"  ".repeat(depth));
@@ -490,8 +485,10 @@ impl LogicalOp {
                     walk(plan, depth + 2, out);
                 })
             });
-            for i in op.inputs() {
-                walk(i, depth + 1, out);
+            if !op.is_index_selection() {
+                for i in op.inputs() {
+                    walk(i, depth + 1, out);
+                }
             }
         }
         let mut s = String::new();
@@ -581,6 +578,26 @@ pub mod build {
 
     pub fn assign(input: LogicalOp, var: VarId, expr: LogicalExpr) -> LogicalOp {
         LogicalOp::Assign { input: Box::new(input), var, expr }
+    }
+
+    /// A selection's index search: the index access over the empty tuple
+    /// source.
+    pub(crate) fn index_search(
+        dataset: &str,
+        index: &str,
+        var: VarId,
+        spec: IndexSearchSpec,
+        postcondition: Option<LogicalExpr>,
+    ) -> LogicalOp {
+        LogicalOp::IndexNlJoin {
+            left: Box::new(LogicalOp::EmptyTupleSource),
+            dataset: dataset.into(),
+            index: index.into(),
+            spec,
+            postcondition,
+            var,
+            kind: JoinKind::Inner,
+        }
     }
 
     pub fn emit(input: LogicalOp, expr: LogicalExpr) -> LogicalOp {

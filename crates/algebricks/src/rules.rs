@@ -231,15 +231,6 @@ fn map_op_exprs(op: LogicalOp, f: &mut impl FnMut(LogicalExpr) -> LogicalExpr) -
             LogicalOp::Distinct { input, exprs: exprs.into_iter().map(&mut *f).collect() }
         }
         LogicalOp::Emit { input, expr } => LogicalOp::Emit { input, expr: f(expr) },
-        LogicalOp::IndexSearch { dataset, index, var, spec, postcondition } => {
-            LogicalOp::IndexSearch {
-                dataset,
-                index,
-                var,
-                spec,
-                postcondition: postcondition.map(&mut *f),
-            }
-        }
         other => other,
     }
 }
@@ -533,11 +524,11 @@ struct RangeAcc {
     used: Vec<LogicalExpr>,
 }
 
-/// Replace `Select* over DataSourceScan` with an `IndexSearch` when one of
-/// the select conditions is sargable against the primary key or a secondary
-/// index. The consumed conditions become the search's postcondition — the
-/// §4.4 post-validation select that Figure 6 shows above the primary-index
-/// search.
+/// Replace `Select* over DataSourceScan` with an index search — the index
+/// access over the empty tuple source — when one of the select conditions
+/// is sargable against the primary key or a secondary index. The consumed
+/// conditions become the search's postcondition — the §4.4 post-validation
+/// select that Figure 6 shows above the primary-index search.
 pub fn introduce_index_access(
     plan: LogicalOp,
     provider: &Arc<dyn MetadataProvider>,
@@ -677,7 +668,7 @@ fn build_access_path(
     None
 }
 
-/// Build the IndexSearch and re-apply unused conditions as selects above.
+/// Build the index search and re-apply unused conditions as selects above.
 fn finish_search(
     dataset: &str,
     index: &str,
@@ -687,13 +678,7 @@ fn finish_search(
     used: &[LogicalExpr],
 ) -> LogicalOp {
     let post = used.iter().cloned().reduce(and2);
-    let mut out = LogicalOp::IndexSearch {
-        dataset: dataset.to_string(),
-        index: index.to_string(),
-        var,
-        spec,
-        postcondition: post,
-    };
+    let mut out = crate::plan::build::index_search(dataset, index, var, spec, post);
     for c in all_conditions {
         let consumed = used.iter().any(|u| expr_eq_shallow(u, c));
         if !consumed {
@@ -956,13 +941,11 @@ struct GroupMember {
     record: bool,
 }
 
-/// Whether a scan, index search or index join under `op` binds `v` to the
-/// records it reads.
+/// Whether a scan or an index access under `op` binds `v` to the records
+/// it reads.
 fn binds_record(op: &LogicalOp, v: VarId) -> bool {
     let binds = match op {
-        LogicalOp::DataSourceScan { var, .. }
-        | LogicalOp::IndexSearch { var, .. }
-        | LogicalOp::IndexNlJoin { var, .. } => *var == v,
+        LogicalOp::DataSourceScan { var, .. } | LogicalOp::IndexNlJoin { var, .. } => *var == v,
         _ => false,
     };
     binds || op.inputs().into_iter().any(|i| binds_record(i, v))
@@ -1460,30 +1443,17 @@ impl Decorrelation<'_> {
         }
         Some(match x {
             // A correlated primary-key search is a select of a scan: a join.
-            LogicalOp::IndexSearch {
+            LogicalOp::IndexNlJoin {
                 dataset,
                 var,
                 spec: IndexSearchSpec::PrimaryRange { .. },
                 postcondition: Some(post),
                 ..
-            } => {
+            } if x.is_index_selection() => {
                 let scan = LogicalOp::DataSourceScan { dataset: dataset.clone(), var: *var };
                 let select = LogicalOp::Select { input: Box::new(scan), condition: post.clone() };
                 return self.apply(left, &select, kind);
             }
-            LogicalOp::IndexSearch { dataset, index, var, spec, postcondition } => Applied {
-                op: LogicalOp::IndexNlJoin {
-                    left: Box::new(left),
-                    dataset: dataset.clone(),
-                    index: index.clone(),
-                    spec: spec.clone(),
-                    postcondition: postcondition.clone(),
-                    var: *var,
-                    kind,
-                },
-                guards: if outer { vec![is_null(*var)] } else { Vec::new() },
-                fresh: true,
-            },
             LogicalOp::Select { input, condition } => {
                 let mut a = self.apply(left, input, kind)?;
                 self.restrict(&mut a, condition.clone(), outer);
@@ -1577,7 +1547,8 @@ impl Decorrelation<'_> {
                     var: *var,
                     kind: if pads { JoinKind::LeftOuter } else { *jk },
                 };
-                Applied { op, guards: a.guards, fresh: pads }
+                // Over a selection's search, the join is made here.
+                Applied { op, guards: a.guards, fresh: pads || x.is_index_selection() }
             }
             // A dependent branch that reads no dataset: a subplan per row of
             // `left`, its rows unnested as records of the branch's variables.
@@ -1631,8 +1602,7 @@ impl Decorrelation<'_> {
             LogicalOp::EmptyTupleSource | LogicalOp::Aggregate { .. } | LogicalOp::Emit { .. } => {
                 Vec::new()
             }
-            LogicalOp::DataSourceScan { dataset, var }
-            | LogicalOp::IndexSearch { dataset, var, .. } => pk(self.provider, dataset, *var),
+            LogicalOp::DataSourceScan { dataset, var } => pk(self.provider, dataset, *var),
             LogicalOp::GroupBy { keys, .. } => {
                 keys.iter().map(|(k, _)| LogicalExpr::Var(*k)).collect()
             }
@@ -1745,7 +1715,7 @@ fn visible_vars(op: &LogicalOp) -> Vec<VarId> {
 /// record a read binds, on a side of the joins no padding reaches.
 fn marker_var(op: &LogicalOp) -> Option<VarId> {
     match op {
-        LogicalOp::DataSourceScan { var, .. } | LogicalOp::IndexSearch { var, .. } => Some(*var),
+        LogicalOp::DataSourceScan { var, .. } => Some(*var),
         LogicalOp::Join { left, right, kind: JoinKind::Inner, .. }
         | LogicalOp::HashJoin { left, right, kind: JoinKind::Inner, .. } => {
             marker_var(left).or_else(|| marker_var(right))

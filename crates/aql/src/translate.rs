@@ -463,18 +463,16 @@ fn prepend_assigns(plan: LogicalOp, assigns: Vec<(VarId, LogicalExpr)>) -> Logic
                 Some(c) => c,
                 None => LogicalOp::EmptyTupleSource,
             },
-            LogicalOp::DataSourceScan { .. } | LogicalOp::IndexSearch { .. } => {
-                match chain.take() {
-                    Some(c) => LogicalOp::Join {
-                        left: Box::new(c),
-                        right: Box::new(op),
-                        condition: LogicalExpr::Const(Value::Boolean(true)),
-                        kind: JoinKind::Inner,
-                        index_nl_hint: false,
-                    },
-                    None => op,
-                }
-            }
+            LogicalOp::DataSourceScan { .. } => match chain.take() {
+                Some(c) => LogicalOp::Join {
+                    left: Box::new(c),
+                    right: Box::new(op),
+                    condition: LogicalExpr::Const(Value::Boolean(true)),
+                    kind: JoinKind::Inner,
+                    index_nl_hint: false,
+                },
+                None => op,
+            },
             LogicalOp::Assign { input, var, expr } => {
                 LogicalOp::Assign { input: Box::new(rewrite(*input, chain)), var, expr }
             }

@@ -192,7 +192,6 @@ impl Instance {
             datasets: RwLock::new(HashMap::new()),
             external_cache: RwLock::new(HashMap::new()),
             partitions: cfg.partitions(),
-            partitions_per_node: cfg.partitions_per_node.max(1),
             system_datasets: RwLock::new(HashMap::new()),
             epoch: std::sync::atomic::AtomicU64::new(0),
         });

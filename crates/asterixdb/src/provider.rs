@@ -102,8 +102,6 @@ pub struct Shared {
     /// Cached external dataset contents (read-only and static, §2.3).
     pub external_cache: RwLock<HashMap<String, Arc<Vec<Value>>>>,
     pub partitions: usize,
-    /// Partitions per simulated node (locality domains).
-    pub partitions_per_node: usize,
     /// Live system views under the `Metadata` dataverse, keyed by bare
     /// dataset name. Unlike catalog-backed metadata datasets these
     /// regenerate on every scan, so a query sees the instance's state *as
@@ -260,10 +258,6 @@ impl InstanceProvider {
 impl MetadataProvider for InstanceProvider {
     fn partitions(&self) -> usize {
         self.shared.partitions
-    }
-
-    fn partitions_per_node(&self) -> usize {
-        self.shared.partitions_per_node
     }
 
     fn catalog_epoch(&self) -> u64 {

@@ -49,11 +49,7 @@ fn bench_exchange(c: &mut Criterion) {
         g.bench_function(format!("fif_{fif}"), |b| {
             b.iter(|| {
                 let job = exchange_job();
-                let cfg = ExecutorConfig {
-                    partitions_per_node: 2,
-                    frames_in_flight: fif,
-                    ..Default::default()
-                };
+                let cfg = ExecutorConfig { frames_in_flight: fif, ..Default::default() };
                 let stats = Arc::new(ExchangeStats::new());
                 run_job_with_stats(&job, &cfg, &stats).unwrap();
                 // Bounded-memory claim: every channel holds at most `fif`
@@ -91,7 +87,6 @@ fn bench_frame_size(c: &mut Criterion) {
             b.iter(|| {
                 let job = exchange_job();
                 let cfg = ExecutorConfig {
-                    partitions_per_node: 2,
                     frames_in_flight: 8,
                     tuples_per_frame: tpf,
                     ..Default::default()

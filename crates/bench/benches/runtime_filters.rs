@@ -75,7 +75,6 @@ fn bench_join_probe(c: &mut Criterion) {
                     let (job, collector) = join_job(parts);
                     let fstats = FilterStats::default();
                     let cfg = ExecutorConfig {
-                        partitions_per_node: parts,
                         // Exact-set filter: prunes every partner-less probe
                         // tuple the publish beat to the consult.
                         filter_factory: filtered.then(|| {

@@ -1,16 +1,15 @@
 //! Connectors redistribute data between operator partitions (§4.1).
 //!
-//! The six kinds from the paper are implemented: `OneToOne`,
-//! `MToNReplicating`, `MToNPartitioning`, `LocalityAwareMToNPartitioning`,
-//! `MToNPartitioningMerging`, and `HashPartitioningShuffle`. *Byte frames*
-//! ([`Frame`] = [`crate::frame::FrameBuf`]) of serialized tuples move over
-//! **bounded** `std::sync::mpsc::sync_channel`s sized by
+//! The four kinds job generation emits are implemented: `OneToOne`,
+//! `MToNReplicating`, `MToNPartitioning` and `MToNPartitioningMerging`.
+//! *Byte frames* ([`Frame`] = [`crate::frame::FrameBuf`]) of serialized
+//! tuples move over **bounded** `std::sync::mpsc::sync_channel`s sized by
 //! [`ExchangeConfig::frames_in_flight`]: one per consumer partition, which
 //! all its producers share, or one per (producer, consumer) pair for a
 //! merging connector. A fast producer blocks once the frame budget is
 //! reached and backpressure propagates upstream — peak exchange memory is
-//! `O(channels × frames_in_flight × frame_bytes)` rather than
-//! `O(dataset)`. A port takes encoded tuples only — one at a time
+//! `O(channels × frames_in_flight × frame_bytes)` rather than `O(dataset)`.
+//! A port takes encoded tuples only — one at a time
 //! ([`OutputPort::push_encoded`]) or a frame at a time
 //! ([`OutputPort::push_frame`]) — and receivers decode lazily at the
 //! operator boundary. Hash routing reads the encoded key fields
@@ -261,15 +260,9 @@ pub enum ConnectorKind {
     MToNReplicating,
     /// Hash partitioning on the given tuple fields.
     MToNPartitioning { fields: Vec<usize> },
-    /// Hash partitioning that keeps data on the same node when the
-    /// destination has partitions there (one network hop saved per §4.1's
-    /// operator library).
-    LocalityAwareMToNPartitioning { fields: Vec<usize> },
     /// Hash partitioning whose receive side merges the per-sender streams
     /// by a sort order, preserving sortedness across repartitioning.
     MToNPartitioningMerging { fields: Vec<usize>, comparator: Comparator },
-    /// Alias of hash partitioning used for shuffle stages.
-    HashPartitioningShuffle { fields: Vec<usize> },
 }
 
 impl ConnectorKind {
@@ -279,11 +272,7 @@ impl ConnectorKind {
             ConnectorKind::OneToOne => "OneToOneConnector",
             ConnectorKind::MToNReplicating => "MToNReplicatingConnector",
             ConnectorKind::MToNPartitioning { .. } => "MToNPartitioningConnector",
-            ConnectorKind::LocalityAwareMToNPartitioning { .. } => {
-                "LocalityAwareMToNPartitioningConnector"
-            }
             ConnectorKind::MToNPartitioningMerging { .. } => "MToNPartitioningMergingConnector",
-            ConnectorKind::HashPartitioningShuffle { .. } => "HashPartitioningShuffle",
         }
     }
 }
@@ -309,8 +298,6 @@ enum RouteStrategy {
     Fixed(usize),
     /// Hash of fields modulo destination count.
     Hash(Vec<usize>),
-    /// Hash of fields within the sender's node group when possible.
-    LocalityAware { fields: Vec<usize>, group: Vec<usize> },
     /// Every tuple to every destination.
     Replicate,
 }
@@ -518,7 +505,7 @@ impl OutputPort {
                 }
                 Ok(())
             }
-            RouteStrategy::Hash(_) | RouteStrategy::LocalityAware { .. } => {
+            RouteStrategy::Hash(_) => {
                 for bytes in frame.iter() {
                     self.route(bytes)?;
                 }
@@ -566,10 +553,6 @@ impl OutputPort {
             RouteStrategy::Fixed(j) => *j,
             RouteStrategy::Hash(fields) => {
                 (hash_encoded_fields(&TupleRef::new(bytes)?, fields) % n) as usize
-            }
-            RouteStrategy::LocalityAware { fields, group } => {
-                let h = hash_encoded_fields(&TupleRef::new(bytes)?, fields);
-                group[(h % group.len() as u64) as usize]
             }
             RouteStrategy::Replicate => unreachable!(),
         };
@@ -868,16 +851,12 @@ impl Drop for InputPort {
 
 /// Build the channel fabric for one connector between `n_src` source and
 /// `n_dst` destination partitions. Returns (per-source output ports,
-/// per-destination input ports).
-///
-/// `node_of` maps a partition index to its (simulated) node id, used by the
-/// locality-aware connector. `xcfg` supplies the frames-in-flight bound and
-/// the shared stats/pool for the run.
+/// per-destination input ports). `xcfg` supplies the frames-in-flight
+/// bound and the shared stats/pool for the run.
 pub fn wire(
     kind: &ConnectorKind,
     n_src: usize,
     n_dst: usize,
-    node_of: &dyn Fn(usize) -> usize,
     xcfg: &ExchangeConfig,
 ) -> Result<(Vec<OutputPort>, Vec<InputPort>)> {
     match kind {
@@ -905,31 +884,10 @@ pub fn wire(
                 rxs.into_iter().map(|rx| InputPort::new(vec![rx], InputMode::Any, xcfg)).collect();
             Ok((outs, ins))
         }
-        ConnectorKind::MToNPartitioning { fields }
-        | ConnectorKind::HashPartitioningShuffle { fields } => {
+        ConnectorKind::MToNPartitioning { fields } => {
             let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_dst).map(|_| xcfg.channel()).unzip();
             let outs = (0..n_src)
                 .map(|_| OutputPort::new(txs.clone(), RouteStrategy::Hash(fields.clone()), xcfg))
-                .collect();
-            let ins =
-                rxs.into_iter().map(|rx| InputPort::new(vec![rx], InputMode::Any, xcfg)).collect();
-            Ok((outs, ins))
-        }
-        ConnectorKind::LocalityAwareMToNPartitioning { fields } => {
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_dst).map(|_| xcfg.channel()).unzip();
-            let outs = (0..n_src)
-                .map(|p| {
-                    // Destinations on the same node as source partition p,
-                    // falling back to all destinations.
-                    let my_node = node_of(p);
-                    let local: Vec<usize> = (0..n_dst).filter(|&j| node_of(j) == my_node).collect();
-                    let group = if local.is_empty() { (0..n_dst).collect() } else { local };
-                    OutputPort::new(
-                        txs.clone(),
-                        RouteStrategy::LocalityAware { fields: fields.clone(), group },
-                        xcfg,
-                    )
-                })
                 .collect();
             let ins =
                 rxs.into_iter().map(|rx| InputPort::new(vec![rx], InputMode::Any, xcfg)).collect();
@@ -980,7 +938,7 @@ mod tests {
 
     #[test]
     fn one_to_one_preserves_partition() {
-        let (mut outs, ins) = wire(&ConnectorKind::OneToOne, 2, 2, &|_| 0, &xcfg()).unwrap();
+        let (mut outs, ins) = wire(&ConnectorKind::OneToOne, 2, 2, &xcfg()).unwrap();
         outs[0].push_encoded(&encode_tuple(&t(0))).unwrap();
         outs[1].push_encoded(&encode_tuple(&t(1))).unwrap();
         drop(outs);
@@ -992,13 +950,13 @@ mod tests {
 
     #[test]
     fn one_to_one_arity_mismatch_rejected() {
-        assert!(wire(&ConnectorKind::OneToOne, 2, 3, &|_| 0, &xcfg()).is_err());
+        assert!(wire(&ConnectorKind::OneToOne, 2, 3, &xcfg()).is_err());
     }
 
     #[test]
     fn partitioning_routes_by_hash() {
         let kind = ConnectorKind::MToNPartitioning { fields: vec![0] };
-        let (mut outs, ins) = wire(&kind, 2, 4, &|_| 0, &xcfg()).unwrap();
+        let (mut outs, ins) = wire(&kind, 2, 4, &xcfg()).unwrap();
         for i in 0..100 {
             outs[(i % 2) as usize].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
@@ -1012,7 +970,7 @@ mod tests {
         }
         assert_eq!(total, 100);
         // Same key always lands in the same partition: re-send key 7.
-        let (mut outs2, ins2) = wire(&kind, 1, 4, &|_| 0, &xcfg()).unwrap();
+        let (mut outs2, ins2) = wire(&kind, 1, 4, &xcfg()).unwrap();
         outs2[0].push_encoded(&encode_tuple(&t(7))).unwrap();
         drop(outs2);
         let landed: Vec<usize> = ins2
@@ -1030,7 +988,7 @@ mod tests {
         // the decoded one: every tuple lands where the decoded `hash_fields`
         // sends it, whatever the width of its number.
         let kind = ConnectorKind::MToNPartitioning { fields: vec![0] };
-        let (mut outs, ins) = wire(&kind, 1, 4, &|_| 0, &xcfg()).unwrap();
+        let (mut outs, ins) = wire(&kind, 1, 4, &xcfg()).unwrap();
         for i in 0..50 {
             outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
             outs[0].push_encoded(&encode_tuple(&[Value::Int32(i as i32)])).unwrap();
@@ -1049,7 +1007,7 @@ mod tests {
 
     #[test]
     fn replicating_duplicates() {
-        let (mut outs, ins) = wire(&ConnectorKind::MToNReplicating, 2, 3, &|_| 0, &xcfg()).unwrap();
+        let (mut outs, ins) = wire(&ConnectorKind::MToNReplicating, 2, 3, &xcfg()).unwrap();
         outs[0].push_encoded(&encode_tuple(&t(1))).unwrap();
         outs[1].push_encoded(&encode_tuple(&t(2))).unwrap();
         drop(outs);
@@ -1067,7 +1025,7 @@ mod tests {
         let cmp: Comparator = sort_comparator(&[SortKey::field(0, false)]);
         let kind = ConnectorKind::MToNPartitioningMerging { fields: vec![], comparator: cmp };
         // fields=[] → every tuple hashes identically → all to dst 0.
-        let (mut outs, mut ins) = wire(&kind, 3, 1, &|_| 0, &xcfg()).unwrap();
+        let (mut outs, mut ins) = wire(&kind, 3, 1, &xcfg()).unwrap();
         // Each source emits a sorted run.
         for (s, base) in [(0usize, 0i64), (1, 1), (2, 2)] {
             for i in 0..10 {
@@ -1082,25 +1040,8 @@ mod tests {
     }
 
     #[test]
-    fn locality_aware_stays_on_node() {
-        // 4 partitions on 2 nodes: partitions 0,1 on node 0; 2,3 on node 1.
-        let node_of = |p: usize| p / 2;
-        let kind = ConnectorKind::LocalityAwareMToNPartitioning { fields: vec![0] };
-        let (mut outs, ins) = wire(&kind, 4, 4, &node_of, &xcfg()).unwrap();
-        for i in 0..100 {
-            outs[0].push_encoded(&encode_tuple(&t(i))).unwrap(); // src partition 0, node 0
-        }
-        drop(outs);
-        let counts: Vec<usize> =
-            ins.into_iter().map(|mut p| read_all(&mut p).unwrap().len()).collect();
-        // Everything from node 0 stays on node 0's partitions (0 and 1).
-        assert_eq!(counts[2] + counts[3], 0);
-        assert_eq!(counts[0] + counts[1], 100);
-    }
-
-    #[test]
     fn early_exit_drains() {
-        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &xcfg()).unwrap();
+        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &xcfg()).unwrap();
         for i in 0..5000 {
             outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
@@ -1122,7 +1063,7 @@ mod tests {
         // Producer feeding a hung-up consumer learns about it within one
         // frame instead of silently discarding data forever.
         let cfg = ExchangeConfig { frames_in_flight: 2, ..Default::default() };
-        let (mut outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
+        let (mut outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &cfg).unwrap();
         drop(ins);
         let mut stopped_at = None;
         for i in 0..100_000 {
@@ -1143,7 +1084,7 @@ mod tests {
         // destinations are gone.
         let cfg = ExchangeConfig { frames_in_flight: 8, ..Default::default() };
         let kind = ConnectorKind::MToNPartitioning { fields: vec![0] };
-        let (mut outs, mut ins) = wire(&kind, 1, 2, &|_| 0, &cfg).unwrap();
+        let (mut outs, mut ins) = wire(&kind, 1, 2, &cfg).unwrap();
         let dead = ins.pop().unwrap();
         drop(dead);
         let mut pushed = 0u64;
@@ -1163,7 +1104,7 @@ mod tests {
     #[test]
     fn frames_are_recycled_through_the_pool() {
         let cfg = xcfg();
-        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
+        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &cfg).unwrap();
         for i in 0..(FRAME_CAPACITY as i64 * 2) {
             outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
@@ -1181,7 +1122,7 @@ mod tests {
         // bytes_sent is a measurement of wire bytes: per-tuple encoded
         // length plus 4 slot-directory bytes, summed over sent frames.
         let cfg = xcfg();
-        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
+        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &cfg).unwrap();
         let rows: Vec<Tuple> =
             (0..10).map(|i| vec![Value::Int64(i), Value::string("pad")]).collect();
         let expected: u64 = rows.iter().map(|r| encode_tuple(r).len() as u64 + 4).sum();
@@ -1226,7 +1167,7 @@ mod tests {
         ] {
             let n_dst = if matches!(kind, ConnectorKind::OneToOne) { 1 } else { 3 };
             let cfg = ExchangeConfig { frames_in_flight: 64, ..Default::default() };
-            let (mut outs, ins) = wire(&kind, 1, n_dst, &|_| 0, &cfg).unwrap();
+            let (mut outs, ins) = wire(&kind, 1, n_dst, &cfg).unwrap();
             let mut frame = Frame::new();
             for i in 0..40 {
                 frame.push_encoded(&encode_tuple(&t(i)));
@@ -1234,7 +1175,7 @@ mod tests {
             outs[0].push_frame(&frame).unwrap();
             // Reference: the per-tuple path over a second wiring.
             let cfg2 = ExchangeConfig { frames_in_flight: 64, ..Default::default() };
-            let (mut outs2, ins2) = wire(&kind, 1, n_dst, &|_| 0, &cfg2).unwrap();
+            let (mut outs2, ins2) = wire(&kind, 1, n_dst, &cfg2).unwrap();
             for i in 0..40 {
                 outs2[0].push_encoded(&encode_tuple(&t(i))).unwrap();
             }
@@ -1250,7 +1191,7 @@ mod tests {
     fn for_each_frame_sees_whole_frames_and_merges_in_order() {
         // Any mode: received frames arrive whole.
         let cfg = ExchangeConfig { frames_in_flight: 64, ..Default::default() };
-        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
+        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &cfg).unwrap();
         for i in 0..(FRAME_CAPACITY as i64 + 10) {
             outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }
@@ -1275,7 +1216,7 @@ mod tests {
         let cmp: Comparator = sort_comparator(&[SortKey::field(0, false)]);
         let kind = ConnectorKind::MToNPartitioningMerging { fields: vec![], comparator: cmp };
         let cfg = ExchangeConfig { frames_in_flight: 64, ..Default::default() };
-        let (mut outs, mut ins) = wire(&kind, 3, 1, &|_| 0, &cfg).unwrap();
+        let (mut outs, mut ins) = wire(&kind, 3, 1, &cfg).unwrap();
         for (s, base) in [(0usize, 0i64), (1, 1), (2, 2)] {
             for i in 0..10 {
                 outs[s].push_encoded(&encode_tuple(&t(base + i * 3))).unwrap();
@@ -1303,7 +1244,7 @@ mod tests {
         // Enough frames in flight that the single-threaded test never
         // blocks on the bounded channel before the consumer drains it.
         let cfg = ExchangeConfig { frame_bytes: 64, frames_in_flight: 64, ..Default::default() };
-        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &cfg).unwrap();
+        let (mut outs, mut ins) = wire(&ConnectorKind::OneToOne, 1, 1, &cfg).unwrap();
         for i in 0..100 {
             outs[0].push_encoded(&encode_tuple(&t(i))).unwrap();
         }

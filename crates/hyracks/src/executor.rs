@@ -34,8 +34,6 @@ use crate::{HyracksError, Result};
 /// Execution settings for the simulated cluster.
 #[derive(Clone)]
 pub struct ExecutorConfig {
-    /// Partitions hosted per simulated node (for locality-aware routing).
-    pub partitions_per_node: usize,
     /// Per-channel bound on exchange frames in flight (§4.1's bounded frame
     /// buffers). Lower = tighter memory and earlier backpressure; higher =
     /// more pipeline slack. Minimum 1.
@@ -79,7 +77,6 @@ pub struct ExecutorConfig {
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
-            partitions_per_node: 1,
             frames_in_flight: 8,
             tuples_per_frame: crate::frame::FRAME_CAPACITY,
             frame_bytes: crate::frame::DEFAULT_FRAME_BYTES,
@@ -96,7 +93,6 @@ impl Default for ExecutorConfig {
 impl std::fmt::Debug for ExecutorConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutorConfig")
-            .field("partitions_per_node", &self.partitions_per_node)
             .field("frames_in_flight", &self.frames_in_flight)
             .field("tuples_per_frame", &self.tuples_per_frame)
             .field("frame_bytes", &self.frame_bytes)
@@ -281,8 +277,6 @@ fn run_job_inner(
     }
     stats.on_job_fusion(plan.fused_pipelines() as i64, plan.saved_threads() as i64);
 
-    let ppn = cfg.partitions_per_node.max(1);
-    let node_of = move |p: usize| p / ppn;
     let xcfg = ExchangeConfig {
         frames_in_flight: cfg.frames_in_flight.max(1),
         tuples_per_frame: cfg.tuples_per_frame.max(1),
@@ -324,7 +318,7 @@ fn run_job_inner(
         }
         let n_src = job.ops[c.src.0].nparts;
         let n_dst = job.ops[c.dst.0].nparts;
-        let (outs, ins) = wire(&c.kind, n_src, n_dst, &node_of, &xcfg)?;
+        let (outs, ins) = wire(&c.kind, n_src, n_dst, &xcfg)?;
         conn_outs.push(outs.into_iter().map(Some).collect());
         conn_ins.push(ins.into_iter().map(Some).collect());
     }
@@ -1159,67 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn locality_aware_routing_respects_node_groups() {
-        /// Appends the receiving partition's index to every tuple.
-        struct TagPartition;
-        impl crate::ops::OperatorDescriptor for TagPartition {
-            fn name(&self) -> String {
-                "tag-dst".into()
-            }
-            fn pipeline(
-                &self,
-                ctx: PipelineCtx,
-                next: Box<dyn PipelineOp>,
-            ) -> Result<Box<dyn PipelineOp>> {
-                Ok(Box::new(TagStage(ctx.partition, next)))
-            }
-        }
-        struct TagStage(usize, Box<dyn PipelineOp>);
-        impl PipelineOp for TagStage {
-            fn push(&mut self, bytes: &[u8]) -> Result<()> {
-                let mut row = asterix_adm::decode_tuple(bytes)?;
-                row.push(Value::Int64(self.0 as i64));
-                self.1.push(&asterix_adm::encode_tuple(&row))
-            }
-            fn flush(&mut self) -> Result<()> {
-                self.1.flush()
-            }
-            fn finish(&mut self) -> Result<()> {
-                self.1.finish()
-            }
-        }
-
-        // 4 partitions over 2 nodes (partitions_per_node = 2). Each source
-        // partition tags tuples with its own index; the receiving op tags
-        // them with its index; every tuple must stay within the sender's
-        // node group.
-        let mut job = JobSpec::new();
-        let src = job.add(
-            4,
-            Arc::new(SourceOp::new("scan", |p, _n, emit| {
-                for i in 0..500i64 {
-                    emit(vec![Value::Int64(i), Value::Int64(p as i64)])?;
-                }
-                Ok(())
-            })),
-        );
-        let tag = job.add(4, Arc::new(TagPartition));
-        let (sink, collector) = collect_sink(&mut job);
-        job.connect(ConnectorKind::LocalityAwareMToNPartitioning { fields: vec![0] }, src, tag);
-        job.connect(ConnectorKind::MToNReplicating, tag, sink);
-        let cfg = ExecutorConfig { partitions_per_node: 2, ..Default::default() };
-        run_job_with(&job, &cfg).unwrap();
-
-        let out = collector.lock();
-        assert_eq!(out.len(), 2000);
-        for row in out.iter() {
-            let src_p = row[1].as_i64().unwrap();
-            let dst_p = row[2].as_i64().unwrap();
-            assert_eq!(src_p / 2, dst_p / 2, "tuple crossed node groups: {row:?}");
-        }
-    }
-
-    #[test]
     fn cancellation_token_stops_a_running_job() {
         use asterix_rm::CancellationToken;
 
@@ -1486,8 +1419,8 @@ mod tests {
     #[test]
     fn every_streaming_operator_answers_alike_fused_and_at_the_head() {
         use crate::ops::{
-            ApplyOp, DistinctOp, FetchFn, ForwardOp, IndexNestedLoopJoinOp, PrimaryFetchOp,
-            ProjectOp, RuntimeFilterProbeOp, UnnestOp, FETCH_BATCH,
+            DistinctOp, FetchFn, ForwardOp, IndexNestedLoopJoinOp, PrimaryFetchOp, ProjectOp,
+            RuntimeFilterProbeOp, UnnestOp, FETCH_BATCH,
         };
         use crate::Tuple;
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -1506,17 +1439,9 @@ mod tests {
             }
             Ok(())
         });
-        let applied = Arc::new(AtomicU64::new(0));
         let streaming = |name: &str, job: &mut JobSpec, rows: &Arc<Mutex<Vec<Tuple>>>| {
             let op: Arc<dyn OperatorDescriptor> = match name {
                 "sink" => Arc::new(SinkOp::new(Arc::clone(rows))),
-                "apply" => {
-                    let applied = Arc::clone(&applied);
-                    Arc::new(ApplyOp::new("count", move |_, _| {
-                        applied.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    }))
-                }
                 "select" => Arc::new(SelectOp::new(
                     "not-x3",
                     Arc::new(move |t: &Tuple| Ok(key(t) % 3 != 0)),
@@ -1618,7 +1543,6 @@ mod tests {
         let mut differ = Vec::new();
         for name in [
             "sink",
-            "apply",
             "select",
             "assign",
             "project",
@@ -1649,27 +1573,24 @@ mod tests {
             }
         }
         assert!(differ.is_empty(), "{differ:?}");
-        assert_eq!(applied.load(Ordering::Relaxed), 2 * N as u64);
 
-        // A LIMIT fused behind a sort stops its emission early: the apply
+        // A LIMIT fused behind a sort stops its emission early: the select
         // between them sees a few tuples of the first emitted frame.
         let seen = Arc::new(AtomicU64::new(0));
         let counted = Arc::clone(&seen);
         let mut job = JobSpec::new();
         let src = job.add(1, int_source("scan", 100_000));
         let sort = job.add(1, Arc::new(SortOp::new("k", vec![SortKey::field(0, true)])));
-        let apply = job.add(
-            1,
-            Arc::new(ApplyOp::new("count", move |_, _| {
-                counted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })),
-        );
+        let count = move |_: &Tuple| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            Ok(true)
+        };
+        let counter = job.add(1, Arc::new(SelectOp::new("count", Arc::new(count))));
         let limit = job.add(1, Arc::new(LimitOp { limit: 3, offset: 0 }));
         let (sink, collector) = collect_sink(&mut job);
         job.connect(ConnectorKind::OneToOne, src, sort);
-        job.connect(ConnectorKind::OneToOne, sort, apply);
-        job.connect(ConnectorKind::OneToOne, apply, limit);
+        job.connect(ConnectorKind::OneToOne, sort, counter);
+        job.connect(ConnectorKind::OneToOne, counter, limit);
         job.connect(ConnectorKind::OneToOne, limit, sink);
         assert_eq!(job.fusion_plan().unwrap().total_threads(), 1);
         run_job(&job).unwrap();
@@ -1738,15 +1659,14 @@ mod tests {
 
     /// A sort emits long after its last input frame was checked: the
     /// cancellation of its job, explicit or by deadline, still stops the
-    /// emission — here by an apply fused behind it, at its 10th tuple.
+    /// emission — here by a select fused behind it, at its 10th tuple.
     #[test]
     fn a_cancelled_job_stops_a_fused_sort_emitting() {
-        use crate::ops::ApplyOp;
         use asterix_rm::CancellationToken;
         use std::sync::atomic::{AtomicU64, Ordering};
 
         const N: i64 = 200_000;
-        // At its 10th tuple the apply cancels the token (`explicit`) or
+        // At its 10th tuple the select cancels the token (`explicit`) or
         // waits out its deadline. Returns the job's outcome, the rows the
         // sink landed, and the time from the start of the job to the 10th
         // tuple, if the sort emitted one before the job was cancelled.
@@ -1758,25 +1678,23 @@ mod tests {
             let mut job = JobSpec::new();
             let src = job.add(1, int_source("scan", N));
             let sort = job.add(1, Arc::new(SortOp::new("k", vec![SortKey::field(0, true)])));
-            let apply = job.add(
-                1,
-                Arc::new(ApplyOp::new("cancel", move |_, _| {
-                    if seen.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
-                        *at.lock() = Some(started.elapsed());
-                        if explicit {
-                            cancel.cancel();
-                        }
-                        while !cancel.is_cancelled() {
-                            thread::sleep(Duration::from_millis(1));
-                        }
+            let wait = move |_: &crate::Tuple| {
+                if seen.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
+                    *at.lock() = Some(started.elapsed());
+                    if explicit {
+                        cancel.cancel();
                     }
-                    Ok(())
-                })),
-            );
+                    while !cancel.is_cancelled() {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Ok(true)
+            };
+            let canceller = job.add(1, Arc::new(SelectOp::new("cancel", Arc::new(wait))));
             let (sink, collector) = collect_sink(&mut job);
             job.connect(ConnectorKind::OneToOne, src, sort);
-            job.connect(ConnectorKind::OneToOne, sort, apply);
-            job.connect(ConnectorKind::OneToOne, apply, sink);
+            job.connect(ConnectorKind::OneToOne, sort, canceller);
+            job.connect(ConnectorKind::OneToOne, canceller, sink);
             let cfg = ExecutorConfig { cancel: Some(token), ..Default::default() };
             let res = run_job_with(&job, &cfg);
             let rows = collector.lock().len();
@@ -1789,7 +1707,7 @@ mod tests {
         assert!(matches!(res, Err(HyracksError::Cancelled)), "expected Cancelled, got {res:?}");
         assert!(rows < 20_000, "the sink landed {rows} of {N} rows after the cancel");
 
-        // The deadline fires while the apply waits at its 10th tuple: well
+        // The deadline fires while the select waits at its 10th tuple: well
         // after the whole input was sorted, as the first run measured (a
         // host slow enough to be cancelled while sorting still passes).
         let deadline = CancellationToken::deadline_in(3 * reached + Duration::from_millis(100));

@@ -274,14 +274,8 @@ impl JobSpec {
                     ConnectorKind::MToNPartitioning { .. } => {
                         format!("{ns}:{nd} partitioning")
                     }
-                    ConnectorKind::LocalityAwareMToNPartitioning { .. } => {
-                        format!("{ns}:{nd} locality-aware")
-                    }
                     ConnectorKind::MToNPartitioningMerging { .. } => {
                         format!("{ns}:{nd} partitioning-merging")
-                    }
-                    ConnectorKind::HashPartitioningShuffle { .. } => {
-                        format!("{ns}:{nd} shuffle")
                     }
                 };
                 out.push_str(&format!("  |{arrow}|\n"));

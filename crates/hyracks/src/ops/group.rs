@@ -514,8 +514,8 @@ mod tests {
 
     fn run_op(op: &dyn OperatorDescriptor, input: Vec<Tuple>) -> Vec<Tuple> {
         let x = ExchangeConfig::default();
-        let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         for t in input {
             in_outs[0].push_encoded(&asterix_adm::encode_tuple(&t)).unwrap();
         }

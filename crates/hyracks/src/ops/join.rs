@@ -873,9 +873,9 @@ mod tests {
 
     fn run_join(op: &dyn OperatorDescriptor, build: Vec<Tuple>, probe: Vec<Tuple>) -> Vec<Tuple> {
         let x = ExchangeConfig::default();
-        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         for t in build {
             b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
@@ -1133,9 +1133,9 @@ mod tests {
         let op =
             HybridHashJoinOp::new(label, vec![0], vec![0], JoinType::Inner, 2).with_budget(2048);
         let x = ExchangeConfig::default();
-        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         for t in build {
             b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
@@ -1173,11 +1173,11 @@ mod tests {
         let op =
             HybridHashJoinOp::new(label, vec![0], vec![0], JoinType::Inner, 2).with_budget(2048);
         let x = ExchangeConfig::default();
-        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut p_out, p_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         let token = CancellationToken::new();
         let out_cfg = ExchangeConfig { cancel: Some(token.clone()), ..Default::default() };
-        let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
+        let (mut r_out, r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &out_cfg).unwrap();
         for t in build {
             b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
         }
@@ -1277,8 +1277,8 @@ mod tests {
             // The join takes a single input (the outer side); the index
             // side is the two callbacks.
             let x = ExchangeConfig::default();
-            let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-            let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+            let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+            let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
             for t in outers {
                 b_out[0].push_encoded(&encode_tuple(&t)).unwrap();
             }
@@ -1368,8 +1368,8 @@ mod tests {
         });
         let op = IndexNestedLoopJoinOp::new("ix", probe, fetch, JoinType::Inner, 1);
         let x = ExchangeConfig::default();
-        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         for o in 0..3i64 {
             b_out[0].push_encoded(&encode_tuple(&[Value::Int64(10 * o)])).unwrap();
         }

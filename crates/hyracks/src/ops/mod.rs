@@ -343,57 +343,6 @@ impl PipelineOp for SinkStage {
     }
 }
 
-/// Applies a side-effecting callback per tuple (index insert/delete — the
-/// index lifecycle operators of §4.1), forwarding tuples downstream.
-pub struct ApplyOp {
-    label: String,
-    apply: ApplyFn,
-}
-
-/// A side effect per `(partition, tuple)`.
-type ApplyFn = Arc<dyn Fn(usize, &Tuple) -> Result<()> + Send + Sync>;
-
-impl ApplyOp {
-    pub fn new(
-        label: impl Into<String>,
-        apply: impl Fn(usize, &Tuple) -> Result<()> + Send + Sync + 'static,
-    ) -> ApplyOp {
-        ApplyOp { label: label.into(), apply: Arc::new(apply) }
-    }
-}
-
-impl OperatorDescriptor for ApplyOp {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn pipeline(&self, ctx: PipelineCtx, next: Box<dyn PipelineOp>) -> Result<Box<dyn PipelineOp>> {
-        Ok(Box::new(ApplyStage { partition: ctx.partition, apply: Arc::clone(&self.apply), next }))
-    }
-}
-
-struct ApplyStage {
-    partition: usize,
-    apply: ApplyFn,
-    next: Box<dyn PipelineOp>,
-}
-
-impl PipelineOp for ApplyStage {
-    fn push(&mut self, bytes: &[u8]) -> Result<()> {
-        let t = asterix_adm::decode_tuple(bytes)?;
-        (self.apply)(self.partition, &t)?;
-        self.next.push(bytes)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.next.flush()
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.next.finish()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tuple-at-a-time operators
 // ---------------------------------------------------------------------------
@@ -1331,8 +1280,8 @@ mod tests {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let op = PrimaryFetchOp::new("fetch", even_keys(&batches));
         let x = ExchangeConfig::default();
-        let (mut k_out, k_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut k_out, k_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         for k in 0..9i64 {
             k_out[0].push_encoded(&asterix_adm::encode_tuple(&[Value::Int64(k)])).unwrap();
         }

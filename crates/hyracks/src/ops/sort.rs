@@ -327,8 +327,8 @@ mod tests {
 
     fn run_sort(op: SortOp, input: Vec<Tuple>) -> Vec<Tuple> {
         let x = ExchangeConfig::default();
-        let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
-        let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &x).unwrap();
+        let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
+        let (mut outs, mut res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         for t in input {
             in_outs[0].push_encoded(&asterix_adm::encode_tuple(&t)).unwrap();
         }
@@ -425,10 +425,10 @@ mod tests {
         // Feed side carries no token so the accumulate phase runs (and
         // spills); only the output side observes the cancellation.
         let feed = ExchangeConfig::default();
-        let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &feed).unwrap();
+        let (mut in_outs, ins) = wire(&ConnectorKind::OneToOne, 1, 1, &feed).unwrap();
         let token = CancellationToken::new();
         let out_cfg = ExchangeConfig { cancel: Some(token.clone()), ..Default::default() };
-        let (mut outs, res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &|_| 0, &out_cfg).unwrap();
+        let (mut outs, res_ins) = wire(&ConnectorKind::OneToOne, 1, 1, &out_cfg).unwrap();
         for t in input {
             in_outs[0].push_encoded(&asterix_adm::encode_tuple(&t)).unwrap();
         }

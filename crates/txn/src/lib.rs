@@ -7,9 +7,11 @@
 //! * [`locks`] — a node-local 2PL lock table keyed by (dataset, primary
 //!   key). Locks are only acquired for primary-index modifications; the
 //!   secondary indexes rely on latching plus post-validation in query plans.
-//! * [`wal`] — logical write-ahead logging with the no-steal/no-force
-//!   policy: one log record per LSM-index update operation, forced at
-//!   commit. The log knows each active transaction's first LSN and can be
+//! * [`wal`] — logical write-ahead logging, no-force: one log record per
+//!   LSM-index update operation, forced at commit. (The paper's no-steal
+//!   does not hold here: a flush can write an uncommitted update, and
+//!   recovery has no undo — DESIGN.md, "Known, documented
+//!   simplifications".) The log knows each active transaction's first LSN and can be
 //!   cut below any LSN, its LSNs rising across cuts and reopens.
 //! * [`recovery`] — replay of committed log records newer than each index's
 //!   last flushed component, paired with the storage layer's validity-marker

@@ -394,7 +394,8 @@ impl LogManager {
         Ok(lsn)
     }
 
-    /// Append a commit record and force the log (no-steal/no-force).
+    /// Append a commit record and force the log (no-force: the data is
+    /// not).
     pub fn commit(&self, txn: TxnId) -> Result<Lsn> {
         let lsn = self.append(&LogRecord::Commit { txn })?;
         self.force()?;

@@ -808,3 +808,333 @@ fn explain_shows_the_subplans_expressions_still_evaluate() {
     let rows = instance.query(q).unwrap();
     assert_eq!(rows.len(), 2);
 }
+
+/// Every shape of index access, as `explain` prints its plan and its job:
+/// the texts are pinned whole, so a change to how an index search is
+/// planned or compiled shows here line by line.
+#[test]
+fn every_index_access_shape_explains_as_pinned() {
+    let (instance, _d) = tiny_social();
+    instance
+        .execute(
+            "use dataverse TinySocial; create index msNameIdx on MugshotUsers(name) type ngram(3);",
+        )
+        .unwrap();
+    instance.execute(r#"set simfunction "edit-distance"; set simthreshold "1";"#).unwrap();
+    let cases: [(&str, String, usize, &str); 11] = [
+        (
+            "a secondary B-tree range",
+            r#"for $user in dataset MugshotUsers
+               where $user.user-since >= datetime('2010-07-22T00:00:00')
+                 and $user.user-since <= datetime('2012-07-29T23:59:59')
+               return $user.name;"#
+                .into(),
+            2,
+            r#"
+emit
+  btree-search TinySocial.MugshotUsers.msUserSinceIdx
+--
+btree-search TinySocial.MugshotUsers.msUserSinceIdx [parts=4, stage=0]
+  |1:1|
+sort $pk [parts=4, stage=1]
+  |1:1|
+btree-search TinySocial.MugshotUsers (primary) [cols: name,user-since] [filter: user-since>=?, user-since<=?] [parts=4, stage=1]
+  |1:1|
+select post-validate [parts=4, stage=1]
+  |1:1|
+assign emit [parts=4, stage=1]
+  |1:1|
+project [1] [parts=4, stage=1]
+  |4:1 replicating|
+result-sink [parts=1, stage=1]
+"#,
+        ),
+        (
+            "a primary-key lookup, pruned to the owning partition",
+            "for $u in dataset MugshotUsers where $u.id = 3 return $u.alias;".into(),
+            1,
+            r#"
+emit
+  btree-search TinySocial.MugshotUsers (primary)
+--
+btree-search TinySocial.MugshotUsers (primary) [cols: alias,id] [filter: id=?] [parts=1, stage=0]
+  |1:1|
+select post-validate [parts=1, stage=0]
+  |1:1|
+assign emit [parts=1, stage=0]
+  |1:1|
+project [1] [parts=1, stage=0]
+  |1:1|
+result-sink [parts=1, stage=0]
+"#,
+        ),
+        (
+            "a primary-key range",
+            "for $u in dataset MugshotUsers where $u.id >= 2 and $u.id < 5 return $u.alias;".into(),
+            3,
+            r#"
+emit
+  btree-search TinySocial.MugshotUsers (primary)
+--
+btree-search TinySocial.MugshotUsers (primary) [cols: alias,id] [filter: id>=?, id<?] [parts=4, stage=0]
+  |1:1|
+select post-validate [parts=4, stage=0]
+  |1:1|
+assign emit [parts=4, stage=0]
+  |1:1|
+project [1] [parts=4, stage=0]
+  |4:1 replicating|
+result-sink [parts=1, stage=0]
+"#,
+        ),
+        (
+            "an R-tree selection",
+            r#"for $m in dataset MugshotMessages
+               where spatial-distance($m.sender-location, point("40.4,70.2")) <= 0.5
+               return $m.message-id;"#
+                .into(),
+            3,
+            r#"
+emit
+  rtree-search TinySocial.MugshotMessages.msSenderLocIndex
+--
+rtree-search TinySocial.MugshotMessages.msSenderLocIndex [parts=4, stage=0]
+  |1:1|
+sort $pk [parts=4, stage=1]
+  |1:1|
+btree-search TinySocial.MugshotMessages (primary) [cols: message-id,sender-location] [parts=4, stage=1]
+  |1:1|
+select post-validate [parts=4, stage=1]
+  |1:1|
+assign emit [parts=4, stage=1]
+  |1:1|
+project [1] [parts=4, stage=1]
+  |4:1 replicating|
+result-sink [parts=1, stage=1]
+"#,
+        ),
+        (
+            "a keyword selection",
+            r#"for $m in dataset MugshotMessages
+               where some $w in word-tokens($m.message) satisfies $w = "concert"
+               return $m.message-id;"#
+                .into(),
+            2,
+            r#"
+emit
+  keyword-search TinySocial.MugshotMessages.msMessageIdx
+--
+keyword-search TinySocial.MugshotMessages.msMessageIdx [parts=4, stage=0]
+  |1:1|
+sort $pk [parts=4, stage=1]
+  |1:1|
+btree-search TinySocial.MugshotMessages (primary) [cols: message,message-id] [parts=4, stage=1]
+  |1:1|
+select post-validate [parts=4, stage=1]
+  |1:1|
+assign emit [parts=4, stage=1]
+  |1:1|
+project [1] [parts=4, stage=1]
+  |4:1 replicating|
+result-sink [parts=1, stage=1]
+"#,
+        ),
+        (
+            "an n-gram selection",
+            r#"for $u in dataset MugshotUsers where $u.name ~= "Isbel Persn" return $u.id;"#.into(),
+            1,
+            r#"
+emit
+  ngram-fuzzy-search TinySocial.MugshotUsers.msNameIdx
+--
+ngram-fuzzy-search TinySocial.MugshotUsers.msNameIdx [parts=4, stage=0]
+  |1:1|
+sort $pk [parts=4, stage=1]
+  |1:1|
+btree-search TinySocial.MugshotUsers (primary) [cols: id,name] [parts=4, stage=1]
+  |1:1|
+select post-validate [parts=4, stage=1]
+  |1:1|
+assign emit [parts=4, stage=1]
+  |1:1|
+project [1] [parts=4, stage=1]
+  |4:1 replicating|
+result-sink [parts=1, stage=1]
+"#,
+        ),
+        (
+            "a selection the index cannot narrow: the job scans",
+            r#"for $m in dataset MugshotMessages
+               where spatial-intersect($m.sender-location, null)
+               return $m.message-id;"#
+                .into(),
+            0,
+            r#"
+emit
+  rtree-search TinySocial.MugshotMessages.msSenderLocIndex
+--
+data-scan TinySocial.MugshotMessages [cols: message-id,sender-location] [parts=4, stage=0]
+  |1:1|
+select post-validate [parts=4, stage=0]
+  |1:1|
+assign emit [parts=4, stage=0]
+  |1:1|
+project [1] [parts=4, stage=0]
+  |4:1 replicating|
+result-sink [parts=1, stage=0]
+"#,
+        ),
+        (
+            "Query 14's indexnl join, a select above it",
+            r#"for $user in dataset MugshotUsers
+               for $message in dataset MugshotMessages
+               where $message.author-id /*+ indexnl */ = $user.id
+                 and $message.timestamp >= datetime("2014-01-01T00:00:00")
+               return { "uname": $user.name, "message": $message.message };"#
+                .into(),
+            6,
+            r#"
+emit
+  select
+    index-nl-join TinySocial.MugshotMessages.msAuthorIdx
+      data-scan TinySocial.MugshotUsers
+--
+data-scan TinySocial.MugshotUsers [cols: id,name] [parts=4, stage=0]
+  |1:1|
+index-nested-loop-join TinySocial.MugshotMessages.msAuthorIdx [cols: message,timestamp] [filter: timestamp>=?] [parts=4, stage=0]
+  |1:1|
+select filter [parts=4, stage=0]
+  |1:1|
+assign emit [parts=4, stage=0]
+  |1:1|
+project [2] [parts=4, stage=0]
+  |4:1 replicating|
+result-sink [parts=1, stage=0]
+"#,
+        ),
+        (
+            "nested Query 4: a left-outer index-NL join",
+            query_4_text("2010-07-22T00:00:00", "2012-12-31T23:59:59"),
+            4,
+            r#"
+emit
+  assign $v2
+    subplan
+      emit
+        unnest $v4 in $v3
+          empty-tuple-source
+    group-by (2 keys) [aggs: listify]
+      index-nl-join TinySocial.MugshotMessages.msAuthorIdx
+        btree-search TinySocial.MugshotUsers.msUserSinceIdx
+--
+btree-search TinySocial.MugshotUsers.msUserSinceIdx [parts=4, stage=0]
+  |1:1|
+sort $pk [parts=4, stage=1]
+  |1:1|
+btree-search TinySocial.MugshotUsers (primary) [cols: id,name,user-since] [filter: user-since>=?, user-since<=?] [parts=4, stage=1]
+  |1:1|
+select post-validate [parts=4, stage=1]
+  |1:1|
+index-nested-loop-join TinySocial.MugshotMessages.msAuthorIdx [cols: author-id,message] [parts=4, stage=1]
+  |1:1|
+assign group-input [parts=4, stage=1]
+  |1:1|
+hash-group local (Partial) [parts=4, stage=2]
+  |4:4 partitioning|
+hash-group global (Final) [parts=4, stage=3]
+  |1:1|
+assign $v2 [parts=4, stage=3]
+  |1:1|
+assign emit [parts=4, stage=3]
+  |1:1|
+project [4] [parts=4, stage=3]
+  |4:1 replicating|
+result-sink [parts=1, stage=3]
+"#,
+        ),
+        (
+            "a correlated primary-key search becomes a join",
+            r#"for $m in dataset MugshotMessages
+               return { "m": $m.message-id,
+                        "by": for $u in dataset MugshotUsers
+                              where $u.id = $m.author-id
+                              return $u.alias };"#
+                .into(),
+            8,
+            r#"
+emit
+  assign $v2
+    subplan
+      emit
+        unnest $v4 in $v3
+          empty-tuple-source
+    group-by (2 keys) [aggs: listify]
+      hash-join (LeftOuter)
+        data-scan TinySocial.MugshotMessages
+        data-scan TinySocial.MugshotUsers
+--
+data-scan TinySocial.MugshotUsers [cols: alias,id] [parts=4, stage=0]
+  |1:1|
+assign join-key [parts=4, stage=0]
+data-scan TinySocial.MugshotMessages [cols: author-id,message-id] [parts=4, stage=0]
+  |1:1|
+assign join-key [parts=4, stage=0]
+  |4:4 partitioning|
+  |4:4 partitioning|
+hybrid-hash-join equi [build=right ~6, probe ~8] [parts=4, stage=1]
+  |1:1|
+assign group-input [parts=4, stage=1]
+  |1:1|
+hash-group local (Partial) [parts=4, stage=2]
+  |4:4 partitioning|
+hash-group global (Final) [parts=4, stage=3]
+  |1:1|
+assign $v2 [parts=4, stage=3]
+  |1:1|
+assign emit [parts=4, stage=3]
+  |1:1|
+project [4] [parts=4, stage=3]
+  |4:1 replicating|
+result-sink [parts=1, stage=3]
+"#,
+        ),
+        (
+            "a correlated secondary search takes the select above it into the join",
+            r#"for $u in dataset MugshotUsers
+               for $m in (for $m2 in dataset MugshotMessages
+                          where $m2.author-id = $u.id and string-length($m2.message) > 30
+                          return $m2)
+               return { "u": $u.id, "m": $m.message-id };"#
+                .into(),
+            2,
+            r#"
+emit
+  assign $v1
+    index-nl-join TinySocial.MugshotMessages.msAuthorIdx
+      data-scan TinySocial.MugshotUsers
+--
+data-scan TinySocial.MugshotUsers [cols: id] [parts=4, stage=0]
+  |1:1|
+index-nested-loop-join TinySocial.MugshotMessages.msAuthorIdx [cols: author-id,message,message-id] [parts=4, stage=0]
+  |1:1|
+assign $v1 [parts=4, stage=0]
+  |1:1|
+assign emit [parts=4, stage=0]
+  |1:1|
+project [3] [parts=4, stage=0]
+  |4:1 replicating|
+result-sink [parts=1, stage=0]
+"#,
+        ),
+    ];
+    let mut differ = Vec::new();
+    for (what, q, rows, pinned) in &cases {
+        let (plan, job) = instance.explain(q).unwrap();
+        let got = format!("\n{plan}--\n{job}");
+        if got != *pinned {
+            differ.push(format!("{what}:{got}"));
+        }
+        assert_eq!(instance.query(q).unwrap().len(), *rows, "{what}");
+    }
+    assert!(differ.is_empty(), "{}", differ.join("\n"));
+}

@@ -78,6 +78,16 @@ fi
 rm -rf "$runs" "$base/bin/change" "$base/bin/parent"
 mkdir -p "$runs/parent" "$runs/change" "$base/bin/change"
 
+# Building the benchmark resolves its workspace, and that rewrites the
+# committed `perf/Cargo.lock`, which still names crates the workspace no
+# longer uses. The lock is saved here and put back on exit, so a campaign
+# or a `--smoke` run leaves the working tree as it found it. Regenerating
+# the lock would edit `perf/`, which only the benchmark's own change may do
+# (ROADMAP item 2).
+lock="$root/perf/Cargo.lock"
+cp "$lock" "$base/Cargo.lock.saved"
+trap 'cp "$base/Cargo.lock.saved" "$lock"' EXIT
+
 # build <checkout> <target dir>: that checkout's benchmark, as the
 # benchmark command of BENCHMARK.json builds it.
 build() {
