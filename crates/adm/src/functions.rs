@@ -1040,24 +1040,6 @@ pub fn is_builtin(name: &str) -> bool {
     NAMES.contains(&name) || name.starts_with("interval-")
 }
 
-/// Whether a function name is an aggregate (affects how the translator
-/// treats calls over grouped variables).
-pub fn is_aggregate(name: &str) -> bool {
-    matches!(
-        name,
-        "count"
-            | "sum"
-            | "min"
-            | "max"
-            | "avg"
-            | "sql-count"
-            | "sql-sum"
-            | "sql-min"
-            | "sql-max"
-            | "sql-avg"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //! days-from-civil formulas.
 
 use crate::error::{AdmError, Result};
-use crate::value::{DurationValue, IntervalKind, IntervalValue, Value};
+use crate::value::{DurationValue, IntervalKind, IntervalValue};
 
 pub const MILLIS_PER_SECOND: i64 = 1_000;
 pub const MILLIS_PER_MINUTE: i64 = 60 * MILLIS_PER_SECOND;
@@ -302,11 +302,6 @@ pub fn date_add_duration(days: i32, dur: &DurationValue) -> i32 {
     r.div_euclid(MILLIS_PER_DAY) as i32
 }
 
-/// The difference between two datetimes as a day-time duration in millis.
-pub fn datetime_subtract(a: i64, b: i64) -> i64 {
-    a - b
-}
-
 /// `interval-bin(v, anchor, bin)`: the interval containing `v` in the
 /// partitioning of the time line into `bin`-sized chunks anchored at
 /// `anchor`. Used for the temporal binning / windowed aggregation the
@@ -460,26 +455,6 @@ pub fn adjust_for_timezone(millis: i64, tz: &str) -> Result<i64> {
     let h: i64 = digits[..2].parse().unwrap();
     let m: i64 = digits[2..4].parse().unwrap();
     Ok(millis + sign * (h * MILLIS_PER_HOUR + m * MILLIS_PER_MINUTE))
-}
-
-/// Interval accessor helpers used by builtin functions.
-pub fn interval_value(kind: IntervalKind, start: &Value, end: &Value) -> Result<IntervalValue> {
-    let pick = |v: &Value| -> Result<i64> {
-        match (kind, v) {
-            (IntervalKind::Date, Value::Date(d)) => Ok(*d as i64),
-            (IntervalKind::Time, Value::Time(t)) => Ok(*t as i64),
-            (IntervalKind::DateTime, Value::DateTime(t)) => Ok(*t),
-            _ => Err(AdmError::InvalidArgument(format!(
-                "interval endpoint has wrong type {}",
-                v.type_name()
-            ))),
-        }
-    };
-    let (s, e) = (pick(start)?, pick(end)?);
-    if s > e {
-        return Err(AdmError::InvalidArgument("interval start after end".into()));
-    }
-    Ok(IntervalValue { kind, start: s, end: e })
 }
 
 #[cfg(test)]

@@ -146,11 +146,6 @@ impl Datatype {
         Datatype::Primitive(PrimitiveType::Any)
     }
 
-    /// An open record with no declared fields — the "schema never" extreme.
-    pub fn open_record() -> Datatype {
-        Datatype::Record(Arc::new(RecordType { fields: Vec::new(), open: true }))
-    }
-
     pub fn as_record(&self) -> Option<&RecordType> {
         match self {
             Datatype::Record(r) => Some(r),

@@ -9,15 +9,18 @@
 //! expressions — `for $f in $u.friend-ids …`, an expression-bodied UDF,
 //! the part of a decorrelated subquery that runs over the group's list.
 //! Each evaluation sees the outer tuple's bindings. A subquery that reads
-//! a dataset never gets here from a compiled job: the rule moves it into
-//! the job, and job generation refuses one that is left.
+//! a dataset gets here from a feed's apply function, never from a compiled
+//! job (the rule moves it into the job), and reads only through the
+//! sources a job takes: [`MetadataProvider::raw_scan_source`] and
+//! [`MetadataProvider::secondary_search`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use asterix_adm::{AdmError, Value};
+use asterix_adm::ordkey::encode_values;
+use asterix_adm::{AdmError, TupleRef, Value};
 
-use crate::expr::{eval, truthy, EvalCtx, VarId, VarResolver};
-use crate::metadata::{every_key, IndexProbe, MetadataProvider};
+use crate::expr::{eval, truthy, EvalCtx, LogicalExpr, VarId, VarResolver};
+use crate::metadata::{every_key, IndexProbe, KeyBound, MetadataProvider, ScanProjection};
 use crate::plan::{key_bound, AggCall, AggFunc, IndexSearchSpec, JoinKind, LogicalOp};
 
 /// A row of variable bindings.
@@ -68,7 +71,8 @@ pub fn eval_rows(
     match op {
         LogicalOp::EmptyTupleSource => Ok(vec![Env::new()]),
         LogicalOp::DataSourceScan { dataset, var } => {
-            let records = ctx.provider.scan_all(dataset).map_err(adm_err)?;
+            let (lo, hi) = (KeyBound::Unbounded, KeyBound::Unbounded);
+            let records = read_records(&*ctx.provider, dataset, lo, hi).map_err(adm_err)?;
             Ok(records
                 .into_iter()
                 .map(|r| {
@@ -187,7 +191,19 @@ pub fn eval_rows(
             let mut out = Vec::new();
             for l in lrows {
                 let res = ChainResolver { env: &l, outer };
-                let records = index_search_records(dataset, index, spec, &res, ctx)?;
+                let value = |e: &LogicalExpr| eval(e, &res, ctx);
+                let provider = &*ctx.provider;
+                let records = match spec {
+                    IndexSearchSpec::PrimaryRange { lo, hi } => {
+                        let (lo, hi) = (key_bound(lo, value)?, key_bound(hi, value)?);
+                        read_records(provider, dataset, lo, hi)
+                    }
+                    _ => {
+                        let probe = spec.probe(provider, dataset, index, value)?;
+                        search_records(provider, dataset, index, probe)
+                    }
+                }
+                .map_err(adm_err)?;
                 let mut matched = false;
                 for r in records {
                     let mut env = l.clone();
@@ -303,78 +319,67 @@ pub fn eval_rows(
     }
 }
 
-/// Resolve an index search spec into matching records.
-pub fn index_search_records(
+/// The records of `dataset` whose primary keys lie between `lo` and `hi`,
+/// whole: the job's read of every partition in turn, with no field cut and
+/// no filter pushed.
+fn read_records(
+    provider: &dyn MetadataProvider,
     dataset: &str,
-    index: &str,
-    spec: &IndexSearchSpec,
-    outer: &dyn VarResolver,
-    ctx: &EvalCtx,
-) -> asterix_adm::Result<Vec<Value>> {
-    let value = |e: &crate::expr::LogicalExpr| eval(e, outer, ctx);
-    if let IndexSearchSpec::PrimaryRange { lo, hi } = spec {
-        let (lo, hi) = (key_bound(lo, value)?, key_bound(hi, value)?);
-        return ctx.provider.primary_range_all(dataset, lo, hi).map_err(adm_err);
+    lo: KeyBound,
+    hi: KeyBound,
+) -> asterix_hyracks::Result<Vec<Value>> {
+    let whole = ScanProjection { fields: None, filters: Vec::new() };
+    let read = provider.raw_scan_source(dataset, &whole, lo, hi)?;
+    let nparts = provider.partitions();
+    let mut out = Vec::new();
+    for p in 0..nparts {
+        read(p, nparts, None, &mut |t| {
+            out.push(TupleRef::new(t)?.field(0).to_value()?);
+            Ok(())
+        })?;
     }
-    let probe = spec.probe(&*ctx.provider, dataset, index, value)?;
-    let pks = search_all(&*ctx.provider, dataset, index, probe).map_err(adm_err)?;
-    fetch_records(dataset, pks, ctx)
+    Ok(out)
 }
 
-/// A search of every partition of `index` for `probe`, its keys decoded
-/// and collected. With no probe — the index cannot narrow the search, and
-/// the caller's postcondition decides — the key of every record.
-fn search_all(
+/// The records a search of every partition of `index` for `probe` finds,
+/// in key order; with no probe — the index cannot narrow the search, and
+/// the caller's postcondition decides — every record. They are picked out
+/// of a whole read of the dataset, not fetched by key, so the oracle
+/// checks the compiled plan's key-list fetch against the scan.
+fn search_records(
     provider: &dyn MetadataProvider,
     dataset: &str,
     index: &str,
     probe: Option<IndexProbe>,
-) -> asterix_hyracks::Result<Vec<Vec<Value>>> {
+) -> asterix_hyracks::Result<Vec<Value>> {
     let nparts = provider.partitions();
-    let mut out = Vec::new();
-    let mut collect = |pk: &[u8]| {
-        out.push(asterix_adm::decode_tuple(pk)?);
+    // Keyed by the comparison key, in `total_cmp` order.
+    let mut found: BTreeMap<Vec<u8>, Option<Value>> = BTreeMap::new();
+    let mut want = |pk: &[u8]| {
+        found.insert(encode_values(&asterix_adm::decode_tuple(pk)?), None);
         Ok(())
     };
     match probe {
         None => {
             let keys = every_key(provider, dataset)?;
-            (0..nparts).try_for_each(|p| keys(p, nparts, None, &mut collect))?;
+            (0..nparts).try_for_each(|p| keys(p, nparts, None, &mut want))?;
         }
         Some(probe) => {
             let search = provider.secondary_search(dataset, index)?;
-            search(0..nparts, std::slice::from_ref(&probe), &mut |_, pk| collect(pk))?;
+            search(0..nparts, std::slice::from_ref(&probe), &mut |_, pk| want(pk))?;
         }
     }
-    Ok(out)
-}
-
-fn fetch_records(
-    dataset: &str,
-    mut pks: Vec<Vec<Value>>,
-    ctx: &EvalCtx,
-) -> asterix_adm::Result<Vec<Value>> {
-    // Sort primary keys before the primary lookups — the same access-
-    // pattern optimization Figure 6 shows.
-    pks.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b.iter()) {
-            let c = x.total_cmp(y);
-            if c != std::cmp::Ordering::Equal {
-                return c;
+    if !found.is_empty() {
+        let pk = provider.primary_key_fields(dataset);
+        for r in read_records(provider, dataset, KeyBound::Unbounded, KeyBound::Unbounded)? {
+            let key: Vec<Value> =
+                pk.iter().map(|f| f.split('.').fold(r.clone(), |v, s| v.field(s))).collect();
+            if let Some(slot) = found.get_mut(&encode_values(&key)) {
+                *slot = Some(r);
             }
         }
-        a.len().cmp(&b.len())
-    });
-    pks.dedup_by(|a, b| {
-        a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.total_cmp(y).is_eq())
-    });
-    let mut out = Vec::with_capacity(pks.len());
-    for pk in pks {
-        if let Some(r) = ctx.provider.lookup_pk(dataset, &pk).map_err(adm_err)? {
-            out.push(r);
-        }
     }
-    Ok(out)
+    Ok(found.into_values().flatten().collect())
 }
 
 fn eval_agg(
@@ -414,7 +419,7 @@ fn eval_agg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{CompareOp, LogicalExpr};
+    use crate::expr::CompareOp;
     use crate::metadata::tests_support::VecProvider;
     use crate::plan::build::*;
     use asterix_adm::functions::FunctionContext;

@@ -858,14 +858,14 @@ impl Gen {
         }
     }
 
-    /// A select. Directly over a data scan — or over an inner index-NL join,
-    /// not a selection's search, for its conjuncts on the fetched records — it
-    /// pushes its ordkey-decidable conjuncts into the read: a columnar source
-    /// then decides most rows on the filter columns' bytes before assembling
-    /// anything. The select stays in the plan — the pushed filters only drop
-    /// definite rejects. `partner` is the test of the hash join this
-    /// select-over-a-scan is the probe input of; it rides into the scan behind
-    /// the select's own conjuncts.
+    /// A select. Directly over a data scan — or over an inner index-NL join
+    /// or a selection's search, for its conjuncts on the fetched records —
+    /// it pushes its ordkey-decidable conjuncts into the read: a columnar
+    /// source then decides most rows on the filter columns' bytes before
+    /// assembling anything. The select stays in the plan — the pushed
+    /// filters only drop definite rejects. `partner` is the test of the hash
+    /// join this select-over-a-scan is the probe input of; it rides into the
+    /// scan behind the select's own conjuncts.
     fn build_select(
         &mut self,
         input: &LogicalOp,
@@ -878,9 +878,7 @@ impl Gen {
                 filters.extend(partner);
                 self.build_scan(dataset, *var, filters, None)?
             }
-            LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. }
-                if !input.is_index_selection() =>
-            {
+            LogicalOp::IndexNlJoin { var, kind: JoinKind::Inner, .. } => {
                 let filters = self.scan_filters(condition, *var);
                 self.build_index_access(input, filters)?
             }
@@ -1143,7 +1141,11 @@ impl Gen {
         };
         let (provider, var) = (Arc::clone(&self.ctx.provider), *var);
         if op.is_index_selection() {
-            filters.extend(postcondition.iter().flat_map(|post| self.scan_filters(post, var)));
+            // The postcondition's conjuncts, then the select's it lacks.
+            let post: Vec<_> =
+                postcondition.iter().flat_map(|p| self.scan_filters(p, var)).collect();
+            filters.retain(|f| !post.contains(f));
+            let filters = [post, filters].concat();
             let (mut out, schema, part) = match spec {
                 IndexSearchSpec::PrimaryRange { lo, hi } => {
                     let value = |e: &LogicalExpr| self.const_value(e);
@@ -1532,6 +1534,29 @@ mod tests {
         }
     }
 
+    /// A select directly above a selection's search pushes its ordkey
+    /// conjuncts into the search's fetch, behind the postcondition's and
+    /// without repeating one the postcondition pushes already.
+    #[test]
+    fn a_select_above_a_selection_pushes_into_its_fetch() {
+        let (author, mid) =
+            (LogicalExpr::field(var(1), "author"), LogicalExpr::field(var(1), "mid"));
+        let below = |f: &LogicalExpr, k| cmp(CompareOp::Lt, f.clone(), lit(Value::Int64(k)));
+        let spec =
+            IndexSearchSpec::BTreeRange { lo: None, hi: Some((lit(Value::Int64(3)), false)) };
+        let search = index_search("M", "author", 1, spec, Some(below(&author, 3)));
+        let twice = LogicalExpr::And(vec![below(&author, 3), below(&mid, 21)]);
+        for condition in [below(&mid, 21), twice] {
+            let plan = emit(select(search.clone(), condition), mid.clone());
+            let (job, rows) =
+                compile_and_run(&plan, vec_provider(20), &OptimizerOptions::default());
+            let fetch = "btree-search M (primary) [cols: author,mid] [filter: author<?, mid<?]";
+            assert!(job.contains(fetch), "{job}");
+            let mids = [0, 1, 2, 20].map(Value::Int64).to_vec();
+            assert_eq!(rows, mids, "messages of authors 0-2 below 21");
+        }
+    }
+
     #[test]
     fn pruned_search_joins_like_the_all_partition_search() {
         let user = || pk_search(0, Some((3, true)), Some((3, true)));
@@ -1635,15 +1660,6 @@ mod tests {
         }
         fn primary_fetch(&self, d: &str, p: &ScanProjection) -> Result<FetchFn> {
             self.inner.primary_fetch(d, p)
-        }
-        fn scan_all(&self, d: &str) -> Result<Vec<Value>> {
-            self.inner.scan_all(d)
-        }
-        fn lookup_pk(&self, d: &str, pk: &[Value]) -> Result<Option<Value>> {
-            self.inner.lookup_pk(d, pk)
-        }
-        fn primary_range_all(&self, d: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>> {
-            self.inner.primary_range_all(d, lo, hi)
         }
     }
 

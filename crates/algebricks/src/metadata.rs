@@ -71,7 +71,7 @@ pub enum IndexProbe {
 /// is conservative: it only drops rows it *definitely* rejects, and the
 /// operator it was derived from stays above the read and re-applies
 /// itself to whatever comes through.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScanFilter {
     /// `field <op> constant`, from the select above the read. `key` is the
     /// order-preserving `ordkey` encoding of the constant, so a columnar
@@ -157,8 +157,10 @@ impl ScanProjection {
     }
 }
 
-/// Everything the compiler and interpreter need from the system catalog
-/// and storage.
+/// Everything the compiler needs from the system catalog and storage. A
+/// job reads a dataset only through [`Self::raw_scan_source`],
+/// [`Self::secondary_search`] and [`Self::primary_fetch`], and the
+/// interpreter through the first two: there is no other read.
 pub trait MetadataProvider: Send + Sync {
     /// Number of storage partitions per dataset (degree of parallelism for
     /// scans — "the number of partitions that is used to store the
@@ -237,17 +239,6 @@ pub trait MetadataProvider: Send + Sync {
     /// secondary-index search and the inner side of an index nested-loop
     /// join.
     fn primary_fetch(&self, dataset: &str, projection: &ScanProjection) -> Result<FetchFn>;
-
-    // -- interpreter-path access (whole dataset, partition-transparent) ----
-
-    /// All records (interpreter / correlated subplans).
-    fn scan_all(&self, dataset: &str) -> Result<Vec<Value>>;
-
-    /// Point lookup by primary key across partitions.
-    fn lookup_pk(&self, dataset: &str, pk: &[Value]) -> Result<Option<Value>>;
-
-    /// Cross-partition primary-index range scan returning records.
-    fn primary_range_all(&self, dataset: &str, lo: KeyBound, hi: KeyBound) -> Result<Vec<Value>>;
 }
 
 /// A search of a secondary index for a batch of probes:
@@ -327,28 +318,11 @@ pub(crate) mod tests_support {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
-        fn primary_range_all(
-            &self,
-            dataset: &str,
-            _lo: KeyBound,
-            _hi: KeyBound,
-        ) -> Result<Vec<Value>> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
         fn secondary_search(&self, dataset: &str, _index: &str) -> Result<IndexSearchFn> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
 
         fn primary_fetch(&self, dataset: &str, _projection: &ScanProjection) -> Result<FetchFn> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
-        fn scan_all(&self, dataset: &str) -> Result<Vec<Value>> {
-            Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
-        }
-
-        fn lookup_pk(&self, dataset: &str, _pk: &[Value]) -> Result<Option<Value>> {
             Err(asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}")))
         }
     }
@@ -387,6 +361,12 @@ pub(crate) mod tests_support {
         pub fn add(&mut self, name: &str, pk: &str, records: Vec<Value>) {
             self.datasets.insert(name.to_string(), records);
             self.pk_fields.insert(name.to_string(), vec![pk.to_string()]);
+        }
+
+        fn records(&self, dataset: &str) -> Result<Vec<Value>> {
+            self.datasets.get(dataset).cloned().ok_or_else(|| {
+                asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}"))
+            })
         }
     }
 
@@ -448,7 +428,7 @@ pub(crate) mod tests_support {
             lo: KeyBound,
             hi: KeyBound,
         ) -> Result<RawSourceFn> {
-            let records = self.scan_all(dataset)?;
+            let records = self.records(dataset)?;
             let pk_fields = self.primary_key_fields(dataset);
             let pk = pk_fields.first().cloned().unwrap_or_default();
             let projection = projection.clone();
@@ -473,22 +453,8 @@ pub(crate) mod tests_support {
             }))
         }
 
-        fn primary_range_all(
-            &self,
-            dataset: &str,
-            lo: KeyBound,
-            hi: KeyBound,
-        ) -> Result<Vec<Value>> {
-            let pk = self.primary_key_fields(dataset).first().cloned().unwrap_or_default();
-            Ok(self
-                .scan_all(dataset)?
-                .into_iter()
-                .filter(|r| within(&r.field(&pk), &lo, &hi))
-                .collect())
-        }
-
         fn secondary_search(&self, dataset: &str, index: &str) -> Result<IndexSearchFn> {
-            let records = self.scan_all(dataset)?;
+            let records = self.records(dataset)?;
             let pk_fields = self.primary_key_fields(dataset);
             let (field, nparts) = (index.to_string(), self.nparts);
             Ok(Arc::new(move |partitions, probes, emit| {
@@ -530,17 +496,6 @@ pub(crate) mod tests_support {
                 }
                 Ok(())
             }))
-        }
-
-        fn scan_all(&self, dataset: &str) -> Result<Vec<Value>> {
-            self.datasets.get(dataset).cloned().ok_or_else(|| {
-                asterix_hyracks::HyracksError::Operator(format!("unknown dataset {dataset}"))
-            })
-        }
-
-        fn lookup_pk(&self, dataset: &str, pk: &[Value]) -> Result<Option<Value>> {
-            let pk_fields = self.primary_key_fields(dataset);
-            Ok(self.scan_all(dataset)?.into_iter().find(|r| has_pk(r, &pk_fields, pk)))
         }
     }
 }

@@ -69,7 +69,29 @@ pub fn optimize(
     options: &OptimizerOptions,
 ) -> LogicalOp {
     let ctx = EvalCtx::new(Arc::clone(provider), fn_ctx.clone());
-    let mut plan = fold_constants(plan, &ctx);
+    let mut plan = normalize(fold_constants(plan, &ctx), provider, options);
+    if options.enable_index_access {
+        plan = introduce_index_access(plan, provider, fn_ctx);
+    }
+    // Recurse into subplans carried by expressions, then move each one
+    // that reads a dataset into this plan, and normalize what that built.
+    plan = optimize_subplans(plan, provider, fn_ctx, options);
+    match decorrelate_subqueries(plan, provider) {
+        (plan, true) => normalize(plan, provider, options),
+        (plan, false) => plan,
+    }
+}
+
+/// The normalization both passes of [`optimize`] run: fuse group
+/// aggregates, split conjunctions, push selects down, extract equi-joins,
+/// and merge select cascades so one decision sees every conjunct — both
+/// bounds of a range land in one index search, or, without one, in the
+/// scan's pre-filter.
+fn normalize(
+    mut plan: LogicalOp,
+    provider: &Arc<dyn MetadataProvider>,
+    options: &OptimizerOptions,
+) -> LogicalOp {
     if options.fuse_group_aggregates {
         plan = fuse_group_aggregates(plan);
     }
@@ -77,29 +99,7 @@ pub fn optimize(
     for _ in 0..8 {
         plan = push_selects_down(plan);
     }
-    plan = extract_equijoins(plan, provider);
-    // Merge select cascades so one decision sees every conjunct: both bounds
-    // of a range land in one index search, or, without one, in the scan's
-    // pre-filter.
-    plan = coalesce_selects(plan);
-    if options.enable_index_access {
-        plan = introduce_index_access(plan, provider, fn_ctx);
-    }
-    // Recurse into subplans carried by expressions, then move each one
-    // that reads a dataset into this plan, and normalize what that built.
-    plan = optimize_subplans(plan, provider, fn_ctx, options);
-    let (mut plan, moved) = decorrelate_subqueries(plan, provider);
-    if moved {
-        if options.fuse_group_aggregates {
-            plan = fuse_group_aggregates(plan);
-        }
-        plan = split_conjunctions(plan);
-        for _ in 0..8 {
-            plan = push_selects_down(plan);
-        }
-        plan = coalesce_selects(extract_equijoins(plan, provider));
-    }
-    plan
+    coalesce_selects(extract_equijoins(plan, provider))
 }
 
 // ---------------------------------------------------------------------------
@@ -1997,20 +1997,6 @@ mod tests {
             p: &crate::metadata::ScanProjection,
         ) -> asterix_hyracks::Result<asterix_hyracks::ops::FetchFn> {
             self.inner.primary_fetch(d, p)
-        }
-        fn scan_all(&self, d: &str) -> asterix_hyracks::Result<Vec<Value>> {
-            self.inner.scan_all(d)
-        }
-        fn lookup_pk(&self, d: &str, pk: &[Value]) -> asterix_hyracks::Result<Option<Value>> {
-            self.inner.lookup_pk(d, pk)
-        }
-        fn primary_range_all(
-            &self,
-            d: &str,
-            lo: crate::metadata::KeyBound,
-            hi: crate::metadata::KeyBound,
-        ) -> asterix_hyracks::Result<Vec<Value>> {
-            self.inner.primary_range_all(d, lo, hi)
         }
     }
 

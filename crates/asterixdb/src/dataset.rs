@@ -366,13 +366,27 @@ impl DatasetRuntime {
     }
 
     /// Index every record of one primary partition (bulk, outside record
-    /// transactions: nothing is logged) and flush the index partition.
+    /// transactions: nothing is logged) and flush the index partition. The
+    /// partition is read for the fields the key and the indexed value need,
+    /// and its entries are collected before the first one is written, so no
+    /// index write runs under the primary read.
     fn backfill(&self, ix: &SecondaryIndexRuntime, partition: usize) -> Result<()> {
-        for r in self.scan_partition(partition)? {
-            let pk = self.pk_of(&r)?;
+        let paths = self.meta.primary_key.iter().chain(ix.meta.fields.first());
+        let mut fields: Vec<String> =
+            paths.map(|f| f.split('.').next().unwrap_or(f).to_string()).collect();
+        fields.sort();
+        fields.dedup();
+        let proj = Projection { fields: Some(fields), filters: Vec::new() };
+        let mut entries = Vec::new();
+        self.read_partition_projected(partition, ScanBound::ALL, &proj, |_, tuple| {
+            let r = asterix_adm::TupleRef::new(tuple)?.field(0).to_value()?;
             if let Some(fv) = Self::indexed_value(ix, &r) {
-                self.apply_secondary_value(ix, partition, &fv, &pk, false, 0)?;
+                entries.push((self.pk_of(&r)?, fv));
             }
+            Ok(true)
+        })?;
+        for (pk, fv) in entries {
+            self.apply_secondary_value(ix, partition, &fv, &pk, false, 0)?;
         }
         ix.partitions[partition].lsm().flush()?;
         Ok(())
@@ -737,20 +751,6 @@ impl DatasetRuntime {
     }
 
     // -- reads -----------------------------------------------------------------
-
-    /// All records of one partition (decoded).
-    pub fn scan_partition(&self, partition: usize) -> Result<Vec<Value>> {
-        let mut out = Vec::new();
-        self.primary[partition].range_with(
-            &ValueBound::Unbounded,
-            &ValueBound::Unbounded,
-            |_, bytes| -> Result<bool> {
-                out.push(adm_serde::decode_typed(&self.registry, bytes, &self.datatype)?);
-                Ok(true)
-            },
-        )?;
-        Ok(out)
-    }
 
     /// Serialized full scan of one partition: every record, whole, as an
     /// encoded single-column tuple in the byte-frame wire format — the

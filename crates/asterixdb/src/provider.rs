@@ -394,42 +394,6 @@ impl MetadataProvider for InstanceProvider {
             })?)
         }))
     }
-
-    fn scan_all(&self, dataset: &str) -> asterix_hyracks::Result<Vec<Value>> {
-        if let Some(records) = self.virtual_records(dataset) {
-            return Ok(records?.as_ref().clone());
-        }
-        let ds = self.runtime(dataset)?;
-        let mut out = Vec::new();
-        for p in 0..ds.partitions() {
-            out.extend(ds.scan_partition(p).map_err(op_err)?);
-        }
-        Ok(out)
-    }
-
-    fn lookup_pk(&self, dataset: &str, pk: &[Value]) -> asterix_hyracks::Result<Option<Value>> {
-        let ds = self.runtime(dataset)?;
-        ds.get(pk).map_err(op_err)
-    }
-
-    fn primary_range_all(
-        &self,
-        dataset: &str,
-        lo: KeyBound,
-        hi: KeyBound,
-    ) -> asterix_hyracks::Result<Vec<Value>> {
-        let ds = self.runtime(dataset)?;
-        let lo = to_value_bound(Self::coerce_bound(&ds, None, lo));
-        let hi = to_value_bound(Self::coerce_bound(&ds, None, hi));
-        let mut out = Vec::new();
-        for tree in &ds.primary {
-            tree.range_with(&lo, &hi, |_, bytes| -> crate::Result<bool> {
-                out.push(asterix_adm::serde::decode_typed(&ds.registry, bytes, &ds.datatype)?);
-                Ok(true)
-            })?;
-        }
-        Ok(out)
-    }
 }
 
 /// The translator-facing catalog: resolves names against the session's

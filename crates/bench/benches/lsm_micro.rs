@@ -89,17 +89,15 @@ fn bench_lsm(c: &mut Criterion) {
         t.insert(&[Value::Int64(i)], vec![0u8; 64], 0).unwrap();
     }
     t.lsm().flush().unwrap();
+    let range =
+        [(ValueBound::included(Value::Int64(5000)), ValueBound::excluded(Value::Int64(6000)))];
     g.bench_function("range", |b| {
         b.iter(|| {
             let mut rows = 0usize;
-            t.range_with(
-                &ValueBound::included(Value::Int64(5000)),
-                &ValueBound::excluded(Value::Int64(6000)),
-                |_, _| {
-                    rows += 1;
-                    Ok::<_, asterix_storage::StorageError>(true)
-                },
-            )
+            t.ranges_with(&range, |_, _, _| {
+                rows += 1;
+                Ok::<_, asterix_storage::StorageError>(true)
+            })
             .unwrap();
             rows
         })

@@ -339,11 +339,6 @@ impl IngestionPipeline {
             Ok(())
         }
     }
-
-    /// Is the pipeline thread still running?
-    pub fn is_running(&self) -> bool {
-        self.handle.as_ref().is_some_and(|h| !h.is_finished())
-    }
 }
 
 /// Create a simulated socket adaptor: returns the client endpoint and the

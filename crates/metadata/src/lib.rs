@@ -167,10 +167,6 @@ impl Catalog {
             .ok_or_else(|| CatalogError(format!("unknown dataverse {name}")))
     }
 
-    pub fn dataverse_names(&self) -> impl Iterator<Item = &str> {
-        self.dataverses.keys().map(|s| s.as_str())
-    }
-
     /// Define a type in a dataverse.
     pub fn create_type(&mut self, dataverse: &str, name: &str, ty: Datatype) -> CResult<()> {
         let dv = self.dataverse_mut(dataverse)?;

@@ -163,11 +163,6 @@ impl Server {
         self.local_addr
     }
 
-    /// Live worker connections.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// The server's `net.*` stats handles.
     pub fn stats(&self) -> &NetStats {
         &self.shared.stats

@@ -103,26 +103,14 @@ impl LsmBTree {
         self.tree.get(&encode_key(key)?)
     }
 
-    /// Streaming range scan: `f` returns `Ok(false)` to stop early, and
-    /// its first error stops the scan and is what the call returns.
-    pub fn range_with<E: From<StorageError>>(
-        &self,
-        lo: &ValueBound,
-        hi: &ValueBound,
-        mut f: impl FnMut(&[Value], &[u8]) -> std::result::Result<bool, E>,
-    ) -> std::result::Result<(), E> {
-        let lo_b = lo.encode_lo()?;
-        let hi_b = hi.encode_hi()?;
-        self.tree.scan_with(lo_b.as_deref(), hi_b.as_deref(), |k, v| f(&decode_key(k)?, v))
-    }
-
     /// Streaming scan of a batch of ranges — the B-tree probes of an index
     /// nested-loop join's outer tuples — as one forward pass over each
     /// component: the ranges are sorted and their union read once, and `f`
     /// gets `(i, key, value)` for every entry, once for each range
     /// `ranges[i]` that holds it, in key order. A range holding nothing
-    /// (`lo` above `hi`) matches nothing. `f` stops the scan as
-    /// [`Self::range_with`]'s visitor does.
+    /// (`lo` above `hi`) matches nothing. `f` returns `Ok(false)` to stop
+    /// early, and its first error stops the scan and is what the call
+    /// returns.
     pub fn ranges_with<E: From<StorageError>>(
         &self,
         ranges: &[(ValueBound, ValueBound)],
@@ -203,14 +191,18 @@ mod tests {
         .unwrap()
     }
 
-    /// Every `(key, payload)` of `t` between `lo` and `hi`, in key order.
+    /// Every `(key, payload)` of `t` between `lo` and `hi`, in key order:
+    /// one scan of the tree's byte range, the reference the batched
+    /// [`LsmBTree::ranges_with`] is checked against.
     fn range(t: &LsmBTree, lo: &ValueBound, hi: &ValueBound) -> Vec<(Vec<Value>, Vec<u8>)> {
+        let (lo, hi) = (lo.encode_lo().unwrap(), hi.encode_hi().unwrap());
         let mut out = Vec::new();
-        t.range_with(lo, hi, |k, v| -> Result<bool> {
-            out.push((k.to_vec(), v.to_vec()));
-            Ok(true)
-        })
-        .unwrap();
+        t.lsm()
+            .scan_with(lo.as_deref(), hi.as_deref(), |k, v| -> Result<bool> {
+                out.push((decode_key(k)?, v.to_vec()));
+                Ok(true)
+            })
+            .unwrap();
         out
     }
 

@@ -356,3 +356,52 @@ fn secondary_feeds_cascade() {
     let doubled = ins.query("for $d in dataset Doubled where $d.id = 7 return $d.v;").unwrap();
     assert_eq!(doubled, vec![Value::Int64(14)]);
 }
+
+/// A feed's apply function runs per record outside any job, so a dataset
+/// it reads goes through the interpreter's read of the job's sources. Each
+/// stored record holds what the same expression answers as a query.
+#[test]
+fn feed_apply_function_reads_another_dataset() {
+    let dir = asterix_testkit::TempDir::new().unwrap();
+    let ins = instance(dir.path());
+    ins.execute(
+        r#"
+        create dataverse AF;
+        use dataverse AF;
+        create type T as open { id: int32, v: int64 };
+        create dataset Raw(T) primary key id;
+        create dataset Counts(T) primary key id;
+        create function below($r) {
+            { "id": $r.id, "v": $r.v,
+              "n": count(for $x in dataset Raw where $x.v < $r.v return $x) }
+        };
+        create feed f using socket_adaptor (("format"="adm"));
+    "#,
+    )
+    .unwrap();
+    // Raw spans a flushed component and the memory component.
+    for i in 0..40 {
+        ins.execute(&format!("insert into dataset Raw ({{ \"id\": {i}, \"v\": {} }});", i * 3))
+            .unwrap();
+        if i == 25 {
+            ins.dataset("Raw").unwrap().flush_all().unwrap();
+        }
+    }
+    ins.execute("connect feed f apply function below to dataset Counts;").unwrap();
+    let ep = ins.feed_endpoint("f").unwrap();
+    for i in 0..30 {
+        ep.send_text(format!("{{ \"id\": {i}, \"v\": {} }}", i * 5 - 7)).unwrap();
+    }
+    assert!(ins.feed_wait_stored("f", 30, std::time::Duration::from_secs(5)));
+    ins.execute("disconnect feed f from dataset Counts;").unwrap();
+    let stored = ins.query("for $c in dataset Counts order by $c.id return $c;").unwrap();
+    assert_eq!(stored.len(), 30);
+    for c in &stored {
+        let v = c.field("v").as_i64().unwrap();
+        let want = ins
+            .query(&format!("count(for $x in dataset Raw where $x.v < {v} return $x);"))
+            .unwrap();
+        assert_eq!(vec![c.field("n")], want, "record {c:?}");
+    }
+    assert!(stored.iter().any(|c| c.field("n").as_i64() == Some(40)));
+}

@@ -704,7 +704,7 @@ proptest! {
         flush_after in 0usize..60,
         probes in prop::collection::vec(probe_key(), 1..40),
     ) {
-        use asterix_algebricks::metadata::{KeyBound, MetadataProvider};
+        use asterix_algebricks::metadata::{KeyBound, MetadataProvider, ScanProjection};
         use asterixdb::{ClusterConfig, Instance};
 
         let dir = asterix_testkit::TempDir::new().unwrap();
@@ -740,12 +740,21 @@ proptest! {
         }
 
         let provider = asterixdb::provider::InstanceProvider { shared: instance.shared_state() };
+        let whole = ScanProjection { fields: None, filters: Vec::new() };
         let lookup = instance.prepare("for $d in dataset D where $d.id = 0 return $d").unwrap();
         // Every stored key is a probe too, so hits are never rare.
         for probe in probes.iter().chain(&keys) {
             let pruned = instance.execute_prepared(&lookup, std::slice::from_ref(probe)).unwrap();
             let bound = || KeyBound::Inclusive(probe.clone());
-            let everywhere = provider.primary_range_all("P.D", bound(), bound()).unwrap();
+            let read = provider.raw_scan_source("P.D", &whole, bound(), bound()).unwrap();
+            let mut everywhere = Vec::new();
+            for p in 0..provider.partitions() {
+                read(p, provider.partitions(), None, &mut |t| {
+                    everywhere.push(asterix_adm::decode_tuple(t)?.remove(0));
+                    Ok(())
+                })
+                .unwrap();
+            }
             prop_assert_eq!(&pruned, &everywhere, "{} key, probe {:?}", key_type, probe);
             let got: Vec<Value> = d.get(std::slice::from_ref(probe)).unwrap().into_iter().collect();
             prop_assert_eq!(&pruned, &got, "{} key, probe {:?}", key_type, probe);
