@@ -8,7 +8,13 @@
 //! subquery against its flat form. With the indexes, also the cost of an index nested-loop join per
 //! outer tuple: Table 3's Sel-Join (Lg) with `/*+ indexnl */`, its `count`,
 //! and a counted range selection on `msAuthorIdx` over about as many
-//! message keys (`index_nl` in the JSON).
+//! message keys (`index_nl` in the JSON). Without the indexes, also four
+//! theta joins — joins with no key to hash on (`theta` in the JSON): a
+//! flat spatial self-join, Query 5's nested form, Query 13's jaccard `~=`
+//! and a column-against-column `<`, their outer side cut to the messages
+//! of the first few authors (a two-hundredth of the users; for the costlier
+//! `~=`, an eight-hundredth) or to the first hundredth of the users; each
+//! runs alone, and every run must answer as the first.
 //!
 //! Each pair (and the trio) runs in process through `Instance::query`,
 //! after one warm-up, `ASTERIX_BENCH_RUNS` times (default 5), the forms
@@ -198,18 +204,94 @@ fn index_nl_trio(instance: &Instance, corpus: &Corpus, runs: usize) -> String {
     )
 }
 
+/// The four theta-join shapes, their outer side the messages of the first
+/// `users / 200` authors (`users / 800` for `~=`), or the first `users /
+/// 100` users.
+fn theta_shapes(users: usize) -> [(&'static str, String); 4] {
+    let few = |per: usize| (users / per).max(1);
+    let (authors, fuzzy_authors, lt_users) = (few(200), few(800), few(100));
+    let near = "spatial-distance($t.sender-location, $t2.sender-location) <= 1";
+    [
+        (
+            "spatial_flat",
+            format!(
+                "for $t in dataset MugshotMessages for $t2 in dataset MugshotMessages \
+                 where $t.author-id < {authors} and {near} \
+                 return {{ \"t\": $t.message-id, \"t2\": $t2.message-id }}"
+            ),
+        ),
+        (
+            "spatial_nested",
+            format!(
+                "for $t in dataset MugshotMessages where $t.author-id < {authors} \
+                 return {{ \"mid\": $t.message-id, \"messages\": \
+                           for $t2 in dataset MugshotMessages where {near} \
+                           return $t2.message-id }}"
+            ),
+        ),
+        (
+            "jaccard",
+            format!(
+                "set simfunction \"jaccard\"; set simthreshold \"0.3\"; \
+                 for $msg in dataset MugshotMessages where $msg.author-id < {fuzzy_authors} \
+                 let $similar := (for $m2 in dataset MugshotMessages \
+                                  where $m2.tags ~= $msg.tags \
+                                    and $m2.message-id != $msg.message-id \
+                                  return $m2.message-id) \
+                 where count($similar) > 0 \
+                 return {{ \"mid\": $msg.message-id, \"messages\": $similar }}"
+            ),
+        ),
+        (
+            "column_lt",
+            format!(
+                "for $u in dataset MugshotUsers for $m in dataset MugshotMessages \
+                 where $u.id < {lt_users} and $m.author-id < $u.id \
+                 return {{ \"u\": $u.id, \"m\": $m.message-id }}"
+            ),
+        ),
+    ]
+}
+
+/// The theta joins' JSON object: each shape's median over `runs` timed
+/// executions after one warm-up, and its row count; every run must answer
+/// as the warm-up did.
+fn theta_joins(instance: &Instance, users: usize, runs: usize) -> String {
+    let mut fields = Vec::new();
+    for (name, q) in theta_shapes(users) {
+        eprintln!("running theta {name} ...");
+        let answer = canonical(instance.query(&q).expect("query"), false);
+        let mut ms = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            let start = Instant::now();
+            let rows = instance.query(&q).expect("query");
+            ms.push(start.elapsed().as_secs_f64() * 1000.0);
+            assert_eq!(canonical(rows, false), answer, "theta {name}: a run answered differently");
+        }
+        ms.sort_by(f64::total_cmp);
+        fields.push(format!(
+            "\"{name}\": {{ \"rows\": {}, \"ms\": {:.3} }}",
+            answer.len(),
+            ms[ms.len() / 2]
+        ));
+    }
+    format!("{{ {} }}", fields.join(", "))
+}
+
 fn main() {
     let scale = Scale::from_env();
     let runs: usize =
         std::env::var("ASTERIX_BENCH_RUNS").ok().and_then(|v| v.parse().ok()).unwrap_or(5).max(1);
     let corpus = generate(&scale, 20140702);
     let mut results = Vec::new();
-    let mut index_nl = String::new();
+    let (mut index_nl, mut theta) = (String::new(), String::new());
     for indexed in [false, true] {
         let sys = setup_asterix(&corpus, SchemaMode::Schema, indexed);
         if indexed {
             eprintln!("running index_nl ...");
             index_nl = index_nl_trio(&sys.instance, &corpus, runs);
+        } else {
+            theta = theta_joins(&sys.instance, corpus.users.len(), runs);
         }
         let ix = if indexed { "ix" } else { "noix" };
         let mut pairs = Vec::new();
@@ -267,7 +349,8 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"nested_queries\",\n  \"users\": {},\n  \"messages\": {},\n  \
-         \"runs\": {runs},\n  \"shapes\": [\n{}\n  ],\n  \"index_nl\": {index_nl}\n}}\n",
+         \"runs\": {runs},\n  \"shapes\": [\n{}\n  ],\n  \"index_nl\": {index_nl},\n  \
+         \"theta\": {theta}\n}}\n",
         scale.users,
         scale.messages,
         results.join(",\n")

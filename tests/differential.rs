@@ -2182,6 +2182,19 @@ fn nest_queries() -> Vec<NestQuery> {
             ordered: false,
             twin: None,
         },
+        // Joins with no key to hash on: a semi-join, and a flat inner join,
+        // some lengths and authors unknown.
+        q(
+            "for $u in dataset NU \
+             where some $m in dataset NM satisfies $m.len > $u.id * 4 \
+             return $u.id",
+            false,
+        ),
+        q(
+            "for $u in dataset NU for $m in dataset NM where $u.id < 12 and $m.author < $u.id \
+             return { \"u\": $u.id, \"m\": $m.mid }",
+            false,
+        ),
     ];
     queries.extend(per_member.iter().map(|b| q(&poisonable(b), true)));
     queries

@@ -1138,3 +1138,170 @@ result-sink [parts=1, stage=0]
     }
     assert!(differ.is_empty(), "{}", differ.join("\n"));
 }
+
+/// Every shape of theta join — a join with no equality to hash on — as
+/// `explain` prints its plan and its job, pinned whole like the index
+/// access shapes above: the right input is replicated to every partition
+/// of the left, which probes it one-to-one.
+#[test]
+fn every_theta_join_shape_explains_as_pinned() {
+    let (instance, _d) = tiny_social();
+    instance
+        .execute("use dataverse TinySocial; drop index MugshotMessages.msSenderLocIndex;")
+        .unwrap();
+    let cases: [(&str, &str, usize, &str); 4] = [
+        (
+            "a flat spatial self-join",
+            r#"for $t in dataset MugshotMessages
+               for $t2 in dataset MugshotMessages
+               where spatial-distance($t.sender-location, $t2.sender-location) <= 1
+               return { "t": $t.message-id, "t2": $t2.message-id };"#,
+            20,
+            r#"
+emit
+  join (Inner)
+    data-scan TinySocial.MugshotMessages
+    data-scan TinySocial.MugshotMessages
+--
+data-scan TinySocial.MugshotMessages [cols: message-id,sender-location] [parts=4, stage=0]
+data-scan TinySocial.MugshotMessages [cols: message-id,sender-location] [parts=4, stage=0]
+  |4:4 replicating|
+  |1:1|
+nested-loop-join theta [parts=4, stage=1]
+  |1:1|
+assign emit [parts=4, stage=1]
+  |1:1|
+project [2] [parts=4, stage=1]
+  |4:1 replicating|
+result-sink [parts=1, stage=1]
+"#,
+        ),
+        (
+            "Query 5 nested, without the R-tree: a left-outer theta join",
+            r#"for $t in dataset MugshotMessages
+               return {
+                   "message": $t.message,
+                   "nearby-messages":
+                       for $t2 in dataset MugshotMessages
+                       where spatial-distance($t.sender-location, $t2.sender-location) <= 1
+                       return { "msgtxt": $t2.message }
+               };"#,
+            8,
+            r#"
+emit
+  group-by (2 keys) [aggs: listify]
+    join (LeftOuter)
+      data-scan TinySocial.MugshotMessages
+      data-scan TinySocial.MugshotMessages
+--
+data-scan TinySocial.MugshotMessages [cols: message,sender-location] [parts=4, stage=0]
+data-scan TinySocial.MugshotMessages [cols: message,message-id,sender-location] [parts=4, stage=0]
+  |4:4 replicating|
+  |1:1|
+nested-loop-join theta [parts=4, stage=1]
+  |1:1|
+assign group-input [parts=4, stage=1]
+  |1:1|
+hash-group local (Partial) [parts=4, stage=2]
+  |4:4 partitioning|
+hash-group global (Final) [parts=4, stage=3]
+  |1:1|
+assign emit [parts=4, stage=3]
+  |1:1|
+project [3] [parts=4, stage=3]
+  |4:1 replicating|
+result-sink [parts=1, stage=3]
+"#,
+        ),
+        (
+            "Query 13's jaccard ~=",
+            r#"set simfunction "jaccard";
+               set simthreshold "0.3";
+               for $msg in dataset MugshotMessages
+               let $msgsSimilarTags := (
+                   for $m2 in dataset MugshotMessages
+                   where $m2.tags ~= $msg.tags
+                     and $m2.message-id != $msg.message-id
+                   return $m2.message
+               )
+               where count($msgsSimilarTags) > 0
+               return { "message": $msg.message,
+                        "similarly tagged": $msgsSimilarTags };"#,
+            8,
+            r#"
+emit
+  select
+    assign $v2
+      assign $v3
+        subplan
+          emit
+            unnest $v5 in $v4
+              empty-tuple-source
+        group-by (2 keys) [aggs: listify]
+          join (LeftOuter)
+            data-scan TinySocial.MugshotMessages
+            data-scan TinySocial.MugshotMessages
+--
+data-scan TinySocial.MugshotMessages [cols: message,message-id,tags] [parts=4, stage=0]
+data-scan TinySocial.MugshotMessages [cols: message,message-id,tags] [parts=4, stage=0]
+  |4:4 replicating|
+  |1:1|
+nested-loop-join theta [parts=4, stage=1]
+  |1:1|
+assign group-input [parts=4, stage=1]
+  |1:1|
+hash-group local (Partial) [parts=4, stage=2]
+  |4:4 partitioning|
+hash-group global (Final) [parts=4, stage=3]
+  |1:1|
+assign $v3 [parts=4, stage=3]
+  |1:1|
+assign $v2 [parts=4, stage=3]
+  |1:1|
+select filter [parts=4, stage=3]
+  |1:1|
+assign emit [parts=4, stage=3]
+  |1:1|
+project [5] [parts=4, stage=3]
+  |4:1 replicating|
+result-sink [parts=1, stage=3]
+"#,
+        ),
+        (
+            "a column-against-column < join",
+            r#"for $u in dataset MugshotUsers
+               for $m in dataset MugshotMessages
+               where $m.author-id < $u.id
+               return { "u": $u.id, "m": $m.message-id };"#,
+            24,
+            r#"
+emit
+  join (Inner)
+    data-scan TinySocial.MugshotUsers
+    data-scan TinySocial.MugshotMessages
+--
+data-scan TinySocial.MugshotMessages [cols: author-id,message-id] [parts=4, stage=0]
+data-scan TinySocial.MugshotUsers [cols: id] [parts=4, stage=0]
+  |4:4 replicating|
+  |1:1|
+nested-loop-join theta [parts=4, stage=1]
+  |1:1|
+assign emit [parts=4, stage=1]
+  |1:1|
+project [2] [parts=4, stage=1]
+  |4:1 replicating|
+result-sink [parts=1, stage=1]
+"#,
+        ),
+    ];
+    let mut differ = Vec::new();
+    for (what, q, rows, pinned) in &cases {
+        let (plan, job) = instance.explain(q).unwrap();
+        let got = format!("\n{plan}--\n{job}");
+        if got != *pinned {
+            differ.push(format!("{what}:{got}"));
+        }
+        assert_eq!(instance.query(q).unwrap().len(), *rows, "{what}");
+    }
+    assert!(differ.is_empty(), "{}", differ.join("\n"));
+}
