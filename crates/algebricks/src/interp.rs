@@ -141,19 +141,39 @@ pub fn eval_rows(
             }
             Ok(out)
         }
-        LogicalOp::Join { left, right, condition, kind, .. } => {
+        LogicalOp::Join { left, right, left_keys, right_keys, residual, kind, .. } => {
             let lrows = eval_rows(left, outer, ctx)?;
             let rrows = eval_rows(right, outer, ctx)?;
             let right_vars: Vec<VarId> = right.bound_vars();
+            // A row's key values; `None` when one is unknown, as unknown
+            // keys match nothing under `=`, or in a hash table.
+            let keys_of = |env: &Env, keys: &[LogicalExpr]| -> asterix_adm::Result<_> {
+                let res = ChainResolver { env, outer };
+                let values: Vec<Value> =
+                    keys.iter().map(|k| eval(k, &res, ctx)).collect::<Result<_, _>>()?;
+                Ok((!values.iter().any(Value::is_unknown)).then_some(values))
+            };
+            let rkeys: Vec<Option<Vec<Value>>> =
+                rrows.iter().map(|r| keys_of(r, right_keys)).collect::<Result<_, _>>()?;
             let mut out = Vec::new();
             for l in &lrows {
+                let lkeys = keys_of(l, left_keys)?;
                 let mut matched = false;
-                for r in &rrows {
+                for (r, rk) in rrows.iter().zip(&rkeys) {
+                    let equal = match (&lkeys, rk) {
+                        (Some(lk), Some(rk)) => {
+                            lk.iter().zip(rk).all(|(a, b)| a.total_cmp(b).is_eq())
+                        }
+                        _ => false,
+                    };
+                    if !equal {
+                        continue;
+                    }
                     let mut env = l.clone();
                     env.extend(r.iter().map(|(k, v)| (*k, v.clone())));
-                    let keep = {
-                        let res = ChainResolver { env: &env, outer };
-                        truthy(&eval(condition, &res, ctx)?)
+                    let keep = match residual {
+                        Some(c) => truthy(&eval(c, &ChainResolver { env: &env, outer }, ctx)?),
+                        None => true,
                     };
                     if keep && *kind == JoinKind::Semi {
                         out.push(l.clone());
@@ -173,18 +193,6 @@ pub fn eval_rows(
                 }
             }
             Ok(out)
-        }
-        // A hash join answers as the join it was extracted from: unknown
-        // keys match nothing under `=`, as they match nothing in its table.
-        LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-            let join = LogicalOp::Join {
-                left: left.clone(),
-                right: right.clone(),
-                condition: crate::rules::rebuild_condition(left_keys, right_keys, residual),
-                kind: *kind,
-                index_nl_hint: false,
-            };
-            eval_rows(&join, outer, ctx)
         }
         LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
             let lrows = eval_rows(left, outer, ctx)?;
@@ -550,25 +558,27 @@ mod tests {
                 .collect(),
         );
         let ctx = EvalCtx::new(Arc::new(p), FunctionContext::default());
-        let join = LogicalOp::HashJoin {
+        let join = LogicalOp::Join {
             left: Box::new(scan("Users", 0)),
             right: Box::new(scan("Msgs", 1)),
             left_keys: vec![LogicalExpr::field(var(0), "id")],
             right_keys: vec![LogicalExpr::field(var(1), "author")],
             residual: None,
             kind: JoinKind::Inner,
+            index_nl_hint: false,
         };
         let plan = emit(join.clone(), LogicalExpr::field(var(1), "mid"));
         let out = run(&plan, &ctx);
         assert_eq!(out.len(), 6);
 
-        let outer_join = LogicalOp::HashJoin {
+        let outer_join = LogicalOp::Join {
             left: Box::new(scan("Users", 0)),
             right: Box::new(scan("Msgs", 1)),
             left_keys: vec![LogicalExpr::field(var(0), "id")],
             right_keys: vec![LogicalExpr::field(var(1), "author")],
             residual: None,
             kind: JoinKind::LeftOuter,
+            index_nl_hint: false,
         };
         let plan = emit(outer_join, LogicalExpr::field(var(0), "id"));
         let out = run(&plan, &ctx);

@@ -20,9 +20,9 @@ use asterix_hyracks::frame::Tuple;
 use asterix_hyracks::job::{JobSpec, OperatorId};
 use asterix_hyracks::ops::{
     sort_comparator, AggKind, AggSpec, AssignOp, CmpKind, DistinctOp, FetchFn, ForwardOp,
-    GroupMode, HashGroupOp, HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, LimitOp,
-    NestedLoopJoinOp, OrdPred, Predicate, PrimaryFetchOp, ProbeFn, ProjectOp, RawSourceFn,
-    RuntimeFilterProbeOp, ScalarAggOp, SelectOp, SinkOp, SortKey, SortOp, SourceOp,
+    GroupMode, HashGroupOp, HybridHashJoinOp, IndexNlJoinOp, JoinType, LimitOp, OrdPred, Predicate,
+    PrimaryFetchOp, ProbeFn, ProjectOp, RawSourceFn, RuntimeFilterProbeOp, ScalarAggOp, SelectOp,
+    SinkOp, SortKey, SortOp, SourceOp,
 };
 use asterix_hyracks::{HyracksError, Result};
 
@@ -244,9 +244,8 @@ fn memory_hungry_ops(op: &LogicalOp) -> usize {
         | LogicalOp::Distinct { input, .. }
         | LogicalOp::Aggregate { input, .. }
         | LogicalOp::Emit { input, .. } => memory_hungry_ops(input),
-        LogicalOp::Join { left, right, .. } => memory_hungry_ops(left) + memory_hungry_ops(right),
-        LogicalOp::HashJoin { left, right, .. } => {
-            1 + memory_hungry_ops(left) + memory_hungry_ops(right)
+        LogicalOp::Join { left, right, left_keys, .. } => {
+            usize::from(!left_keys.is_empty()) + memory_hungry_ops(left) + memory_hungry_ops(right)
         }
         LogicalOp::IndexNlJoin { left, spec, .. } => {
             let sorts =
@@ -728,11 +727,8 @@ impl Gen {
                 }
                 Ok((id, new_schema, part))
             }
-            LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-                self.build_hash_join(left, right, left_keys, right_keys, residual.as_ref(), *kind)
-            }
-            LogicalOp::Join { left, right, condition, kind, .. } => {
-                self.build_nl_join(left, right, condition, *kind)
+            LogicalOp::Join { left, right, left_keys, right_keys, residual, kind, .. } => {
+                self.build_join(left, right, left_keys, right_keys, residual.as_ref(), *kind)
             }
             LogicalOp::IndexNlJoin { .. } => self.build_index_access(op, Vec::new()),
             LogicalOp::GroupBy { input, keys, aggs } => {
@@ -917,6 +913,9 @@ impl Gen {
         keys: &[LogicalExpr],
         var: VarId,
     ) -> Result<(OperatorId, Vec<VarId>, Part, Vec<usize>)> {
+        if keys.is_empty() {
+            return Ok((op, schema, part, Vec::new()));
+        }
         let kexprs: Vec<(VarId, LogicalExpr)> =
             keys.iter().enumerate().map(|(i, e)| (var + i, e.clone())).collect();
         let (op, schema) = self.append_columns(op, &schema, part, "join-key", &kexprs)?;
@@ -924,16 +923,19 @@ impl Gen {
         Ok((op, schema, part, key_cols))
     }
 
-    /// Hybrid hash join, of any kind. The input estimated smaller builds —
-    /// `left` when both inputs can be sized and it is the smaller; a tie or
-    /// an input of unknown size keeps the order as written: build = right,
-    /// probe = left. The left input of an outer or semi join is the
-    /// preserved one, whichever side it takes. The estimates are taken
-    /// here, so a cached plan chooses per execution. The residual is
-    /// decided inside the join, on `build ++ probe`, before a match counts.
+    /// A join of any kind, as a hybrid hash join. The residual is decided
+    /// inside the join, on `build ++ probe`, before a match counts.
+    ///
+    /// A keyed join builds the input estimated smaller — `left` when both
+    /// inputs can be sized and it is the smaller; a tie or an input of
+    /// unknown size keeps the order as written: build = right, probe =
+    /// left. The left input of an outer or semi join is the preserved one,
+    /// whichever side it takes. The estimates are taken here, so a cached
+    /// plan chooses per execution. Both inputs are hash-partitioned on
+    /// their keys.
     ///
     /// Unless the probe side is outer, a probe tuple without a build
-    /// partner is dropped, so the join also gets a runtime filter: the
+    /// partner is dropped, so a keyed join also gets a runtime filter: the
     /// build side publishes its key hashes when the build finishes, and a
     /// consult operator on the probe branch drops non-matching tuples
     /// *before* the probe exchange ships them. When the probe input is a
@@ -941,7 +943,13 @@ impl Gen {
     /// the scanned record, the same test is also pushed into the scan,
     /// which then reads the other columns of a row only once its key has a
     /// partner.
-    fn build_hash_join(
+    ///
+    /// A join with no keys — a theta join, which `explain` calls a
+    /// nested-loop join — builds its right input, replicated to every
+    /// partition of its left, which probes it one-to-one at its own
+    /// parallelism. It has no runtime filter, never spills, and takes no
+    /// share of the query's memory grant.
+    fn build_join(
         &mut self,
         left: &LogicalOp,
         right: &LogicalOp,
@@ -950,8 +958,10 @@ impl Gen {
         residual: Option<&LogicalExpr>,
         kind: JoinKind,
     ) -> Result<(OperatorId, Vec<VarId>, Part)> {
+        let keyed = !left_keys.is_empty();
         let provider = self.ctx.provider.as_ref();
-        let (l_rows, r_rows) = (estimated_rows(left, provider), estimated_rows(right, provider));
+        let sized = |op| if keyed { estimated_rows(op, provider) } else { None };
+        let (l_rows, r_rows) = (sized(left), sized(right));
         let build_left = matches!((l_rows, r_rows), (Some(l), Some(r)) if l < r);
         let (probe, probe_keys, probe_rows, build_rows) = if build_left {
             (right, right_keys, r_rows, l_rows)
@@ -965,7 +975,7 @@ impl Gen {
             (JoinKind::Semi, false) => JoinType::ProbeSemi,
             (JoinKind::Semi, true) => JoinType::BuildSemi,
         };
-        let filter = (self.options.enable_runtime_filters && jt != JoinType::ProbeOuter)
+        let filter = (keyed && self.options.enable_runtime_filters && jt != JoinType::ProbeOuter)
             .then(|| self.job.alloc_runtime_filter());
         let partner = filter.zip(probe_scan_field(probe, probe_keys)).map(|(filter_id, field)| {
             ScanFilter::Partner { field: field.into(), filter_id, join_nparts: self.nparts }
@@ -982,18 +992,21 @@ impl Gen {
         let ((b_op, b_schema, _, b_key_cols), (p_op, p_schema, p_part, p_key_cols)) =
             if build_left { (l_keyed, r_keyed) } else { (r_keyed, l_keyed) };
 
-        let size = |rows: Option<u64>| rows.map_or("?".into(), |n| n.to_string());
         let pad_arity = if jt == JoinType::BuildOuter { p_schema.len() } else { b_schema.len() };
+        let label = if keyed { "equi" } else { "theta" };
         let mut hh =
-            HybridHashJoinOp::new("equi", b_key_cols.clone(), p_key_cols.clone(), jt, pad_arity)
-                .with_sides(format!(
-                    "[build={} ~{}, probe ~{}]",
-                    if build_left { "left" } else { "right" },
-                    size(build_rows),
-                    size(probe_rows)
-                ));
-        if let Some(b) = self.per_op_mem {
-            hh = hh.with_budget(b);
+            HybridHashJoinOp::new(label, b_key_cols.clone(), p_key_cols.clone(), jt, pad_arity);
+        if keyed {
+            let size = |rows: Option<u64>| rows.map_or("?".into(), |n| n.to_string());
+            hh = hh.with_sides(format!(
+                "[build={} ~{}, probe ~{}]",
+                if build_left { "left" } else { "right" },
+                size(build_rows),
+                size(probe_rows)
+            ));
+            if let Some(b) = self.per_op_mem {
+                hh = hh.with_budget(b);
+            }
         }
         // A semi-join emits its left input's tuples, others build ++ probe.
         let pair: Vec<VarId> = b_schema.iter().chain(&p_schema).copied().collect();
@@ -1019,10 +1032,16 @@ impl Gen {
             self.job.connect(ConnectorKind::OneToOne, p_op, consult);
             probe_src = consult;
         }
-        let join = self.job.add(self.nparts, Arc::new(hh));
-        self.job.connect(ConnectorKind::MToNPartitioning { fields: b_key_cols }, b_op, join);
-        self.job.connect(ConnectorKind::MToNPartitioning { fields: p_key_cols }, probe_src, join);
-        Ok((join, schema, Part::Distributed))
+        let (build_conn, probe_conn, part) = if keyed {
+            let build = ConnectorKind::MToNPartitioning { fields: b_key_cols };
+            (build, ConnectorKind::MToNPartitioning { fields: p_key_cols }, Part::Distributed)
+        } else {
+            (ConnectorKind::MToNReplicating, ConnectorKind::OneToOne, p_part)
+        };
+        let join = self.job.add(self.parts(part), Arc::new(hh));
+        self.job.connect(build_conn, b_op, join);
+        self.job.connect(probe_conn, probe_src, join);
+        Ok((join, schema, part))
     }
 
     /// Sort: per-partition external sort, then a partitioning-merging
@@ -1068,46 +1087,6 @@ impl Gen {
                 (pass, Part::Single)
             }
         }
-    }
-
-    fn build_nl_join(
-        &mut self,
-        left: &LogicalOp,
-        right: &LogicalOp,
-        condition: &LogicalExpr,
-        kind: JoinKind,
-    ) -> Result<(OperatorId, Vec<VarId>, Part)> {
-        let (l_op, l_schema, l_part) = self.build(left)?;
-        let (r_op, r_schema, _) = self.build(right)?;
-        // Build = right (replicated to every probe partition), probe =
-        // left. The join runs at the probe side's parallelism so the probe
-        // connector stays 1:1 (no duplication).
-        let mut combined = r_schema.clone();
-        combined.extend(l_schema.iter().copied());
-        let cols = Self::columns_of(&combined);
-        let cond = condition.clone();
-        let ctx = Arc::clone(&self.ctx);
-        let r_width = r_schema.len();
-        let jt = join_type(kind);
-        let join = self.job.add(
-            self.parts(l_part),
-            Arc::new(NestedLoopJoinOp::new(
-                "theta",
-                move |b: &Tuple, p: &Tuple| {
-                    let mut row = Vec::with_capacity(r_width + p.len());
-                    row.extend(b.iter().cloned());
-                    row.extend(p.iter().cloned());
-                    let r = TupleResolver { columns: &cols, tuple: &row };
-                    Ok(truthy(&eval(&cond, &r, &ctx).map_err(HyracksError::from)?))
-                },
-                jt,
-                r_width,
-            )),
-        );
-        self.job.connect(ConnectorKind::MToNReplicating, r_op, join);
-        self.job.connect(ConnectorKind::OneToOne, l_op, join);
-        let schema = if jt == JoinType::ProbeSemi { l_schema } else { combined };
-        Ok((join, schema, l_part))
     }
 
     /// The index access: search `index` of `dataset` as `spec` says, fetch
@@ -1223,7 +1202,7 @@ impl Gen {
         let mut schema = l_schema;
         schema.push(var);
         let label = format!("{dataset}.{index}{projection}");
-        let mut op = IndexNestedLoopJoinOp::new(label, probe, fetch, join_type(*kind), 1);
+        let mut op = IndexNlJoinOp::new(label, probe, fetch, join_type(*kind), 1);
         if let Some(post) = postcondition {
             op = op.with_filter(self.predicate(post, &schema)?);
         }
@@ -1233,8 +1212,8 @@ impl Gen {
     }
 }
 
-/// The probe-side kind of a nested-loop or index nested-loop join, whose
-/// left input probes.
+/// The probe-side kind of an index nested-loop join, whose left input
+/// probes.
 fn join_type(kind: JoinKind) -> JoinType {
     match kind {
         JoinKind::Inner => JoinType::Inner,
@@ -1568,8 +1547,8 @@ mod tests {
             } else {
                 (right, left, vec![author.clone()], vec![id.clone()])
             };
-            let kind = JoinKind::Inner;
-            LogicalOp::HashJoin { left, right, left_keys, right_keys, residual: None, kind }
+            let (kind, residual, index_nl_hint) = (JoinKind::Inner, None, false);
+            LogicalOp::Join { left, right, left_keys, right_keys, residual, kind, index_nl_hint }
         };
         let index_nl = LogicalOp::IndexNlJoin {
             left: Box::new(user()),
@@ -1767,9 +1746,9 @@ mod tests {
         kind: JoinKind,
     ) -> LogicalOp {
         let (left_keys, right_keys) = keys.into_iter().unzip();
-        let (left, right) = (Box::new(left), Box::new(right));
+        let (left, right, residual, index_nl_hint) = (Box::new(left), Box::new(right), None, false);
         emit(
-            LogicalOp::HashJoin { left, right, left_keys, right_keys, residual: None, kind },
+            LogicalOp::Join { left, right, left_keys, right_keys, residual, kind, index_nl_hint },
             LogicalExpr::RecordCtor(vec![
                 ("u".into(), LogicalExpr::field(var(0), "id")),
                 ("m".into(), LogicalExpr::field(var(1), "mid")),
@@ -1865,13 +1844,14 @@ mod tests {
             outer: false,
         };
         let self_join = emit(
-            LogicalOp::HashJoin {
+            LogicalOp::Join {
                 left: Box::new(scan("U", 0)),
                 right: Box::new(scan("U", 1)),
                 left_keys: vec![u_id()],
                 right_keys: vec![LogicalExpr::field(var(1), "id")],
                 residual: None,
                 kind: JoinKind::Inner,
+                index_nl_hint: false,
             },
             u_id(),
         );
@@ -1992,6 +1972,13 @@ mod tests {
             var(1),
         );
         assert_eq!(memory_hungry_ops(&plan), 3);
+        // A hash join holds its build side in the grant's share; a theta
+        // join, which never spills, takes none.
+        let keyed =
+            join_plan(scan("U", 0), scan("M", 1), vec![(u_id(), m_author())], JoinKind::Inner);
+        assert_eq!(memory_hungry_ops(&keyed), 1);
+        let theta = cross(scan("U", 0), scan("M", 1), lit(Value::Boolean(true)));
+        assert_eq!(memory_hungry_ops(&theta), 0);
 
         // A compiled query under a tight grant still returns the same rows
         // as the unbudgeted plan (the grant only caps working memory).

@@ -230,25 +230,22 @@ pub enum LogicalOp {
         positional: Option<VarId>,
         outer: bool,
     },
-    /// Cartesian product with an optional residual condition — produced by
-    /// the translator for adjacent `for` clauses; the equijoin-extraction
-    /// rule turns it into `HashJoin` when it finds equality predicates.
+    /// A join of any kind: a pair of rows matches when each of `left_keys`
+    /// equals its counterpart in `right_keys` and `residual` passes. The
+    /// translator writes every join with no keys, its condition the
+    /// residual; the equijoin-extraction rule moves the equalities that
+    /// split cleanly across the inputs into the keys. The job hashes on
+    /// the keys (`hash-join`); a join with none is a theta join (`join`),
+    /// its right input replicated to every partition of its left.
     Join {
-        left: Box<LogicalOp>,
-        right: Box<LogicalOp>,
-        condition: LogicalExpr,
-        kind: JoinKind,
-        /// `/*+ indexnl */` hint from the query (Query 14).
-        index_nl_hint: bool,
-    },
-    /// Equi-join on extracted key expressions (physical: hybrid hash).
-    HashJoin {
         left: Box<LogicalOp>,
         right: Box<LogicalOp>,
         left_keys: Vec<LogicalExpr>,
         right_keys: Vec<LogicalExpr>,
         residual: Option<LogicalExpr>,
         kind: JoinKind,
+        /// `/*+ indexnl */` hint from the query (Query 14).
+        index_nl_hint: bool,
     },
     /// The one index access operator (AsterixDB's unnest-map): for each
     /// left tuple, search `dataset` via `index` as `spec` says — its
@@ -305,9 +302,7 @@ impl LogicalOp {
             | LogicalOp::Distinct { input, .. }
             | LogicalOp::Emit { input, .. }
             | LogicalOp::IndexNlJoin { left: input, .. } => vec![input],
-            LogicalOp::Join { left, right, .. } | LogicalOp::HashJoin { left, right, .. } => {
-                vec![left, right]
-            }
+            LogicalOp::Join { left, right, .. } => vec![left, right],
         }
     }
 
@@ -387,9 +382,8 @@ impl LogicalOp {
             LogicalOp::Assign { expr, .. }
             | LogicalOp::Unnest { expr, .. }
             | LogicalOp::Emit { expr, .. }
-            | LogicalOp::Select { condition: expr, .. }
-            | LogicalOp::Join { condition: expr, .. } => f(expr),
-            LogicalOp::HashJoin { left_keys, right_keys, residual, .. } => {
+            | LogicalOp::Select { condition: expr, .. } => f(expr),
+            LogicalOp::Join { left_keys, right_keys, residual, .. } => {
                 left_keys.iter().chain(right_keys).chain(residual).for_each(f)
             }
             LogicalOp::GroupBy { keys, aggs, .. } => {
@@ -439,8 +433,10 @@ impl LogicalOp {
                 let outer = if *outer { "outer-" } else { "" };
                 format!("{outer}unnest $v{var} in {expr}")
             }
-            LogicalOp::Join { kind, .. } => format!("join ({kind:?})"),
-            LogicalOp::HashJoin { kind, .. } => format!("hash-join ({kind:?})"),
+            LogicalOp::Join { left_keys, kind, .. } if left_keys.is_empty() => {
+                format!("join ({kind:?})")
+            }
+            LogicalOp::Join { kind, .. } => format!("hash-join ({kind:?})"),
             LogicalOp::IndexNlJoin { dataset, index, spec, .. } => {
                 match (self.is_index_selection(), spec) {
                     (false, _) => format!("index-nl-join {dataset}.{index}"),
@@ -512,23 +508,23 @@ impl LogicalOp {
                 positional,
                 outer,
             },
-            LogicalOp::Join { left, right, condition, kind, index_nl_hint } => LogicalOp::Join {
+            LogicalOp::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                kind,
+                index_nl_hint,
+            } => LogicalOp::Join {
                 left: Box::new(left.transform_up(f)),
                 right: Box::new(right.transform_up(f)),
-                condition,
+                left_keys,
+                right_keys,
+                residual,
                 kind,
                 index_nl_hint,
             },
-            LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-                LogicalOp::HashJoin {
-                    left: Box::new(left.transform_up(f)),
-                    right: Box::new(right.transform_up(f)),
-                    left_keys,
-                    right_keys,
-                    residual,
-                    kind,
-                }
-            }
             LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
                 LogicalOp::IndexNlJoin {
                     left: Box::new(left.transform_up(f)),
@@ -604,14 +600,26 @@ pub mod build {
         LogicalOp::Emit { input: Box::new(input), expr }
     }
 
-    pub fn cross(left: LogicalOp, right: LogicalOp, condition: LogicalExpr) -> LogicalOp {
+    /// A join of `kind` with no keys, `residual` its condition.
+    pub fn join(
+        left: LogicalOp,
+        right: LogicalOp,
+        residual: Option<LogicalExpr>,
+        kind: JoinKind,
+    ) -> LogicalOp {
         LogicalOp::Join {
             left: Box::new(left),
             right: Box::new(right),
-            condition,
-            kind: JoinKind::Inner,
+            left_keys: Vec::new(),
+            right_keys: Vec::new(),
+            residual,
+            kind,
             index_nl_hint: false,
         }
+    }
+
+    pub fn cross(left: LogicalOp, right: LogicalOp, condition: LogicalExpr) -> LogicalOp {
+        join(left, right, Some(condition), JoinKind::Inner)
     }
 
     pub fn var(v: VarId) -> LogicalExpr {

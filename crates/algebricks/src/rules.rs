@@ -179,17 +179,15 @@ fn map_op_exprs(op: LogicalOp, f: &mut impl FnMut(LogicalExpr) -> LogicalExpr) -
         LogicalOp::Unnest { input, var, expr, positional, outer } => {
             LogicalOp::Unnest { input, var, expr: f(expr), positional, outer }
         }
-        LogicalOp::Join { left, right, condition, kind, index_nl_hint } => {
-            LogicalOp::Join { left, right, condition: f(condition), kind, index_nl_hint }
-        }
-        LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-            LogicalOp::HashJoin {
+        LogicalOp::Join { left, right, left_keys, right_keys, residual, kind, index_nl_hint } => {
+            LogicalOp::Join {
                 left,
                 right,
                 left_keys: left_keys.into_iter().map(&mut *f).collect(),
                 right_keys: right_keys.into_iter().map(&mut *f).collect(),
                 residual: residual.map(&mut *f),
                 kind,
+                index_nl_hint,
             }
         }
         LogicalOp::IndexNlJoin { left, dataset, index, spec, postcondition, var, kind } => {
@@ -297,50 +295,7 @@ pub fn push_selects_down(plan: LogicalOp) -> LogicalOp {
     plan.transform_up(&mut |op| {
         let LogicalOp::Select { input, condition } = op else { return op };
         match *input {
-            LogicalOp::Join { left, right, condition: jcond, kind, index_nl_hint } => {
-                let mut vars = Vec::new();
-                condition.free_vars(&mut vars);
-                let lb = left.bound_vars();
-                let rb = right.bound_vars();
-                if vars_subset(&vars, &lb) {
-                    LogicalOp::Join {
-                        left: Box::new(LogicalOp::Select { input: left, condition }),
-                        right,
-                        condition: jcond,
-                        kind,
-                        index_nl_hint,
-                    }
-                } else if vars_subset(&vars, &rb) && kind == JoinKind::Inner {
-                    LogicalOp::Join {
-                        left,
-                        right: Box::new(LogicalOp::Select { input: right, condition }),
-                        condition: jcond,
-                        kind,
-                        index_nl_hint,
-                    }
-                } else if kind == JoinKind::Inner {
-                    // Fold into the join condition so equijoin extraction
-                    // can see it.
-                    LogicalOp::Join {
-                        left,
-                        right,
-                        condition: and2(jcond, condition),
-                        kind,
-                        index_nl_hint,
-                    }
-                } else {
-                    LogicalOp::Select {
-                        input: Box::new(LogicalOp::Join {
-                            left,
-                            right,
-                            condition: jcond,
-                            kind,
-                            index_nl_hint,
-                        }),
-                        condition,
-                    }
-                }
-            }
+            join @ LogicalOp::Join { .. } => push_into_join(join, condition),
             LogicalOp::Order { input: oin, keys } => LogicalOp::Order {
                 input: Box::new(LogicalOp::Select { input: oin, condition }),
                 keys,
@@ -366,6 +321,39 @@ pub fn push_selects_down(plan: LogicalOp) -> LogicalOp {
     })
 }
 
+/// A select over `join`: onto the input that binds its variables — the
+/// right one of an inner join only — or else, for an inner join, into the
+/// residual, where equijoin extraction sees it.
+fn push_into_join(mut join: LogicalOp, condition: LogicalExpr) -> LogicalOp {
+    let LogicalOp::Join { left, right, residual, kind, .. } = &mut join else {
+        unreachable!("push_into_join takes a join")
+    };
+    let mut vars = Vec::new();
+    condition.free_vars(&mut vars);
+    let inner = *kind == JoinKind::Inner;
+    let side = if vars_subset(&vars, &left.bound_vars()) {
+        left
+    } else if inner && vars_subset(&vars, &right.bound_vars()) {
+        right
+    } else if inner {
+        *residual = Some(conjoin(residual.take(), condition));
+        return join;
+    } else {
+        return LogicalOp::Select { input: Box::new(join), condition };
+    };
+    let input = std::mem::replace(side.as_mut(), LogicalOp::EmptyTupleSource);
+    **side = LogicalOp::Select { input: Box::new(input), condition };
+    join
+}
+
+/// `condition`, after `residual` when there is one.
+fn conjoin(residual: Option<LogicalExpr>, condition: LogicalExpr) -> LogicalExpr {
+    match residual {
+        Some(r) => and2(r, condition),
+        None => condition,
+    }
+}
+
 fn and2(a: LogicalExpr, b: LogicalExpr) -> LogicalExpr {
     match a {
         LogicalExpr::Const(Value::Boolean(true)) => b,
@@ -381,23 +369,32 @@ fn and2(a: LogicalExpr, b: LogicalExpr) -> LogicalExpr {
 // Equijoin extraction ("always hash-join equijoins")
 // ---------------------------------------------------------------------------
 
-/// Find equality conjuncts splitting cleanly across a join of any kind and
-/// convert the `Join` into a `HashJoin`, the other conjuncts its residual,
-/// which the join decides before a pair matches; honors the `indexnl` hint by
-/// producing an `IndexNlJoin` when the inner side is a scan of a dataset
-/// with a B-tree index on the join field — a bare scan, or (inner joins)
-/// one under pushed-down selects, which then move above the join.
+/// Move the equality conjuncts of a join's residual that split cleanly
+/// across its inputs into its keys — a join of any kind — the other
+/// conjuncts staying its residual, which the join decides before a pair
+/// matches; honors the `indexnl` hint by producing an `IndexNlJoin` when
+/// the join's one key is a B-tree-indexed field of a dataset scanned on
+/// the inner side — a bare scan, or (inner joins) one under pushed-down
+/// selects, which then move above the join.
 pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) -> LogicalOp {
     plan.transform_up(&mut |op| {
-        let LogicalOp::Join { left, right, condition, kind, index_nl_hint } = op else {
+        let LogicalOp::Join {
+            left,
+            right,
+            mut left_keys,
+            mut right_keys,
+            residual: Some(condition),
+            kind,
+            index_nl_hint,
+        } = op
+        else {
             return op;
         };
         let mut cs = Vec::new();
         conjuncts_of(condition, &mut cs);
         let lb = left.bound_vars();
         let rb = right.bound_vars();
-        let mut left_keys = Vec::new();
-        let mut right_keys = Vec::new();
+        let keyed = left_keys.len();
         let mut residual = Vec::new();
         for c in cs {
             if let LogicalExpr::Compare(CompareOp::Eq, a, b) = &c {
@@ -426,22 +423,14 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
             }
             residual.push(c);
         }
-        if left_keys.is_empty() {
-            // Not an equijoin: keep as nested-loop join.
-            let condition = residual
-                .into_iter()
-                .reduce(and2)
-                .unwrap_or(LogicalExpr::Const(Value::Boolean(true)));
-            return LogicalOp::Join { left, right, condition, kind, index_nl_hint };
-        }
         let residual = residual.into_iter().reduce(and2);
 
-        // `indexnl` hint: if the right side is a dataset scan and the right
-        // key is a B-tree-indexed field of it, use the index. Selects pushed
-        // down onto the scan are peeled off and re-applied above the join
-        // — inner joins only: above a left-outer join they would drop the
-        // padded rows.
-        if index_nl_hint && left_keys.len() == 1 {
+        // `indexnl` hint, as the join's first key is extracted: if the right
+        // side is a dataset scan and the right key is a B-tree-indexed field
+        // of it, use the index. Selects pushed down onto the scan are peeled
+        // off and re-applied above the join — inner joins only: above a
+        // left-outer join they would drop the padded rows.
+        if index_nl_hint && keyed == 0 && left_keys.len() == 1 {
             let mut peeled = Vec::new();
             let mut inner = right.as_ref();
             while let (LogicalOp::Select { input, condition }, JoinKind::Inner) = (inner, kind) {
@@ -473,19 +462,8 @@ pub fn extract_equijoins(plan: LogicalOp, provider: &Arc<dyn MetadataProvider>) 
                 }
             }
         }
-        LogicalOp::HashJoin { left, right, left_keys, right_keys, residual, kind }
+        LogicalOp::Join { left, right, left_keys, right_keys, residual, kind, index_nl_hint }
     })
-}
-
-/// The condition a hash join was extracted from: `left_keys[i] =
-/// right_keys[i]` for each `i`, and the residual.
-pub(crate) fn rebuild_condition(
-    left_keys: &[LogicalExpr],
-    right_keys: &[LogicalExpr],
-    residual: &Option<LogicalExpr>,
-) -> LogicalExpr {
-    let keys = left_keys.iter().zip(right_keys).map(|(l, r)| eq(l.clone(), r.clone()));
-    keys.chain(residual.clone()).reduce(and2).expect("a hash join has a key")
 }
 
 /// If `e` is `field-access chain over Var(var)`, return the dotted path.
@@ -1149,23 +1127,13 @@ impl Decorrelation<'_> {
         free.iter().any(|v| self.outer.contains(v))
     }
 
-    fn op(&mut self, op: LogicalOp) -> LogicalOp {
+    fn op(&mut self, mut op: LogicalOp) -> LogicalOp {
         // A condition pushed into an inner join applies above it.
-        let mut op = match op {
-            LogicalOp::Join { left, right, condition, kind: JoinKind::Inner, index_nl_hint }
-                if condition.reads_dataset() =>
-            {
-                let cross = LogicalOp::Join {
-                    left,
-                    right,
-                    condition: LogicalExpr::Const(Value::Boolean(true)),
-                    kind: JoinKind::Inner,
-                    index_nl_hint,
-                };
-                LogicalOp::Select { input: Box::new(cross), condition }
+        if let LogicalOp::Join { residual, kind: JoinKind::Inner, .. } = &mut op {
+            if let Some(condition) = residual.take_if(|c| c.reads_dataset()) {
+                op = LogicalOp::Select { input: Box::new(op), condition };
             }
-            op => op,
-        };
+        }
         let Some(input) = unary_input(&mut op) else { return op };
         self.outer = visible_vars(input);
         let moved = match &op {
@@ -1242,13 +1210,8 @@ impl Decorrelation<'_> {
         if self.correlated(branch) || !branch.reads_dataset() {
             return None;
         }
-        let mut semi = LogicalOp::Join {
-            left: Box::new(input.clone()),
-            right: Box::new(branch.clone()),
-            condition: LogicalExpr::Const(Value::Boolean(true)),
-            kind: JoinKind::Semi,
-            index_nl_hint: false,
-        };
+        let mut semi =
+            crate::plan::build::join(input.clone(), branch.clone(), None, JoinKind::Semi);
         fold(&mut semi, on.into_iter().rev().reduce(and2).expect("one condition"));
         conjuncts.remove(at);
         Some(match conjuncts.into_iter().reduce(and2) {
@@ -1481,24 +1444,15 @@ impl Decorrelation<'_> {
                 };
                 Applied { op, guards: a.guards, fresh: false }
             }
-            LogicalOp::HashJoin {
+            LogicalOp::Join {
                 left: l,
                 right: r,
                 left_keys,
                 right_keys,
                 residual,
                 kind: jk,
+                ..
             } => {
-                let join = LogicalOp::Join {
-                    left: l.clone(),
-                    right: r.clone(),
-                    condition: rebuild_condition(left_keys, right_keys, residual),
-                    kind: *jk,
-                    index_nl_hint: false,
-                };
-                return self.apply(left, &join, kind);
-            }
-            LogicalOp::Join { left: l, right: r, condition, kind: jk, .. } => {
                 let (l, r) = match jk {
                     JoinKind::Inner if !self.correlated(l) => (r, l),
                     _ => (l, r),
@@ -1507,7 +1461,11 @@ impl Decorrelation<'_> {
                 match jk {
                     JoinKind::Inner => {
                         let mut b = self.apply(a.op, r, kind)?;
-                        self.restrict(&mut b, condition.clone(), outer);
+                        let keys =
+                            left_keys.iter().zip(right_keys).map(|(l, r)| eq(l.clone(), r.clone()));
+                        if let Some(condition) = keys.chain(residual.clone()).reduce(and2) {
+                            self.restrict(&mut b, condition, outer);
+                        }
                         b.guards.splice(0..0, a.guards);
                         b
                     }
@@ -1516,7 +1474,9 @@ impl Decorrelation<'_> {
                         let op = LogicalOp::Join {
                             left: Box::new(a.op),
                             right: r.clone(),
-                            condition: condition.clone(),
+                            left_keys: left_keys.clone(),
+                            right_keys: right_keys.clone(),
+                            residual: residual.clone(),
                             kind: *jk,
                             index_nl_hint: false,
                         };
@@ -1621,9 +1581,8 @@ impl Decorrelation<'_> {
                 key.extend(pk(self.provider, dataset, *var));
                 key
             }
-            LogicalOp::Join { left, kind: JoinKind::Semi, .. }
-            | LogicalOp::HashJoin { left, kind: JoinKind::Semi, .. } => self.row_key(left),
-            LogicalOp::Join { left, right, .. } | LogicalOp::HashJoin { left, right, .. } => {
+            LogicalOp::Join { left, kind: JoinKind::Semi, .. } => self.row_key(left),
+            LogicalOp::Join { left, right, .. } => {
                 let mut key = self.row_key(left);
                 key.extend(self.row_key(right));
                 key
@@ -1699,8 +1658,7 @@ fn take_subquery(
 fn visible_vars(op: &LogicalOp) -> Vec<VarId> {
     let mut vars = match op {
         LogicalOp::GroupBy { .. } | LogicalOp::Aggregate { .. } => Vec::new(),
-        LogicalOp::Join { left, kind: JoinKind::Semi, .. }
-        | LogicalOp::HashJoin { left, kind: JoinKind::Semi, .. } => visible_vars(left),
+        LogicalOp::Join { left, kind: JoinKind::Semi, .. } => visible_vars(left),
         op => op.inputs().into_iter().flat_map(visible_vars).collect(),
     };
     for v in op.introduced_vars() {
@@ -1716,14 +1674,13 @@ fn visible_vars(op: &LogicalOp) -> Vec<VarId> {
 fn marker_var(op: &LogicalOp) -> Option<VarId> {
     match op {
         LogicalOp::DataSourceScan { var, .. } => Some(*var),
-        LogicalOp::Join { left, right, kind: JoinKind::Inner, .. }
-        | LogicalOp::HashJoin { left, right, kind: JoinKind::Inner, .. } => {
+        LogicalOp::Join { left, right, kind: JoinKind::Inner, .. } => {
             marker_var(left).or_else(|| marker_var(right))
         }
         LogicalOp::IndexNlJoin { left, var, kind, .. } => {
             marker_var(left).or((*kind == JoinKind::Inner).then_some(*var))
         }
-        LogicalOp::Join { left, .. } | LogicalOp::HashJoin { left, .. } => marker_var(left),
+        LogicalOp::Join { left, .. } => marker_var(left),
         LogicalOp::Select { input, .. }
         | LogicalOp::Assign { input, .. }
         | LogicalOp::Unnest { input, .. }
@@ -1766,9 +1723,7 @@ fn split_blocking(
 /// The first input of `op`: its input, or its left one.
 fn spine_child(op: &mut LogicalOp) -> Option<&mut LogicalOp> {
     match op {
-        LogicalOp::Join { left, .. }
-        | LogicalOp::HashJoin { left, .. }
-        | LogicalOp::IndexNlJoin { left, .. } => Some(left),
+        LogicalOp::Join { left, .. } | LogicalOp::IndexNlJoin { left, .. } => Some(left),
         LogicalOp::Limit { input, .. } => Some(input),
         op => unary_input(op),
     }
@@ -1801,7 +1756,7 @@ fn outer_order(op: &LogicalOp) -> Option<Vec<crate::plan::SortSpec>> {
 /// name only its right side's variables filter that side, the others join.
 fn fold(join: &mut LogicalOp, condition: LogicalExpr) {
     match join {
-        LogicalOp::Join { right, condition: on, .. } => {
+        LogicalOp::Join { right, residual, .. } => {
             let bound = right.bound_vars();
             let mut conjuncts = Vec::new();
             conjuncts_of(condition, &mut conjuncts);
@@ -1812,7 +1767,7 @@ fn fold(join: &mut LogicalOp, condition: LogicalExpr) {
                     let input = std::mem::replace(right.as_mut(), LogicalOp::EmptyTupleSource);
                     **right = LogicalOp::Select { input: Box::new(input), condition: c };
                 } else {
-                    *on = and2(std::mem::replace(on, LogicalExpr::Const(Value::Null)), c);
+                    *residual = Some(conjoin(residual.take(), c));
                 }
             }
         }
@@ -1831,13 +1786,7 @@ fn cross_join(left: LogicalOp, right: LogicalOp, kind: JoinKind) -> LogicalOp {
     if let (LogicalOp::EmptyTupleSource, JoinKind::Inner) = (&left, kind) {
         return right;
     }
-    LogicalOp::Join {
-        left: Box::new(left),
-        right: Box::new(right),
-        condition: LogicalExpr::Const(Value::Boolean(true)),
-        kind,
-        index_nl_hint: false,
-    }
+    crate::plan::build::join(left, right, None, kind)
 }
 
 fn bind_var(op: LogicalOp, bind: Option<(VarId, LogicalExpr)>) -> LogicalOp {
@@ -2378,10 +2327,12 @@ mod tests {
             LogicalOp::Join {
                 left: Box::new(scan("DS", 0)),
                 right: Box::new(scan("DS", 1)),
-                condition: eq(
+                left_keys: Vec::new(),
+                right_keys: Vec::new(),
+                residual: Some(eq(
                     LogicalExpr::field(var(0), "id"),
                     LogicalExpr::field(var(1), "author"),
-                ),
+                )),
                 kind: JoinKind::Inner,
                 index_nl_hint: true,
             },
@@ -2413,10 +2364,12 @@ mod tests {
                         select(scan("DS", 1), len_cmp(CompareOp::Ge, 5)),
                         len_cmp(CompareOp::Lt, 9),
                     )),
-                    condition: eq(
+                    left_keys: Vec::new(),
+                    right_keys: Vec::new(),
+                    residual: Some(eq(
                         LogicalExpr::field(var(0), "id"),
                         LogicalExpr::field(var(1), "author"),
-                    ),
+                    )),
                     kind,
                     index_nl_hint: true,
                 },

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use asterix_adm::Value;
 use asterix_algebricks::expr::{CompareOp, LogicalExpr, QuantKind, VarId};
-use asterix_algebricks::plan::{AggCall, AggFunc, JoinKind, LogicalOp, SortSpec};
+use asterix_algebricks::plan::{build, AggCall, AggFunc, JoinKind, LogicalOp, SortSpec};
 
 use crate::ast::*;
 
@@ -219,13 +219,7 @@ impl<'a> Translator<'a> {
             }
             return Ok(match plan {
                 LogicalOp::EmptyTupleSource => scan,
-                prev => LogicalOp::Join {
-                    left: Box::new(prev),
-                    right: Box::new(scan),
-                    condition: LogicalExpr::Const(Value::Boolean(true)),
-                    kind: JoinKind::Inner,
-                    index_nl_hint: false,
-                },
+                prev => build::join(prev, scan, None, JoinKind::Inner),
             });
         }
         // General collection expression: unnest.
@@ -464,13 +458,7 @@ fn prepend_assigns(plan: LogicalOp, assigns: Vec<(VarId, LogicalExpr)>) -> Logic
                 None => LogicalOp::EmptyTupleSource,
             },
             LogicalOp::DataSourceScan { .. } => match chain.take() {
-                Some(c) => LogicalOp::Join {
-                    left: Box::new(c),
-                    right: Box::new(op),
-                    condition: LogicalExpr::Const(Value::Boolean(true)),
-                    kind: JoinKind::Inner,
-                    index_nl_hint: false,
-                },
+                Some(c) => build::join(c, op, None, JoinKind::Inner),
                 None => op,
             },
             LogicalOp::Assign { input, var, expr } => {
@@ -486,10 +474,20 @@ fn prepend_assigns(plan: LogicalOp, assigns: Vec<(VarId, LogicalExpr)>) -> Logic
                 positional,
                 outer,
             },
-            LogicalOp::Join { left, right, condition, kind, index_nl_hint } => LogicalOp::Join {
+            LogicalOp::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                kind,
+                index_nl_hint,
+            } => LogicalOp::Join {
                 left: Box::new(rewrite(*left, chain)),
                 right,
-                condition,
+                left_keys,
+                right_keys,
+                residual,
                 kind,
                 index_nl_hint,
             },
@@ -533,11 +531,11 @@ fn contains_indexnl_hint(e: &Expr) -> bool {
 /// Set the `indexnl` hint on every join in the plan (the paper's hints are
 /// per-query in practice: Query 14 has exactly one join).
 fn mark_joins_indexnl(plan: LogicalOp) -> LogicalOp {
-    plan.transform_up(&mut |op| match op {
-        LogicalOp::Join { left, right, condition, kind, .. } => {
-            LogicalOp::Join { left, right, condition, kind, index_nl_hint: true }
+    plan.transform_up(&mut |mut op| {
+        if let LogicalOp::Join { index_nl_hint, .. } = &mut op {
+            *index_nl_hint = true;
         }
-        other => other,
+        op
     })
 }
 

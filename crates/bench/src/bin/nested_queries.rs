@@ -11,10 +11,11 @@
 //! message keys (`index_nl` in the JSON). Without the indexes, also four
 //! theta joins — joins with no key to hash on (`theta` in the JSON): a
 //! flat spatial self-join, Query 5's nested form, Query 13's jaccard `~=`
-//! and a column-against-column `<`, their outer side cut to the messages
-//! of the first few authors (a two-hundredth of the users; for the costlier
-//! `~=`, an eight-hundredth) or to the first hundredth of the users; each
-//! runs alone, and every run must answer as the first.
+//! and a column-against-column `<`, their outer side cut to the first
+//! two-hundredth of the messages (for the costlier `~=`, the first
+//! eight-hundredth) or to the first hundredth of the users, so that their
+//! cost scales with the corpus squared; each runs alone, and every run
+//! must answer as the first.
 //!
 //! Each pair (and the trio) runs in process through `Instance::query`,
 //! after one warm-up, `ASTERIX_BENCH_RUNS` times (default 5), the forms
@@ -204,26 +205,26 @@ fn index_nl_trio(instance: &Instance, corpus: &Corpus, runs: usize) -> String {
     )
 }
 
-/// The four theta-join shapes, their outer side the messages of the first
-/// `users / 200` authors (`users / 800` for `~=`), or the first `users /
-/// 100` users.
-fn theta_shapes(users: usize) -> [(&'static str, String); 4] {
-    let few = |per: usize| (users / per).max(1);
-    let (authors, fuzzy_authors, lt_users) = (few(200), few(800), few(100));
+/// The four theta-join shapes, their outer side the first `messages / 200`
+/// messages (`messages / 800` for `~=`), or the first `users / 100` users.
+fn theta_shapes(scale: &Scale) -> [(&'static str, String); 4] {
+    let few = |n: usize, per: usize| (n / per).max(1);
+    let (outer, fuzzy_outer) = (few(scale.messages, 200), few(scale.messages, 800));
+    let lt_users = few(scale.users, 100);
     let near = "spatial-distance($t.sender-location, $t2.sender-location) <= 1";
     [
         (
             "spatial_flat",
             format!(
                 "for $t in dataset MugshotMessages for $t2 in dataset MugshotMessages \
-                 where $t.author-id < {authors} and {near} \
+                 where $t.message-id < {outer} and {near} \
                  return {{ \"t\": $t.message-id, \"t2\": $t2.message-id }}"
             ),
         ),
         (
             "spatial_nested",
             format!(
-                "for $t in dataset MugshotMessages where $t.author-id < {authors} \
+                "for $t in dataset MugshotMessages where $t.message-id < {outer} \
                  return {{ \"mid\": $t.message-id, \"messages\": \
                            for $t2 in dataset MugshotMessages where {near} \
                            return $t2.message-id }}"
@@ -233,7 +234,7 @@ fn theta_shapes(users: usize) -> [(&'static str, String); 4] {
             "jaccard",
             format!(
                 "set simfunction \"jaccard\"; set simthreshold \"0.3\"; \
-                 for $msg in dataset MugshotMessages where $msg.author-id < {fuzzy_authors} \
+                 for $msg in dataset MugshotMessages where $msg.message-id < {fuzzy_outer} \
                  let $similar := (for $m2 in dataset MugshotMessages \
                                   where $m2.tags ~= $msg.tags \
                                     and $m2.message-id != $msg.message-id \
@@ -254,26 +255,25 @@ fn theta_shapes(users: usize) -> [(&'static str, String); 4] {
 }
 
 /// The theta joins' JSON object: each shape's median over `runs` timed
-/// executions after one warm-up, and its row count; every run must answer
-/// as the warm-up did.
-fn theta_joins(instance: &Instance, users: usize, runs: usize) -> String {
+/// executions, and its row count; every run must answer as the first. The
+/// joins run at most three times each: at the default scale a run takes
+/// most of a second, and at a tiny one the runs are all fixed cost.
+fn theta_joins(instance: &Instance, scale: &Scale, runs: usize) -> String {
     let mut fields = Vec::new();
-    for (name, q) in theta_shapes(users) {
+    for (name, q) in theta_shapes(scale) {
         eprintln!("running theta {name} ...");
-        let answer = canonical(instance.query(&q).expect("query"), false);
-        let mut ms = Vec::with_capacity(runs);
+        let (mut ms, mut answer) = (Vec::with_capacity(runs), None);
         for _ in 0..runs {
             let start = Instant::now();
             let rows = instance.query(&q).expect("query");
             ms.push(start.elapsed().as_secs_f64() * 1000.0);
-            assert_eq!(canonical(rows, false), answer, "theta {name}: a run answered differently");
+            let rows = canonical(rows, false);
+            let first = answer.get_or_insert_with(|| rows.clone());
+            assert_eq!(&rows, first, "theta {name}: a run answered differently");
         }
         ms.sort_by(f64::total_cmp);
-        fields.push(format!(
-            "\"{name}\": {{ \"rows\": {}, \"ms\": {:.3} }}",
-            answer.len(),
-            ms[ms.len() / 2]
-        ));
+        let rows = answer.map_or(0, |a| a.len());
+        fields.push(format!("\"{name}\": {{ \"rows\": {rows}, \"ms\": {:.3} }}", ms[ms.len() / 2]));
     }
     format!("{{ {} }}", fields.join(", "))
 }
@@ -291,7 +291,7 @@ fn main() {
             eprintln!("running index_nl ...");
             index_nl = index_nl_trio(&sys.instance, &corpus, runs);
         } else {
-            theta = theta_joins(&sys.instance, corpus.users.len(), runs);
+            theta = theta_joins(&sys.instance, &scale, runs.min(3));
         }
         let ix = if indexed { "ix" } else { "noix" };
         let mut pairs = Vec::new();

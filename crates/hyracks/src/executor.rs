@@ -1419,7 +1419,7 @@ mod tests {
     #[test]
     fn every_streaming_operator_answers_alike_fused_and_at_the_head() {
         use crate::ops::{
-            DistinctOp, FetchFn, ForwardOp, IndexNestedLoopJoinOp, PrimaryFetchOp, ProjectOp,
+            DistinctOp, FetchFn, ForwardOp, IndexNlJoinOp, PrimaryFetchOp, ProjectOp,
             RuntimeFilterProbeOp, UnnestOp, FETCH_BATCH,
         };
         use crate::Tuple;
@@ -1466,7 +1466,7 @@ mod tests {
                 "fetch" => Arc::new(PrimaryFetchOp::new("fetch", Arc::clone(&fetch))),
                 "distinct" => Arc::new(DistinctOp { keys: vec![1] }),
                 "forward" => Arc::new(ForwardOp::new("merge")),
-                "index-nl" => Arc::new(IndexNestedLoopJoinOp::new(
+                "index-nl" => Arc::new(IndexNlJoinOp::new(
                     "ix",
                     Arc::new(move |outers, groups, emit| {
                         for (o, t) in outers.iter().enumerate() {

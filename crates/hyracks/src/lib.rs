@@ -14,7 +14,8 @@
 //! generation split jobs into stages).
 //!
 //! The operator library covers the paper's §4.1 inventory: joins
-//! (hybrid-hash with Grace-style spilling, nested-loop, index nested-loop),
+//! (hybrid-hash with Grace-style spilling, the nested-loop join being one
+//! with no key, and index nested-loop),
 //! aggregation (hash group-by, local/global scalar aggregation), external
 //! sort, select/assign/project/limit/unnest, index lifecycle operators
 //! (scans, searches, insert/delete), and the six connector kinds.

@@ -1,17 +1,19 @@
-//! Join operators (§4.1): HybridHash (with Grace-style spilling),
-//! NestedLoop, and the index nested-loop join selected by the
-//! `/*+ indexnl */` hint (Query 14).
+//! Join operators (§4.1): the hybrid hash join (with Grace-style
+//! spilling), which is also the nested-loop join — a join with no key, every
+//! build tuple a candidate for every probe tuple — and the index
+//! nested-loop join selected by the `/*+ indexnl */` hint (Query 14).
 //!
 //! The hash join works on *encoded* tuples throughout: hash-table keys are
 //! the canonical `ordkey` encodings of the join-key values (byte equality
 //! there is exactly ADM `total_cmp` equality, collapsing numeric widths),
 //! buckets hold raw tuple encodings, output rows are built by byte-level
 //! concatenation ([`concat_tuples_into`]), and Grace spill partitions are
-//! files of raw tuple bytes hashed with the byte-level field hasher.
+//! files of raw tuple bytes hashed with the byte-level field hasher. A
+//! residual decodes only the columns it reads, once per tuple.
 //!
-//! The hash and nested-loop joins are two activities each, one per input
-//! (§4.1): a build stage takes input 0 and leaves what it built in a
-//! [`Handoff`] when it finishes; the probe stage takes input 1 and emits.
+//! The hash join is two activities, one per input (§4.1): a build stage
+//! takes input 0 and leaves what it built in a [`Handoff`] when it
+//! finishes; the probe stage takes input 1 and emits.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -31,8 +33,8 @@ use crate::Result;
 use asterix_sync::Mutex;
 
 /// Join type. The hash join takes every kind, so either input of an
-/// outer or semi join can build; the nested-loop and index nested-loop
-/// joins take the probe-side kinds, their outer branch being the probe.
+/// outer or semi join can build; the index nested-loop join takes the
+/// probe-side kinds, its outer branch being the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
     Inner,
@@ -78,9 +80,14 @@ fn null_pad(arity: usize) -> Vec<u8> {
 }
 
 /// Concatenate two encoded tuples and emit the result.
-fn push_concat(out: &mut FrameOut, scratch: &mut Vec<u8>, b: &[u8], p: &[u8]) -> Result<()> {
+fn push_concat(
+    out: &mut FrameOut,
+    scratch: &mut Vec<u8>,
+    b: &TupleRef<'_>,
+    p: &TupleRef<'_>,
+) -> Result<()> {
     scratch.clear();
-    concat_tuples_into(scratch, &TupleRef::new(b)?, &TupleRef::new(p)?);
+    concat_tuples_into(scratch, b, p);
     out.push(scratch)
 }
 
@@ -129,11 +136,11 @@ fn read_spill(spill: &SpillGuard) -> Result<Vec<Vec<u8>>> {
     Ok(out)
 }
 
-/// Hybrid hash join, for every equi-join kind. Input 0 is the Build
-/// activity (blocking), input 1 the Probe activity, mirroring the
-/// two-activity expansion described in §4.1. When the build side exceeds
-/// the memory budget, both sides are Grace-partitioned to disk by join-key
-/// hash and joined partition-wise.
+/// Hybrid hash join, for every join kind. Input 0 is the Build activity
+/// (blocking), input 1 the Probe activity, mirroring the two-activity
+/// expansion described in §4.1. When the build side exceeds the memory
+/// budget, both sides are Grace-partitioned to disk by join-key hash and
+/// joined partition-wise.
 ///
 /// A match is a build and a probe tuple with equal keys that the
 /// `residual`, decided on `build ++ probe`, passes. Inner and outer joins
@@ -142,6 +149,10 @@ fn read_spill(spill: &SpillGuard) -> Result<Vec<Vec<u8>>> {
 /// tuples no match passed: a probe tuple as it is probed, a build tuple —
 /// NULL-keyed ones included — at the end of the probe activity, from the
 /// in-memory table or from each Grace partition in turn.
+///
+/// With no keys it is the nested-loop join of a theta join: every tuple has
+/// the one empty key, so every pair is a candidate, and the build side
+/// never spills, Grace partitions having no key to tell tuples apart by.
 pub struct HybridHashJoinOp {
     label: String,
     /// What `explain` appends to the name: which input builds, and the
@@ -216,7 +227,9 @@ impl HybridHashJoinOp {
 
 impl OperatorDescriptor for HybridHashJoinOp {
     fn name(&self) -> String {
-        if self.sides.is_empty() {
+        if self.build_keys.is_empty() {
+            format!("nested-loop-join {}", self.label)
+        } else if self.sides.is_empty() {
             format!("hybrid-hash-join {}", self.label)
         } else {
             format!("hybrid-hash-join {} {}", self.label, self.sides)
@@ -254,6 +267,7 @@ impl OperatorDescriptor for HybridHashJoinOp {
                 keys: self.probe_keys.clone(),
                 join_type: self.join_type,
                 residual: self.residual.clone(),
+                cols: None,
                 pad: null_pad(self.pad_arity),
                 scratch: Vec::new(),
                 key_scratch: Vec::new(),
@@ -273,6 +287,9 @@ struct JoinTable {
     rows: Vec<Vec<u8>>,
     by_key: HashMap<Vec<u8>, Vec<usize>>,
     matched: Vec<bool>,
+    /// Per row, the columns the residual reads of it, decoded when a pair
+    /// first needs them (empty until one does).
+    decoded: Vec<Option<Tuple>>,
 }
 
 fn join_table(build: Vec<Vec<u8>>, keys: &[usize], join_type: JoinType) -> Result<JoinTable> {
@@ -347,7 +364,7 @@ impl PipelineOp for HashBuild {
         }
         self.bytes += enc.len() + 32;
         self.rows.push(enc.to_vec());
-        if self.bytes >= self.budget {
+        if self.bytes >= self.budget && !self.keys.is_empty() {
             self.spill = self.spill_writers('b')?;
             for enc in std::mem::take(&mut self.rows) {
                 let h = self.spill_part(&TupleRef::new(&enc)?);
@@ -394,6 +411,9 @@ struct Matches {
     keys: Vec<usize>,
     join_type: JoinType,
     residual: Option<Predicate>,
+    /// What the residual reads of a pair, once the first pair it decodes
+    /// tells the two sides' widths.
+    cols: Option<PairCols>,
     /// The nulls an outer join pads the other side of an unmatched tuple
     /// with.
     pad: Vec<u8>,
@@ -403,29 +423,53 @@ struct Matches {
     out: FrameOut,
 }
 
+/// The columns a residual reads of each side of a pair, and the pair they
+/// are decoded into.
+struct PairCols {
+    build_width: usize,
+    /// The build side's columns, and the probe side's, numbered within the
+    /// probe tuple.
+    build: Vec<usize>,
+    probe: Vec<usize>,
+    /// `build ++ probe`, decoded where the residual reads it and `Missing`
+    /// elsewhere.
+    pair: Tuple,
+}
+
+impl PairCols {
+    /// The columns `fields` names (all of them when `None`) of a pair of
+    /// `build_width` and `probe_width` columns.
+    fn new(fields: Option<&[usize]>, build_width: usize, probe_width: usize) -> PairCols {
+        let width = build_width + probe_width;
+        let fields: Vec<usize> = fields.map_or_else(|| (0..width).collect(), <[usize]>::to_vec);
+        PairCols {
+            build_width,
+            build: fields.iter().copied().filter(|&f| f < build_width).collect(),
+            probe: fields.iter().filter(|&&f| f >= build_width).map(|f| f - build_width).collect(),
+            pair: vec![Value::Missing; width],
+        }
+    }
+}
+
 impl Matches {
     fn probe(&mut self, table: &mut JoinTable, p: &[u8]) -> Result<()> {
         let jt = self.join_type;
         let probe = TupleRef::new(p)?;
         let hits = join_key(&probe, &self.keys)?.and_then(|k| table.by_key.get(&k));
-        let mut matched = false;
+        let (mut matched, mut probe_decoded) = (false, false);
         for &i in hits.map_or(&[][..], Vec::as_slice) {
             if jt == JoinType::BuildSemi && table.matched[i] {
                 continue;
             }
-            let b = &table.rows[i];
-            self.scratch.clear();
-            concat_tuples_into(&mut self.scratch, &TupleRef::new(b)?, &probe);
-            if let Some(residual) = &self.residual {
-                if !residual.decide(&self.scratch, &mut self.key_scratch)? {
-                    continue;
-                }
+            let b = TupleRef::new(&table.rows[i])?;
+            if !self.passes(&b, &mut table.decoded, i, &probe, &mut probe_decoded)? {
+                continue;
             }
             matched = true;
             match jt {
                 JoinType::ProbeSemi => break,
-                JoinType::BuildSemi => self.out.push(b)?,
-                _ => self.out.push(&self.scratch)?,
+                JoinType::BuildSemi => self.out.push(&table.rows[i])?,
+                _ => push_concat(&mut self.out, &mut self.scratch, &b, &probe)?,
             }
             if jt.flags_build() {
                 table.matched[i] = true;
@@ -434,10 +478,56 @@ impl Matches {
         match jt {
             JoinType::ProbeSemi if matched => self.out.push(p),
             JoinType::ProbeOuter if !matched => {
-                push_concat(&mut self.out, &mut self.scratch, &self.pad, p)
+                push_concat(&mut self.out, &mut self.scratch, &TupleRef::new(&self.pad)?, &probe)
             }
             _ => Ok(()),
         }
+    }
+
+    /// Whether the residual, if any, passes build row `i` (`b`) with
+    /// `probe`. Its ordkey conjuncts decide on `build ++ probe` first; else
+    /// its predicate does, over the columns it reads: the build row's,
+    /// decoded once into `decoded[i]`, and the probe tuple's, decoded at its
+    /// first pair that gets this far (`probe_decoded`).
+    fn passes(
+        &mut self,
+        b: &TupleRef<'_>,
+        decoded: &mut Vec<Option<Tuple>>,
+        i: usize,
+        probe: &TupleRef<'_>,
+        probe_decoded: &mut bool,
+    ) -> Result<bool> {
+        let Some(residual) = &self.residual else { return Ok(true) };
+        if !residual.ord.is_empty() {
+            self.scratch.clear();
+            concat_tuples_into(&mut self.scratch, b, probe);
+            if let Some(pass) = residual.decide_encoded(&self.scratch, &mut self.key_scratch) {
+                return Ok(pass);
+            }
+        }
+        let cols = self.cols.get_or_insert_with(|| {
+            PairCols::new(residual.fields.as_deref(), b.field_count(), probe.field_count())
+        });
+        if !*probe_decoded {
+            for &f in &cols.probe {
+                cols.pair[cols.build_width + f] = probe.field_value(f)?;
+            }
+            *probe_decoded = true;
+        }
+        if decoded.len() <= i {
+            decoded.resize(i + 1, None);
+        }
+        let row = match &mut decoded[i] {
+            Some(row) => row,
+            slot => {
+                let row = cols.build.iter().map(|&f| b.field_value(f));
+                slot.insert(row.collect::<asterix_adm::Result<Tuple>>()?)
+            }
+        };
+        for (&f, v) in cols.build.iter().zip(row.iter()) {
+            cols.pair[f] = v.clone();
+        }
+        (residual.pred)(&cols.pair)
     }
 
     /// The end of a table's probing: an outer build side's tuples no match
@@ -446,8 +536,9 @@ impl Matches {
         if self.join_type != JoinType::BuildOuter {
             return Ok(());
         }
+        let pad = TupleRef::new(&self.pad)?;
         for (b, _) in table.rows.iter().zip(&table.matched).filter(|(_, matched)| !**matched) {
-            push_concat(&mut self.out, &mut self.scratch, b, &self.pad)?;
+            push_concat(&mut self.out, &mut self.scratch, &TupleRef::new(b)?, &pad)?;
         }
         Ok(())
     }
@@ -512,130 +603,6 @@ impl PipelineOp for HashProbe {
     }
 }
 
-/// Does a (build, probe) tuple pair join?
-type JoinPredFn = Arc<dyn Fn(&Tuple, &Tuple) -> Result<bool> + Send + Sync>;
-
-/// Block nested-loop join with an arbitrary predicate over (build, probe)
-/// tuple pairs — the fallback for non-equijoins (spatial joins without an
-/// index, Query 5's inner pairing).
-pub struct NestedLoopJoinOp {
-    label: String,
-    pred: JoinPredFn,
-    pub join_type: JoinType,
-    /// Arity of the build-side tuples (for ProbeOuter null padding).
-    pub build_arity: usize,
-}
-
-impl NestedLoopJoinOp {
-    pub fn new(
-        label: impl Into<String>,
-        pred: impl Fn(&Tuple, &Tuple) -> Result<bool> + Send + Sync + 'static,
-        join_type: JoinType,
-        build_arity: usize,
-    ) -> NestedLoopJoinOp {
-        NestedLoopJoinOp { label: label.into(), pred: Arc::new(pred), join_type, build_arity }
-    }
-}
-
-impl OperatorDescriptor for NestedLoopJoinOp {
-    fn name(&self) -> String {
-        format!("nested-loop-join {}", self.label)
-    }
-
-    fn blocking_inputs(&self) -> Vec<usize> {
-        vec![0]
-    }
-
-    fn activities(
-        &self,
-        ctx: PipelineCtx,
-        next: Box<dyn PipelineOp>,
-    ) -> Result<Vec<Box<dyn PipelineOp>>> {
-        let built: Handoff<NlRows> = Arc::new(Mutex::new(None));
-        let probe = NlProbe {
-            pred: Arc::clone(&self.pred),
-            join_type: self.join_type,
-            pad: null_pad(self.build_arity),
-            built: Arc::clone(&built),
-            build: None,
-            scratch: Vec::new(),
-            out: FrameOut::new(&ctx.env, next),
-        };
-        Ok(vec![Box::new(NlBuild { rows: Vec::new(), built }), Box::new(probe)])
-    }
-}
-
-/// Build-side tuples of a nested-loop join: the predicate needs decoded
-/// values; the encoding is kept alongside so matched rows are emitted by
-/// byte concatenation, not cloning.
-type NlRows = Vec<(Tuple, Vec<u8>)>;
-
-/// A nested-loop join's build activity: buffers every build tuple.
-struct NlBuild {
-    rows: NlRows,
-    built: Handoff<NlRows>,
-}
-
-impl PipelineOp for NlBuild {
-    fn push(&mut self, enc: &[u8]) -> Result<()> {
-        self.rows.push((asterix_adm::decode_tuple(enc)?, enc.to_vec()));
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        *self.built.lock() = Some(std::mem::take(&mut self.rows));
-        Ok(())
-    }
-}
-
-/// A nested-loop join's probe activity: every probe tuple against every
-/// build tuple.
-struct NlProbe {
-    pred: JoinPredFn,
-    join_type: JoinType,
-    pad: Vec<u8>,
-    built: Handoff<NlRows>,
-    /// Taken from the handoff at the first probe tuple.
-    build: Option<NlRows>,
-    scratch: Vec<u8>,
-    out: FrameOut,
-}
-
-impl PipelineOp for NlProbe {
-    fn push(&mut self, penc: &[u8]) -> Result<()> {
-        let built = &self.built;
-        let build = self.build.get_or_insert_with(|| built.lock().take().unwrap_or_default());
-        let p = asterix_adm::decode_tuple(penc)?;
-        if self.join_type == JoinType::ProbeSemi {
-            for (b, _) in build.iter() {
-                if (self.pred)(b, &p)? {
-                    return self.out.push(penc);
-                }
-            }
-            return Ok(());
-        }
-        let mut matched = false;
-        for (b, benc) in build.iter() {
-            if (self.pred)(b, &p)? {
-                matched = true;
-                push_concat(&mut self.out, &mut self.scratch, benc, penc)?;
-            }
-        }
-        if !matched && self.join_type == JoinType::ProbeOuter {
-            push_concat(&mut self.out, &mut self.scratch, &self.pad, penc)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.out.flush()
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.out.finish(Ok(()))
-    }
-}
-
 /// Index nested-loop join: the outer tuples probe a secondary index for
 /// the primary keys they join with, and the operator emits `outer ++ inner`
 /// per fetched record. Selected by the `indexnl` hint (Query 14). Outer
@@ -653,7 +620,7 @@ impl PipelineOp for NlProbe {
 /// post-validation — decides each `outer ++ inner` match inside the join,
 /// so an outer tuple none of whose matches passes is padded like one that
 /// found none.
-pub struct IndexNestedLoopJoinOp {
+pub struct IndexNlJoinOp {
     label: String,
     probe: ProbeFn,
     fetch: FetchFn,
@@ -663,26 +630,19 @@ pub struct IndexNestedLoopJoinOp {
     pub inner_arity: usize,
 }
 
-impl IndexNestedLoopJoinOp {
+impl IndexNlJoinOp {
     pub fn new(
         label: impl Into<String>,
         probe: ProbeFn,
         fetch: FetchFn,
         join_type: JoinType,
         inner_arity: usize,
-    ) -> IndexNestedLoopJoinOp {
-        IndexNestedLoopJoinOp {
-            label: label.into(),
-            probe,
-            fetch,
-            filter: None,
-            join_type,
-            inner_arity,
-        }
+    ) -> IndexNlJoinOp {
+        IndexNlJoinOp { label: label.into(), probe, fetch, filter: None, join_type, inner_arity }
     }
 
     /// Keep only the matches `filter` accepts, decided on `outer ++ inner`.
-    pub fn with_filter(mut self, filter: Predicate) -> IndexNestedLoopJoinOp {
+    pub fn with_filter(mut self, filter: Predicate) -> IndexNlJoinOp {
         self.filter = Some(filter);
         self
     }
@@ -710,7 +670,7 @@ impl IndexNestedLoopJoinOp {
     }
 }
 
-impl OperatorDescriptor for IndexNestedLoopJoinOp {
+impl OperatorDescriptor for IndexNlJoinOp {
     fn name(&self) -> String {
         format!("index-nested-loop-join {}", self.label)
     }
@@ -724,7 +684,7 @@ impl OperatorDescriptor for IndexNestedLoopJoinOp {
     }
 }
 
-/// The buffered outer tuples of an [`IndexNestedLoopJoinOp`] instance, and
+/// The buffered outer tuples of an [`IndexNlJoinOp`] instance, and
 /// what their probes and the fetch found.
 struct IndexNlBatch {
     probe: ProbeFn,
@@ -1073,11 +1033,102 @@ mod tests {
 
     #[test]
     fn nested_loop_pads_to_the_build_arity_over_an_empty_build_input() {
-        let op = NestedLoopJoinOp::new("nl", |_, _| Ok(true), JoinType::ProbeOuter, 3);
+        let op = HybridHashJoinOp::new("nl", vec![], vec![], JoinType::ProbeOuter, 3);
+        assert_eq!(op.name(), "nested-loop-join nl");
         let out = run_join(&op, vec![], vec![kv(1, "p")]);
         let mut padded = vec![Value::Null; 3];
         padded.extend(kv(1, "p"));
         assert_eq!(out, vec![padded]);
+    }
+
+    /// A residual over `build ++ probe` of two-column tuples that reads
+    /// only the second column of each side: the build value is below the
+    /// probe value.
+    fn second_columns_ascend() -> Predicate {
+        Predicate {
+            pred: Arc::new(|t: &Tuple| {
+                assert!(t[0].is_missing() && t[2].is_missing(), "undecoded columns: {t:?}");
+                Ok(t[1].total_cmp(&t[3]).is_lt() && !t[1].is_unknown() && !t[3].is_unknown())
+            }),
+            fields: Some(vec![1, 3]),
+            ord: Vec::new(),
+        }
+    }
+
+    fn known_and_below(b: &Tuple, p: &Tuple) -> bool {
+        !b[1].is_unknown() && !p[1].is_unknown() && b[1].total_cmp(&p[1]).is_lt()
+    }
+
+    /// With no keys every pair is a candidate: each kind matches exactly
+    /// the pairs its residual passes, some values unknown, under a budget
+    /// its build input exceeds.
+    #[test]
+    fn a_keyless_join_of_every_kind_matches_the_pairs_its_residual_passes() {
+        let build: Vec<Tuple> = (0..90i64)
+            .map(|i| {
+                let v = if i % 9 == 0 { Value::Null } else { Value::Int64(i % 40) };
+                vec![Value::Int64(i), v]
+            })
+            .collect();
+        let probe: Vec<Tuple> = (0..50i64)
+            .map(|i| {
+                let v = if i % 7 == 0 { Value::Missing } else { Value::Int64(i % 30) };
+                vec![Value::Int64(-i), v]
+            })
+            .collect();
+        for jt in [
+            JoinType::Inner,
+            JoinType::ProbeOuter,
+            JoinType::ProbeSemi,
+            JoinType::BuildOuter,
+            JoinType::BuildSemi,
+        ] {
+            let want = sorted(naive_join(jt, &build, &probe, known_and_below));
+            let op = HybridHashJoinOp::new("theta", vec![], vec![], jt, 2)
+                .with_residual(second_columns_ascend())
+                .with_budget(1024);
+            let got = sorted(run_join(&op, build.clone(), probe.clone()));
+            assert_eq!(got, want, "{jt:?}");
+            assert!(!want.is_empty() && want.len() < build.len() * probe.len(), "{jt:?}");
+        }
+    }
+
+    /// A keyed join whose residual reads one column of each side decodes
+    /// each build row's once, by row: every kind answers alike in memory,
+    /// across Grace partitions under a 1 KiB budget, and pair by pair.
+    #[test]
+    fn a_residual_decides_alike_in_memory_and_across_grace_partitions() {
+        let build: Vec<Tuple> = (0..400i64)
+            .map(|i| {
+                let v = if i % 13 == 0 { Value::Null } else { Value::Int64((i * 7) % 50) };
+                vec![Value::Int64(i % 25), v]
+            })
+            .collect();
+        let probe: Vec<Tuple> = (0..200i64)
+            .map(|i| {
+                let v = if i % 11 == 0 { Value::Missing } else { Value::Int64((i * 3) % 50) };
+                vec![Value::Int64(i % 30), v]
+            })
+            .collect();
+        let passes = |b: &Tuple, p: &Tuple| b[0] == p[0] && known_and_below(b, p);
+        for jt in [
+            JoinType::Inner,
+            JoinType::ProbeOuter,
+            JoinType::ProbeSemi,
+            JoinType::BuildOuter,
+            JoinType::BuildSemi,
+        ] {
+            let want = sorted(naive_join(jt, &build, &probe, passes));
+            let op = |budget| {
+                HybridHashJoinOp::new("cols", vec![0], vec![0], jt, 2)
+                    .with_residual(second_columns_ascend())
+                    .with_budget(budget)
+            };
+            let in_memory = sorted(run_join(&op(64 << 20), build.clone(), probe.clone()));
+            let grace = sorted(run_join(&op(1024), build.clone(), probe.clone()));
+            assert_eq!(in_memory, want, "{jt:?} in memory");
+            assert_eq!(grace, in_memory, "{jt:?} across Grace partitions");
+        }
     }
 
     #[test]
@@ -1207,12 +1258,13 @@ mod tests {
 
     #[test]
     fn nested_loop_with_inequality() {
-        let op = NestedLoopJoinOp::new(
-            "nl",
-            |b, p| Ok(b[0].total_cmp(&p[0]).is_lt()),
-            JoinType::Inner,
-            2,
-        );
+        let below = Predicate {
+            pred: Arc::new(|t: &Tuple| Ok(t[0].total_cmp(&t[2]).is_lt())),
+            fields: None,
+            ord: Vec::new(),
+        };
+        let op =
+            HybridHashJoinOp::new("nl", vec![], vec![], JoinType::Inner, 2).with_residual(below);
         let out = run_join(&op, vec![kv(1, "b1"), kv(5, "b5")], vec![kv(3, "p3"), kv(6, "p6")]);
         // b1<p3, b1<p6, b5<p6 → 3 rows.
         assert_eq!(out.len(), 3);
@@ -1256,7 +1308,7 @@ mod tests {
             }
             Ok(())
         });
-        let op = IndexNestedLoopJoinOp::new("ix", probe, fetch, join_type, 1);
+        let op = IndexNlJoinOp::new("ix", probe, fetch, join_type, 1);
         let out = if fused {
             use crate::pipeline::testing::{Recorder, RecorderStage};
             let rec = Arc::new(asterix_sync::Mutex::new(Recorder::default()));
@@ -1366,7 +1418,7 @@ mod tests {
             groups.resize(outers.tuple_count(), 0);
             (1..=2i64).try_for_each(|k| emit(0, &encode_tuple(&[Value::Int64(k)])))
         });
-        let op = IndexNestedLoopJoinOp::new("ix", probe, fetch, JoinType::Inner, 1);
+        let op = IndexNlJoinOp::new("ix", probe, fetch, JoinType::Inner, 1);
         let x = ExchangeConfig::default();
         let (mut b_out, b_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();
         let (mut r_out, mut r_in) = wire(&ConnectorKind::OneToOne, 1, 1, &x).unwrap();

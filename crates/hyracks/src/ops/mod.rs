@@ -15,7 +15,7 @@ mod join;
 mod sort;
 
 pub use group::{AggKind, AggSpec, GroupMode, HashGroupOp, ScalarAggOp};
-pub use join::{HybridHashJoinOp, IndexNestedLoopJoinOp, JoinType, NestedLoopJoinOp};
+pub use join::{HybridHashJoinOp, IndexNlJoinOp, JoinType};
 pub use sort::{sort_comparator, SortKey, SortOp};
 
 use std::cmp::Ordering;
@@ -70,7 +70,7 @@ pub type FetchFn =
     Arc<dyn Fn(&FrameBuf, &mut dyn FnMut(usize, &[u8]) -> Result<()>) -> Result<()> + Send + Sync>;
 
 /// Resolve a batch of outer tuples to the primary keys each joins with
-/// (the index side of an [`IndexNestedLoopJoinOp`]): `(outers, groups,
+/// (the index side of an [`IndexNlJoinOp`]): `(outers, groups,
 /// emit)`. The callee pushes onto `groups`, for each tuple of `outers` in
 /// order, the number of the probe group it joins through — tuples whose
 /// probes match the same keys (a probe that matches every key, say) may
@@ -455,19 +455,25 @@ pub struct Predicate {
 impl Predicate {
     /// Does the encoded tuple pass? `scratch` holds comparison keys.
     pub fn decide(&self, bytes: &[u8], scratch: &mut Vec<u8>) -> Result<bool> {
+        if let Some(pass) = self.decide_encoded(bytes, scratch) {
+            return Ok(pass);
+        }
+        let t = decode_for_eval(bytes, self.fields.as_deref())?;
+        (self.pred)(&t)
+    }
+
+    /// The ordkey conjuncts' verdict on the bytes alone, where they reach
+    /// one: some conjunct rejects the tuple, or every one accepts it.
+    pub fn decide_encoded(&self, bytes: &[u8], scratch: &mut Vec<u8>) -> Option<bool> {
         let mut decided = !self.ord.is_empty();
         for o in &self.ord {
             match o.eval_encoded(bytes, scratch) {
-                Some(false) => return Ok(false),
+                Some(false) => return Some(false),
                 Some(true) => {}
                 None => decided = false,
             }
         }
-        if decided {
-            return Ok(true);
-        }
-        let t = decode_for_eval(bytes, self.fields.as_deref())?;
-        (self.pred)(&t)
+        decided.then_some(true)
     }
 }
 

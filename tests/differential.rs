@@ -743,7 +743,7 @@ fn left_outer_hash_plan() -> asterix_algebricks::plan::LogicalOp {
         Box::new(LogicalExpr::Const(Value::Int64(20))),
     );
     LogicalOp::Emit {
-        input: Box::new(LogicalOp::HashJoin {
+        input: Box::new(LogicalOp::Join {
             left: Box::new(LogicalOp::DataSourceScan { dataset: USERS.into(), var: 0 }),
             right: Box::new(LogicalOp::Select {
                 input: Box::new(LogicalOp::DataSourceScan { dataset: MESSAGES.into(), var: 1 }),
@@ -753,6 +753,7 @@ fn left_outer_hash_plan() -> asterix_algebricks::plan::LogicalOp {
             right_keys: vec![field(1, "author-id")],
             residual: None,
             kind: JoinKind::LeftOuter,
+            index_nl_hint: false,
         }),
         expr: LogicalExpr::RecordCtor(vec![
             ("u".into(), field(0, "id")),
@@ -1784,7 +1785,7 @@ fn left_outer_group_count_plan() -> asterix_algebricks::plan::LogicalOp {
     let count = |var, sql| AggCall { var, func: AggFunc::Count, sql, input: LogicalExpr::Var(1) };
     LogicalOp::Emit {
         input: Box::new(LogicalOp::GroupBy {
-            input: Box::new(LogicalOp::HashJoin {
+            input: Box::new(LogicalOp::Join {
                 left: Box::new(LogicalOp::Select {
                     input: Box::new(LogicalOp::DataSourceScan { dataset: "Grp.G".into(), var: 0 }),
                     condition: cmp(CompareOp::Lt, 0, Value::Int64(14)),
@@ -1797,6 +1798,7 @@ fn left_outer_group_count_plan() -> asterix_algebricks::plan::LogicalOp {
                 right_keys: vec![field(1, "k")],
                 residual: None,
                 kind: JoinKind::LeftOuter,
+                index_nl_hint: false,
             }),
             keys: vec![(2, field(0, "id"))],
             aggs: vec![count(3, false), count(4, true)],
